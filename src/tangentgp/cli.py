@@ -270,15 +270,13 @@ def cmd_predict(args) -> int:
         + [f"mean_{c}" for c in range(width)]
         + [f"var_{c}" for c in range(width)]
     )
-    rows = []
-    if x.shape[0] > 0:
-        mean, var = predict(posterior, network, x)
-        rows = [
-            [fmt_float(v) for v in x[i]]
-            + [fmt_float(v) for v in mean[i]]
-            + [fmt_float(v) for v in var[i]]
-            for i in range(x.shape[0])
-        ]
+    mean, var = predict(posterior, network, x)
+    rows = [
+        [fmt_float(v) for v in x[i]]
+        + [fmt_float(v) for v in mean[i]]
+        + [fmt_float(v) for v in var[i]]
+        for i in range(x.shape[0])
+    ]
     _emit_rows(args, resolved, columns, rows)
     return 0
 

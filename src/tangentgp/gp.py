@@ -17,16 +17,14 @@ p > n*o.
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, FitError
+from .errors import ConfigError, ContractViolationError, FitError, ResourceLimitError
 from .linalg import (
     SymmetricLinearOperator,
     cg_solve,
@@ -36,6 +34,7 @@ from .linalg import (
 )
 from .net import DENSE_JACOBIAN_CAP, JacobianOperator, MlpNetwork, TaskDataset
 from .seeding import substream
+from .serialize import atomic_write_bytes
 
 MEAN_KINDS = ("zero", "jacobian_mean", "linearized_nn")
 SPACES = ("function", "parameter")
@@ -47,81 +46,25 @@ POSTERIOR_FILE_VERSION = 1
 FIT_RESIDUAL_LIMIT = 1e-4
 
 
-class _ChannelView:
-    """Restriction of a JacobianOperator to a subset of output channels.
-
-    Used for heteroscedastic networks, where regression targets pair with
-    the mean-head channels only; the scale-head columns of the Jacobian
-    are excluded from the kernel.
-    """
-
-    def __init__(self, jac: JacobianOperator, channels: tuple[int, ...]):
-        full = jac.out_dim
-        channels = tuple(int(c) for c in channels)
-        if len(channels) == 0 or len(set(channels)) != len(channels):
-            raise ContractViolationError("channels must be a nonempty set of distinct indices")
-        if any(c < 0 or c >= full for c in channels):
-            raise ContractViolationError(f"channel indices must lie in [0, {full}), got {channels}")
-        self._jac = jac
-        self.channels = channels
-        self.outputs = jac.outputs[:, list(channels)]
-
-    @property
-    def n_data(self):
-        return self._jac.n_data
-
-    @property
-    def out_dim(self):
-        return len(self.channels)
-
-    @property
-    def out_len(self):
-        return self.n_data * self.out_dim
-
-    @property
-    def param_count(self):
-        return self._jac.param_count
-
-    def vjp(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        full = np.zeros((self.n_data, self._jac.out_dim))
-        full[:, list(self.channels)] = u.reshape(self.n_data, self.out_dim)
-        return self._jac.vjp(full.ravel())
-
-    def jvp(self, v):
-        full = self._jac.jvp(v).reshape(self.n_data, self._jac.out_dim)
-        return full[:, list(self.channels)].ravel()
-
-    def dense(self, cap: int = DENSE_JACOBIAN_CAP):
-        full = self._jac.dense(cap)
-        cols = full.reshape(self.param_count, self.n_data, self._jac.out_dim)
-        return cols[:, :, list(self.channels)].reshape(self.param_count, self.out_len)
-
-
-def _view(jac: JacobianOperator, channels):
-    return jac if channels is None else _ChannelView(jac, channels)
-
-
-def _mean_surface(view, theta: np.ndarray, kind: str) -> np.ndarray:
+def _mean_surface(jac, theta: np.ndarray, kind: str) -> np.ndarray:
     """Prior mean values mu(X), shaped like the (selected) network outputs."""
     if kind == "zero":
-        return np.zeros_like(view.outputs)
+        return np.zeros_like(jac.outputs)
     if kind == "jacobian_mean":
-        return view.jvp(theta).reshape(view.n_data, view.out_dim)
+        return jac.jvp(theta).reshape(jac.n_data, jac.out_dim)
     if kind == "linearized_nn":
-        return view.outputs + view.jvp(theta).reshape(view.n_data, view.out_dim)
+        return jac.outputs + jac.jvp(theta).reshape(jac.n_data, jac.out_dim)
     raise ContractViolationError(f"mean kind must be one of {MEAN_KINDS}, got {kind!r}")
 
 
 def _prepare(network: MlpNetwork, data: TaskDataset, mean_kind: str, channels):
-    jac = JacobianOperator(network, data.x)
-    view = _view(jac, channels)
-    if data.y.shape[1] != view.out_dim:
+    jac = JacobianOperator(network, data.x, channels)
+    if data.y.shape[1] != jac.out_dim:
         raise ContractViolationError(
-            f"targets have {data.y.shape[1]} channels but the regression view has {view.out_dim}"
+            f"targets have {data.y.shape[1]} channels but the regression view has {jac.out_dim}"
         )
-    mu = _mean_surface(view, network.params, mean_kind)
-    return view, (data.y - mu).ravel()
+    mu = _mean_surface(jac, network.params, mean_kind)
+    return jac, (data.y - mu).ravel()
 
 
 def _variance_probe(resid: np.ndarray, dim: int) -> np.ndarray:
@@ -157,28 +100,50 @@ class NtkPosterior:
     clamp_count: int = 0
 
 
+def _jacobian_blocks(network: MlpNetwork, x, channels, cap: int = DENSE_JACOBIAN_CAP):
+    """Dense Jacobian blocks over datum chunks of at most ``cap`` entries.
+
+    Yields (columns, block): the p x (rows*o) block of one chunk of ``x``
+    and the slice of the full Jacobian's columns it holds. A chunk holds
+    at least one datum even where that exceeds ``cap``. An empty batch
+    gives one empty block, so inputs and channels are validated either way.
+    """
+    arch = network.architecture
+    rows = max(1, cap // (arch.parameter_count * arch.internal_output_dim))
+    for start in range(0, max(len(x), 1), rows):
+        jac = JacobianOperator(network, x[start : start + rows], channels)
+        first = start * jac.out_dim
+        yield slice(first, first + jac.out_len), jac.dense()
+
+
 def kernel_matrix(network: MlpNetwork, x1, x2=None, channels=None, cap: int = DENSE_JACOBIAN_CAP):
-    """Tangent-kernel Gram block K[a, b] = <j_a(X1), j_b(X2)>."""
-    jac1 = JacobianOperator(network, x1)
-    view1 = _view(jac1, channels)
-    if x2 is None:
-        view2 = view1
-    else:
-        view2 = _view(JacobianOperator(network, x2), channels)
-    entries = view1.out_len * view2.out_len
-    if entries > cap:
-        raise ContractViolationError(
-            f"kernel matrix needs {entries} entries (cap {cap}); use the matrix-free fits"
+    """Tangent-kernel Gram block K[a, b] = <j_a(X1), j_b(X2)>, i.e. J1' J2.
+
+    ``cap`` bounds the entries of the kernel and of each Jacobian block
+    it is assembled from.
+    """
+    symmetric = x2 is None
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = x1 if symmetric else np.asarray(x2, dtype=np.float64)
+    o = network.architecture.internal_output_dim if channels is None else len(channels)
+    shape = (len(x1) * o, len(x2) * o)
+    if shape[0] * shape[1] > cap:
+        raise ResourceLimitError(
+            f"kernel matrix needs {shape[0] * shape[1]} entries (cap {cap}); "
+            "use the matrix-free fits"
         )
-    # Column b of K is J1' (J2 e_b); each pass is one reverse plus one
-    # forward product, so nothing p-sized is ever materialized.
-    k = np.empty((view1.out_len, view2.out_len))
-    for b in range(view2.out_len):
-        e = np.zeros(view2.out_len)
-        e[b] = 1.0
-        k[:, b] = view1.jvp(view2.vjp(e))
-    if x2 is None:
-        k = 0.5 * (k + k.T)
+    k = np.empty(shape)
+    for cols1, block1 in _jacobian_blocks(network, x1, channels, cap):
+        # A symmetric kernel pairs each block with the earlier ones only and
+        # mirrors them; numpy evaluates a.T @ a as a symmetric rank-k
+        # update, so the diagonal blocks come out exactly symmetric.
+        others = x1[: cols1.start // o] if symmetric else x2
+        for cols2, block2 in _jacobian_blocks(network, others, channels, cap):
+            np.matmul(block1.T, block2, out=k[cols1, cols2])
+            if symmetric:
+                k[cols2, cols1] = k[cols1, cols2].T
+        if symmetric:
+            np.matmul(block1.T, block1, out=k[cols1, cols1])
     return k
 
 
@@ -202,18 +167,18 @@ def fit_function_space(
     channels=None,
 ) -> NtkPosterior:
     """Fit in function space: solve (J'J + s I) c = resid, cache m = J c."""
-    view, resid = _prepare(network, data, mean_kind, channels)
+    jac, resid = _prepare(network, data, mean_kind, channels)
     sigma2 = data.noise_variance
     op = SymmetricLinearOperator(
-        dim=view.out_len, base=lambda v: view.jvp(view.vjp(v)), shift=sigma2
+        dim=jac.out_len, base=lambda v: jac.jvp(jac.vjp(v)), shift=sigma2
     )
     coeffs = _solve_or_fail(op, resid, "function-space")
-    mean_cache = view.vjp(coeffs)
-    r = min(rank if rank is not None else DEFAULT_VARIANCE_RANK, view.out_len)
-    factors = lanczos_factorize(op, _variance_probe(resid, view.out_len), r)
+    mean_cache = jac.vjp(coeffs)
+    r = min(rank if rank is not None else DEFAULT_VARIANCE_RANK, jac.out_len)
+    factors = lanczos_factorize(op, _variance_probe(resid, jac.out_len), r)
     small_root = lowrank_inverse_root(factors)
-    variance_root = np.column_stack(
-        [view.vjp(small_root[:, k]) for k in range(small_root.shape[1])]
+    variance_root = sum(
+        block @ small_root[cols] for cols, block in _jacobian_blocks(network, data.x, channels)
     )
     return NtkPosterior(
         space="function",
@@ -235,11 +200,11 @@ def fit_parameter_space(
     channels=None,
 ) -> NtkPosterior:
     """Fit in parameter space: solve (J J' + s I_p) m = J resid directly."""
-    view, resid = _prepare(network, data, mean_kind, channels)
+    jac, resid = _prepare(network, data, mean_kind, channels)
     sigma2 = data.noise_variance
-    p = view.param_count
-    op = SymmetricLinearOperator(dim=p, base=lambda v: view.vjp(view.jvp(v)), shift=sigma2)
-    rhs = view.vjp(resid)
+    p = jac.param_count
+    op = SymmetricLinearOperator(dim=p, base=lambda v: jac.vjp(jac.jvp(v)), shift=sigma2)
+    rhs = jac.vjp(resid)
     mean_cache = _solve_or_fail(op, rhs, "parameter-space")
     r = min(rank if rank is not None else DEFAULT_VARIANCE_RANK, p)
     factors = lanczos_factorize(op, _variance_probe(rhs, p), r)
@@ -275,32 +240,20 @@ def fit_posterior(
     raise ContractViolationError(f"space must be 'auto' or one of {SPACES}, got {space!r}")
 
 
-def _variance_terms(view, root: np.ndarray, basis, cap: int):
+def _sq_norms(m: np.ndarray) -> np.ndarray:
+    return np.einsum("rj,rj->j", m, m)
+
+
+def _variance_terms(jac: JacobianOperator, root: np.ndarray, basis, cap: int):
     """Per-test-column quantities: ||j*||^2, ||root' j*||^2, ||basis' j*||^2."""
-    entries = view.param_count * view.out_len
-    if entries <= cap:
-        jt = view.dense(cap)
-        col_sq = np.einsum("pj,pj->j", jt, jt)
-        rp = root.T @ jt
-        root_sq = np.einsum("rj,rj->j", rp, rp)
-        basis_sq = None
+    col_sq = np.empty(jac.out_len)
+    root_sq = np.empty(jac.out_len)
+    basis_sq = np.empty(jac.out_len) if basis is not None else None
+    for cols, jt in _jacobian_blocks(jac.network, jac.inputs, jac.channels, cap):
+        col_sq[cols] = _sq_norms(jt)
+        root_sq[cols] = _sq_norms(root.T @ jt)
         if basis is not None:
-            bp = basis.T @ jt
-            basis_sq = np.einsum("rj,rj->j", bp, bp)
-        return col_sq, root_sq, basis_sq
-    col_sq = np.empty(view.out_len)
-    root_sq = np.empty(view.out_len)
-    basis_sq = np.empty(view.out_len) if basis is not None else None
-    for idx in range(view.out_len):
-        e = np.zeros(view.out_len)
-        e[idx] = 1.0
-        col = view.vjp(e)
-        col_sq[idx] = col @ col
-        proj = root.T @ col
-        root_sq[idx] = proj @ proj
-        if basis is not None:
-            bproj = basis.T @ col
-            basis_sq[idx] = bproj @ bproj
+            basis_sq[cols] = _sq_norms(basis.T @ jt)
     return col_sq, root_sq, basis_sq
 
 
@@ -315,13 +268,12 @@ def predict(
         raise ContractViolationError(
             "posterior is stale: the network parameters differ from the ones it was fitted at"
         )
-    jac = JacobianOperator(network, x)
-    view = _view(jac, posterior.channels)
-    n_test = view.n_data
-    mu = _mean_surface(view, network.params, posterior.mean_kind)
-    mean = view.jvp(posterior.mean_cache).reshape(n_test, view.out_dim) + mu
+    jac = JacobianOperator(network, x, posterior.channels)
+    n_test = jac.n_data
+    mu = _mean_surface(jac, network.params, posterior.mean_kind)
+    mean = jac.jvp(posterior.mean_cache).reshape(n_test, jac.out_dim) + mu
 
-    col_sq, root_sq, basis_sq = _variance_terms(view, posterior.variance_root, posterior.basis, cap)
+    col_sq, root_sq, basis_sq = _variance_terms(jac, posterior.variance_root, posterior.basis, cap)
     if posterior.space == "function":
         var = col_sq - root_sq
     else:
@@ -330,7 +282,7 @@ def predict(
     if np.any(negative):
         posterior.clamp_count += int(np.count_nonzero(negative))
         var = np.maximum(var, 0.0)
-    return mean, var.reshape(n_test, view.out_dim)
+    return mean, var.reshape(n_test, jac.out_dim)
 
 
 def dense_log_marginal(kernel: np.ndarray, resid: np.ndarray, sigma2: float) -> float:
@@ -363,24 +315,18 @@ def log_marginal_likelihood(
     determinant estimated by stochastic Lanczos quadrature (seeded, so
     the estimate is deterministic).
     """
-    view, resid = _prepare(network, data, mean_kind, channels)
+    jac, resid = _prepare(network, data, mean_kind, channels)
     sigma2 = data.noise_variance
-    dim = view.out_len
+    dim = jac.out_len
     if method == "auto":
         method = "dense" if dim <= dense_threshold else "lanczos"
     if method == "dense":
-        kern = np.empty((dim, dim))
-        for b in range(dim):
-            e = np.zeros(dim)
-            e[b] = 1.0
-            kern[:, b] = view.jvp(view.vjp(e))
-        kern = 0.5 * (kern + kern.T)
-        return dense_log_marginal(kern, resid, sigma2)
+        return dense_log_marginal(kernel_matrix(network, data.x, channels=channels), resid, sigma2)
     if method != "lanczos":
         raise ContractViolationError(
             f"method must be 'auto', 'dense' or 'lanczos', got {method!r}"
         )
-    op = SymmetricLinearOperator(dim=dim, base=lambda v: view.jvp(view.vjp(v)), shift=sigma2)
+    op = SymmetricLinearOperator(dim=dim, base=lambda v: jac.jvp(jac.vjp(v)), shift=sigma2)
     alpha = _solve_or_fail(op, resid, "marginal-likelihood")
     quad = float(resid @ alpha)
     logdet = slq_logdet(op, rank=min(rank, dim), n_probes=n_probes, rng=substream(seed, "slq"))
@@ -400,20 +346,13 @@ def save_posterior(posterior: NtkPosterior, path) -> None:
         },
         sort_keys=True,
     )
-    path = Path(path)
     arrays = {"meta": np.array(meta), "mean_cache": posterior.mean_cache,
               "variance_root": posterior.variance_root}
     if posterior.basis is not None:
         arrays["basis"] = posterior.basis
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    atomic_write_bytes(path, buffer.getvalue())
 
 
 def load_posterior(path) -> NtkPosterior:

@@ -3,14 +3,14 @@
 The point of this module is not training speed; it is exact, inspectable
 Jacobian products. ``JacobianOperator`` caches one forward trace and then
 answers reverse-mode products (J u), forward-mode products (J' v), and a
-dense assembly used as a test oracle and for similarity studies.
+dense assembly: the block from which tangent kernels and predictive
+variances are built, a test oracle, and the input of similarity studies.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,11 +22,8 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .seeding import substream
-from .serialize import atomic_write_bytes, atomic_write_text, canonical_json
 
 DENSE_JACOBIAN_CAP = 10**8
-CHECKPOINT_LAYOUT_VERSION = 1
-_CHECKPOINT_MAGIC = b"TGPN"
 
 OPTIMIZERS = ("sgd-momentum", "adam")
 LOSSES = ("mse", "heteroscedastic-gaussian", "categorical-ce")
@@ -267,11 +264,15 @@ class JacobianOperator:
     """Matrix-free view of the p x (n*o) Jacobian of f(X; theta) in theta.
 
     Column i*o + c is the gradient of output channel c at datum i
-    (datum-major flattening). The forward trace is computed once at
-    construction, so products cost one additional pass each.
+    (datum-major flattening). ``channels`` restricts the outputs to the
+    given internal output columns, in that order (for heteroscedastic
+    networks, where regression targets pair with the mean-head channels
+    only); ``o`` is then the number of selected channels. The forward
+    trace is computed once at construction, so products cost one
+    additional pass each.
     """
 
-    def __init__(self, network: MlpNetwork, inputs: np.ndarray):
+    def __init__(self, network: MlpNetwork, inputs: np.ndarray, channels=None):
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != network.architecture.input_dim:
             raise ContractViolationError(
@@ -280,11 +281,21 @@ class JacobianOperator:
             )
         if not np.all(np.isfinite(inputs)):
             raise ContractViolationError("Jacobian inputs contain non-finite entries")
+        if channels is not None:
+            full = network.architecture.internal_output_dim
+            channels = [int(c) for c in channels]
+            if len(channels) == 0 or len(set(channels)) != len(channels):
+                raise ContractViolationError("channels must be a nonempty set of distinct indices")
+            if any(c < 0 or c >= full for c in channels):
+                raise ContractViolationError(
+                    f"channel indices must lie in [0, {full}), got {tuple(channels)}"
+                )
         self.network = network
         self.inputs = inputs
+        self.channels = channels
         self._weights = [w for w, _ in network.layers()]
         out, layer_inputs, slopes = _forward_trace(network, inputs)
-        self.outputs = out
+        self.outputs = out if channels is None else out[:, channels]
         self._layer_inputs = layer_inputs
         self._slopes = slopes
 
@@ -294,7 +305,9 @@ class JacobianOperator:
 
     @property
     def out_dim(self) -> int:
-        return self.network.architecture.internal_output_dim
+        if self.channels is None:
+            return self.network.architecture.internal_output_dim
+        return len(self.channels)
 
     @property
     def out_len(self) -> int:
@@ -312,6 +325,10 @@ class JacobianOperator:
         if not np.all(np.isfinite(u)):
             raise ContractViolationError("vjp input contains non-finite entries")
         delta = u.reshape(self.n_data, self.out_dim)
+        if self.channels is not None:
+            full = np.zeros((self.n_data, self.network.architecture.internal_output_dim))
+            full[:, self.channels] = delta
+            delta = full
         grad = np.empty(self.param_count)
         slices = self.network.architecture.layer_slices()
         for idx in range(len(slices) - 1, -1, -1):
@@ -341,12 +358,18 @@ class JacobianOperator:
                 dz = dz + dh @ self._weights[idx].T
             if idx < len(slices) - 1:
                 dh = self._slopes[idx] * dz
-            else:
+            elif self.channels is None:
                 return dz.ravel()
+            else:
+                return dz[:, self.channels].ravel()
         raise AssertionError("unreachable: architectures always have at least one layer")
 
     def dense(self, cap: int = DENSE_JACOBIAN_CAP) -> np.ndarray:
-        """Assemble the p x (n*o) Jacobian; column i*o + c = vjp(one-hot(i, c))."""
+        """Assemble the p x (n*o) Jacobian; column i*o + k = vjp(one-hot(i, k)).
+
+        A reference for the matrix-free products, and the block that kernel
+        matrices and predictive variance terms are assembled from.
+        """
         entries = self.param_count * self.out_len
         if entries > cap:
             raise ResourceLimitError(
@@ -355,15 +378,17 @@ class JacobianOperator:
             )
         jac = np.empty((self.param_count, self.out_len))
         slices = self.network.architecture.layer_slices()
-        for c in range(self.out_dim):
-            delta = np.zeros((self.n_data, self.out_dim))
+        full = self.network.architecture.internal_output_dim
+        channels = range(full) if self.channels is None else self.channels
+        for k, c in enumerate(channels):
+            delta = np.zeros((self.n_data, full))
             delta[:, c] = 1.0
             d = delta
             for idx in range(len(slices) - 1, -1, -1):
-                w_sl, b_sl, _, _ = slices[idx]
+                w_sl, b_sl, fan_in, fan_out = slices[idx]
                 per_datum_w = np.einsum("ni,nj->nij", d, self._layer_inputs[idx])
-                jac[w_sl, c :: self.out_dim] = per_datum_w.reshape(self.n_data, -1).T
-                jac[b_sl, c :: self.out_dim] = d.T
+                jac[w_sl, k :: self.out_dim] = per_datum_w.reshape(self.n_data, fan_out * fan_in).T
+                jac[b_sl, k :: self.out_dim] = d.T
                 if idx > 0:
                     d = (d @ self._weights[idx]) * self._slopes[idx - 1]
         return jac
@@ -484,50 +509,3 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
         trace[epoch] = epoch_loss
 
     return TrainResult(network=network.with_params(theta), loss_trace=trace)
-
-
-def save_checkpoint(network: MlpNetwork, path, format: str = "json") -> None:
-    """Write a versioned checkpoint, either JSON or little-endian binary."""
-    if format == "json":
-        payload = {
-            "layout_version": CHECKPOINT_LAYOUT_VERSION,
-            "architecture": network.architecture.to_dict(),
-            "params": [float(v) for v in network.params],
-        }
-        atomic_write_text(path, canonical_json(payload))
-    elif format == "binary":
-        header = json.dumps(network.architecture.to_dict(), sort_keys=True).encode()
-        blob = b"".join(
-            [
-                _CHECKPOINT_MAGIC,
-                struct.pack("<II", CHECKPOINT_LAYOUT_VERSION, len(header)),
-                header,
-                network.params.astype("<f8").tobytes(),
-            ]
-        )
-        atomic_write_bytes(path, blob)
-    else:
-        raise ContractViolationError(f"checkpoint format must be 'json' or 'binary', got {format!r}")
-
-
-def load_checkpoint(path) -> MlpNetwork:
-    """Read a checkpoint written by :func:`save_checkpoint` (format sniffed)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] == _CHECKPOINT_MAGIC:
-        version, header_len = struct.unpack("<II", blob[4:12])
-        if version != CHECKPOINT_LAYOUT_VERSION:
-            raise ConfigError(f"{path}: unsupported checkpoint layout_version {version}")
-        arch = MlpArchitecture.from_dict(json.loads(blob[12 : 12 + header_len].decode()))
-        params = np.frombuffer(blob[12 + header_len :], dtype="<f8").astype(np.float64)
-        return MlpNetwork(arch, params)
-    try:
-        payload = json.loads(blob.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: not a recognized checkpoint: {exc}") from exc
-    if payload.get("layout_version") != CHECKPOINT_LAYOUT_VERSION:
-        raise ConfigError(
-            f"{path}: unsupported checkpoint layout_version {payload.get('layout_version')}"
-        )
-    arch = MlpArchitecture.from_dict(payload["architecture"])
-    return MlpNetwork(arch, np.array(payload["params"], dtype=np.float64))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from tangentgp.errors import ConfigError, ContractViolationError
+from tangentgp.errors import ConfigError, ContractViolationError, ResourceLimitError
 from tangentgp.gp import (
     NtkPosterior,
     dense_log_marginal,
@@ -91,6 +91,50 @@ def dense_oracle(network, data, x_test, mean_kind="zero", space="function", chan
     return mean.reshape(n_test, o_sel), var.reshape(n_test, o_sel)
 
 
+def matrix_free_columns(jac):
+    """Reference Jacobian columns J e_b, one reverse product per column."""
+    return np.column_stack([jac.vjp(e) for e in np.eye(jac.out_len)])
+
+
+def matrix_free_kernel(network, x1, x2, channels):
+    """Reference kernel column by column: K[:, b] = J1' (J2 e_b)."""
+    jac1 = JacobianOperator(network, x1, channels)
+    jac2 = JacobianOperator(network, x2, channels)
+    k = np.empty((jac1.out_len, jac2.out_len))
+    for b in range(jac2.out_len):
+        e = np.zeros(jac2.out_len)
+        e[b] = 1.0
+        k[:, b] = jac1.jvp(jac2.vjp(e))
+    return k
+
+
+def matrix_free_variances(posterior, network, x):
+    """Reference predictive variances from per-column products J* e_b."""
+    cols = matrix_free_columns(JacobianOperator(network, x, posterior.channels))
+    col_sq = np.einsum("pj,pj->j", cols, cols)
+    rp = posterior.variance_root.T @ cols
+    root_sq = np.einsum("rj,rj->j", rp, rp)
+    if posterior.space == "function":
+        var = col_sq - root_sq
+    else:
+        bp = posterior.basis.T @ cols
+        var = posterior.noise_variance * root_sq + col_sq - np.einsum("rj,rj->j", bp, bp)
+    return np.maximum(var, 0.0).reshape(x.shape[0], -1)
+
+
+def count_dense_blocks(monkeypatch):
+    """Record the datum count of every dense Jacobian block assembled."""
+    sizes = []
+    original = JacobianOperator.dense
+
+    def spy(self, *args, **kwargs):
+        sizes.append(self.n_data)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(JacobianOperator, "dense", spy)
+    return sizes
+
+
 def sinusoid_data(rng, n=8, noise=0.05):
     x = rng.uniform(-3, 3, size=(n, 1))
     y = np.sin(1.7 * x) + rng.normal(0, math.sqrt(noise), size=(n, 1))
@@ -120,6 +164,41 @@ class TestKernelMatrix:
         j1 = JacobianOperator(net, x1).dense()
         j2 = JacobianOperator(net, x2).dense()
         np.testing.assert_allclose(kernel_matrix(net, x1, x2), j1.T @ j2, rtol=1e-10, atol=1e-12)
+
+    def test_over_cap_is_a_resource_limit(self):
+        net = make_net([1, 8, 1], seed=1)
+        with pytest.raises(ResourceLimitError, match="matrix-free"):
+            kernel_matrix(net, np.ones((4, 1)), cap=15)
+
+    def test_empty_inputs_are_still_validated(self):
+        net = make_net([2, 6, 1], seed=2, heteroscedastic=True)
+        assert kernel_matrix(net, np.zeros((0, 2)), channels=(0,)).shape == (0, 0)
+        with pytest.raises(ContractViolationError, match="input_dim"):
+            kernel_matrix(net, np.zeros((0, 3)))
+        with pytest.raises(ContractViolationError, match="channel"):
+            kernel_matrix(net, np.zeros((0, 2)), channels=(2,))
+
+    def test_chunked_assembly_matches_one_chunk_and_columns(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        net = make_net([2, 16, 1], seed=22, heteroscedastic=True)
+        full_o = net.architecture.internal_output_dim
+        x1 = rng.standard_normal((9, 2))
+        x2 = rng.standard_normal((7, 2))
+        cap = 3 * net.architecture.parameter_count * full_o
+        for channels in (None, (0,), (1, 0)):
+            for other in (None, x2):
+                one_chunk = kernel_matrix(net, x1, other, channels=channels)
+                sizes = count_dense_blocks(monkeypatch)
+                chunked = kernel_matrix(net, x1, other, channels=channels, cap=cap)
+                monkeypatch.undo()
+                assert max(sizes) <= 3 and sizes.count(3) >= 3
+                ref = matrix_free_kernel(net, x1, x1 if other is None else other, channels)
+                if other is None:
+                    np.testing.assert_array_equal(chunked, chunked.T)
+                    np.testing.assert_array_equal(one_chunk, one_chunk.T)
+                scale = np.max(np.abs(ref))
+                np.testing.assert_allclose(chunked, one_chunk, rtol=1e-12, atol=1e-12 * scale)
+                np.testing.assert_allclose(chunked, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestFunctionSpaceFit:
@@ -277,6 +356,63 @@ class TestPredict:
         )
         _, var_after = predict(fit_function_space(net, grown, rank=7), net, x_star)
         assert var_after[0, 0] <= var_before[0, 0] + 1e-10
+
+
+class TestChunkedPredict:
+    def test_chunked_variances_match_one_chunk_and_columns(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        net = make_net([2, 16, 1], seed=23, heteroscedastic=True)
+        x = rng.standard_normal((6, 2))
+        x_test = rng.standard_normal((9, 2))
+        cap = 3 * net.architecture.parameter_count * net.architecture.internal_output_dim
+        for channels in (None, (0,)):
+            y = rng.standard_normal((6, 2 if channels is None else 1))
+            data = TaskDataset(x, y, noise_variance=0.1)
+            for fit in (fit_function_space, fit_parameter_space):
+                post = fit(net, data, mean_kind="linearized_nn", channels=channels)
+                mean_one, var_one = predict(post, net, x_test)
+                sizes = count_dense_blocks(monkeypatch)
+                mean, var = predict(post, net, x_test, cap=cap)
+                monkeypatch.undo()
+                assert max(sizes) <= 3 and len(sizes) >= 3
+                scale = float(np.max(np.diag(kernel_matrix(net, x_test, channels=channels))))
+                np.testing.assert_array_equal(mean, mean_one)
+                np.testing.assert_allclose(var, var_one, rtol=1e-12, atol=1e-12 * scale)
+                ref = matrix_free_variances(post, net, x_test)
+                np.testing.assert_allclose(var, ref, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_empty_batch(self):
+        rng = np.random.default_rng(24)
+        net = make_net([2, 6, 2], seed=24)
+        data = TaskDataset(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), 0.1)
+        for fit in (fit_function_space, fit_parameter_space):
+            mean, var = predict(fit(net, data), net, np.zeros((0, 2)))
+            assert mean.shape == (0, 2) and var.shape == (0, 2)
+
+
+class TestChannelSelectedJacobian:
+    def test_products_match_selected_columns(self):
+        rng = np.random.default_rng(25)
+        net = make_net([2, 8, 2], seed=25, heteroscedastic=True)
+        x = rng.standard_normal((5, 2))
+        full = JacobianOperator(net, x)
+        for channels in ((0,), (2,), (3, 0), (1, 2, 0)):
+            jac = JacobianOperator(net, x, channels)
+            j = select_columns(full.dense(), full.out_dim, channels)
+            assert jac.out_dim == len(channels) and jac.out_len == 5 * len(channels)
+            np.testing.assert_array_equal(jac.dense(), j)
+            np.testing.assert_array_equal(jac.outputs, full.outputs[:, list(channels)])
+            for _ in range(3):
+                u = rng.standard_normal(jac.out_len)
+                v = rng.standard_normal(jac.param_count)
+                np.testing.assert_allclose(jac.vjp(u), j @ u, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(jac.jvp(v), j.T @ v, rtol=1e-10, atol=1e-12)
+
+    def test_invalid_channels_rejected(self):
+        net = make_net([2, 6, 1], seed=26, heteroscedastic=True)
+        for channels in ((), (0, 0), (2,), (-1,)):
+            with pytest.raises(ContractViolationError, match="channel"):
+                JacobianOperator(net, np.ones((3, 2)), channels)
 
 
 class TestHeteroscedasticChannels:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tangentgp.errors import (
-    ConfigError,
     ContractViolationError,
     ResourceLimitError,
     TrainingDivergenceError,
@@ -17,8 +16,6 @@ from tangentgp.net import (
     TaskDataset,
     forward,
     init_network,
-    load_checkpoint,
-    save_checkpoint,
     train,
 )
 
@@ -311,27 +308,7 @@ class TestTrain:
 
 
 class TestCheckpoints:
-    def test_json_roundtrip(self, tmp_path):
-        net = seeded_net([2, 8, 3], seed=30)
-        path = tmp_path / "net.json"
-        save_checkpoint(net, path, format="json")
-        loaded = load_checkpoint(path)
-        assert loaded.architecture == net.architecture
-        assert np.array_equal(loaded.params, net.params)
-
-    def test_binary_roundtrip(self, tmp_path):
-        net = seeded_net([3, 5, 2], seed=31, heteroscedastic=True)
-        path = tmp_path / "net.bin"
-        save_checkpoint(net, path, format="binary")
-        loaded = load_checkpoint(path)
-        assert loaded.architecture == net.architecture
-        assert np.array_equal(loaded.params, net.params)
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "net.json"
-        path.write_text('{"layout_version": 99, "architecture": {}, "params": []}')
-        with pytest.raises(ConfigError, match="layout_version"):
-            load_checkpoint(path)
+    """Fingerprints tie checkpoints and posterior caches to their parameters."""
 
     def test_fingerprint_tracks_parameters(self):
         net = seeded_net([1, 4, 1], seed=32)
