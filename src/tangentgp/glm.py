@@ -18,13 +18,10 @@ import numpy as np
 from .errors import ContractViolationError, TrainingDivergenceError
 from .fisher import CategoricalLikelihood, _hessian_block_apply, _log_softmax
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
-from .net import JacobianOperator, MlpNetwork, _sigmoid, _softplus
+from .net import Adam, JacobianOperator, MlpNetwork, _sigmoid, _softplus
 from .seeding import substream
 from .serialize import fmt_float, render_csv
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 SVI_RAW_SCALE_INIT = -5.0
 
 
@@ -218,28 +215,12 @@ def _map_objective(model: LinearizedGlm, coeff: np.ndarray, data: Classification
     return nll + float(coeff @ coeff) / (2.0 * model.prior_variance)
 
 
-class _Adam:
-    def __init__(self, dim: int, learning_rate: float):
-        self.learning_rate = learning_rate
-        self.m = np.zeros(dim)
-        self.u = np.zeros(dim)
-        self.step_count = 0
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self.step_count += 1
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
-        self.u = ADAM_BETA2 * self.u + (1 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1 - ADAM_BETA1**self.step_count)
-        u_hat = self.u / (1 - ADAM_BETA2**self.step_count)
-        return params - self.learning_rate * m_hat / (np.sqrt(u_hat) + ADAM_EPS)
-
-
 def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -> GlmMapResult:
     """Adam on the penalized NLL; the linearization point never moves."""
     _check_labels(model, data)
     rng = substream(cfg.seed, "glm-map")
     coeff = model.coefficients.copy()
-    adam = _Adam(coeff.size, cfg.learning_rate)
+    adam = Adam(coeff.size, cfg.learning_rate)
     n = data.n
     trace = []
     for epoch in range(cfg.epochs):
@@ -252,8 +233,12 @@ def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
             scale = n / len(batch)
             grad = scale * jac.vjp(grad_logits.ravel()) + coeff / model.prior_variance
             coeff = adam.step(coeff, grad)
+            if not np.isfinite(coeff).all():
+                raise TrainingDivergenceError(
+                    f"MAP coefficients became non-finite at epoch {epoch}", epoch=epoch
+                )
         epoch_loss = _map_objective(model, coeff, data)
-        if not (np.isfinite(epoch_loss) and np.all(np.isfinite(coeff))):
+        if not np.isfinite(epoch_loss):
             raise TrainingDivergenceError(
                 f"MAP objective became non-finite at epoch {epoch}", epoch=epoch
             )
@@ -280,7 +265,7 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     p = model.coefficients.size
     mu = np.zeros(p)
     raw = np.full(p, SVI_RAW_SCALE_INIT)
-    adam = _Adam(2 * p, cfg.learning_rate)
+    adam = Adam(2 * p, cfg.learning_rate)
     n = data.n
     prior = model.prior_variance
     elbo_trace = []
@@ -289,6 +274,10 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             scales = _softplus(raw)
+            if not (scales > 0).all():
+                raise TrainingDivergenceError(
+                    f"variational scales collapsed to zero at epoch {epoch}", epoch=epoch
+                )
             z = rng.standard_normal(p)
             theta = mu + scales * z
             nll, grad_logits, jac = _batch_nll_grad(
@@ -306,11 +295,11 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
                 )
             elbo_trace.append(-loss)
             packed = adam.step(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
+            if not np.isfinite(packed).all():
+                raise TrainingDivergenceError(
+                    f"variational parameters became non-finite at epoch {epoch}", epoch=epoch
+                )
             mu, raw = packed[:p], packed[p:]
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(raw))):
-            raise TrainingDivergenceError(
-                f"variational parameters became non-finite at epoch {epoch}", epoch=epoch
-            )
     return GlmSviResult(
         posterior=MeanFieldPosterior(mu=mu, raw_scales=raw),
         elbo_trace=np.array(elbo_trace),

@@ -1,17 +1,20 @@
 """Small dense networks with hand-rolled derivatives.
 
-The point of this module is not training speed; it is exact, inspectable
-Jacobian products. ``JacobianOperator`` caches one forward trace and then
-answers reverse-mode products (J u), forward-mode products (J' v), and a
-dense assembly: the block from which tangent kernels and predictive
-variances are built, a test oracle, and the input of similarity studies.
+Exact, inspectable Jacobian products come first. ``JacobianOperator``
+caches one forward trace and then answers reverse-mode products (J u),
+forward-mode products (J' v), and a dense assembly: the block from which
+tangent kernels and predictive variances are built, a test oracle, and the
+input of similarity studies. Training builds one operator per minibatch
+step, so everything a step reads that depends only on the shapes (the
+parameter layout, the per-layer views) is computed once per architecture
+or network, never per product.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,32 +32,26 @@ OPTIMIZERS = ("sgd-momentum", "adam")
 LOSSES = ("mse", "heteroscedastic-gaussian", "categorical-ce")
 
 
-def _tanh_prime(z):
+def _tanh(z):
     t = np.tanh(z)
-    return 1.0 - t * t
+    return t, 1.0 - t * t
 
 
 def _relu(z):
-    return np.maximum(z, 0.0)
-
-
-def _relu_prime(z):
     # Subgradient choice: derivative at exactly zero is zero.
-    return (z > 0.0).astype(np.float64)
+    return np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
 
 
 def _identity(z):
-    return z
+    return z, np.ones_like(z)
 
 
-def _ones_like(z):
-    return np.ones_like(z)
-
-
+# Each activation returns (value, slope) from one evaluation, so a forward
+# trace pays for tanh once per hidden layer.
 ACTIVATIONS = {
-    "tanh": (np.tanh, _tanh_prime),
-    "relu": (_relu, _relu_prime),
-    "identity": (_identity, _ones_like),
+    "tanh": _tanh,
+    "relu": _relu,
+    "identity": _identity,
 }
 
 
@@ -76,7 +73,9 @@ class MlpArchitecture:
     variance 1e-5 + softplus(raw).
 
     Parameters are flattened layer-major, weights before bias, with each
-    weight matrix stored row-major in (fan_out, fan_in) shape.
+    weight matrix stored row-major in (fan_out, fan_in) shape. The layout
+    (``layer_dims``, ``parameter_count``, ``layer_slices()``) is computed
+    once at construction and never mutated afterwards.
     """
 
     input_dim: int
@@ -95,35 +94,29 @@ class MlpArchitecture:
             raise ContractViolationError(
                 f"activation must be one of {sorted(ACTIVATIONS)}, got {self.activation!r}"
             )
+        dims = (self.input_dim, *self.hidden_widths, self.internal_output_dim)
+        slices = []
+        offset = 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            w = slice(offset, offset + fan_in * fan_out)
+            b = slice(w.stop, w.stop + fan_out)
+            offset = b.stop
+            slices.append((w, b, fan_in, fan_out))
+        object.__setattr__(self, "layer_dims", dims)
+        object.__setattr__(self, "parameter_count", offset)
+        object.__setattr__(self, "_layer_slices", tuple(slices))
 
     @property
     def internal_output_dim(self) -> int:
         return 2 * self.output_dim if self.heteroscedastic else self.output_dim
 
     @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden_widths, self.internal_output_dim)
-
-    @property
     def n_layers(self) -> int:
         return len(self.layer_dims) - 1
 
-    @property
-    def parameter_count(self) -> int:
-        dims = self.layer_dims
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-
-    def layer_slices(self):
+    def layer_slices(self) -> tuple:
         """Per-layer (weight_slice, bias_slice, fan_in, fan_out) into the flat vector."""
-        out = []
-        offset = 0
-        dims = self.layer_dims
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = slice(offset, offset + fan_in * fan_out)
-            b = slice(w.stop, w.stop + fan_out)
-            offset = b.stop
-            out.append((w, b, fan_in, fan_out))
-        return out
+        return self._layer_slices
 
     def to_dict(self) -> dict:
         return {
@@ -163,21 +156,27 @@ class MlpNetwork:
                 f"parameter vector of shape {params.shape} does not match "
                 f"architecture with {expected} parameters"
             )
-        if not np.all(np.isfinite(params)):
+        if not np.isfinite(params).all():
             raise ContractViolationError("parameter vector contains non-finite entries")
         params = params.copy()
         params.setflags(write=False)
         object.__setattr__(self, "params", params)
+        object.__setattr__(
+            self,
+            "_layers",
+            tuple(
+                (params[w_sl].reshape(fan_out, fan_in), params[b_sl])
+                for w_sl, b_sl, fan_in, fan_out in self.architecture.layer_slices()
+            ),
+        )
 
-    def layers(self):
-        """Views of the flat vector as per-layer (weight matrix, bias) pairs."""
-        out = []
-        for w_sl, b_sl, fan_in, fan_out in self.architecture.layer_slices():
-            out.append((self.params[w_sl].reshape(fan_out, fan_in), self.params[b_sl]))
-        return out
+    def layers(self) -> tuple:
+        """Read-only views of the flat vector as per-layer (weight matrix, bias) pairs."""
+        return self._layers
 
     def with_params(self, params: np.ndarray) -> "MlpNetwork":
-        return replace(self, params=params)
+        """The same architecture bound to a validated, read-only copy of ``params``."""
+        return MlpNetwork(self.architecture, params)
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256()
@@ -215,7 +214,7 @@ class TaskDataset:
             raise ContractViolationError(
                 f"inputs ({x.shape[0]} rows) and targets ({y.shape[0]} rows) must share n >= 1"
             )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ContractViolationError("dataset contains non-finite entries")
         if not self.noise_variance > 0:
             raise ContractViolationError(f"noise variance must be positive, got {self.noise_variance}")
@@ -228,18 +227,23 @@ class TaskDataset:
 
 
 def _forward_trace(network: MlpNetwork, x: np.ndarray):
-    """Forward pass keeping per-layer inputs and hidden activation slopes."""
-    act, act_prime = ACTIVATIONS[network.architecture.activation]
+    """Forward pass keeping per-layer inputs and hidden activation slopes.
+
+    Each hidden activation is evaluated once; its slope comes from the
+    same evaluation (for tanh, 1 - t*t of the same t).
+    """
+    act = ACTIVATIONS[network.architecture.activation]
     layers = network.layers()
+    last = len(layers) - 1
     inputs = []
     slopes = []
     h = x
     for idx, (w, b) in enumerate(layers):
         inputs.append(h)
         z = h @ w.T + b
-        if idx < len(layers) - 1:
-            slopes.append(act_prime(z))
-            h = act(z)
+        if idx < last:
+            h, slope = act(z)
+            slopes.append(slope)
         else:
             h = z
     return h, inputs, slopes
@@ -279,7 +283,7 @@ class JacobianOperator:
                 f"inputs of shape {inputs.shape} do not match input_dim "
                 f"{network.architecture.input_dim}"
             )
-        if not np.all(np.isfinite(inputs)):
+        if not np.isfinite(inputs).all():
             raise ContractViolationError("Jacobian inputs contain non-finite entries")
         if channels is not None:
             full = network.architecture.internal_output_dim
@@ -293,6 +297,7 @@ class JacobianOperator:
         self.network = network
         self.inputs = inputs
         self.channels = channels
+        self._slices = network.architecture.layer_slices()
         self._weights = [w for w, _ in network.layers()]
         out, layer_inputs, slopes = _forward_trace(network, inputs)
         self.outputs = out if channels is None else out[:, channels]
@@ -322,7 +327,7 @@ class JacobianOperator:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.out_len,):
             raise ContractViolationError(f"expected vector of length {self.out_len}, got shape {u.shape}")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ContractViolationError("vjp input contains non-finite entries")
         delta = u.reshape(self.n_data, self.out_dim)
         if self.channels is not None:
@@ -330,7 +335,7 @@ class JacobianOperator:
             full[:, self.channels] = delta
             delta = full
         grad = np.empty(self.param_count)
-        slices = self.network.architecture.layer_slices()
+        slices = self._slices
         for idx in range(len(slices) - 1, -1, -1):
             w_sl, b_sl, _, _ = slices[idx]
             grad[w_sl] = (delta.T @ self._layer_inputs[idx]).ravel()
@@ -346,9 +351,9 @@ class JacobianOperator:
             raise ContractViolationError(
                 f"expected vector of length {self.param_count}, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ContractViolationError("jvp input contains non-finite entries")
-        slices = self.network.architecture.layer_slices()
+        slices = self._slices
         dh = None
         for idx, (w_sl, b_sl, fan_in, fan_out) in enumerate(slices):
             dw = v[w_sl].reshape(fan_out, fan_in)
@@ -377,7 +382,7 @@ class JacobianOperator:
                 "use the matrix-free vjp/jvp products instead"
             )
         jac = np.empty((self.param_count, self.out_len))
-        slices = self.network.architecture.layer_slices()
+        slices = self._slices
         full = self.network.architecture.internal_output_dim
         channels = range(full) if self.channels is None else self.channels
         for k, c in enumerate(channels):
@@ -404,7 +409,7 @@ def _loss_and_output_grad(outputs: np.ndarray, y: np.ndarray, loss: str):
     if loss == "mse":
         r = outputs - y
         with np.errstate(over="ignore"):
-            return float(np.mean(r * r)), (2.0 / r.size) * r
+            return float((r * r).sum() / r.size), (2.0 / r.size) * r
     if loss == "heteroscedastic-gaussian":
         mu = outputs[:, 0::2]
         raw = outputs[:, 1::2]
@@ -450,6 +455,31 @@ class OptimizerConfig:
             raise ContractViolationError("learning rate must be nonnegative")
 
 
+class Adam:
+    """Adam with bias-corrected moments; ``step`` returns the updated parameters.
+
+    ``train``, ``glm.fit_map`` and ``glm.fit_svi`` all step through this one
+    implementation.
+    """
+
+    def __init__(self, dim: int, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = np.zeros(dim)
+        self.u = np.zeros(dim)
+        self.step_count = 0
+
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        self.step_count += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.u = self.beta2 * self.u + (1 - self.beta2) * grad * grad
+        m_hat = self.m / (1 - self.beta1**self.step_count)
+        u_hat = self.u / (1 - self.beta2**self.step_count)
+        return params - self.learning_rate * m_hat / (np.sqrt(u_hat) + self.eps)
+
+
 @dataclass(frozen=True)
 class TrainResult:
     network: MlpNetwork
@@ -470,9 +500,7 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
     rng = substream(cfg.seed, "train")
     theta = network.params.copy()
     velocity = np.zeros_like(theta)
-    adam_m = np.zeros_like(theta)
-    adam_v = np.zeros_like(theta)
-    step = 0
+    adam = Adam(theta.size, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     trace = np.empty(cfg.epochs)
 
     for epoch in range(cfg.epochs):
@@ -486,20 +514,15 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
                     f"non-finite training loss at epoch {epoch}", epoch=epoch
                 )
             grad = jac.vjp(out_grad.ravel())
-            step += 1
             if cfg.optimizer == "sgd-momentum":
                 velocity = cfg.momentum * velocity - cfg.learning_rate * grad
                 theta = theta + velocity
             else:
-                adam_m = cfg.adam_beta1 * adam_m + (1 - cfg.adam_beta1) * grad
-                adam_v = cfg.adam_beta2 * adam_v + (1 - cfg.adam_beta2) * grad * grad
-                m_hat = adam_m / (1 - cfg.adam_beta1**step)
-                v_hat = adam_v / (1 - cfg.adam_beta2**step)
-                theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        if not np.all(np.isfinite(theta)):
-            raise TrainingDivergenceError(
-                f"non-finite parameters after epoch {epoch}", epoch=epoch
-            )
+                theta = adam.step(theta, grad)
+            if not np.isfinite(theta).all():
+                raise TrainingDivergenceError(
+                    f"non-finite parameters at epoch {epoch}", epoch=epoch
+                )
         outputs = forward(network.with_params(theta), data.x)
         epoch_loss, _ = _loss_and_output_grad(outputs, data.y, cfg.loss)
         if not np.isfinite(epoch_loss):

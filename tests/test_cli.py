@@ -71,6 +71,14 @@ class TestTrain:
         other = load_checkpoint(out)
         assert not np.array_equal(other.params, load_checkpoint(ws["ckpt"]).params)
 
+    def test_mid_epoch_divergence_exits_4(self, tmp_path, capsys):
+        cfg = dict(TRAIN_CONFIG, optimizer={"learning_rate": 1.7e308, "epochs": 2, "batch_size": 8})
+        path = write_json(tmp_path / "diverge.json", cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", path, "--out", str(tmp_path / "x.json")])
+        assert code == 4
+        assert "non-finite parameters at epoch 0" in capsys.readouterr().err
+
     def test_malformed_config_reports_byte_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1,,}')

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from tangentgp.errors import ContractViolationError, NumericBreakdownError
+from tangentgp.errors import (
+    ContractViolationError,
+    NumericBreakdownError,
+    TrainingDivergenceError,
+)
 from tangentgp.fisher import _log_softmax
 from tangentgp.glm import (
     ClassificationData,
@@ -185,6 +189,16 @@ class TestFitMap:
         np.testing.assert_array_equal(result.model.coefficients, model.coefficients)
         assert result.loss_trace.size == 0
 
+    def test_mid_epoch_overflow_reports_divergence(self):
+        # Four steps per epoch: the first update overflows, and the next
+        # step must report divergence rather than reject its own input.
+        data, _, _ = make_blobs(n_half=8)
+        cfg = GlmFitConfig(learning_rate=1e300, epochs=2, batch_size=4, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergenceError) as info:
+                fit_map(blob_model(), data, cfg)
+        assert info.value.epoch == 0
+
     def test_full_taylor_view_also_separates(self):
         data, x_test, labels_test = make_blobs()
         model = blob_model(include_network_output=True)
@@ -225,6 +239,17 @@ class TestFitSvi:
         model = blob_model()
         result = fit_svi(model, data, GlmFitConfig(learning_rate=0.05, epochs=2, seed=0))
         assert np.all(result.posterior.scales > 0)
+
+    @pytest.mark.parametrize("learning_rate", [1.7e308, 1e20])
+    def test_mid_epoch_divergence_reported(self, learning_rate):
+        # 1.7e308 overflows the variational parameters; 1e20 drives the raw
+        # scales so low that softplus underflows to a zero scale.
+        data, _, _ = make_blobs(n_half=8)
+        cfg = GlmFitConfig(learning_rate=learning_rate, epochs=2, batch_size=4, seed=0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(TrainingDivergenceError) as info:
+                fit_svi(blob_model(), data, cfg)
+        assert info.value.epoch == 0
 
     def test_deterministic_for_fixed_seed(self):
         data, _, _ = make_blobs()

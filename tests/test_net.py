@@ -18,6 +18,7 @@ from tangentgp.net import (
     init_network,
     train,
 )
+from tangentgp.seeding import substream
 
 
 def affine_net(weight=2.0, bias=1.0):
@@ -34,6 +35,75 @@ def seeded_net(dims, activation="tanh", seed=0, heteroscedastic=False):
         heteroscedastic=heteroscedastic,
     )
     return init_network(arch, seed=seed)
+
+
+def reference_mse_train(params, dims, activation, x, y, cfg):
+    """Minibatch MSE training written out in plain numpy, independent of ``net``.
+
+    Unpacks the flat vector per step, runs forward and backward passes by
+    hand and applies the update formulas inline, drawing the batch order
+    from the same seeded stream as ``train``.
+    """
+
+    def unpack(theta):
+        layers, offset = [], 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            w = theta[offset : offset + fan_in * fan_out].reshape(fan_out, fan_in)
+            offset += fan_in * fan_out
+            layers.append((w, theta[offset : offset + fan_out]))
+            offset += fan_out
+        return layers
+
+    def run(layers, h):
+        inputs, slopes = [], []
+        for w, b in layers[:-1]:
+            inputs.append(h)
+            z = h @ w.T + b
+            if activation == "tanh":
+                h = np.tanh(z)
+                slopes.append(1.0 - h * h)
+            else:
+                h = np.maximum(z, 0.0)
+                slopes.append((z > 0.0).astype(np.float64))
+        inputs.append(h)
+        w, b = layers[-1]
+        return h @ w.T + b, inputs, slopes
+
+    rng = substream(cfg.seed, "train")
+    theta = params.copy()
+    velocity = np.zeros_like(theta)
+    m = np.zeros_like(theta)
+    u = np.zeros_like(theta)
+    step = 0
+    trace = []
+    n = x.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            layers = unpack(theta)
+            out, inputs, slopes = run(layers, x[batch])
+            r = out - y[batch]
+            delta = (2.0 / r.size) * r
+            pieces = []
+            for idx in range(len(layers) - 1, -1, -1):
+                pieces = [(delta.T @ inputs[idx]).ravel(), delta.sum(axis=0)] + pieces
+                if idx > 0:
+                    delta = (delta @ layers[idx][0]) * slopes[idx - 1]
+            grad = np.concatenate(pieces)
+            step += 1
+            if cfg.optimizer == "sgd-momentum":
+                velocity = cfg.momentum * velocity - cfg.learning_rate * grad
+                theta = theta + velocity
+            else:
+                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
+                u = cfg.adam_beta2 * u + (1 - cfg.adam_beta2) * grad * grad
+                m_hat = m / (1 - cfg.adam_beta1**step)
+                u_hat = u / (1 - cfg.adam_beta2**step)
+                theta = theta - cfg.learning_rate * m_hat / (np.sqrt(u_hat) + cfg.adam_eps)
+        r = run(unpack(theta), x)[0] - y
+        trace.append(np.mean(r * r))
+    return theta, np.array(trace)
 
 
 class TestArchitecture:
@@ -64,6 +134,22 @@ class TestArchitecture:
             MlpNetwork(arch, np.zeros(3))
         with pytest.raises(ContractViolationError):
             MlpNetwork(arch, np.array([np.nan, 0.0]))
+
+    def test_with_params_copies_its_input(self):
+        net = seeded_net([2, 6, 3], seed=2)
+        x = np.random.default_rng(2).standard_normal((4, 2))
+        source = net.params + 0.5
+        moved = net.with_params(source)
+        params = moved.params.copy()
+        layers = [(w.copy(), b.copy()) for w, b in moved.layers()]
+        out = forward(moved, x)
+        source[:] = 7.0
+        assert np.array_equal(moved.params, params)
+        for (w, b), (w0, b0) in zip(moved.layers(), layers):
+            assert np.array_equal(w, w0) and np.array_equal(b, b0)
+            assert not w.flags.writeable and not b.flags.writeable
+        assert np.array_equal(forward(moved, x), out)
+        assert not moved.params.flags.writeable
 
 
 class TestForward:
@@ -273,6 +359,21 @@ class TestTrain:
             train(affine_net(), data, cfg)
         assert info.value.epoch is not None
 
+    @pytest.mark.parametrize("optimizer", ["sgd-momentum", "adam"])
+    def test_mid_epoch_overflow_reports_divergence(self, optimizer):
+        # The first update overflows the parameters; the next step of the
+        # same epoch must report divergence, not reject its own input.
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((8, 1))
+        data = TaskDataset(x, 2.0 * x, noise_variance=0.1)
+        cfg = OptimizerConfig(
+            optimizer=optimizer, learning_rate=1.7e308, epochs=3, batch_size=2, seed=2
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergenceError) as info:
+                train(affine_net(), data, cfg)
+        assert info.value.epoch == 0
+
     def test_heteroscedastic_loss_decreases(self):
         rng = np.random.default_rng(25)
         x = rng.uniform(-1, 1, size=(24, 1))
@@ -301,6 +402,22 @@ class TestTrain:
         result = train(net, data, cfg)
         probs = forward(result.network, x)
         assert np.mean(np.argmax(probs, axis=1) == np.argmax(y, axis=1)) == 1.0
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("optimizer", ["sgd-momentum", "adam"])
+    def test_bitwise_equal_to_reference_loop(self, activation, optimizer):
+        dims = [2, 7, 5, 2]
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((18, 2))
+        y = np.hstack([np.sin(x[:, :1]), x[:, 1:] * x[:, :1]])
+        net = seeded_net(dims, activation=activation, seed=27)
+        cfg = OptimizerConfig(
+            optimizer=optimizer, learning_rate=0.02, epochs=12, batch_size=4, seed=8
+        )
+        result = train(net, TaskDataset(x, y, noise_variance=0.1), cfg)
+        params, trace = reference_mse_train(net.params, dims, activation, x, y, cfg)
+        assert np.array_equal(result.network.params, params)
+        assert np.array_equal(result.loss_trace, trace)
 
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ContractViolationError):
