@@ -111,9 +111,12 @@ def _hessian_block_apply(like, outputs: np.ndarray, tangent: np.ndarray) -> np.n
     """Apply the per-datum likelihood Hessian H to an output-shaped tangent."""
     if isinstance(like, GaussianLikelihood):
         return tangent / like.noise_variance
-    # Softmax Fisher block diag(p) - p p' per datum.
-    p = np.exp(_log_softmax(outputs))
-    return p * tangent - p * np.sum(p * tangent, axis=1, keepdims=True)
+    return _softmax_fisher_apply(np.exp(_log_softmax(outputs)), tangent)
+
+
+def _softmax_fisher_apply(probs: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """Apply the softmax Fisher block diag(p) - p p' of each datum's probabilities."""
+    return probs * tangent - probs * np.sum(probs * tangent, axis=1, keepdims=True)
 
 
 def exact_fvp(network: MlpNetwork, x: np.ndarray, v: np.ndarray, like) -> np.ndarray:

@@ -5,20 +5,26 @@ coefficients theta' for logits J' theta' (optionally plus the network's
 own output, the full Taylor view). Inference over theta' comes in three
 strengths: a MAP point estimate, a factorized Gaussian fitted by
 stochastic variational inference, and a Laplace approximation whose
-precision is the Fisher at the MAP plus the prior, kept matrix-free and
-sampled through a Lanczos inverse root.
+precision is the Fisher at the MAP plus the prior. A Laplace draw is
+exact: the Fisher has rank at most n*c on n inputs with c classes, so the
+symmetric inverse root of the precision comes from one eigendecomposition
+of the smaller of an n*c square Fisher-weighted kernel and the p square
+precision (the low-rank GGN Laplace of Daxberger et al. 2021, "Laplace
+Redux").
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolationError, TrainingDivergenceError
-from .fisher import CategoricalLikelihood, _hessian_block_apply, _log_softmax
+from .errors import ContractViolationError, ResourceLimitError, TrainingDivergenceError
+from .fisher import _log_softmax, _softmax_fisher_apply
+from .gp import _jacobian_blocks, kernel_matrix
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
-from .net import Adam, JacobianOperator, MlpNetwork, _sigmoid, _softplus
+from .net import DENSE_JACOBIAN_CAP, Adam, JacobianOperator, MlpNetwork, _sigmoid, _softplus
 from .seeding import substream
 from .serialize import fmt_float, render_csv
 
@@ -116,13 +122,16 @@ def _check_labels(model: LinearizedGlm, data: ClassificationData):
         )
 
 
-def glm_logits(model: LinearizedGlm, x: np.ndarray) -> np.ndarray:
-    """Logits J' theta' (plus f(X; theta) in the full Taylor view), one row per datum."""
-    jac = JacobianOperator(model.network, x)
-    logits = jac.jvp(model.coefficients).reshape(jac.n_data, model.num_classes)
+def _logits(model: LinearizedGlm, jac: JacobianOperator, coeff: np.ndarray) -> np.ndarray:
+    logits = jac.jvp(coeff).reshape(jac.n_data, model.num_classes)
     if model.include_network_output:
         logits = logits + jac.outputs
     return logits
+
+
+def glm_logits(model: LinearizedGlm, x: np.ndarray) -> np.ndarray:
+    """Logits J' theta' (plus f(X; theta) in the full Taylor view), one row per datum."""
+    return _logits(model, JacobianOperator(model.network, x), model.coefficients)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -166,9 +175,12 @@ class MeanFieldPosterior:
 class LaplacePosterior:
     """MAP mean with Fisher-plus-prior precision.
 
-    ``fisher_x`` fixes the inputs the Fisher is estimated on; ``None``
-    defers to the prediction batch, which makes predictions depend on
-    batch composition and exists to mirror that published variant.
+    Only the mean and the Fisher inputs are stored; each draw rebuilds
+    the Fisher at the MAP and takes an exact inverse root of the
+    precision. ``fisher_x`` fixes the inputs the Fisher is estimated on;
+    ``None`` defers to the prediction batch, which makes predictions
+    depend on batch composition and exists to mirror that published
+    variant.
     """
 
     kind = "laplace"
@@ -200,10 +212,7 @@ class GlmSviResult:
 def _batch_nll_grad(model: LinearizedGlm, coeff: np.ndarray, x, labels):
     """Summed NLL over the batch, its logit gradient, and the Jacobian view."""
     jac = JacobianOperator(model.network, x)
-    logits = jac.jvp(coeff).reshape(jac.n_data, model.num_classes)
-    if model.include_network_output:
-        logits = logits + jac.outputs
-    log_q = _log_softmax(logits)
+    log_q = _log_softmax(_logits(model, jac, coeff))
     nll = -float(log_q[np.arange(len(labels)), labels].sum())
     grad_logits = np.exp(log_q)
     grad_logits[np.arange(len(labels)), labels] -= 1.0
@@ -223,26 +232,28 @@ def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     adam = Adam(coeff.size, cfg.learning_rate)
     n = data.n
     trace = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            nll, grad_logits, jac = _batch_nll_grad(
-                model, coeff, data.x[batch], data.labels[batch]
-            )
-            scale = n / len(batch)
-            grad = scale * jac.vjp(grad_logits.ravel()) + coeff / model.prior_variance
-            coeff = adam.step(coeff, grad)
-            if not np.isfinite(coeff).all():
-                raise TrainingDivergenceError(
-                    f"MAP coefficients became non-finite at epoch {epoch}", epoch=epoch
+    # Overflow ends in the typed divergence errors below, not in raw numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                nll, grad_logits, jac = _batch_nll_grad(
+                    model, coeff, data.x[batch], data.labels[batch]
                 )
-        epoch_loss = _map_objective(model, coeff, data)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergenceError(
-                f"MAP objective became non-finite at epoch {epoch}", epoch=epoch
-            )
-        trace.append(epoch_loss)
+                scale = n / len(batch)
+                grad = scale * jac.vjp(grad_logits.ravel()) + coeff / model.prior_variance
+                coeff = adam.step(coeff, grad)
+                if not np.isfinite(coeff).all():
+                    raise TrainingDivergenceError(
+                        f"MAP coefficients became non-finite at epoch {epoch}", epoch=epoch
+                    )
+            epoch_loss = _map_objective(model, coeff, data)
+            if not np.isfinite(epoch_loss):
+                raise TrainingDivergenceError(
+                    f"MAP objective became non-finite at epoch {epoch}", epoch=epoch
+                )
+            trace.append(epoch_loss)
     return GlmMapResult(model=model.with_coefficients(coeff), loss_trace=np.array(trace))
 
 
@@ -269,37 +280,39 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     n = data.n
     prior = model.prior_variance
     elbo_trace = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            scales = _softplus(raw)
-            if not (scales > 0).all():
-                raise TrainingDivergenceError(
-                    f"variational scales collapsed to zero at epoch {epoch}", epoch=epoch
+    # Overflow ends in the typed divergence errors below, not in raw numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                scales = _softplus(raw)
+                if not (scales > 0).all():
+                    raise TrainingDivergenceError(
+                        f"variational scales collapsed to zero at epoch {epoch}", epoch=epoch
+                    )
+                z = rng.standard_normal(p)
+                theta = mu + scales * z
+                nll, grad_logits, jac = _batch_nll_grad(
+                    model, theta, data.x[batch], data.labels[batch]
                 )
-            z = rng.standard_normal(p)
-            theta = mu + scales * z
-            nll, grad_logits, jac = _batch_nll_grad(
-                model, theta, data.x[batch], data.labels[batch]
-            )
-            scale = n / len(batch)
-            g_theta = scale * jac.vjp(grad_logits.ravel())
-            kl = kl_meanfield_to_prior(mu, scales, prior)
-            grad_mu = g_theta + mu / prior
-            grad_raw = (g_theta * z + scales / prior - 1.0 / scales) * _sigmoid(raw)
-            loss = scale * nll + kl
-            if not np.isfinite(loss):
-                raise TrainingDivergenceError(
-                    f"ELBO became non-finite at epoch {epoch}", epoch=epoch
-                )
-            elbo_trace.append(-loss)
-            packed = adam.step(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
-            if not np.isfinite(packed).all():
-                raise TrainingDivergenceError(
-                    f"variational parameters became non-finite at epoch {epoch}", epoch=epoch
-                )
-            mu, raw = packed[:p], packed[p:]
+                scale = n / len(batch)
+                g_theta = scale * jac.vjp(grad_logits.ravel())
+                kl = kl_meanfield_to_prior(mu, scales, prior)
+                grad_mu = g_theta + mu / prior
+                grad_raw = (g_theta * z + scales / prior - 1.0 / scales) * _sigmoid(raw)
+                loss = scale * nll + kl
+                if not np.isfinite(loss):
+                    raise TrainingDivergenceError(
+                        f"ELBO became non-finite at epoch {epoch}", epoch=epoch
+                    )
+                elbo_trace.append(-loss)
+                packed = adam.step(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
+                if not np.isfinite(packed).all():
+                    raise TrainingDivergenceError(
+                        f"variational parameters became non-finite at epoch {epoch}", epoch=epoch
+                    )
+                mu, raw = packed[:p], packed[p:]
     return GlmSviResult(
         posterior=MeanFieldPosterior(mu=mu, raw_scales=raw),
         elbo_trace=np.array(elbo_trace),
@@ -330,6 +343,23 @@ def fit_laplace(
     )
 
 
+def _fisher_at_map(model: LinearizedGlm, posterior: LaplacePosterior, x):
+    """The Laplace Fisher's parts: Jacobian view, MAP probabilities, upscale.
+
+    The Fisher is upscale * J blockdiag(diag(p_i) - p_i p_i') J' on the
+    pinned inputs (or on ``x`` in test-batch mode), with p_i the linearized
+    model's class probabilities at the MAP and upscale = n_train / n.
+    """
+    fisher_x = posterior.fisher_x if posterior.fisher_x is not None else x
+    if fisher_x is None:
+        raise ContractViolationError(
+            "test-batch Fisher needs the prediction inputs; pass x"
+        )
+    jac = JacobianOperator(model.network, fisher_x)
+    probs = _softmax(_logits(model, jac, posterior.mean))
+    return jac, probs, posterior.n_train / jac.n_data
+
+
 def laplace_precision(
     model: LinearizedGlm,
     posterior: LaplacePosterior,
@@ -340,23 +370,13 @@ def laplace_precision(
     The Fisher blocks use the linearized model's own predictive
     probabilities at the MAP coefficients, averaged over the pinned
     inputs (or over ``x`` in test-batch mode) and upscaled to the
-    training-set size.
+    training-set size. A reference for the Laplace draws.
     """
-    fisher_x = posterior.fisher_x if posterior.fisher_x is not None else x
-    if fisher_x is None:
-        raise ContractViolationError(
-            "test-batch Fisher needs the prediction inputs; pass x"
-        )
-    at_map = model.with_coefficients(posterior.mean)
-    jac = JacobianOperator(at_map.network, fisher_x)
-    logits = glm_logits(at_map, fisher_x)
-    like = CategoricalLikelihood(model.num_classes)
-    n_batch = jac.n_data
-    upscale = posterior.n_train / n_batch
+    jac, probs, upscale = _fisher_at_map(model, posterior, x)
 
     def base(v):
-        tangent = jac.jvp(v).reshape(n_batch, model.num_classes)
-        return upscale * jac.vjp(_hessian_block_apply(like, logits, tangent).ravel())
+        tangent = jac.jvp(v).reshape(probs.shape)
+        return upscale * jac.vjp(_softmax_fisher_apply(probs, tangent).ravel())
 
     return SymmetricLinearOperator(
         dim=jac.param_count, base=base, shift=1.0 / posterior.prior_variance
@@ -367,13 +387,14 @@ def sample_gaussian_from_precision(
     op: SymmetricLinearOperator,
     mean: np.ndarray,
     rng: np.random.Generator,
-    rank: int | None = None,
 ) -> np.ndarray:
-    """One draw from N(mean, op^{-1}) via a Lanczos inverse root.
+    """One draw from N(mean, op^{-1}) for any matrix-free precision, via Lanczos.
 
-    Exact (up to roundoff) whenever the Krylov space of the probe
-    exhausts, which happens after rank(op - shift I) + 1 steps; the
-    default rank budget runs to the full dimension.
+    A generic reference: it needs only products with ``op``. The draw is
+    mean + |z| Q T^{-1/2} e_1 for z = rng.standard_normal(op.dim), which
+    equals mean + op^{-1/2} z (up to roundoff) once the Krylov space of z
+    exhausts, after at most rank(op - shift I) + 1 of the op.dim steps
+    allowed.
     """
     mean = np.asarray(mean, dtype=np.float64)
     if mean.shape != (op.dim,):
@@ -381,15 +402,55 @@ def sample_gaussian_from_precision(
             f"mean of shape {mean.shape} does not match operator dim {op.dim}"
         )
     z = rng.standard_normal(op.dim)
-    factors = lanczos_factorize(op, z, rank if rank is not None else op.dim)
+    factors = lanczos_factorize(op, z, op.dim)
     root = lowrank_inverse_root(factors)
     return mean + float(np.linalg.norm(z)) * root[:, 0]
 
 
-def _laplace_sample_rank(posterior: LaplacePosterior, model: LinearizedGlm, fisher_x) -> int:
-    p = model.coefficients.size
-    budget = fisher_x.shape[0] * (model.num_classes - 1) + 2
-    return min(p, budget)
+def _blockwise(blocks: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Multiply the datum-major rows of ``a`` by one c x c block per datum."""
+    n, c, _ = blocks.shape
+    return (blocks @ a.reshape(n, c, -1)).reshape(a.shape)
+
+
+def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, z: np.ndarray) -> np.ndarray:
+    """mean + A^{-1/2} z, with A the Laplace precision, from one eigh.
+
+    A = lam I + B'B with lam = 1 / prior_variance and
+    B = sqrt(upscale) L' J', where L = blockdiag(L_i) and
+    L_i = diag(sqrt p_i) - p_i sqrt(p_i)', so L_i L_i' = diag(p_i) - p_i p_i'.
+    With n*c <= p, one eigh of the n*c square BB' = W diag(e) W' (from the
+    tangent kernel) gives A^{-1/2} = I / sqrt(lam) + B' W diag(g(e)) W' B
+    with g(e) = ((e + lam)^{-1/2} - lam^{-1/2}) / e; otherwise one eigh of
+    the p square B'B does. Both are the root Lanczos reaches at exhaustion.
+    """
+    jac, probs, upscale = _fisher_at_map(model, posterior, x)
+    lam = 1.0 / posterior.prior_variance
+    n, c = probs.shape
+    p = z.size
+    # An exact draw by Lanczos would need a basis of at least as many entries.
+    size = min(n * c, p)
+    if size * size > DENSE_JACOBIAN_CAP:
+        raise ResourceLimitError(
+            f"Laplace draw needs a {size} x {size} eigendecomposition "
+            f"(cap {DENSE_JACOBIAN_CAP} entries)"
+        )
+    # Blocks of sqrt(upscale) L': [a, b] = sqrt(upscale p_a) (delta_ab - p_b).
+    root_t = np.sqrt(upscale * probs)[:, :, None] * (np.eye(c) - probs[:, None, :])
+    if n * c <= p:
+        kernel = kernel_matrix(model.network, jac.inputs)
+        e, w = np.linalg.eigh(_blockwise(root_t, _blockwise(root_t, kernel).T))
+        # BB' is positive semidefinite; negative eigenvalues are roundoff.
+        s, t = math.sqrt(lam), np.sqrt(np.maximum(e, 0.0) + lam)
+        gain = -1.0 / (s * t * (s + t))  # g(e), without cancellation as e -> 0
+        y = w @ (gain * (w.T @ _blockwise(root_t, jac.jvp(z))))
+        return posterior.mean + z / s + jac.vjp(_blockwise(root_t.transpose(0, 2, 1), y))
+    fisher = np.zeros((p, p))
+    for cols, block in _jacobian_blocks(model.network, jac.inputs, None):
+        b = _blockwise(root_t[cols.start // c : cols.stop // c], block.T)
+        fisher += b.T @ b
+    e, w = np.linalg.eigh(fisher)
+    return posterior.mean + w @ ((w.T @ z) / np.sqrt(np.maximum(e, 0.0) + lam))
 
 
 def predict_class(
@@ -419,12 +480,8 @@ def predict_class(
         if mode == "mean":
             coeff = approx.mean
         else:
-            fisher_x = approx.fisher_x if approx.fisher_x is not None else np.asarray(x, dtype=np.float64)
-            op = laplace_precision(model, approx, x)
-            rng = substream(seed, "glm-predict")
-            coeff = sample_gaussian_from_precision(
-                op, approx.mean, rng, rank=_laplace_sample_rank(approx, model, fisher_x)
-            )
+            z = substream(seed, "glm-predict").standard_normal(model.coefficients.size)
+            coeff = _laplace_draw(model, approx, x, z)
     else:
         raise ContractViolationError(f"unknown posterior kind {type(approx).__name__}")
     probs = _softmax(glm_logits(model.with_coefficients(coeff), x))

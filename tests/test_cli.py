@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,16 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--config", path, "--out", str(tmp_path / "x.json")])
         assert code == 4
+        assert "non-finite parameters at epoch 0" in capsys.readouterr().err
+
+    def test_divergence_prints_no_raw_numpy_warnings(self, tmp_path, capsys):
+        cfg = dict(TRAIN_CONFIG, optimizer={"learning_rate": 1.7e308, "epochs": 2, "batch_size": 8})
+        path = write_json(tmp_path / "diverge.json", cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", path, "--out", str(tmp_path / "x.json")])
+        assert code == 4
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "non-finite parameters at epoch 0" in capsys.readouterr().err
 
     def test_malformed_config_reports_byte_offset(self, tmp_path, capsys):
@@ -453,6 +464,23 @@ class TestGlm:
         assert code == 0
         _, rows = data_lines(out)
         assert rows[0][1] == "0"
+
+    def test_map_divergence_prints_no_raw_numpy_warnings(self, blob_data, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "glm.json",
+            {"version": 1, "glm": {"method": "map", "epochs": 2, "learning_rate": 1.7e308}},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                [
+                    "glm-fit", "--config", cfg, "--checkpoint", blob_data["ckpt"],
+                    "--data", blob_data["data"], "--out", str(tmp_path / "fit.json"),
+                ]
+            )
+        assert code == 4
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "non-finite" in capsys.readouterr().err
 
     def test_stale_fit_is_consistency_error(self, blob_data, tmp_path):
         cfg, fit_path = self.fit(blob_data, tmp_path, "map")

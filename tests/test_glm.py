@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import tangentgp.glm as glm_module
 from tangentgp.errors import (
     ContractViolationError,
     NumericBreakdownError,
+    ResourceLimitError,
     TrainingDivergenceError,
 )
 from tangentgp.fisher import _log_softmax
@@ -14,6 +16,7 @@ from tangentgp.glm import (
     LinearizedGlm,
     MapPosterior,
     MeanFieldPosterior,
+    _laplace_draw,
     fit_laplace,
     fit_map,
     fit_svi,
@@ -377,6 +380,83 @@ class TestFitLaplace:
         rng = np.random.default_rng(0)
         with pytest.raises(NumericBreakdownError):
             sample_gaussian_from_precision(op, np.zeros(2), rng)
+
+
+def laplace_draw_setup(classes, n_fisher, fisher_source, include_network_output):
+    """Laplace fit on a (4,) tanh net with p = 12 + 5 * classes coefficients."""
+    rng = np.random.default_rng(10 * classes + n_fisher)
+    net = init_network(MlpArchitecture(2, (4,), classes), seed=2)
+    model = zero_coefficients_glm(
+        net, include_network_output=include_network_output, prior_variance=0.7
+    )
+    x_train = rng.normal(size=(n_fisher if fisher_source == "train" else 9, 2))
+    data = ClassificationData(x_train, np.arange(len(x_train)) % classes)
+    cfg = GlmFitConfig(learning_rate=0.05, epochs=5, batch_size=4, seed=1)
+    posterior = fit_laplace(model, data, cfg, fisher_source=fisher_source)
+    x = rng.normal(size=(n_fisher if fisher_source == "test_batch" else 3, 2))
+    return model, posterior, x
+
+
+def dense_laplace_precision(model, posterior, x):
+    """prior^-1 I + (n_train / n) sum_i J_i (diag(p_i) - p_i p_i') J_i', densely."""
+    fisher_x = posterior.fisher_x if posterior.fisher_x is not None else x
+    c = model.num_classes
+    dense = JacobianOperator(model.network, fisher_x).dense()
+    logits = glm_logits(model.with_coefficients(posterior.mean), fisher_x)
+    probs = np.exp(_log_softmax(logits))
+    precision = np.eye(dense.shape[0]) / posterior.prior_variance
+    upscale = posterior.n_train / len(fisher_x)
+    for i, p_i in enumerate(probs):
+        block = dense[:, c * i : c * (i + 1)]
+        precision += upscale * block @ (np.diag(p_i) - np.outer(p_i, p_i)) @ block.T
+    return precision
+
+
+class TestLaplaceDraw:
+    # (classes, Fisher inputs, source, full Taylor view); p = 22 for two
+    # classes and 32 for four, so n*c falls below p (first, third and last
+    # case) and above it (the others).
+    CASES = [
+        (2, 5, "train", False),
+        (2, 20, "train", True),
+        (4, 4, "test_batch", True),
+        (4, 12, "test_batch", False),
+        (4, 12, "train", True),
+        (4, 6, "train", False),
+    ]
+
+    @pytest.mark.parametrize("classes, n_fisher, source, include_output", CASES)
+    def test_draw_equals_dense_inverse_root(self, classes, n_fisher, source, include_output):
+        model, posterior, x = laplace_draw_setup(classes, n_fisher, source, include_output)
+        op = laplace_precision(model, posterior, x)
+        precision = op.to_dense()
+        np.testing.assert_allclose(
+            precision, dense_laplace_precision(model, posterior, x), rtol=1e-10, atol=1e-12
+        )
+        evals, evecs = np.linalg.eigh(precision)
+        for seed in (0, 7):
+            # predict_class and the Lanczos reference both draw z first
+            # from this stream.
+            z = substream(seed, "glm-predict").standard_normal(model.coefficients.size)
+            oracle = evecs @ ((evecs.T @ z) / np.sqrt(evals))
+            coeff = _laplace_draw(model, posterior, x, z)
+            tol = 1e-10 * np.linalg.norm(oracle)
+            assert np.linalg.norm(coeff - posterior.mean - oracle) <= tol
+            lanczos = sample_gaussian_from_precision(
+                op, posterior.mean, substream(seed, "glm-predict")
+            )
+            assert np.linalg.norm(coeff - lanczos) <= tol
+            probs, labels = predict_class(model, posterior, x, mode="single_sample", seed=seed)
+            expected = predict_class(model, MapPosterior(coeff), x, mode="mean")
+            np.testing.assert_array_equal(probs, expected[0])
+            np.testing.assert_array_equal(labels, expected[1])
+
+    def test_over_the_cap_raises_resource_limit(self, monkeypatch):
+        model, posterior, x = laplace_draw_setup(2, 5, "train", False)
+        monkeypatch.setattr(glm_module, "DENSE_JACOBIAN_CAP", 99)
+        z = np.zeros(model.coefficients.size)
+        with pytest.raises(ResourceLimitError, match="10 x 10"):
+            _laplace_draw(model, posterior, x, z)
 
 
 class TestPredictClass:
