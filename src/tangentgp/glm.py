@@ -6,11 +6,11 @@ own output, the full Taylor view). Inference over theta' comes in three
 strengths: a MAP point estimate, a factorized Gaussian fitted by
 stochastic variational inference, and a Laplace approximation whose
 precision is the Fisher at the MAP plus the prior. A Laplace draw is
-exact: the Fisher has rank at most n*c on n inputs with c classes, so the
-symmetric inverse root of the precision comes from one eigendecomposition
-of the smaller of an n*c square Fisher-weighted kernel and the p square
-precision (the low-rank GGN Laplace of Daxberger et al. 2021, "Laplace
-Redux").
+exact: the Fisher has rank at most n*(c-1) on n inputs with c classes,
+so the symmetric inverse root of the precision comes from one
+eigendecomposition of the smaller of an n*(c-1) square Fisher-weighted
+kernel and the p square precision (the low-rank GGN Laplace of
+Daxberger et al. 2021, "Laplace Redux").
 """
 
 from __future__ import annotations
@@ -224,6 +224,8 @@ def _map_objective(model: LinearizedGlm, coeff: np.ndarray, data: Classification
     return nll + float(coeff @ coeff) / (2.0 * model.prior_variance)
 
 
+# Overflow ends in the typed divergence errors below, not in raw numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -> GlmMapResult:
     """Adam on the penalized NLL; the linearization point never moves."""
     _check_labels(model, data)
@@ -232,28 +234,26 @@ def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     adam = Adam(coeff.size, cfg.learning_rate)
     n = data.n
     trace = []
-    # Overflow ends in the typed divergence errors below, not in raw numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                nll, grad_logits, jac = _batch_nll_grad(
-                    model, coeff, data.x[batch], data.labels[batch]
-                )
-                scale = n / len(batch)
-                grad = scale * jac.vjp(grad_logits.ravel()) + coeff / model.prior_variance
-                coeff = adam.step(coeff, grad)
-                if not np.isfinite(coeff).all():
-                    raise TrainingDivergenceError(
-                        f"MAP coefficients became non-finite at epoch {epoch}", epoch=epoch
-                    )
-            epoch_loss = _map_objective(model, coeff, data)
-            if not np.isfinite(epoch_loss):
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            nll, grad_logits, jac = _batch_nll_grad(
+                model, coeff, data.x[batch], data.labels[batch]
+            )
+            scale = n / len(batch)
+            grad = scale * jac.vjp(grad_logits.ravel()) + coeff / model.prior_variance
+            coeff = adam.step(coeff, grad)
+            if not np.isfinite(coeff).all():
                 raise TrainingDivergenceError(
-                    f"MAP objective became non-finite at epoch {epoch}", epoch=epoch
+                    f"MAP coefficients became non-finite at epoch {epoch}", epoch=epoch
                 )
-            trace.append(epoch_loss)
+        epoch_loss = _map_objective(model, coeff, data)
+        if not np.isfinite(epoch_loss):
+            raise TrainingDivergenceError(
+                f"MAP objective became non-finite at epoch {epoch}", epoch=epoch
+            )
+        trace.append(epoch_loss)
     return GlmMapResult(model=model.with_coefficients(coeff), loss_trace=np.array(trace))
 
 
@@ -269,6 +269,8 @@ def kl_meanfield_to_prior(mu: np.ndarray, scales: np.ndarray, prior_variance: fl
     return float(np.sum(0.5 * (var_ratio + mu * mu / prior_variance - 1.0) - 0.5 * np.log(var_ratio)))
 
 
+# Overflow ends in the typed divergence errors below, not in raw numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -> GlmSviResult:
     """Mean-field Gaussian over the coefficients by a one-sample reparameterized ELBO."""
     _check_labels(model, data)
@@ -280,39 +282,37 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     n = data.n
     prior = model.prior_variance
     elbo_trace = []
-    # Overflow ends in the typed divergence errors below, not in raw numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                scales = _softplus(raw)
-                if not (scales > 0).all():
-                    raise TrainingDivergenceError(
-                        f"variational scales collapsed to zero at epoch {epoch}", epoch=epoch
-                    )
-                z = rng.standard_normal(p)
-                theta = mu + scales * z
-                nll, grad_logits, jac = _batch_nll_grad(
-                    model, theta, data.x[batch], data.labels[batch]
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            scales = _softplus(raw)
+            if not (scales > 0).all():
+                raise TrainingDivergenceError(
+                    f"variational scales collapsed to zero at epoch {epoch}", epoch=epoch
                 )
-                scale = n / len(batch)
-                g_theta = scale * jac.vjp(grad_logits.ravel())
-                kl = kl_meanfield_to_prior(mu, scales, prior)
-                grad_mu = g_theta + mu / prior
-                grad_raw = (g_theta * z + scales / prior - 1.0 / scales) * _sigmoid(raw)
-                loss = scale * nll + kl
-                if not np.isfinite(loss):
-                    raise TrainingDivergenceError(
-                        f"ELBO became non-finite at epoch {epoch}", epoch=epoch
-                    )
-                elbo_trace.append(-loss)
-                packed = adam.step(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
-                if not np.isfinite(packed).all():
-                    raise TrainingDivergenceError(
-                        f"variational parameters became non-finite at epoch {epoch}", epoch=epoch
-                    )
-                mu, raw = packed[:p], packed[p:]
+            z = rng.standard_normal(p)
+            theta = mu + scales * z
+            nll, grad_logits, jac = _batch_nll_grad(
+                model, theta, data.x[batch], data.labels[batch]
+            )
+            scale = n / len(batch)
+            g_theta = scale * jac.vjp(grad_logits.ravel())
+            kl = kl_meanfield_to_prior(mu, scales, prior)
+            grad_mu = g_theta + mu / prior
+            grad_raw = (g_theta * z + scales / prior - 1.0 / scales) * _sigmoid(raw)
+            loss = scale * nll + kl
+            if not np.isfinite(loss):
+                raise TrainingDivergenceError(
+                    f"ELBO became non-finite at epoch {epoch}", epoch=epoch
+                )
+            elbo_trace.append(-loss)
+            packed = adam.step(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
+            if not np.isfinite(packed).all():
+                raise TrainingDivergenceError(
+                    f"variational parameters became non-finite at epoch {epoch}", epoch=epoch
+                )
+            mu, raw = packed[:p], packed[p:]
     return GlmSviResult(
         posterior=MeanFieldPosterior(mu=mu, raw_scales=raw),
         elbo_trace=np.array(elbo_trace),
@@ -408,36 +408,45 @@ def sample_gaussian_from_precision(
 
 
 def _blockwise(blocks: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Multiply the datum-major rows of ``a`` by one c x c block per datum."""
-    n, c, _ = blocks.shape
-    return (blocks @ a.reshape(n, c, -1)).reshape(a.shape)
+    """Multiply the datum-major rows of ``a`` by one k x m block per datum."""
+    n, k, m = blocks.shape
+    return (blocks @ a.reshape(n, m, -1)).reshape((n * k,) + a.shape[1:])
 
 
 def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, z: np.ndarray) -> np.ndarray:
     """mean + A^{-1/2} z, with A the Laplace precision, from one eigh.
 
     A = lam I + B'B with lam = 1 / prior_variance and
-    B = sqrt(upscale) L' J', where L = blockdiag(L_i) and
-    L_i = diag(sqrt p_i) - p_i sqrt(p_i)', so L_i L_i' = diag(p_i) - p_i p_i'.
-    With n*c <= p, one eigh of the n*c square BB' = W diag(e) W' (from the
-    tangent kernel) gives A^{-1/2} = I / sqrt(lam) + B' W diag(g(e)) W' B
-    with g(e) = ((e + lam)^{-1/2} - lam^{-1/2}) / e; otherwise one eigh of
-    the p square B'B does. Both are the root Lanczos reaches at exhaustion.
+    B = sqrt(upscale) M' J', where M = blockdiag(M_i) and M_i M_i' =
+    diag(p_i) - p_i p_i'. M_i = L_i Q_i, with L_i = diag(sqrt p_i) -
+    p_i sqrt(p_i)' and Q_i the first c - 1 columns of the Householder
+    reflector taking sqrt(p_i) to -e_c: L_i sqrt(p_i) = 0, so Q_i drops
+    only the null direction, and B has the Fisher's rank bound n*(c-1)
+    as its row count. With n*(c-1) <= p, one eigh of BB' = W diag(e) W'
+    (from the tangent kernel) gives A^{-1/2} = I / sqrt(lam) +
+    B' W diag(g(e)) W' B with g(e) = ((e + lam)^{-1/2} - lam^{-1/2}) / e;
+    otherwise one eigh of the p square B'B does. Both are the root
+    Lanczos reaches at exhaustion.
     """
     jac, probs, upscale = _fisher_at_map(model, posterior, x)
     lam = 1.0 / posterior.prior_variance
     n, c = probs.shape
     p = z.size
-    # An exact draw by Lanczos would need a basis of at least as many entries.
-    size = min(n * c, p)
+    # Bounds the matrix handed to eigh; kernel_matrix bounds its own
+    # n*c square kernel.
+    size = min(n * (c - 1), p)
     if size * size > DENSE_JACOBIAN_CAP:
         raise ResourceLimitError(
             f"Laplace draw needs a {size} x {size} eigendecomposition "
             f"(cap {DENSE_JACOBIAN_CAP} entries)"
         )
-    # Blocks of sqrt(upscale) L': [a, b] = sqrt(upscale p_a) (delta_ab - p_b).
-    root_t = np.sqrt(upscale * probs)[:, :, None] * (np.eye(c) - probs[:, None, :])
-    if n * c <= p:
+    # sqrt(upscale) L_i' blocks, [a, b] = sqrt(upscale p_a) (delta_ab - p_b),
+    # then Q_i' applied: the reflector's rows a < c - 1 subtract
+    # sqrt(p_a) / (1 + sqrt(p_c)) times the last row.
+    sqrt_p = np.sqrt(probs)[:, :, None]
+    root_t = math.sqrt(upscale) * sqrt_p * (np.eye(c) - probs[:, None, :])
+    root_t = root_t[:, :-1] - sqrt_p[:, :-1] * root_t[:, -1:] / (1.0 + sqrt_p[:, -1:])
+    if n * (c - 1) <= p:
         kernel = kernel_matrix(model.network, jac.inputs)
         e, w = np.linalg.eigh(_blockwise(root_t, _blockwise(root_t, kernel).T))
         # BB' is positive semidefinite; negative eigenvalues are roundoff.

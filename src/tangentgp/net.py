@@ -486,6 +486,8 @@ class TrainResult:
     loss_trace: np.ndarray  # full-dataset loss after each epoch
 
 
+# Overflow ends in the typed divergence errors below, not in raw numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> TrainResult:
     """Mini-batch training, bitwise reproducible for a fixed seed."""
     arch = network.architecture
@@ -503,35 +505,32 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
     adam = Adam(theta.size, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     trace = np.empty(cfg.epochs)
 
-    # Overflow surfaces as the typed divergence error below, not as raw
-    # numpy warnings; one errstate per call, not per step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(data.n)
-            for start in range(0, data.n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                jac = JacobianOperator(network.with_params(theta), data.x[batch])
-                loss_val, out_grad = _loss_and_output_grad(jac.outputs, data.y[batch], cfg.loss)
-                if not np.isfinite(loss_val):
-                    raise TrainingDivergenceError(
-                        f"non-finite training loss at epoch {epoch}", epoch=epoch
-                    )
-                grad = jac.vjp(out_grad.ravel())
-                if cfg.optimizer == "sgd-momentum":
-                    velocity = cfg.momentum * velocity - cfg.learning_rate * grad
-                    theta = theta + velocity
-                else:
-                    theta = adam.step(theta, grad)
-                if not np.isfinite(theta).all():
-                    raise TrainingDivergenceError(
-                        f"non-finite parameters at epoch {epoch}", epoch=epoch
-                    )
-            outputs = forward(network.with_params(theta), data.x)
-            epoch_loss, _ = _loss_and_output_grad(outputs, data.y, cfg.loss)
-            if not np.isfinite(epoch_loss):
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(data.n)
+        for start in range(0, data.n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            jac = JacobianOperator(network.with_params(theta), data.x[batch])
+            loss_val, out_grad = _loss_and_output_grad(jac.outputs, data.y[batch], cfg.loss)
+            if not np.isfinite(loss_val):
                 raise TrainingDivergenceError(
                     f"non-finite training loss at epoch {epoch}", epoch=epoch
                 )
-            trace[epoch] = epoch_loss
+            grad = jac.vjp(out_grad.ravel())
+            if cfg.optimizer == "sgd-momentum":
+                velocity = cfg.momentum * velocity - cfg.learning_rate * grad
+                theta = theta + velocity
+            else:
+                theta = adam.step(theta, grad)
+            if not np.isfinite(theta).all():
+                raise TrainingDivergenceError(
+                    f"non-finite parameters at epoch {epoch}", epoch=epoch
+                )
+        outputs = forward(network.with_params(theta), data.x)
+        epoch_loss, _ = _loss_and_output_grad(outputs, data.y, cfg.loss)
+        if not np.isfinite(epoch_loss):
+            raise TrainingDivergenceError(
+                f"non-finite training loss at epoch {epoch}", epoch=epoch
+            )
+        trace[epoch] = epoch_loss
 
     return TrainResult(network=network.with_params(theta), loss_trace=trace)

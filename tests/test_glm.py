@@ -414,15 +414,17 @@ def dense_laplace_precision(model, posterior, x):
 
 class TestLaplaceDraw:
     # (classes, Fisher inputs, source, full Taylor view); p = 22 for two
-    # classes and 32 for four, so n*c falls below p (first, third and last
-    # case) and above it (the others).
+    # classes and 32 for four. The Fisher's rank bound n*(c-1) falls below
+    # p in the first four cases (in the second, n*c does not) and above it
+    # in the last three.
     CASES = [
         (2, 5, "train", False),
         (2, 20, "train", True),
         (4, 4, "test_batch", True),
+        (4, 6, "train", False),
+        (2, 25, "test_batch", False),
         (4, 12, "test_batch", False),
         (4, 12, "train", True),
-        (4, 6, "train", False),
     ]
 
     @pytest.mark.parametrize("classes, n_fisher, source, include_output", CASES)
@@ -453,9 +455,9 @@ class TestLaplaceDraw:
 
     def test_over_the_cap_raises_resource_limit(self, monkeypatch):
         model, posterior, x = laplace_draw_setup(2, 5, "train", False)
-        monkeypatch.setattr(glm_module, "DENSE_JACOBIAN_CAP", 99)
+        monkeypatch.setattr(glm_module, "DENSE_JACOBIAN_CAP", 24)
         z = np.zeros(model.coefficients.size)
-        with pytest.raises(ResourceLimitError, match="10 x 10"):
+        with pytest.raises(ResourceLimitError, match="5 x 5"):
             _laplace_draw(model, posterior, x, z)
 
 
