@@ -2,9 +2,10 @@
 
 The workflow trains a source network a single time, then treats each new
 task as GP regression with the source's Jacobian features: no gradients,
-no retraining, one linear solve per task. Baselines (no retraining at
-all, refitting only the final layer) and seeded synthetic task
-generators for the sinusoid and surface benchmarks live here too.
+no retraining, one Gram eigendecomposition per task (a CG solve for large
+fixed-noise tasks). Baselines (no retraining at all, refitting only the
+final layer) and seeded synthetic task generators for the sinusoid and
+surface benchmarks live here too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError, TangentGpError
-from .gp import NtkPosterior, fit_posterior, kernel_matrix, predict
+from .gp import (
+    GramFactor,
+    NtkPosterior,
+    factor_gram,
+    fit_posterior,
+    loo_scores,
+    predict,
+    regression_residual,
+)
 from .net import (
     MlpArchitecture,
     MlpNetwork,
@@ -158,31 +167,28 @@ def _split_by_picks(data: TaskDataset, picks: np.ndarray):
     return context, TaskDataset(data.x[~mask], data.y[~mask], data.noise_variance)
 
 
-def select_noise_by_loo(kernel: np.ndarray, targets: np.ndarray, grid) -> float:
+def select_noise_by_loo(kernel, targets, grid) -> float:
     """Pick the noise variance whose GP has the smallest leave-one-out MSE.
 
-    Uses the closed-form identity: with G = K + sigma^2 I and alpha =
-    G^{-1} y, the leave-one-out residual at point i is alpha_i divided by
-    (G^{-1})_{ii}, so each candidate costs one factorization instead of
-    n refits. Ties resolve to the earlier grid entry.
+    ``kernel`` is the n*o square tangent kernel, or a ``gp.GramFactor`` of
+    the task's Jacobian. With G = K + sigma^2 I and alpha = G^{-1} y, the
+    leave-one-out residual at point i is alpha_i divided by (G^{-1})_{ii};
+    one eigendecomposition gives both for every candidate
+    (``gp.loo_scores``) instead of n refits each. Ties resolve to the
+    earlier grid entry.
     """
     grid = tuple(float(g) for g in grid)
     if not grid or any(not g > 0 for g in grid):
         raise ContractViolationError("noise grid must be positive variances")
     y = np.asarray(targets, dtype=np.float64).ravel()
-    if kernel.shape[0] != y.size:
-        raise ContractViolationError(
-            f"kernel is {kernel.shape[0]}x{kernel.shape[1]} but there are {y.size} targets"
-        )
-    eye = np.eye(kernel.shape[0])
-    best, best_score = grid[0], np.inf
-    for sigma2 in grid:
-        inv = np.linalg.inv(kernel + sigma2 * eye)
-        residuals = (inv @ y) / np.diag(inv)
-        score = float(np.mean(residuals * residuals))
-        if score < best_score:
-            best, best_score = sigma2, score
-    return best
+    if not isinstance(kernel, GramFactor):
+        if kernel.shape[0] != y.size:
+            raise ContractViolationError(
+                f"kernel is {kernel.shape[0]}x{kernel.shape[1]} but there are {y.size} targets"
+            )
+        kernel = GramFactor.of_kernel(kernel)
+    scores = loo_scores(kernel, y, grid)
+    return grid[int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))]
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +300,15 @@ def adapt_task(
     targets = context.y
     if cfg.center_on_network:
         targets = context.y - forward(source, context.x)[:, mean_cols]
-    if cfg.noise_grid is not None:
-        kernel = kernel_matrix(source, context.x, channels=channels)
-        sigma2 = select_noise_by_loo(kernel, targets, cfg.noise_grid)
     fit_data = TaskDataset(context.x, targets, noise_variance=sigma2)
+    factor = None
+    if cfg.noise_grid is not None:
+        # One factorization scores the grid and then fits; the score is of
+        # the regression the fit runs (targets less the prior mean).
+        factor = factor_gram(source, context.x, channels)
+        resid = regression_residual(source, fit_data, cfg.mean_kind, channels)
+        sigma2 = select_noise_by_loo(factor, resid, cfg.noise_grid)
+        fit_data = replace(fit_data, noise_variance=sigma2)
     posterior = fit_posterior(
         source,
         fit_data,
@@ -305,6 +316,7 @@ def adapt_task(
         rank=cfg.rank,
         channels=channels,
         space=cfg.space,
+        factor=factor,
     )
     if eval_set is None:
         return posterior, None

@@ -86,19 +86,12 @@ def cg_solve(
     b: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
-    jacobi: np.ndarray | None = None,
 ) -> CgResult:
     """Solve A x = b by conjugate gradients.
 
     Stops when ``||A x - b|| <= tol * ||b||`` (verified against a freshly
     computed residual, not just the recurrence), or returns the best
     iterate seen once ``max_iter`` is exhausted.
-
-    Parameters
-    ----------
-    jacobi : array, optional
-        Diagonal of the shifted operator. When given, CG is preconditioned
-        with M = diag(jacobi); entries must be positive.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (op.dim,):
@@ -109,10 +102,6 @@ def cg_solve(
         raise ContractViolationError(f"tol must be positive, got {tol}")
     if max_iter is None:
         max_iter = max(1000, 2 * op.dim)
-    if jacobi is not None:
-        jacobi = np.asarray(jacobi, dtype=np.float64)
-        if jacobi.shape != (op.dim,) or np.any(jacobi <= 0):
-            raise ContractViolationError("jacobi preconditioner needs a positive diagonal of full length")
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -120,9 +109,8 @@ def cg_solve(
 
     x = np.zeros(op.dim)
     r = b.copy()
-    z = r / jacobi if jacobi is not None else r
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
     best_x = x.copy()
     best_res = b_norm
 
@@ -135,7 +123,7 @@ def cg_solve(
             raise NumericBreakdownError(
                 f"nonpositive curvature {curvature:.3e} at CG iteration {k}; operator is not positive definite"
             )
-        alpha = rz / curvature
+        alpha = rr / curvature
         x = x + alpha * p
         r = r - alpha * ap
         res = float(np.linalg.norm(r))
@@ -153,11 +141,10 @@ def cg_solve(
                 return CgResult(x=x, residual_norm=res_true, iterations=k, converged=True)
             r = r_true
             res = res_true
-        z = r / jacobi if jacobi is not None else r
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
+        rr_new = float(r @ r)
+        beta = rr_new / rr
+        rr = rr_new
+        p = r + beta * p
 
     return CgResult(x=best_x, residual_norm=best_res, iterations=max_iter, converged=False)
 
@@ -230,28 +217,6 @@ def lanczos_factorize(op: SymmetricLinearOperator, probe: np.ndarray, rank: int)
         t[np.arange(achieved - 1), np.arange(1, achieved)] = off
         t[np.arange(1, achieved), np.arange(achieved - 1)] = off
     return LanczosFactors(q=q[:, :achieved], t=t, rank=achieved, exhausted=exhausted)
-
-
-def lanczos_solve(factors: LanczosFactors, b: np.ndarray) -> np.ndarray:
-    """Approximate A^-1 b as ||b|| Q T^-1 e1, given factors probed with b."""
-    b = np.asarray(b, dtype=np.float64)
-    dim = factors.q.shape[0]
-    if b.shape != (dim,):
-        raise ContractViolationError(f"vector of shape {b.shape} does not match basis dimension {dim}")
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros(dim)
-    if not np.allclose(factors.q[:, 0], b / b_norm, atol=1e-10):
-        raise ContractViolationError("factors were not built with probe = b / ||b||")
-    e1 = np.zeros(factors.rank)
-    e1[0] = b_norm
-    try:
-        y = np.linalg.solve(factors.t, e1)
-    except np.linalg.LinAlgError as exc:
-        raise NumericBreakdownError(f"tridiagonal system is singular: {exc}") from exc
-    if not np.all(np.isfinite(y)):
-        raise NumericBreakdownError("tridiagonal solve produced non-finite values")
-    return factors.q @ y
 
 
 def lowrank_inverse_root(factors: LanczosFactors) -> np.ndarray:

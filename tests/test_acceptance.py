@@ -518,3 +518,30 @@ def test_11_log_marginal_scaling(capsys):
         capsys, 11, f"log-marginal wall time scales sub-cubically at p={arch.parameter_count}",
         ok, f"n=500 {t_small:.2f}s, n=2000 {t_big:.2f}s, ratio {ratio:.1f}x",
     )
+
+
+def test_12_exact_fit_where_lanczos_truncates(capsys):
+    # p = 4801 and n = 400 at noise 1e-4: CG fails or stalls on this system
+    # and a rank-256 Lanczos root misses most of the variance; the default
+    # fit factors the 400 x 400 kernel instead.
+    net = init_network(MlpArchitecture(8, (64, 64), 1), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-2.0, 2.0, size=(400, 8))
+    y = np.sin(x.sum(axis=1, keepdims=True)) + 0.01 * rng.standard_normal((400, 1))
+    x_test = rng.uniform(-2.0, 2.0, size=(64, 8))
+    data = TaskDataset(x, y, noise_variance=1e-4)
+    j = JacobianOperator(net, x).dense()
+    jt = JacobianOperator(net, x_test).dense()
+    gram = j.T @ j + data.noise_variance * np.eye(len(x))
+    cross = j.T @ jt
+    mean_o = cross.T @ np.linalg.solve(gram, y.ravel())
+    var_o = np.einsum("pj,pj->j", jt, jt) - np.einsum("ij,ij->j", cross, np.linalg.solve(gram, cross))
+    errors = []
+    for fit in (fit_function_space, fit_parameter_space):
+        mean, var = predict(fit(net, data), net, x_test)
+        errors += [rel_err(mean.ravel(), mean_o), rel_err(var.ravel(), var_o)]
+    ok = max(errors) <= 1e-8
+    report(
+        capsys, 12, "default-rank fits are exact where the Lanczos root truncates (p=4801, n=400)",
+        ok, "mean/var rel err function {:.1e}/{:.1e}, parameter {:.1e}/{:.1e}".format(*errors),
+    )

@@ -35,9 +35,11 @@ from tangentgp.adapt import (
     split_task,
     stratified_split,
 )
+import tangentgp.gp as gp_module
 from tangentgp.errors import ContractViolationError
-from tangentgp.gp import kernel_matrix, predict
+from tangentgp.gp import factor_gram, kernel_matrix, loo_scores, predict
 from tangentgp.net import (
+    JacobianOperator,
     MlpArchitecture,
     MlpNetwork,
     OptimizerConfig,
@@ -191,6 +193,22 @@ class TestNoiseSelection:
         with pytest.raises(ContractViolationError, match="targets"):
             select_noise_by_loo(np.eye(2), np.ones(3), (1.0,))
 
+    def test_scores_match_inverse_formula_on_both_gram_sides(self):
+        grid = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+        for n in (10, 60):  # p = 37: the kernel side, then the p side
+            rng = np.random.default_rng(n)
+            net = init_network(MlpArchitecture(1, (8, 2), 1), seed=n)
+            x = rng.uniform(-3.0, 3.0, size=(n, 1))
+            y = np.sin(x).ravel() + 0.1 * rng.standard_normal(n)
+            factor = factor_gram(net, x)
+            assert factor.side == ("function" if n == 10 else "parameter")
+            kernel = kernel_matrix(net, x)
+            reference = []
+            for sigma2 in grid:
+                inv = np.linalg.inv(kernel + sigma2 * np.eye(n))
+                reference.append(np.mean(((inv @ y) / np.diag(inv)) ** 2))
+            np.testing.assert_allclose(loo_scores(factor, y, grid), reference, rtol=1e-10)
+
     def test_config_rejects_fixed_noise_plus_grid(self):
         with pytest.raises(ContractViolationError, match="not both"):
             AdaptConfig(noise_variance=0.1, noise_grid=(0.1, 1.0))
@@ -231,6 +249,61 @@ class TestAdaptTask:
         )
         kernel = kernel_matrix(source, x)
         assert posterior.noise_variance == select_noise_by_loo(kernel, context.y, grid)
+
+    def test_noise_grid_scores_the_residual_that_is_fitted(self):
+        # On this task LOO of the raw targets picks 0.1, LOO of the
+        # residual y - mu(X) the fit regresses picks 0.01.
+        source = init_network(MlpArchitecture(1, (16,), 1), seed=4)
+        task = sample_sinusoid_tasks(SinusoidTaskSpec(points_per_task=12, seed=4), 1)[0]
+        grid = tuple(10.0**d for d in range(-4, 2))
+        kernel = kernel_matrix(source, task.x)
+        jac = JacobianOperator(source, task.x)
+        linear = (jac.dense().T @ source.params)[:, None]
+        assert select_noise_by_loo(kernel, task.y, grid) == 0.1
+        for kind, mu in (("jacobian_mean", linear), ("linearized_nn", jac.outputs + linear)):
+            cfg = AdaptConfig(mean_kind=kind, center_on_network=False, noise_grid=grid)
+            posterior, _ = adapt_task(source, task, None, cfg)
+            assert posterior.noise_variance == select_noise_by_loo(kernel, task.y - mu, grid)
+            assert posterior.noise_variance == 0.01
+
+    def test_noise_grid_task_runs_one_eigendecomposition(self, monkeypatch):
+        source, _, _ = trained_source()
+        p = source.architecture.parameter_count
+        calls = {"eigh": 0, "cg": 0, "lanczos": 0}
+
+        def spy(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        monkeypatch.setattr(gp_module, "cg_solve", spy("cg", gp_module.cg_solve))
+        monkeypatch.setattr(
+            gp_module, "lanczos_factorize", spy("lanczos", gp_module.lanczos_factorize)
+        )
+        grid = (1e-4, 1e-2, 1.0)
+        for n, space in ((12, "function"), (p + 20, "parameter")):
+            x = np.linspace(-3.0, 3.0, n)[:, None]
+            context = TaskDataset(x, np.sin(x), noise_variance=1.0)
+            posterior, _ = adapt_task(
+                source, context, context, AdaptConfig(center_on_network=False, noise_grid=grid)
+            )
+            assert posterior.space == space
+        assert calls == {"eigh": 2, "cg": 0, "lanczos": 0}
+        adapt_task(source, context, None, AdaptConfig(rank=8, noise_grid=grid))
+        assert calls["eigh"] == 4 and calls["cg"] == 1 and calls["lanczos"] == 1
+
+    def test_p_side_noise_grid_needs_no_kernel_matrix(self):
+        # n*o = 10001 would need a kernel over the dense cap; p = 25 does not.
+        source = init_network(MlpArchitecture(1, (8,), 1), seed=0)
+        x = np.linspace(-3.0, 3.0, 10001)[:, None]
+        context = TaskDataset(x, np.sin(x), noise_variance=1.0)
+        posterior, metrics = adapt_task(
+            source, context, context, AdaptConfig(noise_grid=(1e-3, 1e-1))
+        )
+        assert posterior.space == "parameter" and np.isfinite(metrics.mse)
 
 
 class TestRunAdaptation:

@@ -2,8 +2,8 @@
 
 The oracle here assembles the Jacobian explicitly and evaluates the two
 textbook posterior forms directly: the n*o-dimensional (function space)
-solve and the p-dimensional (parameter space) solve. Every matrix-free
-fit must reproduce these numbers.
+solve and the p-dimensional (parameter space) solve. Every fit, exact or
+matrix-free, must reproduce these numbers.
 """
 
 import math
@@ -11,10 +11,12 @@ import math
 import numpy as np
 import pytest
 
+import tangentgp.gp as gp_module
 from tangentgp.errors import ConfigError, ContractViolationError, ResourceLimitError
 from tangentgp.gp import (
     NtkPosterior,
     dense_log_marginal,
+    factor_gram,
     fit_function_space,
     fit_parameter_space,
     fit_posterior,
@@ -274,6 +276,110 @@ class TestParameterSpaceFit:
         )
         smaller_p = make_net([1, 2, 1], seed=7)
         assert fit_posterior(smaller_p, wide).space == "parameter"
+
+
+class TestExactFit:
+    """rank=None fits from one eigendecomposition against the dense oracle."""
+
+    # (dims, heteroscedastic, channels, n): kernel side, p side, kernel side
+    # with n*o > 256, p side with n*o > 256, heteroscedastic mean channel on
+    # each side, and three outputs on each side.
+    PROBLEMS = [
+        ([2, 12, 1], False, None, 20),
+        ([2, 6, 1], False, None, 40),
+        ([2, 24, 24, 1], False, None, 300),
+        ([2, 12, 1], False, None, 300),
+        ([2, 10, 1], True, (0,), 40),
+        ([2, 10, 1], True, (0,), 80),
+        ([2, 10, 3], False, None, 20),
+        ([2, 10, 3], False, None, 40),
+    ]
+
+    @staticmethod
+    def problem(dims, heteroscedastic, channels, n, seed=21):
+        rng = np.random.default_rng(seed)
+        net = make_net(dims, seed=seed, heteroscedastic=heteroscedastic)
+        o = dims[-1] if channels is None else len(channels)
+        x = rng.uniform(-2.0, 2.0, size=(n, dims[0]))
+        y = np.sin(x.sum(axis=1, keepdims=True)) + 0.1 * rng.standard_normal((n, o))
+        return net, TaskDataset(x, y, noise_variance=0.05), rng.uniform(-2.5, 2.5, size=(9, dims[0]))
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    @pytest.mark.parametrize("mean_kind", ["zero", "jacobian_mean", "linearized_nn"])
+    def test_matches_dense_oracle_in_both_spaces(self, problem, mean_kind):
+        net, data, x_test = self.problem(*problem)
+        channels = problem[2]
+        prior = float(np.max(np.diag(kernel_matrix(net, x_test, channels=channels))))
+        for fit in (fit_function_space, fit_parameter_space):
+            post = fit(net, data, mean_kind=mean_kind, channels=channels)
+            mean, var = predict(post, net, x_test)
+            mean_o, var_o = dense_oracle(net, data, x_test, mean_kind, post.space, channels)
+            scale = float(np.max(np.abs(mean_o)))
+            np.testing.assert_allclose(mean, mean_o, rtol=1e-10, atol=1e-10 * scale)
+            assert np.max(np.abs(var - var_o)) <= 1e-10 * prior
+
+    def test_both_gram_sides_are_factored(self):
+        for n, side in ((20, "function"), (40, "parameter")):
+            net, data, _ = self.problem([2, 6, 1], False, None, n)
+            factor = factor_gram(net, data.x)
+            p = net.architecture.parameter_count
+            assert factor.side == side
+            assert factor.evecs.shape == ((n, n) if side == "function" else (p, p))
+
+    def test_given_factor_must_match_the_inputs(self):
+        net, data, _ = self.problem([2, 6, 1], False, None, 20)
+        factor = factor_gram(net, data.x[::-1])
+        with pytest.raises(ContractViolationError, match="other inputs"):
+            fit_function_space(net, data, factor=factor)
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"eigh": 0, "cg": 0, "lanczos": 0}
+
+        def spy(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        monkeypatch.setattr(gp_module, "cg_solve", spy("cg", gp_module.cg_solve))
+        monkeypatch.setattr(
+            gp_module, "lanczos_factorize", spy("lanczos", gp_module.lanczos_factorize)
+        )
+        return calls
+
+    def test_default_rank_runs_no_krylov_method(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        for n in (20, 40):
+            net, data, _ = self.problem([2, 6, 1], False, None, n)
+            fit_posterior(net, data)
+        assert calls == {"eigh": 2, "cg": 0, "lanczos": 0}
+
+    def test_explicit_rank_runs_lanczos(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        net, data, _ = self.problem([2, 6, 1], False, None, 20)
+        fit_function_space(net, data, rank=8)
+        fit_parameter_space(net, data, rank=8)
+        assert calls["eigh"] == 2  # the two small T factors of lowrank_inverse_root
+        assert calls["cg"] == 2 and calls["lanczos"] == 2
+
+    def test_sides_over_the_limit_run_matrix_free(self, monkeypatch):
+        monkeypatch.setattr(gp_module, "EXACT_FIT_LIMIT", 10)
+        calls = self.count_calls(monkeypatch)
+        net, data, _ = self.problem([2, 6, 1], False, None, 20)
+        fit_posterior(net, data)
+        assert calls["cg"] == 1 and calls["lanczos"] == 1
+
+    def test_roots_over_the_dense_cap_run_matrix_free(self, monkeypatch):
+        # p = 25 and n*o = 20: an exact root would have 500 entries.
+        net, data, _ = self.problem([2, 6, 1], False, None, 20)
+        factor = factor_gram(net, data.x)
+        monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", 499)
+        calls = self.count_calls(monkeypatch)
+        fit_posterior(net, data, factor=factor)
+        assert calls["cg"] == 1 and calls["lanczos"] == 1
 
 
 class TestPredict:
