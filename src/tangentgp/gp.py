@@ -1,7 +1,10 @@
 """GP regression with the tangent kernel of a trained network.
 
-The kernel is k(x_i, x_j) = J(x_i)' J(x_j), built from the Jacobian J
-(p x n*o) of a trained network at fixed parameters. Posteriors can be
+The kernel is k(x_i, x_j) = J(x_i)' J(x_j), with J (p x n*o) the Jacobian
+of a trained network at fixed parameters. ``kernel_matrix`` assembles it
+layer by layer from each layer's inputs and output sensitivities, without
+forming J; variance roots and predictive variances use dense Jacobian
+blocks. Posteriors can be
 fitted in function space (an n*o dimensional system) or parameter space
 (a p dimensional system); both store a length-p mean cache m, so
 prediction means cost a single forward-mode product J*' m, plus variance
@@ -147,8 +150,15 @@ def _jacobian_blocks(network: MlpNetwork, x, channels, cap: int = DENSE_JACOBIAN
 def kernel_matrix(network: MlpNetwork, x1, x2=None, channels=None, cap: int = DENSE_JACOBIAN_CAP):
     """Tangent-kernel Gram block K[a, b] = <j_a(X1), j_b(X2)>, i.e. J1' J2.
 
-    ``cap`` bounds the entries of the kernel and of each Jacobian block
-    it is assembled from.
+    Assembled layer by layer from ``JacobianOperator.layer_sensitivities``
+    (Novak et al. 2022, arXiv 2206.08720): a layer with inputs H and
+    sensitivities D adds (D1 D2') o kron(H1 H2' + 1, 1 1') (the o x o block
+    of ones), and the output layer, whose D is rows of the identity, adds
+    kron(H1 H2' + 1, I_o). This costs O(n1 n2 (o^2 * sum of hidden widths
+    + sum of fan-ins)) and forms no p x n*o Jacobian. ``cap`` bounds the
+    kernel's entries. Peak memory is about two kernel-sized arrays (the
+    kernel and one layer's term), the n1 x n2 Gram of one layer's inputs
+    and one layer's n x o x width sensitivities.
     """
     symmetric = x2 is None
     x1 = np.asarray(x1, dtype=np.float64)
@@ -160,18 +170,30 @@ def kernel_matrix(network: MlpNetwork, x1, x2=None, channels=None, cap: int = DE
             f"kernel matrix needs {shape[0] * shape[1]} entries (cap {cap}); "
             "use the matrix-free fits"
         )
-    k = np.empty(shape)
-    for cols1, block1 in _jacobian_blocks(network, x1, channels, cap):
-        # A symmetric kernel pairs each block with the earlier ones only and
-        # mirrors them; numpy evaluates a.T @ a as a symmetric rank-k
-        # update, so the diagonal blocks come out exactly symmetric.
-        others = x1[: cols1.start // o] if symmetric else x2
-        for cols2, block2 in _jacobian_blocks(network, others, channels, cap):
-            np.matmul(block1.T, block2, out=k[cols1, cols2])
-            if symmetric:
-                k[cols2, cols1] = k[cols1, cols2].T
-        if symmetric:
-            np.matmul(block1.T, block1, out=k[cols1, cols1])
+    layers = JacobianOperator(network, x1, channels).layer_sensitivities()
+    if symmetric:
+        # One operator for both sides: numpy evaluates a @ a.T as a
+        # symmetric rank-k update, so every term is exactly symmetric.
+        layers = ((h, d, h, d) for h, d in layers)
+    else:
+        other = JacobianOperator(network, x2, channels).layer_sensitivities()
+        layers = (a + b for a, b in zip(layers, other))
+    k = np.zeros(shape)
+    blocks = k.reshape(len(x1), o, len(x2), o)
+    term = np.empty(shape)
+    term_blocks = term.reshape(blocks.shape)
+    gram = np.empty((len(x1), len(x2)))
+    for depth, (h1, d1, h2, d2) in enumerate(layers):
+        np.matmul(h1, h2.T, out=gram)
+        gram += 1.0
+        if depth == 0:
+            for c in range(o):
+                blocks[:, c, :, c] = gram
+        else:
+            width = d1.shape[2]
+            np.matmul(d1.reshape(shape[0], width), d2.reshape(shape[1], width).T, out=term)
+            term_blocks *= gram[:, None, :, None]
+            k += term
     return k
 
 
@@ -258,15 +280,29 @@ def loo_scores(factor: GramFactor, resid, grid) -> np.ndarray:
 def _exact_factor(network: MlpNetwork, jac: JacobianOperator, rank, factor):
     """The factorization an exact fit uses, or None for the matrix-free path.
 
-    An exact root has p * min(n*o, p) entries; like every dense block it
-    stays under ``DENSE_JACOBIAN_CAP``, else the Lanczos root is kept.
+    A given ``factor`` must be of this fit's Jacobian: the same network,
+    channels and inputs. An exact root has p * min(n*o, p) entries; like
+    every dense block it stays under ``DENSE_JACOBIAN_CAP``, else the
+    Lanczos root is kept.
     """
+    if factor is not None:
+        if factor.network is None:
+            raise ContractViolationError(
+                "the Gram factor of a bare kernel gives leave-one-out scores only; "
+                "fit from gp.factor_gram instead"
+            )
+        if factor.network.architecture != network.architecture or not np.array_equal(
+            factor.network.params, network.params
+        ):
+            raise ContractViolationError("the Gram factor was built from another network")
+        if factor.channels != (None if jac.channels is None else tuple(jac.channels)):
+            raise ContractViolationError("the Gram factor was built for other channels")
+        if not np.array_equal(factor.x, jac.inputs):
+            raise ContractViolationError("the Gram factor was built from other inputs")
     side = min(jac.out_len, jac.param_count)
     if rank is not None or jac.param_count * side > DENSE_JACOBIAN_CAP:
         return None
     if factor is not None:
-        if not np.array_equal(factor.x, jac.inputs):
-            raise ContractViolationError("the Gram factor was built from other inputs")
         return factor
     if side <= EXACT_FIT_LIMIT:
         return factor_gram(network, jac.inputs, jac.channels)

@@ -2,12 +2,13 @@
 
 Exact, inspectable Jacobian products come first. ``JacobianOperator``
 caches one forward trace and then answers reverse-mode products (J u),
-forward-mode products (J' v), and a dense assembly: the block from which
-tangent kernels and predictive variances are built, a test oracle, and the
-input of similarity studies. Training builds one operator per minibatch
-step, so everything a step reads that depends only on the shapes (the
-parameter layout, the per-layer views) is computed once per architecture
-or network, never per product.
+forward-mode products (J' v), the per-layer inputs and output sensitivities
+that tangent kernels are assembled from, and a dense assembly: the block
+from which predictive variances are built, a test oracle, and the input of
+similarity studies. Training builds one operator per minibatch step, so
+everything a step reads that depends only on the shapes (the parameter
+layout, the per-layer views) is computed once per architecture or network,
+never per product.
 """
 
 from __future__ import annotations
@@ -369,11 +370,34 @@ class JacobianOperator:
                 return dz[:, self.channels].ravel()
         raise AssertionError("unreachable: architectures always have at least one layer")
 
+    def layer_sensitivities(self):
+        """Per-layer (H, D) from the output layer back to the first.
+
+        H (n x fan_in) holds the layer's inputs and D (n, o, fan_out) the
+        sensitivities of its pre-activations: D[i, k] is the gradient of
+        selected output k at datum i. Jacobian column i*o + k holds
+        outer(D[i, k], H[i]) in the layer's weights and D[i, k] in its
+        bias. The output layer's D is the selected rows of the identity,
+        broadcast over the data (a read-only view).
+        """
+        n, o = self.n_data, self.out_dim
+        full = self.network.architecture.internal_output_dim
+        seeds = np.eye(full) if self.channels is None else np.eye(full)[self.channels]
+        last = len(self._weights) - 1
+        yield self._layer_inputs[last], np.broadcast_to(seeds, (n, o, full))
+        sens = seeds
+        for idx in range(last, 0, -1):
+            sens = sens @ self._weights[idx]
+            sens = sens.reshape(-1, o, sens.shape[1]) * self._slopes[idx - 1][:, None, :]
+            yield self._layer_inputs[idx - 1], sens
+            sens = sens.reshape(n * o, sens.shape[2])
+
     def dense(self, cap: int = DENSE_JACOBIAN_CAP) -> np.ndarray:
         """Assemble the p x (n*o) Jacobian; column i*o + k = vjp(one-hot(i, k)).
 
-        A reference for the matrix-free products, and the block that kernel
-        matrices and predictive variance terms are assembled from.
+        The reference for the matrix-free products and for the layer-wise
+        kernel assembly, and the block that predictive variance terms,
+        variance roots and the p square J J' are built from.
         """
         entries = self.param_count * self.out_len
         if entries > cap:

@@ -14,6 +14,7 @@ import pytest
 import tangentgp.gp as gp_module
 from tangentgp.errors import ConfigError, ContractViolationError, ResourceLimitError
 from tangentgp.gp import (
+    GramFactor,
     NtkPosterior,
     dense_log_marginal,
     factor_gram,
@@ -167,6 +168,42 @@ class TestKernelMatrix:
         j2 = JacobianOperator(net, x2).dense()
         np.testing.assert_allclose(kernel_matrix(net, x1, x2), j1.T @ j2, rtol=1e-10, atol=1e-12)
 
+    # (dims, activation, heteroscedastic, channels): two hidden layers, a
+    # relu net with two outputs, an identity net with no hidden layers and
+    # three outputs, a three-output net, and heteroscedastic mean-channel
+    # and reordered channel selections.
+    @pytest.mark.parametrize(
+        "dims, activation, heteroscedastic, channels",
+        [
+            ([3, 7, 5, 1], "tanh", False, None),
+            ([3, 6, 4, 2], "relu", False, None),
+            ([3, 3], "identity", False, None),
+            ([3, 9, 3], "tanh", False, None),
+            ([3, 8, 2], "tanh", True, (0,)),
+            ([3, 8, 6, 2], "tanh", True, (1, 0)),
+        ],
+    )
+    def test_layerwise_assembly_matches_dense_jacobians(
+        self, monkeypatch, dims, activation, heteroscedastic, channels
+    ):
+        rng = np.random.default_rng(23)
+        net = make_net(dims, seed=23, activation=activation, heteroscedastic=heteroscedastic)
+        full_o = net.architecture.internal_output_dim
+        x1 = rng.standard_normal((7, dims[0]))
+        x2 = rng.standard_normal((5, dims[0]))
+        j1 = select_columns(JacobianOperator(net, x1).dense(), full_o, channels)
+        j2 = select_columns(JacobianOperator(net, x2).dense(), full_o, channels)
+        sizes = count_dense_blocks(monkeypatch)
+        sym = kernel_matrix(net, x1, channels=channels)
+        cross = kernel_matrix(net, x1, x2, channels=channels)
+        empty = kernel_matrix(net, x1[:0], x2, channels=channels)
+        assert sizes == []
+        np.testing.assert_array_equal(sym, sym.T)
+        for k, ref in ((sym, j1.T @ j1), (cross, j1.T @ j2)):
+            assert k.shape == ref.shape
+            assert np.max(np.abs(k - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert empty.shape == (0, j2.shape[1])
+
     def test_over_cap_is_a_resource_limit(self):
         net = make_net([1, 8, 1], seed=1)
         with pytest.raises(ResourceLimitError, match="matrix-free"):
@@ -193,7 +230,7 @@ class TestKernelMatrix:
                 sizes = count_dense_blocks(monkeypatch)
                 chunked = kernel_matrix(net, x1, other, channels=channels, cap=cap)
                 monkeypatch.undo()
-                assert max(sizes) <= 3 and sizes.count(3) >= 3
+                assert sizes == []
                 ref = matrix_free_kernel(net, x1, x1 if other is None else other, channels)
                 if other is None:
                     np.testing.assert_array_equal(chunked, chunked.T)
@@ -325,6 +362,29 @@ class TestExactFit:
             p = net.architecture.parameter_count
             assert factor.side == side
             assert factor.evecs.shape == ((n, n) if side == "function" else (p, p))
+
+    def test_given_factor_must_be_of_the_fitted_network_and_channels(self):
+        rng = np.random.default_rng(24)
+        x = rng.uniform(-2.0, 2.0, size=(6, 2))
+        data = TaskDataset(x, np.sin(x[:, :1]), noise_variance=0.05)
+        net = make_net([2, 8, 1], seed=0)
+        other = make_net([2, 8, 1], seed=1)
+        relu = MlpNetwork(
+            MlpArchitecture(input_dim=2, hidden_widths=(8,), output_dim=1, activation="relu"),
+            net.params,
+        )
+        het = make_net([2, 8, 1], seed=0, heteroscedastic=True)
+        for fit in (fit_function_space, fit_parameter_space):
+            for wrong in (other, relu):
+                with pytest.raises(ContractViolationError, match="another network"):
+                    fit(wrong, data, factor=factor_gram(net, x))
+            with pytest.raises(ContractViolationError, match="other channels"):
+                fit(het, data, channels=(1,), factor=factor_gram(het, x, (0,)))
+            with pytest.raises(ContractViolationError, match="leave-one-out"):
+                fit(net, data, factor=GramFactor.of_kernel(kernel_matrix(net, x)))
+            given = fit(het, data, channels=(0,), factor=factor_gram(het, x, (0,)))
+            fresh = fit(het, data, channels=(0,))
+            np.testing.assert_array_equal(given.mean_cache, fresh.mean_cache)
 
     def test_given_factor_must_match_the_inputs(self):
         net, data, _ = self.problem([2, 6, 1], False, None, 20)
