@@ -6,9 +6,9 @@ layer by layer from each layer's inputs and output sensitivities, without
 forming J; variance roots and predictive variances use dense Jacobian
 blocks. Posteriors can be
 fitted in function space (an n*o dimensional system) or parameter space
-(a p dimensional system); both store a length-p mean cache m, so
-prediction means cost a single forward-mode product J*' m, plus variance
-caches.
+(a p dimensional system); both store a length-p mean cache m and one root
+R with R R' = J (J'J + s I)^-1 J' = I - s (J J' + s I)^-1, so a prediction
+costs a forward-mode product J*' m and a variance |j*|^2 - |R' j*|^2.
 
 Exact fits take one eigendecomposition of the smaller Gram side: the
 n*o square kernel K = J'J when n*o <= p, else the p square JJ'
@@ -20,12 +20,12 @@ root stays under ``DENSE_JACOBIAN_CAP`` entries.
 
 Matrix-free fits (an explicit ``rank``, or a side above the limit) solve
 by CG and take a rank-limited Lanczos root. Parameter-space subtlety: a
-single-probe Lanczos run on J J' + s*I lives inside range(J) and exhausts
-after about n*o steps, far below p. On the orthogonal complement the
-operator is exactly s*I, so the inverse is completed analytically there
-(Q T^-1 Q' + (1/s)(I - Q Q')). At Krylov exhaustion this completion is
-exact, which is what makes the two spaces agree; without it the
-truncated root would undercount variance for every p > n*o.
+single-probe Lanczos run on A = J J' + s*I lives inside range(J) and
+exhausts after about n*o steps, far below p. On the orthogonal complement
+A is exactly s*I, so there I - s A^-1 vanishes and the completion
+Q T^-1 Q' + (1/s)(I - Q Q') of the inverse lives inside R as
+R R' = Q (I - s T^-1) Q'. At Krylov exhaustion this is exact, which is
+what makes the two spaces agree.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .linalg import (
     lanczos_factorize,
     lowrank_inverse_root,
     slq_logdet,
+    tridiagonal_eigh,
 )
 from .net import DENSE_JACOBIAN_CAP, JacobianOperator, MlpNetwork, TaskDataset
 from .seeding import substream
@@ -52,7 +53,7 @@ from .serialize import atomic_write_bytes
 MEAN_KINDS = ("zero", "jacobian_mean", "linearized_nn")
 SPACES = ("function", "parameter")
 DEFAULT_VARIANCE_RANK = 256
-POSTERIOR_FILE_VERSION = 1
+POSTERIOR_FILE_VERSION = 2
 # Largest smaller-Gram side min(n*o, p) that a rank=None fit factors
 # exactly; beyond it fixed-noise fits run CG and Lanczos. Measured with
 # untrained 8-D input tanh nets at noise 1e-2 on a 2-vCPU host, matrix-free
@@ -60,6 +61,9 @@ POSTERIOR_FILE_VERSION = 1
 # (p = 4801) 7.3 s against 5.6 s, 3753 (p = 3753) 7.8 s against 8.3 s;
 # p side 2833 (n = 2834) 6.0 s against 3.4 s.
 EXACT_FIT_LIMIT = 3000
+# Largest n*o whose log marginal is eigendecomposed densely. Kept apart
+# from EXACT_FIT_LIMIT so that larger systems still take the SLQ path.
+DENSE_LOG_MARGINAL_LIMIT = 256
 
 # Residual threshold (relative to the right-hand side) beyond which a
 # non-converged CG solve is a fit failure rather than acceptable slack.
@@ -94,30 +98,30 @@ def regression_residual(
     return _prepare(network, data, mean_kind, channels)[1]
 
 
-def _variance_probe(resid: np.ndarray, dim: int) -> np.ndarray:
+def _variance_lanczos(op: SymmetricLinearOperator, probe: np.ndarray, rank):
     # The data residual is the natural probe (it is the direction the
     # posterior actually uses); fall back to a fixed random draw when the
     # residual vanishes, since Lanczos needs any nonzero start.
-    if float(np.linalg.norm(resid)) > 0.0:
-        return resid
-    return substream(0, "gp-variance-probe").standard_normal(dim)
+    if float(np.linalg.norm(probe)) == 0.0:
+        probe = substream(0, "gp-variance-probe").standard_normal(op.dim)
+    rank = DEFAULT_VARIANCE_RANK if rank is None else rank
+    return lanczos_factorize(op, probe, min(rank, op.dim))
 
 
 @dataclass
 class NtkPosterior:
     """Fitted tangent-kernel posterior with its mean and variance caches.
 
-    ``mean_cache`` m = J (J'J + s I)^-1 r has length p in both spaces.
-    In function space ``variance_root`` is R with R R' = J (J'J + s I)^-1 J',
-    and a predictive variance is |j*|^2 - |R' j*|^2. In parameter space it
-    is B, with ``basis`` Q, such that s B B' + I - Q Q' = s (J J' + s I)^-1,
-    and a variance is s |B' j*|^2 + |j*|^2 - |Q' j*|^2. Exact fits store
-    these identities exactly: R = J V (E + s)^-1/2 from the kernel side, or
-    B = W (E + s)^-1/2 with Q = W from the p square side. Matrix-free fits
-    store the Lanczos approximations R = J Q T^-1/2 and B = Q T^-1/2 (see
-    the module docstring). ``clamp_count`` accumulates how many predictive
-    variances were clamped up to zero; it is a diagnostic, not part of the
-    posterior state proper.
+    In both spaces ``mean_cache`` m = J (J'J + s I)^-1 r has length p and
+    ``variance_root`` is one p x r root R with
+    R R' = J (J'J + s I)^-1 J' = I - s (J J' + s I)^-1. A prediction's mean
+    is J*' m + mu(X*) and its variance |j*|^2 - |R' j*|^2, clamped at zero
+    against roundoff. Exact fits store R = J V (E + s)^-1/2 from the kernel
+    side or W (E / (E + s))^1/2 from the p square side, so both spaces give
+    the same posterior. Matrix-free fits store Lanczos estimates: J Q T^-1/2
+    from the function-space operator, or Q U ((L - s) / L)^1/2 from the
+    parameter-space one with T = U diag(L) U' (see the module docstring).
+    ``space`` records which system the fit solved.
     """
 
     space: str
@@ -125,10 +129,8 @@ class NtkPosterior:
     channels: tuple[int, ...] | None
     mean_cache: np.ndarray
     variance_root: np.ndarray
-    basis: np.ndarray | None
     noise_variance: float
     theta_fingerprint: str
-    clamp_count: int = 0
 
 
 def _jacobian_blocks(network: MlpNetwork, x, channels, cap: int = DENSE_JACOBIAN_CAP):
@@ -321,25 +323,12 @@ def _jacobian_times(blocks, rows: np.ndarray) -> np.ndarray:
     return sum(block @ rows[cols] for cols, block in blocks)
 
 
-def _exact_function_root(factor: GramFactor, sigma2: float) -> np.ndarray:
+def _exact_root(factor: GramFactor, sigma2: float) -> np.ndarray:
     """R with R R' = J (K + s I)^-1 J', which is W diag(E / (E + s)) W'."""
     evals = factor.evals
     if factor.side == "function":
         return _jacobian_times(factor.blocks(), factor.evecs / np.sqrt(evals + sigma2))
     return factor.evecs * np.sqrt(evals / (evals + sigma2))
-
-
-def _exact_parameter_root(factor: GramFactor, sigma2: float):
-    """(B, Q) with s B B' + I - Q Q' = s (J J' + s I)^-1."""
-    evals = factor.evals
-    if factor.side == "parameter":
-        return factor.evecs / np.sqrt(evals + sigma2), factor.evecs
-    # Q = J V E^-1/2 is an orthonormal basis of range(J). Directions with E
-    # below roundoff of the largest are dropped: there J V_k is noise, and
-    # its true share E_k / (E_k + s) of the variance is below that noise.
-    keep = evals > np.finfo(float).eps * evals.max(initial=0.0)
-    basis = _jacobian_times(factor.blocks(), factor.evecs[:, keep] / np.sqrt(evals[keep]))
-    return basis / np.sqrt(evals[keep] + sigma2), basis
 
 
 def _solve_or_fail(op, rhs, what: str):
@@ -352,6 +341,43 @@ def _solve_or_fail(op, rhs, what: str):
             residual_norm=result.residual_norm,
         )
     return result.x
+
+
+def _fit(network, data, mean_kind, rank, channels, factor, space: str) -> NtkPosterior:
+    """The body both fits share: exact from a ``GramFactor``, else CG and Lanczos in ``space``."""
+    jac, resid = _prepare(network, data, mean_kind, channels)
+    sigma2 = data.noise_variance
+    factor = _exact_factor(network, jac, rank, factor)
+    if factor is not None:
+        mean_cache = _exact_mean_cache(factor, jac, resid, sigma2)
+        variance_root = _exact_root(factor, sigma2)
+    elif space == "function":
+        op = SymmetricLinearOperator(
+            dim=jac.out_len, base=lambda v: jac.jvp(jac.vjp(v)), shift=sigma2
+        )
+        mean_cache = jac.vjp(_solve_or_fail(op, resid, "function-space"))
+        inv_root = lowrank_inverse_root(_variance_lanczos(op, resid, rank))
+        variance_root = _jacobian_times(_jacobian_blocks(network, data.x, channels), inv_root)
+    else:
+        op = SymmetricLinearOperator(
+            dim=jac.param_count, base=lambda v: jac.vjp(jac.jvp(v)), shift=sigma2
+        )
+        rhs = jac.vjp(resid)
+        mean_cache = _solve_or_fail(op, rhs, "parameter-space")
+        # T = Q'J J'Q + s I = U diag(L) U', so R = Q U ((L - s) / L)^1/2 has
+        # R R' = Q (I - s T^-1) Q'; an L below s is roundoff.
+        factors = _variance_lanczos(op, rhs, rank)
+        evals, evecs = tridiagonal_eigh(factors)
+        variance_root = factors.q @ (evecs * np.sqrt(np.maximum(evals - sigma2, 0.0) / evals))
+    return NtkPosterior(
+        space=space,
+        mean_kind=mean_kind,
+        channels=tuple(channels) if channels is not None else None,
+        mean_cache=mean_cache,
+        variance_root=variance_root,
+        noise_variance=sigma2,
+        theta_fingerprint=network.fingerprint(),
+    )
 
 
 def fit_function_space(
@@ -369,32 +395,7 @@ def fit_function_space(
     otherwise CG plus a Lanczos variance root of ``rank`` (default
     ``DEFAULT_VARIANCE_RANK``) steps.
     """
-    jac, resid = _prepare(network, data, mean_kind, channels)
-    sigma2 = data.noise_variance
-    factor = _exact_factor(network, jac, rank, factor)
-    if factor is not None:
-        mean_cache = _exact_mean_cache(factor, jac, resid, sigma2)
-        variance_root = _exact_function_root(factor, sigma2)
-    else:
-        op = SymmetricLinearOperator(
-            dim=jac.out_len, base=lambda v: jac.jvp(jac.vjp(v)), shift=sigma2
-        )
-        mean_cache = jac.vjp(_solve_or_fail(op, resid, "function-space"))
-        r = min(rank if rank is not None else DEFAULT_VARIANCE_RANK, jac.out_len)
-        factors = lanczos_factorize(op, _variance_probe(resid, jac.out_len), r)
-        variance_root = _jacobian_times(
-            _jacobian_blocks(network, data.x, channels), lowrank_inverse_root(factors)
-        )
-    return NtkPosterior(
-        space="function",
-        mean_kind=mean_kind,
-        channels=tuple(channels) if channels is not None else None,
-        mean_cache=mean_cache,
-        variance_root=variance_root,
-        basis=None,
-        noise_variance=sigma2,
-        theta_fingerprint=network.fingerprint(),
-    )
+    return _fit(network, data, mean_kind, rank, channels, factor, "function")
 
 
 def fit_parameter_space(
@@ -407,32 +408,10 @@ def fit_parameter_space(
 ) -> NtkPosterior:
     """Fit in parameter space: solve (J J' + s I_p) m = J resid directly.
 
-    Exact or matrix-free under the same rule as ``fit_function_space``.
+    Exact or matrix-free under the same rule as ``fit_function_space``; an
+    exact fit gives the same posterior in both spaces.
     """
-    jac, resid = _prepare(network, data, mean_kind, channels)
-    sigma2 = data.noise_variance
-    factor = _exact_factor(network, jac, rank, factor)
-    if factor is not None:
-        mean_cache = _exact_mean_cache(factor, jac, resid, sigma2)
-        bmat, basis = _exact_parameter_root(factor, sigma2)
-    else:
-        p = jac.param_count
-        op = SymmetricLinearOperator(dim=p, base=lambda v: jac.vjp(jac.jvp(v)), shift=sigma2)
-        rhs = jac.vjp(resid)
-        mean_cache = _solve_or_fail(op, rhs, "parameter-space")
-        r = min(rank if rank is not None else DEFAULT_VARIANCE_RANK, p)
-        factors = lanczos_factorize(op, _variance_probe(rhs, p), r)
-        bmat, basis = lowrank_inverse_root(factors), factors.q
-    return NtkPosterior(
-        space="parameter",
-        mean_kind=mean_kind,
-        channels=tuple(channels) if channels is not None else None,
-        mean_cache=mean_cache,
-        variance_root=bmat,
-        basis=basis,
-        noise_variance=sigma2,
-        theta_fingerprint=network.fingerprint(),
-    )
+    return _fit(network, data, mean_kind, rank, channels, factor, "parameter")
 
 
 def fit_posterior(
@@ -459,26 +438,13 @@ def _sq_norms(m: np.ndarray) -> np.ndarray:
     return np.einsum("rj,rj->j", m, m)
 
 
-def _variance_terms(jac: JacobianOperator, root: np.ndarray, basis, cap: int):
-    """Per-test-column quantities: ||j*||^2, ||root' j*||^2, ||basis' j*||^2."""
-    col_sq = np.empty(jac.out_len)
-    root_sq = np.empty(jac.out_len)
-    basis_sq = np.empty(jac.out_len) if basis is not None else None
-    for cols, jt in _jacobian_blocks(jac.network, jac.inputs, jac.channels, cap):
-        col_sq[cols] = _sq_norms(jt)
-        root_sq[cols] = _sq_norms(root.T @ jt)
-        if basis is not None:
-            basis_sq[cols] = _sq_norms(basis.T @ jt)
-    return col_sq, root_sq, basis_sq
-
-
 def predict(
     posterior: NtkPosterior,
     network: MlpNetwork,
     x,
     cap: int = DENSE_JACOBIAN_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive mean and per-channel variance at new inputs."""
+    """Predictive mean J*' m + mu and per-channel variance |j*|^2 - |R' j*|^2 at new inputs."""
     if network.fingerprint() != posterior.theta_fingerprint:
         raise ContractViolationError(
             "posterior is stale: the network parameters differ from the ones it was fitted at"
@@ -488,16 +454,10 @@ def predict(
     mu = _mean_surface(jac, network.params, posterior.mean_kind)
     mean = jac.jvp(posterior.mean_cache).reshape(n_test, jac.out_dim) + mu
 
-    col_sq, root_sq, basis_sq = _variance_terms(jac, posterior.variance_root, posterior.basis, cap)
-    if posterior.space == "function":
-        var = col_sq - root_sq
-    else:
-        var = posterior.noise_variance * root_sq + (col_sq - basis_sq)
-    negative = var < 0.0
-    if np.any(negative):
-        posterior.clamp_count += int(np.count_nonzero(negative))
-        var = np.maximum(var, 0.0)
-    return mean, var.reshape(n_test, jac.out_dim)
+    var = np.empty(jac.out_len)
+    for cols, jt in _jacobian_blocks(network, jac.inputs, jac.channels, cap):
+        var[cols] = _sq_norms(jt) - _sq_norms(posterior.variance_root.T @ jt)
+    return mean, np.maximum(var, 0.0).reshape(n_test, jac.out_dim)
 
 
 def dense_log_marginal(kernel: np.ndarray, resid: np.ndarray, sigma2: float) -> float:
@@ -521,11 +481,10 @@ def log_marginal_likelihood(
     rank: int = 64,
     n_probes: int = 16,
     seed: int = 0,
-    dense_threshold: int = 256,
 ) -> float:
     """Gaussian log marginal likelihood of the tangent-kernel model.
 
-    Below ``dense_threshold`` the kernel is assembled and eigendecomposed
+    Up to ``DENSE_LOG_MARGINAL_LIMIT`` the kernel is assembled and eigendecomposed
     exactly; above it the quadratic term is solved by CG and the log
     determinant estimated by stochastic Lanczos quadrature (seeded, so
     the estimate is deterministic).
@@ -534,7 +493,7 @@ def log_marginal_likelihood(
     sigma2 = data.noise_variance
     dim = jac.out_len
     if method == "auto":
-        method = "dense" if dim <= dense_threshold else "lanczos"
+        method = "dense" if dim <= DENSE_LOG_MARGINAL_LIMIT else "lanczos"
     if method == "dense":
         return dense_log_marginal(kernel_matrix(network, data.x, channels=channels), resid, sigma2)
     if method != "lanczos":
@@ -561,12 +520,9 @@ def save_posterior(posterior: NtkPosterior, path) -> None:
         },
         sort_keys=True,
     )
-    arrays = {"meta": np.array(meta), "mean_cache": posterior.mean_cache,
-              "variance_root": posterior.variance_root}
-    if posterior.basis is not None:
-        arrays["basis"] = posterior.basis
     buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
+    np.savez(buffer, meta=np.array(meta), mean_cache=posterior.mean_cache,
+             variance_root=posterior.variance_root)
     atomic_write_bytes(path, buffer.getvalue())
 
 
@@ -585,7 +541,6 @@ def load_posterior(path) -> NtkPosterior:
             channels=tuple(channels) if channels is not None else None,
             mean_cache=archive["mean_cache"],
             variance_root=archive["variance_root"],
-            basis=archive["basis"] if "basis" in archive.files else None,
             noise_variance=float(meta["noise_variance"]),
             theta_fingerprint=meta["theta_fingerprint"],
         )

@@ -219,17 +219,23 @@ def lanczos_factorize(op: SymmetricLinearOperator, probe: np.ndarray, rank: int)
     return LanczosFactors(q=q[:, :achieved], t=t, rank=achieved, exhausted=exhausted)
 
 
-def lowrank_inverse_root(factors: LanczosFactors) -> np.ndarray:
-    """Return R = Q T^(-1/2) so that R R' approximates A^-1.
-
-    Uses the symmetric inverse square root of T via its eigendecomposition.
-    """
+def tridiagonal_eigh(factors: LanczosFactors):
+    """Eigenvalues and eigenvectors of T, which must be positive definite."""
     evals, evecs = np.linalg.eigh(factors.t)
     if np.any(evals <= 1e-14):
         raise NumericBreakdownError(
             f"tridiagonal factor has eigenvalue {evals.min():.3e} <= 1e-14; "
             "increase the diagonal shift (larger noise variance) and refactorize"
         )
+    return evals, evecs
+
+
+def lowrank_inverse_root(factors: LanczosFactors) -> np.ndarray:
+    """Return R = Q T^(-1/2) so that R R' approximates A^-1.
+
+    Uses the symmetric inverse square root of T via its eigendecomposition.
+    """
+    evals, evecs = tridiagonal_eigh(factors)
     inv_root = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
     return factors.q @ inv_root
 

@@ -27,6 +27,7 @@ from tangentgp.gp import (
     predict,
     save_posterior,
 )
+from tangentgp.linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from tangentgp.net import (
     JacobianOperator,
     MlpArchitecture,
@@ -116,12 +117,7 @@ def matrix_free_variances(posterior, network, x):
     cols = matrix_free_columns(JacobianOperator(network, x, posterior.channels))
     col_sq = np.einsum("pj,pj->j", cols, cols)
     rp = posterior.variance_root.T @ cols
-    root_sq = np.einsum("rj,rj->j", rp, rp)
-    if posterior.space == "function":
-        var = col_sq - root_sq
-    else:
-        bp = posterior.basis.T @ cols
-        var = posterior.noise_variance * root_sq + col_sq - np.einsum("rj,rj->j", bp, bp)
+    var = col_sq - np.einsum("rj,rj->j", rp, rp)
     return np.maximum(var, 0.0).reshape(x.shape[0], -1)
 
 
@@ -303,6 +299,31 @@ class TestParameterSpaceFit:
             np.testing.assert_allclose(mean_p, mean_f, rtol=1e-6, atol=1e-12)
             assert np.max(np.abs(var_p - var_f)) <= 1e-6 * prior_scale
 
+    def test_truncated_lanczos_root_is_the_basis_completion(self):
+        # Rank 4 against p = 61 and n = 20: Lanczos stops far from
+        # exhaustion. The one root must give the two-term variance
+        # s |B'j|^2 + |j|^2 - |Q'j|^2 of the same factorization, B = Q T^-1/2.
+        rng = np.random.default_rng(26)
+        net = make_net([3, 12, 1], seed=26)
+        x = rng.standard_normal((20, 3))
+        data = TaskDataset(x, np.sin(x[:, :1]), noise_variance=0.05)
+        x_test = rng.standard_normal((7, 3))
+        _, var = predict(fit_parameter_space(net, data, rank=4), net, x_test)
+
+        jac = JacobianOperator(net, x)
+        s2 = data.noise_variance
+        op = SymmetricLinearOperator(
+            dim=jac.param_count, base=lambda v: jac.vjp(jac.jvp(v)), shift=s2
+        )
+        factors = lanczos_factorize(op, jac.vjp(data.y.ravel()), 4)
+        assert factors.rank == 4 and not factors.exhausted
+        jt = JacobianOperator(net, x_test).dense()
+        bp = lowrank_inverse_root(factors).T @ jt
+        qp = factors.q.T @ jt
+        col_sq = np.einsum("pj,pj->j", jt, jt)
+        expected = s2 * np.einsum("rj,rj->j", bp, bp) + col_sq - np.einsum("rj,rj->j", qp, qp)
+        assert np.max(np.abs(var.ravel() - expected)) <= 1e-12 * col_sq.max()
+
     def test_auto_space_selection(self):
         rng = np.random.default_rng(6)
         net = make_net([1, 6, 1], seed=6)
@@ -354,6 +375,16 @@ class TestExactFit:
             scale = float(np.max(np.abs(mean_o)))
             np.testing.assert_allclose(mean, mean_o, rtol=1e-10, atol=1e-10 * scale)
             assert np.max(np.abs(var - var_o)) <= 1e-10 * prior
+
+    def test_exact_fits_in_both_spaces_are_one_posterior(self):
+        for n in (20, 40):  # p = 25: the kernel side, then the p side
+            net, data, x_test = self.problem([2, 6, 1], False, None, n)
+            post_f = fit_function_space(net, data)
+            post_p = fit_parameter_space(net, data)
+            np.testing.assert_array_equal(post_f.mean_cache, post_p.mean_cache)
+            np.testing.assert_array_equal(post_f.variance_root, post_p.variance_root)
+            for got, want in zip(predict(post_p, net, x_test), predict(post_f, net, x_test)):
+                np.testing.assert_array_equal(got, want)
 
     def test_both_gram_sides_are_factored(self):
         for n, side in ((20, "function"), (40, "parameter")):
@@ -422,7 +453,7 @@ class TestExactFit:
         net, data, _ = self.problem([2, 6, 1], False, None, 20)
         fit_function_space(net, data, rank=8)
         fit_parameter_space(net, data, rank=8)
-        assert calls["eigh"] == 2  # the two small T factors of lowrank_inverse_root
+        assert calls["eigh"] == 2  # the small T factor of each Lanczos root
         assert calls["cg"] == 2 and calls["lanczos"] == 2
 
     def test_sides_over_the_limit_run_matrix_free(self, monkeypatch):
@@ -679,8 +710,11 @@ class TestPosteriorSerialization:
         with _np.load(path, allow_pickle=False) as archive:
             arrays = {k: archive[k] for k in archive.files}
         meta = _json.loads(str(arrays["meta"]))
-        meta["version"] = 99
-        arrays["meta"] = _np.array(_json.dumps(meta))
-        _np.savez(path, **arrays)
-        with pytest.raises(ConfigError, match="version"):
-            load_posterior(path)
+        # Version 1 stored a parameter-space root with a second basis, which
+        # the one variance formula would read as wrong variances.
+        for version in (1, 99):
+            meta["version"] = version
+            arrays["meta"] = _np.array(_json.dumps(meta))
+            _np.savez(path, **arrays)
+            with pytest.raises(ConfigError, match="version"):
+                load_posterior(path)
