@@ -50,6 +50,7 @@ from .config import (
 )
 from .errors import (
     ConfigError,
+    ConsistencyError,
     ContractViolationError,
     FitError,
     NumericBreakdownError,
@@ -84,10 +85,6 @@ from .serialize import (
 log = logging.getLogger("tangentgp")
 
 GLM_FIT_VERSION = 1
-
-
-class ConsistencyError(Exception):
-    """Artifacts that should describe the same object do not (exit 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +221,23 @@ def cmd_adapt(args) -> int:
     cfg = _adapt_config(resolved)
     run = run_adaptation(network, pairs, cfg, threads=args.threads)
     gp = block_or_defaults(resolved, "gp")
+    sigma2 = gp["noise_variance"]
+    heads = {}
+    # Tasks with a GP row get baseline rows; all their heads refit at once.
+    scored = [r.task_id for r in run.tasks if r.metrics is not None]
+    if gp["baselines"] and scored:
+        try:
+            metrics = baseline_last_layer(
+                network, [pairs[i] for i in scored], optimizer_from(resolved), sigma2
+            )
+        except TrainingDivergenceError as exc:
+            raise TrainingDivergenceError(
+                f"last-layer baseline of task {scored[exc.task]}: "
+                f"non-finite loss or parameters at epoch {exc.epoch}",
+                epoch=exc.epoch,
+                task=scored[exc.task],
+            ) from exc
+        heads = dict(zip(scored, metrics))
     rows = []
     for record, (context, eval_set) in zip(run.tasks, pairs):
         if record.status == "failed":
@@ -233,14 +247,10 @@ def cmd_adapt(args) -> int:
             continue
         size = context.x.shape[0]
         rows.append(_result_row(record.task_id, "finite-ntk", size, record.metrics))
-        if gp["baselines"] and eval_set is not None:
-            sigma2 = gp["noise_variance"]
+        if record.task_id in heads:
             plain = baseline_no_retrain(network, eval_set, noise_variance=sigma2)
-            head = baseline_last_layer(
-                network, context, eval_set, optimizer_from(resolved), noise_variance=sigma2
-            )
             rows.append(_result_row(record.task_id, "no-retrain", size, plain))
-            rows.append(_result_row(record.task_id, "last-layer", size, head))
+            rows.append(_result_row(record.task_id, "last-layer", size, heads[record.task_id]))
     if args.posterior_out is not None:
         fitted = [t for t in run.tasks if t.posterior is not None]
         if len(fitted) != 1:

@@ -4,7 +4,8 @@ Every error raised deliberately by this package derives from
 :class:`TangentGpError`, so callers can catch one type at the boundary.
 The subclasses split along how a caller should react: fix the call site
 (contract), change the numerical setup (breakdown, fit), shrink the
-problem (resource), or fix the input file (config).
+problem (resource), fix the input file (config), or regenerate a stale
+artifact (consistency).
 """
 
 
@@ -37,12 +38,22 @@ class FitError(TangentGpError):
 
 
 class TrainingDivergenceError(TangentGpError):
-    """Training produced a non-finite loss or parameter. Records the epoch."""
+    """Training produced a non-finite loss or parameter.
 
-    def __init__(self, message, epoch=None):
+    Records the epoch and, for a stacked last-layer refit, the index of
+    the task whose head diverged.
+    """
+
+    def __init__(self, message, epoch=None, task=None):
         super().__init__(message)
         self.epoch = epoch
+        self.task = task
 
 
 class ConfigError(TangentGpError):
     """An experiment configuration failed to parse or validate."""
+
+
+class ConsistencyError(TangentGpError):
+    """Artifacts that should describe the same object do not: a stale cache,
+    a checkpoint that disagrees with its config, mismatched parameter counts."""

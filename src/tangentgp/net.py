@@ -426,30 +426,33 @@ class JacobianOperator:
 def _loss_and_output_grad(outputs: np.ndarray, y: np.ndarray, loss: str):
     """Loss value and its gradient with respect to the raw network outputs.
 
-    Overflow is left to propagate as inf/nan (silently); the caller turns
-    non-finite losses into a divergence error.
+    Reduces over the last two axes (data, channels), so a (T, b, o) stack
+    of outputs gives T losses, each bitwise equal to the 2-D call on its
+    slice. Overflow is left to propagate as inf/nan (silently); the caller
+    turns non-finite losses into a divergence error.
     """
-    n = outputs.shape[0]
+    n = outputs.shape[-2]
+    size = n * y.shape[-1]  # scalar targets per slice
     if loss == "mse":
         r = outputs - y
         with np.errstate(over="ignore"):
-            return float((r * r).sum() / r.size), (2.0 / r.size) * r
+            return (r * r).sum(axis=(-2, -1)) / size, (2.0 / size) * r
     if loss == "heteroscedastic-gaussian":
-        mu = outputs[:, 0::2]
-        raw = outputs[:, 1::2]
+        mu = outputs[..., 0::2]
+        raw = outputs[..., 1::2]
         var = 1e-5 + _softplus(raw)
         r = mu - y
         nll = 0.5 * (np.log(2.0 * np.pi * var) + r * r / var)
-        scale = 1.0 / nll.size
+        scale = 1.0 / size
         grad = np.empty_like(outputs)
-        grad[:, 0::2] = scale * r / var
-        grad[:, 1::2] = scale * 0.5 * (1.0 / var - r * r / (var * var)) * _sigmoid(raw)
-        return float(np.mean(nll)), grad
+        grad[..., 0::2] = scale * r / var
+        grad[..., 1::2] = scale * 0.5 * (1.0 / var - r * r / (var * var)) * _sigmoid(raw)
+        return np.mean(nll, axis=(-2, -1)), grad
     if loss == "categorical-ce":
-        shifted = outputs - outputs.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        shifted = outputs - outputs.max(axis=-1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         log_prob = shifted - log_z
-        loss_val = float(-np.mean(np.sum(y * log_prob, axis=1)))
+        loss_val = -np.mean(np.sum(y * log_prob, axis=-1), axis=-1)
         grad = (np.exp(log_prob) - y) / n
         return loss_val, grad
     raise ContractViolationError(f"loss must be one of {LOSSES}, got {loss!r}")
@@ -482,17 +485,19 @@ class OptimizerConfig:
 class Adam:
     """Adam with bias-corrected moments; ``step`` returns the updated parameters.
 
-    ``train``, ``glm.fit_map`` and ``glm.fit_svi`` all step through this one
-    implementation.
+    ``train``, ``adapt.refit_last_layer``, ``glm.fit_map`` and
+    ``glm.fit_svi`` all step through this one implementation. ``shape`` is
+    the parameter shape: a vector, or a (T, d) stack of T vectors stepped
+    together (the update is elementwise, so each row moves as its own run).
     """
 
-    def __init__(self, dim: int, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shape, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = np.zeros(dim)
-        self.u = np.zeros(dim)
+        self.m = np.zeros(shape)
+        self.u = np.zeros(shape)
         self.step_count = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:

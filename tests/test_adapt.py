@@ -7,6 +7,7 @@ the full-size experiment lives in the acceptance suite.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from tangentgp.adapt import (
     stratified_split,
 )
 import tangentgp.gp as gp_module
-from tangentgp.errors import ContractViolationError
+from tangentgp.errors import ContractViolationError, TrainingDivergenceError
 from tangentgp.gp import factor_gram, kernel_matrix, loo_scores, predict
 from tangentgp.net import (
     JacobianOperator,
@@ -364,7 +365,7 @@ class TestBaselines:
 
     def test_refit_freezes_hidden_features(self):
         source, data, opt = trained_source()
-        refit = refit_last_layer(source, data, opt)
+        (refit,) = refit_last_layer(source, [data], opt)
         probe = np.linspace(-2.0, 2.0, 7)[:, None]
         _, before, _ = _forward_trace(source, probe)
         _, after, _ = _forward_trace(refit, probe)
@@ -375,7 +376,7 @@ class TestBaselines:
     def test_last_layer_on_own_data_cannot_hurt(self):
         source, data, opt = trained_source()
         plain = baseline_no_retrain(source, data)
-        head = baseline_last_layer(source, data, data, opt)
+        (head,) = baseline_last_layer(source, [(data, data)], opt)
         assert head.mse <= plain.mse + 1e-8
 
     def test_last_layer_matches_ridge_oracle(self):
@@ -400,13 +401,100 @@ class TestBaselines:
             loss="mse",
             seed=0,
         )
-        refit = refit_last_layer(net, data, long_opt)
+        (refit,) = refit_last_layer(net, [data], long_opt)
         features = _forward_trace(net, data.x)[1][-1]
         design = np.hstack([features, np.ones((features.shape[0], 1))])
         coef = np.linalg.solve(
             design.T @ design + 1e-8 * np.eye(design.shape[1]), design.T @ data.y
         )
         np.testing.assert_allclose(forward(refit, data.x), design @ coef, atol=1e-3)
+
+
+def head_view_refit(source, context, cfg):
+    """The reference refit: ``net.train`` on one context's one-layer head view.
+
+    The final layer is an affine network over the last hidden features;
+    train that network alone and splice its parameters back.
+    """
+    arch = source.architecture
+    w_slice, b_slice, fan_in, _ = arch.layer_slices()[-1]
+    head_arch = MlpArchitecture(
+        fan_in, (), arch.output_dim, activation="identity", heteroscedastic=arch.heteroscedastic
+    )
+    head = MlpNetwork(head_arch, np.concatenate([source.params[w_slice], source.params[b_slice]]))
+    features = _forward_trace(source, context.x)[1][-1]
+    fitted = train(head, TaskDataset(features, context.y, context.noise_variance), cfg).network
+    params = source.params.copy()
+    params[w_slice.start : b_slice.stop] = fitted.params
+    return params
+
+
+def head_problem(loss, sizes, seed=5):
+    """A source net whose head suits ``loss``, plus one context per size."""
+    rng = np.random.default_rng(seed)
+    outputs = 3 if loss == "categorical-ce" else 2
+    arch = MlpArchitecture(
+        2, (9, 6), outputs, activation="tanh", heteroscedastic=loss == "heteroscedastic-gaussian"
+    )
+    source = init_network(arch, seed=seed)
+    contexts = []
+    for n in sizes:
+        x = rng.uniform(-2.0, 2.0, size=(n, 2))
+        if loss == "categorical-ce":
+            y = np.eye(outputs)[rng.integers(0, outputs, size=n)]
+        else:
+            y = np.hstack([np.sin(x[:, :1]), x[:, 1:] * x[:, :1]]) + rng.normal(0, 0.1, (n, 2))
+        contexts.append(TaskDataset(x, y, noise_variance=0.01))
+    return source, contexts
+
+
+class TestStackedHeadRefit:
+    """``refit_last_layer`` steps every context's head in one stacked loop;
+    each head must come out bitwise equal to its own ``net.train`` run."""
+
+    # Mixed sizes: two groups of more than one context, sizes that batch
+    # size 8 does not divide, and a group of one.
+    SIZES = (10, 37, 64, 10, 37)
+
+    @pytest.mark.parametrize("optimizer", ["sgd-momentum", "adam"])
+    @pytest.mark.parametrize("loss", ["mse", "heteroscedastic-gaussian", "categorical-ce"])
+    def test_bitwise_equal_to_per_task_train(self, loss, optimizer):
+        source, contexts = head_problem(loss, self.SIZES)
+        cfg = OptimizerConfig(
+            optimizer=optimizer, learning_rate=0.05, epochs=4, batch_size=8, loss=loss, seed=3
+        )
+        refits = refit_last_layer(source, contexts, cfg)
+        assert len(refits) == len(contexts)
+        for refit, context in zip(refits, contexts):
+            assert np.array_equal(refit.params, head_view_refit(source, context, cfg))
+            assert not np.array_equal(refit.params, source.params)
+
+    def test_zero_epochs_return_the_source(self):
+        source, contexts = head_problem("mse", self.SIZES)
+        cfg = OptimizerConfig(epochs=0, batch_size=8)
+        for refit, context in zip(refit_last_layer(source, contexts, cfg), contexts):
+            assert np.array_equal(refit.params, source.params)
+            assert np.array_equal(refit.params, head_view_refit(source, context, cfg))
+
+    def test_no_contexts_no_refits(self):
+        source, _ = head_problem("mse", ())
+        assert refit_last_layer(source, [], OptimizerConfig()) == ()
+
+    def test_rejects_mismatched_target_width(self):
+        source, contexts = head_problem("mse", (10,))
+        bad = TaskDataset(contexts[0].x, contexts[0].y[:, :1], 0.01)
+        with pytest.raises(ContractViolationError, match="task 1"):
+            refit_last_layer(source, [contexts[0], bad], OptimizerConfig())
+
+    def test_divergence_names_task_and_epoch(self):
+        # Task 0's targets are the source's own outputs: zero residual,
+        # zero gradient, so only task 1 can diverge.
+        source, contexts = head_problem("mse", (10, 10))
+        exact = TaskDataset(contexts[0].x, forward(source, contexts[0].x), 0.01)
+        cfg = OptimizerConfig(learning_rate=1e300, epochs=3, batch_size=4)
+        with pytest.raises(TrainingDivergenceError, match="task 1: non-finite .* at epoch 0") as info:
+            refit_last_layer(source, [exact, contexts[1]], cfg)
+        assert info.value.task == 1 and info.value.epoch == 0
 
 
 class TestSinusoidExperiment:
@@ -438,6 +526,12 @@ class TestSinusoidExperiment:
         assert a.to_csv() == b.to_csv()
         assert a.summary_json() == b.summary_json()
         assert a.source_fingerprint == b.source_fingerprint
+
+    def test_timing_flag(self):
+        exp = sinusoid_experiment(replace(self.small(), timing=True))
+        assert all(float(r[5]) > 0.0 for r in exp.rows)
+        # The last-layer rows share the time of one stacked refit.
+        assert len({r[5] for r in exp.rows if r[1] == "last-layer"}) == 1
 
     def test_config_validation(self):
         with pytest.raises(ContractViolationError, match="at least one task"):

@@ -9,6 +9,7 @@ import pytest
 from tangentgp.adapt import SinusoidTaskSpec, sample_sinusoid_tasks, stratified_split
 from tangentgp.cli import main
 from tangentgp.config import load_checkpoint, save_checkpoint
+from tangentgp.errors import ConsistencyError, TangentGpError
 from tangentgp.net import MlpArchitecture, forward, init_network
 from tangentgp.serialize import fmt_float, write_classification_csv, write_dataset_csv
 
@@ -202,6 +203,37 @@ class TestAdapt:
         )
         code = main(["adapt", "--config", cfg, "--checkpoint", ws["ckpt"], "--out", str(tmp_path / "o.csv")])
         assert code == 3
+
+    def test_baseline_divergence_exits_4_without_numpy_warnings(self, ws, tmp_path, capsys):
+        manifest = make_manifest(tmp_path)
+        cfg = write_json(
+            tmp_path / "adapt.json",
+            {
+                "version": 1,
+                "gp": {"baselines": True, "noise_variance": 0.01},
+                "optimizer": {"learning_rate": 1e300, "epochs": 3, "batch_size": 8},
+            },
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["adapt", "--config", cfg, "--checkpoint", ws["ckpt"], "--tasks", manifest,
+                 "--out", str(tmp_path / "o.csv")]
+            )
+        assert code == 4
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "last-layer baseline of task 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_consistency_error_is_a_package_error_exiting_3(self, ws, tmp_path, capsys):
+        assert issubclass(ConsistencyError, TangentGpError)
+        cfg = write_json(
+            tmp_path / "adapt.json",
+            {"version": 1, "architecture": {"input_dim": 1, "hidden_widths": [8], "output_dim": 1}},
+        )
+        code = main(["adapt", "--config", cfg, "--checkpoint", ws["ckpt"], "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "does not match the checkpoint" in capsys.readouterr().err
 
     def test_posterior_out_needs_single_task(self, ws, tmp_path):
         manifest = make_manifest(tmp_path)

@@ -14,6 +14,7 @@ from tangentgp.net import (
     MlpNetwork,
     OptimizerConfig,
     TaskDataset,
+    _loss_and_output_grad,
     forward,
     init_network,
     train,
@@ -422,6 +423,27 @@ class TestTrain:
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ContractViolationError):
             OptimizerConfig(optimizer="lbfgs")
+
+
+class TestLoss:
+    @pytest.mark.parametrize("loss", ["mse", "heteroscedastic-gaussian", "categorical-ce"])
+    def test_stack_equals_per_slice_calls(self, loss):
+        # A (T, b, o) stack of outputs reduces over its last two axes: each
+        # slice's loss and gradient are bitwise the 2-D call on that slice.
+        rng = np.random.default_rng(28)
+        t, b, o = 5, 37, 3
+        width = 2 * o if loss == "heteroscedastic-gaussian" else o
+        outputs = 3.0 * rng.standard_normal((t, b, width))
+        if loss == "categorical-ce":
+            y = np.eye(o)[rng.integers(0, o, size=(t, b))]
+        else:
+            y = rng.standard_normal((t, b, o))
+        values, grads = _loss_and_output_grad(outputs, y, loss)
+        assert values.shape == (t,) and grads.shape == outputs.shape
+        for k in range(t):
+            value, grad = _loss_and_output_grad(outputs[k], y[k], loss)
+            assert values[k] == value
+            assert np.array_equal(grads[k], grad)
 
 
 class TestCheckpoints:
