@@ -10,6 +10,7 @@ environment influence is TANGENTGP_LOG_LEVEL.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -75,6 +76,7 @@ from .net import JacobianOperator, TaskDataset, init_network, train
 from .serialize import (
     atomic_write_text,
     canonical_json,
+    float_lines,
     fmt_float,
     read_classification_csv,
     read_dataset_csv,
@@ -115,7 +117,10 @@ def _csv_provenance(resolved: dict) -> str:
 
 
 def _emit_rows(args, resolved: dict, columns, rows) -> None:
+    """Write rows (lists of cell strings, or a 2-D float array) as CSV or JSON."""
     if args.format == "json":
+        if isinstance(rows, np.ndarray):
+            rows = [line.split(",") for line in float_lines(rows)]
         doc = {**_provenance(resolved), "config": resolved, "columns": list(columns), "rows": rows}
         atomic_write_text(args.out, canonical_json(doc))
     else:
@@ -281,13 +286,7 @@ def cmd_predict(args) -> int:
         + [f"var_{c}" for c in range(width)]
     )
     mean, var = predict(posterior, network, x)
-    rows = [
-        [fmt_float(v) for v in x[i]]
-        + [fmt_float(v) for v in mean[i]]
-        + [fmt_float(v) for v in var[i]]
-        for i in range(x.shape[0])
-    ]
-    _emit_rows(args, resolved, columns, rows)
+    _emit_rows(args, resolved, columns, np.hstack([x, mean, var]))
     return 0
 
 
@@ -424,26 +423,32 @@ def _load_glm_fit(path, network):
         raise ConsistencyError(
             "stale GLM fit: it was produced for different network parameters"
         )
+
+    def field(key):
+        if key not in doc:
+            raise ConfigError(f"{path}: GLM fit file has no {key!r}")
+        return doc[key]
+
     model = zero_coefficients_glm(
         network,
-        include_network_output=doc["include_network_output"],
-        prior_variance=float(doc["prior_variance"]),
+        include_network_output=field("include_network_output"),
+        prior_variance=float(field("prior_variance")),
     )
     method = doc.get("method")
     if method == "map":
-        approx = MapPosterior(coefficients=np.asarray(doc["coefficients"], dtype=np.float64))
+        approx = MapPosterior(coefficients=np.asarray(field("coefficients"), dtype=np.float64))
     elif method == "svi":
         approx = MeanFieldPosterior(
-            mu=np.asarray(doc["mu"], dtype=np.float64),
-            raw_scales=np.asarray(doc["raw_scales"], dtype=np.float64),
+            mu=np.asarray(field("mu"), dtype=np.float64),
+            raw_scales=np.asarray(field("raw_scales"), dtype=np.float64),
         )
     elif method == "laplace":
         fisher_x = None
         if doc.get("fisher_on_train"):
-            fisher_x = np.asarray(doc["fisher_x"], dtype=np.float64)
+            fisher_x = np.asarray(field("fisher_x"), dtype=np.float64)
         approx = LaplacePosterior(
-            mean=np.asarray(doc["mean"], dtype=np.float64),
-            n_train=int(doc["n_train"]),
+            mean=np.asarray(field("mean"), dtype=np.float64),
+            n_train=int(field("n_train")),
             prior_variance=float(doc["prior_variance"]),
             fisher_x=fisher_x,
         )
@@ -547,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", help="tangent-kernel similarity study or pairwise compare")
     _add_common(p, default_format="json")
-    p.add_argument("--checkpoints", nargs="*", default=[])
+    p.add_argument("--checkpoints", nargs="*", default=())
     p.add_argument("--inputs", help="shared evaluation inputs CSV for pairwise mode")
     p.set_defaults(func=cmd_similarity)
 
@@ -581,26 +586,38 @@ def _init_logging() -> None:
     )
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then reused.
+
+    Parsing leaves a parser unchanged (each call fills a fresh namespace,
+    and no default is mutable), so calls in one process cannot leak state.
+    """
+    return build_parser()
+
+
+# Exit code of each error a command may raise, first match wins; any
+# other exception propagates.
+EXIT_CODES = (
+    (ConfigError, 2),
+    (ContractViolationError, 2),
+    (ConsistencyError, 3),
+    (FitError, 4),
+    (NumericBreakdownError, 4),
+    (ResourceLimitError, 4),
+    (TrainingDivergenceError, 4),
+    (OSError, 2),
+)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     _init_logging()
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"tangentgp: {exc}", file=sys.stderr)
-        return 2
-    except ContractViolationError as exc:
-        print(f"tangentgp: {exc}", file=sys.stderr)
-        return 2
-    except ConsistencyError as exc:
-        print(f"tangentgp: {exc}", file=sys.stderr)
-        return 3
-    except (FitError, NumericBreakdownError, ResourceLimitError, TrainingDivergenceError) as exc:
-        print(f"tangentgp: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"tangentgp: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

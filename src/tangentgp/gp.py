@@ -33,6 +33,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -507,6 +508,9 @@ def log_marginal_likelihood(
     return -0.5 * (quad + logdet + dim * math.log(2.0 * math.pi))
 
 
+_POSTERIOR_META_KEYS = ("space", "mean_kind", "channels", "noise_variance", "theta_fingerprint")
+
+
 def save_posterior(posterior: NtkPosterior, path) -> None:
     """Write a posterior cache; arrays in f64, metadata as embedded JSON."""
     meta = json.dumps(
@@ -527,13 +531,25 @@ def save_posterior(posterior: NtkPosterior, path) -> None:
 
 
 def load_posterior(path) -> NtkPosterior:
-    with np.load(path, allow_pickle=False) as archive:
+    """Read a posterior cache; a file that is not one raises ConfigError naming what is wrong."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: not a posterior cache: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path}: not a posterior cache: one array, not an archive")
+    with archive:
         try:
             meta = json.loads(str(archive["meta"]))
-        except (KeyError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: not a posterior cache: {exc}") from exc
-        if meta.get("version") != POSTERIOR_FILE_VERSION:
-            raise ConfigError(f"{path}: unsupported posterior file version {meta.get('version')}")
+        version = meta.get("version") if isinstance(meta, dict) else None
+        if version != POSTERIOR_FILE_VERSION:
+            raise ConfigError(f"{path}: unsupported posterior file version {version}")
+        missing = [name for name in ("mean_cache", "variance_root") if name not in archive.files]
+        missing += [key for key in _POSTERIOR_META_KEYS if key not in meta]
+        if missing:
+            raise ConfigError(f"{path}: posterior cache has no {missing[0]!r}")
         channels = meta["channels"]
         return NtkPosterior(
             space=meta["space"],

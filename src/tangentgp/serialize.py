@@ -4,6 +4,12 @@ All writers here produce identical bytes for identical inputs: floats are
 printed with 17 significant digits (enough to round-trip any f64), JSON
 keys are sorted, newlines are always "\\n", and files land via a
 temp-file rename so a crash never leaves a half-written output.
+
+An all-float table is formatted with one ``"%.17g"`` template per row
+(:func:`float_lines`), not one :func:`fmt_float` call per cell. On
+CPython both go through ``PyOS_double_to_string(x, 'g', 17, 0)``, so the
+bytes are the same. The CSV readers share one tokenizer: it checks every
+line's column count, then converts all cells with one ``map(float, ...)``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,13 @@ from .errors import ConfigError
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def float_lines(table) -> list[str]:
+    """Each row of a 2-D float table as comma-joined ``fmt_float`` cells."""
+    table = np.asarray(table, dtype=np.float64)
+    template = ",".join(["%.17g"] * table.shape[1])
+    return [template % tuple(row) for row in table.tolist()]
 
 
 def canonical_json(obj) -> str:
@@ -52,10 +65,55 @@ def atomic_write_bytes(path, blob: bytes) -> None:
         raise
 
 
-def render_csv(header: list[str], rows: list[list[str]]) -> str:
+def render_csv(header: list[str], rows) -> str:
+    """CSV text of a header and rows: lists of cell strings, or a 2-D float array."""
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    if isinstance(rows, np.ndarray):
+        lines.extend(float_lines(rows))
+    else:
+        lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _read_lines(path, empty: str) -> tuple[list[str], list[str]]:
+    """Header cells and data lines of a CSV; blank lines are skipped."""
+    with open(path, newline="") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if not lines:
+        raise ConfigError(f"{path}: {empty}")
+    return lines[0].split(","), lines[1:]
+
+
+def _parse_rows(path, lines: list[str], width: int, labeled: bool = False):
+    """Convert data lines of ``width`` cells with ``float()``, as an (n, width) array.
+
+    With ``labeled`` the last cell goes through ``int()`` instead, and the
+    result is (n, width - 1) floats and n labels. Any bad cell makes the
+    lines be parsed again one at a time, so the error names the first bad
+    line, counted as the file's non-blank lines from the header on.
+    """
+    try:
+        if any(line.count(",") != width - 1 for line in lines):
+            raise ValueError
+        cells = ",".join(lines).split(",") if lines else []
+        if labeled:
+            labels = np.array(list(map(int, cells[width - 1 :: width])), dtype=np.int64)
+            del cells[width - 1 :: width]
+        values = np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=2):
+            cells = line.split(",")
+            if len(cells) != width:
+                raise ConfigError(f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
+            try:
+                list(map(float, cells[: width - labeled]))
+                if labeled:
+                    int(cells[-1])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        raise
+    values = values.reshape(len(lines), width - labeled)
+    return (values, labels) if labeled else values
 
 
 def write_dataset_csv(path, x: np.ndarray, y: np.ndarray) -> None:
@@ -63,37 +121,17 @@ def write_dataset_csv(path, x: np.ndarray, y: np.ndarray) -> None:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     header = [f"x_{j}" for j in range(x.shape[1])] + [f"y_{j}" for j in range(y.shape[1])]
-    rows = [
-        [fmt_float(v) for v in x[i]] + [fmt_float(v) for v in y[i]]
-        for i in range(x.shape[0])
-    ]
-    atomic_write_text(path, render_csv(header, rows))
+    atomic_write_text(path, render_csv(header, np.hstack([x, y])))
 
 
 def read_inputs_csv(path) -> np.ndarray:
     """Read an inputs-only CSV (header x_0..x_{d-1}); zero data rows is legal."""
-    with open(path, newline="") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty inputs file, expected at least a header")
-    header = lines[0].split(",")
+    header, lines = _read_lines(path, "empty inputs file, expected at least a header")
     if header != [f"x_{j}" for j in range(len(header))]:
         raise ConfigError(
             f"{path}: inputs header must be x_0..x_{{d-1}}, got {','.join(header)}"
         )
-    d = len(header)
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != d:
-            raise ConfigError(f"{path}:{lineno}: expected {d} columns, got {len(cells)}")
-        try:
-            values.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    if not values:
-        return np.zeros((0, d), dtype=np.float64)
-    return np.array(values, dtype=np.float64)
+    return _parse_rows(path, lines, len(header))
 
 
 def write_classification_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
@@ -108,38 +146,20 @@ def write_classification_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
 
 def read_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a classification CSV back into (inputs, integer labels)."""
-    with open(path, newline="") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty classification file")
-    header = lines[0].split(",")
+    header, lines = _read_lines(path, "empty classification file")
     d = len(header) - 1
     if d < 1 or header != [f"x_{j}" for j in range(d)] + ["label"]:
         raise ConfigError(
             f"{path}: classification header must be x_0..x_{{d-1}},label, got {','.join(header)}"
         )
-    xs, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != d + 1:
-            raise ConfigError(f"{path}:{lineno}: expected {d + 1} columns, got {len(cells)}")
-        try:
-            xs.append([float(c) for c in cells[:d]])
-            labels.append(int(cells[d]))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    if not xs:
+    if not lines:
         raise ConfigError(f"{path}: classification file has a header but no rows")
-    return np.array(xs, dtype=np.float64), np.array(labels, dtype=np.int64)
+    return _parse_rows(path, lines, d + 1, labeled=True)
 
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a dataset CSV back into (inputs, targets) arrays."""
-    with open(path, newline="") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
+    header, lines = _read_lines(path, "empty dataset file")
     d = sum(1 for name in header if name.startswith("x_"))
     o = sum(1 for name in header if name.startswith("y_"))
     expected = [f"x_{j}" for j in range(d)] + [f"y_{j}" for j in range(o)]
@@ -147,16 +167,7 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(
             f"{path}: dataset header must be x_0..x_{{d-1}},y_0..y_{{o-1}}, got {','.join(header)}"
         )
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != d + o:
-            raise ConfigError(f"{path}:{lineno}: expected {d + o} columns, got {len(cells)}")
-        try:
-            values.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    data = np.array(values, dtype=np.float64)
-    if data.size == 0:
+    if not lines:
         raise ConfigError(f"{path}: dataset has a header but no rows")
+    data = _parse_rows(path, lines, d + o)
     return data[:, :d], data[:, d:]

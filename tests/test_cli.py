@@ -6,10 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
+from tangentgp import cli
 from tangentgp.adapt import SinusoidTaskSpec, sample_sinusoid_tasks, stratified_split
-from tangentgp.cli import main
+from tangentgp.cli import build_parser, main
 from tangentgp.config import load_checkpoint, save_checkpoint
-from tangentgp.errors import ConsistencyError, TangentGpError
+from tangentgp.errors import (
+    ConfigError,
+    ConsistencyError,
+    ContractViolationError,
+    FitError,
+    NumericBreakdownError,
+    ResourceLimitError,
+    TangentGpError,
+    TrainingDivergenceError,
+)
 from tangentgp.net import MlpArchitecture, forward, init_network
 from tangentgp.serialize import fmt_float, write_classification_csv, write_dataset_csv
 
@@ -106,6 +116,39 @@ class TestTrain:
     def test_missing_config_file(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+
+DOCUMENTED_EXIT_CODES = [
+    (ConfigError("bad input"), 2),
+    (ContractViolationError("bad call"), 2),
+    (ConsistencyError("stale"), 3),
+    (FitError("no fit"), 4),
+    (NumericBreakdownError("breakdown"), 4),
+    (ResourceLimitError("too big"), 4),
+    (TrainingDivergenceError("diverged"), 4),
+    (OSError("disk"), 2),
+    (FileNotFoundError("gone"), 2),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error,code", DOCUMENTED_EXIT_CODES, ids=lambda v: type(v).__name__)
+    def test_error_from_a_command_maps_to_its_code(self, error, code, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "load_config", fail)
+        assert main(["train", "--config", "c.json", "--out", str(tmp_path / "x.json")]) == code
+        assert capsys.readouterr().err == f"tangentgp: {error}\n"
+
+    def test_every_package_error_has_a_code(self):
+        mapped = {kind for kind, _ in cli.EXIT_CODES}
+        assert set(TangentGpError.__subclasses__()) | {OSError} == mapped
+
+    def test_other_errors_propagate(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "load_config", lambda *a: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            main(["train", "--config", "c.json", "--out", str(tmp_path / "x.json")])
 
 
 def make_manifest(root, num_tasks=3, noise_variance=None, context_only=False):
@@ -305,6 +348,36 @@ class TestPredict:
         assert header == ["x_0", "mean_0", "var_0"]
         assert rows == []
 
+    def test_non_archive_posterior_is_input_error(self, ws, cached_posterior, tmp_path, capsys):
+        bogus = tmp_path / "post.npz"
+        bogus.write_text("not an archive\n")
+        inputs = write_inputs_csv(tmp_path / "in.csv", cached_posterior["x"][:2])
+        code = main(
+            [
+                "predict", "--checkpoint", ws["ckpt"], "--posterior", str(bogus),
+                "--inputs", inputs, "--out", str(tmp_path / "pred.csv"),
+            ]
+        )
+        assert code == 2
+        assert f"{bogus}: not a posterior cache" in capsys.readouterr().err
+
+    def test_posterior_without_mean_cache_is_input_error(
+        self, ws, cached_posterior, tmp_path, capsys
+    ):
+        with np.load(cached_posterior["posterior"], allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files if k != "mean_cache"}
+        partial = tmp_path / "partial.npz"
+        np.savez(partial, **arrays)
+        inputs = write_inputs_csv(tmp_path / "in.csv", cached_posterior["x"][:2])
+        code = main(
+            [
+                "predict", "--checkpoint", ws["ckpt"], "--posterior", str(partial),
+                "--inputs", inputs, "--out", str(tmp_path / "pred.csv"),
+            ]
+        )
+        assert code == 2
+        assert f"{partial}: posterior cache has no 'mean_cache'" in capsys.readouterr().err
+
     def test_stale_posterior_is_consistency_error(self, ws, cached_posterior, tmp_path):
         other = str(tmp_path / "other.json")
         assert main(["train", "--config", ws["config"], "--seed", "5", "--out", other]) == 0
@@ -316,6 +389,46 @@ class TestPredict:
             ]
         )
         assert code == 3
+
+
+class TestParserReuse:
+    def predict_argv(self, ws, cached_posterior, inputs, out, *extra):
+        return [
+            "predict", "--checkpoint", ws["ckpt"], "--posterior", cached_posterior["posterior"],
+            "--inputs", inputs, "--out", str(out), *extra,
+        ]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert cli._shared_parser() is cli._shared_parser()
+
+    def test_seed_override_does_not_stick(self, ws, cached_posterior, tmp_path):
+        inputs = write_inputs_csv(tmp_path / "in.csv", cached_posterior["x"][:3])
+        runs = [("a.csv", []), ("b.csv", ["--seed", "7"]), ("c.csv", [])]
+        for name, extra in runs:
+            assert main(self.predict_argv(ws, cached_posterior, inputs, tmp_path / name, *extra)) == 0
+        a, b, c = ((tmp_path / name).read_bytes() for name, _ in runs)
+        assert a == c
+        assert a != b and b'"seed":7' in b
+
+    def test_json_format_does_not_stick(self, ws, cached_posterior, tmp_path):
+        inputs = write_inputs_csv(tmp_path / "in.csv", cached_posterior["x"][:3])
+        csv_out, json_out = tmp_path / "p.csv", tmp_path / "p.json"
+        main(self.predict_argv(ws, cached_posterior, inputs, json_out, "--format", "json"))
+        assert main(self.predict_argv(ws, cached_posterior, inputs, csv_out)) == 0
+        doc = json.loads(json_out.read_text())
+        header, rows = data_lines(csv_out)
+        assert csv_out.read_text().startswith("# tool_version")
+        assert doc["columns"] == header and doc["rows"] == rows
+
+    def test_usage_error_then_good_call(self, ws, cached_posterior, tmp_path):
+        inputs = write_inputs_csv(tmp_path / "in.csv", cached_posterior["x"][:3])
+        assert main(self.predict_argv(ws, cached_posterior, inputs, tmp_path / "a.csv")) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "--checkpoint", ws["ckpt"], "--format", "xml", "--out", "x"])
+        assert exit_info.value.code == 2
+        assert main(self.predict_argv(ws, cached_posterior, inputs, tmp_path / "b.csv")) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestFvpBench:
@@ -513,6 +626,31 @@ class TestGlm:
         assert code == 4
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method,key",
+        [
+            ("map", "include_network_output"),
+            ("map", "coefficients"),
+            ("svi", "raw_scales"),
+            ("laplace", "mean"),
+            ("laplace", "n_train"),
+        ],
+    )
+    def test_fit_file_missing_key_is_input_error(self, blob_data, tmp_path, capsys, method, key):
+        cfg, fit_path = self.fit(blob_data, tmp_path, method)
+        doc = json.loads(open(fit_path).read())
+        del doc[key]
+        write_json(tmp_path / "fit.json", doc)
+        inputs = write_inputs_csv(tmp_path / "in.csv", [[0.0, 0.0]])
+        code = main(
+            [
+                "glm-predict", "--config", cfg, "--checkpoint", blob_data["ckpt"],
+                "--fit", fit_path, "--inputs", inputs, "--out", str(tmp_path / "p.csv"),
+            ]
+        )
+        assert code == 2
+        assert f"{fit_path}: GLM fit file has no {key!r}" in capsys.readouterr().err
 
     def test_stale_fit_is_consistency_error(self, blob_data, tmp_path):
         cfg, fit_path = self.fit(blob_data, tmp_path, "map")
