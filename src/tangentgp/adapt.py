@@ -10,6 +10,7 @@ surface benchmarks live here too.
 
 from __future__ import annotations
 
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -41,7 +42,10 @@ from .net import (
 from .seeding import substream
 from .serialize import canonical_json, fmt_float, render_csv
 
-RESULT_COLUMNS = ("task_id", "method", "context_size", "mse", "nll", "wall_ms")
+log = logging.getLogger(__name__)
+
+RESULT_COLUMNS = ("task_id", "method", "context_size", "mse", "nll")
+_METHODS = ("finite-ntk", "no-retrain", "last-layer")
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,6 @@ class Metrics:
 
     mse: float
     nll: float
-    wall_ms: float | None = None
 
 
 def _mean_columns(arch: MlpArchitecture):
@@ -208,8 +211,8 @@ class AdaptConfig:
     ``noise_variance`` overrides each context's own value (the usual
     choice is the source network's training MSE), while ``noise_grid``
     instead picks the variance per task by leave-one-out error over the
-    given candidates; ``timing`` adds wall-clock milliseconds to the
-    metrics at the cost of byte-reproducible outputs.
+    given candidates. Each task's wall time goes to the ``tangentgp``
+    logger at DEBUG level, never into the metrics.
     """
 
     space: str = "auto"
@@ -218,7 +221,6 @@ class AdaptConfig:
     center_on_network: bool = True
     noise_variance: float | None = None
     noise_grid: tuple[float, ...] | None = None
-    timing: bool = False
 
     def __post_init__(self):
         if self.center_on_network and self.mean_kind != "zero":
@@ -275,7 +277,6 @@ def _result_row(task_id, method: str, context_size, metrics: Metrics):
         "" if context_size is None else str(context_size),
         fmt_float(metrics.mse),
         fmt_float(metrics.nll),
-        "" if metrics.wall_ms is None else fmt_float(metrics.wall_ms),
     ]
 
 
@@ -332,16 +333,18 @@ def adapt_task(
 
 
 def _adapt_one(source: MlpNetwork, task_id: int, context, eval_set, cfg: AdaptConfig):
-    started = time.perf_counter() if cfg.timing else None
+    started = time.perf_counter()
     try:
         posterior, metrics = adapt_task(source, context, eval_set, cfg)
     except TangentGpError as exc:
-        return TaskAdaptation(task_id, "failed", error=str(exc))
-    if metrics is None:
-        return TaskAdaptation(task_id, "no-eval", posterior=posterior)
-    if started is not None:
-        metrics = replace(metrics, wall_ms=(time.perf_counter() - started) * 1e3)
-    return TaskAdaptation(task_id, "ok", posterior=posterior, metrics=metrics)
+        record = TaskAdaptation(task_id, "failed", error=str(exc))
+    else:
+        status = "no-eval" if metrics is None else "ok"
+        record = TaskAdaptation(task_id, status, posterior=posterior, metrics=metrics)
+    log.debug(
+        "task %d: %s in %.3f ms", task_id, record.status, (time.perf_counter() - started) * 1e3
+    )
+    return record
 
 
 def run_adaptation(
@@ -412,6 +415,7 @@ def refit_last_layer(
     Everything before the final layer stays bit-identical. Returns one
     network per context, in order; a divergence names the context's index.
     """
+    started = time.perf_counter()
     arch = source.architecture
     w_slice, b_slice, _, _ = arch.layer_slices()[-1]
     last = slice(w_slice.start, b_slice.stop)  # the final layer's weights, then its bias
@@ -435,6 +439,9 @@ def refit_last_layer(
         params = source.params.copy()
         params[last] = heads[task]
         refits.append(source.with_params(params))
+    log.debug(
+        "refit %d last-layer heads in %.3f ms", len(refits), (time.perf_counter() - started) * 1e3
+    )
     return tuple(refits)
 
 
@@ -505,15 +512,23 @@ def baseline_last_layer(
     ]
 
 
-def _timed_last_layer(source, tasks, cfg, noise_variance, timing: bool) -> list[Metrics]:
-    """``baseline_last_layer`` whose wall time, when timed, is shared evenly
-    over the tasks its one stacked refit served."""
-    started = time.perf_counter()
-    heads = baseline_last_layer(source, tasks, cfg, noise_variance)
-    if not timing or not heads:
-        return heads
-    shared_ms = (time.perf_counter() - started) * 1e3 / len(heads)
-    return [replace(head, wall_ms=shared_ms) for head in heads]
+def _score_transfer(source, pairs, adapt_cfg, head_cfg, noise_variance, labels):
+    """(finite-ntk, no-retrain, last-layer) metrics of each (context, eval) pair.
+
+    Every pair must adapt: a failure raises ``TangentGpError`` naming the
+    pair's entry of ``labels``. All heads refit in one stacked call.
+    """
+    run = run_adaptation(source, pairs, adapt_cfg)
+    for record in run.tasks:
+        if record.status != "ok":
+            raise TangentGpError(
+                f"{labels[record.task_id]} did not adapt: {record.error or record.status}"
+            )
+    heads = baseline_last_layer(source, pairs, head_cfg, noise_variance)
+    return [
+        (record.metrics, baseline_no_retrain(source, eval_set, noise_variance), head)
+        for record, (_, eval_set), head in zip(run.tasks, pairs, heads)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +544,7 @@ class SinusoidExperimentConfig:
     the task's own noise floor and its tangent features inherit the
     wiggles. ``noise_grid_decades`` spans the per-task noise search from
     the source training MSE upward, letting leave-one-out error back off
-    to the prior on target tasks the context undersamples. ``timing``
-    fills the ``wall_ms`` column: per task for the GP and no-retrain rows;
-    the last-layer rows share the one stacked refit's time evenly.
+    to the prior on target tasks the context undersamples.
     """
 
     num_tasks: int = 20
@@ -544,7 +557,6 @@ class SinusoidExperimentConfig:
     noise_grid_decades: int = 10
     space: str = "auto"
     seed: int = 0
-    timing: bool = False
 
     def __post_init__(self):
         if self.num_tasks < 1:
@@ -618,36 +630,24 @@ def sinusoid_experiment(cfg: SinusoidExperimentConfig = SinusoidExperimentConfig
     raw_tasks = sample_sinusoid_tasks(spec, cfg.num_tasks)
     pairs = [stratified_split(t, cfg.context_size) for t in raw_tasks]
     grid = tuple(source_mse * 10.0**d for d in range(cfg.noise_grid_decades))
-    run = run_adaptation(
+    scores = _score_transfer(
         source,
         pairs,
-        AdaptConfig(
-            space=cfg.space, center_on_network=False, noise_grid=grid, timing=cfg.timing
-        ),
+        AdaptConfig(space=cfg.space, center_on_network=False, noise_grid=grid),
+        source_opt,
+        source_mse,
+        [f"task {i}" for i in range(len(pairs))],
     )
-    for record in run.tasks:
-        if record.status != "ok":
-            raise TangentGpError(
-                f"task {record.task_id} did not adapt: {record.error or record.status}"
-            )
-    heads = _timed_last_layer(source, pairs, source_opt, source_mse, cfg.timing)
-    rows = []
-    ntk_wins_plain = 0
-    ntk_wins_head = 0
-    for record, (_, eval_set), head in zip(run.tasks, pairs, heads):
-        started = time.perf_counter() if cfg.timing else None
-        plain = baseline_no_retrain(source, eval_set, noise_variance=source_mse)
-        if started is not None:
-            plain = replace(plain, wall_ms=(time.perf_counter() - started) * 1e3)
-        ntk = record.metrics
-        ntk_wins_plain += ntk.mse < plain.mse
-        ntk_wins_head += ntk.mse < head.mse
-        rows.append(_result_row(record.task_id, "finite-ntk", cfg.context_size, ntk))
-        rows.append(_result_row(record.task_id, "no-retrain", cfg.context_size, plain))
-        rows.append(_result_row(record.task_id, "last-layer", cfg.context_size, head))
+    rows = [
+        _result_row(task_id, method, cfg.context_size, m)
+        for task_id, metrics in enumerate(scores)
+        for method, m in zip(_METHODS, metrics)
+    ]
+    ntk_wins_plain = sum(ntk.mse < plain.mse for ntk, plain, _ in scores)
+    ntk_wins_head = sum(ntk.mse < head.mse for ntk, _, head in scores)
     return SinusoidExperiment(
         config=cfg,
-        source_fingerprint=run.source_fingerprint,
+        source_fingerprint=source.fingerprint(),
         source_training_mse=source_mse,
         rows=tuple(tuple(r) for r in rows),
         win_rate_vs_no_retrain=ntk_wins_plain / cfg.num_tasks,
@@ -664,10 +664,6 @@ class SurfaceBenchmarkConfig:
     """Synthetic stand-in for the real-data transfer benchmarks: a smooth
     2-D surface as the source task and the same surface plus an additive
     shift as the target, scanned over context-set sizes.
-
-    ``timing`` fills the ``wall_ms`` column: per cell for the GP rows,
-    once for the no-retrain rows, and for the last-layer rows the one
-    stacked refit's time shared evenly over the nonzero context sizes.
     """
 
     context_grid: tuple[int, ...] = (0, 5, 10, 20, 40)
@@ -679,7 +675,6 @@ class SurfaceBenchmarkConfig:
     noise_std: float = 0.1
     noise_grid_decades: int = 4
     seed: int = 0
-    timing: bool = False
 
     def __post_init__(self):
         if len(self.context_grid) == 0 or any(s < 0 for s in self.context_grid):
@@ -743,34 +738,23 @@ def heteroscedastic_adaptation_benchmark(cfg: SurfaceBenchmarkConfig = SurfaceBe
         substream(cfg.seed, "surface-eval"), cfg.eval_points, _target_surface, cfg.noise_std
     )
     grid = tuple(sigma2 * 10.0**d for d in range(cfg.noise_grid_decades))
-    adapt_cfg = AdaptConfig(noise_grid=grid)
-    rows = []
-    started = time.perf_counter() if cfg.timing else None
+    sizes = [size for size in cfg.context_grid if size > 0]
+    pairs = [
+        (TaskDataset(pool.x[:size], pool.y[:size], pool.noise_variance), eval_set)
+        for size in sizes
+    ]
+    labels = [f"context size {size}" for size in sizes]
+    cells = _score_transfer(source, pairs, AdaptConfig(noise_grid=grid), opt, sigma2, labels)
+    scores = dict(zip(sizes, cells))
+    # With nothing to condition on, both adapted methods are the source
+    # network itself.
     plain = baseline_no_retrain(source, eval_set, noise_variance=sigma2)
-    if started is not None:
-        plain = replace(plain, wall_ms=(time.perf_counter() - started) * 1e3)
-    contexts = {
-        size: TaskDataset(pool.x[:size], pool.y[:size], pool.noise_variance)
+    scores[0] = (plain, plain, plain)
+    return [
+        _result_row(0, method, size, m)
         for size in cfg.context_grid
-        if size > 0
-    }
-    tasks = [(context, eval_set) for context in contexts.values()]
-    heads = dict(zip(contexts, _timed_last_layer(source, tasks, opt, sigma2, cfg.timing)))
-    for size in cfg.context_grid:
-        if size == 0:
-            # With nothing to condition on, both adapted methods are the
-            # source network itself.
-            for method in ("finite-ntk", "no-retrain", "last-layer"):
-                rows.append(_result_row(0, method, 0, plain))
-            continue
-        started = time.perf_counter() if cfg.timing else None
-        _, ntk = adapt_task(source, contexts[size], eval_set, adapt_cfg)
-        if started is not None:
-            ntk = replace(ntk, wall_ms=(time.perf_counter() - started) * 1e3)
-        rows.append(_result_row(0, "finite-ntk", size, ntk))
-        rows.append(_result_row(0, "no-retrain", size, plain))
-        rows.append(_result_row(0, "last-layer", size, heads[size]))
-    return rows
+        for method, m in zip(_METHODS, scores[size])
+    ]
 
 
 def benchmark_ntk_mse(rows) -> list[float]:

@@ -13,17 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adapt import refit_last_layer
 from .errors import ContractViolationError, NumericBreakdownError
-from .fisher import _log_softmax
 from .linalg import SymmetricLinearOperator, lanczos_factorize
 from .net import (
     DENSE_JACOBIAN_CAP,
     JacobianOperator,
     MlpArchitecture,
-    MlpNetwork,
     OptimizerConfig,
     TaskDataset,
-    _forward_trace,
     init_network,
     train,
 )
@@ -162,45 +160,6 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def retrain_final_layer(
-    network: MlpNetwork,
-    x: np.ndarray,
-    labels: np.ndarray,
-    steps: int,
-    learning_rate: float,
-) -> MlpNetwork:
-    """Full-batch Adam on the last layer only, hidden representations frozen.
-
-    Mirrors the label-realignment step of the transfer study: a model
-    trained on a different task keeps its features but has its head
-    refit on the reference task before Jacobians are compared.
-    """
-    arch = network.architecture
-    w_slice, b_slice, fan_in, fan_out = arch.layer_slices()[-1]
-    _, layer_inputs, _ = _forward_trace(network, np.asarray(x, dtype=np.float64))
-    features = layer_inputs[-1]
-    onehot = _one_hot(np.asarray(labels), fan_out)
-    params = network.params.copy()
-    w_count = fan_in * fan_out
-    packed = np.concatenate([params[w_slice], params[b_slice]])
-    m = np.zeros_like(packed)
-    u = np.zeros_like(packed)
-    for step in range(1, steps + 1):
-        w = packed[:w_count].reshape(fan_out, fan_in)
-        logits = features @ w.T + packed[w_count:]
-        grad_logits = np.exp(_log_softmax(logits)) - onehot
-        grad = np.concatenate([(grad_logits.T @ features).ravel(), grad_logits.sum(axis=0)])
-        grad /= len(labels)
-        m = 0.9 * m + 0.1 * grad
-        u = 0.999 * u + 0.001 * grad * grad
-        m_hat = m / (1 - 0.9**step)
-        u_hat = u / (1 - 0.999**step)
-        packed = packed - learning_rate * m_hat / (np.sqrt(u_hat) + 1e-8)
-    params[w_slice] = packed[:w_count]
-    params[b_slice] = packed[w_count:]
-    return network.with_params(params)
-
-
 @dataclass(frozen=True)
 class SimilarityReport:
     matrix: np.ndarray
@@ -274,19 +233,29 @@ def task_similarity_study(cfg: StudyConfig) -> SimilarityReport:
     split_a, split_b = order[: cfg.train_points], order[cfg.train_points :]
     shifted_x, shifted_labels = _sample_shifted(data_rng, cfg.train_points)
     eval_x, _ = _sample_base(substream(cfg.seed, "study-eval"), cfg.eval_points)
-    group_data = (
-        (pool_x[split_a], pool_labels[split_a]),
-        (pool_x[split_b], pool_labels[split_b]),
-        (shifted_x, shifted_labels),
-    )
+    datasets = [
+        TaskDataset(x, _one_hot(labels, 2), noise_variance=1.0)
+        for x, labels in (
+            (pool_x[split_a], pool_labels[split_a]),
+            (pool_x[split_b], pool_labels[split_b]),
+            (shifted_x, shifted_labels),
+        )
+    ]
     model_seeds = substream(cfg.seed, "study-models").integers(
         0, 2**31, size=(len(GROUP_NAMES), cfg.models_per_group)
+    )
+    # Full-batch Adam on the head alone, against base-a's labels.
+    realign = OptimizerConfig(
+        optimizer="adam",
+        loss="categorical-ce",
+        batch_size=cfg.train_points,
+        epochs=cfg.realign_steps,
+        learning_rate=cfg.realign_learning_rate,
     )
     jacobians = []
     model_ids = []
     distribution_ids = []
-    for g, (x, labels) in enumerate(group_data):
-        dataset = TaskDataset(x, _one_hot(labels, 2), noise_variance=1.0)
+    for g, dataset in enumerate(datasets):
         for i in range(cfg.models_per_group):
             seed = int(model_seeds[g, i])
             net = init_network(cfg.architecture, seed=seed)
@@ -303,13 +272,7 @@ def task_similarity_study(cfg: StudyConfig) -> SimilarityReport:
                 ),
             ).network
             if g == 2:
-                trained = retrain_final_layer(
-                    trained,
-                    pool_x[split_a],
-                    pool_labels[split_a],
-                    cfg.realign_steps,
-                    cfg.realign_learning_rate,
-                )
+                (trained,) = refit_last_layer(trained, [datasets[0]], realign)
             jacobians.append(JacobianOperator(trained, eval_x).dense())
             model_ids.append(f"{GROUP_NAMES[g]}-{i}")
             distribution_ids.append(DISTRIBUTION_IDS[g])

@@ -516,7 +516,6 @@ def _add_common(sub, config_required=True, default_format="csv"):
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", required=True, help="output file path")
     sub.add_argument("--format", choices=("csv", "json"), default=default_format)
-    sub.add_argument("--threads", type=int, default=1, help="worker threads for independent tasks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,6 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tasks", help="JSON manifest of context/eval CSV pairs")
     p.add_argument("--posterior-out", help="save the fitted posterior (single-task runs)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads for independent tasks")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("predict", help="evaluate a cached posterior at new inputs")

@@ -125,7 +125,6 @@ _SCHEMA = {
         "source_batch_size": (3, "int"),
         "noise_grid_decades": (10, "int"),
         "space": ("auto", "string"),
-        "timing": (False, "bool"),
     },
 }
 
@@ -272,7 +271,6 @@ def experiment_config_from(resolved: dict) -> SinusoidExperimentConfig:
         noise_grid_decades=block["noise_grid_decades"],
         space=block["space"],
         seed=resolved["seed"],
-        timing=block["timing"],
     )
 
 

@@ -75,23 +75,28 @@ def render_csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_lines(path, empty: str) -> tuple[list[str], list[str]]:
-    """Header cells and data lines of a CSV; blank lines are skipped."""
+def _read_lines(path, empty: str) -> tuple[list[str], list[tuple[int, str]]]:
+    """Header cells and (line number, text) data lines of a CSV.
+
+    Lines end in "\n", "\r\n" or "\r"; blank lines are skipped but still
+    counted, so a line number is the file's own.
+    """
     with open(path, newline="") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
+        rows = [(i, line.rstrip("\r\n")) for i, line in enumerate(fh, start=1) if line.strip()]
+    if not rows:
         raise ConfigError(f"{path}: {empty}")
-    return lines[0].split(","), lines[1:]
+    return rows[0][1].split(","), rows[1:]
 
 
-def _parse_rows(path, lines: list[str], width: int, labeled: bool = False):
-    """Convert data lines of ``width`` cells with ``float()``, as an (n, width) array.
+def _parse_rows(path, rows: list[tuple[int, str]], width: int, labeled: bool = False):
+    """Convert numbered data lines of ``width`` cells with ``float()``, as an (n, width) array.
 
     With ``labeled`` the last cell goes through ``int()`` instead, and the
     result is (n, width - 1) floats and n labels. Any bad cell makes the
     lines be parsed again one at a time, so the error names the first bad
-    line, counted as the file's non-blank lines from the header on.
+    line by its number in the file.
     """
+    lines = [line for _, line in rows]
     try:
         if any(line.count(",") != width - 1 for line in lines):
             raise ValueError
@@ -101,7 +106,7 @@ def _parse_rows(path, lines: list[str], width: int, labeled: bool = False):
             del cells[width - 1 :: width]
         values = np.array(list(map(float, cells)), dtype=np.float64)
     except ValueError:
-        for lineno, line in enumerate(lines, start=2):
+        for lineno, line in rows:
             cells = line.split(",")
             if len(cells) != width:
                 raise ConfigError(f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
@@ -126,12 +131,12 @@ def write_dataset_csv(path, x: np.ndarray, y: np.ndarray) -> None:
 
 def read_inputs_csv(path) -> np.ndarray:
     """Read an inputs-only CSV (header x_0..x_{d-1}); zero data rows is legal."""
-    header, lines = _read_lines(path, "empty inputs file, expected at least a header")
+    header, rows = _read_lines(path, "empty inputs file, expected at least a header")
     if header != [f"x_{j}" for j in range(len(header))]:
         raise ConfigError(
             f"{path}: inputs header must be x_0..x_{{d-1}}, got {','.join(header)}"
         )
-    return _parse_rows(path, lines, len(header))
+    return _parse_rows(path, rows, len(header))
 
 
 def write_classification_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
@@ -146,20 +151,20 @@ def write_classification_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
 
 def read_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a classification CSV back into (inputs, integer labels)."""
-    header, lines = _read_lines(path, "empty classification file")
+    header, rows = _read_lines(path, "empty classification file")
     d = len(header) - 1
     if d < 1 or header != [f"x_{j}" for j in range(d)] + ["label"]:
         raise ConfigError(
             f"{path}: classification header must be x_0..x_{{d-1}},label, got {','.join(header)}"
         )
-    if not lines:
+    if not rows:
         raise ConfigError(f"{path}: classification file has a header but no rows")
-    return _parse_rows(path, lines, d + 1, labeled=True)
+    return _parse_rows(path, rows, d + 1, labeled=True)
 
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a dataset CSV back into (inputs, targets) arrays."""
-    header, lines = _read_lines(path, "empty dataset file")
+    header, rows = _read_lines(path, "empty dataset file")
     d = sum(1 for name in header if name.startswith("x_"))
     o = sum(1 for name in header if name.startswith("y_"))
     expected = [f"x_{j}" for j in range(d)] + [f"y_{j}" for j in range(o)]
@@ -167,7 +172,7 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(
             f"{path}: dataset header must be x_0..x_{{d-1}},y_0..y_{{o-1}}, got {','.join(header)}"
         )
-    if not lines:
+    if not rows:
         raise ConfigError(f"{path}: dataset has a header but no rows")
-    data = _parse_rows(path, lines, d + o)
+    data = _parse_rows(path, rows, d + o)
     return data[:, :d], data[:, d:]

@@ -6,8 +6,9 @@ network, the last-layer baseline) run on deliberately small problems;
 the full-size experiment lives in the acceptance suite.
 """
 
+import logging
 import math
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -36,8 +37,14 @@ from tangentgp.adapt import (
     split_task,
     stratified_split,
 )
+import tangentgp.adapt as adapt_module
 import tangentgp.gp as gp_module
-from tangentgp.errors import ContractViolationError, TrainingDivergenceError
+from tangentgp.errors import (
+    ContractViolationError,
+    NumericBreakdownError,
+    TangentGpError,
+    TrainingDivergenceError,
+)
 from tangentgp.gp import factor_gram, kernel_matrix, loo_scores, predict
 from tangentgp.net import (
     JacobianOperator,
@@ -84,10 +91,10 @@ class TestMetricsHelpers:
             gaussian_nll(np.zeros((2, 1)), np.array([[1.0], [0.0]]), np.zeros((2, 1)))
 
     def test_results_csv_layout(self):
-        csv = results_csv([["0", "finite-ntk", "10", "1.5", "2.5", ""]])
+        csv = results_csv([["0", "finite-ntk", "10", "1.5", "2.5"]])
         lines = csv.splitlines()
         assert lines[0] == ",".join(RESULT_COLUMNS)
-        assert lines[1].endswith(",")  # wall_ms stays empty without timing
+        assert lines[1] == "0,finite-ntk,10,1.5,2.5"
 
 
 class TestSinusoidTasks:
@@ -345,11 +352,6 @@ class TestRunAdaptation:
         assert rows_a == rows_b
         assert rows_a[0][1] == "finite-ntk" and rows_a[0][2] == ""
 
-    def test_timing_flag_fills_wall_ms(self):
-        source, pairs = self.tasks(1)
-        run = run_adaptation(source, pairs, AdaptConfig(timing=True))
-        assert run.tasks[0].metrics.wall_ms > 0.0
-
 
 class TestBaselines:
     def test_no_retrain_equals_source_training_mse(self):
@@ -527,11 +529,13 @@ class TestSinusoidExperiment:
         assert a.summary_json() == b.summary_json()
         assert a.source_fingerprint == b.source_fingerprint
 
-    def test_timing_flag(self):
-        exp = sinusoid_experiment(replace(self.small(), timing=True))
-        assert all(float(r[5]) > 0.0 for r in exp.rows)
-        # The last-layer rows share the time of one stacked refit.
-        assert len({r[5] for r in exp.rows if r[1] == "last-layer"}) == 1
+    def test_debug_log_times_each_task_and_the_refit(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="tangentgp"):
+            sinusoid_experiment(self.small())
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        timed = re.compile(r"(task \d+: ok|refit 3 last-layer heads) in \d+\.\d{3} ms")
+        assert len(lines) == 4 and all(timed.fullmatch(line) for line in lines)
+        assert [line.split(":")[0] for line in lines[:3]] == ["task 0", "task 1", "task 2"]
 
     def test_config_validation(self):
         with pytest.raises(ContractViolationError, match="at least one task"):
@@ -571,10 +575,17 @@ class TestSurfaceBenchmark:
             self.small(seed=4)
         ) == heteroscedastic_adaptation_benchmark(self.small(seed=4))
 
-    def test_timing_flag(self):
-        rows = heteroscedastic_adaptation_benchmark(self.small(timing=True))
-        sized = [r for r in rows if r[2] != "0"]
-        assert all(float(r[5]) > 0.0 for r in sized)
+    def test_failed_cell_is_named(self, monkeypatch):
+        original = adapt_module.adapt_task
+
+        def fail_at_eight(source, context, eval_set, cfg):
+            if context.n == 8:
+                raise NumericBreakdownError("injected")
+            return original(source, context, eval_set, cfg)
+
+        monkeypatch.setattr(adapt_module, "adapt_task", fail_at_eight)
+        with pytest.raises(TangentGpError, match="context size 8 did not adapt: injected"):
+            heteroscedastic_adaptation_benchmark(self.small())
 
     def test_config_validation(self):
         with pytest.raises(ContractViolationError, match="strictly increasing"):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from tangentgp.adapt import refit_last_layer
 from tangentgp.analysis import (
     StudyConfig,
     jacobian_similarity,
     jacobian_spectrum,
-    retrain_final_layer,
     task_similarity_study,
 )
 from tangentgp.errors import ContractViolationError, NumericBreakdownError
@@ -209,12 +209,25 @@ def mean_cross_entropy(net, x, labels):
 
 
 class TestRetrainFinalLayer:
+    """The study's head realignment: full-batch Adam on cross-entropy."""
+
     def setup_method(self):
         self.x, self.labels = two_blob_labels(np.random.default_rng(20), 60)
         self.net = init_network(MlpArchitecture(2, (12,), 2), seed=6)
 
+    def retrain(self, steps):
+        data = TaskDataset(self.x, one_hot(self.labels), noise_variance=1.0)
+        cfg = OptimizerConfig(
+            optimizer="adam",
+            loss="categorical-ce",
+            batch_size=data.n,
+            epochs=steps,
+            learning_rate=0.05,
+        )
+        return refit_last_layer(self.net, [data], cfg)[0]
+
     def test_only_final_layer_changes(self):
-        refit = retrain_final_layer(self.net, self.x, self.labels, steps=50, learning_rate=0.05)
+        refit = self.retrain(steps=50)
         w_slice, b_slice, _, _ = self.net.architecture.layer_slices()[-1]
         assert_array_equal(
             refit.params[: w_slice.start], self.net.params[: w_slice.start]
@@ -224,13 +237,13 @@ class TestRetrainFinalLayer:
 
     def test_reduces_cross_entropy(self):
         before = mean_cross_entropy(self.net, self.x, self.labels)
-        refit = retrain_final_layer(self.net, self.x, self.labels, steps=300, learning_rate=0.05)
+        refit = self.retrain(steps=300)
         after = mean_cross_entropy(refit, self.x, self.labels)
         assert after < before
         assert after < 0.2
 
     def test_zero_steps_is_identity(self):
-        refit = retrain_final_layer(self.net, self.x, self.labels, steps=0, learning_rate=0.05)
+        refit = self.retrain(steps=0)
         assert_array_equal(refit.params, self.net.params)
 
 

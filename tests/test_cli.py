@@ -1,11 +1,16 @@
 """End-to-end command tests driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tangentgp
 from tangentgp import cli
 from tangentgp.adapt import SinusoidTaskSpec, sample_sinusoid_tasks, stratified_split
 from tangentgp.cli import build_parser, main
@@ -76,6 +81,11 @@ class TestTrain:
         assert main(["train", "--config", ws["config"], "--out", a]) == 0
         assert main(["train", "--config", ws["config"], "--out", b]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_threads_is_an_adapt_option_only(self, ws, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--config", ws["config"], "--threads", "2", "--out", str(tmp_path / "c.json")])
+        assert exit_info.value.code == 2
 
     def test_seed_override_changes_checkpoint(self, ws, tmp_path):
         out = str(tmp_path / "c.json")
@@ -184,7 +194,7 @@ class TestAdapt:
         )
         assert code == 0
         header, rows = data_lines(out)
-        assert header == ["task_id", "method", "context_size", "mse", "nll", "wall_ms"]
+        assert header == ["task_id", "method", "context_size", "mse", "nll"]
         by_method = {}
         for row in rows:
             by_method.setdefault(row[1], []).append(row)
@@ -220,6 +230,36 @@ class TestAdapt:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_debug_logging_does_not_change_output(self, ws, tmp_path):
+        manifest = make_manifest(tmp_path)
+        cfg = write_json(
+            tmp_path / "adapt.json",
+            {
+                "version": 1,
+                "gp": {"baselines": True, "noise_variance": 0.01},
+                "optimizer": {"learning_rate": 5e-3, "epochs": 5, "batch_size": 8},
+            },
+        )
+        env = {k: v for k, v in os.environ.items() if k != "TANGENTGP_LOG_LEVEL"}
+        env["PYTHONPATH"] = str(Path(tangentgp.__file__).parents[1])
+        outs, errs = [], []
+        for name, level in (("quiet.csv", None), ("debug.csv", "DEBUG")):
+            out = tmp_path / name
+            argv = [
+                sys.executable, "-m", "tangentgp.cli", "adapt", "--config", cfg,
+                "--checkpoint", ws["ckpt"], "--tasks", manifest, "--out", str(out),
+            ]
+            run_env = env if level is None else {**env, "TANGENTGP_LOG_LEVEL": level}
+            done = subprocess.run(argv, env=run_env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            outs.append(out.read_bytes())
+            errs.append(done.stderr)
+        assert outs[0] == outs[1]
+        assert errs[0] == ""
+        timed = [line for line in errs[1].splitlines() if line.startswith("DEBUG tangentgp.adapt")]
+        assert len(timed) == 4
+        assert "refit 3 last-layer heads in" in timed[-1]
 
     def test_generated_tasks_when_no_manifest(self, ws, tmp_path):
         cfg = write_json(
@@ -692,4 +732,9 @@ class TestSinusoidExp:
         assert 0.0 <= summary["win_rate_vs_last_layer"] <= 1.0
         assert summary["source_training_mse"] > 0.0
         assert len(doc["rows"]) == 9
-        assert doc["columns"] == ["task_id", "method", "context_size", "mse", "nll", "wall_ms"]
+        assert doc["columns"] == ["task_id", "method", "context_size", "mse", "nll"]
+
+    def test_timing_key_is_unknown(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "exp.json", {"version": 1, "experiment": {"timing": True}})
+        assert main(["sinusoid-exp", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "unknown config key 'timing'" in capsys.readouterr().err

@@ -45,11 +45,14 @@ class TestFloatFormatting:
 
 
 def reference_rows(path, width, labeled=False):
-    """Today's reader, one line at a time: the oracle for the bulk tokenizer."""
+    """A reader that parses one line at a time: the oracle for the bulk tokenizer.
+
+    Errors name the file's own line number, blank lines included.
+    """
     with open(path, newline="") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(i, line.rstrip("\r\n")) for i, line in enumerate(fh, start=1) if line.strip()]
     xs, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != width:
             raise ConfigError(f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
@@ -140,6 +143,20 @@ class TestBulkReaders:
         got = read_inputs_csv(path)
         np.testing.assert_array_equal(got, [[1.5, -2.0], [3e-310, np.inf]])
 
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_crlf_and_cr_headers(self, tmp_path, ending):
+        path = tmp_path / "ends.csv"
+        path.write_bytes(ending.join(["x_0,x_1", "1,2", "3,4", ""]).encode())
+        np.testing.assert_array_equal(read_inputs_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+        path.write_bytes(ending.join(["x_0,y_0", "1,2", "3,4", ""]).encode())
+        x, y = read_dataset_csv(path)
+        np.testing.assert_array_equal(x, [[1.0], [3.0]])
+        np.testing.assert_array_equal(y, [[2.0], [4.0]])
+        path.write_bytes(ending.join(["x_0,label", "1,0", "3,1", ""]).encode())
+        x, labels = read_classification_csv(path)
+        np.testing.assert_array_equal(x, [[1.0], [3.0]])
+        np.testing.assert_array_equal(labels, [0, 1])
+
     def test_zero_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x_0,x_1,x_2\n\n")
@@ -165,6 +182,15 @@ class TestBulkReaders:
         with pytest.raises(ConfigError) as err:
             read_inputs_csv(path)
         assert str(err.value) == f"{path}:3: expected 2 columns, got 1"
+        # Blank lines count: the number is the file's own line.
+        path.write_text("x_0\n1\n\n\nabc\n")
+        with pytest.raises(ConfigError) as err:
+            read_inputs_csv(path)
+        assert str(err.value) == f"{path}:5: could not convert string to float: 'abc'"
+        path.write_bytes(b"\r\nx_0,label\r\n \r\n1,0,2\r\n")
+        with pytest.raises(ConfigError) as err:
+            read_classification_csv(path)
+        assert str(err.value) == f"{path}:4: expected 2 columns, got 3"
 
     def test_bad_label_after_bad_float_on_one_line(self, tmp_path):
         path = tmp_path / "labels.csv"
