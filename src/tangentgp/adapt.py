@@ -211,11 +211,12 @@ class AdaptConfig:
     ``noise_variance`` overrides each context's own value (the usual
     choice is the source network's training MSE), while ``noise_grid``
     instead picks the variance per task by leave-one-out error over the
-    given candidates. Each task's wall time goes to the ``tangentgp``
-    logger at DEBUG level, never into the metrics.
+    given candidates. Each fit solves the smaller of its two dual systems
+    (``gp.fit_posterior``); no setting picks one. Each task's wall time
+    goes to the ``tangentgp`` logger at DEBUG level, never into the
+    metrics.
     """
 
-    space: str = "auto"
     mean_kind: str = "zero"
     rank: int | None = None
     center_on_network: bool = True
@@ -318,7 +319,6 @@ def adapt_task(
         mean_kind=cfg.mean_kind,
         rank=cfg.rank,
         channels=channels,
-        space=cfg.space,
         factor=factor,
     )
     if eval_set is None:
@@ -544,7 +544,8 @@ class SinusoidExperimentConfig:
     the task's own noise floor and its tangent features inherit the
     wiggles. ``noise_grid_decades`` spans the per-task noise search from
     the source training MSE upward, letting leave-one-out error back off
-    to the prior on target tasks the context undersamples.
+    to the prior on target tasks the context undersamples. Every GP fit
+    solves the smaller of its two dual systems, as in ``AdaptConfig``.
     """
 
     num_tasks: int = 20
@@ -555,7 +556,6 @@ class SinusoidExperimentConfig:
     source_learning_rate: float = 1e-3
     source_batch_size: int = 3
     noise_grid_decades: int = 10
-    space: str = "auto"
     seed: int = 0
 
     def __post_init__(self):
@@ -633,7 +633,7 @@ def sinusoid_experiment(cfg: SinusoidExperimentConfig = SinusoidExperimentConfig
     scores = _score_transfer(
         source,
         pairs,
-        AdaptConfig(space=cfg.space, center_on_network=False, noise_grid=grid),
+        AdaptConfig(center_on_network=False, noise_grid=grid),
         source_opt,
         source_mse,
         [f"task {i}" for i in range(len(pairs))],

@@ -116,16 +116,31 @@ def _csv_provenance(resolved: dict) -> str:
     )
 
 
-def _emit_rows(args, resolved: dict, columns, rows) -> None:
-    """Write rows (lists of cell strings, or a 2-D float array) as CSV or JSON."""
+def _emit(args, resolved: dict, json_fields, csv_body) -> None:
+    """Write a command's output file in ``args.format`` and log its path.
+
+    JSON is the provenance, the resolved config and the dict
+    ``json_fields()``; CSV is the provenance comments and ``csv_body()``.
+    Only the chosen format's callable runs.
+    """
     if args.format == "json":
-        if isinstance(rows, np.ndarray):
-            rows = [line.split(",") for line in float_lines(rows)]
-        doc = {**_provenance(resolved), "config": resolved, "columns": list(columns), "rows": rows}
-        atomic_write_text(args.out, canonical_json(doc))
+        text = canonical_json({**_provenance(resolved), "config": resolved, **json_fields()})
     else:
-        atomic_write_text(args.out, _csv_provenance(resolved) + render_csv(list(columns), rows))
+        text = _csv_provenance(resolved) + csv_body()
+    atomic_write_text(args.out, text)
     log.info("wrote %s", args.out)
+
+
+def _emit_rows(args, resolved: dict, columns, rows) -> None:
+    """``_emit`` a table: rows are lists of cell strings, or a 2-D float array."""
+
+    def json_fields():
+        cells = rows
+        if isinstance(rows, np.ndarray):
+            cells = [line.split(",") for line in float_lines(rows)]
+        return {"columns": list(columns), "rows": cells}
+
+    _emit(args, resolved, json_fields, lambda: render_csv(list(columns), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +177,6 @@ def _adapt_config(resolved: dict) -> AdaptConfig:
         )
         noise_variance = None
     return AdaptConfig(
-        space=gp["space"],
         mean_kind=gp["mean_kind"],
         rank=gp["rank"],
         center_on_network=gp["center_on_network"],
@@ -307,20 +321,18 @@ def cmd_fvp_bench(args) -> int:
     sweep = fvp_error_sweep(
         network, x, like, fvp["epsilons"], num_probes=fvp["probes"], seed=resolved["seed"]
     )
-    if args.format == "json":
-        doc = {
-            **_provenance(resolved),
-            "config": resolved,
+    _emit(
+        args,
+        resolved,
+        lambda: {
             "epsilons": [fmt_float(e) for e in sweep.epsilons],
             "mean_rel_err": [fmt_float(e) for e in sweep.mean_rel_err],
             "max_rel_err": [fmt_float(e) for e in sweep.max_rel_err],
             "probes": sweep.num_probes,
             "seed": sweep.seed,
-        }
-        atomic_write_text(args.out, canonical_json(doc))
-    else:
-        atomic_write_text(args.out, _csv_provenance(resolved) + sweep_csv(sweep))
-    log.info("wrote %s", args.out)
+        },
+        lambda: sweep_csv(sweep),
+    )
     return 0
 
 
@@ -354,12 +366,7 @@ def cmd_similarity(args) -> int:
         )
     else:
         report = task_similarity_study(study_config_from(resolved))
-    if args.format == "csv":
-        atomic_write_text(args.out, _csv_provenance(resolved) + report.to_csv())
-    else:
-        doc = {**_provenance(resolved), "config": resolved, **json.loads(report.to_json())}
-        atomic_write_text(args.out, canonical_json(doc))
-    log.info("wrote %s", args.out)
+    _emit(args, resolved, lambda: json.loads(report.to_json()), report.to_csv)
     return 0
 
 
@@ -463,47 +470,42 @@ def cmd_glm_predict(args) -> int:
     model, approx = _load_glm_fit(args.fit, network)
     glm = block_or_defaults(resolved, "glm")
     x = read_inputs_csv(args.inputs)
-    if x.shape[0] == 0:
-        header = ["index", "label"] + [f"prob_{c}" for c in range(model.num_classes)]
-        _emit_rows(args, resolved, header, [])
-        return 0
-    probs, labels = predict_class(
-        model, approx, x, mode=glm["predict_mode"], seed=resolved["seed"]
-    )
-    if args.format == "json":
-        doc = {
-            **_provenance(resolved),
-            "config": resolved,
+    if x.shape[0] == 0:  # a test-batch Fisher would have no inputs to be estimated on
+        probs, labels = np.empty((0, model.num_classes)), np.empty(0, dtype=int)
+    else:
+        probs, labels = predict_class(
+            model, approx, x, mode=glm["predict_mode"], seed=resolved["seed"]
+        )
+    _emit(
+        args,
+        resolved,
+        lambda: {
             "labels": [int(v) for v in labels],
             "probs": [[fmt_float(v) for v in row] for row in probs],
-        }
-        atomic_write_text(args.out, canonical_json(doc))
-    else:
-        atomic_write_text(args.out, _csv_provenance(resolved) + prediction_csv(probs, labels))
-    log.info("wrote %s", args.out)
+        },
+        lambda: prediction_csv(probs, labels),
+    )
     return 0
 
 
 def cmd_sinusoid_exp(args) -> int:
     resolved = load_config(args.config, args.seed)
     exp = sinusoid_experiment(experiment_config_from(resolved))
-    if args.format == "json":
-        doc = {
-            **_provenance(resolved),
-            "config": resolved,
-            "summary": json.loads(exp.summary_json()),
-            "columns": list(RESULT_COLUMNS),
-            "rows": [list(r) for r in exp.rows],
-        }
-        atomic_write_text(args.out, canonical_json(doc))
-    else:
-        atomic_write_text(args.out, _csv_provenance(resolved) + exp.to_csv())
     log.info(
         "win rates: %.2f vs no-retrain, %.2f vs last-layer",
         exp.win_rate_vs_no_retrain,
         exp.win_rate_vs_last_layer,
     )
-    log.info("wrote %s", args.out)
+    _emit(
+        args,
+        resolved,
+        lambda: {
+            "summary": json.loads(exp.summary_json()),
+            "columns": list(RESULT_COLUMNS),
+            "rows": [list(r) for r in exp.rows],
+        },
+        exp.to_csv,
+    )
     return 0
 
 
@@ -576,14 +578,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to whatever ``sys.stderr`` is when it arrives, so
+    callers that swap the stream between in-process calls get the output."""
+
+    stream = property(lambda self: sys.stderr, lambda self, _: None)
+
+
 def _init_logging() -> None:
+    """Set the ``tangentgp`` logger's level from TANGENTGP_LOG_LEVEL
+    (WARNING when unset or unknown) on every ``main`` call, and give the
+    logger one stderr handler.
+    """
     name = os.environ.get("TANGENTGP_LOG_LEVEL", "WARNING").upper()
     level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s"
-    )
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
 
 
 @functools.cache

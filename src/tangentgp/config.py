@@ -68,7 +68,6 @@ _SCHEMA = {
         "momentum": (0.9, "number"),
     },
     "gp": {
-        "space": ("auto", "string"),
         "mean_kind": ("zero", "string"),
         # null: exact fits up to gp.EXACT_FIT_LIMIT on the smaller Gram side
         # (and for every noise-grid task); an int: CG plus a Lanczos root of
@@ -124,7 +123,6 @@ _SCHEMA = {
         "source_learning_rate": (1e-3, "number"),
         "source_batch_size": (3, "int"),
         "noise_grid_decades": (10, "int"),
-        "space": ("auto", "string"),
     },
 }
 
@@ -269,7 +267,6 @@ def experiment_config_from(resolved: dict) -> SinusoidExperimentConfig:
         source_learning_rate=float(block["source_learning_rate"]),
         source_batch_size=block["source_batch_size"],
         noise_grid_decades=block["noise_grid_decades"],
-        space=block["space"],
         seed=resolved["seed"],
     )
 

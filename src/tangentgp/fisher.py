@@ -11,13 +11,11 @@ the exact product.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, NumericBreakdownError
-from .linalg import SymmetricLinearOperator
 from .net import JacobianOperator, MlpNetwork
 from .seeding import substream
 from .serialize import fmt_float, render_csv
@@ -219,51 +217,3 @@ def sweep_csv(sweep: FvpSweep) -> str:
     ]
     return render_csv(header, rows)
 
-
-def fisher_operator(
-    network: MlpNetwork,
-    x: np.ndarray,
-    like,
-    backend: str = "exact",
-    cfg: FvpConfig = FvpConfig(),
-    scale: float | None = None,
-) -> SymmetricLinearOperator:
-    """The scaled empirical Fisher a*F as a symmetric operator.
-
-    The default scale makes the Gaussian operator equal J J' (a = n *
-    noise variance) and the categorical operator equal J H J' (a = n),
-    so it can stand in for the Gram matrix in parameter-space inference.
-    The FD backend is only approximately symmetric; its asymmetry is
-    measured on a fixed probe pair at construction and reported as a
-    warning beyond 1e-6, never raised.
-    """
-    if backend not in ("exact", "fd"):
-        raise ContractViolationError(f"backend must be 'exact' or 'fd', got {backend!r}")
-    n = np.asarray(x).shape[0]
-    if scale is None:
-        scale = n * like.noise_variance if isinstance(like, GaussianLikelihood) else float(n)
-    p = network.architecture.parameter_count
-
-    if backend == "exact":
-        def base(v):
-            return scale * exact_fvp(network, x, v, like)
-    else:
-        def base(v):
-            return scale * fd_fvp(network, x, v, like, cfg)
-
-    op = SymmetricLinearOperator(dim=p, base=base, shift=0.0)
-    if backend == "fd":
-        rng = substream(0, "fisher-symmetry")
-        u = rng.standard_normal(p)
-        w = rng.standard_normal(p)
-        lhs = float(u @ op.apply(w))
-        rhs = float(w @ op.apply(u))
-        denom = max(abs(lhs), abs(rhs), 1e-30)
-        if abs(lhs - rhs) / denom > 1e-6:
-            warnings.warn(
-                f"finite-difference Fisher operator asymmetry {abs(lhs - rhs) / denom:.3e} "
-                "exceeds 1e-6; consider a different epsilon or the exact backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return op

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError, TrainingDivergenceError
 from .fisher import _log_softmax, _softmax_fisher_apply
-from .gp import _jacobian_blocks, kernel_matrix
+from .gp import _jacobian_blocks, _kernel_side, kernel_matrix
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from .net import DENSE_JACOBIAN_CAP, Adam, JacobianOperator, MlpNetwork, _sigmoid, _softplus
 from .seeding import substream
@@ -446,7 +446,7 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, z: np.nd
     sqrt_p = np.sqrt(probs)[:, :, None]
     root_t = math.sqrt(upscale) * sqrt_p * (np.eye(c) - probs[:, None, :])
     root_t = root_t[:, :-1] - sqrt_p[:, :-1] * root_t[:, -1:] / (1.0 + sqrt_p[:, -1:])
-    if n * (c - 1) <= p:
+    if _kernel_side(n * (c - 1), p):
         kernel = kernel_matrix(model.network, jac.inputs)
         e, w = np.linalg.eigh(_blockwise(root_t, _blockwise(root_t, kernel).T))
         # BB' is positive semidefinite; negative eigenvalues are roundoff.

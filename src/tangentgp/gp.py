@@ -4,28 +4,33 @@ The kernel is k(x_i, x_j) = J(x_i)' J(x_j), with J (p x n*o) the Jacobian
 of a trained network at fixed parameters. ``kernel_matrix`` assembles it
 layer by layer from each layer's inputs and output sensitivities, without
 forming J; variance roots and predictive variances use dense Jacobian
-blocks. Posteriors can be
-fitted in function space (an n*o dimensional system) or parameter space
-(a p dimensional system); both store a length-p mean cache m and one root
-R with R R' = J (J'J + s I)^-1 J' = I - s (J J' + s I)^-1, so a prediction
-costs a forward-mode product J*' m and a variance |j*|^2 - |R' j*|^2.
+blocks. The posterior has two dual forms: the n*o square kernel system
+(function space) and the p square parameter system. Both give a length-p
+mean cache m and one root R with
+R R' = J (J'J + s I)^-1 J' = I - s (J J' + s I)^-1, so a prediction costs
+a forward-mode product J*' m and a variance |j*|^2 - |R' j*|^2.
+``fit_posterior`` solves whichever system is smaller, by one rule: the
+kernel side when n*o <= p, else the p side. ``fit_function_space`` and
+``fit_parameter_space`` are the two systems it picks between.
 
-Exact fits take one eigendecomposition of the smaller Gram side: the
-n*o square kernel K = J'J when n*o <= p, else the p square JJ'
+Exact fits take one eigendecomposition of the smaller Gram side, picked
+by the same rule: the n*o square kernel K = J'J or the p square JJ'
 (``GramFactor``). That one factorization gives leave-one-out scores for a
-whole noise grid, the mean cache and an exact variance root in either
-space. ``rank=None`` fits exactly whenever the smaller side is at most
-``EXACT_FIT_LIMIT``, and always when handed a factor, as long as the exact
-root stays under ``DENSE_JACOBIAN_CAP`` entries.
+whole noise grid, the mean cache and an exact variance root, the same
+whichever system asked for it. ``rank=None`` fits exactly whenever the
+smaller side is at most ``EXACT_FIT_LIMIT``, and always when handed a
+factor, as long as the exact root stays under ``DENSE_JACOBIAN_CAP``
+entries.
 
 Matrix-free fits (an explicit ``rank``, or a side above the limit) solve
-by CG and take a rank-limited Lanczos root. Parameter-space subtlety: a
+by CG and take a rank-limited Lanczos root of their own system, so only
+they depend on which system ran. Parameter-space subtlety: a
 single-probe Lanczos run on A = J J' + s*I lives inside range(J) and
 exhausts after about n*o steps, far below p. On the orthogonal complement
 A is exactly s*I, so there I - s A^-1 vanishes and the completion
 Q T^-1 Q' + (1/s)(I - Q Q') of the inverse lives inside R as
 R R' = Q (I - s T^-1) Q'. At Krylov exhaustion this is exact, which is
-what makes the two spaces agree.
+what makes the two systems agree.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from .seeding import substream
 from .serialize import atomic_write_bytes
 
 MEAN_KINDS = ("zero", "jacobian_mean", "linearized_nn")
-SPACES = ("function", "parameter")
 DEFAULT_VARIANCE_RANK = 256
 POSTERIOR_FILE_VERSION = 2
 # Largest smaller-Gram side min(n*o, p) that a rank=None fit factors
@@ -69,6 +73,11 @@ DENSE_LOG_MARGINAL_LIMIT = 256
 # Residual threshold (relative to the right-hand side) beyond which a
 # non-converged CG solve is a fit failure rather than acceptable slack.
 FIT_RESIDUAL_LIMIT = 1e-4
+
+
+def _kernel_side(rows: int, p: int) -> bool:
+    """The side rule: work with the rows-square kernel side iff it is no larger than p."""
+    return rows <= p
 
 
 def _mean_surface(jac, theta: np.ndarray, kind: str) -> np.ndarray:
@@ -113,19 +122,17 @@ def _variance_lanczos(op: SymmetricLinearOperator, probe: np.ndarray, rank):
 class NtkPosterior:
     """Fitted tangent-kernel posterior with its mean and variance caches.
 
-    In both spaces ``mean_cache`` m = J (J'J + s I)^-1 r has length p and
+    ``mean_cache`` m = J (J'J + s I)^-1 r has length p and
     ``variance_root`` is one p x r root R with
     R R' = J (J'J + s I)^-1 J' = I - s (J J' + s I)^-1. A prediction's mean
     is J*' m + mu(X*) and its variance |j*|^2 - |R' j*|^2, clamped at zero
     against roundoff. Exact fits store R = J V (E + s)^-1/2 from the kernel
-    side or W (E / (E + s))^1/2 from the p square side, so both spaces give
-    the same posterior. Matrix-free fits store Lanczos estimates: J Q T^-1/2
-    from the function-space operator, or Q U ((L - s) / L)^1/2 from the
+    side or W (E / (E + s))^1/2 from the p square side, whichever system
+    was solved. Matrix-free fits store Lanczos estimates: J Q T^-1/2 from
+    the function-space operator, or Q U ((L - s) / L)^1/2 from the
     parameter-space one with T = U diag(L) U' (see the module docstring).
-    ``space`` records which system the fit solved.
     """
 
-    space: str
     mean_kind: str
     channels: tuple[int, ...] | None
     mean_cache: np.ndarray
@@ -235,14 +242,15 @@ class GramFactor:
 def factor_gram(network: MlpNetwork, x, channels=None) -> GramFactor:
     """Eigendecompose the smaller of J'J (n*o square) and J J' (p square).
 
-    Picks the side as ``fit_posterior(space="auto")`` picks its space. The
-    matrix handed to eigh is bounded by ``DENSE_JACOBIAN_CAP`` entries.
+    Picks the side by the rule ``fit_posterior`` picks its system with
+    (``_kernel_side``). The matrix handed to eigh is bounded by
+    ``DENSE_JACOBIAN_CAP`` entries.
     """
     x = np.asarray(x, dtype=np.float64)
     channels = tuple(channels) if channels is not None else None
     p = network.architecture.parameter_count
     o = network.architecture.internal_output_dim if channels is None else len(channels)
-    if len(x) * o <= p:
+    if _kernel_side(len(x) * o, p):
         kernel = kernel_matrix(network, x, channels=channels)
         return GramFactor("function", *_eigh_psd(kernel), network, x, channels)
     if p * p > DENSE_JACOBIAN_CAP:
@@ -344,15 +352,15 @@ def _solve_or_fail(op, rhs, what: str):
     return result.x
 
 
-def _fit(network, data, mean_kind, rank, channels, factor, space: str) -> NtkPosterior:
-    """The body both fits share: exact from a ``GramFactor``, else CG and Lanczos in ``space``."""
+def _fit(network, data, mean_kind, rank, channels, factor, kernel_side: bool) -> NtkPosterior:
+    """The body both fits share: exact from a ``GramFactor``, else CG and Lanczos on one side."""
     jac, resid = _prepare(network, data, mean_kind, channels)
     sigma2 = data.noise_variance
     factor = _exact_factor(network, jac, rank, factor)
     if factor is not None:
         mean_cache = _exact_mean_cache(factor, jac, resid, sigma2)
         variance_root = _exact_root(factor, sigma2)
-    elif space == "function":
+    elif kernel_side:
         op = SymmetricLinearOperator(
             dim=jac.out_len, base=lambda v: jac.jvp(jac.vjp(v)), shift=sigma2
         )
@@ -371,7 +379,6 @@ def _fit(network, data, mean_kind, rank, channels, factor, space: str) -> NtkPos
         evals, evecs = tridiagonal_eigh(factors)
         variance_root = factors.q @ (evecs * np.sqrt(np.maximum(evals - sigma2, 0.0) / evals))
     return NtkPosterior(
-        space=space,
         mean_kind=mean_kind,
         channels=tuple(channels) if channels is not None else None,
         mean_cache=mean_cache,
@@ -396,7 +403,7 @@ def fit_function_space(
     otherwise CG plus a Lanczos variance root of ``rank`` (default
     ``DEFAULT_VARIANCE_RANK``) steps.
     """
-    return _fit(network, data, mean_kind, rank, channels, factor, "function")
+    return _fit(network, data, mean_kind, rank, channels, factor, kernel_side=True)
 
 
 def fit_parameter_space(
@@ -410,9 +417,9 @@ def fit_parameter_space(
     """Fit in parameter space: solve (J J' + s I_p) m = J resid directly.
 
     Exact or matrix-free under the same rule as ``fit_function_space``; an
-    exact fit gives the same posterior in both spaces.
+    exact fit gives the same posterior as that one.
     """
-    return _fit(network, data, mean_kind, rank, channels, factor, "parameter")
+    return _fit(network, data, mean_kind, rank, channels, factor, kernel_side=False)
 
 
 def fit_posterior(
@@ -421,18 +428,14 @@ def fit_posterior(
     mean_kind: str = "zero",
     rank: int | None = None,
     channels=None,
-    space: str = "auto",
     factor: GramFactor | None = None,
 ) -> NtkPosterior:
-    """Fit in the requested space; "auto" picks the smaller linear system."""
-    if space == "auto":
-        jac_out = data.y.size if channels is None else data.x.shape[0] * len(channels)
-        space = "function" if jac_out <= network.architecture.parameter_count else "parameter"
-    if space == "function":
+    """Solve the smaller system: ``fit_function_space`` if n*o <= p, else ``fit_parameter_space``."""
+    arch = network.architecture
+    o = arch.internal_output_dim if channels is None else len(channels)
+    if _kernel_side(len(data.x) * o, arch.parameter_count):
         return fit_function_space(network, data, mean_kind, rank, channels, factor)
-    if space == "parameter":
-        return fit_parameter_space(network, data, mean_kind, rank, channels, factor)
-    raise ContractViolationError(f"space must be 'auto' or one of {SPACES}, got {space!r}")
+    return fit_parameter_space(network, data, mean_kind, rank, channels, factor)
 
 
 def _sq_norms(m: np.ndarray) -> np.ndarray:
@@ -508,7 +511,9 @@ def log_marginal_likelihood(
     return -0.5 * (quad + logdet + dim * math.log(2.0 * math.pi))
 
 
-_POSTERIOR_META_KEYS = ("space", "mean_kind", "channels", "noise_variance", "theta_fingerprint")
+# Files that also store "space" (written before the side was picked by
+# rule) hold the same arrays and still load.
+_POSTERIOR_META_KEYS = ("mean_kind", "channels", "noise_variance", "theta_fingerprint")
 
 
 def save_posterior(posterior: NtkPosterior, path) -> None:
@@ -516,7 +521,6 @@ def save_posterior(posterior: NtkPosterior, path) -> None:
     meta = json.dumps(
         {
             "version": POSTERIOR_FILE_VERSION,
-            "space": posterior.space,
             "mean_kind": posterior.mean_kind,
             "channels": list(posterior.channels) if posterior.channels is not None else None,
             "noise_variance": posterior.noise_variance,
@@ -552,7 +556,6 @@ def load_posterior(path) -> NtkPosterior:
             raise ConfigError(f"{path}: posterior cache has no {missing[0]!r}")
         channels = meta["channels"]
         return NtkPosterior(
-            space=meta["space"],
             mean_kind=meta["mean_kind"],
             channels=tuple(channels) if channels is not None else None,
             mean_cache=archive["mean_cache"],

@@ -61,6 +61,20 @@ from tangentgp.net import (
 _sources = {}
 
 
+def spy_systems(monkeypatch):
+    """The GP dual systems that fits run, in call order."""
+    ran = []
+    for side in ("function", "parameter"):
+        fit = getattr(gp_module, f"fit_{side}_space")
+
+        def spy(*args, _side=side, _fit=fit, **kwargs):
+            ran.append(_side)
+            return _fit(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, f"fit_{side}_space", spy)
+    return ran
+
+
 def trained_source(seed=0):
     """A small tanh regression net fit on one noisy sine; cached per seed."""
     if seed not in _sources:
@@ -291,27 +305,27 @@ class TestAdaptTask:
         monkeypatch.setattr(
             gp_module, "lanczos_factorize", spy("lanczos", gp_module.lanczos_factorize)
         )
+        ran = spy_systems(monkeypatch)
         grid = (1e-4, 1e-2, 1.0)
-        for n, space in ((12, "function"), (p + 20, "parameter")):
+        for n in (12, p + 20):
             x = np.linspace(-3.0, 3.0, n)[:, None]
             context = TaskDataset(x, np.sin(x), noise_variance=1.0)
-            posterior, _ = adapt_task(
+            adapt_task(
                 source, context, context, AdaptConfig(center_on_network=False, noise_grid=grid)
             )
-            assert posterior.space == space
+        assert ran == ["function", "parameter"]
         assert calls == {"eigh": 2, "cg": 0, "lanczos": 0}
         adapt_task(source, context, None, AdaptConfig(rank=8, noise_grid=grid))
         assert calls["eigh"] == 4 and calls["cg"] == 1 and calls["lanczos"] == 1
 
-    def test_p_side_noise_grid_needs_no_kernel_matrix(self):
+    def test_p_side_noise_grid_needs_no_kernel_matrix(self, monkeypatch):
         # n*o = 10001 would need a kernel over the dense cap; p = 25 does not.
+        ran = spy_systems(monkeypatch)
         source = init_network(MlpArchitecture(1, (8,), 1), seed=0)
         x = np.linspace(-3.0, 3.0, 10001)[:, None]
         context = TaskDataset(x, np.sin(x), noise_variance=1.0)
-        posterior, metrics = adapt_task(
-            source, context, context, AdaptConfig(noise_grid=(1e-3, 1e-1))
-        )
-        assert posterior.space == "parameter" and np.isfinite(metrics.mse)
+        _, metrics = adapt_task(source, context, context, AdaptConfig(noise_grid=(1e-3, 1e-1)))
+        assert ran == ["parameter"] and np.isfinite(metrics.mse)
 
 
 class TestRunAdaptation:

@@ -318,6 +318,12 @@ class TestAdapt:
         assert code == 3
         assert "does not match the checkpoint" in capsys.readouterr().err
 
+    def test_space_key_is_unknown(self, ws, tmp_path, capsys):
+        cfg = write_json(tmp_path / "adapt.json", {"version": 1, "gp": {"space": "function"}})
+        argv = ["adapt", "--config", cfg, "--checkpoint", ws["ckpt"], "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        assert "unknown config key 'space' in block 'gp'" in capsys.readouterr().err
+
     def test_posterior_out_needs_single_task(self, ws, tmp_path):
         manifest = make_manifest(tmp_path)
         cfg = write_json(tmp_path / "adapt.json", {"version": 1})
@@ -429,6 +435,22 @@ class TestPredict:
             ]
         )
         assert code == 3
+
+
+class TestLogLevel:
+    def test_every_call_reads_the_variable(self, ws, cached_posterior, tmp_path, monkeypatch, capsys):
+        inputs = write_inputs_csv(tmp_path / "in.csv", cached_posterior["x"])
+        errs = []
+        for level in ("WARNING", "INFO", "WARNING"):
+            monkeypatch.setenv("TANGENTGP_LOG_LEVEL", level)
+            out = tmp_path / f"{level}.csv"
+            argv = [
+                "predict", "--checkpoint", ws["ckpt"], "--posterior", cached_posterior["posterior"],
+                "--inputs", inputs, "--out", str(out),
+            ]
+            assert main(argv) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs == ["", f"INFO tangentgp: wrote {tmp_path / 'INFO.csv'}\n", ""]
 
 
 class TestParserReuse:
@@ -692,6 +714,26 @@ class TestGlm:
         assert code == 2
         assert f"{fit_path}: GLM fit file has no {key!r}" in capsys.readouterr().err
 
+    def test_empty_inputs_give_empty_predictions(self, blob_data, tmp_path):
+        cfg, fit_path = self.fit(blob_data, tmp_path, "map")
+        inputs = tmp_path / "empty.csv"
+        inputs.write_text("x_0,x_1\n")
+        outs = {}
+        for fmt in ("csv", "json"):
+            outs[fmt] = tmp_path / f"pred.{fmt}"
+            code = main(
+                [
+                    "glm-predict", "--config", cfg, "--checkpoint", blob_data["ckpt"],
+                    "--fit", fit_path, "--inputs", str(inputs), "--out", str(outs[fmt]),
+                    "--format", fmt,
+                ]
+            )
+            assert code == 0
+        assert data_lines(outs["csv"]) == (["index", "label", "prob_0", "prob_1"], [])
+        doc = json.loads(outs["json"].read_text())
+        assert doc["labels"] == [] and doc["probs"] == []
+        assert "columns" not in doc and "rows" not in doc
+
     def test_stale_fit_is_consistency_error(self, blob_data, tmp_path):
         cfg, fit_path = self.fit(blob_data, tmp_path, "map")
         other = tmp_path / "other.json"
@@ -738,3 +780,8 @@ class TestSinusoidExp:
         cfg = write_json(tmp_path / "exp.json", {"version": 1, "experiment": {"timing": True}})
         assert main(["sinusoid-exp", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "unknown config key 'timing'" in capsys.readouterr().err
+
+    def test_space_key_is_unknown(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "exp.json", {"version": 1, "experiment": {"space": "auto"}})
+        assert main(["sinusoid-exp", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "unknown config key 'space' in block 'experiment'" in capsys.readouterr().err

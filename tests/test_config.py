@@ -39,10 +39,8 @@ class TestResolveConfig:
         resolved = resolve_config(minimal(gp={"noise_variance": 0.5}))
         gp = resolved["gp"]
         assert gp["noise_variance"] == 0.5
-        assert gp["space"] == "auto"
         assert gp["center_on_network"] is True
         assert set(gp) == {
-            "space",
             "mean_kind",
             "rank",
             "noise_variance",
@@ -86,8 +84,8 @@ class TestResolveConfig:
         assert config_hash(base) != config_hash(overridden)
 
     def test_hash_stable_under_input_key_order(self):
-        a = resolve_config({"version": 1, "seed": 3, "gp": {"space": "function"}})
-        b = resolve_config({"gp": {"space": "function"}, "seed": 3, "version": 1})
+        a = resolve_config({"version": 1, "seed": 3, "gp": {"rank": 8}})
+        b = resolve_config({"gp": {"rank": 8}, "seed": 3, "version": 1})
         assert config_hash(a) == config_hash(b)
 
 

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from tangentgp.fisher import (
     GaussianLikelihood,
     exact_fvp,
     fd_fvp,
-    fisher_operator,
     fvp_error_sweep,
     kl_divergence,
     sweep_csv,
@@ -304,39 +301,41 @@ class TestErrorSweep:
 
 
 class TestFisherOperator:
+    """The scaled Fisher a*F that ``exact_fvp`` applies, as a p x p operator."""
+
     def test_gaussian_default_scale_equals_gram(self):
+        # a = n * noise variance makes the Gaussian product J J' v.
         net = seeded_net((1, 6, 1), seed=4)
         rng = np.random.default_rng(6)
         x = rng.uniform(-2, 2, size=(5, 1))
         dense = JacobianOperator(net, x).dense()
-        op = fisher_operator(net, x, GaussianLikelihood(0.3))
         for _ in range(3):
             v = rng.standard_normal(net.architecture.parameter_count)
-            np.testing.assert_allclose(op.apply(v), dense @ (dense.T @ v), rtol=1e-10)
+            applied = 5 * 0.3 * exact_fvp(net, x, v, GaussianLikelihood(0.3))
+            np.testing.assert_allclose(applied, dense @ (dense.T @ v), rtol=1e-10)
 
     def test_symmetry(self):
         net = seeded_net((2, 8, 3), seed=2)
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, size=(6, 2))
-        op = fisher_operator(net, x, CategoricalLikelihood(3))
+        like = CategoricalLikelihood(3)
         for _ in range(10):
-            u = rng.standard_normal(op.dim)
-            w = rng.standard_normal(op.dim)
-            lhs = u @ op.apply(w)
-            rhs = w @ op.apply(u)
+            u = rng.standard_normal(net.architecture.parameter_count)
+            w = rng.standard_normal(net.architecture.parameter_count)
+            lhs = u @ (6 * exact_fvp(net, x, w, like))
+            rhs = w @ (6 * exact_fvp(net, x, u, like))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(-2, 2, size=(6, 1))
-        for like, dims in ((GaussianLikelihood(0.5), (1, 8, 1)),
-                           (CategoricalLikelihood(2), (1, 8, 2))):
+        for like, dims, scale in ((GaussianLikelihood(0.5), (1, 8, 1), 6 * 0.5),
+                                  (CategoricalLikelihood(2), (1, 8, 2), 6)):
             net = seeded_net(dims, seed=3)
-            op = fisher_operator(net, x, like)
             for _ in range(25):
-                v = rng.standard_normal(op.dim)
+                v = rng.standard_normal(net.architecture.parameter_count)
                 v /= np.linalg.norm(v)
-                assert v @ op.apply(v) >= -1e-10
+                assert v @ (scale * exact_fvp(net, x, v, like)) >= -1e-10
 
     def test_parameter_and_function_space_spectra_agree(self):
         # The nonzero eigenvalues of (1/n) J J' and (1/n) J' J coincide.
@@ -350,25 +349,6 @@ class TestFisherOperator:
         np.testing.assert_allclose(eig_param[:n], eig_func, rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(eig_param[n:], 0.0, atol=1e-10)
 
-    def test_fd_backend_warns_on_visible_asymmetry(self):
-        net = seeded_net((1, 16, 1), seed=0)
-        net = net.with_params(net.params * 4.0)
-        x = np.linspace(-2, 2, 8).reshape(-1, 1)
-        with pytest.warns(RuntimeWarning, match="asymmetry"):
-            fisher_operator(net, x, GaussianLikelihood(1.0), backend="fd", cfg=FvpConfig(1e-1))
-
-    def test_fd_backend_silent_when_model_is_affine(self):
-        net = seeded_net((1, 1), seed=0)
-        x = np.linspace(-2, 2, 8).reshape(-1, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fisher_operator(net, x, GaussianLikelihood(1.0), backend="fd")
-
-    def test_unknown_backend_rejected(self):
-        net = seeded_net((1, 4, 1), seed=0)
-        with pytest.raises(ContractViolationError, match="backend"):
-            fisher_operator(net, np.zeros((2, 1)), GaussianLikelihood(1.0), backend="autodiff")
-
     def test_fd_backend_reproduces_parameter_space_fit(self):
         # Solving (a F + sigma^2 I) m = J ytilde with the FD operator
         # must land on the same posterior mean as the jvp/vjp route.
@@ -378,11 +358,13 @@ class TestFisherOperator:
         sigma2 = 0.25
         net = seeded_net((1, 12, 1), seed=4)
         posterior = fit_parameter_space(net, TaskDataset(x, y, noise_variance=sigma2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fop = fisher_operator(net, x, GaussianLikelihood(sigma2),
-                                  backend="fd", cfg=FvpConfig(1e-6))
-        shifted = SymmetricLinearOperator(dim=fop.dim, base=fop.apply, shift=sigma2)
+        # a F with a = n * sigma^2, by finite differences.
+        like, cfg = GaussianLikelihood(sigma2), FvpConfig(1e-6)
+        shifted = SymmetricLinearOperator(
+            dim=net.architecture.parameter_count,
+            base=lambda v: 8 * sigma2 * fd_fvp(net, x, v, like, cfg),
+            shift=sigma2,
+        )
         rhs = JacobianOperator(net, x).vjp(y.ravel())
         solved = cg_solve(shifted, rhs, tol=1e-5)
         assert solved.converged

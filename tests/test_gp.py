@@ -6,6 +6,7 @@ solve and the p-dimensional (parameter space) solve. Every fit, exact or
 matrix-free, must reproduce these numbers.
 """
 
+import json
 import math
 
 import numpy as np
@@ -93,6 +94,20 @@ def dense_oracle(network, data, x_test, mean_kind="zero", space="function", chan
         var = s2 * np.einsum("pj,pj->j", jt, np.linalg.solve(a, jt))
     n_test = x_test.shape[0]
     return mean.reshape(n_test, o_sel), var.reshape(n_test, o_sel)
+
+
+def spy_systems(monkeypatch):
+    """The dual systems that ``fit_posterior`` calls run, in call order."""
+    ran = []
+    for side in ("function", "parameter"):
+        fit = getattr(gp_module, f"fit_{side}_space")
+
+        def spy(*args, _side=side, _fit=fit, **kwargs):
+            ran.append(_side)
+            return _fit(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, f"fit_{side}_space", spy)
+    return ran
 
 
 def matrix_free_columns(jac):
@@ -324,16 +339,18 @@ class TestParameterSpaceFit:
         expected = s2 * np.einsum("rj,rj->j", bp, bp) + col_sq - np.einsum("rj,rj->j", qp, qp)
         assert np.max(np.abs(var.ravel() - expected)) <= 1e-12 * col_sq.max()
 
-    def test_auto_space_selection(self):
+    def test_auto_space_selection(self, monkeypatch):
+        ran = spy_systems(monkeypatch)
         rng = np.random.default_rng(6)
         net = make_net([1, 6, 1], seed=6)
         data = sinusoid_data(rng, n=4)
-        assert fit_posterior(net, data).space == "function"
+        fit_posterior(net, data)
         wide = TaskDataset(
             rng.uniform(-1, 1, (40, 1)), rng.standard_normal((40, 1)), noise_variance=0.1
         )
         smaller_p = make_net([1, 2, 1], seed=7)
-        assert fit_posterior(smaller_p, wide).space == "parameter"
+        fit_posterior(smaller_p, wide)
+        assert ran == ["function", "parameter"]
 
 
 class TestExactFit:
@@ -368,10 +385,10 @@ class TestExactFit:
         net, data, x_test = self.problem(*problem)
         channels = problem[2]
         prior = float(np.max(np.diag(kernel_matrix(net, x_test, channels=channels))))
-        for fit in (fit_function_space, fit_parameter_space):
+        for fit, space in ((fit_function_space, "function"), (fit_parameter_space, "parameter")):
             post = fit(net, data, mean_kind=mean_kind, channels=channels)
             mean, var = predict(post, net, x_test)
-            mean_o, var_o = dense_oracle(net, data, x_test, mean_kind, post.space, channels)
+            mean_o, var_o = dense_oracle(net, data, x_test, mean_kind, space, channels)
             scale = float(np.max(np.abs(mean_o)))
             np.testing.assert_allclose(mean, mean_o, rtol=1e-10, atol=1e-10 * scale)
             assert np.max(np.abs(var - var_o)) <= 1e-10 * prior
@@ -393,6 +410,22 @@ class TestExactFit:
             p = net.architecture.parameter_count
             assert factor.side == side
             assert factor.evecs.shape == ((n, n) if side == "function" else (p, p))
+
+    @pytest.mark.parametrize(
+        "dims,heteroscedastic,channels", [([2, 6, 1], False, None), ([2, 10, 1], True, (0,))]
+    )
+    def test_fit_posterior_solves_on_the_factor_side(
+        self, monkeypatch, dims, heteroscedastic, channels
+    ):
+        # n*o = p - 1, p, p + 1: the kernel side up to p, then the p side.
+        ran = spy_systems(monkeypatch)
+        p = make_net(dims, seed=21, heteroscedastic=heteroscedastic).architecture.parameter_count
+        sides = []
+        for n in (p - 1, p, p + 1):
+            net, data, _ = self.problem(dims, heteroscedastic, channels, n)
+            fit_posterior(net, data, channels=channels)
+            sides.append(factor_gram(net, data.x, channels).side)
+        assert ran == sides == ["function", "function", "parameter"]
 
     def test_given_factor_must_be_of_the_fitted_network_and_channels(self):
         rng = np.random.default_rng(24)
@@ -689,13 +722,35 @@ class TestPosteriorSerialization:
         x_test = rng.uniform(-2, 2, (4, 1))
         for fit in (fit_function_space, fit_parameter_space):
             post = fit(net, data, mean_kind="linearized_nn", rank=6)
-            path = tmp_path / f"{post.space}.npz"
+            path = tmp_path / f"{fit.__name__}.npz"
             save_posterior(post, path)
             loaded = load_posterior(path)
             mean_a, var_a = predict(post, net, x_test)
             mean_b, var_b = predict(loaded, net, x_test)
             np.testing.assert_array_equal(mean_a, mean_b)
             np.testing.assert_array_equal(var_a, var_b)
+
+    def test_file_with_a_stored_space_still_loads(self, tmp_path):
+        # Files once stored the requested space next to the same arrays;
+        # such a file still loads and predicts the same.
+        rng = np.random.default_rng(27)
+        net = make_net([1, 7, 1], seed=27)
+        post = fit_posterior(net, sinusoid_data(rng, n=6), mean_kind="linearized_nn")
+        x_test = rng.uniform(-2, 2, (4, 1))
+        path = tmp_path / "post.npz"
+        save_posterior(post, path)
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(str(archive["meta"]))
+        assert "space" not in meta
+        for space in ("function", "parameter"):
+            old_meta = json.dumps({**meta, "space": space}, sort_keys=True)
+            np.savez(path, meta=np.array(old_meta), mean_cache=post.mean_cache,
+                     variance_root=post.variance_root)
+            loaded = load_posterior(path)
+            np.testing.assert_array_equal(loaded.mean_cache, post.mean_cache)
+            np.testing.assert_array_equal(loaded.variance_root, post.variance_root)
+            for got, want in zip(predict(loaded, net, x_test), predict(post, net, x_test)):
+                np.testing.assert_array_equal(got, want)
 
     def test_version_check(self, tmp_path):
         rng = np.random.default_rng(20)

@@ -2,24 +2,33 @@
 
 The benchmark's tracer (``perfbench/spans.py``) patches tangentgp
 functions and methods by name. A rename in the package would make every
-traced benchmark run fail; this test fails first instead. It only reads
-the tracer's instrument table and patches nothing.
+traced benchmark run fail; these tests fail first instead. They read the
+tracer's instrument table, and install the tracer only around one pair
+of fits.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from tangentgp.gp import fit_posterior
+from tangentgp.net import MlpArchitecture, TaskDataset, init_network
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def instruments():
+def spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.INSTRUMENTS
+    return module
+
+
+def instruments():
+    return spans().INSTRUMENTS
 
 
 def entry_id(entry):
@@ -36,3 +45,19 @@ def test_every_traced_name_resolves(entry):
     else:
         assert kind == "function"
         assert callable(getattr(module, entry[2]))
+
+
+def test_fit_posterior_fits_count_per_dual_system():
+    # The tracer counts fits by patching fit_function_space and
+    # fit_parameter_space; fit_posterior reaches both through the gp module.
+    net = init_network(MlpArchitecture(1, (4,), 1), seed=0)  # p = 13
+    tracer = spans().Tracer()
+    tracer.install()
+    try:
+        for n in (5, 20):  # the kernel side, then the p side
+            x = np.linspace(-1.0, 1.0, n)[:, None]
+            fit_posterior(net, TaskDataset(x, np.sin(x), noise_variance=0.1))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["gp.fit.function.calls"] == 1
+    assert tracer.counts["gp.fit.parameter.calls"] == 1
