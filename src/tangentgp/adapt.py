@@ -131,20 +131,6 @@ def sample_sinusoid_tasks(spec: SinusoidTaskSpec, num_tasks: int) -> list[TaskDa
     return tasks
 
 
-def split_task(data: TaskDataset, context_size: int, seed: int = 0):
-    """Split one task into disjoint (context, evaluation) sets by index.
-
-    Returns (context, None) when the context swallows every point.
-    """
-    n = data.x.shape[0]
-    if not 1 <= context_size <= n:
-        raise ContractViolationError(
-            f"context size must lie in [1, {n}], got {context_size}"
-        )
-    order = substream(seed, "task-split").permutation(n)
-    return _split_by_picks(data, order[:context_size])
-
-
 def stratified_split(data: TaskDataset, context_size: int):
     """Deterministic (context, evaluation) split with spread-out context points.
 

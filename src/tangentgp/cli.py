@@ -81,6 +81,7 @@ from .serialize import (
     read_classification_csv,
     read_dataset_csv,
     read_inputs_csv,
+    read_json,
     render_csv,
 )
 
@@ -416,12 +417,7 @@ def cmd_glm_fit(args) -> int:
 
 
 def _load_glm_fit(path, network):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "glm-fit":
         raise ConfigError(f"{path}: not a GLM fit file")
     if doc.get("version") != GLM_FIT_VERSION:
@@ -470,12 +466,7 @@ def cmd_glm_predict(args) -> int:
     model, approx = _load_glm_fit(args.fit, network)
     glm = block_or_defaults(resolved, "glm")
     x = read_inputs_csv(args.inputs)
-    if x.shape[0] == 0:  # a test-batch Fisher would have no inputs to be estimated on
-        probs, labels = np.empty((0, model.num_classes)), np.empty(0, dtype=int)
-    else:
-        probs, labels = predict_class(
-            model, approx, x, mode=glm["predict_mode"], seed=resolved["seed"]
-        )
+    probs, labels = predict_class(model, approx, x, mode=glm["predict_mode"], seed=resolved["seed"])
     _emit(
         args,
         resolved,

@@ -11,7 +11,6 @@ in the resolved document; commands that need them say so.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from .analysis import StudyConfig
 from .errors import ConfigError
 from .glm import GlmFitConfig
 from .net import MlpArchitecture, MlpNetwork, OptimizerConfig, TaskDataset
-from .serialize import atomic_write_text, canonical_json, read_dataset_csv
+from .serialize import atomic_write_text, canonical_json, read_dataset_csv, read_json
 
 CONFIG_VERSION = 1
 CHECKPOINT_VERSION = 1
@@ -183,15 +182,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
 
 def load_config(path, seed_override: int | None = None) -> dict:
     """Read, parse, and resolve a config file; parse errors name the byte offset."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
-    return resolve_config(raw, seed_override)
+    return resolve_config(read_json(path), seed_override)
 
 
 def config_hash(resolved: dict) -> str:
@@ -290,14 +281,7 @@ def save_checkpoint(network: MlpNetwork, path, provenance: dict) -> None:
 
 def load_checkpoint(path) -> MlpNetwork:
     """Read a checkpoint back; the stored fingerprint must match the contents."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "mlp-checkpoint":
         raise ConfigError(f"{path}: not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -321,14 +305,7 @@ def read_task_manifest(path) -> list[tuple[TaskDataset, TaskDataset | None]]:
     be null for fit-only tasks.
     """
     base = Path(path).parent
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        entries = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
+    entries = read_json(path)
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{path}: manifest must be a nonempty JSON list")
     pairs = []

@@ -8,9 +8,11 @@ stochastic variational inference, and a Laplace approximation whose
 precision is the Fisher at the MAP plus the prior. A Laplace draw is
 exact: the Fisher has rank at most n*(c-1) on n inputs with c classes,
 so the symmetric inverse root of the precision comes from one
-eigendecomposition of the smaller of an n*(c-1) square Fisher-weighted
-kernel and the p square precision (the low-rank GGN Laplace of
-Daxberger et al. 2021, "Laplace Redux").
+eigendecomposition of the smaller side of the Fisher-weighted Gram, the
+n*(c-1) square weighted kernel or the p square Fisher (the low-rank GGN
+Laplace of Daxberger et al. 2021, "Laplace Redux"). ``gp.factor_gram``
+picks that side, checks its size and factors it, as it does for the GP
+fits.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolationError, ResourceLimitError, TrainingDivergenceError
+from .errors import ContractViolationError, TrainingDivergenceError
 from .fisher import _log_softmax, _softmax_fisher_apply
-from .gp import _jacobian_blocks, _kernel_side, kernel_matrix
+from .gp import _blockwise, factor_gram
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
-from .net import DENSE_JACOBIAN_CAP, Adam, JacobianOperator, MlpNetwork, _sigmoid, _softplus
+from .net import Adam, JacobianOperator, MlpNetwork, _sigmoid, _softplus
 from .seeding import substream
 from .serialize import fmt_float, render_csv
 
@@ -407,59 +409,39 @@ def sample_gaussian_from_precision(
     return mean + float(np.linalg.norm(z)) * root[:, 0]
 
 
-def _blockwise(blocks: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Multiply the datum-major rows of ``a`` by one k x m block per datum."""
-    n, k, m = blocks.shape
-    return (blocks @ a.reshape(n, m, -1)).reshape((n * k,) + a.shape[1:])
-
-
 def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, z: np.ndarray) -> np.ndarray:
     """mean + A^{-1/2} z, with A the Laplace precision, from one eigh.
 
-    A = lam I + B'B with lam = 1 / prior_variance and
-    B = sqrt(upscale) M' J', where M = blockdiag(M_i) and M_i M_i' =
+    A = lam I + B B' with lam = 1 / prior_variance and
+    B = sqrt(upscale) J blockdiag(M_i), where M_i M_i' =
     diag(p_i) - p_i p_i'. M_i = L_i Q_i, with L_i = diag(sqrt p_i) -
     p_i sqrt(p_i)' and Q_i the first c - 1 columns of the Householder
     reflector taking sqrt(p_i) to -e_c: L_i sqrt(p_i) = 0, so Q_i drops
     only the null direction, and B has the Fisher's rank bound n*(c-1)
-    as its row count. With n*(c-1) <= p, one eigh of BB' = W diag(e) W'
-    (from the tangent kernel) gives A^{-1/2} = I / sqrt(lam) +
-    B' W diag(g(e)) W' B with g(e) = ((e + lam)^{-1/2} - lam^{-1/2}) / e;
-    otherwise one eigh of the p square B'B does. Both are the root
-    Lanczos reaches at exhaustion.
+    as its column count. ``gp.factor_gram`` factors the smaller Gram side
+    of B. On the kernel side, B'B = V diag(e) V' gives A^{-1/2} =
+    I / sqrt(lam) + B V diag(g(e)) V' B' with
+    g(e) = ((e + lam)^{-1/2} - lam^{-1/2}) / e; on the p side,
+    B B' = W diag(e) W' gives A^{-1/2} = W diag((e + lam)^{-1/2}) W'.
+    Both are the root Lanczos reaches at exhaustion.
     """
     jac, probs, upscale = _fisher_at_map(model, posterior, x)
     lam = 1.0 / posterior.prior_variance
-    n, c = probs.shape
-    p = z.size
-    # Bounds the matrix handed to eigh; kernel_matrix bounds its own
-    # n*c square kernel.
-    size = min(n * (c - 1), p)
-    if size * size > DENSE_JACOBIAN_CAP:
-        raise ResourceLimitError(
-            f"Laplace draw needs a {size} x {size} eigendecomposition "
-            f"(cap {DENSE_JACOBIAN_CAP} entries)"
-        )
+    c = probs.shape[1]
     # sqrt(upscale) L_i' blocks, [a, b] = sqrt(upscale p_a) (delta_ab - p_b),
     # then Q_i' applied: the reflector's rows a < c - 1 subtract
     # sqrt(p_a) / (1 + sqrt(p_c)) times the last row.
     sqrt_p = np.sqrt(probs)[:, :, None]
     root_t = math.sqrt(upscale) * sqrt_p * (np.eye(c) - probs[:, None, :])
     root_t = root_t[:, :-1] - sqrt_p[:, :-1] * root_t[:, -1:] / (1.0 + sqrt_p[:, -1:])
-    if _kernel_side(n * (c - 1), p):
-        kernel = kernel_matrix(model.network, jac.inputs)
-        e, w = np.linalg.eigh(_blockwise(root_t, _blockwise(root_t, kernel).T))
-        # BB' is positive semidefinite; negative eigenvalues are roundoff.
-        s, t = math.sqrt(lam), np.sqrt(np.maximum(e, 0.0) + lam)
+    factor = factor_gram(model.network, jac.inputs, weights=root_t)
+    e, w = factor.evals, factor.evecs
+    if factor.side == "function":
+        s, t = math.sqrt(lam), np.sqrt(e + lam)
         gain = -1.0 / (s * t * (s + t))  # g(e), without cancellation as e -> 0
         y = w @ (gain * (w.T @ _blockwise(root_t, jac.jvp(z))))
         return posterior.mean + z / s + jac.vjp(_blockwise(root_t.transpose(0, 2, 1), y))
-    fisher = np.zeros((p, p))
-    for cols, block in _jacobian_blocks(model.network, jac.inputs, None):
-        b = _blockwise(root_t[cols.start // c : cols.stop // c], block.T)
-        fisher += b.T @ b
-    e, w = np.linalg.eigh(fisher)
-    return posterior.mean + w @ ((w.T @ z) / np.sqrt(np.maximum(e, 0.0) + lam))
+    return posterior.mean + w @ ((w.T @ z) / np.sqrt(e + lam))
 
 
 def predict_class(
@@ -472,21 +454,24 @@ def predict_class(
     """Class probabilities and argmax labels under a fitted posterior.
 
     ``mode="mean"`` evaluates at the posterior mean; ``"single_sample"``
-    draws one coefficient vector for the whole batch. Ties in the argmax
-    resolve to the lowest class index.
+    draws one coefficient vector for the whole batch. Zero query rows
+    give (0, c) probabilities in every mode, with no draw. Ties in the
+    argmax resolve to the lowest class index.
     """
     if mode not in ("mean", "single_sample"):
         raise ContractViolationError(f"mode must be 'mean' or 'single_sample', got {mode!r}")
+    # No draw for no rows: a test-batch Fisher would have no inputs.
+    draw = mode == "single_sample" and len(x) > 0
     if isinstance(approx, MapPosterior):
         coeff = approx.coefficients
     elif isinstance(approx, MeanFieldPosterior):
-        if mode == "mean":
+        if not draw:
             coeff = approx.mu
         else:
             rng = substream(seed, "glm-predict")
             coeff = approx.mu + approx.scales * rng.standard_normal(approx.mu.size)
     elif isinstance(approx, LaplacePosterior):
-        if mode == "mean":
+        if not draw:
             coeff = approx.mean
         else:
             z = substream(seed, "glm-predict").standard_normal(model.coefficients.size)

@@ -20,7 +20,8 @@ whole noise grid, the mean cache and an exact variance root, the same
 whichever system asked for it. ``rank=None`` fits exactly whenever the
 smaller side is at most ``EXACT_FIT_LIMIT``, and always when handed a
 factor, as long as the exact root stays under ``DENSE_JACOBIAN_CAP``
-entries.
+entries. The same ``factor_gram`` serves the exact log marginal and, with
+per-datum output weights, the Laplace draws of ``glm``.
 
 Matrix-free fits (an explicit ``rank``, or a side above the limit) solve
 by CG and take a rank-limited Lanczos root of their own system, so only
@@ -66,8 +67,9 @@ POSTERIOR_FILE_VERSION = 2
 # (p = 4801) 7.3 s against 5.6 s, 3753 (p = 3753) 7.8 s against 8.3 s;
 # p side 2833 (n = 2834) 6.0 s against 3.4 s.
 EXACT_FIT_LIMIT = 3000
-# Largest n*o whose log marginal is eigendecomposed densely. Kept apart
-# from EXACT_FIT_LIMIT so that larger systems still take the SLQ path.
+# Largest smaller-Gram side min(n*o, p) whose log marginal is factored
+# exactly. Kept apart from EXACT_FIT_LIMIT so that larger systems still
+# take the SLQ path.
 DENSE_LOG_MARGINAL_LIMIT = 256
 
 # Residual threshold (relative to the right-hand side) beyond which a
@@ -215,13 +217,14 @@ def _eigh_psd(gram: np.ndarray):
 
 @dataclass(frozen=True)
 class GramFactor:
-    """One task's Jacobian J (p x n*o) through its smaller Gram side.
+    """One Jacobian-shaped matrix B (p x m) through its smaller Gram side.
 
-    ``side`` "function" holds K = J'J = V diag(E) V' (n*o square);
-    "parameter" holds J J' = W diag(E) W' (p square). ``evals`` E are
-    clamped at 0. The network, inputs and channels regenerate J's dense
-    blocks; a factor of a bare kernel has none and gives leave-one-out
-    scores only.
+    For a task B is its Jacobian J (m = n*o); with per-datum output
+    weights W_i (k x o) it is J blockdiag(W_i') (m = n*k). ``side``
+    "function" holds B'B = V diag(E) V' (m square); "parameter" holds
+    B B' = W diag(E) W' (p square). ``evals`` E are clamped at 0. The
+    network, inputs and channels regenerate J's dense blocks; a factor of
+    a bare kernel or of weighted Jacobians has none, so no fit can use it.
     """
 
     side: str
@@ -239,28 +242,42 @@ class GramFactor:
         return _jacobian_blocks(self.network, self.x, self.channels)
 
 
-def factor_gram(network: MlpNetwork, x, channels=None) -> GramFactor:
-    """Eigendecompose the smaller of J'J (n*o square) and J J' (p square).
+def _blockwise(blocks: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Multiply the datum-major rows of ``a`` by one k x m block per datum."""
+    n, k, m = blocks.shape
+    return (blocks @ a.reshape(n, m, -1)).reshape((n * k,) + a.shape[1:])
 
-    Picks the side by the rule ``fit_posterior`` picks its system with
-    (``_kernel_side``). The matrix handed to eigh is bounded by
-    ``DENSE_JACOBIAN_CAP`` entries.
+
+def factor_gram(network: MlpNetwork, x, channels=None, weights=None) -> GramFactor:
+    """Eigendecompose the smaller Gram side of J, or of J blockdiag(W_i').
+
+    ``weights`` (n, k, o) holds one k x o output weight W_i per datum. The
+    side is picked on the column count, n*o or n*k, by the rule
+    ``fit_posterior`` picks its system with (``_kernel_side``).
+    ``kernel_matrix`` caps the n*o square kernel at ``DENSE_JACOBIAN_CAP``
+    entries; the p side is checked here.
     """
     x = np.asarray(x, dtype=np.float64)
     channels = tuple(channels) if channels is not None else None
     p = network.architecture.parameter_count
     o = network.architecture.internal_output_dim if channels is None else len(channels)
-    if _kernel_side(len(x) * o, p):
-        kernel = kernel_matrix(network, x, channels=channels)
-        return GramFactor("function", *_eigh_psd(kernel), network, x, channels)
+    source = (network, x, channels) if weights is None else ()
+    if _kernel_side(len(x) * (o if weights is None else weights.shape[1]), p):
+        gram = kernel_matrix(network, x, channels=channels)
+        if weights is not None:
+            gram = _blockwise(weights, _blockwise(weights, gram).T)
+        return GramFactor("function", *_eigh_psd(gram), *source)
     if p * p > DENSE_JACOBIAN_CAP:
         raise ResourceLimitError(
             f"Gram factorization needs a {p} x {p} matrix (cap {DENSE_JACOBIAN_CAP} entries)"
         )
     gram = np.zeros((p, p))
-    for _, block in _jacobian_blocks(network, x, channels):
-        gram += block @ block.T
-    return GramFactor("parameter", *_eigh_psd(gram), network, x, channels)
+    for cols, block in _jacobian_blocks(network, x, channels):
+        b = block.T
+        if weights is not None:
+            b = _blockwise(weights[cols.start // o : cols.stop // o], b)
+        gram += b.T @ b
+    return GramFactor("parameter", *_eigh_psd(gram), *source)
 
 
 def loo_scores(factor: GramFactor, resid, grid) -> np.ndarray:
@@ -299,8 +316,8 @@ def _exact_factor(network: MlpNetwork, jac: JacobianOperator, rank, factor):
     if factor is not None:
         if factor.network is None:
             raise ContractViolationError(
-                "the Gram factor of a bare kernel gives leave-one-out scores only; "
-                "fit from gp.factor_gram instead"
+                "the Gram factor of a bare kernel or of weighted Jacobians gives leave-one-out "
+                "scores or Laplace draws only; fit from an unweighted gp.factor_gram instead"
             )
         if factor.network.architecture != network.architecture or not np.array_equal(
             factor.network.params, network.params
@@ -464,50 +481,43 @@ def predict(
     return mean, np.maximum(var, 0.0).reshape(n_test, jac.out_dim)
 
 
-def dense_log_marginal(kernel: np.ndarray, resid: np.ndarray, sigma2: float) -> float:
-    """Closed-form Gaussian log marginal for an explicit kernel matrix."""
-    dim = resid.shape[0]
-    evals, evecs = np.linalg.eigh(kernel + sigma2 * np.eye(dim))
-    if np.any(evals <= 0.0):
-        raise FitError(f"covariance has nonpositive eigenvalue {evals.min():.3e}")
-    w = evecs.T @ resid
-    quad = float(w @ (w / evals))
-    logdet = float(np.sum(np.log(evals)))
-    return -0.5 * (quad + logdet + dim * math.log(2.0 * math.pi))
-
-
 def log_marginal_likelihood(
     network: MlpNetwork,
     data: TaskDataset,
     mean_kind: str = "zero",
     channels=None,
-    method: str = "auto",
     rank: int = 64,
     n_probes: int = 16,
     seed: int = 0,
 ) -> float:
     """Gaussian log marginal likelihood of the tangent-kernel model.
 
-    Up to ``DENSE_LOG_MARGINAL_LIMIT`` the kernel is assembled and eigendecomposed
-    exactly; above it the quadratic term is solved by CG and the log
-    determinant estimated by stochastic Lanczos quadrature (seeded, so
-    the estimate is deterministic).
+    Exact from ``factor_gram`` whenever min(n*o, p) is at most
+    ``DENSE_LOG_MARGINAL_LIMIT``: log det(K + s I) is the sum of
+    log(E + s), plus (n*o - p) log s on the p side, and r'(K + s I)^-1 r
+    is |V'r|^2 weighted by 1 / (E + s) on the kernel side, and
+    (|r|^2 - |W'J r|^2 weighted by 1 / (E + s)) / s on the p side. Above
+    the limit the quadratic term is solved by CG and the log determinant
+    estimated by stochastic Lanczos quadrature (seeded, so the estimate
+    is deterministic).
     """
     jac, resid = _prepare(network, data, mean_kind, channels)
     sigma2 = data.noise_variance
     dim = jac.out_len
-    if method == "auto":
-        method = "dense" if dim <= DENSE_LOG_MARGINAL_LIMIT else "lanczos"
-    if method == "dense":
-        return dense_log_marginal(kernel_matrix(network, data.x, channels=channels), resid, sigma2)
-    if method != "lanczos":
-        raise ContractViolationError(
-            f"method must be 'auto', 'dense' or 'lanczos', got {method!r}"
-        )
-    op = SymmetricLinearOperator(dim=dim, base=lambda v: jac.jvp(jac.vjp(v)), shift=sigma2)
-    alpha = _solve_or_fail(op, resid, "marginal-likelihood")
-    quad = float(resid @ alpha)
-    logdet = slq_logdet(op, rank=min(rank, dim), n_probes=n_probes, rng=substream(seed, "slq"))
+    if min(dim, jac.param_count) <= DENSE_LOG_MARGINAL_LIMIT:
+        factor = factor_gram(network, jac.inputs, channels)
+        shifted = factor.evals + sigma2
+        kernel_side = factor.side == "function"
+        proj = factor.evecs.T @ (resid if kernel_side else jac.vjp(resid))
+        quad = float(proj @ (proj / shifted))
+        logdet = float(np.sum(np.log(shifted)))
+        if not kernel_side:
+            quad = (float(resid @ resid) - quad) / sigma2
+            logdet += (dim - jac.param_count) * math.log(sigma2)
+    else:
+        op = SymmetricLinearOperator(dim=dim, base=lambda v: jac.jvp(jac.vjp(v)), shift=sigma2)
+        quad = float(resid @ _solve_or_fail(op, resid, "marginal-likelihood"))
+        logdet = slq_logdet(op, rank=min(rank, dim), n_probes=n_probes, rng=substream(seed, "slq"))
     return -0.5 * (quad + logdet + dim * math.log(2.0 * math.pi))
 
 

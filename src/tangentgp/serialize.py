@@ -1,4 +1,4 @@
-"""Byte-stable file output and dataset CSV handling.
+"""Byte-stable file output, dataset CSV handling and the JSON file reader.
 
 All writers here produce identical bytes for identical inputs: floats are
 printed with 17 significant digits (enough to round-trip any f64), JSON
@@ -63,6 +63,18 @@ def atomic_write_bytes(path, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json(path):
+    """Parse a JSON file; an unreadable file or bad JSON raises ConfigError naming the path."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
 
 
 def render_csv(header: list[str], rows) -> str:

@@ -34,7 +34,6 @@ from tangentgp.adapt import (
     select_noise_by_loo,
     sinusoid_experiment,
     sinusoid_targets,
-    split_task,
     stratified_split,
 )
 import tangentgp.adapt as adapt_module
@@ -148,21 +147,14 @@ class TestSplits:
         rng = np.random.default_rng(0)
         return TaskDataset(rng.normal(size=(12, 1)), rng.normal(size=(12, 1)), 0.5)
 
-    def test_random_split_disjoint_and_complete(self):
-        data = self.task()
-        context, eval_set = split_task(data, 5, seed=2)
-        assert context.x.shape[0] == 5 and eval_set.x.shape[0] == 7
-        merged = np.sort(np.concatenate([context.x, eval_set.x]).ravel())
-        assert np.array_equal(merged, np.sort(data.x.ravel()))
-
     def test_full_context_swallows_eval(self):
-        context, eval_set = split_task(self.task(), 12, seed=0)
+        context, eval_set = stratified_split(self.task(), 12)
         assert eval_set is None and context.x.shape[0] == 12
 
     def test_split_size_validation(self):
         for bad in (0, 13):
             with pytest.raises(ContractViolationError, match="context size"):
-                split_task(self.task(), bad)
+                stratified_split(self.task(), bad)
 
     def test_stratified_picks_quantile_centers(self):
         x = np.arange(10.0)[:, None]
@@ -171,6 +163,8 @@ class TestSplits:
         # Middle of each half of the sorted inputs.
         assert context.x.ravel().tolist() == [2.0, 7.0]
         assert eval_set.x.shape[0] == 8
+        merged = np.sort(np.concatenate([context.x, eval_set.x]).ravel())
+        assert np.array_equal(merged, x.ravel())
 
     def test_stratified_covers_range_better_than_clustering(self):
         rng = np.random.default_rng(5)
@@ -332,7 +326,7 @@ class TestRunAdaptation:
     def tasks(self, n=3):
         source, _, _ = trained_source()
         raw = sample_sinusoid_tasks(SinusoidTaskSpec(points_per_task=16, seed=9), n)
-        return source, [split_task(t, 6, seed=i) for i, t in enumerate(raw)]
+        return source, [stratified_split(t, 6) for t in raw]
 
     def test_statuses_and_fingerprint(self):
         source, pairs = self.tasks()

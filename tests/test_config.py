@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tangentgp.cli import _load_glm_fit
 from tangentgp.config import (
     CONFIG_VERSION,
     architecture_from,
@@ -199,3 +200,26 @@ class TestTaskManifest:
         manifest.write_text("[]")
         with pytest.raises(ConfigError, match="nonempty"):
             read_task_manifest(manifest)
+
+
+JSON_READERS = {
+    "config": load_config,
+    "checkpoint": load_checkpoint,
+    "task_manifest": read_task_manifest,
+    "glm_fit": lambda path: _load_glm_fit(path, init_network(MlpArchitecture(1, (), 2), seed=0)),
+}
+
+
+@pytest.mark.parametrize("reader", JSON_READERS.values(), ids=JSON_READERS.keys())
+def test_json_readers_name_the_file_and_the_fault(tmp_path, reader):
+    missing = tmp_path / "absent.json"
+    with pytest.raises(ConfigError) as caught:
+        reader(missing)
+    assert str(caught.value) == f"{missing}: No such file or directory"
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 1,,}')
+    with pytest.raises(ConfigError) as caught:
+        reader(bad)
+    assert str(caught.value) == (
+        f"{bad}: parse error at byte 14: Expecting property name enclosed in double quotes"
+    )

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import tangentgp.glm as glm_module
+import tangentgp.gp as gp_module
+import tangentgp.net as net_module
 from tangentgp.errors import (
     ContractViolationError,
     NumericBreakdownError,
@@ -454,11 +456,32 @@ class TestLaplaceDraw:
             np.testing.assert_array_equal(labels, expected[1])
 
     def test_over_the_cap_raises_resource_limit(self, monkeypatch):
-        model, posterior, x = laplace_draw_setup(2, 5, "train", False)
-        monkeypatch.setattr(glm_module, "DENSE_JACOBIAN_CAP", 24)
+        # The p side: n*(c-1) = 36 > p = 32, and the 32 x 32 Fisher is over the cap.
+        model, posterior, x = laplace_draw_setup(4, 12, "train", True)
+        monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", 32 * 32 - 1)
         z = np.zeros(model.coefficients.size)
-        with pytest.raises(ResourceLimitError, match="5 x 5"):
+        with pytest.raises(ResourceLimitError, match="32 x 32"):
             _laplace_draw(model, posterior, x, z)
+
+    def test_kernel_over_the_cap_raises_before_it_is_built(self, monkeypatch):
+        # The kernel side: n*(c-1) = 5001 <= p = 5322, but the n*c = 10002
+        # square kernel would have more than 10^8 entries.
+        net = init_network(MlpArchitecture(2, (70, 70), 2), seed=0)
+        model = zero_coefficients_glm(net)
+        x = np.random.default_rng(0).normal(size=(5001, 2))
+        posterior = LaplacePosterior(
+            mean=np.zeros(net.architecture.parameter_count),
+            n_train=len(x),
+            prior_variance=1.0,
+            fisher_x=x,
+        )
+
+        def unbuilt(self):
+            raise AssertionError("the kernel was assembled")
+
+        monkeypatch.setattr(net_module.JacobianOperator, "layer_sensitivities", unbuilt)
+        with pytest.raises(ResourceLimitError, match="kernel matrix needs 100040004 entries"):
+            predict_class(model, posterior, x[:3], mode="single_sample")
 
 
 class TestPredictClass:
@@ -518,6 +541,30 @@ class TestPredictClass:
         np.testing.assert_array_equal(probs_a, probs_b)
         assert np.all(probs_a >= 0)
         np.testing.assert_allclose(probs_a.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["mean", "single_sample"])
+    def test_zero_query_rows_give_empty_results_without_a_draw(self, monkeypatch, mode):
+        net = init_network(MlpArchitecture(2, (8,), 3), seed=0)
+        model = zero_coefficients_glm(net)
+        rng = np.random.default_rng(4)
+        data = ClassificationData(rng.normal(size=(6, 2)), np.arange(6) % 3)
+        cfg = GlmFitConfig(learning_rate=0.05, epochs=2, batch_size=4, seed=1)
+        approxes = [
+            fit_map(model, data, cfg).posterior,
+            fit_svi(model, data, cfg).posterior,
+            fit_laplace(model, data, cfg, fisher_source="train"),
+            fit_laplace(model, data, cfg, fisher_source="test_batch"),
+        ]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew coefficients for no query rows")
+
+        monkeypatch.setattr(glm_module, "_laplace_draw", no_draw)
+        monkeypatch.setattr(glm_module, "substream", no_draw)
+        for approx in approxes:
+            probs, labels = predict_class(model, approx, np.empty((0, 2)), mode=mode)
+            assert probs.shape == (0, 3) and probs.dtype == np.float64
+            assert labels.shape == (0,) and np.issubdtype(labels.dtype, np.integer)
 
     def test_bad_mode_rejected(self):
         model = blob_model()

@@ -17,7 +17,6 @@ from tangentgp.errors import ConfigError, ContractViolationError, ResourceLimitE
 from tangentgp.gp import (
     GramFactor,
     NtkPosterior,
-    dense_log_marginal,
     factor_gram,
     fit_function_space,
     fit_parameter_space,
@@ -456,6 +455,33 @@ class TestExactFit:
         with pytest.raises(ContractViolationError, match="other inputs"):
             fit_function_space(net, data, factor=factor)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_weighted_factor_side_and_spectrum(self, offset):
+        # B = J blockdiag(W_i') has n*k = p - 1, p, p + 1 columns: the
+        # kernel side up to p, then the p side. k = 2 where n*k is even.
+        net = make_net([2, 7, 3], seed=3)  # p = 45
+        p = net.architecture.parameter_count
+        cols = p + offset
+        k = 2 if cols % 2 == 0 else 1
+        rng = np.random.default_rng(cols)
+        x = rng.uniform(-2.0, 2.0, size=(cols // k, 2))
+        weights = rng.standard_normal((len(x), k, 3))
+        factor = factor_gram(net, x, weights=weights)
+        assert factor.side == ("function" if cols <= p else "parameter")
+        assert factor.network is None and factor.x is None and factor.channels is None
+        j = JacobianOperator(net, x).dense()
+        b = np.hstack([j[:, 3 * i : 3 * i + 3] @ w.T for i, w in enumerate(weights)])
+        gram = b.T @ b if factor.side == "function" else b @ b.T
+        want = np.linalg.eigvalsh(gram)
+        assert np.max(np.abs(factor.evals - want)) <= 1e-10 * want[-1]
+
+    def test_weighted_factor_cannot_fit(self):
+        for n in (20, 40):  # both sides of p = 25
+            net, data, _ = self.problem([2, 6, 1], False, None, n)
+            factor = factor_gram(net, data.x, weights=np.ones((n, 1, 1)))
+            with pytest.raises(ContractViolationError, match="weighted"):
+                fit_posterior(net, data, factor=factor)
+
     @staticmethod
     def count_calls(monkeypatch):
         calls = {"eigh": 0, "cg": 0, "lanczos": 0}
@@ -674,14 +700,27 @@ class TestHeteroscedasticChannels:
             fit_function_space(net, data, channels=(5,))
 
 
-class TestLogMarginalLikelihood:
-    def test_degenerate_kernel_closed_form(self):
-        # Zero kernel, unit noise, zero residual: only the normalizing
-        # constant survives.
-        for dim in (1, 4, 9):
-            got = dense_log_marginal(np.zeros((dim, dim)), np.zeros(dim), 1.0)
-            assert abs(got - (-0.5 * dim * math.log(2 * math.pi))) <= 1e-12
+def dense_log_marginal(network, data, mean_kind="zero", channels=None):
+    """log N(y; mu(X), J'J + s I) from an explicit Jacobian and slogdet."""
+    full_o = network.architecture.internal_output_dim
+    jac = JacobianOperator(network, data.x)
+    j = select_columns(jac.dense(), full_o, channels)
+    outputs = jac.outputs if channels is None else jac.outputs[:, list(channels)]
+    mu = {
+        "zero": np.zeros(j.shape[1]),
+        "jacobian_mean": j.T @ network.params,
+        "linearized_nn": outputs.ravel() + j.T @ network.params,
+    }[mean_kind]
+    resid = data.y.ravel() - mu
+    cov = j.T @ j + data.noise_variance * np.eye(j.shape[1])
+    return -0.5 * (
+        resid @ np.linalg.solve(cov, resid)
+        + np.linalg.slogdet(cov)[1]
+        + resid.size * math.log(2 * math.pi)
+    )
 
+
+class TestLogMarginalLikelihood:
     def test_three_point_dense_oracle(self):
         rng = np.random.default_rng(16)
         net = make_net([1, 8, 1], seed=17)
@@ -697,21 +736,56 @@ class TestLogMarginalLikelihood:
         )
         assert abs(got - expected) <= 1e-6 * abs(expected)
 
-    def test_lanczos_path_tracks_dense_path(self):
+    # (dims, heteroscedastic, channels, n, mean kind): each pair is the
+    # kernel side, then the p side with n*o > p (p = 25, 52 and 62).
+    PROBLEMS = [
+        ([2, 6, 1], False, None, 20, "zero"),
+        ([2, 6, 1], False, None, 40, "jacobian_mean"),
+        ([2, 10, 1], True, (0,), 40, "linearized_nn"),
+        ([2, 10, 1], True, (0,), 80, "linearized_nn"),
+        ([2, 10, 2], False, None, 20, "linearized_nn"),
+        ([2, 10, 2], False, None, 40, "zero"),
+    ]
+
+    @pytest.mark.parametrize("dims, heteroscedastic, channels, n, mean_kind", PROBLEMS)
+    def test_exact_path_matches_slogdet_oracle_on_both_sides(
+        self, dims, heteroscedastic, channels, n, mean_kind
+    ):
+        net, data, _ = TestExactFit.problem(dims, heteroscedastic, channels, n)
+        o = dims[-1] if channels is None else len(channels)
+        p = net.architecture.parameter_count
+        side = factor_gram(net, data.x, channels).side
+        assert side == ("function" if n * o <= p else "parameter")
+        got = log_marginal_likelihood(net, data, mean_kind=mean_kind, channels=channels)
+        expected = dense_log_marginal(net, data, mean_kind, channels)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
+
+    def test_exact_path_runs_no_krylov_method(self, monkeypatch):
+        calls = TestExactFit.count_calls(monkeypatch)
+        for n in (20, 40):
+            net, data, _ = TestExactFit.problem([2, 6, 1], False, None, n)
+            log_marginal_likelihood(net, data)
+        assert calls == {"eigh": 2, "cg": 0, "lanczos": 0}
+
+    def test_lanczos_path_tracks_dense_path(self, monkeypatch):
         rng = np.random.default_rng(17)
         net = make_net([1, 10, 1], seed=18)
         data = sinusoid_data(rng, n=40)
-        exact = log_marginal_likelihood(net, data, method="dense")
-        approx = log_marginal_likelihood(net, data, method="lanczos", rank=40, n_probes=64)
+        exact = log_marginal_likelihood(net, data)
+        monkeypatch.setattr(gp_module, "DENSE_LOG_MARGINAL_LIMIT", 0)
+        approx = log_marginal_likelihood(net, data, rank=40, n_probes=64)
         assert abs(approx - exact) <= 0.05 * abs(exact)
 
-    def test_lanczos_path_deterministic(self):
+    def test_lanczos_path_deterministic(self, monkeypatch):
         rng = np.random.default_rng(18)
         net = make_net([1, 6, 1], seed=19)
         data = sinusoid_data(rng, n=12)
-        a = log_marginal_likelihood(net, data, method="lanczos", rank=8, n_probes=4)
-        b = log_marginal_likelihood(net, data, method="lanczos", rank=8, n_probes=4)
+        monkeypatch.setattr(gp_module, "DENSE_LOG_MARGINAL_LIMIT", 0)
+        calls = TestExactFit.count_calls(monkeypatch)
+        a = log_marginal_likelihood(net, data, rank=8, n_probes=4)
+        b = log_marginal_likelihood(net, data, rank=8, n_probes=4)
         assert a == b
+        assert calls["cg"] == 2
 
 
 class TestPosteriorSerialization:

@@ -4,7 +4,7 @@ The benchmark's tracer (``perfbench/spans.py``) patches tangentgp
 functions and methods by name. A rename in the package would make every
 traced benchmark run fail; these tests fail first instead. They read the
 tracer's instrument table, and install the tracer only around one pair
-of fits.
+of fits and around single Laplace draws.
 """
 
 import importlib
@@ -14,6 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tangentgp.glm import (
+    ClassificationData,
+    GlmFitConfig,
+    fit_laplace,
+    predict_class,
+    zero_coefficients_glm,
+)
 from tangentgp.gp import fit_posterior
 from tangentgp.net import MlpArchitecture, TaskDataset, init_network
 
@@ -61,3 +68,21 @@ def test_fit_posterior_fits_count_per_dual_system():
         tracer.uninstall()
     assert tracer.counts["gp.fit.function.calls"] == 1
     assert tracer.counts["gp.fit.parameter.calls"] == 1
+
+
+@pytest.mark.parametrize("n_fisher, kernels", [(6, 1), (12, 0)])
+def test_laplace_draw_attribution_on_each_side(n_fisher, kernels):
+    # p = 32 with 4 classes: n*(c-1) = 18 takes the kernel side, 36 the p side.
+    net = init_network(MlpArchitecture(2, (4,), 4), seed=2)
+    model = zero_coefficients_glm(net)
+    rng = np.random.default_rng(n_fisher)
+    data = ClassificationData(rng.normal(size=(n_fisher, 2)), np.arange(n_fisher) % 4)
+    posterior = fit_laplace(model, data, GlmFitConfig(learning_rate=0.05, epochs=2, seed=1))
+    tracer = spans().Tracer()
+    tracer.install()
+    try:
+        predict_class(model, posterior, rng.normal(size=(3, 2)), mode="single_sample")
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["gp.kernel_matrix"] == kernels
+    assert tracer.mismatches == []
