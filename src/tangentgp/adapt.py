@@ -29,6 +29,7 @@ from .gp import (
 )
 from .net import (
     Adam,
+    JacobianOperator,
     MlpArchitecture,
     MlpNetwork,
     OptimizerConfig,
@@ -282,21 +283,21 @@ def adapt_task(
     Returns (posterior, metrics); metrics is None without an eval set.
     Adaptation is linear algebra only: the source parameters are never
     stepped, so the Jacobian is computed fresh here and discarded after.
+    One operator on the context serves the centering, the noise search
+    and the fit.
     """
     arch = source.architecture
-    mean_cols = _mean_columns(arch)
     channels = _mean_channel_spec(arch)
     sigma2 = cfg.noise_variance if cfg.noise_variance is not None else context.noise_variance
-    targets = context.y
-    if cfg.center_on_network:
-        targets = context.y - forward(source, context.x)[:, mean_cols]
+    jac = JacobianOperator(source, context.x, channels)
+    targets = context.y - jac.outputs if cfg.center_on_network else context.y
     fit_data = TaskDataset(context.x, targets, noise_variance=sigma2)
     factor = None
     if cfg.noise_grid is not None:
         # One factorization scores the grid and then fits; the score is of
         # the regression the fit runs (targets less the prior mean).
-        factor = factor_gram(source, context.x, channels)
-        resid = regression_residual(source, fit_data, cfg.mean_kind, channels)
+        factor = factor_gram(source, jac, channels)
+        resid = regression_residual(source, fit_data, cfg.mean_kind, channels, jac)
         sigma2 = select_noise_by_loo(factor, resid, cfg.noise_grid)
         fit_data = replace(fit_data, noise_variance=sigma2)
     posterior = fit_posterior(
@@ -311,7 +312,7 @@ def adapt_task(
         return posterior, None
     mean, var = predict(posterior, source, eval_set.x)
     if cfg.center_on_network:
-        mean = mean + forward(source, eval_set.x)[:, mean_cols]
+        mean = mean + forward(source, eval_set.x)[:, _mean_columns(arch)]
     return posterior, Metrics(
         mse=mean_squared_error(mean, eval_set.y),
         nll=gaussian_nll(mean, var + sigma2, eval_set.y),

@@ -434,7 +434,7 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, z: np.nd
     sqrt_p = np.sqrt(probs)[:, :, None]
     root_t = math.sqrt(upscale) * sqrt_p * (np.eye(c) - probs[:, None, :])
     root_t = root_t[:, :-1] - sqrt_p[:, :-1] * root_t[:, -1:] / (1.0 + sqrt_p[:, -1:])
-    factor = factor_gram(model.network, jac.inputs, weights=root_t)
+    factor = factor_gram(model.network, jac, weights=root_t)
     e, w = factor.evals, factor.evecs
     if factor.side == "function":
         s, t = math.sqrt(lam), np.sqrt(e + lam)

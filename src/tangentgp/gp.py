@@ -3,12 +3,23 @@
 The kernel is k(x_i, x_j) = J(x_i)' J(x_j), with J (p x n*o) the Jacobian
 of a trained network at fixed parameters. ``kernel_matrix`` assembles it
 layer by layer from each layer's inputs and output sensitivities, without
-forming J; variance roots and predictive variances use dense Jacobian
-blocks. The posterior has two dual forms: the n*o square kernel system
-(function space) and the p square parameter system. Both give a length-p
-mean cache m and one root R with
-R R' = J (J'J + s I)^-1 J' = I - s (J J' + s I)^-1, so a prediction costs
-a forward-mode product J*' m and a variance |j*|^2 - |R' j*|^2.
+forming J. ``kernel_matrix``, ``factor_gram`` and ``regression_residual``
+also take a ``JacobianOperator`` built at the inputs, and a ``GramFactor``
+keeps its operator, so one forward trace serves a whole fit.
+
+The posterior has two dual forms: the n*o square kernel system (function
+space) and the p square parameter system. Both give a length-p mean cache
+m = J (K + s I)^-1 r, so a prediction's mean is the forward-mode product
+J*' m. Its variance is one formula, k(x*, x*) - |C' phi(x*)|^2, with the
+root C stored in one of two forms:
+
+- kernel form, from fits on the kernel side: phi(x*) = K(X, x*) from
+  ``kernel_matrix`` over the stored training inputs X, C C' = (K + s I)^-1
+  is n*o square, and k(x*, x*) comes from the query's layer
+  sensitivities. No p x n*o block is formed.
+- feature form, from fits on the p side: phi(x*) = j*, the dense query
+  Jacobian, and C C' = J (K + s I)^-1 J' = I - s (J J' + s I)^-1 is p x r.
+
 ``fit_posterior`` solves whichever system is smaller, by one rule: the
 kernel side when n*o <= p, else the p side. ``fit_function_space`` and
 ``fit_parameter_space`` are the two systems it picks between.
@@ -16,22 +27,23 @@ kernel side when n*o <= p, else the p side. ``fit_function_space`` and
 Exact fits take one eigendecomposition of the smaller Gram side, picked
 by the same rule: the n*o square kernel K = J'J or the p square JJ'
 (``GramFactor``). That one factorization gives leave-one-out scores for a
-whole noise grid, the mean cache and an exact variance root, the same
-whichever system asked for it. ``rank=None`` fits exactly whenever the
-smaller side is at most ``EXACT_FIT_LIMIT``, and always when handed a
-factor, as long as the exact root stays under ``DENSE_JACOBIAN_CAP``
-entries. The same ``factor_gram`` serves the exact log marginal and, with
-per-datum output weights, the Laplace draws of ``glm``.
+whole noise grid, the mean cache and an exact variance root in the form of
+its side, the same whichever system asked for it. ``rank=None`` fits
+exactly whenever the smaller side is at most ``EXACT_FIT_LIMIT``, and
+always when handed a factor, as long as the exact root stays under
+``DENSE_JACOBIAN_CAP`` entries. The same ``factor_gram`` serves the exact
+log marginal and, with per-datum output weights, the Laplace draws of
+``glm``.
 
 Matrix-free fits (an explicit ``rank``, or a side above the limit) solve
-by CG and take a rank-limited Lanczos root of their own system, so only
-they depend on which system ran. Parameter-space subtlety: a
-single-probe Lanczos run on A = J J' + s*I lives inside range(J) and
-exhausts after about n*o steps, far below p. On the orthogonal complement
-A is exactly s*I, so there I - s A^-1 vanishes and the completion
-Q T^-1 Q' + (1/s)(I - Q Q') of the inverse lives inside R as
-R R' = Q (I - s T^-1) Q'. At Krylov exhaustion this is exact, which is
-what makes the two systems agree.
+by CG and take a rank-limited Lanczos root of their own system: Q T^-1/2
+in kernel form from the function-space operator, a feature-form root from
+the parameter-space one. Parameter-space subtlety: a single-probe Lanczos
+run on A = J J' + s*I lives inside range(J) and exhausts after about n*o
+steps, far below p. On the orthogonal complement A is exactly s*I, so
+there I - s A^-1 vanishes and the completion Q T^-1 Q' + (1/s)(I - Q Q')
+of the inverse lives inside C as C C' = Q (I - s T^-1) Q'. At Krylov
+exhaustion this is exact, which is what makes the two systems agree.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from .serialize import atomic_write_bytes
 
 MEAN_KINDS = ("zero", "jacobian_mean", "linearized_nn")
 DEFAULT_VARIANCE_RANK = 256
-POSTERIOR_FILE_VERSION = 2
+POSTERIOR_FILE_VERSION = 3
 # Largest smaller-Gram side min(n*o, p) that a rank=None fit factors
 # exactly; beyond it fixed-noise fits run CG and Lanczos. Measured with
 # untrained 8-D input tanh nets at noise 1e-2 on a 2-vCPU host, matrix-free
@@ -93,8 +105,32 @@ def _mean_surface(jac, theta: np.ndarray, kind: str) -> np.ndarray:
     raise ContractViolationError(f"mean kind must be one of {MEAN_KINDS}, got {kind!r}")
 
 
-def _prepare(network: MlpNetwork, data: TaskDataset, mean_kind: str, channels):
-    jac = JacobianOperator(network, data.x, channels)
+def _check_operator(jac: JacobianOperator, network: MlpNetwork, channels, what: str, inputs=None):
+    """Raise unless ``jac`` is of ``network`` at ``channels`` (and at ``inputs``, when given)."""
+    if jac.network is not network and (
+        jac.network.architecture != network.architecture
+        or not np.array_equal(jac.network.params, network.params)
+    ):
+        raise ContractViolationError(f"{what} was built from another network")
+    if jac.channels != (None if channels is None else [int(c) for c in channels]):
+        raise ContractViolationError(f"{what} was built for other channels")
+    if inputs is not None and not np.array_equal(jac.inputs, inputs):
+        raise ContractViolationError(f"{what} was built from other inputs")
+
+
+def _operator(network: MlpNetwork, x, channels) -> JacobianOperator:
+    """``x`` itself when it is an operator of ``network`` at ``channels``, else one built at ``x``."""
+    if isinstance(x, JacobianOperator):
+        _check_operator(x, network, channels, "the Jacobian operator")
+        return x
+    return JacobianOperator(network, x, channels)
+
+
+def _prepare(network, data: TaskDataset, mean_kind: str, channels, jac=None, what="the Jacobian operator"):
+    if jac is None:
+        jac = JacobianOperator(network, data.x, channels)
+    else:
+        _check_operator(jac, network, channels, what, data.x)
     if data.y.shape[1] != jac.out_dim:
         raise ContractViolationError(
             f"targets have {data.y.shape[1]} channels but the regression view has {jac.out_dim}"
@@ -104,10 +140,13 @@ def _prepare(network: MlpNetwork, data: TaskDataset, mean_kind: str, channels):
 
 
 def regression_residual(
-    network: MlpNetwork, data: TaskDataset, mean_kind: str = "zero", channels=None
+    network: MlpNetwork, data: TaskDataset, mean_kind: str = "zero", channels=None, jac=None
 ) -> np.ndarray:
-    """The vector a fit regresses: y - mu(X), flattened datum-major."""
-    return _prepare(network, data, mean_kind, channels)[1]
+    """The vector a fit regresses: y - mu(X), flattened datum-major.
+
+    ``jac``, when given, is the operator already built at ``data.x``.
+    """
+    return _prepare(network, data, mean_kind, channels, jac)[1]
 
 
 def _variance_lanczos(op: SymmetricLinearOperator, probe: np.ndarray, rank):
@@ -124,15 +163,22 @@ def _variance_lanczos(op: SymmetricLinearOperator, probe: np.ndarray, rank):
 class NtkPosterior:
     """Fitted tangent-kernel posterior with its mean and variance caches.
 
-    ``mean_cache`` m = J (J'J + s I)^-1 r has length p and
-    ``variance_root`` is one p x r root R with
-    R R' = J (J'J + s I)^-1 J' = I - s (J J' + s I)^-1. A prediction's mean
-    is J*' m + mu(X*) and its variance |j*|^2 - |R' j*|^2, clamped at zero
-    against roundoff. Exact fits store R = J V (E + s)^-1/2 from the kernel
-    side or W (E / (E + s))^1/2 from the p square side, whichever system
-    was solved. Matrix-free fits store Lanczos estimates: J Q T^-1/2 from
-    the function-space operator, or Q U ((L - s) / L)^1/2 from the
-    parameter-space one with T = U diag(L) U' (see the module docstring).
+    ``mean_cache`` m = J (J'J + s I)^-1 r has length p; a prediction's mean
+    is J*' m + mu(X*). Its variance is k(x*, x*) - |C' phi(x*)|^2, clamped
+    at zero against roundoff, with C = ``variance_root`` in one of two
+    forms (see the module docstring):
+
+    - kernel form, when ``inputs`` holds the training inputs X: C is
+      n*o x r with C C' = (K + s I)^-1 and phi(x*) = K(X, x*). Exact fits
+      store V (E + s)^-1/2 from the kernel side's factor, matrix-free ones
+      the Lanczos estimate Q T^-1/2 of the function-space operator.
+    - feature form, when ``inputs`` is None: C is p x r with
+      C C' = J (K + s I)^-1 J' and phi(x*) = j*. Exact fits store
+      W (E / (E + s))^1/2 from the p square side's factor, matrix-free ones
+      Q U ((L - s) / L)^1/2 from the parameter-space operator with
+      T = U diag(L) U'.
+
+    ``inputs`` marks the form, since C is square in both when n*o = p.
     """
 
     mean_kind: str
@@ -141,27 +187,29 @@ class NtkPosterior:
     variance_root: np.ndarray
     noise_variance: float
     theta_fingerprint: str
+    inputs: np.ndarray | None = None
 
 
-def _jacobian_blocks(network: MlpNetwork, x, channels, cap: int = DENSE_JACOBIAN_CAP):
+def _jacobian_blocks(jac: JacobianOperator, cap: int = DENSE_JACOBIAN_CAP):
     """Dense Jacobian blocks over datum chunks of at most ``cap`` entries.
 
-    Yields (columns, block): the p x (rows*o) block of one chunk of ``x``
-    and the slice of the full Jacobian's columns it holds. A chunk holds
-    at least one datum even where that exceeds ``cap``. An empty batch
-    gives one empty block, so inputs and channels are validated either way.
+    Yields (columns, block): the p x (rows*o) block of one chunk of
+    ``jac``'s inputs, a row slice sharing its trace, and the slice of the
+    full Jacobian's columns it holds. A chunk holds at least one datum even
+    where that exceeds ``cap``. An empty batch gives one empty block.
     """
-    arch = network.architecture
+    arch = jac.network.architecture
     rows = max(1, cap // (arch.parameter_count * arch.internal_output_dim))
-    for start in range(0, max(len(x), 1), rows):
-        jac = JacobianOperator(network, x[start : start + rows], channels)
+    for start in range(0, max(jac.n_data, 1), rows):
+        part = jac.rows(start, start + rows)
         first = start * jac.out_dim
-        yield slice(first, first + jac.out_len), jac.dense()
+        yield slice(first, first + part.out_len), part.dense()
 
 
 def kernel_matrix(network: MlpNetwork, x1, x2=None, channels=None, cap: int = DENSE_JACOBIAN_CAP):
     """Tangent-kernel Gram block K[a, b] = <j_a(X1), j_b(X2)>, i.e. J1' J2.
 
+    ``x1`` and ``x2`` are inputs or ``JacobianOperator``s built at them.
     Assembled layer by layer from ``JacobianOperator.layer_sensitivities``
     (Novak et al. 2022, arXiv 2206.08720): a layer with inputs H and
     sensitivities D adds (D1 D2') o kron(H1 H2' + 1, 1 1') (the o x o block
@@ -172,29 +220,27 @@ def kernel_matrix(network: MlpNetwork, x1, x2=None, channels=None, cap: int = DE
     kernel and one layer's term), the n1 x n2 Gram of one layer's inputs
     and one layer's n x o x width sensitivities.
     """
-    symmetric = x2 is None
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = x1 if symmetric else np.asarray(x2, dtype=np.float64)
-    o = network.architecture.internal_output_dim if channels is None else len(channels)
-    shape = (len(x1) * o, len(x2) * o)
+    jac1 = _operator(network, x1, channels)
+    jac2 = jac1 if x2 is None else _operator(network, x2, channels)
+    n1, n2, o = jac1.n_data, jac2.n_data, jac1.out_dim
+    shape = (jac1.out_len, jac2.out_len)
     if shape[0] * shape[1] > cap:
         raise ResourceLimitError(
             f"kernel matrix needs {shape[0] * shape[1]} entries (cap {cap}); "
             "use the matrix-free fits"
         )
-    layers = JacobianOperator(network, x1, channels).layer_sensitivities()
-    if symmetric:
+    layers = jac1.layer_sensitivities()
+    if x2 is None:
         # One operator for both sides: numpy evaluates a @ a.T as a
         # symmetric rank-k update, so every term is exactly symmetric.
         layers = ((h, d, h, d) for h, d in layers)
     else:
-        other = JacobianOperator(network, x2, channels).layer_sensitivities()
-        layers = (a + b for a, b in zip(layers, other))
+        layers = (a + b for a, b in zip(layers, jac2.layer_sensitivities()))
     k = np.zeros(shape)
-    blocks = k.reshape(len(x1), o, len(x2), o)
+    blocks = k.reshape(n1, o, n2, o)
     term = np.empty(shape)
     term_blocks = term.reshape(blocks.shape)
-    gram = np.empty((len(x1), len(x2)))
+    gram = np.empty((n1, n2))
     for depth, (h1, d1, h2, d2) in enumerate(layers):
         np.matmul(h1, h2.T, out=gram)
         gram += 1.0
@@ -222,62 +268,60 @@ class GramFactor:
     For a task B is its Jacobian J (m = n*o); with per-datum output
     weights W_i (k x o) it is J blockdiag(W_i') (m = n*k). ``side``
     "function" holds B'B = V diag(E) V' (m square); "parameter" holds
-    B B' = W diag(E) W' (p square). ``evals`` E are clamped at 0. The
-    network, inputs and channels regenerate J's dense blocks; a factor of
-    a bare kernel or of weighted Jacobians has none, so no fit can use it.
+    B B' = W diag(E) W' (p square). ``evals`` E are clamped at 0. ``jac``
+    is the operator of J, which the fits reuse; a factor of a bare kernel
+    or of weighted Jacobians has none, so no fit can use it.
     """
 
     side: str
     evals: np.ndarray
     evecs: np.ndarray
-    network: MlpNetwork | None = None
-    x: np.ndarray | None = None
-    channels: tuple[int, ...] | None = None
+    jac: JacobianOperator | None = None
 
     @classmethod
     def of_kernel(cls, kernel: np.ndarray) -> "GramFactor":
         return cls("function", *_eigh_psd(kernel))
 
-    def blocks(self):
-        return _jacobian_blocks(self.network, self.x, self.channels)
-
 
 def _blockwise(blocks: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Multiply the datum-major rows of ``a`` by one k x m block per datum."""
     n, k, m = blocks.shape
-    return (blocks @ a.reshape(n, m, -1)).reshape((n * k,) + a.shape[1:])
+    return (blocks @ a.reshape(n, m, math.prod(a.shape[1:]))).reshape((n * k,) + a.shape[1:])
 
 
 def factor_gram(network: MlpNetwork, x, channels=None, weights=None) -> GramFactor:
     """Eigendecompose the smaller Gram side of J, or of J blockdiag(W_i').
 
+    ``x`` is the inputs or a ``JacobianOperator`` built at them.
     ``weights`` (n, k, o) holds one k x o output weight W_i per datum. The
     side is picked on the column count, n*o or n*k, by the rule
-    ``fit_posterior`` picks its system with (``_kernel_side``).
-    ``kernel_matrix`` caps the n*o square kernel at ``DENSE_JACOBIAN_CAP``
-    entries; the p side is checked here.
+    ``fit_posterior`` picks its system with (``_kernel_side``). Every
+    square built stays under ``DENSE_JACOBIAN_CAP`` entries: the n*o
+    kernel and the n*k weighted Gram, or the p square J J'.
     """
-    x = np.asarray(x, dtype=np.float64)
-    channels = tuple(channels) if channels is not None else None
-    p = network.architecture.parameter_count
-    o = network.architecture.internal_output_dim if channels is None else len(channels)
-    source = (network, x, channels) if weights is None else ()
-    if _kernel_side(len(x) * (o if weights is None else weights.shape[1]), p):
-        gram = kernel_matrix(network, x, channels=channels)
+    jac = _operator(network, x, channels)
+    p = jac.param_count
+    cols = jac.out_len if weights is None else jac.n_data * weights.shape[1]
+    kernel_side = _kernel_side(cols, p)
+    size = max(jac.out_len, cols) if kernel_side else p
+    if size * size > DENSE_JACOBIAN_CAP:
+        raise ResourceLimitError(
+            f"Gram factorization needs a {size} x {size} matrix (cap {DENSE_JACOBIAN_CAP} entries)"
+        )
+    source = jac if weights is None else None
+    if kernel_side:
+        gram = kernel_matrix(network, jac, channels=channels)
         if weights is not None:
             gram = _blockwise(weights, _blockwise(weights, gram).T)
-        return GramFactor("function", *_eigh_psd(gram), *source)
-    if p * p > DENSE_JACOBIAN_CAP:
-        raise ResourceLimitError(
-            f"Gram factorization needs a {p} x {p} matrix (cap {DENSE_JACOBIAN_CAP} entries)"
-        )
+        return GramFactor("function", *_eigh_psd(gram), source)
+    o = jac.out_dim
     gram = np.zeros((p, p))
-    for cols, block in _jacobian_blocks(network, x, channels):
+    for cols, block in _jacobian_blocks(jac):
         b = block.T
         if weights is not None:
             b = _blockwise(weights[cols.start // o : cols.stop // o], b)
         gram += b.T @ b
-    return GramFactor("parameter", *_eigh_psd(gram), *source)
+    return GramFactor("parameter", *_eigh_psd(gram), source)
 
 
 def loo_scores(factor: GramFactor, resid, grid) -> np.ndarray:
@@ -296,44 +340,28 @@ def loo_scores(factor: GramFactor, resid, grid) -> np.ndarray:
         alpha = basis @ ((basis.T @ resid)[:, None] * inv)
         loo = alpha / ((basis * basis) @ inv)
     else:
-        jac = JacobianOperator(factor.network, factor.x, factor.channels)
-        z = (basis.T @ jac.vjp(resid))[:, None] * inv
+        z = (basis.T @ factor.jac.vjp(resid))[:, None] * inv
         loo = np.empty((resid.size, inv.shape[1]))
-        for cols, block in factor.blocks():
+        for cols, block in _jacobian_blocks(factor.jac):
             proj = basis.T @ block
             loo[cols] = (resid[cols, None] - proj.T @ z) / (1.0 - (proj * proj).T @ inv)
     return np.mean(loo * loo, axis=0)
 
 
-def _exact_factor(network: MlpNetwork, jac: JacobianOperator, rank, factor):
+def _exact_factor(jac: JacobianOperator, rank, factor):
     """The factorization an exact fit uses, or None for the matrix-free path.
 
-    A given ``factor`` must be of this fit's Jacobian: the same network,
-    channels and inputs. An exact root has p * min(n*o, p) entries; like
-    every dense block it stays under ``DENSE_JACOBIAN_CAP``, else the
-    Lanczos root is kept.
+    An exact root is min(n*o, p) square: n*o in kernel form, p in feature
+    form. Like every dense block it stays under ``DENSE_JACOBIAN_CAP``
+    entries, else the Lanczos root is kept.
     """
-    if factor is not None:
-        if factor.network is None:
-            raise ContractViolationError(
-                "the Gram factor of a bare kernel or of weighted Jacobians gives leave-one-out "
-                "scores or Laplace draws only; fit from an unweighted gp.factor_gram instead"
-            )
-        if factor.network.architecture != network.architecture or not np.array_equal(
-            factor.network.params, network.params
-        ):
-            raise ContractViolationError("the Gram factor was built from another network")
-        if factor.channels != (None if jac.channels is None else tuple(jac.channels)):
-            raise ContractViolationError("the Gram factor was built for other channels")
-        if not np.array_equal(factor.x, jac.inputs):
-            raise ContractViolationError("the Gram factor was built from other inputs")
     side = min(jac.out_len, jac.param_count)
-    if rank is not None or jac.param_count * side > DENSE_JACOBIAN_CAP:
+    if rank is not None or side * side > DENSE_JACOBIAN_CAP:
         return None
     if factor is not None:
         return factor
     if side <= EXACT_FIT_LIMIT:
-        return factor_gram(network, jac.inputs, jac.channels)
+        return factor_gram(jac.network, jac, jac.channels)
     return None
 
 
@@ -344,16 +372,11 @@ def _exact_mean_cache(factor: GramFactor, jac: JacobianOperator, resid, sigma2: 
     return basis @ ((basis.T @ jac.vjp(resid)) / (factor.evals + sigma2))
 
 
-def _jacobian_times(blocks, rows: np.ndarray) -> np.ndarray:
-    """J @ rows for an n*o-row matrix, summed over dense Jacobian ``blocks``."""
-    return sum(block @ rows[cols] for cols, block in blocks)
-
-
 def _exact_root(factor: GramFactor, sigma2: float) -> np.ndarray:
-    """R with R R' = J (K + s I)^-1 J', which is W diag(E / (E + s)) W'."""
+    """C in the form of the factor's side: V (E + s)^-1/2, or W (E / (E + s))^1/2."""
     evals = factor.evals
     if factor.side == "function":
-        return _jacobian_times(factor.blocks(), factor.evecs / np.sqrt(evals + sigma2))
+        return factor.evecs / np.sqrt(evals + sigma2)
     return factor.evecs * np.sqrt(evals / (evals + sigma2))
 
 
@@ -370,20 +393,31 @@ def _solve_or_fail(op, rhs, what: str):
 
 
 def _fit(network, data, mean_kind, rank, channels, factor, kernel_side: bool) -> NtkPosterior:
-    """The body both fits share: exact from a ``GramFactor``, else CG and Lanczos on one side."""
-    jac, resid = _prepare(network, data, mean_kind, channels)
+    """The body both fits share: exact from a ``GramFactor``, else CG and Lanczos on one side.
+
+    A given ``factor`` must be of this fit's Jacobian (the same network,
+    channels and inputs); the fit reuses its operator.
+    """
+    if factor is not None and factor.jac is None:
+        raise ContractViolationError(
+            "the Gram factor of a bare kernel or of weighted Jacobians gives leave-one-out "
+            "scores or Laplace draws only; fit from an unweighted gp.factor_gram instead"
+        )
+    jac = None if factor is None else factor.jac
+    jac, resid = _prepare(network, data, mean_kind, channels, jac, "the Gram factor")
     sigma2 = data.noise_variance
-    factor = _exact_factor(network, jac, rank, factor)
+    factor = _exact_factor(jac, rank, factor)
     if factor is not None:
         mean_cache = _exact_mean_cache(factor, jac, resid, sigma2)
         variance_root = _exact_root(factor, sigma2)
+        kernel_form = factor.side == "function"
     elif kernel_side:
         op = SymmetricLinearOperator(
             dim=jac.out_len, base=lambda v: jac.jvp(jac.vjp(v)), shift=sigma2
         )
         mean_cache = jac.vjp(_solve_or_fail(op, resid, "function-space"))
-        inv_root = lowrank_inverse_root(_variance_lanczos(op, resid, rank))
-        variance_root = _jacobian_times(_jacobian_blocks(network, data.x, channels), inv_root)
+        variance_root = lowrank_inverse_root(_variance_lanczos(op, resid, rank))
+        kernel_form = True
     else:
         op = SymmetricLinearOperator(
             dim=jac.param_count, base=lambda v: jac.vjp(jac.jvp(v)), shift=sigma2
@@ -395,6 +429,7 @@ def _fit(network, data, mean_kind, rank, channels, factor, kernel_side: bool) ->
         factors = _variance_lanczos(op, rhs, rank)
         evals, evecs = tridiagonal_eigh(factors)
         variance_root = factors.q @ (evecs * np.sqrt(np.maximum(evals - sigma2, 0.0) / evals))
+        kernel_form = False
     return NtkPosterior(
         mean_kind=mean_kind,
         channels=tuple(channels) if channels is not None else None,
@@ -402,6 +437,7 @@ def _fit(network, data, mean_kind, rank, channels, factor, kernel_side: bool) ->
         variance_root=variance_root,
         noise_variance=sigma2,
         theta_fingerprint=network.fingerprint(),
+        inputs=jac.inputs.copy() if kernel_form else None,
     )
 
 
@@ -459,26 +495,70 @@ def _sq_norms(m: np.ndarray) -> np.ndarray:
     return np.einsum("rj,rj->j", m, m)
 
 
+def _prior_variances(jac: JacobianOperator) -> np.ndarray:
+    """k(x, x) = |j|^2 per datum and channel, datum-major: the sum over layers of |D|^2 (|H|^2 + 1)."""
+    total = np.zeros((jac.n_data, jac.out_dim))
+    for h, d in jac.layer_sensitivities():
+        total += np.einsum("nkj,nkj->nk", d, d) * (np.einsum("nj,nj->n", h, h) + 1.0)[:, None]
+    return total.ravel()
+
+
+def _checked_root(posterior: NtkPosterior, jac: JacobianOperator) -> np.ndarray:
+    """The posterior's variance root, once its arrays fit the network it predicts with."""
+    root, inputs = posterior.variance_root, posterior.inputs
+    if inputs is None:
+        rows, what = jac.param_count, "parameter"
+    else:
+        input_dim = jac.network.architecture.input_dim
+        if inputs.ndim != 2 or inputs.shape[1] != input_dim:
+            raise ContractViolationError(
+                f"posterior inputs of shape {inputs.shape} do not match input_dim {input_dim}"
+            )
+        rows, what = len(inputs) * jac.out_dim, "training output"
+    if root.ndim != 2 or root.shape[0] != rows:
+        raise ContractViolationError(
+            f"posterior variance_root of shape {root.shape} needs one row per {what} ({rows})"
+        )
+    return root
+
+
 def predict(
     posterior: NtkPosterior,
     network: MlpNetwork,
     x,
     cap: int = DENSE_JACOBIAN_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive mean J*' m + mu and per-channel variance |j*|^2 - |R' j*|^2 at new inputs."""
+    """Predictive mean J*' m + mu and per-channel variance k(x*, x*) - |C' phi(x*)|^2 at new inputs.
+
+    Kernel form: phi(x*) = K(X, x*) in chunks of query rows whose cross
+    kernel stays under ``cap`` entries. Feature form: phi(x*) = j* in dense
+    query blocks under ``cap`` entries. A chunk holds at least one row.
+    """
     if network.fingerprint() != posterior.theta_fingerprint:
         raise ContractViolationError(
             "posterior is stale: the network parameters differ from the ones it was fitted at"
         )
     jac = JacobianOperator(network, x, posterior.channels)
-    n_test = jac.n_data
+    root = _checked_root(posterior, jac)
+    n_test, o = jac.n_data, jac.out_dim
     mu = _mean_surface(jac, network.params, posterior.mean_kind)
-    mean = jac.jvp(posterior.mean_cache).reshape(n_test, jac.out_dim) + mu
+    mean = jac.jvp(posterior.mean_cache).reshape(n_test, o) + mu
 
     var = np.empty(jac.out_len)
-    for cols, jt in _jacobian_blocks(network, jac.inputs, jac.channels, cap):
-        var[cols] = _sq_norms(jt) - _sq_norms(posterior.variance_root.T @ jt)
-    return mean, np.maximum(var, 0.0).reshape(n_test, jac.out_dim)
+    if posterior.inputs is None:
+        for cols, jt in _jacobian_blocks(jac, cap):
+            var[cols] = _sq_norms(jt) - _sq_norms(root.T @ jt)
+    else:
+        train = JacobianOperator(network, posterior.inputs, posterior.channels)
+        prior = _prior_variances(jac)
+        rows = max(1, cap // max(1, train.out_len * o))
+        for start in range(0, n_test, rows):
+            part = jac.rows(start, start + rows)
+            # Sized here: one row may exceed ``cap``, as one dense block may.
+            phi = kernel_matrix(network, train, part, posterior.channels, train.out_len * part.out_len)
+            cols = slice(start * o, start * o + part.out_len)
+            var[cols] = prior[cols] - _sq_norms(root.T @ phi)
+    return mean, np.maximum(var, 0.0).reshape(n_test, o)
 
 
 def log_marginal_likelihood(
@@ -505,7 +585,7 @@ def log_marginal_likelihood(
     sigma2 = data.noise_variance
     dim = jac.out_len
     if min(dim, jac.param_count) <= DENSE_LOG_MARGINAL_LIMIT:
-        factor = factor_gram(network, jac.inputs, channels)
+        factor = factor_gram(network, jac, channels)
         shifted = factor.evals + sigma2
         kernel_side = factor.side == "function"
         proj = factor.evecs.T @ (resid if kernel_side else jac.vjp(resid))
@@ -524,13 +604,18 @@ def log_marginal_likelihood(
 # Files that also store "space" (written before the side was picked by
 # rule) hold the same arrays and still load.
 _POSTERIOR_META_KEYS = ("mean_kind", "channels", "noise_variance", "theta_fingerprint")
+# Version 2 stored every root in feature form; version 3 names the form
+# and stores the training inputs of a kernel-form root.
+_FEATURE_FORM_VERSION = 2
 
 
 def save_posterior(posterior: NtkPosterior, path) -> None:
     """Write a posterior cache; arrays in f64, metadata as embedded JSON."""
+    kernel_form = posterior.inputs is not None
     meta = json.dumps(
         {
             "version": POSTERIOR_FILE_VERSION,
+            "form": "kernel" if kernel_form else "feature",
             "mean_kind": posterior.mean_kind,
             "channels": list(posterior.channels) if posterior.channels is not None else None,
             "noise_variance": posterior.noise_variance,
@@ -538,9 +623,11 @@ def save_posterior(posterior: NtkPosterior, path) -> None:
         },
         sort_keys=True,
     )
+    arrays = {"mean_cache": posterior.mean_cache, "variance_root": posterior.variance_root}
+    if kernel_form:
+        arrays["inputs"] = posterior.inputs
     buffer = io.BytesIO()
-    np.savez(buffer, meta=np.array(meta), mean_cache=posterior.mean_cache,
-             variance_root=posterior.variance_root)
+    np.savez(buffer, meta=np.array(meta), **arrays)
     atomic_write_bytes(path, buffer.getvalue())
 
 
@@ -558,9 +645,13 @@ def load_posterior(path) -> NtkPosterior:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: not a posterior cache: {exc}") from exc
         version = meta.get("version") if isinstance(meta, dict) else None
-        if version != POSTERIOR_FILE_VERSION:
+        if version not in (_FEATURE_FORM_VERSION, POSTERIOR_FILE_VERSION):
             raise ConfigError(f"{path}: unsupported posterior file version {version}")
-        missing = [name for name in ("mean_cache", "variance_root") if name not in archive.files]
+        form = meta.get("form") if version == POSTERIOR_FILE_VERSION else "feature"
+        if form not in ("feature", "kernel"):
+            raise ConfigError(f"{path}: unknown posterior form {form!r}")
+        arrays = ("mean_cache", "variance_root") + (("inputs",) if form == "kernel" else ())
+        missing = [name for name in arrays if name not in archive.files]
         missing += [key for key in _POSTERIOR_META_KEYS if key not in meta]
         if missing:
             raise ConfigError(f"{path}: posterior cache has no {missing[0]!r}")
@@ -572,4 +663,5 @@ def load_posterior(path) -> NtkPosterior:
             variance_root=archive["variance_root"],
             noise_variance=float(meta["noise_variance"]),
             theta_fingerprint=meta["theta_fingerprint"],
+            inputs=archive["inputs"] if form == "kernel" else None,
         )

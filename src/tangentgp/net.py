@@ -3,16 +3,17 @@
 Exact, inspectable Jacobian products come first. ``JacobianOperator``
 caches one forward trace and then answers reverse-mode products (J u),
 forward-mode products (J' v), the per-layer inputs and output sensitivities
-that tangent kernels are assembled from, and a dense assembly: the block
-from which predictive variances are built, a test oracle, and the input of
-similarity studies. Training builds one operator per minibatch step, so
-everything a step reads that depends only on the shapes (the parameter
-layout, the per-layer views) is computed once per architecture or network,
-never per product.
+that tangent kernels are assembled from, row slices that share its trace,
+and a dense assembly: the p square Gram and feature-form variances of the
+GP, a test oracle, and the input of similarity studies. Training builds
+one operator per minibatch step, so everything a step reads that depends
+only on the shapes (the parameter layout, the per-layer views) is computed
+once per architecture or network, never per product.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -370,6 +371,15 @@ class JacobianOperator:
                 return dz[:, self.channels].ravel()
         raise AssertionError("unreachable: architectures always have at least one layer")
 
+    def rows(self, start: int, stop: int) -> "JacobianOperator":
+        """The operator of inputs[start:stop], sharing this one's forward trace."""
+        part = copy.copy(self)
+        part.inputs = self.inputs[start:stop]
+        part.outputs = self.outputs[start:stop]
+        part._layer_inputs = [h[start:stop] for h in self._layer_inputs]
+        part._slopes = [s[start:stop] for s in self._slopes]
+        return part
+
     def layer_sensitivities(self):
         """Per-layer (H, D) from the output layer back to the first.
 
@@ -396,8 +406,8 @@ class JacobianOperator:
         """Assemble the p x (n*o) Jacobian; column i*o + k = vjp(one-hot(i, k)).
 
         The reference for the matrix-free products and for the layer-wise
-        kernel assembly, and the block that predictive variance terms,
-        variance roots and the p square J J' are built from.
+        kernel assembly, and the block that the p square J J' and
+        feature-form predictive variances are built from.
         """
         entries = self.param_count * self.out_len
         if entries > cap:

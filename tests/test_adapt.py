@@ -38,6 +38,7 @@ from tangentgp.adapt import (
 )
 import tangentgp.adapt as adapt_module
 import tangentgp.gp as gp_module
+import tangentgp.net as net_module
 from tangentgp.errors import (
     ContractViolationError,
     NumericBreakdownError,
@@ -311,6 +312,29 @@ class TestAdaptTask:
         assert calls == {"eigh": 2, "cg": 0, "lanczos": 0}
         adapt_task(source, context, None, AdaptConfig(rank=8, noise_grid=grid))
         assert calls["eigh"] == 4 and calls["cg"] == 1 and calls["lanczos"] == 1
+
+    def test_noise_grid_task_traces_each_input_set_once(self, monkeypatch):
+        # One trace of the context serves centering, the noise search and
+        # the fit. The eval set is traced once for predict and once for
+        # centering; a kernel-form predict also traces the stored context.
+        source, _, _ = trained_source()
+        p = source.architecture.parameter_count
+        traces = []
+        original = net_module._forward_trace
+
+        def spy(network, x):
+            traces.append(len(x))
+            return original(network, x)
+
+        monkeypatch.setattr(net_module, "_forward_trace", spy)
+        grid = (1e-4, 1e-2, 1.0)
+        for n, want in ((12, [12, 7, 12, 7]), (p + 20, [p + 20, 7, 7])):
+            x = np.linspace(-3.0, 3.0, n)[:, None]
+            context = TaskDataset(x, np.sin(x), noise_variance=1.0)
+            eval_set = TaskDataset(x[:7] + 0.1, np.sin(x[:7]), noise_variance=1.0)
+            traces.clear()
+            adapt_task(source, context, eval_set, AdaptConfig(noise_grid=grid))
+            assert traces == want
 
     def test_p_side_noise_grid_needs_no_kernel_matrix(self, monkeypatch):
         # n*o = 10001 would need a kernel over the dense cap; p = 25 does not.

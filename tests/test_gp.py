@@ -8,6 +8,7 @@ matrix-free, must reproduce these numbers.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,10 +128,18 @@ def matrix_free_kernel(network, x1, x2, channels):
 
 
 def matrix_free_variances(posterior, network, x):
-    """Reference predictive variances from per-column products J* e_b."""
+    """Reference predictive variances from per-column products J* e_b.
+
+    A kernel-form root C is taken to the feature form J C by reverse
+    products of the training Jacobian.
+    """
     cols = matrix_free_columns(JacobianOperator(network, x, posterior.channels))
     col_sq = np.einsum("pj,pj->j", cols, cols)
-    rp = posterior.variance_root.T @ cols
+    root = posterior.variance_root
+    if posterior.inputs is not None:
+        train = JacobianOperator(network, posterior.inputs, posterior.channels)
+        root = np.column_stack([train.vjp(c) for c in root.T])
+    rp = root.T @ cols
     var = col_sq - np.einsum("rj,rj->j", rp, rp)
     return np.maximum(var, 0.0).reshape(x.shape[0], -1)
 
@@ -146,6 +155,19 @@ def count_dense_blocks(monkeypatch):
 
     monkeypatch.setattr(JacobianOperator, "dense", spy)
     return sizes
+
+
+def count_cross_kernel_rows(monkeypatch):
+    """Record the query-row count of every cross kernel that ``predict`` assembles."""
+    rows = []
+    original = gp_module.kernel_matrix
+
+    def spy(network, x1, x2=None, *args, **kwargs):
+        rows.append(len(x2.inputs))
+        return original(network, x1, x2, *args, **kwargs)
+
+    monkeypatch.setattr(gp_module, "kernel_matrix", spy)
+    return rows
 
 
 def sinusoid_data(rng, n=8, noise=0.05):
@@ -468,12 +490,21 @@ class TestExactFit:
         weights = rng.standard_normal((len(x), k, 3))
         factor = factor_gram(net, x, weights=weights)
         assert factor.side == ("function" if cols <= p else "parameter")
-        assert factor.network is None and factor.x is None and factor.channels is None
+        assert factor.jac is None
         j = JacobianOperator(net, x).dense()
         b = np.hstack([j[:, 3 * i : 3 * i + 3] @ w.T for i, w in enumerate(weights)])
         gram = b.T @ b if factor.side == "function" else b @ b.T
         want = np.linalg.eigvalsh(gram)
         assert np.max(np.abs(factor.evals - want)) <= 1e-10 * want[-1]
+
+    def test_weighted_factor_of_no_inputs_is_empty(self):
+        net = make_net([2, 4, 3], seed=3)
+        for k in (1, 2):
+            factor = factor_gram(net, np.zeros((0, 2)), weights=np.zeros((0, k, 3)))
+            unweighted = factor_gram(net, np.zeros((0, 2)))
+            for got in (factor, unweighted):
+                assert got.side == "function"
+                assert got.evals.shape == (0,) and got.evecs.shape == (0, 0)
 
     def test_weighted_factor_cannot_fit(self):
         for n in (20, 40):  # both sides of p = 25
@@ -523,13 +554,106 @@ class TestExactFit:
         assert calls["cg"] == 1 and calls["lanczos"] == 1
 
     def test_roots_over_the_dense_cap_run_matrix_free(self, monkeypatch):
-        # p = 25 and n*o = 20: an exact root would have 500 entries.
+        # p = 25 and n*o = 20: an exact kernel-form root would have 400 entries.
         net, data, _ = self.problem([2, 6, 1], False, None, 20)
         factor = factor_gram(net, data.x)
-        monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", 499)
+        monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", 399)
         calls = self.count_calls(monkeypatch)
         fit_posterior(net, data, factor=factor)
         assert calls["cg"] == 1 and calls["lanczos"] == 1
+
+
+class TestKernelForm:
+    """Kernel-form posteriors (kernel side) and feature-form ones (p side) against the dense oracle."""
+
+    # (dims, heteroscedastic, channels, n on the kernel side, n on the p
+    # side): 3-D inputs, two outputs, and a heteroscedastic mean channel.
+    PROBLEMS = [
+        ([3, 9, 1], False, None, 12, 60),
+        ([2, 8, 2], False, None, 9, 30),
+        ([2, 10, 1], True, (0,), 12, 60),
+    ]
+
+    @pytest.mark.parametrize("dims, heteroscedastic, channels, n_kernel, n_p", PROBLEMS)
+    def test_both_forms_match_dense_oracle_and_round_trip(
+        self, tmp_path, dims, heteroscedastic, channels, n_kernel, n_p
+    ):
+        o = dims[-1] if channels is None else len(channels)
+        for n in (n_kernel, n_p):
+            net, data, x_test = TestExactFit.problem(dims, heteroscedastic, channels, n)
+            kernel_side = n * o <= net.architecture.parameter_count
+            assert kernel_side == (n == n_kernel)
+            prior = float(np.max(np.diag(kernel_matrix(net, x_test, channels=channels))))
+            mean_o, var_o = dense_oracle(net, data, x_test, "linearized_nn", "function", channels)
+            # Exact fits, then Lanczos fits of full rank on their own side.
+            for rank, tol in ((None, 1e-10), (n * o, 1e-6)):
+                fit = fit_function_space if kernel_side else fit_parameter_space
+                post = fit(net, data, mean_kind="linearized_nn", rank=rank, channels=channels)
+                if kernel_side:
+                    assert post.inputs.shape == (n, dims[0])
+                    assert post.variance_root.shape[0] == n * o
+                else:
+                    assert post.inputs is None
+                    assert post.variance_root.shape[0] == net.architecture.parameter_count
+                path = tmp_path / "post.npz"
+                save_posterior(post, path)
+                loaded = load_posterior(path)
+                mean, var = predict(post, net, x_test)
+                for got, want in zip(predict(loaded, net, x_test), (mean, var)):
+                    np.testing.assert_array_equal(got, want)
+                scale = float(np.max(np.abs(mean_o)))
+                np.testing.assert_allclose(mean, mean_o, rtol=tol, atol=tol * scale)
+                assert np.max(np.abs(var - var_o)) <= tol * prior
+
+    def test_kernel_side_fit_and_predict_build_no_dense_jacobian(self, monkeypatch):
+        net, data, x_test = TestExactFit.problem([2, 10, 1], True, (0,), 12)
+        sizes = count_dense_blocks(monkeypatch)
+        for rank in (None, 6):
+            post = fit_posterior(net, data, rank=rank, channels=(0,))
+            predict(post, net, x_test)
+            assert post.inputs is not None
+        assert sizes == []
+
+    def test_version_2_file_predicts_in_feature_form(self, tmp_path):
+        # A version-2 file stored the kernel side's root as J V (E + s)^-1/2,
+        # p x n*o, and predicted |j*|^2 - |R' j*|^2 from dense query blocks.
+        net, data, x_test = TestExactFit.problem([2, 8, 2], False, None, 9)
+        post = fit_posterior(net, data, mean_kind="linearized_nn")
+        root = JacobianOperator(net, data.x).dense() @ post.variance_root
+        path = tmp_path / "v2.npz"
+        save_posterior(post, path)
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(str(archive["meta"]))
+        del meta["form"]
+        meta["version"] = 2
+        np.savez(path, meta=np.array(json.dumps(meta)), mean_cache=post.mean_cache,
+                 variance_root=root)
+        loaded = load_posterior(path)
+        assert loaded.inputs is None
+        mean, var = predict(loaded, net, x_test)
+        jt = JacobianOperator(net, x_test).dense()
+        old = np.einsum("pj,pj->j", jt, jt) - np.einsum("rj,rj->j", root.T @ jt, root.T @ jt)
+        np.testing.assert_array_equal(var, np.maximum(old, 0.0).reshape(var.shape))
+        mean_k, var_k = predict(post, net, x_test)
+        np.testing.assert_array_equal(mean, mean_k)
+        prior = float(np.max(np.diag(kernel_matrix(net, x_test))))
+        assert np.max(np.abs(var - var_k)) <= 1e-10 * prior
+
+    def test_mismatched_posterior_arrays_are_contract_violations(self):
+        net, data, x_test = TestExactFit.problem([2, 8, 2], False, None, 9)
+        kernel = fit_posterior(net, data)
+        feature = fit_parameter_space(net, data, rank=4)
+        assert kernel.inputs is not None and feature.inputs is None
+        bad = [
+            (replace(feature, variance_root=feature.variance_root[1:]), "variance_root"),
+            (replace(kernel, variance_root=kernel.variance_root[1:]), "variance_root"),
+            (replace(kernel, inputs=kernel.inputs[1:]), "variance_root"),
+            (replace(kernel, inputs=kernel.inputs[:, :1]), "inputs"),
+            (replace(kernel, inputs=kernel.inputs.ravel()), "inputs"),
+        ]
+        for post, name in bad:
+            with pytest.raises(ContractViolationError, match=name):
+                predict(post, net, x_test)
 
 
 class TestPredict:
@@ -620,14 +744,25 @@ class TestChunkedPredict:
         net = make_net([2, 16, 1], seed=23, heteroscedastic=True)
         x = rng.standard_normal((6, 2))
         x_test = rng.standard_normal((9, 2))
-        cap = 3 * net.architecture.parameter_count * net.architecture.internal_output_dim
         for channels in (None, (0,)):
             y = rng.standard_normal((6, 2 if channels is None else 1))
             data = TaskDataset(x, y, noise_variance=0.1)
-            for fit in (fit_function_space, fit_parameter_space):
-                post = fit(net, data, mean_kind="linearized_nn", channels=channels)
+            # Both exact fits are in kernel form here; the rank-8
+            # parameter-space fit is in feature form.
+            for fit, rank in ((fit_function_space, None), (fit_parameter_space, None),
+                              (fit_parameter_space, 8)):
+                post = fit(net, data, mean_kind="linearized_nn", channels=channels, rank=rank)
                 mean_one, var_one = predict(post, net, x_test)
-                sizes = count_dense_blocks(monkeypatch)
+                if post.inputs is None:
+                    # Dense query blocks of at most 3 data.
+                    arch = net.architecture
+                    cap = 3 * arch.parameter_count * arch.internal_output_dim
+                    sizes = count_dense_blocks(monkeypatch)
+                else:
+                    # Cross kernels of at most 3 query rows.
+                    o = post.variance_root.shape[0] // len(x)
+                    cap = 3 * len(x) * o * o
+                    sizes = count_cross_kernel_rows(monkeypatch)
                 mean, var = predict(post, net, x_test, cap=cap)
                 monkeypatch.undo()
                 assert max(sizes) <= 3 and len(sizes) >= 3
@@ -819,12 +954,26 @@ class TestPosteriorSerialization:
         for space in ("function", "parameter"):
             old_meta = json.dumps({**meta, "space": space}, sort_keys=True)
             np.savez(path, meta=np.array(old_meta), mean_cache=post.mean_cache,
-                     variance_root=post.variance_root)
+                     variance_root=post.variance_root, inputs=post.inputs)
             loaded = load_posterior(path)
             np.testing.assert_array_equal(loaded.mean_cache, post.mean_cache)
             np.testing.assert_array_equal(loaded.variance_root, post.variance_root)
             for got, want in zip(predict(loaded, net, x_test), predict(post, net, x_test)):
                 np.testing.assert_array_equal(got, want)
+
+    def test_kernel_form_file_without_inputs_is_refused(self, tmp_path):
+        rng = np.random.default_rng(28)
+        net = make_net([1, 7, 1], seed=28)
+        post = fit_posterior(net, sinusoid_data(rng, n=6))
+        path = tmp_path / "post.npz"
+        save_posterior(post, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        assert json.loads(str(arrays["meta"]))["form"] == "kernel"
+        del arrays["inputs"]
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigError, match="'inputs'"):
+            load_posterior(path)
 
     def test_version_check(self, tmp_path):
         rng = np.random.default_rng(20)

@@ -3,8 +3,8 @@
 The benchmark's tracer (``perfbench/spans.py``) patches tangentgp
 functions and methods by name. A rename in the package would make every
 traced benchmark run fail; these tests fail first instead. They read the
-tracer's instrument table, and install the tracer only around one pair
-of fits and around single Laplace draws.
+tracer's instrument table, and install the tracer only around small
+fits, adaptations, MAP fits and single Laplace draws.
 """
 
 import importlib
@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tangentgp.glm as glm_module
+from tangentgp.adapt import AdaptConfig, adapt_task
 from tangentgp.glm import (
     ClassificationData,
     GlmFitConfig,
@@ -85,4 +87,42 @@ def test_laplace_draw_attribution_on_each_side(n_fisher, kernels):
     finally:
         tracer.uninstall()
     assert tracer.calls["gp.kernel_matrix"] == kernels
+    assert tracer.mismatches == []
+
+
+def test_adaptation_counts_its_eval_points_on_each_side():
+    # The tracer counts predicted points from predict's third argument.
+    net = init_network(MlpArchitecture(1, (4,), 1), seed=0)  # p = 13
+    tracer = spans().Tracer()
+    tracer.install()
+    try:
+        for n in (5, 20):  # the kernel side, then the p side
+            x = np.linspace(-1.0, 1.0, n)[:, None]
+            eval_x = np.linspace(-0.9, 0.9, 7)[:, None]
+            adapt_task(
+                net,
+                TaskDataset(x, np.sin(x), noise_variance=0.1),
+                TaskDataset(eval_x, np.sin(eval_x), noise_variance=0.1),
+                AdaptConfig(noise_grid=(1e-2, 1e-1)),
+            )
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["gp.predict.points"] == 2 * 7
+    assert tracer.counts["gp.fit.function.calls"] == tracer.counts["gp.fit.parameter.calls"] == 1
+    assert tracer.mismatches == []
+
+
+def test_map_fit_builds_the_operators_the_tracer_expects():
+    # One operator per minibatch step plus one per epoch-end objective.
+    net = init_network(MlpArchitecture(2, (4,), 3), seed=1)
+    rng = np.random.default_rng(1)
+    data = ClassificationData(rng.normal(size=(10, 2)), np.arange(10) % 3)
+    tracer = spans().Tracer()
+    tracer.install()
+    try:
+        # Through the module: the tracer replaces the name where it is bound.
+        glm_module.fit_map(zero_coefficients_glm(net), data, GlmFitConfig(epochs=2, batch_size=4))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["glm.fit_map.steps"] == 6
     assert tracer.mismatches == []
