@@ -3,24 +3,35 @@
 The workflow trains a source network a single time, then treats each new
 task as GP regression with the source's Jacobian features: no gradients,
 no retraining, one Gram eigendecomposition per task (a CG solve for large
-fixed-noise tasks). Baselines (no retraining at all, refitting only the
-final layer) and seeded synthetic task generators for the sinusoid and
-surface benchmarks live here too.
+fixed-noise tasks). Tasks with an exact kernel-side fit and the same
+context and eval sizes are adapted together: one forward trace per input
+set for the whole group, and batched kernels, eigendecompositions,
+leave-one-out scores and predictions over a leading task axis.
+Baselines (no retraining at all, refitting only the final layer) and
+seeded synthetic task generators for the sinusoid and surface benchmarks
+live here too.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolationError, TangentGpError, TrainingDivergenceError
 from .gp import (
+    EXACT_FIT_LIMIT,
     GramFactor,
     NtkPosterior,
+    _dual_weights,
+    _eigh_psd,
+    _exact_root,
+    _kernel_form_variances,
+    _mean_surface,
+    _swap,
+    _task_kernels,
     factor_gram,
     fit_posterior,
     loo_scores,
@@ -28,6 +39,7 @@ from .gp import (
     regression_residual,
 )
 from .net import (
+    DENSE_JACOBIAN_CAP,
     Adam,
     JacobianOperator,
     MlpArchitecture,
@@ -179,8 +191,12 @@ def select_noise_by_loo(kernel, targets, grid) -> float:
                 f"kernel is {kernel.shape[0]}x{kernel.shape[1]} but there are {y.size} targets"
             )
         kernel = GramFactor.of_kernel(kernel)
-    scores = loo_scores(kernel, y, grid)
-    return grid[int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))]
+    return grid[int(_loo_pick(loo_scores(kernel, y, grid)))]
+
+
+def _loo_pick(scores: np.ndarray) -> np.ndarray:
+    """Index of the smallest score along the last axis; NaN never wins, ties go to the earlier entry."""
+    return np.argmin(np.where(np.isnan(scores), np.inf, scores), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +215,11 @@ class AdaptConfig:
     choice is the source network's training MSE), while ``noise_grid``
     instead picks the variance per task by leave-one-out error over the
     given candidates. Each fit solves the smaller of its two dual systems
-    (``gp.fit_posterior``); no setting picks one. Each task's wall time
-    goes to the ``tangentgp`` logger at DEBUG level, never into the
-    metrics.
+    (``gp.fit_posterior``); no setting picks one. Every task with an exact
+    kernel-side fit (``rank`` None, n*o at most p and
+    ``gp.EXACT_FIT_LIMIT``) takes the stacked pass of ``run_adaptation``.
+    Wall times go to the ``tangentgp`` logger at DEBUG level, never into
+    the metrics.
     """
 
     mean_kind: str = "zero"
@@ -283,9 +301,15 @@ def adapt_task(
     Returns (posterior, metrics); metrics is None without an eval set.
     Adaptation is linear algebra only: the source parameters are never
     stepped, so the Jacobian is computed fresh here and discarded after.
-    One operator on the context serves the centering, the noise search
-    and the fit.
+    A task with an exact kernel-side fit is the one-task call of the
+    stacked pass (``run_adaptation``). Any other task (the p side, an
+    explicit ``rank``, a matrix-free fit, or inputs and targets of the
+    wrong width) runs ``gp.fit_posterior`` and ``gp.predict`` on one
+    operator for the context, which serves the centering, the noise
+    search and the fit.
     """
+    if _stack_entries(source.architecture, context, eval_set, cfg) is not None:
+        return _adapt_stack(source, [(context, eval_set)], cfg, source.fingerprint())[0]
     arch = source.architecture
     channels = _mean_channel_spec(arch)
     sigma2 = cfg.noise_variance if cfg.noise_variance is not None else context.noise_variance
@@ -319,6 +343,97 @@ def adapt_task(
     )
 
 
+def _stack_entries(arch: MlpArchitecture, context: TaskDataset, eval_set, cfg: AdaptConfig):
+    """Entries of the task's largest array in the stacked pass, or None if it runs alone.
+
+    A task stacks when its fit is exact on the kernel side (``rank`` None,
+    n*o at most p and ``gp.EXACT_FIT_LIMIT``), its inputs and targets have
+    the network's widths, and its arrays fit under ``DENSE_JACOBIAN_CAP``.
+    Those arrays are its kernel, its cross kernel to the eval set, its
+    leave-one-out scores and its layer sensitivities.
+    """
+    o = arch.output_dim  # the mean channels a regression selects
+    if cfg.rank is not None:
+        return None
+    for data in (context, eval_set):
+        if data is not None and (data.x.shape[1] != arch.input_dim or data.y.shape[1] != o):
+            return None
+    rows = context.n * o
+    if rows > min(arch.parameter_count, EXACT_FIT_LIMIT):
+        return None
+    cols = 0 if eval_set is None else eval_set.n * o
+    widest = max(arch.layer_dims)
+    entries = max(rows * max(rows, cols, len(cfg.noise_grid or ())), max(rows, cols) * widest)
+    return entries if entries <= DENSE_JACOBIAN_CAP else None
+
+
+def _adapt_stack(source: MlpNetwork, pairs, cfg: AdaptConfig, fingerprint: str):
+    """Adapt T tasks of one context size and one eval size in one batched pass.
+
+    Returns one (posterior, metrics) per (context, eval) pair, as
+    ``adapt_task`` defines them. One operator is built over all contexts
+    and one over all eval sets. One sensitivity pass over each gives the
+    (T, n*o, n*o) kernels, the (T, n*o, m*o) cross kernels and the prior
+    variances. One batched eigendecomposition gives every task's
+    leave-one-out scores, dual weights c = (K + s I)^-1 r and root
+    V (E + s)^-1/2. The eval mean is K(X, X*)' c and the variance is the
+    kernel-form one of ``gp.predict``. Any failure raises for the whole
+    stack.
+    """
+    arch = source.architecture
+    channels = _mean_channel_spec(arch)
+    contexts, evals = zip(*pairs)
+    t, n = len(pairs), contexts[0].n
+    jac = JacobianOperator(source, np.concatenate([c.x for c in contexts]), channels)
+    y = np.concatenate([c.y for c in contexts])
+    targets = y - jac.outputs if cfg.center_on_network else y
+    resid = (targets - _mean_surface(jac, source.params, cfg.mean_kind)).reshape(t, -1)
+    query = None
+    if evals[0] is not None:
+        query = JacobianOperator(source, np.concatenate([e.x for e in evals]), channels)
+    kernels, cross, prior = _task_kernels(jac, query, t)
+    factor = GramFactor("function", *_eigh_psd(kernels), jac)
+    if cfg.noise_grid is not None:
+        grid = np.asarray(cfg.noise_grid, dtype=np.float64)
+        sigma2 = grid[_loo_pick(loo_scores(factor, resid, grid))]
+    elif cfg.noise_variance is not None:
+        sigma2 = np.full(t, float(cfg.noise_variance))
+    else:
+        sigma2 = np.array([c.noise_variance for c in contexts], dtype=np.float64)
+    weights = _dual_weights(factor, resid, sigma2[:, None])
+    roots = _exact_root(factor, sigma2[:, None])
+    posteriors = [
+        NtkPosterior(
+            mean_kind=cfg.mean_kind,
+            channels=channels,
+            mean_cache=jac.rows(i * n, (i + 1) * n).vjp(weights[i]),
+            variance_root=roots[i],
+            noise_variance=float(sigma2[i]),
+            theta_fingerprint=fingerprint,
+            inputs=contexts[i].x.copy(),
+        )
+        for i in range(t)
+    ]
+    if query is None:
+        return [(posterior, None) for posterior in posteriors]
+    shape = (t, evals[0].n, -1)
+    mean = (_swap(cross) @ weights[..., None]).reshape(shape)
+    mean = mean + _mean_surface(query, source.params, cfg.mean_kind).reshape(shape)
+    if cfg.center_on_network:
+        mean = mean + query.outputs.reshape(shape)
+    var = np.maximum(_kernel_form_variances(roots, cross, prior), 0.0).reshape(shape)
+    return [
+        (
+            posterior,
+            Metrics(
+                mse=mean_squared_error(mean[i], e.y),
+                nll=gaussian_nll(mean[i], var[i] + sigma2[i], e.y),
+            ),
+        )
+        for i, (posterior, e) in enumerate(zip(posteriors, evals))
+    ]
+
+
 def _adapt_one(source: MlpNetwork, task_id: int, context, eval_set, cfg: AdaptConfig):
     started = time.perf_counter()
     try:
@@ -326,49 +441,77 @@ def _adapt_one(source: MlpNetwork, task_id: int, context, eval_set, cfg: AdaptCo
     except TangentGpError as exc:
         record = TaskAdaptation(task_id, "failed", error=str(exc))
     else:
-        status = "no-eval" if metrics is None else "ok"
-        record = TaskAdaptation(task_id, status, posterior=posterior, metrics=metrics)
+        record = _record(task_id, posterior, metrics)
     log.debug(
         "task %d: %s in %.3f ms", task_id, record.status, (time.perf_counter() - started) * 1e3
     )
     return record
 
 
-def run_adaptation(
-    source: MlpNetwork,
-    tasks,
-    cfg: AdaptConfig = AdaptConfig(),
-    threads: int = 1,
-) -> AdaptationRun:
+def _record(task_id: int, posterior: NtkPosterior, metrics: Metrics | None) -> TaskAdaptation:
+    status = "no-eval" if metrics is None else "ok"
+    return TaskAdaptation(task_id, status, posterior=posterior, metrics=metrics)
+
+
+def _adapt_group(source: MlpNetwork, pairs, ids, cfg: AdaptConfig, fingerprint: str):
+    """Records of the tasks ``ids`` of one stacking group, in order.
+
+    A group of one is a plain ``adapt_task`` call. If the stacked pass
+    raises, every task of the group is refitted alone, so that a failure
+    is recorded on its own task with that task's message.
+    """
+    if len(ids) == 1:
+        return [_adapt_one(source, ids[0], *pairs[ids[0]], cfg)]
+    started = time.perf_counter()
+    try:
+        results = _adapt_stack(source, [pairs[i] for i in ids], cfg, fingerprint)
+    except TangentGpError:
+        return [_adapt_one(source, i, *pairs[i], cfg) for i in ids]
+    log.debug(
+        "adapted %d tasks of %d context points in %.3f ms",
+        len(ids),
+        pairs[ids[0]][0].n,
+        (time.perf_counter() - started) * 1e3,
+    )
+    return [_record(i, *result) for i, result in zip(ids, results)]
+
+
+def run_adaptation(source: MlpNetwork, tasks, cfg: AdaptConfig = AdaptConfig()) -> AdaptationRun:
     """Adapt one source network to a list of (context, eval) task pairs.
 
     Each task is independent: a failure is recorded on its entry (status
     "failed") and the run continues. Tasks without an eval set get status
-    "no-eval" and no metrics. With ``threads`` > 1 the tasks run on a
-    thread pool; results stay in task order either way.
+    "no-eval" and no metrics. Results stay in task order.
+
+    Tasks with an exact kernel-side fit (see ``AdaptConfig``) are grouped
+    by (context size, eval size), and each group runs one stacked pass,
+    split so that every stacked array stays under ``DENSE_JACOBIAN_CAP``
+    entries. Each task's metrics agree with its own ``adapt_task`` call to
+    roundoff. Every other task, and every task of a group whose stacked
+    pass raises, runs alone through ``adapt_task``. DEBUG logging gives
+    one line per stacked group and one per task that runs alone.
     """
-    if threads < 1:
-        raise ContractViolationError(f"threads must be >= 1, got {threads}")
     pairs = list(tasks)
     for task_id, (context, _) in enumerate(pairs):
         if not isinstance(context, TaskDataset):
             raise ContractViolationError(f"task {task_id} has no context dataset")
-    if threads == 1:
-        records = [
-            _adapt_one(source, i, context, eval_set, cfg)
-            for i, (context, eval_set) in enumerate(pairs)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(
-                    lambda item: _adapt_one(source, item[0], *item[1], cfg),
-                    enumerate(pairs),
-                )
-            )
-    return AdaptationRun(
-        source_fingerprint=source.fingerprint(), config=cfg, tasks=tuple(records)
-    )
+    fingerprint = source.fingerprint()
+    records = [None] * len(pairs)
+    groups = {}
+    for task_id, (context, eval_set) in enumerate(pairs):
+        entries = _stack_entries(source.architecture, context, eval_set, cfg)
+        if entries is None:
+            records[task_id] = _adapt_one(source, task_id, context, eval_set, cfg)
+        else:
+            key = (context.n, None if eval_set is None else eval_set.n)
+            groups.setdefault(key, (entries, []))[1].append(task_id)
+    for entries, ids in groups.values():
+        size = DENSE_JACOBIAN_CAP // entries
+        for start in range(0, len(ids), size):
+            part = ids[start : start + size]
+            for task_id, record in zip(part, _adapt_group(source, pairs, part, cfg, fingerprint)):
+                records[task_id] = record
+    return AdaptationRun(source_fingerprint=fingerprint, config=cfg, tasks=tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def cmd_adapt(args) -> int:
         raw = sample_sinusoid_tasks(spec, task["num_tasks"])
         pairs = [stratified_split(t, task["context_size"]) for t in raw]
     cfg = _adapt_config(resolved)
-    run = run_adaptation(network, pairs, cfg, threads=args.threads)
+    run = run_adaptation(network, pairs, cfg)
     gp = block_or_defaults(resolved, "gp")
     sigma2 = gp["noise_variance"]
     heads = {}
@@ -528,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tasks", help="JSON manifest of context/eval CSV pairs")
     p.add_argument("--posterior-out", help="save the fitted posterior (single-task runs)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for independent tasks")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("predict", help="evaluate a cached posterior at new inputs")

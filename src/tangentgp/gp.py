@@ -5,7 +5,10 @@ of a trained network at fixed parameters. ``kernel_matrix`` assembles it
 layer by layer from each layer's inputs and output sensitivities, without
 forming J. ``kernel_matrix``, ``factor_gram`` and ``regression_residual``
 also take a ``JacobianOperator`` built at the inputs, and a ``GramFactor``
-keeps its operator, so one forward trace serves a whole fit.
+keeps its operator, so one forward trace serves a whole fit. The
+kernel-side formulas (kernels, leave-one-out scores, dual weights, roots
+and kernel-form variances) broadcast over a leading task axis, which
+``adapt.run_adaptation`` uses to fit a stack of same-size tasks at once.
 
 The posterior has two dual forms: the n*o square kernel system (function
 space) and the p square parameter system. Both give a length-p mean cache
@@ -56,7 +59,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, FitError, ResourceLimitError
+from .errors import (
+    ConfigError,
+    ContractViolationError,
+    FitError,
+    NumericBreakdownError,
+    ResourceLimitError,
+)
 from .linalg import (
     SymmetricLinearOperator,
     cg_solve,
@@ -222,42 +231,93 @@ def kernel_matrix(network: MlpNetwork, x1, x2=None, channels=None, cap: int = DE
     """
     jac1 = _operator(network, x1, channels)
     jac2 = jac1 if x2 is None else _operator(network, x2, channels)
-    n1, n2, o = jac1.n_data, jac2.n_data, jac1.out_dim
     shape = (jac1.out_len, jac2.out_len)
     if shape[0] * shape[1] > cap:
         raise ResourceLimitError(
             f"kernel matrix needs {shape[0] * shape[1]} entries (cap {cap}); "
             "use the matrix-free fits"
         )
-    layers = jac1.layer_sensitivities()
     if x2 is None:
-        # One operator for both sides: numpy evaluates a @ a.T as a
-        # symmetric rank-k update, so every term is exactly symmetric.
-        layers = ((h, d, h, d) for h, d in layers)
+        return _task_kernels(jac1)[0][0]
+    return _task_kernels(jac1, jac2, square=False)[1][0]
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes, so that one formula serves a matrix and a stack of them."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _task_kernels(jac1: JacobianOperator, jac2: JacobianOperator | None = None, tasks: int = 1, square=True):
+    """Per-task tangent kernels from one ``layer_sensitivities`` pass over each operator.
+
+    ``jac1`` holds ``tasks`` equal row blocks X_t, and ``jac2`` as many
+    blocks Z_t. Returns (gram, cross, prior): K(X_t, X_t) stacked
+    (T, a, a) when ``square``; K(X_t, Z_t) stacked (T, a, b) and the prior
+    variances k(z, z) of Z_t, datum-major (T, b), when ``jac2`` is given.
+    The others are None. Each layer adds its term as ``kernel_matrix``
+    describes; the prior adds |D|^2 (|H|^2 + 1) per datum and channel.
+    """
+    o = jac1.out_dim
+    n1 = jac1.n_data // tasks
+    gram = np.zeros((tasks, n1, o, n1, o)) if square else None
+    cross = prior = None
+    if jac2 is None:
+        layers = ((layer, None) for layer in jac1.layer_sensitivities())
     else:
-        layers = (a + b for a, b in zip(layers, jac2.layer_sensitivities()))
-    k = np.zeros(shape)
-    blocks = k.reshape(n1, o, n2, o)
-    term = np.empty(shape)
-    term_blocks = term.reshape(blocks.shape)
-    gram = np.empty((n1, n2))
-    for depth, (h1, d1, h2, d2) in enumerate(layers):
-        np.matmul(h1, h2.T, out=gram)
-        gram += 1.0
-        if depth == 0:
-            for c in range(o):
-                blocks[:, c, :, c] = gram
-        else:
-            width = d1.shape[2]
-            np.matmul(d1.reshape(shape[0], width), d2.reshape(shape[1], width).T, out=term)
-            term_blocks *= gram[:, None, :, None]
-            k += term
-    return k
+        n2 = jac2.n_data // tasks
+        cross = np.zeros((tasks, n1, o, n2, o))
+        prior = np.zeros((tasks * n2, o))
+        layers = zip(jac1.layer_sensitivities(), jac2.layer_sensitivities())
+    for depth, ((h1, d1), second) in enumerate(layers):
+        h1 = h1.reshape(tasks, n1, h1.shape[1])
+        if square:
+            # The same arrays on both sides: numpy evaluates a @ a' as a
+            # symmetric rank-k update, so every term is exactly symmetric.
+            _add_layer_term(gram, h1, d1, h1, d1, depth == 0)
+        if second is not None:
+            h2, d2 = second
+            prior += np.einsum("nkj,nkj->nk", d2, d2) * (np.einsum("nj,nj->n", h2, h2) + 1.0)[:, None]
+            _add_layer_term(cross, h1, d1, h2.reshape(tasks, n2, h2.shape[1]), d2, depth == 0)
+    return (
+        None if gram is None else gram.reshape(tasks, n1 * o, n1 * o),
+        None if cross is None else cross.reshape(tasks, n1 * o, n2 * o),
+        None if prior is None else prior.reshape(tasks, n2 * o),
+    )
+
+
+def _add_layer_term(k: np.ndarray, h1, d1, h2, d2, output_layer: bool) -> None:
+    """Add one layer's term to the stacked kernels ``k`` (T, n1, o, n2, o), in place.
+
+    ``h1`` (T, n1, fan_in) and ``h2`` (T, n2, fan_in) are the layer's
+    inputs, ``d1`` and ``d2`` its sensitivities, one row per datum.
+    """
+    t, n1, o, n2, _ = k.shape
+    inner = h1 @ _swap(h2)
+    inner += 1.0
+    if output_layer:
+        for c in range(o):
+            k[:, :, c, :, c] += inner
+        return
+    width = d1.shape[2]
+    term = d1.reshape(t, n1 * o, width) @ _swap(d2.reshape(t, n2 * o, width))
+    term = term.reshape(k.shape)
+    term *= inner[:, :, None, :, None]
+    k += term
 
 
 def _eigh_psd(gram: np.ndarray):
-    # Negative eigenvalues of a Gram matrix are roundoff; clamp them.
-    evals, evecs = np.linalg.eigh(gram)
+    """Eigenpairs of a Gram matrix, or of a stack of them, with negative (roundoff) eigenvalues clamped at 0.
+
+    A non-finite Gram or a failed eigendecomposition raises
+    ``NumericBreakdownError`` naming the size of one matrix.
+    """
+    size = f"{gram.shape[-2]} x {gram.shape[-1]}"
+    if not np.isfinite(gram).all():
+        raise NumericBreakdownError(f"the {size} Gram matrix has non-finite entries")
+    try:
+        evals, evecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericBreakdownError(f"eigendecomposition of the {size} Gram matrix failed: {exc}") from exc
     return np.maximum(evals, 0.0), evecs
 
 
@@ -330,22 +390,26 @@ def loo_scores(factor: GramFactor, resid, grid) -> np.ndarray:
     With G = K + s I and alpha = G^-1 r, the residual left out at point i
     is alpha_i / (G^-1)_ii, so one factorization scores every candidate.
     Function side: alpha = V (V'r / (E + s)) and diag(G^-1) = (V o V)
-    (1 / (E + s)). Parameter side, with P = W'J so that K = P'P:
-    G^-1 = (I - P' (E + s)^-1 P) / s, whose 1/s cancels in the ratio.
+    (1 / (E + s)); a function-side factor of T stacked kernels, with
+    ``resid`` (T, n*o), gives (T, len(grid)) scores. Parameter side, with
+    P = W'J so that K = P'P: G^-1 = (I - P' (E + s)^-1 P) / s, whose 1/s
+    cancels in the ratio.
     """
-    resid = np.asarray(resid, dtype=np.float64).ravel()
-    inv = 1.0 / (factor.evals[:, None] + np.asarray(grid, dtype=np.float64))
+    resid = np.asarray(resid, dtype=np.float64)
+    inv = 1.0 / (factor.evals[..., None] + np.asarray(grid, dtype=np.float64))
     basis = factor.evecs
     if factor.side == "function":
-        alpha = basis @ ((basis.T @ resid)[:, None] * inv)
+        resid = resid.reshape(factor.evals.shape)
+        alpha = basis @ ((_swap(basis) @ resid[..., None]) * inv)
         loo = alpha / ((basis * basis) @ inv)
     else:
+        resid = resid.ravel()
         z = (basis.T @ factor.jac.vjp(resid))[:, None] * inv
         loo = np.empty((resid.size, inv.shape[1]))
         for cols, block in _jacobian_blocks(factor.jac):
             proj = basis.T @ block
             loo[cols] = (resid[cols, None] - proj.T @ z) / (1.0 - (proj * proj).T @ inv)
-    return np.mean(loo * loo, axis=0)
+    return np.mean(loo * loo, axis=-2)
 
 
 def _exact_factor(jac: JacobianOperator, rank, factor):
@@ -365,18 +429,32 @@ def _exact_factor(jac: JacobianOperator, rank, factor):
     return None
 
 
-def _exact_mean_cache(factor: GramFactor, jac: JacobianOperator, resid, sigma2: float):
+def _dual_weights(factor: GramFactor, resid: np.ndarray, sigma2) -> np.ndarray:
+    """c = (K + s I)^-1 r = V (V'r / (E + s)) from a function-side factor.
+
+    Broadcasts over a leading task axis: T stacked kernels, ``resid``
+    (T, n*o) and ``sigma2`` (T, 1) give (T, n*o).
+    """
     basis = factor.evecs
+    proj = (_swap(basis) @ resid[..., None])[..., 0] / (factor.evals + sigma2)
+    return (basis @ proj[..., None])[..., 0]
+
+
+def _exact_mean_cache(factor: GramFactor, jac: JacobianOperator, resid, sigma2: float):
     if factor.side == "function":
-        return jac.vjp(basis @ ((basis.T @ resid) / (factor.evals + sigma2)))
+        return jac.vjp(_dual_weights(factor, resid, sigma2))
+    basis = factor.evecs
     return basis @ ((basis.T @ jac.vjp(resid)) / (factor.evals + sigma2))
 
 
-def _exact_root(factor: GramFactor, sigma2: float) -> np.ndarray:
-    """C in the form of the factor's side: V (E + s)^-1/2, or W (E / (E + s))^1/2."""
+def _exact_root(factor: GramFactor, sigma2) -> np.ndarray:
+    """C in the form of the factor's side: V (E + s)^-1/2, or W (E / (E + s))^1/2.
+
+    The function side broadcasts over a leading task axis as ``_dual_weights`` does.
+    """
     evals = factor.evals
     if factor.side == "function":
-        return factor.evecs / np.sqrt(evals + sigma2)
+        return factor.evecs / np.sqrt(evals + sigma2)[..., None, :]
     return factor.evecs * np.sqrt(evals / (evals + sigma2))
 
 
@@ -492,15 +570,13 @@ def fit_posterior(
 
 
 def _sq_norms(m: np.ndarray) -> np.ndarray:
-    return np.einsum("rj,rj->j", m, m)
+    """Squared norm of each column, over any leading task axes."""
+    return np.einsum("...rj,...rj->...j", m, m)
 
 
-def _prior_variances(jac: JacobianOperator) -> np.ndarray:
-    """k(x, x) = |j|^2 per datum and channel, datum-major: the sum over layers of |D|^2 (|H|^2 + 1)."""
-    total = np.zeros((jac.n_data, jac.out_dim))
-    for h, d in jac.layer_sensitivities():
-        total += np.einsum("nkj,nkj->nk", d, d) * (np.einsum("nj,nj->n", h, h) + 1.0)[:, None]
-    return total.ravel()
+def _kernel_form_variances(root: np.ndarray, phi: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """k(z, z) - |C' K(X, z)|^2 per column z of ``phi``, before clamping; broadcasts over tasks."""
+    return prior - _sq_norms(_swap(root) @ phi)
 
 
 def _checked_root(posterior: NtkPosterior, jac: JacobianOperator) -> np.ndarray:
@@ -550,14 +626,14 @@ def predict(
             var[cols] = _sq_norms(jt) - _sq_norms(root.T @ jt)
     else:
         train = JacobianOperator(network, posterior.inputs, posterior.channels)
-        prior = _prior_variances(jac)
         rows = max(1, cap // max(1, train.out_len * o))
         for start in range(0, n_test, rows):
+            # One sensitivity pass over the chunk gives its cross kernel
+            # and its prior variances. One row may exceed ``cap``, as one
+            # dense block may.
             part = jac.rows(start, start + rows)
-            # Sized here: one row may exceed ``cap``, as one dense block may.
-            phi = kernel_matrix(network, train, part, posterior.channels, train.out_len * part.out_len)
-            cols = slice(start * o, start * o + part.out_len)
-            var[cols] = prior[cols] - _sq_norms(root.T @ phi)
+            _, phi, prior = _task_kernels(train, part, square=False)
+            var[start * o : start * o + part.out_len] = _kernel_form_variances(root, phi[0], prior[0])
     return mean, np.maximum(var, 0.0).reshape(n_test, o)
 
 

@@ -308,15 +308,18 @@ class TestAdaptTask:
             adapt_task(
                 source, context, context, AdaptConfig(center_on_network=False, noise_grid=grid)
             )
-        assert ran == ["function", "parameter"]
+        # The kernel-side task is the one-task stacked pass, which calls
+        # neither fit; the p-side task fits in parameter space.
+        assert ran == ["parameter"]
         assert calls == {"eigh": 2, "cg": 0, "lanczos": 0}
         adapt_task(source, context, None, AdaptConfig(rank=8, noise_grid=grid))
         assert calls["eigh"] == 4 and calls["cg"] == 1 and calls["lanczos"] == 1
 
     def test_noise_grid_task_traces_each_input_set_once(self, monkeypatch):
         # One trace of the context serves centering, the noise search and
-        # the fit. The eval set is traced once for predict and once for
-        # centering; a kernel-form predict also traces the stored context.
+        # the fit. On the kernel side one trace of the eval set serves the
+        # mean, the variance and the centering. On the p side the eval set
+        # is traced once for predict and once for centering.
         source, _, _ = trained_source()
         p = source.architecture.parameter_count
         traces = []
@@ -328,7 +331,7 @@ class TestAdaptTask:
 
         monkeypatch.setattr(net_module, "_forward_trace", spy)
         grid = (1e-4, 1e-2, 1.0)
-        for n, want in ((12, [12, 7, 12, 7]), (p + 20, [p + 20, 7, 7])):
+        for n, want in ((12, [12, 7]), (p + 20, [p + 20, 7, 7])):
             x = np.linspace(-3.0, 3.0, n)[:, None]
             context = TaskDataset(x, np.sin(x), noise_variance=1.0)
             eval_set = TaskDataset(x[:7] + 0.1, np.sin(x[:7]), noise_variance=1.0)
@@ -383,6 +386,201 @@ class TestRunAdaptation:
         rows_b = run_adaptation(source, pairs).metric_rows()
         assert rows_a == rows_b
         assert rows_a[0][1] == "finite-ntk" and rows_a[0][2] == ""
+
+
+def dense_adaptation(source, context, eval_set, cfg):
+    """One task's closed form from the dense Jacobian: (mean cache, noise, Metrics or None).
+
+    The noise is picked by brute-force leave-one-out over explicit inverses.
+    """
+    arch = source.architecture
+    channels = tuple(range(0, 2 * arch.output_dim, 2)) if arch.heteroscedastic else None
+
+    def prior_mean(op, dense):
+        linear = (dense.T @ source.params).reshape(op.outputs.shape)
+        return {"zero": 0.0 * linear, "jacobian_mean": linear, "linearized_nn": op.outputs + linear}[
+            cfg.mean_kind
+        ]
+
+    jac = JacobianOperator(source, context.x, channels)
+    dense = jac.dense()
+    targets = context.y - jac.outputs if cfg.center_on_network else context.y
+    resid = (targets - prior_mean(jac, dense)).ravel()
+    kernel = dense.T @ dense
+    eye = np.eye(len(resid))
+    if cfg.noise_grid is not None:
+        scores = []
+        for sigma2 in cfg.noise_grid:
+            inv = np.linalg.inv(kernel + sigma2 * eye)
+            scores.append(np.mean(((inv @ resid) / np.diag(inv)) ** 2))
+        sigma2 = cfg.noise_grid[int(np.argmin(scores))]
+    else:
+        sigma2 = cfg.noise_variance if cfg.noise_variance is not None else context.noise_variance
+    gram_inv = np.linalg.inv(kernel + sigma2 * eye)
+    mean_cache = dense @ (gram_inv @ resid)
+    if eval_set is None:
+        return mean_cache, sigma2, None
+    query = JacobianOperator(source, eval_set.x, channels)
+    dense_q = query.dense()
+    mean = (dense_q.T @ mean_cache).reshape(query.outputs.shape) + prior_mean(query, dense_q)
+    if cfg.center_on_network:
+        mean = mean + query.outputs
+    # k(x, x) - k_x'(K + s I)^-1 k_x = s j'(J J' + s I)^-1 j, with no cancellation.
+    precision = dense @ dense.T + sigma2 * np.eye(len(dense))
+    var = sigma2 * np.einsum("pj,pj->j", dense_q, np.linalg.solve(precision, dense_q))
+    var = var.reshape(mean.shape)
+    metrics = Metrics(
+        mse=mean_squared_error(mean, eval_set.y),
+        nll=gaussian_nll(mean, var + sigma2, eval_set.y),
+    )
+    return mean_cache, sigma2, metrics
+
+
+def assert_matches_dense(source, pairs, cfg, records):
+    assert len(records) == len(pairs)
+    for (context, eval_set), record in zip(pairs, records):
+        mean_cache, sigma2, metrics = dense_adaptation(source, context, eval_set, cfg)
+        posterior = record.posterior
+        assert posterior.noise_variance == sigma2
+        assert posterior.inputs is not None  # kernel form
+        scale = float(np.max(np.abs(mean_cache)))
+        np.testing.assert_allclose(posterior.mean_cache, mean_cache, rtol=1e-10, atol=1e-10 * scale)
+        if metrics is None:
+            assert record.status == "no-eval" and record.metrics is None
+        else:
+            assert record.status == "ok"
+            assert math.isclose(record.metrics.mse, metrics.mse, rel_tol=1e-10)
+            # The NLL can lie near 0, so it is compared to 1e-10 nats as well.
+            assert math.isclose(record.metrics.nll, metrics.nll, rel_tol=1e-10, abs_tol=1e-10)
+
+
+def sine_pair(rng, n, m, outputs=1, noise=0.05):
+    """A (context, eval) pair of ``outputs``-channel sines; m = 0 gives no eval set."""
+    x = rng.uniform(-3.0, 3.0, size=(n + m, 1))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=outputs)
+    y = np.sin(1.3 * x + phase) + rng.normal(0.0, 0.1, size=(n + m, outputs))
+    context = TaskDataset(x[:n], y[:n], noise_variance=noise * rng.uniform(0.5, 2.0))
+    return context, (TaskDataset(x[n:], y[n:], noise_variance=noise) if m else None)
+
+
+class TestStackedAdaptation:
+    """``run_adaptation`` against per-task dense closed forms and its own per-task path."""
+
+    GRID = (1e-2, 1e-1, 1.0)
+
+    def test_mixed_sizes_against_dense_closed_forms(self):
+        # Two groups of three (6 and 9 context points), a singleton, and a
+        # no-eval task in a group of its own.
+        source, _, _ = trained_source()
+        rng = np.random.default_rng(31)
+        sizes = [(6, 12), (9, 12), (6, 12), (4, 5), (9, 12), (6, 12), (9, 12), (6, 0)]
+        pairs = [sine_pair(rng, n, m) for n, m in sizes]
+        for cfg in (AdaptConfig(noise_grid=self.GRID), AdaptConfig(center_on_network=False)):
+            assert_matches_dense(source, pairs, cfg, run_adaptation(source, pairs, cfg).tasks)
+
+    def test_every_mean_kind_and_fixed_noise(self):
+        source, _, _ = trained_source()
+        rng = np.random.default_rng(32)
+        pairs = [sine_pair(rng, 7, 10) for _ in range(3)]
+        for kind in ("zero", "jacobian_mean", "linearized_nn"):
+            for noise in ({"noise_grid": self.GRID}, {"noise_variance": 0.03}, {}):
+                cfg = AdaptConfig(mean_kind=kind, center_on_network=False, **noise)
+                assert_matches_dense(source, pairs, cfg, run_adaptation(source, pairs, cfg).tasks)
+
+    def test_two_outputs_and_a_heteroscedastic_net(self):
+        rng = np.random.default_rng(33)
+        two = init_network(MlpArchitecture(1, (12, 8), 2), seed=3)
+        pairs = [sine_pair(rng, 5, 8, outputs=2) for _ in range(3)]
+        cfg = AdaptConfig(noise_grid=self.GRID)
+        assert_matches_dense(two, pairs, cfg, run_adaptation(two, pairs, cfg).tasks)
+        # channels=(0,): the mean head of a (mean, scale) output pair.
+        hetero = init_network(MlpArchitecture(1, (12,), 1, heteroscedastic=True), seed=4)
+        pairs = [sine_pair(rng, 6, 9) for _ in range(3)]
+        run = run_adaptation(hetero, pairs, cfg)
+        assert all(record.posterior.channels == (0,) for record in run.tasks)
+        assert_matches_dense(hetero, pairs, cfg, run.tasks)
+
+    def test_patched_cap_splits_a_group(self, monkeypatch, caplog):
+        source, _, _ = trained_source()
+        rng = np.random.default_rng(34)
+        pairs = [sine_pair(rng, 6, 10) for _ in range(5)]
+        cfg = AdaptConfig(noise_grid=self.GRID)
+        widest = max(source.architecture.layer_dims)
+        # Room for two tasks' largest arrays per stack: 2, 2 and then 1.
+        monkeypatch.setattr(adapt_module, "DENSE_JACOBIAN_CAP", 2 * 10 * widest)
+        with caplog.at_level(logging.DEBUG, logger="tangentgp"):
+            run = run_adaptation(source, pairs, cfg)
+        lines = [r.getMessage().split(" in ")[0] for r in caplog.records]
+        assert lines == ["adapted 2 tasks of 6 context points"] * 2 + ["task 4: ok"]
+        assert_matches_dense(source, pairs, cfg, run.tasks)
+
+    def test_bad_task_in_a_group_keeps_its_message(self):
+        source, _, _ = trained_source()
+        rng = np.random.default_rng(36)
+        pairs = [sine_pair(rng, 6, 10) for _ in range(3)]
+        bad = TaskDataset(pairs[1][0].x, np.zeros((6, 2)), 0.1)
+        with pytest.raises(ContractViolationError) as alone:
+            adapt_task(source, bad, pairs[1][1])
+        mixed = [pairs[0], (bad, pairs[1][1]), pairs[2]]
+        run = run_adaptation(source, mixed)
+        assert [t.status for t in run.tasks] == ["ok", "failed", "ok"]
+        assert run.tasks[1].error == str(alone.value)
+        good = [pairs[0], pairs[2]]
+        assert_matches_dense(source, good, AdaptConfig(), run.tasks[::2])
+
+    def test_failing_batched_eigh_falls_back_per_task(self, monkeypatch, caplog):
+        source, _, _ = trained_source()
+        rng = np.random.default_rng(37)
+        pairs = [sine_pair(rng, 6, 10) for _ in range(3)]
+        cfg = AdaptConfig(noise_grid=self.GRID)
+        shapes = []
+        original = np.linalg.eigh
+
+        def eigh(a):
+            shapes.append(a.shape)
+            if a.ndim == 3 and a.shape[0] > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with caplog.at_level(logging.DEBUG, logger="tangentgp"):
+            run = run_adaptation(source, pairs, cfg)
+        assert shapes == [(3, 6, 6)] + [(1, 6, 6)] * 3
+        lines = [r.getMessage().split(" in ")[0] for r in caplog.records]
+        assert lines == ["task 0: ok", "task 1: ok", "task 2: ok"]
+        monkeypatch.undo()
+        assert_matches_dense(source, pairs, cfg, run.tasks)
+
+    def test_a_group_traces_each_input_set_once(self, monkeypatch):
+        source, _, _ = trained_source()
+        rng = np.random.default_rng(38)
+        pairs = [sine_pair(rng, 6, 10) for _ in range(5)]
+        traces = []
+        original = net_module._forward_trace
+
+        def spy(network, x):
+            traces.append(len(x))
+            return original(network, x)
+
+        monkeypatch.setattr(net_module, "_forward_trace", spy)
+        run = run_adaptation(source, pairs, AdaptConfig(noise_grid=self.GRID))
+        assert traces == [5 * 6, 5 * 10]
+        assert all(t.status == "ok" for t in run.tasks)
+
+    def test_overflowing_gram_is_a_recorded_breakdown(self):
+        # At parameters 1e200 a relu net's Gram overflows to inf, and its
+        # eigendecomposition would not converge.
+        arch = MlpArchitecture(1, (8,), 1, activation="relu")
+        net = MlpNetwork(arch, np.full(arch.parameter_count, 1e200))
+        x = np.linspace(0.5, 1.5, 5)[:, None]
+        task = (TaskDataset(x, np.sin(x), 0.1), TaskDataset(x + 0.1, np.sin(x), 0.1))
+        cfg = AdaptConfig(center_on_network=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = run_adaptation(net, [task, task], cfg)
+            with pytest.raises(NumericBreakdownError, match="5 x 5 Gram matrix"):
+                adapt_task(net, *task, cfg)
+        assert [t.status for t in run.tasks] == ["failed", "failed"]
+        assert all(t.error == "the 5 x 5 Gram matrix has non-finite entries" for t in run.tasks)
 
 
 class TestBaselines:
@@ -565,9 +763,11 @@ class TestSinusoidExperiment:
         with caplog.at_level(logging.DEBUG, logger="tangentgp"):
             sinusoid_experiment(self.small())
         lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        timed = re.compile(r"(task \d+: ok|refit 3 last-layer heads) in \d+\.\d{3} ms")
-        assert len(lines) == 4 and all(timed.fullmatch(line) for line in lines)
-        assert [line.split(":")[0] for line in lines[:3]] == ["task 0", "task 1", "task 2"]
+        # The three tasks share a context size, so one line times their
+        # stacked pass.
+        timed = re.compile(r"(adapted 3 tasks of 8 context points|refit 3 last-layer heads) in \d+\.\d{3} ms")
+        assert len(lines) == 2 and all(timed.fullmatch(line) for line in lines)
+        assert lines[0].startswith("adapted 3 tasks")
 
     def test_config_validation(self):
         with pytest.raises(ContractViolationError, match="at least one task"):

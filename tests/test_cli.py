@@ -25,7 +25,7 @@ from tangentgp.errors import (
     TangentGpError,
     TrainingDivergenceError,
 )
-from tangentgp.net import MlpArchitecture, forward, init_network
+from tangentgp.net import MlpArchitecture, MlpNetwork, forward, init_network
 from tangentgp.serialize import fmt_float, write_classification_csv, write_dataset_csv
 
 TRAIN_CONFIG = {
@@ -215,21 +215,42 @@ class TestAdapt:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_do_not_change_output(self, ws, tmp_path):
-        manifest = make_manifest(tmp_path, num_tasks=4)
+    def test_threads_option_is_a_usage_error(self, ws, tmp_path):
+        # Same-size tasks adapt in one stacked pass; there is no thread pool.
+        manifest = make_manifest(tmp_path)
         cfg = write_json(tmp_path / "adapt.json", {"version": 1})
-        outs = []
-        for name, threads in (("t1.csv", "1"), ("t3.csv", "3")):
-            out = tmp_path / name
-            code = main(
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(
                 [
                     "adapt", "--config", cfg, "--checkpoint", ws["ckpt"],
-                    "--tasks", manifest, "--threads", threads, "--out", str(out),
+                    "--tasks", manifest, "--threads", "2", "--out", str(out),
                 ]
             )
-            assert code == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
+    def test_overflowing_gram_fails_each_task_with_its_message(self, tmp_path, capsys):
+        # A relu net at parameters 1e200: every task's Gram overflows. The
+        # breakdown is recorded per task, so the command warns and exits 0
+        # with no rows instead of ending in a raw numpy traceback.
+        arch = MlpArchitecture(1, (8,), 1, activation="relu")
+        ckpt = tmp_path / "blown.json"
+        save_checkpoint(MlpNetwork(arch, np.full(arch.parameter_count, 1e200)), ckpt, {})
+        manifest = make_manifest(tmp_path, num_tasks=2)
+        cfg = write_json(
+            tmp_path / "adapt.json",
+            {"version": 1, "architecture": arch.to_dict(), "gp": {"center_on_network": False}},
+        )
+        out = tmp_path / "blown.csv"
+        argv = ["adapt", "--config", cfg, "--checkpoint", str(ckpt), "--tasks", manifest, "--out", str(out)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 0
+        _, rows = data_lines(out)
+        assert rows == []
+        err = capsys.readouterr().err
+        for task in (0, 1):
+            assert f"task {task} failed: the 10 x 10 Gram matrix has non-finite entries" in err
 
     def test_debug_logging_does_not_change_output(self, ws, tmp_path):
         manifest = make_manifest(tmp_path)
@@ -258,7 +279,10 @@ class TestAdapt:
         assert outs[0] == outs[1]
         assert errs[0] == ""
         timed = [line for line in errs[1].splitlines() if line.startswith("DEBUG tangentgp.adapt")]
-        assert len(timed) == 4
+        # One line for the stacked pass of the three 10-point tasks, one
+        # for the stacked head refit.
+        assert len(timed) == 2
+        assert "adapted 3 tasks of 10 context points in" in timed[0]
         assert "refit 3 last-layer heads in" in timed[-1]
 
     def test_generated_tasks_when_no_manifest(self, ws, tmp_path):

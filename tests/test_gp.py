@@ -160,13 +160,13 @@ def count_dense_blocks(monkeypatch):
 def count_cross_kernel_rows(monkeypatch):
     """Record the query-row count of every cross kernel that ``predict`` assembles."""
     rows = []
-    original = gp_module.kernel_matrix
+    original = gp_module._task_kernels
 
-    def spy(network, x1, x2=None, *args, **kwargs):
-        rows.append(len(x2.inputs))
-        return original(network, x1, x2, *args, **kwargs)
+    def spy(jac1, jac2=None, *args, **kwargs):
+        rows.append(len(jac2.inputs))
+        return original(jac1, jac2, *args, **kwargs)
 
-    monkeypatch.setattr(gp_module, "kernel_matrix", spy)
+    monkeypatch.setattr(gp_module, "_task_kernels", spy)
     return rows
 
 
@@ -771,6 +771,30 @@ class TestChunkedPredict:
                 np.testing.assert_allclose(var, var_one, rtol=1e-12, atol=1e-12 * scale)
                 ref = matrix_free_variances(post, net, x_test)
                 np.testing.assert_allclose(var, ref, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_one_sensitivity_pass_per_query_chunk(self, monkeypatch):
+        # The chunk's cross kernel and its prior variances share one pass
+        # over the query rows; the stored inputs take one pass per chunk.
+        rng = np.random.default_rng(25)
+        net = make_net([2, 16, 8, 2], seed=25)
+        data = TaskDataset(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)), 0.1)
+        post = fit_function_space(net, data)
+        x_test = rng.standard_normal((9, 2))
+        passes = []
+        original = JacobianOperator.layer_sensitivities
+
+        def spy(self):
+            passes.append(self.n_data)
+            return original(self)
+
+        monkeypatch.setattr(JacobianOperator, "layer_sensitivities", spy)
+        mean_one, var_one = predict(post, net, x_test)
+        assert passes == [6, 9]
+        passes.clear()
+        mean, var = predict(post, net, x_test, cap=4 * 12 * 2)  # chunks of 4 query rows
+        assert passes == [6, 4, 6, 4, 6, 1]
+        np.testing.assert_array_equal(mean, mean_one)
+        np.testing.assert_allclose(var, var_one, rtol=1e-12, atol=1e-14)
 
     def test_empty_batch(self):
         rng = np.random.default_rng(24)

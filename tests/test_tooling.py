@@ -91,10 +91,15 @@ def test_laplace_draw_attribution_on_each_side(n_fisher, kernels):
 
 
 def test_adaptation_counts_its_eval_points_on_each_side():
-    # The tracer counts predicted points from predict's third argument.
+    # The tracer counts predicted points from predict's third argument. A
+    # kernel-side task is the one-task stacked pass: it traces its context
+    # and its eval set once each, takes one vjp for its mean cache, and
+    # runs no gp.fit or gp.predict span. The p side fits in parameter
+    # space and predicts its 7 eval rows.
     net = init_network(MlpArchitecture(1, (4,), 1), seed=0)  # p = 13
     tracer = spans().Tracer()
     tracer.install()
+    sides = []
     try:
         for n in (5, 20):  # the kernel side, then the p side
             x = np.linspace(-1.0, 1.0, n)[:, None]
@@ -105,10 +110,15 @@ def test_adaptation_counts_its_eval_points_on_each_side():
                 TaskDataset(eval_x, np.sin(eval_x), noise_variance=0.1),
                 AdaptConfig(noise_grid=(1e-2, 1e-1)),
             )
+            sides.append(tracer.snapshot())
     finally:
         tracer.uninstall()
-    assert tracer.counts["gp.predict.points"] == 2 * 7
-    assert tracer.counts["gp.fit.function.calls"] == tracer.counts["gp.fit.parameter.calls"] == 1
+    kernel_side = sides[0]
+    assert kernel_side["calls"] == {"net.forward": 2, "net.jacobian_op": 2, "net.vjp": 1}
+    assert set(kernel_side["counts"]) == {"net.vjp.flops"}
+    assert tracer.counts["gp.predict.points"] == 7
+    assert tracer.counts["gp.fit.parameter.calls"] == 1
+    assert "gp.fit.function.calls" not in tracer.counts
     assert tracer.mismatches == []
 
 
