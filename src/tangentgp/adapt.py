@@ -20,14 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolationError, TangentGpError, TrainingDivergenceError
+from .errors import ContractViolationError, FitError, TangentGpError, TrainingDivergenceError
 from .gp import (
-    EXACT_FIT_LIMIT,
     GramFactor,
     NtkPosterior,
     _dual_weights,
     _eigh_psd,
     _exact_root,
+    _exact_side,
     _kernel_form_variances,
     _mean_surface,
     _swap,
@@ -215,15 +215,15 @@ class AdaptConfig:
     choice is the source network's training MSE), while ``noise_grid``
     instead picks the variance per task by leave-one-out error over the
     given candidates. Each fit solves the smaller of its two dual systems
-    (``gp.fit_posterior``); no setting picks one. Every task with an exact
-    kernel-side fit (``rank`` None, n*o at most p and
-    ``gp.EXACT_FIT_LIMIT``) takes the stacked pass of ``run_adaptation``.
+    (``gp.fit_posterior``), exactly or matrix-free by its size alone; no
+    setting picks a system or a path. Every task with an exact kernel-side
+    fit (n*o at most p and ``gp.EXACT_FIT_LIMIT``) takes the stacked pass
+    of ``run_adaptation``.
     Wall times go to the ``tangentgp`` logger at DEBUG level, never into
     the metrics.
     """
 
     mean_kind: str = "zero"
-    rank: int | None = None
     center_on_network: bool = True
     noise_variance: float | None = None
     noise_grid: tuple[float, ...] | None = None
@@ -302,11 +302,10 @@ def adapt_task(
     Adaptation is linear algebra only: the source parameters are never
     stepped, so the Jacobian is computed fresh here and discarded after.
     A task with an exact kernel-side fit is the one-task call of the
-    stacked pass (``run_adaptation``). Any other task (the p side, an
-    explicit ``rank``, a matrix-free fit, or inputs and targets of the
-    wrong width) runs ``gp.fit_posterior`` and ``gp.predict`` on one
-    operator for the context, which serves the centering, the noise
-    search and the fit.
+    stacked pass (``run_adaptation``). Any other task (the p side, a
+    matrix-free fit, or inputs and targets of the wrong width) runs
+    ``gp.fit_posterior`` and ``gp.predict`` on one operator for the
+    context, which serves the centering, the noise search and the fit.
     """
     if _stack_entries(source.architecture, context, eval_set, cfg) is not None:
         return _adapt_stack(source, [(context, eval_set)], cfg, source.fingerprint())[0]
@@ -328,7 +327,6 @@ def adapt_task(
         source,
         fit_data,
         mean_kind=cfg.mean_kind,
-        rank=cfg.rank,
         channels=channels,
         factor=factor,
     )
@@ -346,20 +344,18 @@ def adapt_task(
 def _stack_entries(arch: MlpArchitecture, context: TaskDataset, eval_set, cfg: AdaptConfig):
     """Entries of the task's largest array in the stacked pass, or None if it runs alone.
 
-    A task stacks when its fit is exact on the kernel side (``rank`` None,
-    n*o at most p and ``gp.EXACT_FIT_LIMIT``), its inputs and targets have
-    the network's widths, and its arrays fit under ``DENSE_JACOBIAN_CAP``.
-    Those arrays are its kernel, its cross kernel to the eval set, its
-    leave-one-out scores and its layer sensitivities.
+    A task stacks when its fit is exact on the kernel side
+    (``gp._exact_side``), its inputs and targets have the network's widths,
+    and its arrays fit under ``DENSE_JACOBIAN_CAP``. Those arrays are its
+    kernel, its cross kernel to the eval set, its leave-one-out scores and
+    its layer sensitivities.
     """
     o = arch.output_dim  # the mean channels a regression selects
-    if cfg.rank is not None:
-        return None
     for data in (context, eval_set):
         if data is not None and (data.x.shape[1] != arch.input_dim or data.y.shape[1] != o):
             return None
     rows = context.n * o
-    if rows > min(arch.parameter_count, EXACT_FIT_LIMIT):
+    if _exact_side(rows, arch.parameter_count) != "function":
         return None
     cols = 0 if eval_set is None else eval_set.n * o
     widest = max(arch.layer_dims)
@@ -645,13 +641,13 @@ def baseline_last_layer(
 def _score_transfer(source, pairs, adapt_cfg, head_cfg, noise_variance, labels):
     """(finite-ntk, no-retrain, last-layer) metrics of each (context, eval) pair.
 
-    Every pair must adapt: a failure raises ``TangentGpError`` naming the
-    pair's entry of ``labels``. All heads refit in one stacked call.
+    Every pair must adapt: a failure raises ``FitError`` naming the pair's
+    entry of ``labels``. All heads refit in one stacked call.
     """
     run = run_adaptation(source, pairs, adapt_cfg)
     for record in run.tasks:
         if record.status != "ok":
-            raise TangentGpError(
+            raise FitError(
                 f"{labels[record.task_id]} did not adapt: {record.error or record.status}"
             )
     heads = baseline_last_layer(source, pairs, head_cfg, noise_variance)

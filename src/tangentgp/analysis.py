@@ -1,4 +1,4 @@
-"""Jacobian diagnostics: subspace similarity between models, and spectra.
+"""Jacobian diagnostics: subspace similarity between models.
 
 The similarity score is the squared cosine between two Gram matrices,
 tr(A'BB'A) / (||AA'||_F ||BB'||_F), computed column-side so nothing of
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapt import refit_last_layer
-from .errors import ContractViolationError, NumericBreakdownError
-from .linalg import SymmetricLinearOperator, lanczos_factorize
+from .errors import ContractViolationError
 from .net import (
-    DENSE_JACOBIAN_CAP,
     JacobianOperator,
     MlpArchitecture,
     OptimizerConfig,
@@ -29,13 +27,11 @@ from .seeding import substream
 from .serialize import canonical_json, fmt_float, render_csv
 
 
-def jacobian_similarity(ja: np.ndarray, jb: np.ndarray, projection=None) -> float:
+def jacobian_similarity(ja: np.ndarray, jb: np.ndarray) -> float:
     """Squared cosine similarity of two Jacobians on the same inputs.
 
-    Rows are parameters, columns are output evaluations, so the column
-    counts must match. Differing row counts (different architectures)
-    need ``projection``, a pair of matrices mapping each Jacobian's rows
-    into one shared space.
+    Rows are parameters, columns are output evaluations, so both counts
+    must match: the two models share one parameter count.
     """
     ja = np.asarray(ja, dtype=np.float64)
     jb = np.asarray(jb, dtype=np.float64)
@@ -46,18 +42,10 @@ def jacobian_similarity(ja: np.ndarray, jb: np.ndarray, projection=None) -> floa
             f"column counts differ ({ja.shape[1]} vs {jb.shape[1]}); "
             "Jacobians must be evaluated on the same inputs"
         )
-    if projection is not None:
-        proj_a, proj_b = projection
-        ja = np.asarray(proj_a) @ ja
-        jb = np.asarray(proj_b) @ jb
-        if ja.shape[0] != jb.shape[0]:
-            raise ContractViolationError(
-                f"projection outputs disagree on row count ({ja.shape[0]} vs {jb.shape[0]})"
-            )
-    elif ja.shape[0] != jb.shape[0]:
+    if ja.shape[0] != jb.shape[0]:
         raise ContractViolationError(
             f"row counts differ ({ja.shape[0]} vs {jb.shape[0]}); "
-            "supply a shared projection to compare architectures"
+            "Jacobians must have one parameter count"
         )
     norm_a = np.linalg.norm(ja.T @ ja)
     norm_b = np.linalg.norm(jb.T @ jb)
@@ -65,44 +53,6 @@ def jacobian_similarity(ja: np.ndarray, jb: np.ndarray, projection=None) -> floa
         raise ContractViolationError("similarity undefined for an all-zero Jacobian")
     cross = np.linalg.norm(jb.T @ ja)
     return float(cross * cross / (norm_a * norm_b))
-
-
-def jacobian_spectrum(
-    jac: JacobianOperator,
-    k: int,
-    method: str = "auto",
-    seed: int = 0,
-    rank: int | None = None,
-) -> np.ndarray:
-    """Top-k singular values of the Jacobian, descending.
-
-    The dense path runs an SVD on the assembled matrix; the Lanczos
-    path factorizes the kernel J'J and takes square roots of the top
-    Ritz values, which resolve outside-in as the rank budget grows.
-    """
-    dim = jac.out_len
-    if not 1 <= k <= min(jac.param_count, dim):
-        raise ContractViolationError(
-            f"k must lie in [1, {min(jac.param_count, dim)}], got {k}"
-        )
-    if method not in ("auto", "dense", "lanczos"):
-        raise ContractViolationError(f"unknown spectrum method {method!r}")
-    if method == "auto":
-        method = "dense" if jac.param_count * dim <= DENSE_JACOBIAN_CAP else "lanczos"
-    if method == "dense":
-        values = np.linalg.svd(jac.dense(), compute_uv=False)
-        return values[:k]
-    op = SymmetricLinearOperator(dim=dim, base=lambda u: jac.jvp(jac.vjp(u)))
-    probe = substream(seed, "spectrum-probe").standard_normal(dim)
-    budget = rank if rank is not None else min(dim, max(3 * k, k + 10))
-    factors = lanczos_factorize(op, probe, budget)
-    if factors.rank < k:
-        raise NumericBreakdownError(
-            f"Krylov space exhausted after {factors.rank} steps, fewer than the "
-            f"{k} requested values; repeated eigenvalues collapse here, use the dense path"
-        )
-    ritz = np.linalg.eigvalsh(factors.t)[::-1]
-    return np.sqrt(np.maximum(ritz[:k], 0.0))
 
 
 @dataclass(frozen=True)

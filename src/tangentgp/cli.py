@@ -179,7 +179,6 @@ def _adapt_config(resolved: dict) -> AdaptConfig:
         noise_variance = None
     return AdaptConfig(
         mean_kind=gp["mean_kind"],
-        rank=gp["rank"],
         center_on_network=gp["center_on_network"],
         noise_variance=noise_variance,
         noise_grid=noise_grid,

@@ -68,10 +68,6 @@ _SCHEMA = {
     },
     "gp": {
         "mean_kind": ("zero", "string"),
-        # null: exact fits up to gp.EXACT_FIT_LIMIT on the smaller Gram side
-        # (and for every noise-grid task); an int: CG plus a Lanczos root of
-        # that many steps.
-        "rank": (None, "int or null"),
         "noise_variance": (None, "number or null"),
         "noise_grid_decades": (None, "int or null"),
         "center_on_network": (True, "bool"),

@@ -26,10 +26,10 @@ class ResourceLimitError(TangentGpError):
 
 
 class FitError(TangentGpError):
-    """Posterior fitting failed to converge.
+    """A posterior fit failed: a solve did not converge, or a task did not adapt.
 
-    Carries the achieved relative residual so callers can decide whether
-    to loosen the tolerance or raise the noise level.
+    A failed solve carries its achieved relative residual so callers can
+    decide whether to loosen the tolerance or raise the noise level.
     """
 
     def __init__(self, message, residual_norm=None):

@@ -31,22 +31,23 @@ Exact fits take one eigendecomposition of the smaller Gram side, picked
 by the same rule: the n*o square kernel K = J'J or the p square JJ'
 (``GramFactor``). That one factorization gives leave-one-out scores for a
 whole noise grid, the mean cache and an exact variance root in the form of
-its side, the same whichever system asked for it. ``rank=None`` fits
-exactly whenever the smaller side is at most ``EXACT_FIT_LIMIT``, and
-always when handed a factor, as long as the exact root stays under
-``DENSE_JACOBIAN_CAP`` entries. The same ``factor_gram`` serves the exact
-log marginal and, with per-datum output weights, the Laplace draws of
-``glm``.
+its side, the same whichever system asked for it. A fit is exact
+whenever the smaller side is at most ``EXACT_FIT_LIMIT``, and always when
+handed a factor, as long as the exact root stays under
+``DENSE_JACOBIAN_CAP`` entries; input size alone picks the path. The same
+``factor_gram`` serves the exact log marginal and, with per-datum output
+weights, the Laplace draws of ``glm``.
 
-Matrix-free fits (an explicit ``rank``, or a side above the limit) solve
-by CG and take a rank-limited Lanczos root of their own system: Q T^-1/2
-in kernel form from the function-space operator, a feature-form root from
-the parameter-space one. Parameter-space subtlety: a single-probe Lanczos
-run on A = J J' + s*I lives inside range(J) and exhausts after about n*o
-steps, far below p. On the orthogonal complement A is exactly s*I, so
-there I - s A^-1 vanishes and the completion Q T^-1 Q' + (1/s)(I - Q Q')
-of the inverse lives inside C as C C' = Q (I - s T^-1) Q'. At Krylov
-exhaustion this is exact, which is what makes the two systems agree.
+Matrix-free fits (a side above the limit, or a root over the cap) solve
+by CG and take a Lanczos root of at most ``DEFAULT_VARIANCE_RANK`` steps
+on their own system: Q T^-1/2 in kernel form from the function-space
+operator, a feature-form root from the parameter-space one.
+Parameter-space subtlety: a single-probe Lanczos run on A = J J' + s*I
+lives inside range(J) and exhausts after about n*o steps, far below p. On the
+orthogonal complement A is exactly s*I, so there I - s A^-1 vanishes and
+the completion Q T^-1 Q' + (1/s)(I - Q Q') of the inverse lives inside C
+as C C' = Q (I - s T^-1) Q'. At Krylov exhaustion this is exact, which
+is what makes the two systems agree.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ from .serialize import atomic_write_bytes
 MEAN_KINDS = ("zero", "jacobian_mean", "linearized_nn")
 DEFAULT_VARIANCE_RANK = 256
 POSTERIOR_FILE_VERSION = 3
-# Largest smaller-Gram side min(n*o, p) that a rank=None fit factors
-# exactly; beyond it fixed-noise fits run CG and Lanczos. Measured with
+# Largest smaller-Gram side min(n*o, p) that a fit factors exactly;
+# beyond it fixed-noise fits run CG and Lanczos. Measured with
 # untrained 8-D input tanh nets at noise 1e-2 on a 2-vCPU host, matrix-free
 # against exact: kernel side 2833 (p = 2833) 4.9 s against 4.0 s, 3000
 # (p = 4801) 7.3 s against 5.6 s, 3753 (p = 3753) 7.8 s against 8.3 s;
@@ -101,6 +102,18 @@ FIT_RESIDUAL_LIMIT = 1e-4
 def _kernel_side(rows: int, p: int) -> bool:
     """The side rule: work with the rows-square kernel side iff it is no larger than p."""
     return rows <= p
+
+
+def _exact_side(rows: int, p: int) -> str | None:
+    """The Gram side that a fit of n*o = ``rows`` against ``p`` factors exactly.
+
+    "function" or "parameter" by ``_kernel_side`` when the smaller side is
+    at most ``EXACT_FIT_LIMIT`` (read at call time), else None: the fit
+    runs matrix-free unless it is handed a factor.
+    """
+    if min(rows, p) > EXACT_FIT_LIMIT:
+        return None
+    return "function" if _kernel_side(rows, p) else "parameter"
 
 
 def _mean_surface(jac, theta: np.ndarray, kind: str) -> np.ndarray:
@@ -158,14 +171,13 @@ def regression_residual(
     return _prepare(network, data, mean_kind, channels, jac)[1]
 
 
-def _variance_lanczos(op: SymmetricLinearOperator, probe: np.ndarray, rank):
+def _variance_lanczos(op: SymmetricLinearOperator, probe: np.ndarray):
     # The data residual is the natural probe (it is the direction the
     # posterior actually uses); fall back to a fixed random draw when the
     # residual vanishes, since Lanczos needs any nonzero start.
     if float(np.linalg.norm(probe)) == 0.0:
         probe = substream(0, "gp-variance-probe").standard_normal(op.dim)
-    rank = DEFAULT_VARIANCE_RANK if rank is None else rank
-    return lanczos_factorize(op, probe, min(rank, op.dim))
+    return lanczos_factorize(op, probe, min(DEFAULT_VARIANCE_RANK, op.dim))
 
 
 @dataclass
@@ -412,19 +424,20 @@ def loo_scores(factor: GramFactor, resid, grid) -> np.ndarray:
     return np.mean(loo * loo, axis=-2)
 
 
-def _exact_factor(jac: JacobianOperator, rank, factor):
+def _exact_factor(jac: JacobianOperator, factor):
     """The factorization an exact fit uses, or None for the matrix-free path.
 
-    An exact root is min(n*o, p) square: n*o in kernel form, p in feature
+    The given ``factor``, else a fresh one when ``_exact_side`` holds. An
+    exact root is min(n*o, p) square: n*o in kernel form, p in feature
     form. Like every dense block it stays under ``DENSE_JACOBIAN_CAP``
     entries, else the Lanczos root is kept.
     """
     side = min(jac.out_len, jac.param_count)
-    if rank is not None or side * side > DENSE_JACOBIAN_CAP:
+    if side * side > DENSE_JACOBIAN_CAP:
         return None
     if factor is not None:
         return factor
-    if side <= EXACT_FIT_LIMIT:
+    if _exact_side(jac.out_len, jac.param_count) is not None:
         return factor_gram(jac.network, jac, jac.channels)
     return None
 
@@ -470,7 +483,7 @@ def _solve_or_fail(op, rhs, what: str):
     return result.x
 
 
-def _fit(network, data, mean_kind, rank, channels, factor, kernel_side: bool) -> NtkPosterior:
+def _fit(network, data, mean_kind, channels, factor, kernel_side: bool) -> NtkPosterior:
     """The body both fits share: exact from a ``GramFactor``, else CG and Lanczos on one side.
 
     A given ``factor`` must be of this fit's Jacobian (the same network,
@@ -484,7 +497,7 @@ def _fit(network, data, mean_kind, rank, channels, factor, kernel_side: bool) ->
     jac = None if factor is None else factor.jac
     jac, resid = _prepare(network, data, mean_kind, channels, jac, "the Gram factor")
     sigma2 = data.noise_variance
-    factor = _exact_factor(jac, rank, factor)
+    factor = _exact_factor(jac, factor)
     if factor is not None:
         mean_cache = _exact_mean_cache(factor, jac, resid, sigma2)
         variance_root = _exact_root(factor, sigma2)
@@ -494,7 +507,7 @@ def _fit(network, data, mean_kind, rank, channels, factor, kernel_side: bool) ->
             dim=jac.out_len, base=lambda v: jac.jvp(jac.vjp(v)), shift=sigma2
         )
         mean_cache = jac.vjp(_solve_or_fail(op, resid, "function-space"))
-        variance_root = lowrank_inverse_root(_variance_lanczos(op, resid, rank))
+        variance_root = lowrank_inverse_root(_variance_lanczos(op, resid))
         kernel_form = True
     else:
         op = SymmetricLinearOperator(
@@ -504,7 +517,7 @@ def _fit(network, data, mean_kind, rank, channels, factor, kernel_side: bool) ->
         mean_cache = _solve_or_fail(op, rhs, "parameter-space")
         # T = Q'J J'Q + s I = U diag(L) U', so R = Q U ((L - s) / L)^1/2 has
         # R R' = Q (I - s T^-1) Q'; an L below s is roundoff.
-        factors = _variance_lanczos(op, rhs, rank)
+        factors = _variance_lanczos(op, rhs)
         evals, evecs = tridiagonal_eigh(factors)
         variance_root = factors.q @ (evecs * np.sqrt(np.maximum(evals - sigma2, 0.0) / evals))
         kernel_form = False
@@ -523,25 +536,22 @@ def fit_function_space(
     network: MlpNetwork,
     data: TaskDataset,
     mean_kind: str = "zero",
-    rank: int | None = None,
     channels=None,
     factor: GramFactor | None = None,
 ) -> NtkPosterior:
     """Fit in function space: solve (J'J + s I) c = resid, cache m = J c.
 
-    Exact from one ``GramFactor`` (``factor``, or a fresh one when ``rank``
-    is None and the smaller Gram side is at most ``EXACT_FIT_LIMIT``);
-    otherwise CG plus a Lanczos variance root of ``rank`` (default
-    ``DEFAULT_VARIANCE_RANK``) steps.
+    Exact from one ``GramFactor`` (``factor``, or a fresh one when the
+    smaller Gram side is at most ``EXACT_FIT_LIMIT``); otherwise CG plus a
+    Lanczos variance root of at most ``DEFAULT_VARIANCE_RANK`` steps.
     """
-    return _fit(network, data, mean_kind, rank, channels, factor, kernel_side=True)
+    return _fit(network, data, mean_kind, channels, factor, kernel_side=True)
 
 
 def fit_parameter_space(
     network: MlpNetwork,
     data: TaskDataset,
     mean_kind: str = "zero",
-    rank: int | None = None,
     channels=None,
     factor: GramFactor | None = None,
 ) -> NtkPosterior:
@@ -550,14 +560,13 @@ def fit_parameter_space(
     Exact or matrix-free under the same rule as ``fit_function_space``; an
     exact fit gives the same posterior as that one.
     """
-    return _fit(network, data, mean_kind, rank, channels, factor, kernel_side=False)
+    return _fit(network, data, mean_kind, channels, factor, kernel_side=False)
 
 
 def fit_posterior(
     network: MlpNetwork,
     data: TaskDataset,
     mean_kind: str = "zero",
-    rank: int | None = None,
     channels=None,
     factor: GramFactor | None = None,
 ) -> NtkPosterior:
@@ -565,8 +574,8 @@ def fit_posterior(
     arch = network.architecture
     o = arch.internal_output_dim if channels is None else len(channels)
     if _kernel_side(len(data.x) * o, arch.parameter_count):
-        return fit_function_space(network, data, mean_kind, rank, channels, factor)
-    return fit_parameter_space(network, data, mean_kind, rank, channels, factor)
+        return fit_function_space(network, data, mean_kind, channels, factor)
+    return fit_parameter_space(network, data, mean_kind, channels, factor)
 
 
 def _sq_norms(m: np.ndarray) -> np.ndarray:

@@ -5,8 +5,12 @@ capture) so the gate is readable from a plain ``pytest`` run, then asserts.
 """
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
+
+import tangentgp.gp as gp_module
 
 from tangentgp.adapt import (
     SinusoidTaskSpec,
@@ -79,14 +83,24 @@ def seeded_problem(seed, max_out=60):
     return net, TaskDataset(x, y, noise_variance=sigma2), x_test
 
 
+@contextmanager
+def matrix_free(rank):
+    """Fits inside run CG plus a Lanczos root of at most ``rank`` steps."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp_module, "EXACT_FIT_LIMIT", 0)
+        patch.setattr(gp_module, "DEFAULT_VARIANCE_RANK", rank)
+        yield
+
+
 def test_01_dual_space_agreement(capsys):
     start = time.perf_counter()
     worst_mean, worst_var = 0.0, 0.0
     for seed in range(50):
         net, data, x_test = seeded_problem(seed)
-        out_len = data.y.size
-        f_post = fit_function_space(net, data, rank=out_len)
-        p_post = fit_parameter_space(net, data, rank=net.architecture.parameter_count)
+        with matrix_free(data.y.size):
+            f_post = fit_function_space(net, data)
+        with matrix_free(net.architecture.parameter_count):
+            p_post = fit_parameter_space(net, data)
         f_mean, f_var = predict(f_post, net, x_test)
         p_mean, p_var = predict(p_post, net, x_test)
         worst_mean = max(worst_mean, rel_err(p_mean, f_mean))
@@ -127,8 +141,10 @@ def test_02_matrix_free_matches_dense_closed_form(capsys):
             sigma2 * np.einsum("pj,pj->j", d_test, np.linalg.solve(prec, d_test))
         ).reshape(n_test, -1)
 
-        f_post = fit_function_space(net, data, rank=out_len)
-        p_post = fit_parameter_space(net, data, rank=p)
+        with matrix_free(out_len):
+            f_post = fit_function_space(net, data)
+        with matrix_free(p):
+            p_post = fit_parameter_space(net, data)
         f_mean, f_var = predict(f_post, net, x_test)
         p_mean, p_var = predict(p_post, net, x_test)
         for got, want in (
@@ -522,8 +538,8 @@ def test_11_log_marginal_scaling(capsys):
 
 def test_12_exact_fit_where_lanczos_truncates(capsys):
     # p = 4801 and n = 400 at noise 1e-4: CG fails or stalls on this system
-    # and a rank-256 Lanczos root misses most of the variance; the default
-    # fit factors the 400 x 400 kernel instead.
+    # and a rank-256 Lanczos root misses most of the variance; a fit this
+    # size factors the 400 x 400 kernel instead.
     net = init_network(MlpArchitecture(8, (64, 64), 1), seed=0)
     rng = np.random.default_rng(0)
     x = rng.uniform(-2.0, 2.0, size=(400, 8))
@@ -542,6 +558,6 @@ def test_12_exact_fit_where_lanczos_truncates(capsys):
         errors += [rel_err(mean.ravel(), mean_o), rel_err(var.ravel(), var_o)]
     ok = max(errors) <= 1e-8
     report(
-        capsys, 12, "default-rank fits are exact where the Lanczos root truncates (p=4801, n=400)",
+        capsys, 12, "fits under the size limit are exact where the Lanczos root truncates (p=4801, n=400)",
         ok, "mean/var rel err function {:.1e}/{:.1e}, parameter {:.1e}/{:.1e}".format(*errors),
     )

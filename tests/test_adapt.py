@@ -312,8 +312,10 @@ class TestAdaptTask:
         # neither fit; the p-side task fits in parameter space.
         assert ran == ["parameter"]
         assert calls == {"eigh": 2, "cg": 0, "lanczos": 0}
-        adapt_task(source, context, None, AdaptConfig(rank=8, noise_grid=grid))
-        assert calls["eigh"] == 4 and calls["cg"] == 1 and calls["lanczos"] == 1
+        # Over the exact-fit limit the grid's factor still serves the fit.
+        monkeypatch.setattr(gp_module, "EXACT_FIT_LIMIT", 0)
+        adapt_task(source, context, None, AdaptConfig(noise_grid=grid))
+        assert calls == {"eigh": 3, "cg": 0, "lanczos": 0}
 
     def test_noise_grid_task_traces_each_input_set_once(self, monkeypatch):
         # One trace of the context serves centering, the noise search and
@@ -513,6 +515,30 @@ class TestStackedAdaptation:
         lines = [r.getMessage().split(" in ")[0] for r in caplog.records]
         assert lines == ["adapted 2 tasks of 6 context points"] * 2 + ["task 4: ok"]
         assert_matches_dense(source, pairs, cfg, run.tasks)
+
+    def test_tasks_over_the_patched_limit_fit_matrix_free(self, monkeypatch, caplog):
+        # gp.EXACT_FIT_LIMIT is the one exact-fit rule: 6-point tasks above
+        # it leave the stack for a matrix-free fit; 4-point tasks stay.
+        source, _, _ = trained_source()
+        rng = np.random.default_rng(39)
+        pairs = [sine_pair(rng, n, 10) for n in (6, 4, 6, 4)]
+        monkeypatch.setattr(gp_module, "EXACT_FIT_LIMIT", 5)
+        calls = {"cg": 0, "lanczos": 0}
+        for key, name in (("cg", "cg_solve"), ("lanczos", "lanczos_factorize")):
+
+            def spy(*args, _key=key, _fn=getattr(gp_module, name), **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(gp_module, name, spy)
+        ran = spy_systems(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="tangentgp"):
+            run = run_adaptation(source, pairs)
+        assert ran == ["function", "function"]
+        assert calls == {"cg": 2, "lanczos": 2}
+        lines = [r.getMessage().split(" in ")[0] for r in caplog.records]
+        assert lines == ["task 0: ok", "task 2: ok", "adapted 2 tasks of 4 context points"]
+        assert all(t.status == "ok" for t in run.tasks)
 
     def test_bad_task_in_a_group_keeps_its_message(self):
         source, _, _ = trained_source()

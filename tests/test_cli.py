@@ -348,6 +348,12 @@ class TestAdapt:
         assert main(argv) == 2
         assert "unknown config key 'space' in block 'gp'" in capsys.readouterr().err
 
+    def test_rank_key_is_unknown(self, ws, tmp_path, capsys):
+        cfg = write_json(tmp_path / "adapt.json", {"version": 1, "gp": {"rank": 8}})
+        argv = ["adapt", "--config", cfg, "--checkpoint", ws["ckpt"], "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        assert "unknown config key 'rank' in block 'gp'" in capsys.readouterr().err
+
     def test_posterior_out_needs_single_task(self, ws, tmp_path):
         manifest = make_manifest(tmp_path)
         cfg = write_json(tmp_path / "adapt.json", {"version": 1})
@@ -799,6 +805,21 @@ class TestSinusoidExp:
         assert summary["source_training_mse"] > 0.0
         assert len(doc["rows"]) == 9
         assert doc["columns"] == ["task_id", "method", "context_size", "mse", "nll"]
+
+    def test_failed_task_exits_4_naming_it(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericBreakdownError("injected")
+
+        monkeypatch.setattr(tangentgp.adapt, "_adapt_stack", fail)
+        experiment = {"num_tasks": 3, "context_size": 8, "points_per_task": 30,
+                      "source_points": 60, "source_epochs": 20, "noise_grid_decades": 6}
+        cfg = write_json(tmp_path / "exp.json", {"version": 1, "experiment": experiment})
+        out = tmp_path / "o.csv"
+        assert main(["sinusoid-exp", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "tangentgp: task 0 did not adapt: injected\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_timing_key_is_unknown(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "exp.json", {"version": 1, "experiment": {"timing": True}})

@@ -43,7 +43,6 @@ class TestResolveConfig:
         assert gp["center_on_network"] is True
         assert set(gp) == {
             "mean_kind",
-            "rank",
             "noise_variance",
             "noise_grid_decades",
             "center_on_network",
@@ -85,8 +84,8 @@ class TestResolveConfig:
         assert config_hash(base) != config_hash(overridden)
 
     def test_hash_stable_under_input_key_order(self):
-        a = resolve_config({"version": 1, "seed": 3, "gp": {"rank": 8}})
-        b = resolve_config({"gp": {"rank": 8}, "seed": 3, "version": 1})
+        a = resolve_config({"version": 1, "seed": 3, "gp": {"noise_grid_decades": 8}})
+        b = resolve_config({"gp": {"noise_grid_decades": 8}, "seed": 3, "version": 1})
         assert config_hash(a) == config_hash(b)
 
 

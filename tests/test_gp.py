@@ -8,6 +8,7 @@ matrix-free, must reproduce these numbers.
 
 import json
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,17 @@ def spy_systems(monkeypatch):
 
         monkeypatch.setattr(gp_module, f"fit_{side}_space", spy)
     return ran
+
+
+@contextmanager
+def matrix_free(rank=None):
+    """Fits inside run matrix-free: CG plus a Lanczos root of at most
+    ``rank`` steps (default ``gp.DEFAULT_VARIANCE_RANK``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp_module, "EXACT_FIT_LIMIT", 0)
+        if rank is not None:
+            patch.setattr(gp_module, "DEFAULT_VARIANCE_RANK", rank)
+        yield
 
 
 def matrix_free_columns(jac):
@@ -278,7 +290,8 @@ class TestFunctionSpaceFit:
         net = make_net([1, 8, 1], seed=2)
         data = sinusoid_data(rng, n=5)
         x_test = rng.uniform(-3, 3, size=(3, 1))
-        post = fit_function_space(net, data, rank=data.y.size)
+        with matrix_free():
+            post = fit_function_space(net, data)
         mean, var = predict(post, net, x_test)
         mean_o, var_o = dense_oracle(net, data, x_test, space="function")
         np.testing.assert_allclose(mean, mean_o, rtol=1e-6)
@@ -287,7 +300,8 @@ class TestFunctionSpaceFit:
     def test_noiseless_interpolation(self):
         net = make_net([1, 6, 1], seed=3)
         data = TaskDataset(np.array([[0.5]]), np.array([[1.25]]), noise_variance=1e-10)
-        post = fit_function_space(net, data, rank=1)
+        with matrix_free():
+            post = fit_function_space(net, data)
         mean, _ = predict(post, net, data.x)
         assert abs(mean[0, 0] - 1.25) <= 1e-4
 
@@ -300,7 +314,8 @@ class TestFunctionSpaceFit:
         jac = JacobianOperator(net, x)
         y = (jac.jvp(net.params)).reshape(4, 1)
         data = TaskDataset(x, y, noise_variance=0.1)
-        post = fit_function_space(net, data, mean_kind="jacobian_mean", rank=4)
+        with matrix_free():
+            post = fit_function_space(net, data, mean_kind="jacobian_mean")
         np.testing.assert_allclose(post.mean_cache, np.zeros(jac.param_count), atol=1e-12)
         x_test = rng.standard_normal((3, 2))
         mean, _ = predict(post, net, x_test)
@@ -329,7 +344,8 @@ class TestParameterSpaceFit:
             y = rng.standard_normal((6, 1))
             data = TaskDataset(x, y, noise_variance=0.3)
             x_test = rng.standard_normal((4, 2))
-            mean_f, var_f = predict(fit_function_space(net, data, rank=6), net, x_test)
+            with matrix_free():
+                mean_f, var_f = predict(fit_function_space(net, data), net, x_test)
             mean_p, var_p = predict(fit_parameter_space(net, data), net, x_test)
             prior_scale = float(np.max(np.diag(kernel_matrix(net, x_test)))) + data.noise_variance
             np.testing.assert_allclose(mean_p, mean_f, rtol=1e-6, atol=1e-12)
@@ -344,7 +360,8 @@ class TestParameterSpaceFit:
         x = rng.standard_normal((20, 3))
         data = TaskDataset(x, np.sin(x[:, :1]), noise_variance=0.05)
         x_test = rng.standard_normal((7, 3))
-        _, var = predict(fit_parameter_space(net, data, rank=4), net, x_test)
+        with matrix_free(rank=4):
+            _, var = predict(fit_parameter_space(net, data), net, x_test)
 
         jac = JacobianOperator(net, x)
         s2 = data.noise_variance
@@ -375,7 +392,7 @@ class TestParameterSpaceFit:
 
 
 class TestExactFit:
-    """rank=None fits from one eigendecomposition against the dense oracle."""
+    """Fits under the size limit from one eigendecomposition against the dense oracle."""
 
     # (dims, heteroscedastic, channels, n): kernel side, p side, kernel side
     # with n*o > 256, p side with n*o > 256, heteroscedastic mean channel on
@@ -531,20 +548,12 @@ class TestExactFit:
         )
         return calls
 
-    def test_default_rank_runs_no_krylov_method(self, monkeypatch):
+    def test_sides_under_the_limit_run_no_krylov_method(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         for n in (20, 40):
             net, data, _ = self.problem([2, 6, 1], False, None, n)
             fit_posterior(net, data)
         assert calls == {"eigh": 2, "cg": 0, "lanczos": 0}
-
-    def test_explicit_rank_runs_lanczos(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
-        net, data, _ = self.problem([2, 6, 1], False, None, 20)
-        fit_function_space(net, data, rank=8)
-        fit_parameter_space(net, data, rank=8)
-        assert calls["eigh"] == 2  # the small T factor of each Lanczos root
-        assert calls["cg"] == 2 and calls["lanczos"] == 2
 
     def test_sides_over_the_limit_run_matrix_free(self, monkeypatch):
         monkeypatch.setattr(gp_module, "EXACT_FIT_LIMIT", 10)
@@ -552,6 +561,10 @@ class TestExactFit:
         net, data, _ = self.problem([2, 6, 1], False, None, 20)
         fit_posterior(net, data)
         assert calls["cg"] == 1 and calls["lanczos"] == 1
+        fit_function_space(net, data)
+        fit_parameter_space(net, data)
+        assert calls["eigh"] == 3  # the small T factor of each Lanczos root
+        assert calls["cg"] == 3 and calls["lanczos"] == 3
 
     def test_roots_over_the_dense_cap_run_matrix_free(self, monkeypatch):
         # p = 25 and n*o = 20: an exact kernel-form root would have 400 entries.
@@ -586,9 +599,10 @@ class TestKernelForm:
             prior = float(np.max(np.diag(kernel_matrix(net, x_test, channels=channels))))
             mean_o, var_o = dense_oracle(net, data, x_test, "linearized_nn", "function", channels)
             # Exact fits, then Lanczos fits of full rank on their own side.
-            for rank, tol in ((None, 1e-10), (n * o, 1e-6)):
+            for fit_path, tol in ((nullcontext(), 1e-10), (matrix_free(), 1e-6)):
                 fit = fit_function_space if kernel_side else fit_parameter_space
-                post = fit(net, data, mean_kind="linearized_nn", rank=rank, channels=channels)
+                with fit_path:
+                    post = fit(net, data, mean_kind="linearized_nn", channels=channels)
                 if kernel_side:
                     assert post.inputs.shape == (n, dims[0])
                     assert post.variance_root.shape[0] == n * o
@@ -608,8 +622,9 @@ class TestKernelForm:
     def test_kernel_side_fit_and_predict_build_no_dense_jacobian(self, monkeypatch):
         net, data, x_test = TestExactFit.problem([2, 10, 1], True, (0,), 12)
         sizes = count_dense_blocks(monkeypatch)
-        for rank in (None, 6):
-            post = fit_posterior(net, data, rank=rank, channels=(0,))
+        for fit_path in (nullcontext(), matrix_free(rank=6)):
+            with fit_path:
+                post = fit_posterior(net, data, channels=(0,))
             predict(post, net, x_test)
             assert post.inputs is not None
         assert sizes == []
@@ -642,7 +657,8 @@ class TestKernelForm:
     def test_mismatched_posterior_arrays_are_contract_violations(self):
         net, data, x_test = TestExactFit.problem([2, 8, 2], False, None, 9)
         kernel = fit_posterior(net, data)
-        feature = fit_parameter_space(net, data, rank=4)
+        with matrix_free(rank=4):
+            feature = fit_parameter_space(net, data)
         assert kernel.inputs is not None and feature.inputs is None
         bad = [
             (replace(feature, variance_root=feature.variance_root[1:]), "variance_root"),
@@ -661,7 +677,8 @@ class TestPredict:
         rng = np.random.default_rng(7)
         net = make_net([1, 5, 1], seed=8)
         data = sinusoid_data(rng, n=4)
-        post = fit_function_space(net, data, rank=4)
+        with matrix_free():
+            post = fit_function_space(net, data)
         moved = net.with_params(net.params + 1e-3)
         with pytest.raises(ContractViolationError, match="stale"):
             predict(post, moved, data.x)
@@ -670,7 +687,8 @@ class TestPredict:
         rng = np.random.default_rng(8)
         net = make_net([1, 16, 1], seed=9)
         data = sinusoid_data(rng, n=8)
-        post = fit_function_space(net, data, rank=8)
+        with matrix_free():
+            post = fit_function_space(net, data)
         _, var_near = predict(post, net, data.x[:1])
         _, var_far = predict(post, net, np.array([[25.0]]))
         assert var_far[0, 0] > var_near[0, 0]
@@ -683,10 +701,11 @@ class TestPredict:
         data = TaskDataset(x, y, noise_variance=0.2)
         x_test = rng.standard_normal((6, 2))
         prior = np.diag(kernel_matrix(net, x_test)).reshape(6, 2)
-        for post in (
-            fit_function_space(net, data, rank=4),
-            fit_parameter_space(net, data, rank=40),
-        ):
+        with matrix_free(rank=4):
+            function_post = fit_function_space(net, data)
+        with matrix_free(rank=40):
+            parameter_post = fit_parameter_space(net, data)
+        for post in (function_post, parameter_post):
             _, var = predict(post, net, x_test)
             assert np.all(var >= 0.0)
             assert np.all(var <= prior + 1e-8)
@@ -699,7 +718,8 @@ class TestPredict:
         data = sinusoid_data(rng, n=10)
         x_test = rng.uniform(-3, 3, size=(5, 1))
         _, var_exact = dense_oracle(net, data, x_test, space="function")
-        _, var_trunc = predict(fit_function_space(net, data, rank=3), net, x_test)
+        with matrix_free(rank=3):
+            _, var_trunc = predict(fit_function_space(net, data), net, x_test)
         assert np.all(var_trunc >= var_exact - 1e-10)
         prior = np.diag(kernel_matrix(net, x_test)).reshape(5, 1)
         assert np.all(var_trunc <= prior + 1e-10)
@@ -712,7 +732,8 @@ class TestPredict:
         x_test = rng.uniform(-2, 2, (3, 1))
         for kind in ("zero", "jacobian_mean", "linearized_nn"):
             data = TaskDataset(x, y, noise_variance=1e12)
-            post = fit_function_space(net, data, mean_kind=kind, rank=5)
+            with matrix_free():
+                post = fit_function_space(net, data, mean_kind=kind)
             mean, _ = predict(post, net, x_test)
             jac = JacobianOperator(net, x_test)
             if kind == "zero":
@@ -728,13 +749,15 @@ class TestPredict:
         net = make_net([1, 8, 1], seed=13)
         data = sinusoid_data(rng, n=6)
         x_star = np.array([[0.77]])
-        _, var_before = predict(fit_function_space(net, data, rank=6), net, x_star)
+        with matrix_free():
+            _, var_before = predict(fit_function_space(net, data), net, x_star)
         grown = TaskDataset(
             np.vstack([data.x, x_star]),
             np.vstack([data.y, [[0.4]]]),
             noise_variance=data.noise_variance,
         )
-        _, var_after = predict(fit_function_space(net, grown, rank=7), net, x_star)
+        with matrix_free():
+            _, var_after = predict(fit_function_space(net, grown), net, x_star)
         assert var_after[0, 0] <= var_before[0, 0] + 1e-10
 
 
@@ -748,10 +771,12 @@ class TestChunkedPredict:
             y = rng.standard_normal((6, 2 if channels is None else 1))
             data = TaskDataset(x, y, noise_variance=0.1)
             # Both exact fits are in kernel form here; the rank-8
-            # parameter-space fit is in feature form.
-            for fit, rank in ((fit_function_space, None), (fit_parameter_space, None),
-                              (fit_parameter_space, 8)):
-                post = fit(net, data, mean_kind="linearized_nn", channels=channels, rank=rank)
+            # matrix-free parameter-space fit is in feature form.
+            for fit, fit_path in ((fit_function_space, nullcontext()),
+                                 (fit_parameter_space, nullcontext()),
+                                 (fit_parameter_space, matrix_free(rank=8))):
+                with fit_path:
+                    post = fit(net, data, mean_kind="linearized_nn", channels=channels)
                 mean_one, var_one = predict(post, net, x_test)
                 if post.inputs is None:
                     # Dense query blocks of at most 3 data.
@@ -838,7 +863,8 @@ class TestHeteroscedasticChannels:
         y = rng.standard_normal((5, 1))
         data = TaskDataset(x, y, noise_variance=0.2)
         x_test = rng.standard_normal((3, 2))
-        post = fit_function_space(net, data, rank=5, channels=(0,))
+        with matrix_free():
+            post = fit_function_space(net, data, channels=(0,))
         mean, var = predict(post, net, x_test)
         mean_o, var_o = dense_oracle(net, data, x_test, space="function", channels=(0,))
         np.testing.assert_allclose(mean, mean_o, rtol=1e-6, atol=1e-10)
@@ -849,7 +875,7 @@ class TestHeteroscedasticChannels:
         net = make_net([2, 6, 1], seed=15, heteroscedastic=True)
         data = TaskDataset(rng.standard_normal((4, 2)), rng.standard_normal((4, 1)), 0.1)
         with pytest.raises(ContractViolationError, match="channels"):
-            fit_function_space(net, data, rank=4)
+            fit_function_space(net, data)
 
     def test_bad_channel_indices_rejected(self):
         rng = np.random.default_rng(15)
@@ -954,7 +980,8 @@ class TestPosteriorSerialization:
         data = sinusoid_data(rng, n=6)
         x_test = rng.uniform(-2, 2, (4, 1))
         for fit in (fit_function_space, fit_parameter_space):
-            post = fit(net, data, mean_kind="linearized_nn", rank=6)
+            with matrix_free(rank=6):
+                post = fit(net, data, mean_kind="linearized_nn")
             path = tmp_path / f"{fit.__name__}.npz"
             save_posterior(post, path)
             loaded = load_posterior(path)
@@ -1002,7 +1029,8 @@ class TestPosteriorSerialization:
     def test_version_check(self, tmp_path):
         rng = np.random.default_rng(20)
         net = make_net([1, 5, 1], seed=21)
-        post = fit_function_space(net, sinusoid_data(rng, n=3), rank=3)
+        with matrix_free():
+            post = fit_function_space(net, sinusoid_data(rng, n=3))
         path = tmp_path / "post.npz"
         save_posterior(post, path)
         import json as _json
