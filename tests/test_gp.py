@@ -561,10 +561,16 @@ class TestExactFit:
         net, data, _ = self.problem([2, 6, 1], False, None, 20)
         fit_posterior(net, data)
         assert calls["cg"] == 1 and calls["lanczos"] == 1
-        fit_function_space(net, data)
-        fit_parameter_space(net, data)
-        assert calls["eigh"] == 3  # the small T factor of each Lanczos root
-        assert calls["cg"] == 3 and calls["lanczos"] == 3
+
+    def test_explicit_rank_runs_lanczos(self, monkeypatch):
+        # A Lanczos root of rank 8 in each space, forced by the size limit.
+        calls = self.count_calls(monkeypatch)
+        net, data, _ = self.problem([2, 6, 1], False, None, 20)
+        with matrix_free(8):
+            fit_function_space(net, data)
+            fit_parameter_space(net, data)
+        assert calls["eigh"] == 2  # the small T factor of each Lanczos root
+        assert calls["cg"] == 2 and calls["lanczos"] == 2
 
     def test_roots_over_the_dense_cap_run_matrix_free(self, monkeypatch):
         # p = 25 and n*o = 20: an exact kernel-form root would have 400 entries.
