@@ -583,7 +583,7 @@ def _train_heads(features, targets, theta, cfg: OptimizerConfig, tasks):
     w_count = o * f
     rng = substream(cfg.seed, "train")
     velocity = np.zeros_like(theta)
-    adam = Adam(theta.shape, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    adam = Adam(theta.shape, cfg.learning_rate)
 
     def outputs(theta, h):
         return h @ theta[:, :w_count].reshape(t, o, f).transpose(0, 2, 1) + theta[:, None, w_count:]

@@ -1,10 +1,10 @@
-"""Jacobian diagnostics: subspace similarity between models.
+"""Tangent-kernel similarity between models.
 
-The similarity score is the squared cosine between two Gram matrices,
-tr(A'BB'A) / (||AA'||_F ||BB'||_F), computed column-side so nothing of
-size p x p is ever formed. A study helper trains small groups of
-classifiers on related and unrelated synthetic tasks and reports the
-pairwise similarities over a shared evaluation set.
+The score is the squared cosine between two networks' tangent kernels on
+shared inputs, from n*o square kernels assembled layer by layer (no p x
+n*o Jacobian). A study helper trains small groups of classifiers on
+related and unrelated synthetic tasks and reports the pairwise
+similarities over a shared evaluation set.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapt import refit_last_layer
-from .errors import ContractViolationError
+from .errors import ConsistencyError, ContractViolationError, ResourceLimitError
+from .gp import _task_kernels
 from .net import (
+    DENSE_JACOBIAN_CAP,
     JacobianOperator,
     MlpArchitecture,
     OptimizerConfig,
@@ -27,32 +29,27 @@ from .seeding import substream
 from .serialize import canonical_json, fmt_float, render_csv
 
 
-def jacobian_similarity(ja: np.ndarray, jb: np.ndarray) -> float:
-    """Squared cosine similarity of two Jacobians on the same inputs.
+def similarity_matrix(networks, x) -> np.ndarray:
+    """Pairwise tangent-kernel similarities of ``networks`` on the inputs ``x``.
 
-    Rows are parameters, columns are output evaluations, so both counts
-    must match: the two models share one parameter count.
+    Entry (a, b) is ||K_ba||_F^2 / (||K_aa||_F ||K_bb||_F) with K_ba = J_b' J_a
+    from ``gp._task_kernels``; the diagonal is 1. No norm is zero: the
+    output bias puts |h|^2 + 1 >= 1 on K_aa's diagonal. Networks of
+    different ``layer_dims`` raise ``ConsistencyError``, kernels over
+    ``DENSE_JACOBIAN_CAP`` entries ``ResourceLimitError``.
     """
-    ja = np.asarray(ja, dtype=np.float64)
-    jb = np.asarray(jb, dtype=np.float64)
-    if ja.ndim != 2 or jb.ndim != 2:
-        raise ContractViolationError("similarity arguments must be 2-d matrices")
-    if ja.shape[1] != jb.shape[1]:
-        raise ContractViolationError(
-            f"column counts differ ({ja.shape[1]} vs {jb.shape[1]}); "
-            "Jacobians must be evaluated on the same inputs"
-        )
-    if ja.shape[0] != jb.shape[0]:
-        raise ContractViolationError(
-            f"row counts differ ({ja.shape[0]} vs {jb.shape[0]}); "
-            "Jacobians must have one parameter count"
-        )
-    norm_a = np.linalg.norm(ja.T @ ja)
-    norm_b = np.linalg.norm(jb.T @ jb)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ContractViolationError("similarity undefined for an all-zero Jacobian")
-    cross = np.linalg.norm(jb.T @ ja)
-    return float(cross * cross / (norm_a * norm_b))
+    if len({net.architecture.layer_dims for net in networks}) > 1:
+        raise ConsistencyError("networks of different layer shapes share no parameter space")
+    jacs = [JacobianOperator(net, x) for net in networks]
+    entries = jacs[0].out_len ** 2
+    if entries > DENSE_JACOBIAN_CAP:
+        raise ResourceLimitError(f"similarity kernels need {entries} entries (cap {DENSE_JACOBIAN_CAP})")
+    norms = [np.linalg.norm(_task_kernels(jac)[0][0]) for jac in jacs]
+    matrix = np.eye(len(jacs))
+    for a, b in zip(*np.triu_indices(len(jacs), 1)):
+        cross = np.linalg.norm(_task_kernels(jacs[a], jacs[b], square=False)[1][0])
+        matrix[a, b] = matrix[b, a] = cross * cross / (norms[a] * norms[b])
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -174,8 +171,8 @@ def task_similarity_study(cfg: StudyConfig) -> SimilarityReport:
 
     Groups base-a and base-b train on disjoint halves of one synthetic
     pool; the shifted group trains on a different input distribution and
-    then has its final layer realigned on base data, after which every
-    model's Jacobian is taken on one shared base-distribution batch.
+    then has its final layer realigned on base data, after which all the
+    models are compared on one shared base-distribution batch.
     """
     data_rng = substream(cfg.seed, "study-data")
     pool_x, pool_labels = _sample_base(data_rng, 2 * cfg.train_points)
@@ -202,7 +199,7 @@ def task_similarity_study(cfg: StudyConfig) -> SimilarityReport:
         epochs=cfg.realign_steps,
         learning_rate=cfg.realign_learning_rate,
     )
-    jacobians = []
+    networks = []
     model_ids = []
     distribution_ids = []
     for g, dataset in enumerate(datasets):
@@ -223,16 +220,11 @@ def task_similarity_study(cfg: StudyConfig) -> SimilarityReport:
             ).network
             if g == 2:
                 (trained,) = refit_last_layer(trained, [datasets[0]], realign)
-            jacobians.append(JacobianOperator(trained, eval_x).dense())
+            networks.append(trained)
             model_ids.append(f"{GROUP_NAMES[g]}-{i}")
             distribution_ids.append(DISTRIBUTION_IDS[g])
-    m = len(jacobians)
-    matrix = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            matrix[i, j] = matrix[j, i] = jacobian_similarity(jacobians[i], jacobians[j])
     return SimilarityReport(
-        matrix=matrix,
+        matrix=similarity_matrix(networks, eval_x),
         model_ids=tuple(model_ids),
         distribution_ids=tuple(distribution_ids),
         n_eval=cfg.eval_points,

@@ -33,13 +33,15 @@ from .adapt import (
     sinusoid_experiment,
     stratified_split,
 )
-from .analysis import SimilarityReport, jacobian_similarity, task_similarity_study
+from .analysis import SimilarityReport, similarity_matrix, task_similarity_study
 from .config import (
     CONFIG_VERSION,
     architecture_from,
     block_or_defaults,
     config_hash,
     experiment_config_from,
+    file_field,
+    float_array,
     glm_fit_config_from,
     load_checkpoint,
     load_config,
@@ -72,7 +74,7 @@ from .glm import (
     zero_coefficients_glm,
 )
 from .gp import load_posterior, predict, save_posterior
-from .net import JacobianOperator, TaskDataset, init_network, train
+from .net import TaskDataset, init_network, train
 from .serialize import (
     atomic_write_text,
     canonical_json,
@@ -154,7 +156,8 @@ def _training_data(resolved: dict) -> TaskDataset:
         if task["train_csv"] is None:
             raise ConfigError("task.kind 'csv' needs task.train_csv")
         x, y = read_dataset_csv(task["train_csv"])
-        return TaskDataset(x, y, noise_variance=task["noise_variance"] or 1.0)
+        noise = 1.0 if task["noise_variance"] is None else task["noise_variance"]
+        return TaskDataset(x, y, noise_variance=noise)
     if task["kind"] == "sinusoid":
         spec = SinusoidTaskSpec(
             points_per_task=task["points_per_task"],
@@ -342,25 +345,13 @@ def cmd_similarity(args) -> int:
         if args.inputs is None:
             raise ConfigError("pairwise similarity needs --inputs with shared evaluation points")
         networks = [load_checkpoint(p) for p in args.checkpoints]
-        counts = {net.architecture.parameter_count for net in networks}
-        if len(counts) > 1:
-            raise ConsistencyError(
-                "checkpoints have different parameter counts; pairwise similarity "
-                "needs a shared parameter space"
-            )
         x = read_inputs_csv(args.inputs)
         if x.shape[0] == 0:
             raise ConfigError(f"{args.inputs}: need at least one evaluation point")
-        jacs = [JacobianOperator(net, x).dense() for net in networks]
-        m = len(jacs)
-        matrix = np.eye(m)
-        for i in range(m):
-            for j in range(i + 1, m):
-                matrix[i, j] = matrix[j, i] = jacobian_similarity(jacs[i], jacs[j])
         report = SimilarityReport(
-            matrix=matrix,
+            matrix=similarity_matrix(networks, x),
             model_ids=tuple(Path(p).stem for p in args.checkpoints),
-            distribution_ids=tuple(range(m)),
+            distribution_ids=tuple(range(len(networks))),
             n_eval=x.shape[0],
             seed=resolved["seed"],
         )
@@ -426,32 +417,30 @@ def _load_glm_fit(path, network):
             "stale GLM fit: it was produced for different network parameters"
         )
 
-    def field(key):
-        if key not in doc:
-            raise ConfigError(f"{path}: GLM fit file has no {key!r}")
-        return doc[key]
+    field = functools.partial(file_field, path, "GLM fit file", doc)
 
+    def vector(key):
+        return field(key, "number list", float_array)
+
+    prior_variance = field("prior_variance", "number", float)
     model = zero_coefficients_glm(
         network,
-        include_network_output=field("include_network_output"),
-        prior_variance=float(field("prior_variance")),
+        include_network_output=field("include_network_output", "bool"),
+        prior_variance=prior_variance,
     )
     method = doc.get("method")
     if method == "map":
-        approx = MapPosterior(coefficients=np.asarray(field("coefficients"), dtype=np.float64))
+        approx = MapPosterior(coefficients=vector("coefficients"))
     elif method == "svi":
-        approx = MeanFieldPosterior(
-            mu=np.asarray(field("mu"), dtype=np.float64),
-            raw_scales=np.asarray(field("raw_scales"), dtype=np.float64),
-        )
+        approx = MeanFieldPosterior(mu=vector("mu"), raw_scales=vector("raw_scales"))
     elif method == "laplace":
         fisher_x = None
-        if doc.get("fisher_on_train"):
-            fisher_x = np.asarray(field("fisher_x"), dtype=np.float64)
+        if field("fisher_on_train", "bool"):
+            fisher_x = field("fisher_x", convert=float_array)
         approx = LaplacePosterior(
-            mean=np.asarray(field("mean"), dtype=np.float64),
-            n_train=int(field("n_train")),
-            prior_variance=float(doc["prior_variance"]),
+            mean=vector("mean"),
+            n_train=field("n_train", "int"),
+            prior_variance=prior_variance,
             fisher_x=fisher_x,
         )
     else:

@@ -10,14 +10,16 @@ in the resolved document; commands that need them say so.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import reprlib
 from pathlib import Path
 
 import numpy as np
 
 from .adapt import SinusoidExperimentConfig
 from .analysis import StudyConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolationError
 from .glm import GlmFitConfig
 from .net import MlpArchitecture, MlpNetwork, OptimizerConfig, TaskDataset
 from .serialize import atomic_write_text, canonical_json, read_dataset_csv, read_json
@@ -262,6 +264,28 @@ def experiment_config_from(resolved: dict) -> SinusoidExperimentConfig:
 # Checkpoints
 
 
+def file_field(path, label: str, doc: dict, key: str, kind: str | None = None, convert=None):
+    """``doc[key]`` of the JSON file ``path``, of config type ``kind``, passed through ``convert``.
+
+    A missing key, a value of another type, or one that ``convert``
+    rejects raises ``ConfigError`` naming the file, ``label`` and the key.
+    """
+    if key not in doc:
+        raise ConfigError(f"{path}: {label} has no {key!r}")
+    value = doc[key]
+    if kind is not None and not _CHECKS[kind](value):
+        raise ConfigError(f"{path}: {label} key {key!r} must be {kind}, got {reprlib.repr(value)}")
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (ConfigError, ContractViolationError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {label} key {key!r} is malformed: {exc}") from exc
+
+
+float_array = functools.partial(np.asarray, dtype=np.float64)
+
+
 def save_checkpoint(network: MlpNetwork, path, provenance: dict) -> None:
     """Write a network as JSON: architecture, exact parameters, fingerprint."""
     doc = {
@@ -282,9 +306,9 @@ def load_checkpoint(path) -> MlpNetwork:
         raise ConfigError(f"{path}: not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-    arch = MlpArchitecture.from_dict(doc["architecture"])
-    params = np.asarray(doc["params"], dtype=np.float64)
-    network = MlpNetwork(arch, params)
+    field = functools.partial(file_field, path, "checkpoint", doc)
+    arch = field("architecture", convert=lambda b: MlpArchitecture.from_dict(_resolve_block("architecture", b)))
+    network = MlpNetwork(arch, field("params", convert=float_array))
     if network.fingerprint() != doc.get("fingerprint"):
         raise ConfigError(f"{path}: fingerprint does not match the stored parameters")
     return network
@@ -314,11 +338,12 @@ def read_task_manifest(path) -> list[tuple[TaskDataset, TaskDataset | None]]:
         noise = entry.get("noise_variance", 1.0)
         if not _num(noise) or not noise > 0:
             raise ConfigError(f"{path}: entry {i} noise_variance must be positive")
-        cx, cy = read_dataset_csv(base / entry["context"])
+        field = functools.partial(file_field, path, f"entry {i}", entry)
+        cx, cy = read_dataset_csv(base / field("context", "string"))
         context = TaskDataset(cx, cy, noise_variance=float(noise))
         eval_set = None
         if entry.get("eval") is not None:
-            ex, ey = read_dataset_csv(base / entry["eval"])
+            ex, ey = read_dataset_csv(base / field("eval", "string"))
             eval_set = TaskDataset(ex, ey, noise_variance=float(noise))
         pairs.append((context, eval_set))
     return pairs

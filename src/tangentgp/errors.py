@@ -56,4 +56,4 @@ class ConfigError(TangentGpError):
 
 class ConsistencyError(TangentGpError):
     """Artifacts that should describe the same object do not: a stale cache,
-    a checkpoint that disagrees with its config, mismatched parameter counts."""
+    a checkpoint that disagrees with its config, networks of different layer shapes."""

@@ -3,8 +3,11 @@
 The kernel is k(x_i, x_j) = J(x_i)' J(x_j), with J (p x n*o) the Jacobian
 of a trained network at fixed parameters. ``kernel_matrix`` assembles it
 layer by layer from each layer's inputs and output sensitivities, without
-forming J. ``kernel_matrix``, ``factor_gram`` and ``regression_residual``
-also take a ``JacobianOperator`` built at the inputs, and a ``GramFactor``
+forming J; ``analysis.similarity_matrix`` uses the same assembly across
+two networks. Only the p side forms J, in ``JacobianOperator.dense``
+blocks (``_jacobian_blocks``) for the p square Gram, its leave-one-out
+scores and feature-form variances. ``kernel_matrix``, ``factor_gram`` and
+``regression_residual`` also take a ``JacobianOperator`` built at the inputs, and a ``GramFactor``
 keeps its operator, so one forward trace serves a whole fit. The
 kernel-side formulas (kernels, leave-one-out scores, dual weights, roots
 and kernel-form variances) broadcast over a leading task axis, which

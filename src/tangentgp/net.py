@@ -4,11 +4,11 @@ Exact, inspectable Jacobian products come first. ``JacobianOperator``
 caches one forward trace and then answers reverse-mode products (J u),
 forward-mode products (J' v), the per-layer inputs and output sensitivities
 that tangent kernels are assembled from, row slices that share its trace,
-and a dense assembly: the p square Gram and feature-form variances of the
-GP, a test oracle, and the input of similarity studies. Training builds
-one operator per minibatch step, so everything a step reads that depends
-only on the shapes (the parameter layout, the per-layer views) is computed
-once per architecture or network, never per product.
+and a dense assembly from the same sensitivities (the GP's p-side blocks
+and a test oracle). Training builds one operator per minibatch step, so
+everything a step reads that depends only on the shapes (the parameter
+layout, the per-layer views) is computed once per architecture or
+network, never per product.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     ContractViolationError,
     ResourceLimitError,
     TrainingDivergenceError,
@@ -29,6 +28,11 @@ from .errors import (
 from .seeding import substream
 
 DENSE_JACOBIAN_CAP = 10**8
+
+# Adam's moment decay rates and denominator offset (Kingma and Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 OPTIMIZERS = ("sgd-momentum", "adam")
 LOSSES = ("mse", "heteroscedastic-gaussian", "categorical-ce")
@@ -131,16 +135,14 @@ class MlpArchitecture:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpArchitecture":
-        try:
-            return cls(
-                input_dim=int(d["input_dim"]),
-                hidden_widths=tuple(d["hidden_widths"]),
-                output_dim=int(d["output_dim"]),
-                activation=d["activation"],
-                heteroscedastic=bool(d.get("heteroscedastic", False)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"architecture descriptor missing field {exc}") from exc
+        """The inverse of ``to_dict``, for a dict of its keys checked by ``config``."""
+        return cls(
+            input_dim=d["input_dim"],
+            hidden_widths=tuple(d["hidden_widths"]),
+            output_dim=d["output_dim"],
+            activation=d["activation"],
+            heteroscedastic=d["heteroscedastic"],
+        )
 
 
 @dataclass(frozen=True)
@@ -405,9 +407,9 @@ class JacobianOperator:
     def dense(self, cap: int = DENSE_JACOBIAN_CAP) -> np.ndarray:
         """Assemble the p x (n*o) Jacobian; column i*o + k = vjp(one-hot(i, k)).
 
-        The reference for the matrix-free products and for the layer-wise
-        kernel assembly, and the block that the p square J J' and
-        feature-form predictive variances are built from.
+        Built from ``layer_sensitivities``: outer(D[i, k], H[i]) in each
+        layer's weights, D[i, k] in its bias. Serves the GP's p-side blocks
+        (the p square J J' and feature-form variances) and the tests.
         """
         entries = self.param_count * self.out_len
         if entries > cap:
@@ -415,21 +417,13 @@ class JacobianOperator:
                 f"dense Jacobian needs {entries} entries (cap {cap}); "
                 "use the matrix-free vjp/jvp products instead"
             )
-        jac = np.empty((self.param_count, self.out_len))
-        slices = self._slices
-        full = self.network.architecture.internal_output_dim
-        channels = range(full) if self.channels is None else self.channels
-        for k, c in enumerate(channels):
-            delta = np.zeros((self.n_data, full))
-            delta[:, c] = 1.0
-            d = delta
-            for idx in range(len(slices) - 1, -1, -1):
-                w_sl, b_sl, fan_in, fan_out = slices[idx]
-                per_datum_w = np.einsum("ni,nj->nij", d, self._layer_inputs[idx])
-                jac[w_sl, k :: self.out_dim] = per_datum_w.reshape(self.n_data, fan_out * fan_in).T
-                jac[b_sl, k :: self.out_dim] = d.T
-                if idx > 0:
-                    d = (d @ self._weights[idx]) * self._slopes[idx - 1]
+        cols = self.out_len
+        jac = np.empty((self.param_count, cols))
+        for (w_sl, b_sl, fan_in, fan_out), (h, d) in zip(
+            reversed(self._slices), self.layer_sensitivities()
+        ):
+            jac[w_sl] = (d[:, :, :, None] * h[:, None, None, :]).reshape(cols, fan_out * fan_in).T
+            jac[b_sl] = d.reshape(cols, fan_out).T
         return jac
 
 
@@ -477,9 +471,6 @@ class OptimizerConfig:
     loss: str = "mse"
     seed: int = 0
     momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -501,22 +492,19 @@ class Adam:
     together (the update is elementwise, so each row moves as its own run).
     """
 
-    def __init__(self, shape, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shape, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(shape)
         self.u = np.zeros(shape)
         self.step_count = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.step_count += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.u = self.beta2 * self.u + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1**self.step_count)
-        u_hat = self.u / (1 - self.beta2**self.step_count)
-        return params - self.learning_rate * m_hat / (np.sqrt(u_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.u = ADAM_BETA2 * self.u + (1 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1 - ADAM_BETA1**self.step_count)
+        u_hat = self.u / (1 - ADAM_BETA2**self.step_count)
+        return params - self.learning_rate * m_hat / (np.sqrt(u_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -541,7 +529,7 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
     rng = substream(cfg.seed, "train")
     theta = network.params.copy()
     velocity = np.zeros_like(theta)
-    adam = Adam(theta.size, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    adam = Adam(theta.size, cfg.learning_rate)
     trace = np.empty(cfg.epochs)
 
     for epoch in range(cfg.epochs):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from tangentgp import analysis
 from tangentgp.adapt import refit_last_layer
-from tangentgp.analysis import StudyConfig, jacobian_similarity, task_similarity_study
-from tangentgp.errors import ContractViolationError
-from tangentgp.gp import factor_gram
+from tangentgp.analysis import StudyConfig, similarity_matrix, task_similarity_study
+from tangentgp.errors import ConsistencyError, ContractViolationError, ResourceLimitError
+from tangentgp.gp import _task_kernels, factor_gram
 from tangentgp.net import (
     JacobianOperator,
     MlpArchitecture,
@@ -27,81 +28,95 @@ def dense_similarity(a, b):
     )
 
 
-class TestJacobianSimilarity:
-    def test_self_similarity_is_one(self):
-        a = np.random.default_rng(0).standard_normal((30, 12))
-        assert jacobian_similarity(a, a) == pytest.approx(1.0, abs=1e-12)
+def nets_and_inputs(arch, count, seed, n=9):
+    networks = [init_network(arch, seed=seed + k) for k in range(count)]
+    x = substream(seed, "similarity-x").uniform(-1.5, 1.5, size=(n, arch.input_dim))
+    return networks, x
 
-    def test_disjoint_row_blocks_give_zero(self):
-        # Gram matrices with orthogonal column spaces: tr(A'BB'A) = 0.
-        a = np.zeros((40, 10))
-        b = np.zeros((40, 10))
-        rng = np.random.default_rng(1)
-        a[:10] = rng.standard_normal((10, 10))
-        b[20:30] = rng.standard_normal((10, 10))
-        assert jacobian_similarity(a, b) == 0.0
+
+class TestJacobianSimilarity:
+    """``similarity_matrix``: squared cosines of tangent kernels in kernel form."""
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            MlpArchitecture(3, (7, 5), 4, activation="relu"),
+            MlpArchitecture(3, (7, 5), 2, heteroscedastic=True),
+        ],
+        ids=["relu", "tanh-heteroscedastic"],
+    )
+    def test_cross_kernel_matches_dense_product(self, arch):
+        (net_a, net_b), x = nets_and_inputs(arch, 2, seed=21)
+        ja, jb = JacobianOperator(net_a, x), JacobianOperator(net_b, x)
+        assert ja.out_dim == 4
+        dense = jb.dense().T @ ja.dense()
+        cross = _task_kernels(jb, ja, square=False)[1][0]
+        assert np.linalg.norm(cross - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_matches_dense_trace_formula(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((50, 20))
-        b = rng.standard_normal((50, 20))
-        assert jacobian_similarity(a, b) == pytest.approx(
-            dense_similarity(a, b), rel=1e-10
-        )
+        networks, x = nets_and_inputs(MlpArchitecture(2, (16, 8), 3), 3, seed=7)
+        dense = [JacobianOperator(net, x).dense() for net in networks]
+        expected = [[dense_similarity(a, b) for b in dense] for a in dense]
+        assert_allclose(similarity_matrix(networks, x), expected, rtol=1e-12)
 
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((25, 8))
-        b = rng.standard_normal((25, 8))
-        base = jacobian_similarity(a, b)
-        for c in (1e-3, -2.0, 1e4):
-            assert jacobian_similarity(c * a, b) == pytest.approx(base, abs=1e-10)
+    def test_self_similarity_is_one(self):
+        (net,), x = nets_and_inputs(MlpArchitecture(2, (12,), 3), 1, seed=0)
+        matrix = similarity_matrix([net, net], x)
+        assert_array_equal(np.diag(matrix), 1.0)
+        assert matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((25, 8))
-        b = rng.standard_normal((25, 8))
-        assert abs(jacobian_similarity(a, b) - jacobian_similarity(b, a)) <= 1e-12
-
-    def test_right_orthogonal_invariance(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((25, 8))
-        b = rng.standard_normal((25, 8))
-        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-        assert jacobian_similarity(a @ q, b) == pytest.approx(
-            jacobian_similarity(a, b), abs=1e-10
-        )
+        (net_a, net_b), x = nets_and_inputs(MlpArchitecture(2, (8,), 2), 2, seed=4)
+        forward_order = similarity_matrix([net_a, net_b], x)[0, 1]
+        reverse_order = similarity_matrix([net_b, net_a], x)[0, 1]
+        assert abs(forward_order - reverse_order) <= 1e-12
 
     def test_values_stay_in_unit_interval(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            a = rng.standard_normal((15, 6))
-            b = rng.standard_normal((15, 6))
-            sim = jacobian_similarity(a, b)
-            assert -1e-10 <= sim <= 1.0 + 1e-8
+        for seed in range(20):
+            activation = ("tanh", "relu")[seed % 2]
+            arch = MlpArchitecture(2, (6,), 2, activation=activation)
+            networks, x = nets_and_inputs(arch, 3, seed=100 * seed, n=5)
+            matrix = similarity_matrix(networks, x)
+            assert np.all(matrix >= -1e-10)
+            assert np.all(matrix <= 1.0 + 1e-8)
 
-    def test_zero_matrix_rejected(self):
-        a = np.random.default_rng(0).standard_normal((10, 4))
-        with pytest.raises(ContractViolationError, match="all-zero"):
-            jacobian_similarity(a, np.zeros((10, 4)))
-
-    def test_column_count_mismatch_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ContractViolationError, match="column counts"):
-            jacobian_similarity(
-                rng.standard_normal((10, 4)), rng.standard_normal((10, 5))
-            )
-
-    def test_row_count_mismatch_rejected(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((30, 6))
-        b = rng.standard_normal((40, 6))
-        with pytest.raises(ContractViolationError, match="row counts"):
-            jacobian_similarity(a, b)
+    def test_right_orthogonal_invariance(self):
+        # Reordering the shared inputs permutes the Jacobians' columns, an
+        # orthogonal map on the right of both.
+        networks, x = nets_and_inputs(MlpArchitecture(2, (8,), 2, activation="relu"), 3, seed=5)
+        order = substream(5, "permutation").permutation(x.shape[0])
+        assert_allclose(similarity_matrix(networks, x[order]), similarity_matrix(networks, x), rtol=1e-12)
 
     def test_non_matrix_rejected(self):
-        with pytest.raises(ContractViolationError, match="2-d"):
-            jacobian_similarity(np.ones(5), np.ones(5))
+        networks, _ = nets_and_inputs(MlpArchitecture(1, (4,), 1), 2, seed=6)
+        with pytest.raises(ContractViolationError, match="input_dim"):
+            similarity_matrix(networks, np.ones(5))
+
+    def test_row_count_mismatch_rejected(self):
+        # Jacobian rows are parameters: 13 against 10.
+        a = init_network(MlpArchitecture(1, (4,), 1), seed=0)
+        b = init_network(MlpArchitecture(1, (3,), 1), seed=0)
+        with pytest.raises(ConsistencyError, match="layer shapes"):
+            similarity_matrix([a, b], np.zeros((3, 1)))
+
+    def test_layer_shape_mismatch_rejected(self):
+        # Both have 13 parameters, but their layers do not correspond.
+        deep = init_network(MlpArchitecture(1, (2, 2), 1), seed=0)
+        wide = init_network(MlpArchitecture(1, (4,), 1), seed=0)
+        assert deep.architecture.parameter_count == wide.architecture.parameter_count
+        with pytest.raises(ConsistencyError, match="layer shapes"):
+            similarity_matrix([deep, wide], np.zeros((3, 1)))
+
+    def test_cap_is_checked_before_any_kernel(self, monkeypatch):
+        networks, x = nets_and_inputs(MlpArchitecture(2, (4,), 2), 2, seed=3, n=6)
+        monkeypatch.setattr(analysis, "DENSE_JACOBIAN_CAP", 143)
+
+        def no_kernels(*args, **kwargs):
+            raise AssertionError("kernel assembled before the cap check")
+
+        monkeypatch.setattr(analysis, "_task_kernels", no_kernels)
+        with pytest.raises(ResourceLimitError, match="144 entries"):
+            similarity_matrix(networks, x)
 
 
 def affine_jacobian(x):
@@ -255,10 +270,8 @@ class TestSimilarityStudy:
         first = train(net, data, cfg).network
         second = train(net, data, cfg).network
         eval_x = rng.uniform(-2.0, 2.0, size=(20, 2))
-        ja = JacobianOperator(first, eval_x).dense()
-        jb = JacobianOperator(second, eval_x).dense()
         assert_array_equal(first.params, second.params)
-        assert jacobian_similarity(ja, jb) == pytest.approx(1.0, abs=1e-12)
+        assert similarity_matrix([first, second], eval_x)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_three_group_study_prefers_same_distribution(self):
         report = task_similarity_study(small_study_config(models_per_group=3))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tangentgp
-from tangentgp import cli
+from tangentgp import analysis, cli
 from tangentgp.adapt import SinusoidTaskSpec, sample_sinusoid_tasks, stratified_split
 from tangentgp.cli import build_parser, main
 from tangentgp.config import load_checkpoint, save_checkpoint
@@ -126,6 +126,14 @@ class TestTrain:
     def test_missing_config_file(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("noise", [0, -1.0])
+    def test_csv_task_noise_variance_must_be_positive(self, tmp_path, capsys, noise):
+        write_dataset_csv(tmp_path / "train.csv", np.zeros((4, 1)), np.zeros((4, 1)))
+        task = {"kind": "csv", "train_csv": str(tmp_path / "train.csv"), "noise_variance": noise}
+        path = write_json(tmp_path / "c.json", dict(TRAIN_CONFIG, task=task))
+        assert main(["train", "--config", path, "--out", str(tmp_path / "x.json")]) == 2
+        assert f"noise variance must be positive, got {noise}" in capsys.readouterr().err
 
 
 DOCUMENTED_EXIT_CODES = [
@@ -614,6 +622,32 @@ class TestSimilarity:
             ["similarity", "--config", cfg, "--checkpoints", ws["ckpt"], str(small), "--inputs", inputs, "--out", str(tmp_path / "o.json")]
         )
         assert code == 3
+
+    def test_equal_parameter_counts_of_different_shapes_rejected(self, tmp_path, capsys):
+        # Both have 13 parameters, but their layers do not correspond.
+        paths = []
+        for name, widths in (("deep", (2, 2)), ("wide", (4,))):
+            paths.append(str(tmp_path / f"{name}.json"))
+            save_checkpoint(init_network(MlpArchitecture(1, widths, 1), seed=0), paths[-1], {})
+        cfg = write_json(tmp_path / "sim.json", {"version": 1})
+        inputs = write_inputs_csv(tmp_path / "in.csv", np.zeros((2, 1)))
+        code = main(
+            ["similarity", "--config", cfg, "--checkpoints", *paths, "--inputs", inputs, "--out", str(tmp_path / "o.json")]
+        )
+        assert code == 3
+        assert "different layer shapes" in capsys.readouterr().err
+
+    def test_kernels_over_the_cap_exit_4(self, ws, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "DENSE_JACOBIAN_CAP", 35)
+        cfg = write_json(tmp_path / "sim.json", {"version": 1})
+        inputs = write_inputs_csv(tmp_path / "in.csv", np.linspace(-1, 1, 6)[:, None])
+        out = tmp_path / "o.json"
+        code = main(
+            ["similarity", "--config", cfg, "--checkpoints", ws["ckpt"], ws["ckpt"], "--inputs", inputs, "--out", str(out)]
+        )
+        assert code == 4
+        assert "similarity kernels need 36 entries (cap 35)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_study_mode_produces_summary(self, tmp_path):
         cfg = write_json(

@@ -222,3 +222,122 @@ def test_json_readers_name_the_file_and_the_fault(tmp_path, reader):
     assert str(caught.value) == (
         f"{bad}: parse error at byte 14: Expecting property name enclosed in double quotes"
     )
+
+
+GLM_NET = init_network(MlpArchitecture(1, (), 2), seed=0)
+
+
+def glm_fit_doc(method):
+    doc = {
+        "kind": "glm-fit",
+        "version": 1,
+        "method": method,
+        "prior_variance": 1.0,
+        "include_network_output": False,
+        "network_fingerprint": GLM_NET.fingerprint(),
+    }
+    if method == "map":
+        doc["coefficients"] = [0.0] * GLM_NET.architecture.parameter_count
+    else:
+        doc.update(
+            mean=[0.0] * GLM_NET.architecture.parameter_count,
+            n_train=2,
+            fisher_on_train=True,
+            fisher_x=[[0.5], [-0.5]],
+        )
+    return doc
+
+
+def malformed_checkpoint(tmp_path, edit):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_network(MlpArchitecture(1, (3,), 1), seed=0), path, {})
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return load_checkpoint, path
+
+
+def malformed_glm_fit(method, edit):
+    def make(tmp_path):
+        path = tmp_path / "fit.json"
+        doc = glm_fit_doc(method)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return (lambda p: _load_glm_fit(p, GLM_NET)), path
+
+    return make
+
+
+def malformed_manifest(tmp_path):
+    write_dataset_csv(tmp_path / "ctx.csv", np.zeros((2, 1)), np.zeros((2, 1)))
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps([{"context": "ctx.csv"}, {"context": 7}]))
+    return read_task_manifest, path
+
+
+MALFORMED_FILES = {
+    "checkpoint_without_architecture": (
+        lambda tmp: malformed_checkpoint(tmp, lambda d: d.pop("architecture")),
+        "checkpoint has no 'architecture'",
+    ),
+    "checkpoint_without_params": (
+        lambda tmp: malformed_checkpoint(tmp, lambda d: d.pop("params")),
+        "checkpoint has no 'params'",
+    ),
+    "checkpoint_string_params": (
+        lambda tmp: malformed_checkpoint(tmp, lambda d: d.update(params="abc")),
+        "checkpoint key 'params' is malformed",
+    ),
+    "checkpoint_int_hidden_widths": (
+        lambda tmp: malformed_checkpoint(tmp, lambda d: d["architecture"].update(hidden_widths=3)),
+        "checkpoint key 'architecture' is malformed",
+    ),
+    "checkpoint_list_architecture": (
+        lambda tmp: malformed_checkpoint(tmp, lambda d: d.update(architecture=[1, [3], 1])),
+        "checkpoint key 'architecture' is malformed",
+    ),
+    "checkpoint_float_input_dim": (
+        lambda tmp: malformed_checkpoint(tmp, lambda d: d["architecture"].update(input_dim=1.7)),
+        "checkpoint key 'architecture' is malformed: config key architecture.input_dim must be int",
+    ),
+    "checkpoint_string_heteroscedastic": (
+        lambda tmp: malformed_checkpoint(tmp, lambda d: d["architecture"].update(heteroscedastic="no")),
+        "checkpoint key 'architecture' is malformed: config key architecture.heteroscedastic must be bool",
+    ),
+    "glm_fit_string_coefficients": (
+        malformed_glm_fit("map", lambda d: d.update(coefficients="abc")),
+        "GLM fit file key 'coefficients' must be number list",
+    ),
+    "glm_fit_string_prior_variance": (
+        malformed_glm_fit("map", lambda d: d.update(prior_variance="abc")),
+        "GLM fit file key 'prior_variance' must be number",
+    ),
+    "glm_fit_yes_include_network_output": (
+        malformed_glm_fit("map", lambda d: d.update(include_network_output="yes")),
+        "GLM fit file key 'include_network_output' must be bool",
+    ),
+    "glm_fit_string_n_train": (
+        malformed_glm_fit("laplace", lambda d: d.update(n_train="abc")),
+        "GLM fit file key 'n_train' must be int",
+    ),
+    "glm_fit_yes_fisher_on_train": (
+        malformed_glm_fit("laplace", lambda d: d.update(fisher_on_train="yes")),
+        "GLM fit file key 'fisher_on_train' must be bool",
+    ),
+    "glm_fit_ragged_fisher_x": (
+        malformed_glm_fit("laplace", lambda d: d.update(fisher_x=[[0.5], [0.5, 1.0]])),
+        "GLM fit file key 'fisher_x' is malformed",
+    ),
+    "manifest_numeric_context": (
+        malformed_manifest,
+        "entry 1 key 'context' must be string",
+    ),
+}
+
+
+@pytest.mark.parametrize("make,fault", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+def test_malformed_artifacts_name_the_file_and_the_key(tmp_path, make, fault):
+    reader, path = make(tmp_path)
+    with pytest.raises(ConfigError) as caught:
+        reader(path)
+    assert str(caught.value).startswith(f"{path}: {fault}")

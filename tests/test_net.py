@@ -9,6 +9,9 @@ from tangentgp.errors import (
     TrainingDivergenceError,
 )
 from tangentgp.net import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     JacobianOperator,
     MlpArchitecture,
     MlpNetwork,
@@ -97,11 +100,11 @@ def reference_mse_train(params, dims, activation, x, y, cfg):
                 velocity = cfg.momentum * velocity - cfg.learning_rate * grad
                 theta = theta + velocity
             else:
-                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
-                u = cfg.adam_beta2 * u + (1 - cfg.adam_beta2) * grad * grad
-                m_hat = m / (1 - cfg.adam_beta1**step)
-                u_hat = u / (1 - cfg.adam_beta2**step)
-                theta = theta - cfg.learning_rate * m_hat / (np.sqrt(u_hat) + cfg.adam_eps)
+                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+                u = ADAM_BETA2 * u + (1 - ADAM_BETA2) * grad * grad
+                m_hat = m / (1 - ADAM_BETA1**step)
+                u_hat = u / (1 - ADAM_BETA2**step)
+                theta = theta - cfg.learning_rate * m_hat / (np.sqrt(u_hat) + ADAM_EPS)
         r = run(unpack(theta), x)[0] - y
         trace.append(np.mean(r * r))
     return theta, np.array(trace)
@@ -294,6 +297,19 @@ class TestDenseJacobian:
                 u = np.zeros(6)
                 u[i * 2 + c] = 1.0
                 np.testing.assert_allclose(dense[:, i * 2 + c], jac.vjp(u), rtol=1e-12)
+
+    def test_selected_channels_match_vjp_columns(self):
+        # Two hidden layers, heteroscedastic (4 internal outputs), and the
+        # channels picked out of order: column i*2 + k is channel (2, 0)[k].
+        rng = np.random.default_rng(15)
+        net = seeded_net([3, 7, 5, 2], seed=15, heteroscedastic=True)
+        jac = JacobianOperator(net, rng.standard_normal((4, 3)), channels=(2, 0))
+        dense = jac.dense()
+        assert dense.shape == (jac.param_count, 8)
+        for col in range(8):
+            u = np.zeros(8)
+            u[col] = 1.0
+            np.testing.assert_allclose(dense[:, col], jac.vjp(u), rtol=1e-12, atol=1e-15)
 
     def test_cap_exceeded(self):
         jac = JacobianOperator(seeded_net([2, 16, 2], seed=14), np.ones((3, 2)))
