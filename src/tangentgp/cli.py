@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", help="tangent-kernel similarity study or pairwise compare")
     _add_common(p, default_format="json")
-    p.add_argument("--checkpoints", nargs="*", default=())
+    p.add_argument("--checkpoints", nargs="+", help="pairwise mode: the checkpoints to compare")
     p.add_argument("--inputs", help="shared evaluation inputs CSV for pairwise mode")
     p.set_defaults(func=cmd_similarity)
 

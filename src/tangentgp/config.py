@@ -43,8 +43,9 @@ _CHECKS = {
     "number": _num,
     "bool": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
-    "int list": lambda v: isinstance(v, list) and all(_int(e) for e in v),
-    "number list": lambda v: isinstance(v, list) and all(_num(e) for e in v),
+    # One type pass per list; JSON numbers are exactly int or float, and type(True) is bool.
+    "int list": lambda v: isinstance(v, list) and set(map(type, v)) <= {int},
+    "number list": lambda v: isinstance(v, list) and set(map(type, v)) <= {int, float},
     "int or null": lambda v: v is None or _int(v),
     "number or null": lambda v: v is None or _num(v),
     "string or null": lambda v: v is None or isinstance(v, str),

@@ -7,12 +7,12 @@ strengths: a MAP point estimate, a factorized Gaussian fitted by
 stochastic variational inference, and a Laplace approximation whose
 precision is the Fisher at the MAP plus the prior. A Laplace draw is
 exact: the Fisher has rank at most n*(c-1) on n inputs with c classes,
-so the symmetric inverse root of the precision comes from one
-eigendecomposition of the smaller side of the Fisher-weighted Gram, the
+so it has a root B with n*(c-1) columns, and a draw perturbs, then
+solves: mean + A^-1 (sqrt(lam) z + B v) for standard normal z and v, one
+linear solve on the smaller side of the Fisher-weighted Gram, the
 n*(c-1) square weighted kernel or the p square Fisher (the low-rank GGN
-Laplace of Daxberger et al. 2021, "Laplace Redux"). ``gp.factor_gram``
-picks that side, checks its size and factors it, as it does for the GP
-fits.
+Laplace of Daxberger et al. 2021, "Laplace Redux"). ``gp.smaller_gram``
+picks that side and checks its size, as it does for the GP fits.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractViolationError, TrainingDivergenceError
 from .fisher import _log_softmax, _softmax_fisher_apply
-from .gp import _blockwise, factor_gram
+from .gp import _blockwise, shifted_solve, smaller_gram
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from .net import Adam, JacobianOperator, MlpNetwork, _sigmoid, _softplus
 from .seeding import substream
@@ -178,8 +178,8 @@ class LaplacePosterior:
     """MAP mean with Fisher-plus-prior precision.
 
     Only the mean and the Fisher inputs are stored; each draw rebuilds
-    the Fisher at the MAP and takes an exact inverse root of the
-    precision. ``fisher_x`` fixes the inputs the Fisher is estimated on;
+    the Fisher at the MAP and solves once with the precision.
+    ``fisher_x`` fixes the inputs the Fisher is estimated on;
     ``None`` defers to the prediction batch, which makes predictions
     depend on batch composition and exists to mirror that published
     variant.
@@ -409,8 +409,8 @@ def sample_gaussian_from_precision(
     return mean + float(np.linalg.norm(z)) * root[:, 0]
 
 
-def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, z: np.ndarray) -> np.ndarray:
-    """mean + A^{-1/2} z, with A the Laplace precision, from one eigh.
+def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> np.ndarray:
+    """mean + A^{-1} (sqrt(lam) z + B v), with A the Laplace precision, from one solve.
 
     A = lam I + B B' with lam = 1 / prior_variance and
     B = sqrt(upscale) J blockdiag(M_i), where M_i M_i' =
@@ -418,12 +418,11 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, z: np.nd
     p_i sqrt(p_i)' and Q_i the first c - 1 columns of the Householder
     reflector taking sqrt(p_i) to -e_c: L_i sqrt(p_i) = 0, so Q_i drops
     only the null direction, and B has the Fisher's rank bound n*(c-1)
-    as its column count. ``gp.factor_gram`` factors the smaller Gram side
-    of B. On the kernel side, B'B = V diag(e) V' gives A^{-1/2} =
-    I / sqrt(lam) + B V diag(g(e)) V' B' with
-    g(e) = ((e + lam)^{-1/2} - lam^{-1/2}) / e; on the p side,
-    B B' = W diag(e) W' gives A^{-1/2} = W diag((e + lam)^{-1/2}) W'.
-    Both are the root Lanczos reaches at exhaustion.
+    as its column count m. ``rng`` draws z ~ N(0, I_p), then v ~ N(0, I_m),
+    and sqrt(lam) z + B v ~ N(0, A), so the draw's covariance is exactly
+    A^{-1}. On the kernel side of ``gp.smaller_gram`` the Woodbury identity
+    makes it z / sqrt(lam) + B (lam I + B'B)^{-1} (v - B'z / sqrt(lam)),
+    one m square solve; on the p side it is one solve with lam I + B B'.
     """
     jac, probs, upscale = _fisher_at_map(model, posterior, x)
     lam = 1.0 / posterior.prior_variance
@@ -434,14 +433,14 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, z: np.nd
     sqrt_p = np.sqrt(probs)[:, :, None]
     root_t = math.sqrt(upscale) * sqrt_p * (np.eye(c) - probs[:, None, :])
     root_t = root_t[:, :-1] - sqrt_p[:, :-1] * root_t[:, -1:] / (1.0 + sqrt_p[:, -1:])
-    factor = factor_gram(model.network, jac, weights=root_t)
-    e, w = factor.evals, factor.evecs
-    if factor.side == "function":
-        s, t = math.sqrt(lam), np.sqrt(e + lam)
-        gain = -1.0 / (s * t * (s + t))  # g(e), without cancellation as e -> 0
-        y = w @ (gain * (w.T @ _blockwise(root_t, jac.jvp(z))))
-        return posterior.mean + z / s + jac.vjp(_blockwise(root_t.transpose(0, 2, 1), y))
-    return posterior.mean + w @ ((w.T @ z) / np.sqrt(e + lam))
+    z, v = rng.standard_normal(jac.param_count), rng.standard_normal(jac.n_data * (c - 1))
+    side, gram = smaller_gram(jac, root_t)
+    s = math.sqrt(lam)
+    if side == "function":
+        w = shifted_solve(gram, lam, v - _blockwise(root_t, jac.jvp(z)) / s)
+        return posterior.mean + z / s + jac.vjp(_blockwise(root_t.transpose(0, 2, 1), w))
+    rhs = s * z + jac.vjp(_blockwise(root_t.transpose(0, 2, 1), v))
+    return posterior.mean + shifted_solve(gram, lam, rhs)
 
 
 def predict_class(
@@ -454,9 +453,10 @@ def predict_class(
     """Class probabilities and argmax labels under a fitted posterior.
 
     ``mode="mean"`` evaluates at the posterior mean; ``"single_sample"``
-    draws one coefficient vector for the whole batch. Zero query rows
-    give (0, c) probabilities in every mode, with no draw. Ties in the
-    argmax resolve to the lowest class index.
+    draws one coefficient vector for the whole batch from
+    ``substream(seed, "glm-predict")`` (Laplace: z, then v). Zero query
+    rows give (0, c) probabilities in every mode, with no draw. Ties in
+    the argmax resolve to the lowest class index.
     """
     if mode not in ("mean", "single_sample"):
         raise ContractViolationError(f"mode must be 'mean' or 'single_sample', got {mode!r}")
@@ -465,17 +465,11 @@ def predict_class(
     if isinstance(approx, MapPosterior):
         coeff = approx.coefficients
     elif isinstance(approx, MeanFieldPosterior):
-        if not draw:
-            coeff = approx.mu
-        else:
-            rng = substream(seed, "glm-predict")
-            coeff = approx.mu + approx.scales * rng.standard_normal(approx.mu.size)
+        coeff = approx.mu
+        if draw:
+            coeff = coeff + approx.scales * substream(seed, "glm-predict").standard_normal(coeff.size)
     elif isinstance(approx, LaplacePosterior):
-        if not draw:
-            coeff = approx.mean
-        else:
-            z = substream(seed, "glm-predict").standard_normal(model.coefficients.size)
-            coeff = _laplace_draw(model, approx, x, z)
+        coeff = _laplace_draw(model, approx, x, substream(seed, "glm-predict")) if draw else approx.mean
     else:
         raise ContractViolationError(f"unknown posterior kind {type(approx).__name__}")
     probs = _softmax(glm_logits(model.with_coefficients(coeff), x))

@@ -38,8 +38,8 @@ its side, the same whichever system asked for it. A fit is exact
 whenever the smaller side is at most ``EXACT_FIT_LIMIT``, and always when
 handed a factor, as long as the exact root stays under
 ``DENSE_JACOBIAN_CAP`` entries; input size alone picks the path. The same
-``factor_gram`` serves the exact log marginal and, with per-datum output
-weights, the Laplace draws of ``glm``.
+``factor_gram`` serves the exact log marginal, and its Gram assembly
+``smaller_gram``, given output weights, the Laplace draws of ``glm``.
 
 Matrix-free fits (a side above the limit, or a root over the cap) solve
 by CG and take a Lanczos root of at most ``DEFAULT_VARIANCE_RANK`` steps
@@ -320,32 +320,35 @@ def _add_layer_term(k: np.ndarray, h1, d1, h2, d2, output_layer: bool) -> None:
     k += term
 
 
-def _eigh_psd(gram: np.ndarray):
-    """Eigenpairs of a Gram matrix, or of a stack of them, with negative (roundoff) eigenvalues clamped at 0.
-
-    A non-finite Gram or a failed eigendecomposition raises
-    ``NumericBreakdownError`` naming the size of one matrix.
-    """
+def _checked(gram: np.ndarray, what: str, compute):
+    """``compute(gram)``; a non-finite Gram or a ``LinAlgError`` raises ``NumericBreakdownError``."""
     size = f"{gram.shape[-2]} x {gram.shape[-1]}"
     if not np.isfinite(gram).all():
         raise NumericBreakdownError(f"the {size} Gram matrix has non-finite entries")
     try:
-        evals, evecs = np.linalg.eigh(gram)
+        return compute(gram)
     except np.linalg.LinAlgError as exc:
-        raise NumericBreakdownError(f"eigendecomposition of the {size} Gram matrix failed: {exc}") from exc
+        raise NumericBreakdownError(f"{what} of the {size} Gram matrix failed: {exc}") from exc
+
+
+def _eigh_psd(gram: np.ndarray):
+    """Eigenpairs of a Gram matrix, or of a stack of them, with negative (roundoff) eigenvalues clamped at 0."""
+    evals, evecs = _checked(gram, "eigendecomposition", np.linalg.eigh)
     return np.maximum(evals, 0.0), evecs
+
+
+def shifted_solve(gram: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """(G + shift I)^-1 rhs by one LU solve; ``gram`` G is overwritten with G + shift I."""
+    gram[np.diag_indices_from(gram)] += shift
+    return _checked(gram, "solve", lambda g: np.linalg.solve(g, rhs))
 
 
 @dataclass(frozen=True)
 class GramFactor:
-    """One Jacobian-shaped matrix B (p x m) through its smaller Gram side.
+    """A task's Jacobian J (p x n*o) through its smaller Gram side.
 
-    For a task B is its Jacobian J (m = n*o); with per-datum output
-    weights W_i (k x o) it is J blockdiag(W_i') (m = n*k). ``side``
-    "function" holds B'B = V diag(E) V' (m square); "parameter" holds
-    B B' = W diag(E) W' (p square). ``evals`` E are clamped at 0. ``jac``
-    is the operator of J, which the fits reuse; a factor of a bare kernel
-    or of weighted Jacobians has none, so no fit can use it.
+    ``side`` "function" holds K = J'J = V diag(E) V', "parameter" J J' = W diag(E) W';
+    ``evals`` E are clamped at 0. ``jac`` is J's operator, which the fits reuse (None for a bare kernel).
     """
 
     side: str
@@ -364,17 +367,14 @@ def _blockwise(blocks: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (blocks @ a.reshape(n, m, math.prod(a.shape[1:]))).reshape((n * k,) + a.shape[1:])
 
 
-def factor_gram(network: MlpNetwork, x, channels=None, weights=None) -> GramFactor:
-    """Eigendecompose the smaller Gram side of J, or of J blockdiag(W_i').
+def smaller_gram(jac: JacobianOperator, weights=None) -> tuple[str, np.ndarray]:
+    """The smaller Gram side of B = J, or of B = J blockdiag(W_i'), as (side, Gram).
 
-    ``x`` is the inputs or a ``JacobianOperator`` built at them.
-    ``weights`` (n, k, o) holds one k x o output weight W_i per datum. The
-    side is picked on the column count, n*o or n*k, by the rule
-    ``fit_posterior`` picks its system with (``_kernel_side``). Every
-    square built stays under ``DENSE_JACOBIAN_CAP`` entries: the n*o
-    kernel and the n*k weighted Gram, or the p square J J'.
+    ``weights`` (n, k, o) holds one k x o output weight W_i per datum. ``_kernel_side``, the
+    rule ``fit_posterior`` picks its system with, picks the side on B's column count:
+    "function" gives B'B, "parameter" B B'. Every square built stays under
+    ``DENSE_JACOBIAN_CAP`` entries: the n*o kernel and the n*k weighted Gram, or the p square B B'.
     """
-    jac = _operator(network, x, channels)
     p = jac.param_count
     cols = jac.out_len if weights is None else jac.n_data * weights.shape[1]
     kernel_side = _kernel_side(cols, p)
@@ -383,12 +383,11 @@ def factor_gram(network: MlpNetwork, x, channels=None, weights=None) -> GramFact
         raise ResourceLimitError(
             f"Gram factorization needs a {size} x {size} matrix (cap {DENSE_JACOBIAN_CAP} entries)"
         )
-    source = jac if weights is None else None
     if kernel_side:
-        gram = kernel_matrix(network, jac, channels=channels)
+        gram = kernel_matrix(jac.network, jac, channels=jac.channels)
         if weights is not None:
             gram = _blockwise(weights, _blockwise(weights, gram).T)
-        return GramFactor("function", *_eigh_psd(gram), source)
+        return "function", gram
     o = jac.out_dim
     gram = np.zeros((p, p))
     for cols, block in _jacobian_blocks(jac):
@@ -396,7 +395,14 @@ def factor_gram(network: MlpNetwork, x, channels=None, weights=None) -> GramFact
         if weights is not None:
             b = _blockwise(weights[cols.start // o : cols.stop // o], b)
         gram += b.T @ b
-    return GramFactor("parameter", *_eigh_psd(gram), source)
+    return "parameter", gram
+
+
+def factor_gram(network: MlpNetwork, x, channels=None) -> GramFactor:
+    """Eigendecompose ``smaller_gram`` of J; ``x`` is the inputs or a ``JacobianOperator`` at them."""
+    jac = _operator(network, x, channels)
+    side, gram = smaller_gram(jac)
+    return GramFactor(side, *_eigh_psd(gram), jac)
 
 
 def loo_scores(factor: GramFactor, resid, grid) -> np.ndarray:
@@ -494,8 +500,7 @@ def _fit(network, data, mean_kind, channels, factor, kernel_side: bool) -> NtkPo
     """
     if factor is not None and factor.jac is None:
         raise ContractViolationError(
-            "the Gram factor of a bare kernel or of weighted Jacobians gives leave-one-out "
-            "scores or Laplace draws only; fit from an unweighted gp.factor_gram instead"
+            "the Gram factor of a bare kernel gives leave-one-out scores only; fit from gp.factor_gram"
         )
     jac = None if factor is None else factor.jac
     jac, resid = _prepare(network, data, mean_kind, channels, jac, "the Gram factor")

@@ -623,6 +623,20 @@ class TestSimilarity:
         )
         assert code == 3
 
+    def test_checkpoints_flag_without_paths_is_a_usage_error(self, tmp_path, monkeypatch):
+        # It used to parse as no checkpoints and run the full transfer study.
+        def no_study(cfg):
+            raise AssertionError("ran the transfer study")
+
+        monkeypatch.setattr(cli, "task_similarity_study", no_study)
+        cfg = write_json(tmp_path / "sim.json", {"version": 1})
+        inputs = write_inputs_csv(tmp_path / "in.csv", np.zeros((2, 1)))
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["similarity", "--config", cfg, "--checkpoints", "--inputs", inputs, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
     def test_equal_parameter_counts_of_different_shapes_rejected(self, tmp_path, capsys):
         # Both have 13 parameters, but their layers do not correspond.
         paths = []

@@ -76,6 +76,12 @@ class TestResolveConfig:
             resolve_config(minimal(optimizer={"learning_rate": 0.1, "epochs": 1.5}))
         with pytest.raises(ConfigError, match="must be a JSON object"):
             resolve_config(minimal(gp=[1, 2]))
+        arch = {"input_dim": 1, "output_dim": 1}
+        for widths in ([4, True], [4, 2.0], 4):
+            with pytest.raises(ConfigError, match="hidden_widths must be int list"):
+                resolve_config(minimal(architecture={**arch, "hidden_widths": widths}))
+        resolved = resolve_config(minimal(architecture={**arch, "hidden_widths": [4, 2]}))
+        assert resolved["architecture"]["hidden_widths"] == [4, 2]
 
     def test_seed_override_changes_hash(self):
         base = resolve_config(minimal())
@@ -307,6 +313,10 @@ MALFORMED_FILES = {
     "glm_fit_string_coefficients": (
         malformed_glm_fit("map", lambda d: d.update(coefficients="abc")),
         "GLM fit file key 'coefficients' must be number list",
+    ),
+    "glm_fit_true_inside_mean": (
+        malformed_glm_fit("laplace", lambda d: d["mean"].__setitem__(1, True)),
+        "GLM fit file key 'mean' must be number list",
     ),
     "glm_fit_string_prior_variance": (
         malformed_glm_fit("map", lambda d: d.update(prior_variance="abc")),

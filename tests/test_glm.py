@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,28 @@ def dense_laplace_precision(model, posterior, x):
     return precision
 
 
+def dense_fisher_root(model, posterior, x):
+    """B = sqrt(upscale) [J_i L_i Q_i]_i densely, with B B' the Laplace Fisher.
+
+    L_i = diag(sqrt p_i) - p_i sqrt(p_i)' and Q_i the first c - 1 columns
+    of the Householder reflector taking sqrt(p_i) to -e_c.
+    """
+    fisher_x = posterior.fisher_x if posterior.fisher_x is not None else x
+    c = model.num_classes
+    dense = JacobianOperator(model.network, fisher_x).dense()
+    logits = glm_logits(model.with_coefficients(posterior.mean), fisher_x)
+    probs = np.exp(_log_softmax(logits))
+    scale = np.sqrt(posterior.n_train / len(fisher_x))
+    blocks = []
+    for i, p_i in enumerate(probs):
+        root_p = np.sqrt(p_i)
+        u = root_p + np.eye(c)[-1]
+        reflector = np.eye(c) - 2.0 * np.outer(u, u) / (u @ u)
+        left = np.diag(root_p) - np.outer(p_i, root_p)
+        blocks.append(scale * dense[:, c * i : c * (i + 1)] @ left @ reflector[:, :-1])
+    return np.hstack(blocks)
+
+
 class TestLaplaceDraw:
     # (classes, Fisher inputs, source, full Taylor view); p = 22 for two
     # classes and 32 for four. The Fisher's rank bound n*(c-1) falls below
@@ -429,39 +453,106 @@ class TestLaplaceDraw:
         (4, 12, "train", True),
     ]
 
+    @staticmethod
+    def noise(model, posterior, x, seed):
+        """z (p) and then v (n_fisher * (c - 1)) from the stream predict_class draws from."""
+        n_fisher = len(x if posterior.fisher_x is None else posterior.fisher_x)
+        rng = substream(seed, "glm-predict")
+        z = rng.standard_normal(model.coefficients.size)
+        return z, rng.standard_normal(n_fisher * (model.num_classes - 1))
+
+    class Fixed:
+        """Generator stand-in handing the draw a chosen z, then a chosen v."""
+
+        def __init__(self, z, v):
+            self.parts = [z, v]
+
+        def standard_normal(self, size):
+            part = self.parts.pop(0)
+            assert part.shape == (size,)
+            return part
+
     @pytest.mark.parametrize("classes, n_fisher, source, include_output", CASES)
     def test_draw_equals_dense_inverse_root(self, classes, n_fisher, source, include_output):
+        # The draw is mean + S [z; v] with S = A^-1 [sqrt(lam) I, B], an
+        # inverse root of the precision: S S' = A^-1.
         model, posterior, x = laplace_draw_setup(classes, n_fisher, source, include_output)
-        op = laplace_precision(model, posterior, x)
-        precision = op.to_dense()
+        precision = dense_laplace_precision(model, posterior, x)
         np.testing.assert_allclose(
-            precision, dense_laplace_precision(model, posterior, x), rtol=1e-10, atol=1e-12
+            laplace_precision(model, posterior, x).to_dense(), precision, rtol=1e-10, atol=1e-12
         )
-        evals, evecs = np.linalg.eigh(precision)
+        b = dense_fisher_root(model, posterior, x)
+        lam = 1.0 / posterior.prior_variance
+        np.testing.assert_allclose(lam * np.eye(len(b)) + b @ b.T, precision, rtol=1e-10, atol=1e-12)
         for seed in (0, 7):
-            # predict_class and the Lanczos reference both draw z first
-            # from this stream.
-            z = substream(seed, "glm-predict").standard_normal(model.coefficients.size)
-            oracle = evecs @ ((evecs.T @ z) / np.sqrt(evals))
-            coeff = _laplace_draw(model, posterior, x, z)
-            tol = 1e-10 * np.linalg.norm(oracle)
-            assert np.linalg.norm(coeff - posterior.mean - oracle) <= tol
-            lanczos = sample_gaussian_from_precision(
-                op, posterior.mean, substream(seed, "glm-predict")
-            )
-            assert np.linalg.norm(coeff - lanczos) <= tol
+            z, v = self.noise(model, posterior, x, seed)
+            oracle = np.linalg.solve(precision, np.sqrt(lam) * z + b @ v)
+            coeff = _laplace_draw(model, posterior, x, substream(seed, "glm-predict"))
+            assert np.linalg.norm(coeff - posterior.mean - oracle) <= 1e-10 * np.linalg.norm(oracle)
             probs, labels = predict_class(model, posterior, x, mode="single_sample", seed=seed)
             expected = predict_class(model, MapPosterior(coeff), x, mode="mean")
             np.testing.assert_array_equal(probs, expected[0])
             np.testing.assert_array_equal(labels, expected[1])
+        # Basis vectors (z, v) = e_i rebuild S column by column.
+        draws = [
+            _laplace_draw(model, posterior, x, self.Fixed(e[: z.size], e[z.size :]))
+            for e in np.eye(z.size + v.size)
+        ]
+        root = np.column_stack(draws) - posterior.mean[:, None]
+        covariance = np.linalg.inv(precision)
+        assert np.linalg.norm(root @ root.T - covariance) <= 1e-10 * np.linalg.norm(covariance)
+
+    @pytest.mark.parametrize("classes, n_fisher, source, include_output", CASES)
+    def test_stiff_draw_is_backward_stable(self, classes, n_fisher, source, include_output):
+        # A weak prior and a large upscale put cond(A) at 3e7 to 1e8.
+        model, posterior, x = laplace_draw_setup(classes, n_fisher, source, include_output)
+        posterior = replace(posterior, prior_variance=1e4, n_train=1000 * posterior.n_train)
+        precision = dense_laplace_precision(model, posterior, x)
+        b = dense_fisher_root(model, posterior, x)
+        norm = np.linalg.norm(precision, 2)
+        for seed in (0, 7):
+            z, v = self.noise(model, posterior, x, seed)
+            step = _laplace_draw(model, posterior, x, self.Fixed(z, v)) - posterior.mean
+            resid = precision @ step - (np.sqrt(1.0 / posterior.prior_variance) * z + b @ v)
+            assert np.linalg.norm(resid) <= 1e-12 * norm * np.linalg.norm(step)
+
+    def test_no_draw_takes_an_eigendecomposition(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the draw called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for case in (self.CASES[0], self.CASES[-1]):  # the kernel side, then the p side
+            model, posterior, x = laplace_draw_setup(*case)
+            probs, _ = predict_class(model, posterior, x, mode="single_sample", seed=3)
+            assert np.all(np.isfinite(probs))
+
+    def test_draw_breakdown_is_typed(self, monkeypatch):
+        def nan_gram(jac, weights):
+            side, gram = gp_module.smaller_gram(jac, weights)
+            gram[0, 0] = np.nan
+            return side, gram
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        for case in (self.CASES[0], self.CASES[-1]):  # the kernel side, then the p side
+            model, posterior, x = laplace_draw_setup(*case)
+            z, v = self.noise(model, posterior, x, 0)
+            for target, name, fake, message in (
+                (glm_module, "smaller_gram", nan_gram, "non-finite"),
+                (np.linalg, "solve", singular, "solve of the .* Gram matrix failed"),
+            ):
+                with monkeypatch.context() as patch:
+                    patch.setattr(target, name, fake)
+                    with pytest.raises(NumericBreakdownError, match=message):
+                        _laplace_draw(model, posterior, x, self.Fixed(z, v))
 
     def test_over_the_cap_raises_resource_limit(self, monkeypatch):
         # The p side: n*(c-1) = 36 > p = 32, and the 32 x 32 Fisher is over the cap.
         model, posterior, x = laplace_draw_setup(4, 12, "train", True)
         monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", 32 * 32 - 1)
-        z = np.zeros(model.coefficients.size)
         with pytest.raises(ResourceLimitError, match="32 x 32"):
-            _laplace_draw(model, posterior, x, z)
+            _laplace_draw(model, posterior, x, np.random.default_rng(0))
 
     def test_kernel_over_the_cap_raises_before_it_is_built(self, monkeypatch):
         # The kernel side: n*(c-1) = 5001 <= p = 5322, but the n*c = 10002

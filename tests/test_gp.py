@@ -28,6 +28,7 @@ from tangentgp.gp import (
     log_marginal_likelihood,
     predict,
     save_posterior,
+    smaller_gram,
 )
 from tangentgp.linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from tangentgp.net import (
@@ -505,30 +506,22 @@ class TestExactFit:
         rng = np.random.default_rng(cols)
         x = rng.uniform(-2.0, 2.0, size=(cols // k, 2))
         weights = rng.standard_normal((len(x), k, 3))
-        factor = factor_gram(net, x, weights=weights)
-        assert factor.side == ("function" if cols <= p else "parameter")
-        assert factor.jac is None
-        j = JacobianOperator(net, x).dense()
-        b = np.hstack([j[:, 3 * i : 3 * i + 3] @ w.T for i, w in enumerate(weights)])
-        gram = b.T @ b if factor.side == "function" else b @ b.T
-        want = np.linalg.eigvalsh(gram)
-        assert np.max(np.abs(factor.evals - want)) <= 1e-10 * want[-1]
+        jac = JacobianOperator(net, x)
+        side, gram = smaller_gram(jac, weights)
+        assert side == ("function" if cols <= p else "parameter")
+        b = np.hstack([j_i @ w.T for j_i, w in zip(np.split(jac.dense(), len(x), axis=1), weights)])
+        want = b.T @ b if side == "function" else b @ b.T
+        assert np.max(np.abs(gram - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_weighted_factor_of_no_inputs_is_empty(self):
         net = make_net([2, 4, 3], seed=3)
+        jac = JacobianOperator(net, np.zeros((0, 2)))
         for k in (1, 2):
-            factor = factor_gram(net, np.zeros((0, 2)), weights=np.zeros((0, k, 3)))
-            unweighted = factor_gram(net, np.zeros((0, 2)))
-            for got in (factor, unweighted):
-                assert got.side == "function"
-                assert got.evals.shape == (0,) and got.evecs.shape == (0, 0)
-
-    def test_weighted_factor_cannot_fit(self):
-        for n in (20, 40):  # both sides of p = 25
-            net, data, _ = self.problem([2, 6, 1], False, None, n)
-            factor = factor_gram(net, data.x, weights=np.ones((n, 1, 1)))
-            with pytest.raises(ContractViolationError, match="weighted"):
-                fit_posterior(net, data, factor=factor)
+            side, gram = smaller_gram(jac, np.zeros((0, k, 3)))
+            assert side == "function" and gram.shape == (0, 0)
+        factor = factor_gram(net, jac)
+        assert factor.side == "function"
+        assert factor.evals.shape == (0,) and factor.evecs.shape == (0, 0)
 
     @staticmethod
     def count_calls(monkeypatch):
