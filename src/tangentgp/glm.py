@@ -7,10 +7,12 @@ strengths: a MAP point estimate, a factorized Gaussian fitted by
 stochastic variational inference, and a Laplace approximation whose
 precision is the Fisher at the MAP plus the prior. A Laplace draw is
 exact: the Fisher has rank at most n*(c-1) on n inputs with c classes,
-so it has a root B with n*(c-1) columns, and a draw perturbs, then
-solves: mean + A^-1 (sqrt(lam) z + B v) for standard normal z and v, one
-linear solve on the smaller side of the Fisher-weighted Gram, the
-n*(c-1) square weighted kernel or the p square Fisher (the low-rank GGN
+so it has a root B = J blockdiag(M_i') with n*(c-1) columns: the
+Jacobian operator under the output map M_i, a (c-1) x c root of datum
+i's Fisher block. A draw perturbs, then solves: mean + A^-1 (sqrt(lam) z
++ B v) for standard normal z and v, one linear solve on the smaller side
+of B's Gram, the n*(c-1) square B'B (assembled directly from the mapped
+layer sensitivities) or the p square Fisher B B' (the low-rank GGN
 Laplace of Daxberger et al. 2021, "Laplace Redux"). ``gp.smaller_gram``
 picks that side and checks its size, as it does for the GP fits.
 """
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ContractViolationError, TrainingDivergenceError
 from .fisher import _log_softmax, _softmax_fisher_apply
-from .gp import _blockwise, shifted_solve, smaller_gram
+from .gp import shifted_solve, smaller_gram
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from .net import Adam, JacobianOperator, MlpNetwork, _sigmoid, _softplus
 from .seeding import substream
@@ -413,9 +415,10 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> 
     """mean + A^{-1} (sqrt(lam) z + B v), with A the Laplace precision, from one solve.
 
     A = lam I + B B' with lam = 1 / prior_variance and
-    B = sqrt(upscale) J blockdiag(M_i), where M_i M_i' =
-    diag(p_i) - p_i p_i'. M_i = L_i Q_i, with L_i = diag(sqrt p_i) -
-    p_i sqrt(p_i)' and Q_i the first c - 1 columns of the Householder
+    B = sqrt(upscale) J blockdiag(M_i), the Jacobian operator under the
+    output map sqrt(upscale) M_i' (``JacobianOperator.mapped``), where
+    M_i M_i' = diag(p_i) - p_i p_i'. M_i = L_i Q_i, with
+    L_i = diag(sqrt p_i) - p_i sqrt(p_i)' and Q_i the first c - 1 columns of the Householder
     reflector taking sqrt(p_i) to -e_c: L_i sqrt(p_i) = 0, so Q_i drops
     only the null direction, and B has the Fisher's rank bound n*(c-1)
     as its column count m. ``rng`` draws z ~ N(0, I_p), then v ~ N(0, I_m),
@@ -423,6 +426,7 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> 
     A^{-1}. On the kernel side of ``gp.smaller_gram`` the Woodbury identity
     makes it z / sqrt(lam) + B (lam I + B'B)^{-1} (v - B'z / sqrt(lam)),
     one m square solve; on the p side it is one solve with lam I + B B'.
+    B'z and B w are the mapped operator's ``jvp`` and ``vjp``.
     """
     jac, probs, upscale = _fisher_at_map(model, posterior, x)
     lam = 1.0 / posterior.prior_variance
@@ -434,13 +438,13 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> 
     root_t = math.sqrt(upscale) * sqrt_p * (np.eye(c) - probs[:, None, :])
     root_t = root_t[:, :-1] - sqrt_p[:, :-1] * root_t[:, -1:] / (1.0 + sqrt_p[:, -1:])
     z, v = rng.standard_normal(jac.param_count), rng.standard_normal(jac.n_data * (c - 1))
-    side, gram = smaller_gram(jac, root_t)
+    fisher = jac.mapped(root_t)
+    side, gram = smaller_gram(fisher)
     s = math.sqrt(lam)
     if side == "function":
-        w = shifted_solve(gram, lam, v - _blockwise(root_t, jac.jvp(z)) / s)
-        return posterior.mean + z / s + jac.vjp(_blockwise(root_t.transpose(0, 2, 1), w))
-    rhs = s * z + jac.vjp(_blockwise(root_t.transpose(0, 2, 1), v))
-    return posterior.mean + shifted_solve(gram, lam, rhs)
+        w = shifted_solve(gram, lam, v - fisher.jvp(z) / s)
+        return posterior.mean + z / s + fisher.vjp(w)
+    return posterior.mean + shifted_solve(gram, lam, s * z + fisher.vjp(v))
 
 
 def predict_class(

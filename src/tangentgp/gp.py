@@ -12,6 +12,8 @@ keeps its operator, so one forward trace serves a whole fit. The
 kernel-side formulas (kernels, leave-one-out scores, dual weights, roots
 and kernel-form variances) broadcast over a leading task axis, which
 ``adapt.run_adaptation`` uses to fit a stack of same-size tasks at once.
+An operator with a per-datum output map M_i (``JacobianOperator.mapped``)
+is B = J blockdiag(M_i'), and its kernel B'B comes from the same assembly.
 
 The posterior has two dual forms: the n*o square kernel system (function
 space) and the p square parameter system. Both give a length-p mean cache
@@ -39,7 +41,8 @@ whenever the smaller side is at most ``EXACT_FIT_LIMIT``, and always when
 handed a factor, as long as the exact root stays under
 ``DENSE_JACOBIAN_CAP`` entries; input size alone picks the path. The same
 ``factor_gram`` serves the exact log marginal, and its Gram assembly
-``smaller_gram``, given output weights, the Laplace draws of ``glm``.
+``smaller_gram``, given the Fisher-mapped operator, the Laplace draws of
+``glm``.
 
 Matrix-free fits (a side above the limit, or a root over the cap) solve
 by CG and take a Lanczos root of at most ``DEFAULT_VARIANCE_RANK`` steps
@@ -237,12 +240,13 @@ def kernel_matrix(network: MlpNetwork, x1, x2=None, channels=None, cap: int = DE
     Assembled layer by layer from ``JacobianOperator.layer_sensitivities``
     (Novak et al. 2022, arXiv 2206.08720): a layer with inputs H and
     sensitivities D adds (D1 D2') o kron(H1 H2' + 1, 1 1') (the o x o block
-    of ones), and the output layer, whose D is rows of the identity, adds
-    kron(H1 H2' + 1, I_o). This costs O(n1 n2 (o^2 * sum of hidden widths
-    + sum of fan-ins)) and forms no p x n*o Jacobian. ``cap`` bounds the
-    kernel's entries. Peak memory is about two kernel-sized arrays (the
-    kernel and one layer's term), the n1 x n2 Gram of one layer's inputs
-    and one layer's n x o x width sensitivities.
+    of ones), and the output layer, whose D is rows of the identity unless
+    an operator maps its outputs per datum, adds kron(H1 H2' + 1, I_o).
+    This costs O(n1 n2 (o^2 * sum of hidden widths + sum of fan-ins)) and
+    forms no p x n*o Jacobian. ``cap`` bounds the kernel's entries. Peak
+    memory is about two kernel-sized arrays (the kernel and one layer's
+    term), the n1 x n2 Gram of one layer's inputs and one layer's
+    n x o x width sensitivities.
     """
     jac1 = _operator(network, x1, channels)
     jac2 = jac1 if x2 is None else _operator(network, x2, channels)
@@ -271,50 +275,55 @@ def _task_kernels(jac1: JacobianOperator, jac2: JacobianOperator | None = None, 
     variances k(z, z) of Z_t, datum-major (T, b), when ``jac2`` is given.
     The others are None. Each layer adds its term as ``kernel_matrix``
     describes; the prior adds |D|^2 (|H|^2 + 1) per datum and channel.
+    Output maps are honoured through the sensitivities; the output layer
+    takes the identity shortcut unless one side maps per datum.
     """
-    o = jac1.out_dim
+    o1 = jac1.out_dim
     n1 = jac1.n_data // tasks
-    gram = np.zeros((tasks, n1, o, n1, o)) if square else None
+    gram = np.zeros((tasks, n1, o1, n1, o1)) if square else None
     cross = prior = None
     if jac2 is None:
         layers = ((layer, None) for layer in jac1.layer_sensitivities())
     else:
-        n2 = jac2.n_data // tasks
-        cross = np.zeros((tasks, n1, o, n2, o))
-        prior = np.zeros((tasks * n2, o))
+        n2, o2 = jac2.n_data // tasks, jac2.out_dim
+        cross = np.zeros((tasks, n1, o1, n2, o2))
+        prior = np.zeros((tasks * n2, o2))
         layers = zip(jac1.layer_sensitivities(), jac2.layer_sensitivities())
     for depth, ((h1, d1), second) in enumerate(layers):
         h1 = h1.reshape(tasks, n1, h1.shape[1])
         if square:
             # The same arrays on both sides: numpy evaluates a @ a' as a
             # symmetric rank-k update, so every term is exactly symmetric.
-            _add_layer_term(gram, h1, d1, h1, d1, depth == 0)
+            _add_layer_term(gram, h1, d1, h1, d1, depth == 0 and not jac1.maps_per_datum)
         if second is not None:
             h2, d2 = second
             prior += np.einsum("nkj,nkj->nk", d2, d2) * (np.einsum("nj,nj->n", h2, h2) + 1.0)[:, None]
-            _add_layer_term(cross, h1, d1, h2.reshape(tasks, n2, h2.shape[1]), d2, depth == 0)
+            identity = depth == 0 and not (jac1.maps_per_datum or jac2.maps_per_datum)
+            _add_layer_term(cross, h1, d1, h2.reshape(tasks, n2, h2.shape[1]), d2, identity)
     return (
-        None if gram is None else gram.reshape(tasks, n1 * o, n1 * o),
-        None if cross is None else cross.reshape(tasks, n1 * o, n2 * o),
-        None if prior is None else prior.reshape(tasks, n2 * o),
+        None if gram is None else gram.reshape(tasks, n1 * o1, n1 * o1),
+        None if cross is None else cross.reshape(tasks, n1 * o1, n2 * o2),
+        None if prior is None else prior.reshape(tasks, n2 * o2),
     )
 
 
-def _add_layer_term(k: np.ndarray, h1, d1, h2, d2, output_layer: bool) -> None:
-    """Add one layer's term to the stacked kernels ``k`` (T, n1, o, n2, o), in place.
+def _add_layer_term(k: np.ndarray, h1, d1, h2, d2, identity: bool) -> None:
+    """Add one layer's term to the stacked kernels ``k`` (T, n1, o1, n2, o2), in place.
 
     ``h1`` (T, n1, fan_in) and ``h2`` (T, n2, fan_in) are the layer's
     inputs, ``d1`` and ``d2`` its sensitivities, one row per datum.
+    ``identity`` marks an output layer whose D1 D2' is kron(1 1', I_o),
+    which adds kron(H1 H2' + 1, I_o) without the product.
     """
-    t, n1, o, n2, _ = k.shape
+    t, n1, o1, n2, o2 = k.shape
     inner = h1 @ _swap(h2)
     inner += 1.0
-    if output_layer:
-        for c in range(o):
+    if identity:
+        for c in range(o1):
             k[:, :, c, :, c] += inner
         return
     width = d1.shape[2]
-    term = d1.reshape(t, n1 * o, width) @ _swap(d2.reshape(t, n2 * o, width))
+    term = d1.reshape(t, n1 * o1, width) @ _swap(d2.reshape(t, n2 * o2, width))
     term = term.reshape(k.shape)
     term *= inner[:, :, None, :, None]
     k += term
@@ -361,40 +370,27 @@ class GramFactor:
         return cls("function", *_eigh_psd(kernel))
 
 
-def _blockwise(blocks: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Multiply the datum-major rows of ``a`` by one k x m block per datum."""
-    n, k, m = blocks.shape
-    return (blocks @ a.reshape(n, m, math.prod(a.shape[1:]))).reshape((n * k,) + a.shape[1:])
+def smaller_gram(jac: JacobianOperator) -> tuple[str, np.ndarray]:
+    """The smaller Gram side of the operator's B (p x n*o), as (side, Gram).
 
-
-def smaller_gram(jac: JacobianOperator, weights=None) -> tuple[str, np.ndarray]:
-    """The smaller Gram side of B = J, or of B = J blockdiag(W_i'), as (side, Gram).
-
-    ``weights`` (n, k, o) holds one k x o output weight W_i per datum. ``_kernel_side``, the
-    rule ``fit_posterior`` picks its system with, picks the side on B's column count:
-    "function" gives B'B, "parameter" B B'. Every square built stays under
-    ``DENSE_JACOBIAN_CAP`` entries: the n*o kernel and the n*k weighted Gram, or the p square B B'.
+    B is J, or J blockdiag(M_i') for an operator with an output map M.
+    ``_kernel_side``, the rule ``fit_posterior`` picks its system with,
+    picks the side on B's column count: "function" gives the n*o square
+    B'B, "parameter" the p square B B'. The square is checked against
+    ``DENSE_JACOBIAN_CAP`` entries before anything is built.
     """
     p = jac.param_count
-    cols = jac.out_len if weights is None else jac.n_data * weights.shape[1]
-    kernel_side = _kernel_side(cols, p)
-    size = max(jac.out_len, cols) if kernel_side else p
+    kernel_side = _kernel_side(jac.out_len, p)
+    size = jac.out_len if kernel_side else p
     if size * size > DENSE_JACOBIAN_CAP:
         raise ResourceLimitError(
             f"Gram factorization needs a {size} x {size} matrix (cap {DENSE_JACOBIAN_CAP} entries)"
         )
     if kernel_side:
-        gram = kernel_matrix(jac.network, jac, channels=jac.channels)
-        if weights is not None:
-            gram = _blockwise(weights, _blockwise(weights, gram).T)
-        return "function", gram
-    o = jac.out_dim
+        return "function", kernel_matrix(jac.network, jac, channels=jac.channels)
     gram = np.zeros((p, p))
-    for cols, block in _jacobian_blocks(jac):
-        b = block.T
-        if weights is not None:
-            b = _blockwise(weights[cols.start // o : cols.stop // o], b)
-        gram += b.T @ b
+    for _, block in _jacobian_blocks(jac):
+        gram += block @ block.T
     return "parameter", gram
 
 

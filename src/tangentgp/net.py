@@ -5,10 +5,13 @@ caches one forward trace and then answers reverse-mode products (J u),
 forward-mode products (J' v), the per-layer inputs and output sensitivities
 that tangent kernels are assembled from, row slices that share its trace,
 and a dense assembly from the same sensitivities (the GP's p-side blocks
-and a test oracle). Training builds one operator per minibatch step, so
-everything a step reads that depends only on the shapes (the parameter
-layout, the per-layer views) is computed once per architecture or
-network, never per product.
+and a test oracle). An output map M_i per datum turns J into
+B = J blockdiag(M_i'): ``channels`` is the constant one-hot map, and
+``mapped`` gives a per-datum map (the GLM's Fisher root) on the same
+trace. Training builds one operator per minibatch step, so everything a
+step reads that depends only on the shapes (the parameter layout, the
+per-layer views) is computed once per architecture or network, never per
+product.
 """
 
 from __future__ import annotations
@@ -115,10 +118,6 @@ class MlpArchitecture:
     @property
     def internal_output_dim(self) -> int:
         return 2 * self.output_dim if self.heteroscedastic else self.output_dim
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_dims) - 1
 
     def layer_slices(self) -> tuple:
         """Per-layer (weight_slice, bias_slice, fan_in, fan_out) into the flat vector."""
@@ -269,15 +268,19 @@ def forward(network: MlpNetwork, x: np.ndarray) -> np.ndarray:
 
 
 class JacobianOperator:
-    """Matrix-free view of the p x (n*o) Jacobian of f(X; theta) in theta.
+    """Matrix-free view of the p x (n*k) Jacobian B = J blockdiag(M_i') of f(X; theta) in theta.
 
-    Column i*o + c is the gradient of output channel c at datum i
-    (datum-major flattening). ``channels`` restricts the outputs to the
-    given internal output columns, in that order (for heteroscedastic
-    networks, where regression targets pair with the mean-head channels
-    only); ``o`` is then the number of selected channels. The forward
-    trace is computed once at construction, so products cost one
-    additional pass each.
+    J is the Jacobian of the network's internal outputs and M_i (k x full)
+    the output map of datum i, so column i*k + a is the gradient of
+    <M_i[a], f(x_i)> (datum-major flattening). ``output_map`` holds M:
+    None for the identity, a constant (k, full) map, or one (n, k, full)
+    map per datum. ``channels`` builds the constant one-hot map that
+    selects the given internal output columns, in that order (for
+    heteroscedastic networks, where regression targets pair with the
+    mean-head channels only); ``mapped`` maps this view further, datum by
+    datum. ``o`` (``out_dim``) is the map's row count k. The forward trace
+    is computed once at construction and shared by ``mapped`` and ``rows``
+    views, so products cost one additional pass each.
     """
 
     def __init__(self, network: MlpNetwork, inputs: np.ndarray, channels=None):
@@ -289,8 +292,8 @@ class JacobianOperator:
             )
         if not np.isfinite(inputs).all():
             raise ContractViolationError("Jacobian inputs contain non-finite entries")
+        full = network.architecture.internal_output_dim
         if channels is not None:
-            full = network.architecture.internal_output_dim
             channels = [int(c) for c in channels]
             if len(channels) == 0 or len(set(channels)) != len(channels):
                 raise ContractViolationError("channels must be a nonempty set of distinct indices")
@@ -301,6 +304,7 @@ class JacobianOperator:
         self.network = network
         self.inputs = inputs
         self.channels = channels
+        self.output_map = None if channels is None else np.eye(full)[channels]
         self._slices = network.architecture.layer_slices()
         self._weights = [w for w, _ in network.layers()]
         out, layer_inputs, slopes = _forward_trace(network, inputs)
@@ -314,9 +318,9 @@ class JacobianOperator:
 
     @property
     def out_dim(self) -> int:
-        if self.channels is None:
+        if self.output_map is None:
             return self.network.architecture.internal_output_dim
-        return len(self.channels)
+        return self.output_map.shape[-2]
 
     @property
     def out_len(self) -> int:
@@ -326,18 +330,39 @@ class JacobianOperator:
     def param_count(self) -> int:
         return self.network.architecture.parameter_count
 
+    @property
+    def maps_per_datum(self) -> bool:
+        """Whether M varies by datum; else M M' = I (the identity or a channel selection)."""
+        return self.output_map is not None and self.output_map.ndim == 3
+
+    def mapped(self, output_map) -> "JacobianOperator":
+        """The view whose datum i has outputs N_i g_i, for this view's outputs g_i; shares the trace.
+
+        ``output_map`` (n, k, o) holds one k x o map N_i per datum, o = ``out_dim``; the
+        view's map is N_i M_i.
+        """
+        m = np.asarray(output_map, dtype=np.float64)
+        if m.ndim != 3 or m.shape[0] != self.n_data or m.shape[2] != self.out_dim:
+            raise ContractViolationError(
+                f"output map of shape {m.shape} needs shape ({self.n_data}, k, {self.out_dim})"
+            )
+        if not np.isfinite(m).all():
+            raise ContractViolationError("output map contains non-finite entries")
+        view = copy.copy(self)
+        view.output_map = m if self.output_map is None else m @ self.output_map
+        view.outputs = (m @ self.outputs[:, :, None])[:, :, 0]
+        return view
+
     def vjp(self, u: np.ndarray) -> np.ndarray:
-        """J u: gradient of <f(X), u> with respect to theta (one reverse pass)."""
+        """B u: gradient of <f(X), blockdiag(M_i') u> with respect to theta (one reverse pass)."""
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.out_len,):
             raise ContractViolationError(f"expected vector of length {self.out_len}, got shape {u.shape}")
         if not np.isfinite(u).all():
             raise ContractViolationError("vjp input contains non-finite entries")
         delta = u.reshape(self.n_data, self.out_dim)
-        if self.channels is not None:
-            full = np.zeros((self.n_data, self.network.architecture.internal_output_dim))
-            full[:, self.channels] = delta
-            delta = full
+        if self.output_map is not None:
+            delta = (delta[:, None, :] @ self.output_map)[:, 0]
         grad = np.empty(self.param_count)
         slices = self._slices
         for idx in range(len(slices) - 1, -1, -1):
@@ -349,7 +374,7 @@ class JacobianOperator:
         return grad
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
-        """J' v: exact directional derivative of f(X; theta) along v (forward mode)."""
+        """B' v: exact directional derivative of the mapped outputs along v (forward mode)."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.param_count,):
             raise ContractViolationError(
@@ -367,17 +392,19 @@ class JacobianOperator:
                 dz = dz + dh @ self._weights[idx].T
             if idx < len(slices) - 1:
                 dh = self._slopes[idx] * dz
-            elif self.channels is None:
+            elif self.output_map is None:
                 return dz.ravel()
             else:
-                return dz[:, self.channels].ravel()
+                return (self.output_map @ dz[:, :, None]).ravel()
         raise AssertionError("unreachable: architectures always have at least one layer")
 
     def rows(self, start: int, stop: int) -> "JacobianOperator":
-        """The operator of inputs[start:stop], sharing this one's forward trace."""
+        """The operator of inputs[start:stop] and their output maps, sharing this one's forward trace."""
         part = copy.copy(self)
         part.inputs = self.inputs[start:stop]
         part.outputs = self.outputs[start:stop]
+        if self.maps_per_datum:
+            part.output_map = self.output_map[start:stop]
         part._layer_inputs = [h[start:stop] for h in self._layer_inputs]
         part._slopes = [s[start:stop] for s in self._slopes]
         return part
@@ -387,17 +414,18 @@ class JacobianOperator:
 
         H (n x fan_in) holds the layer's inputs and D (n, o, fan_out) the
         sensitivities of its pre-activations: D[i, k] is the gradient of
-        selected output k at datum i. Jacobian column i*o + k holds
+        mapped output k at datum i. Jacobian column i*o + k holds
         outer(D[i, k], H[i]) in the layer's weights and D[i, k] in its
-        bias. The output layer's D is the selected rows of the identity,
-        broadcast over the data (a read-only view).
+        bias. The output layer's D is the output map: M_i itself, or the
+        identity or a channel selection broadcast over the data (a
+        read-only view).
         """
         n, o = self.n_data, self.out_dim
         full = self.network.architecture.internal_output_dim
-        seeds = np.eye(full) if self.channels is None else np.eye(full)[self.channels]
+        seeds = np.eye(full) if self.output_map is None else self.output_map
         last = len(self._weights) - 1
         yield self._layer_inputs[last], np.broadcast_to(seeds, (n, o, full))
-        sens = seeds
+        sens = seeds.reshape(-1, full)
         for idx in range(last, 0, -1):
             sens = sens @ self._weights[idx]
             sens = sens.reshape(-1, o, sens.shape[1]) * self._slopes[idx - 1][:, None, :]
@@ -405,11 +433,11 @@ class JacobianOperator:
             sens = sens.reshape(n * o, sens.shape[2])
 
     def dense(self, cap: int = DENSE_JACOBIAN_CAP) -> np.ndarray:
-        """Assemble the p x (n*o) Jacobian; column i*o + k = vjp(one-hot(i, k)).
+        """Assemble the p x (n*o) Jacobian B; column i*o + k = vjp(one-hot(i, k)).
 
         Built from ``layer_sensitivities``: outer(D[i, k], H[i]) in each
         layer's weights, D[i, k] in its bias. Serves the GP's p-side blocks
-        (the p square J J' and feature-form variances) and the tests.
+        (the p square B B' and feature-form variances) and the tests.
         """
         entries = self.param_count * self.out_len
         if entries > cap:

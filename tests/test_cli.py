@@ -25,7 +25,7 @@ from tangentgp.errors import (
     TangentGpError,
     TrainingDivergenceError,
 )
-from tangentgp.net import MlpArchitecture, MlpNetwork, forward, init_network
+from tangentgp.net import JacobianOperator, MlpArchitecture, MlpNetwork, forward, init_network
 from tangentgp.serialize import fmt_float, write_classification_csv, write_dataset_csv
 
 TRAIN_CONFIG = {
@@ -473,6 +473,71 @@ class TestPredict:
             ]
         )
         assert code == 3
+
+
+class TestHeteroscedastic:
+    @pytest.mark.parametrize(
+        "widths, n_context",
+        [([8, 8], 12), ([4], 30)],  # p = 106 >= 12 outputs (kernel side); p = 18 < 30 (p side)
+    )
+    def test_adapt_then_predict_matches_dense_mean_channel_oracle(self, tmp_path, widths, n_context):
+        # Train a heteroscedastic checkpoint, cache a posterior of its mean
+        # channel and predict; the GP regresses y - f(X) on the mean channel.
+        arch = {"input_dim": 1, "hidden_widths": widths, "output_dim": 1, "heteroscedastic": True}
+        train_cfg = write_json(
+            tmp_path / "train.json",
+            {
+                "version": 1,
+                "seed": 0,
+                "architecture": arch,
+                "optimizer": {"learning_rate": 5e-3, "epochs": 20, "batch_size": 8,
+                              "loss": "heteroscedastic-gaussian"},
+                "task": {"kind": "sinusoid", "points_per_task": 40},
+            },
+        )
+        ckpt = str(tmp_path / "ckpt.json")
+        assert main(["train", "--config", train_cfg, "--out", ckpt]) == 0
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-3.0, 3.0, size=(n_context, 1))
+        y = np.sin(2.0 * x)
+        write_dataset_csv(tmp_path / "ctx.csv", x, y)
+        manifest = write_json(tmp_path / "tasks.json", [{"context": "ctx.csv", "noise_variance": 0.05}])
+        adapt_cfg = write_json(tmp_path / "adapt.json", {"version": 1, "architecture": arch})
+        posterior = str(tmp_path / "posterior.npz")
+        code = main(
+            [
+                "adapt", "--config", adapt_cfg, "--checkpoint", ckpt, "--tasks", manifest,
+                "--posterior-out", posterior, "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert code == 0
+        xq = np.vstack([x[:3], rng.uniform(-4.0, 4.0, size=(5, 1))])
+        out = tmp_path / "pred.csv"
+        code = main(
+            [
+                "predict", "--checkpoint", ckpt, "--posterior", posterior,
+                "--inputs", write_inputs_csv(tmp_path / "in.csv", xq), "--out", str(out),
+            ]
+        )
+        assert code == 0
+        header, rows = data_lines(out)
+        assert header == ["x_0", "mean_0", "var_0"]
+        mean = np.array([float(r[1]) for r in rows])
+        var = np.array([float(r[2]) for r in rows])
+
+        # Dense oracle on the mean channel's columns (internal channel 0)
+        # of the full Jacobians.
+        net = load_checkpoint(ckpt)
+        j = JacobianOperator(net, x).dense()[:, 0::2]
+        jq = JacobianOperator(net, xq).dense()[:, 0::2]
+        resid = y[:, 0] - forward(net, x)[:, 0]
+        gram = j.T @ j + 0.05 * np.eye(n_context)
+        want_mean = jq.T @ j @ np.linalg.solve(gram, resid)
+        cross = j.T @ jq
+        want_var = np.sum(jq * jq, axis=0) - np.sum(cross * np.linalg.solve(gram, cross), axis=0)
+        assert np.all(want_var > 0.0)
+        np.testing.assert_allclose(mean, want_mean, rtol=1e-10, atol=1e-10 * np.max(np.abs(want_mean)))
+        np.testing.assert_allclose(var, want_var, rtol=1e-10)
 
 
 class TestLogLevel:

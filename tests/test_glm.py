@@ -527,8 +527,8 @@ class TestLaplaceDraw:
             assert np.all(np.isfinite(probs))
 
     def test_draw_breakdown_is_typed(self, monkeypatch):
-        def nan_gram(jac, weights):
-            side, gram = gp_module.smaller_gram(jac, weights)
+        def nan_gram(jac):
+            side, gram = gp_module.smaller_gram(jac)
             gram[0, 0] = np.nan
             return side, gram
 
@@ -555,11 +555,12 @@ class TestLaplaceDraw:
             _laplace_draw(model, posterior, x, np.random.default_rng(0))
 
     def test_kernel_over_the_cap_raises_before_it_is_built(self, monkeypatch):
-        # The kernel side: n*(c-1) = 5001 <= p = 5322, but the n*c = 10002
-        # square kernel would have more than 10^8 entries.
-        net = init_network(MlpArchitecture(2, (70, 70), 2), seed=0)
+        # The kernel side: n*(c-1) = 10001 <= p = 10602, but the 10001
+        # square Gram of the Fisher-mapped operator would have more than
+        # 10^8 entries.
+        net = init_network(MlpArchitecture(2, (100, 100), 2), seed=0)
         model = zero_coefficients_glm(net)
-        x = np.random.default_rng(0).normal(size=(5001, 2))
+        x = np.random.default_rng(0).normal(size=(10001, 2))
         posterior = LaplacePosterior(
             mean=np.zeros(net.architecture.parameter_count),
             n_train=len(x),
@@ -571,7 +572,7 @@ class TestLaplaceDraw:
             raise AssertionError("the kernel was assembled")
 
         monkeypatch.setattr(net_module.JacobianOperator, "layer_sensitivities", unbuilt)
-        with pytest.raises(ResourceLimitError, match="Gram factorization needs a 10002 x 10002 ") as caught:
+        with pytest.raises(ResourceLimitError, match="Gram factorization needs a 10001 x 10001 ") as caught:
             predict_class(model, posterior, x[:3], mode="single_sample")
         # glm has no matrix-free draw to point the caller to.
         assert "matrix-free" not in str(caught.value)

@@ -213,6 +213,23 @@ class TestKernelMatrix:
         j2 = JacobianOperator(net, x2).dense()
         np.testing.assert_allclose(kernel_matrix(net, x1, x2), j1.T @ j2, rtol=1e-10, atol=1e-12)
 
+    def test_mapped_operator_kernels_match_dense_products(self):
+        # B = J blockdiag(M_i') with k = 2 rows per datum against a query
+        # operator with all 3 outputs: B'B, B'J* and the prior diag(J*'J*).
+        rng = np.random.default_rng(2)
+        net = make_net([2, 9, 6, 3], seed=2)
+        x, xq = rng.standard_normal((5, 2)), rng.standard_normal((4, 2))
+        maps = rng.standard_normal((5, 2, 3))
+        jac = JacobianOperator(net, x).mapped(maps)
+        query = JacobianOperator(net, xq)
+        b = np.hstack([j_i @ m.T for j_i, m in zip(np.split(JacobianOperator(net, x).dense(), 5, axis=1), maps)])
+        jq = query.dense()
+        gram, cross, prior = gp_module._task_kernels(jac, query)
+        for got, want in ((gram[0], b.T @ b), (cross[0], b.T @ jq), (kernel_matrix(net, jac, xq), b.T @ jq)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        np.testing.assert_allclose(prior[0], np.sum(jq * jq, axis=0), rtol=1e-12)
+        np.testing.assert_array_equal(gram[0], gram[0].T)
+
     # (dims, activation, heteroscedastic, channels): two hidden layers, a
     # relu net with two outputs, an identity net with no hidden layers and
     # three outputs, a three-output net, and heteroscedastic mean-channel
@@ -507,17 +524,23 @@ class TestExactFit:
         x = rng.uniform(-2.0, 2.0, size=(cols // k, 2))
         weights = rng.standard_normal((len(x), k, 3))
         jac = JacobianOperator(net, x)
-        side, gram = smaller_gram(jac, weights)
+        side, gram = smaller_gram(jac.mapped(weights))
         assert side == ("function" if cols <= p else "parameter")
         b = np.hstack([j_i @ w.T for j_i, w in zip(np.split(jac.dense(), len(x), axis=1), weights)])
         want = b.T @ b if side == "function" else b @ b.T
         assert np.max(np.abs(gram - want)) <= 1e-10 * np.max(np.abs(want))
+        # The Gram of J weighted after the fact: blockdiag(W) K blockdiag(W')
+        # on the kernel side; on the p side, B B' from the weighted blocks.
+        if side == "function":
+            kernel = kernel_matrix(net, jac).reshape(len(x), 3, len(x), 3)
+            want = np.einsum("iac,icjd,jbd->iajb", weights, kernel, weights).reshape(cols, cols)
+        assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_weighted_factor_of_no_inputs_is_empty(self):
         net = make_net([2, 4, 3], seed=3)
         jac = JacobianOperator(net, np.zeros((0, 2)))
         for k in (1, 2):
-            side, gram = smaller_gram(jac, np.zeros((0, k, 3)))
+            side, gram = smaller_gram(jac.mapped(np.zeros((0, k, 3))))
             assert side == "function" and gram.shape == (0, 0)
         factor = factor_gram(net, jac)
         assert factor.side == "function"

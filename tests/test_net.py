@@ -317,6 +317,75 @@ class TestDenseJacobian:
             jac.dense(cap=10)
 
 
+class TestOutputMap:
+    """Operators under an output map: B = J blockdiag(M_i')."""
+
+    N = 5
+
+    @staticmethod
+    def operator(kind):
+        """(operator, its dense B from the unmapped Jacobian J) for one kind of map."""
+        rng = np.random.default_rng(16)
+        net = seeded_net([3, 7, 5, 2], seed=16, heteroscedastic=True)  # 4 internal outputs
+        x = rng.standard_normal((TestOutputMap.N, 3))
+        full = JacobianOperator(net, x)
+        blocks = np.split(full.dense(), TestOutputMap.N, axis=1)
+        if kind == "channels":
+            maps = np.broadcast_to(np.eye(4)[[2, 0]], (TestOutputMap.N, 2, 4))
+            jac = JacobianOperator(net, x, channels=(2, 0))
+        elif kind == "per-datum":
+            maps = rng.standard_normal((TestOutputMap.N, 3, 4))
+            jac = full.mapped(maps)
+        else:  # a per-datum map on top of a channel selection
+            inner = rng.standard_normal((TestOutputMap.N, 3, 2))
+            maps = inner @ np.eye(4)[[2, 0]]
+            jac = JacobianOperator(net, x, channels=(2, 0)).mapped(inner)
+        dense = np.hstack([j_i @ m.T for j_i, m in zip(blocks, maps)])
+        return jac, dense, maps
+
+    KINDS = ["channels", "per-datum", "composed"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dense_is_the_mapped_jacobian(self, kind):
+        jac, want, maps = self.operator(kind)
+        assert jac.out_dim == maps.shape[1] and jac.out_len == want.shape[1]
+        assert jac.maps_per_datum == (kind != "channels")
+        dense = jac.dense()
+        assert np.max(np.abs(dense - want)) <= 1e-12 * np.max(np.abs(want))
+        for col in range(jac.out_len):  # column i*k + a is the vjp of one-hot (i, a)
+            np.testing.assert_allclose(dense[:, col], jac.vjp(np.eye(jac.out_len)[col]), rtol=1e-12, atol=1e-15)
+        outputs = forward(jac.network, jac.inputs)
+        np.testing.assert_allclose(jac.outputs, (maps @ outputs[:, :, None])[:, :, 0], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_jvp_and_vjp_are_adjoint(self, kind):
+        jac, _, _ = self.operator(kind)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            u, v = rng.standard_normal(jac.out_len), rng.standard_normal(jac.param_count)
+            lhs, rhs = float(u @ jac.jvp(v)), float(jac.vjp(u) @ v)
+            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(jac.dense(), 2) * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_slice_the_map(self, kind):
+        jac, _, maps = self.operator(kind)
+        part = jac.rows(1, 4)
+        rebuilt = JacobianOperator(jac.network, jac.inputs[1:4]).mapped(maps[1:4])
+        assert part.out_len == rebuilt.out_len == 3 * maps.shape[1]
+        np.testing.assert_allclose(part.dense(), rebuilt.dense(), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(part.outputs, rebuilt.outputs, rtol=1e-13, atol=1e-15)
+        v = np.random.default_rng(18).standard_normal(jac.param_count)
+        np.testing.assert_allclose(part.jvp(v), rebuilt.jvp(v), rtol=1e-13, atol=1e-15)
+
+    def test_bad_maps_rejected(self):
+        jac = JacobianOperator(seeded_net([2, 6, 3], seed=19), np.ones((4, 2)))
+        for shape in ((4, 2), (3, 2, 3), (4, 2, 2)):
+            with pytest.raises(ContractViolationError, match="output map of shape"):
+                jac.mapped(np.ones(shape))
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            jac.mapped(np.full((4, 2, 3), np.nan))
+
+
 class TestTaskDataset:
     def test_rejects_bad_shapes_and_noise(self):
         with pytest.raises(ContractViolationError):
