@@ -7,9 +7,9 @@ fixed-noise tasks). Tasks with an exact kernel-side fit and the same
 context and eval sizes are adapted together: one forward trace per input
 set for the whole group, and batched kernels, eigendecompositions,
 leave-one-out scores and predictions over a leading task axis.
-Baselines (no retraining at all, refitting only the final layer) and
-seeded synthetic task generators for the sinusoid and surface benchmarks
-live here too.
+Baselines (no retraining at all, refitting only the final layer), a
+seeded sinusoid task generator and the sinusoid transfer experiment live
+here too.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ def select_noise_by_loo(kernel, targets, grid) -> float:
     earlier grid entry.
     """
     grid = tuple(float(g) for g in grid)
-    if not grid or any(not g > 0 for g in grid):
-        raise ContractViolationError("noise grid must be positive variances")
+    if not grid or any(not 0 < g < np.inf for g in grid):
+        raise ContractViolationError("noise grid must be positive finite variances")
     y = np.asarray(targets, dtype=np.float64).ravel()
     if not isinstance(kernel, GramFactor):
         if kernel.shape[0] != y.size:
@@ -233,17 +233,17 @@ class AdaptConfig:
             raise ContractViolationError(
                 "centering on the network requires mean_kind 'zero'"
             )
-        if self.noise_variance is not None and not self.noise_variance > 0:
+        if self.noise_variance is not None and not 0 < self.noise_variance < np.inf:
             raise ContractViolationError(
-                f"noise variance override must be positive, got {self.noise_variance}"
+                f"noise variance override must be positive and finite, got {self.noise_variance}"
             )
         if self.noise_grid is not None:
             if self.noise_variance is not None:
                 raise ContractViolationError(
                     "give either a fixed noise variance or a selection grid, not both"
                 )
-            if len(self.noise_grid) == 0 or any(not g > 0 for g in self.noise_grid):
-                raise ContractViolationError("noise grid must be positive variances")
+            if len(self.noise_grid) == 0 or any(not 0 < g < np.inf for g in self.noise_grid):
+                raise ContractViolationError("noise grid must be positive finite variances")
 
 
 @dataclass(frozen=True)
@@ -263,24 +263,12 @@ class AdaptationRun:
     config: AdaptConfig
     tasks: tuple[TaskAdaptation, ...]
 
-    @property
-    def failures(self) -> tuple[TaskAdaptation, ...]:
-        return tuple(t for t in self.tasks if t.status == "failed")
-
-    def metric_rows(self, method: str = "finite-ntk"):
-        rows = []
-        for t in self.tasks:
-            if t.metrics is None:
-                continue
-            rows.append(_result_row(t.task_id, method, None, t.metrics))
-        return rows
-
 
 def _result_row(task_id, method: str, context_size, metrics: Metrics):
     return [
         str(task_id),
         method,
-        "" if context_size is None else str(context_size),
+        str(context_size),
         fmt_float(metrics.mse),
         fmt_float(metrics.nll),
     ]
@@ -638,25 +626,6 @@ def baseline_last_layer(
     ]
 
 
-def _score_transfer(source, pairs, adapt_cfg, head_cfg, noise_variance, labels):
-    """(finite-ntk, no-retrain, last-layer) metrics of each (context, eval) pair.
-
-    Every pair must adapt: a failure raises ``FitError`` naming the pair's
-    entry of ``labels``. All heads refit in one stacked call.
-    """
-    run = run_adaptation(source, pairs, adapt_cfg)
-    for record in run.tasks:
-        if record.status != "ok":
-            raise FitError(
-                f"{labels[record.task_id]} did not adapt: {record.error or record.status}"
-            )
-    heads = baseline_last_layer(source, pairs, head_cfg, noise_variance)
-    return [
-        (record.metrics, baseline_no_retrain(source, eval_set, noise_variance), head)
-        for record, (_, eval_set), head in zip(run.tasks, pairs, heads)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Sinusoid experiment (source task -> many target tasks)
 
@@ -756,14 +725,15 @@ def sinusoid_experiment(cfg: SinusoidExperimentConfig = SinusoidExperimentConfig
     raw_tasks = sample_sinusoid_tasks(spec, cfg.num_tasks)
     pairs = [stratified_split(t, cfg.context_size) for t in raw_tasks]
     grid = tuple(source_mse * 10.0**d for d in range(cfg.noise_grid_decades))
-    scores = _score_transfer(
-        source,
-        pairs,
-        AdaptConfig(center_on_network=False, noise_grid=grid),
-        source_opt,
-        source_mse,
-        [f"task {i}" for i in range(len(pairs))],
-    )
+    run = run_adaptation(source, pairs, AdaptConfig(center_on_network=False, noise_grid=grid))
+    for record in run.tasks:
+        if record.status == "failed":
+            raise FitError(f"task {record.task_id} did not adapt: {record.error}")
+    heads = baseline_last_layer(source, pairs, source_opt, source_mse)
+    scores = [
+        (record.metrics, baseline_no_retrain(source, eval_set, source_mse), head)
+        for record, (_, eval_set), head in zip(run.tasks, pairs, heads)
+    ]
     rows = [
         _result_row(task_id, method, cfg.context_size, m)
         for task_id, metrics in enumerate(scores)
@@ -779,110 +749,3 @@ def sinusoid_experiment(cfg: SinusoidExperimentConfig = SinusoidExperimentConfig
         win_rate_vs_no_retrain=ntk_wins_plain / cfg.num_tasks,
         win_rate_vs_last_layer=ntk_wins_head / cfg.num_tasks,
     )
-
-
-# ---------------------------------------------------------------------------
-# Heteroscedastic surface benchmark over context sizes
-
-
-@dataclass(frozen=True)
-class SurfaceBenchmarkConfig:
-    """Synthetic stand-in for the real-data transfer benchmarks: a smooth
-    2-D surface as the source task and the same surface plus an additive
-    shift as the target, scanned over context-set sizes.
-    """
-
-    context_grid: tuple[int, ...] = (0, 5, 10, 20, 40)
-    eval_points: int = 80
-    source_points: int = 150
-    source_epochs: int = 300
-    source_learning_rate: float = 1e-2
-    source_batch_size: int = 32
-    noise_std: float = 0.1
-    noise_grid_decades: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if len(self.context_grid) == 0 or any(s < 0 for s in self.context_grid):
-            raise ContractViolationError("context grid must be nonnegative sizes")
-        if list(self.context_grid) != sorted(set(self.context_grid)):
-            raise ContractViolationError("context grid must be strictly increasing")
-        if self.eval_points < 1 or self.source_points < 2:
-            raise ContractViolationError("need evaluation points and a source sample")
-        if self.noise_grid_decades < 1:
-            raise ContractViolationError("the noise grid needs at least one decade")
-
-
-SURFACE_ARCHITECTURE = MlpArchitecture(2, (32,), 1, activation="tanh", heteroscedastic=True)
-
-
-def _source_surface(x: np.ndarray) -> np.ndarray:
-    return 2.0 * np.sin(x[:, :1]) * np.cos(x[:, 1:2])
-
-
-def _target_surface(x: np.ndarray) -> np.ndarray:
-    return _source_surface(x) + 1.2 * np.tanh(x[:, :1] + x[:, 1:2])
-
-
-def _surface_sample(rng, n: int, surface, noise_std: float) -> TaskDataset:
-    x = rng.uniform(-2.0, 2.0, size=(n, 2))
-    y = surface(x) + rng.normal(0.0, noise_std, size=(n, 1))
-    return TaskDataset(x, y, noise_variance=noise_std * noise_std)
-
-
-def heteroscedastic_adaptation_benchmark(cfg: SurfaceBenchmarkConfig = SurfaceBenchmarkConfig()):
-    """MSE of each method as the target context grows, one row per cell.
-
-    Contexts are nested (each size extends the previous one) so the
-    columns isolate the effect of more data. Each GP fit picks its noise
-    level by leave-one-out error over a short decade grid anchored at the
-    source training MSE. At context size 0 the adapted methods degenerate
-    to the unmodified source network.
-    """
-    source_data = _surface_sample(
-        substream(cfg.seed, "surface-source"), cfg.source_points, _source_surface, cfg.noise_std
-    )
-    net = init_network(SURFACE_ARCHITECTURE, seed=cfg.seed)
-    opt = OptimizerConfig(
-        optimizer="adam",
-        learning_rate=cfg.source_learning_rate,
-        epochs=cfg.source_epochs,
-        batch_size=cfg.source_batch_size,
-        loss="heteroscedastic-gaussian",
-        seed=cfg.seed,
-    )
-    source = train(net, source_data, opt).network
-    source_pred = forward(source, source_data.x)[:, _mean_columns(SURFACE_ARCHITECTURE)]
-    sigma2 = mean_squared_error(source_pred, source_data.y)
-    pool = _surface_sample(
-        substream(cfg.seed, "surface-target"),
-        max(cfg.context_grid) if max(cfg.context_grid) > 0 else 1,
-        _target_surface,
-        cfg.noise_std,
-    )
-    eval_set = _surface_sample(
-        substream(cfg.seed, "surface-eval"), cfg.eval_points, _target_surface, cfg.noise_std
-    )
-    grid = tuple(sigma2 * 10.0**d for d in range(cfg.noise_grid_decades))
-    sizes = [size for size in cfg.context_grid if size > 0]
-    pairs = [
-        (TaskDataset(pool.x[:size], pool.y[:size], pool.noise_variance), eval_set)
-        for size in sizes
-    ]
-    labels = [f"context size {size}" for size in sizes]
-    cells = _score_transfer(source, pairs, AdaptConfig(noise_grid=grid), opt, sigma2, labels)
-    scores = dict(zip(sizes, cells))
-    # With nothing to condition on, both adapted methods are the source
-    # network itself.
-    plain = baseline_no_retrain(source, eval_set, noise_variance=sigma2)
-    scores[0] = (plain, plain, plain)
-    return [
-        _result_row(0, method, size, m)
-        for size in cfg.context_grid
-        for method, m in zip(_METHODS, scores[size])
-    ]
-
-
-def benchmark_ntk_mse(rows) -> list[float]:
-    """The finite-NTK MSE column of a benchmark table, in grid order."""
-    return [float(r[3]) for r in rows if r[1] == "finite-ntk"]

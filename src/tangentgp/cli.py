@@ -172,13 +172,21 @@ def _training_data(resolved: dict) -> TaskDataset:
 def _adapt_config(resolved: dict) -> AdaptConfig:
     gp = block_or_defaults(resolved, "gp")
     noise_variance = gp["noise_variance"]
+    decades = gp["noise_grid_decades"]
     noise_grid = None
-    if gp["noise_grid_decades"] is not None:
+    if decades is not None:
         if noise_variance is None:
             raise ConfigError("gp.noise_grid_decades needs gp.noise_variance as the anchor")
-        noise_grid = tuple(
-            float(noise_variance) * 10.0**d for d in range(gp["noise_grid_decades"])
-        )
+        if decades < 1:
+            raise ConfigError(f"gp.noise_grid_decades must be at least 1, got {decades}")
+        with np.errstate(over="ignore"):
+            top = float(noise_variance) * np.float64(10.0) ** (decades - 1)
+        if not np.isfinite(top):
+            raise ConfigError(
+                f"gp.noise_grid_decades {decades} overflows: the top of the grid, "
+                f"gp.noise_variance {noise_variance} times 10^{decades - 1}, is not finite"
+            )
+        noise_grid = tuple(float(noise_variance) * 10.0**d for d in range(decades))
         noise_variance = None
     return AdaptConfig(
         mean_kind=gp["mean_kind"],

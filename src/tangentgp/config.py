@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import reprlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ def _int(v):
 
 
 def _num(v):
-    return _int(v) or isinstance(v, float)
+    """A finite JSON number; ``json`` reads Infinity, NaN and 1e400 as non-finite floats."""
+    return (_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
 _CHECKS = {
@@ -338,7 +340,7 @@ def read_task_manifest(path) -> list[tuple[TaskDataset, TaskDataset | None]]:
             raise ConfigError(f"{path}: entry {i} has unknown keys {sorted(unknown)}")
         noise = entry.get("noise_variance", 1.0)
         if not _num(noise) or not noise > 0:
-            raise ConfigError(f"{path}: entry {i} noise_variance must be positive")
+            raise ConfigError(f"{path}: entry {i} noise_variance must be a positive finite number")
         field = functools.partial(file_field, path, f"entry {i}", entry)
         cx, cy = read_dataset_csv(base / field("context", "string"))
         context = TaskDataset(cx, cy, noise_variance=float(noise))

@@ -219,8 +219,9 @@ class TaskDataset:
             )
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ContractViolationError("dataset contains non-finite entries")
-        if not self.noise_variance > 0:
-            raise ContractViolationError(f"noise variance must be positive, got {self.noise_variance}")
+        if not 0 < self.noise_variance < np.inf:
+            what = "positive" if not self.noise_variance > 0 else "finite"
+            raise ContractViolationError(f"noise variance must be {what}, got {self.noise_variance}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -19,13 +19,11 @@ from tangentgp.adapt import (
     Metrics,
     SinusoidExperimentConfig,
     SinusoidTaskSpec,
-    SurfaceBenchmarkConfig,
+    _result_row,
     adapt_task,
     baseline_last_layer,
     baseline_no_retrain,
-    benchmark_ntk_mse,
     gaussian_nll,
-    heteroscedastic_adaptation_benchmark,
     mean_squared_error,
     refit_last_layer,
     results_csv,
@@ -42,7 +40,6 @@ import tangentgp.net as net_module
 from tangentgp.errors import (
     ContractViolationError,
     NumericBreakdownError,
-    TangentGpError,
     TrainingDivergenceError,
 )
 from tangentgp.gp import factor_gram, kernel_matrix, loo_scores, predict
@@ -207,6 +204,8 @@ class TestNoiseSelection:
             select_noise_by_loo(np.eye(2), np.ones(2), ())
         with pytest.raises(ContractViolationError, match="positive"):
             select_noise_by_loo(np.eye(2), np.ones(2), (1.0, 0.0))
+        with pytest.raises(ContractViolationError, match="positive finite variances"):
+            select_noise_by_loo(np.eye(2), np.ones(2), (1.0, np.inf))
         with pytest.raises(ContractViolationError, match="targets"):
             select_noise_by_loo(np.eye(2), np.ones(3), (1.0,))
 
@@ -231,6 +230,11 @@ class TestNoiseSelection:
             AdaptConfig(noise_variance=0.1, noise_grid=(0.1, 1.0))
         with pytest.raises(ContractViolationError, match="positive"):
             AdaptConfig(noise_grid=(0.0,))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ContractViolationError, match="override must be positive and finite"):
+                AdaptConfig(noise_variance=bad)
+            with pytest.raises(ContractViolationError, match="positive finite variances"):
+                AdaptConfig(noise_grid=(1.0, bad))
 
 
 class TestAdaptTask:
@@ -379,15 +383,22 @@ class TestRunAdaptation:
         run = run_adaptation(source, mixed)
         statuses = [t.status for t in run.tasks]
         assert statuses == ["ok", "failed", "ok"]
-        assert len(run.failures) == 1
-        assert "channels" in run.failures[0].error
+        failures = [t for t in run.tasks if t.status == "failed"]
+        assert len(failures) == 1
+        assert "channels" in failures[0].error
 
     def test_metric_tables_deterministic(self):
         source, pairs = self.tasks()
-        rows_a = run_adaptation(source, pairs).metric_rows()
-        rows_b = run_adaptation(source, pairs).metric_rows()
+
+        def rows():
+            return [
+                _result_row(t.task_id, "finite-ntk", pairs[t.task_id][0].n, t.metrics)
+                for t in run_adaptation(source, pairs).tasks
+            ]
+
+        rows_a, rows_b = rows(), rows()
         assert rows_a == rows_b
-        assert rows_a[0][1] == "finite-ntk" and rows_a[0][2] == ""
+        assert rows_a[0][1] == "finite-ntk" and rows_a[0][2] == str(pairs[0][0].n)
 
 
 def dense_adaptation(source, context, eval_set, cfg):
@@ -802,55 +813,3 @@ class TestSinusoidExperiment:
             SinusoidExperimentConfig(context_size=50, points_per_task=50)
         with pytest.raises(ContractViolationError, match="decade"):
             SinusoidExperimentConfig(noise_grid_decades=0)
-
-
-class TestSurfaceBenchmark:
-    def small(self, **kwargs):
-        return SurfaceBenchmarkConfig(
-            context_grid=(0, 4, 8),
-            eval_points=20,
-            source_points=60,
-            source_epochs=80,
-            **kwargs,
-        )
-
-    def test_context_zero_equals_no_retrain(self):
-        rows = heteroscedastic_adaptation_benchmark(self.small())
-        zero_rows = [r for r in rows if r[2] == "0"]
-        assert len(zero_rows) == 3
-        assert zero_rows[0][3] == zero_rows[1][3] == zero_rows[2][3]
-
-    def test_three_methods_per_context_size(self):
-        cfg = self.small()
-        rows = heteroscedastic_adaptation_benchmark(cfg)
-        assert len(rows) == 3 * len(cfg.context_grid)
-        ntk = benchmark_ntk_mse(rows)
-        assert len(ntk) == len(cfg.context_grid)
-        assert all(v > 0.0 for v in ntk)
-
-    def test_deterministic_per_seed(self):
-        assert heteroscedastic_adaptation_benchmark(
-            self.small(seed=4)
-        ) == heteroscedastic_adaptation_benchmark(self.small(seed=4))
-
-    def test_failed_cell_is_named(self, monkeypatch):
-        original = adapt_module.adapt_task
-
-        def fail_at_eight(source, context, eval_set, cfg):
-            if context.n == 8:
-                raise NumericBreakdownError("injected")
-            return original(source, context, eval_set, cfg)
-
-        monkeypatch.setattr(adapt_module, "adapt_task", fail_at_eight)
-        with pytest.raises(TangentGpError, match="context size 8 did not adapt: injected"):
-            heteroscedastic_adaptation_benchmark(self.small())
-
-    def test_config_validation(self):
-        with pytest.raises(ContractViolationError, match="strictly increasing"):
-            SurfaceBenchmarkConfig(context_grid=(0, 5, 5))
-        with pytest.raises(ContractViolationError, match="nonnegative"):
-            SurfaceBenchmarkConfig(context_grid=(-1, 5))
-        with pytest.raises(ContractViolationError, match="evaluation points"):
-            SurfaceBenchmarkConfig(eval_points=0)
-        with pytest.raises(ContractViolationError, match="decade"):
-            SurfaceBenchmarkConfig(noise_grid_decades=0)

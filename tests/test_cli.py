@@ -340,6 +340,34 @@ class TestAdapt:
         assert "last-layer baseline of task 0" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "gp, manifest_noise, message",
+        [
+            ('{"noise_variance": 1e400}', None, "config key gp.noise_variance must be number or null, got inf"),
+            ('{"noise_variance": 0.01, "noise_grid_decades": 0}', None,
+             "gp.noise_grid_decades must be at least 1, got 0"),
+            ('{"noise_variance": 1e300, "noise_grid_decades": 10}', None,
+             "gp.noise_grid_decades 10 overflows: the top of the grid, gp.noise_variance 1e+300 "
+             "times 10^9, is not finite"),
+            ("{}", float("inf"), "entry 0 noise_variance must be a positive finite number"),
+        ],
+        ids=["overflowing-literal", "no-decades", "overflowing-grid", "infinite-manifest-entry"],
+    )
+    def test_non_finite_noise_exits_2_naming_the_key(self, ws, tmp_path, capsys, gp, manifest_noise, message):
+        manifest = make_manifest(tmp_path, num_tasks=1, noise_variance=manifest_noise)
+        cfg = tmp_path / "adapt.json"
+        cfg.write_text(f'{{"version": 1, "gp": {gp}}}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["adapt", "--config", str(cfg), "--checkpoint", ws["ckpt"], "--tasks", manifest,
+                 "--out", str(tmp_path / "o.csv")]
+            )
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_consistency_error_is_a_package_error_exiting_3(self, ws, tmp_path, capsys):
         assert issubclass(ConsistencyError, TangentGpError)
         cfg = write_json(

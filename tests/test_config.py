@@ -76,6 +76,12 @@ class TestResolveConfig:
             resolve_config(minimal(optimizer={"learning_rate": 0.1, "epochs": 1.5}))
         with pytest.raises(ConfigError, match="must be a JSON object"):
             resolve_config(minimal(gp=[1, 2]))
+        # json reads Infinity, NaN and overflowing literals as non-finite floats.
+        for text in ("Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400):
+            with pytest.raises(ConfigError, match="gp.noise_variance must be number or null"):
+                resolve_config(minimal(gp={"noise_variance": json.loads(text)}))
+            with pytest.raises(ConfigError, match="optimizer.learning_rate must be number"):
+                resolve_config(minimal(optimizer={"learning_rate": json.loads(text), "epochs": 1}))
         arch = {"input_dim": 1, "output_dim": 1}
         for widths in ([4, True], [4, 2.0], 4):
             with pytest.raises(ConfigError, match="hidden_widths must be int list"):
@@ -202,6 +208,10 @@ class TestTaskManifest:
         manifest.write_text(json.dumps([{"context": "ctx.csv", "noise_variance": -1}]))
         with pytest.raises(ConfigError, match="positive"):
             read_task_manifest(manifest)
+        for text in ("Infinity", "NaN", "1e400"):
+            manifest.write_text(f'[{{"context": "ctx.csv", "noise_variance": {text}}}]')
+            with pytest.raises(ConfigError, match="entry 0 noise_variance must be a positive finite number"):
+                read_task_manifest(manifest)
         manifest.write_text("[]")
         with pytest.raises(ConfigError, match="nonempty"):
             read_task_manifest(manifest)

@@ -392,6 +392,8 @@ class TestTaskDataset:
             TaskDataset(np.ones((2, 1)), np.ones((3, 1)), noise_variance=0.1)
         with pytest.raises(ContractViolationError):
             TaskDataset(np.ones((2, 1)), np.ones((2, 1)), noise_variance=0.0)
+        with pytest.raises(ContractViolationError, match="noise variance must be finite, got inf"):
+            TaskDataset(np.ones((2, 1)), np.ones((2, 1)), noise_variance=np.inf)
         with pytest.raises(ContractViolationError):
             TaskDataset(np.array([[np.nan]]), np.ones((1, 1)), noise_variance=0.1)
 

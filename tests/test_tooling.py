@@ -4,7 +4,9 @@ The benchmark's tracer (``perfbench/spans.py``) patches tangentgp
 functions and methods by name. A rename in the package would make every
 traced benchmark run fail; these tests fail first instead. They read the
 tracer's instrument table, and install the tracer only around small
-fits, adaptations, MAP fits and single Laplace draws.
+fits, adaptations, MAP fits and single Laplace draws. The package's
+``__all__`` is checked the same way, so that a deletion leaving a stale
+export fails here rather than in ``from tangentgp import *``.
 """
 
 import importlib
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tangentgp
 import tangentgp.glm as glm_module
 from tangentgp.adapt import AdaptConfig, adapt_task
 from tangentgp.glm import (
@@ -54,6 +57,10 @@ def test_every_traced_name_resolves(entry):
     else:
         assert kind == "function"
         assert callable(getattr(module, entry[2]))
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in tangentgp.__all__ if not hasattr(tangentgp, name)] == []
 
 
 def test_fit_posterior_fits_count_per_dual_system():
