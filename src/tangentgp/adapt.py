@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolationError, FitError, TangentGpError, TrainingDivergenceError
+from .errors import ConfigError, ContractViolationError, FitError, TangentGpError, TrainingDivergenceError
 from .gp import (
     GramFactor,
     NtkPosterior,
+    _check_target_width,
     _dual_weights,
     _eigh_psd,
     _exact_root,
@@ -36,7 +37,6 @@ from .gp import (
     fit_posterior,
     loo_scores,
     predict,
-    regression_residual,
 )
 from .net import (
     DENSE_JACOBIAN_CAP,
@@ -69,16 +69,11 @@ class Metrics:
     nll: float
 
 
-def _mean_columns(arch: MlpArchitecture):
-    """Indices of the mean channels among the network's raw outputs."""
-    if arch.heteroscedastic:
-        return list(range(0, 2 * arch.output_dim, 2))
-    return list(range(arch.output_dim))
-
-
-def _mean_channel_spec(arch: MlpArchitecture):
-    """Channel selection to hand the GP: None when nothing is excluded."""
-    return tuple(_mean_columns(arch)) if arch.heteroscedastic else None
+def _regression_outputs(network: MlpNetwork, x) -> np.ndarray:
+    """The network's outputs at ``x`` in its regression view (``MlpArchitecture.regression_channels``)."""
+    out = forward(network, x)
+    channels = network.architecture.regression_channels
+    return out if channels is None else out[:, list(channels)]
 
 
 def gaussian_nll(mean: np.ndarray, variance: np.ndarray, targets: np.ndarray) -> float:
@@ -246,6 +241,21 @@ class AdaptConfig:
                 raise ContractViolationError("noise grid must be positive finite variances")
 
 
+def decade_grid(anchor: float, decades: int, key: str, anchor_key: str) -> tuple[float, ...]:
+    """The noise grid anchor * 10^d, d < ``decades``; no decades or a non-finite top raise
+    ``ConfigError`` naming ``key`` (the setting of ``decades``) and ``anchor_key``."""
+    if decades < 1:
+        raise ConfigError(f"{key} must be at least 1, got {decades}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = float(anchor) * np.float64(10.0) ** (decades - 1)
+    if not np.isfinite(top):
+        raise ConfigError(
+            f"{key} {decades} overflows: the top of the grid, "
+            f"{anchor_key} {anchor} times 10^{decades - 1}, is not finite"
+        )
+    return tuple(float(anchor) * 10.0**d for d in range(decades))
+
+
 @dataclass(frozen=True)
 class TaskAdaptation:
     """Outcome of adapting to one task: a status plus whatever was produced."""
@@ -289,40 +299,37 @@ def adapt_task(
     Returns (posterior, metrics); metrics is None without an eval set.
     Adaptation is linear algebra only: the source parameters are never
     stepped, so the Jacobian is computed fresh here and discarded after.
+    Targets narrower or wider than ``output_dim`` raise before any fit.
     A task with an exact kernel-side fit is the one-task call of the
     stacked pass (``run_adaptation``). Any other task (the p side, a
-    matrix-free fit, or inputs and targets of the wrong width) runs
+    matrix-free fit, or inputs of the wrong width) runs
     ``gp.fit_posterior`` and ``gp.predict`` on one operator for the
     context, which serves the centering, the noise search and the fit.
     """
-    if _stack_entries(source.architecture, context, eval_set, cfg) is not None:
-        return _adapt_stack(source, [(context, eval_set)], cfg, source.fingerprint())[0]
     arch = source.architecture
-    channels = _mean_channel_spec(arch)
+    for data, what in ((context, "context targets"), (eval_set, "eval targets")):
+        if data is not None:
+            _check_target_width(data.y, arch.output_dim, what)
+    if _stack_entries(arch, context, eval_set, cfg) is not None:
+        return _adapt_stack(source, [(context, eval_set)], cfg, source.fingerprint())[0]
     sigma2 = cfg.noise_variance if cfg.noise_variance is not None else context.noise_variance
-    jac = JacobianOperator(source, context.x, channels)
+    jac = JacobianOperator(source, context.x, arch.regression_channels)
     targets = context.y - jac.outputs if cfg.center_on_network else context.y
     fit_data = TaskDataset(context.x, targets, noise_variance=sigma2)
     factor = None
     if cfg.noise_grid is not None:
         # One factorization scores the grid and then fits; the score is of
         # the regression the fit runs (targets less the prior mean).
-        factor = factor_gram(source, jac, channels)
-        resid = regression_residual(source, fit_data, cfg.mean_kind, channels, jac)
+        factor = factor_gram(source, jac)
+        resid = fit_data.y - _mean_surface(jac, source.params, cfg.mean_kind)
         sigma2 = select_noise_by_loo(factor, resid, cfg.noise_grid)
         fit_data = replace(fit_data, noise_variance=sigma2)
-    posterior = fit_posterior(
-        source,
-        fit_data,
-        mean_kind=cfg.mean_kind,
-        channels=channels,
-        factor=factor,
-    )
+    posterior = fit_posterior(source, fit_data, mean_kind=cfg.mean_kind, factor=factor)
     if eval_set is None:
         return posterior, None
     mean, var = predict(posterior, source, eval_set.x)
     if cfg.center_on_network:
-        mean = mean + forward(source, eval_set.x)[:, _mean_columns(arch)]
+        mean = mean + _regression_outputs(source, eval_set.x)
     return posterior, Metrics(
         mse=mean_squared_error(mean, eval_set.y),
         nll=gaussian_nll(mean, var + sigma2, eval_set.y),
@@ -333,12 +340,13 @@ def _stack_entries(arch: MlpArchitecture, context: TaskDataset, eval_set, cfg: A
     """Entries of the task's largest array in the stacked pass, or None if it runs alone.
 
     A task stacks when its fit is exact on the kernel side
-    (``gp._exact_side``), its inputs and targets have the network's widths,
-    and its arrays fit under ``DENSE_JACOBIAN_CAP``. Those arrays are its
+    (``gp._exact_side``), its inputs and targets have the network's widths
+    (else it runs alone, where ``adapt_task`` raises), and its arrays fit
+    under ``DENSE_JACOBIAN_CAP``. Those arrays are its
     kernel, its cross kernel to the eval set, its leave-one-out scores and
     its layer sensitivities.
     """
-    o = arch.output_dim  # the mean channels a regression selects
+    o = arch.output_dim  # the width of the regression view
     for data in (context, eval_set):
         if data is not None and (data.x.shape[1] != arch.input_dim or data.y.shape[1] != o):
             return None
@@ -364,8 +372,7 @@ def _adapt_stack(source: MlpNetwork, pairs, cfg: AdaptConfig, fingerprint: str):
     kernel-form one of ``gp.predict``. Any failure raises for the whole
     stack.
     """
-    arch = source.architecture
-    channels = _mean_channel_spec(arch)
+    channels = source.architecture.regression_channels
     contexts, evals = zip(*pairs)
     t, n = len(pairs), contexts[0].n
     jac = JacobianOperator(source, np.concatenate([c.x for c in contexts]), channels)
@@ -507,7 +514,7 @@ def baseline_no_retrain(
 ) -> Metrics:
     """Evaluate the unmodified source network; the floor every method must beat."""
     sigma2 = noise_variance if noise_variance is not None else eval_set.noise_variance
-    pred = forward(source, eval_set.x)[:, _mean_columns(source.architecture)]
+    pred = _regression_outputs(source, eval_set.x)
     return Metrics(
         mse=mean_squared_error(pred, eval_set.y),
         nll=gaussian_nll(pred, np.full_like(pred, sigma2), eval_set.y),
@@ -724,7 +731,9 @@ def sinusoid_experiment(cfg: SinusoidExperimentConfig = SinusoidExperimentConfig
     spec = SinusoidTaskSpec(points_per_task=cfg.points_per_task, seed=cfg.seed + 1)
     raw_tasks = sample_sinusoid_tasks(spec, cfg.num_tasks)
     pairs = [stratified_split(t, cfg.context_size) for t in raw_tasks]
-    grid = tuple(source_mse * 10.0**d for d in range(cfg.noise_grid_decades))
+    grid = decade_grid(
+        source_mse, cfg.noise_grid_decades, "experiment.noise_grid_decades", "the source training MSE"
+    )
     run = run_adaptation(source, pairs, AdaptConfig(center_on_network=False, noise_grid=grid))
     for record in run.tasks:
         if record.status == "failed":

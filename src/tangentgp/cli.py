@@ -27,6 +27,7 @@ from .adapt import (
     _result_row,
     baseline_last_layer,
     baseline_no_retrain,
+    decade_grid,
     results_csv,
     run_adaptation,
     sample_sinusoid_tasks,
@@ -150,6 +151,17 @@ def _emit_rows(args, resolved: dict, columns, rows) -> None:
 # Input assembly
 
 
+def _sinusoid_spec(resolved: dict) -> SinusoidTaskSpec:
+    """The sinusoid task generator that the ``task`` block and the seed describe."""
+    task = block_or_defaults(resolved, "task")
+    return SinusoidTaskSpec(
+        points_per_task=task["points_per_task"],
+        x_low=float(task["x_low"]),
+        x_high=float(task["x_high"]),
+        seed=resolved["seed"],
+    )
+
+
 def _training_data(resolved: dict) -> TaskDataset:
     task = block_or_defaults(resolved, "task")
     if task["kind"] == "csv":
@@ -159,13 +171,7 @@ def _training_data(resolved: dict) -> TaskDataset:
         noise = 1.0 if task["noise_variance"] is None else task["noise_variance"]
         return TaskDataset(x, y, noise_variance=noise)
     if task["kind"] == "sinusoid":
-        spec = SinusoidTaskSpec(
-            points_per_task=task["points_per_task"],
-            x_low=float(task["x_low"]),
-            x_high=float(task["x_high"]),
-            seed=resolved["seed"],
-        )
-        return sample_sinusoid_tasks(spec, 1)[0]
+        return sample_sinusoid_tasks(_sinusoid_spec(resolved), 1)[0]
     raise ConfigError(f"unknown task.kind {task['kind']!r}, expected 'sinusoid' or 'csv'")
 
 
@@ -177,16 +183,7 @@ def _adapt_config(resolved: dict) -> AdaptConfig:
     if decades is not None:
         if noise_variance is None:
             raise ConfigError("gp.noise_grid_decades needs gp.noise_variance as the anchor")
-        if decades < 1:
-            raise ConfigError(f"gp.noise_grid_decades must be at least 1, got {decades}")
-        with np.errstate(over="ignore"):
-            top = float(noise_variance) * np.float64(10.0) ** (decades - 1)
-        if not np.isfinite(top):
-            raise ConfigError(
-                f"gp.noise_grid_decades {decades} overflows: the top of the grid, "
-                f"gp.noise_variance {noise_variance} times 10^{decades - 1}, is not finite"
-            )
-        noise_grid = tuple(float(noise_variance) * 10.0**d for d in range(decades))
+        noise_grid = decade_grid(noise_variance, decades, "gp.noise_grid_decades", "gp.noise_variance")
         noise_variance = None
     return AdaptConfig(
         mean_kind=gp["mean_kind"],
@@ -236,17 +233,11 @@ def cmd_adapt(args) -> int:
     resolved = load_config(args.config, args.seed)
     network = load_checkpoint(args.checkpoint)
     _check_architecture(resolved, network)
-    task = block_or_defaults(resolved, "task")
     if args.tasks is not None:
         pairs = read_task_manifest(args.tasks)
     else:
-        spec = SinusoidTaskSpec(
-            points_per_task=task["points_per_task"],
-            x_low=float(task["x_low"]),
-            x_high=float(task["x_high"]),
-            seed=resolved["seed"],
-        )
-        raw = sample_sinusoid_tasks(spec, task["num_tasks"])
+        task = block_or_defaults(resolved, "task")
+        raw = sample_sinusoid_tasks(_sinusoid_spec(resolved), task["num_tasks"])
         pairs = [stratified_split(t, task["context_size"]) for t in raw]
     cfg = _adapt_config(resolved)
     run = run_adaptation(network, pairs, cfg)
@@ -301,16 +292,12 @@ def cmd_predict(args) -> int:
             "stale posterior cache: it was fitted at different network parameters"
         )
     x = read_inputs_csv(args.inputs)
-    if posterior.channels is not None:
-        width = len(posterior.channels)
-    else:
-        width = network.architecture.internal_output_dim
+    mean, var = predict(posterior, network, x)
     columns = (
         [f"x_{j}" for j in range(x.shape[1])]
-        + [f"mean_{c}" for c in range(width)]
-        + [f"var_{c}" for c in range(width)]
+        + [f"mean_{c}" for c in range(mean.shape[1])]
+        + [f"var_{c}" for c in range(mean.shape[1])]
     )
-    mean, var = predict(posterior, network, x)
     _emit_rows(args, resolved, columns, np.hstack([x, mean, var]))
     return 0
 

@@ -6,14 +6,19 @@ layer by layer from each layer's inputs and output sensitivities, without
 forming J; ``analysis.similarity_matrix`` uses the same assembly across
 two networks. Only the p side forms J, in ``JacobianOperator.dense``
 blocks (``_jacobian_blocks``) for the p square Gram, its leave-one-out
-scores and feature-form variances. ``kernel_matrix``, ``factor_gram`` and
-``regression_residual`` also take a ``JacobianOperator`` built at the inputs, and a ``GramFactor``
+scores and feature-form variances. ``kernel_matrix`` and ``factor_gram``
+also take a ``JacobianOperator`` built at the inputs, and a ``GramFactor``
 keeps its operator, so one forward trace serves a whole fit. The
 kernel-side formulas (kernels, leave-one-out scores, dual weights, roots
 and kernel-form variances) broadcast over a leading task axis, which
 ``adapt.run_adaptation`` uses to fit a stack of same-size tasks at once.
 An operator with a per-datum output map M_i (``JacobianOperator.mapped``)
 is B = J blockdiag(M_i'), and its kernel B'B comes from the same assembly.
+
+The architecture fixes the regression view, the outputs that
+``output_dim``-wide targets regress on (``MlpArchitecture.regression_channels``):
+every fit, kernel and log marginal here builds its operators in it, and
+an operator or factor handed in must be of it.
 
 The posterior has two dual forms: the n*o square kernel system (function
 space) and the p square parameter system. Both give a length-p mean cache
@@ -133,48 +138,42 @@ def _mean_surface(jac, theta: np.ndarray, kind: str) -> np.ndarray:
     raise ContractViolationError(f"mean kind must be one of {MEAN_KINDS}, got {kind!r}")
 
 
-def _check_operator(jac: JacobianOperator, network: MlpNetwork, channels, what: str, inputs=None):
-    """Raise unless ``jac`` is of ``network`` at ``channels`` (and at ``inputs``, when given)."""
+def _check_operator(jac: JacobianOperator, network: MlpNetwork, what: str, inputs=None):
+    """Raise unless ``jac`` is of ``network``'s regression view (and at ``inputs``, when given)."""
     if jac.network is not network and (
         jac.network.architecture != network.architecture
         or not np.array_equal(jac.network.params, network.params)
     ):
         raise ContractViolationError(f"{what} was built from another network")
-    if jac.channels != (None if channels is None else [int(c) for c in channels]):
-        raise ContractViolationError(f"{what} was built for other channels")
+    view = network.architecture.regression_channels
+    if jac.channels != (None if view is None else list(view)):
+        raise ContractViolationError(f"{what} was built for other channels than the regression view")
     if inputs is not None and not np.array_equal(jac.inputs, inputs):
         raise ContractViolationError(f"{what} was built from other inputs")
 
 
-def _operator(network: MlpNetwork, x, channels) -> JacobianOperator:
-    """``x`` itself when it is an operator of ``network`` at ``channels``, else one built at ``x``."""
+def _operator(network: MlpNetwork, x, what="the Jacobian operator", inputs=None) -> JacobianOperator:
+    """``x`` itself when it is an operator of ``network``'s regression view, else that view at ``x``."""
     if isinstance(x, JacobianOperator):
-        _check_operator(x, network, channels, "the Jacobian operator")
+        _check_operator(x, network, what, inputs)
         return x
-    return JacobianOperator(network, x, channels)
+    return JacobianOperator(network, x, network.architecture.regression_channels)
 
 
-def _prepare(network, data: TaskDataset, mean_kind: str, channels, jac=None, what="the Jacobian operator"):
-    if jac is None:
-        jac = JacobianOperator(network, data.x, channels)
-    else:
-        _check_operator(jac, network, channels, what, data.x)
-    if data.y.shape[1] != jac.out_dim:
+def _check_target_width(y: np.ndarray, width: int, what: str = "targets") -> None:
+    """Raise unless the targets ``y`` have the regression view's ``width`` columns."""
+    if y.shape[1] != width:
         raise ContractViolationError(
-            f"targets have {data.y.shape[1]} channels but the regression view has {jac.out_dim}"
+            f"{what} have {y.shape[1]} channels but the regression view has {width}"
         )
+
+
+def _prepare(network, data: TaskDataset, mean_kind: str, jac=None, what="the Jacobian operator"):
+    """The regression view's operator at ``data.x`` (``jac``, once checked) and y - mu(X), flattened."""
+    jac = _operator(network, data.x if jac is None else jac, what, data.x)
+    _check_target_width(data.y, jac.out_dim)
     mu = _mean_surface(jac, network.params, mean_kind)
     return jac, (data.y - mu).ravel()
-
-
-def regression_residual(
-    network: MlpNetwork, data: TaskDataset, mean_kind: str = "zero", channels=None, jac=None
-) -> np.ndarray:
-    """The vector a fit regresses: y - mu(X), flattened datum-major.
-
-    ``jac``, when given, is the operator already built at ``data.x``.
-    """
-    return _prepare(network, data, mean_kind, channels, jac)[1]
 
 
 def _variance_lanczos(op: SymmetricLinearOperator, probe: np.ndarray):
@@ -206,6 +205,7 @@ class NtkPosterior:
       T = U diag(L) U'.
 
     ``inputs`` marks the form, since C is square in both when n*o = p.
+    ``channels`` records the architecture's regression view for ``predict``.
     """
 
     mean_kind: str
@@ -233,10 +233,12 @@ def _jacobian_blocks(jac: JacobianOperator, cap: int = DENSE_JACOBIAN_CAP):
         yield slice(first, first + part.out_len), part.dense()
 
 
-def kernel_matrix(network: MlpNetwork, x1, x2=None, channels=None, cap: int = DENSE_JACOBIAN_CAP):
+def kernel_matrix(network: MlpNetwork, x1, x2=None, cap: int = DENSE_JACOBIAN_CAP):
     """Tangent-kernel Gram block K[a, b] = <j_a(X1), j_b(X2)>, i.e. J1' J2.
 
-    ``x1`` and ``x2`` are inputs or ``JacobianOperator``s built at them.
+    J is the Jacobian of the network's regression view (the outputs
+    ``MlpArchitecture.regression_channels`` names). ``x1`` and ``x2`` are
+    inputs or ``JacobianOperator``s of that view built at them.
     Assembled layer by layer from ``JacobianOperator.layer_sensitivities``
     (Novak et al. 2022, arXiv 2206.08720): a layer with inputs H and
     sensitivities D adds (D1 D2') o kron(H1 H2' + 1, 1 1') (the o x o block
@@ -248,8 +250,8 @@ def kernel_matrix(network: MlpNetwork, x1, x2=None, channels=None, cap: int = DE
     term), the n1 x n2 Gram of one layer's inputs and one layer's
     n x o x width sensitivities.
     """
-    jac1 = _operator(network, x1, channels)
-    jac2 = jac1 if x2 is None else _operator(network, x2, channels)
+    jac1 = _operator(network, x1)
+    jac2 = jac1 if x2 is None else _operator(network, x2)
     shape = (jac1.out_len, jac2.out_len)
     if shape[0] * shape[1] > cap:
         raise ResourceLimitError(
@@ -373,8 +375,8 @@ class GramFactor:
 def smaller_gram(jac: JacobianOperator) -> tuple[str, np.ndarray]:
     """The smaller Gram side of the operator's B (p x n*o), as (side, Gram).
 
-    B is J, or J blockdiag(M_i') for an operator with an output map M.
-    ``_kernel_side``, the rule ``fit_posterior`` picks its system with,
+    B is J of the regression view, or J blockdiag(M_i') for an operator
+    with an output map M. ``_kernel_side``, the rule ``fit_posterior`` picks its system with,
     picks the side on B's column count: "function" gives the n*o square
     B'B, "parameter" the p square B B'. The square is checked against
     ``DENSE_JACOBIAN_CAP`` entries before anything is built.
@@ -387,16 +389,16 @@ def smaller_gram(jac: JacobianOperator) -> tuple[str, np.ndarray]:
             f"Gram factorization needs a {size} x {size} matrix (cap {DENSE_JACOBIAN_CAP} entries)"
         )
     if kernel_side:
-        return "function", kernel_matrix(jac.network, jac, channels=jac.channels)
+        return "function", kernel_matrix(jac.network, jac)
     gram = np.zeros((p, p))
     for _, block in _jacobian_blocks(jac):
         gram += block @ block.T
     return "parameter", gram
 
 
-def factor_gram(network: MlpNetwork, x, channels=None) -> GramFactor:
-    """Eigendecompose ``smaller_gram`` of J; ``x`` is the inputs or a ``JacobianOperator`` at them."""
-    jac = _operator(network, x, channels)
+def factor_gram(network: MlpNetwork, x) -> GramFactor:
+    """Eigendecompose ``smaller_gram`` of J; ``x`` is the inputs or a regression-view operator at them."""
+    jac = _operator(network, x)
     side, gram = smaller_gram(jac)
     return GramFactor(side, *_eigh_psd(gram), jac)
 
@@ -443,7 +445,7 @@ def _exact_factor(jac: JacobianOperator, factor):
     if factor is not None:
         return factor
     if _exact_side(jac.out_len, jac.param_count) is not None:
-        return factor_gram(jac.network, jac, jac.channels)
+        return factor_gram(jac.network, jac)
     return None
 
 
@@ -488,18 +490,18 @@ def _solve_or_fail(op, rhs, what: str):
     return result.x
 
 
-def _fit(network, data, mean_kind, channels, factor, kernel_side: bool) -> NtkPosterior:
+def _fit(network, data, mean_kind, factor, kernel_side: bool) -> NtkPosterior:
     """The body both fits share: exact from a ``GramFactor``, else CG and Lanczos on one side.
 
     A given ``factor`` must be of this fit's Jacobian (the same network,
-    channels and inputs); the fit reuses its operator.
+    regression view and inputs); the fit reuses its operator.
     """
     if factor is not None and factor.jac is None:
         raise ContractViolationError(
             "the Gram factor of a bare kernel gives leave-one-out scores only; fit from gp.factor_gram"
         )
     jac = None if factor is None else factor.jac
-    jac, resid = _prepare(network, data, mean_kind, channels, jac, "the Gram factor")
+    jac, resid = _prepare(network, data, mean_kind, jac, "the Gram factor")
     sigma2 = data.noise_variance
     factor = _exact_factor(jac, factor)
     if factor is not None:
@@ -527,7 +529,7 @@ def _fit(network, data, mean_kind, channels, factor, kernel_side: bool) -> NtkPo
         kernel_form = False
     return NtkPosterior(
         mean_kind=mean_kind,
-        channels=tuple(channels) if channels is not None else None,
+        channels=network.architecture.regression_channels,
         mean_cache=mean_cache,
         variance_root=variance_root,
         noise_variance=sigma2,
@@ -540,7 +542,6 @@ def fit_function_space(
     network: MlpNetwork,
     data: TaskDataset,
     mean_kind: str = "zero",
-    channels=None,
     factor: GramFactor | None = None,
 ) -> NtkPosterior:
     """Fit in function space: solve (J'J + s I) c = resid, cache m = J c.
@@ -549,14 +550,13 @@ def fit_function_space(
     smaller Gram side is at most ``EXACT_FIT_LIMIT``); otherwise CG plus a
     Lanczos variance root of at most ``DEFAULT_VARIANCE_RANK`` steps.
     """
-    return _fit(network, data, mean_kind, channels, factor, kernel_side=True)
+    return _fit(network, data, mean_kind, factor, kernel_side=True)
 
 
 def fit_parameter_space(
     network: MlpNetwork,
     data: TaskDataset,
     mean_kind: str = "zero",
-    channels=None,
     factor: GramFactor | None = None,
 ) -> NtkPosterior:
     """Fit in parameter space: solve (J J' + s I_p) m = J resid directly.
@@ -564,22 +564,20 @@ def fit_parameter_space(
     Exact or matrix-free under the same rule as ``fit_function_space``; an
     exact fit gives the same posterior as that one.
     """
-    return _fit(network, data, mean_kind, channels, factor, kernel_side=False)
+    return _fit(network, data, mean_kind, factor, kernel_side=False)
 
 
 def fit_posterior(
     network: MlpNetwork,
     data: TaskDataset,
     mean_kind: str = "zero",
-    channels=None,
     factor: GramFactor | None = None,
 ) -> NtkPosterior:
-    """Solve the smaller system: ``fit_function_space`` if n*o <= p, else ``fit_parameter_space``."""
+    """Solve the smaller system: ``fit_function_space`` if n*o <= p (o = ``output_dim``), else ``fit_parameter_space``."""
     arch = network.architecture
-    o = arch.internal_output_dim if channels is None else len(channels)
-    if _kernel_side(len(data.x) * o, arch.parameter_count):
-        return fit_function_space(network, data, mean_kind, channels, factor)
-    return fit_parameter_space(network, data, mean_kind, channels, factor)
+    if _kernel_side(len(data.x) * arch.output_dim, arch.parameter_count):
+        return fit_function_space(network, data, mean_kind, factor)
+    return fit_parameter_space(network, data, mean_kind, factor)
 
 
 def _sq_norms(m: np.ndarray) -> np.ndarray:
@@ -654,7 +652,6 @@ def log_marginal_likelihood(
     network: MlpNetwork,
     data: TaskDataset,
     mean_kind: str = "zero",
-    channels=None,
     rank: int = 64,
     n_probes: int = 16,
     seed: int = 0,
@@ -670,11 +667,11 @@ def log_marginal_likelihood(
     estimated by stochastic Lanczos quadrature (seeded, so the estimate
     is deterministic).
     """
-    jac, resid = _prepare(network, data, mean_kind, channels)
+    jac, resid = _prepare(network, data, mean_kind)
     sigma2 = data.noise_variance
     dim = jac.out_len
     if min(dim, jac.param_count) <= DENSE_LOG_MARGINAL_LIMIT:
-        factor = factor_gram(network, jac, channels)
+        factor = factor_gram(network, jac)
         shifted = factor.evals + sigma2
         kernel_side = factor.side == "function"
         proj = factor.evecs.T @ (resid if kernel_side else jac.vjp(resid))

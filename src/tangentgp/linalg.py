@@ -57,9 +57,6 @@ class SymmetricLinearOperator:
             out = out + self.shift * v
         return out
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(v)
-
     @classmethod
     def from_dense(cls, a: np.ndarray, shift: float = 0.0) -> "SymmetricLinearOperator":
         a = np.asarray(a, dtype=np.float64)

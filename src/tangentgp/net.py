@@ -119,6 +119,12 @@ class MlpArchitecture:
     def internal_output_dim(self) -> int:
         return 2 * self.output_dim if self.heteroscedastic else self.output_dim
 
+    @property
+    def regression_channels(self) -> tuple[int, ...] | None:
+        """The internal outputs a GP regresses ``output_dim``-wide targets on: None
+        (all) for a homoscedastic net, the mean columns 0, 2, ... for a heteroscedastic one."""
+        return tuple(range(0, 2 * self.output_dim, 2)) if self.heteroscedastic else None
+
     def layer_slices(self) -> tuple:
         """Per-layer (weight_slice, bias_slice, fan_in, fan_out) into the flat vector."""
         return self._layer_slices
@@ -276,9 +282,9 @@ class JacobianOperator:
     <M_i[a], f(x_i)> (datum-major flattening). ``output_map`` holds M:
     None for the identity, a constant (k, full) map, or one (n, k, full)
     map per datum. ``channels`` builds the constant one-hot map that
-    selects the given internal output columns, in that order (for
-    heteroscedastic networks, where regression targets pair with the
-    mean-head channels only); ``mapped`` maps this view further, datum by
+    selects the given internal output columns, in that order (the GP's
+    regression view passes ``MlpArchitecture.regression_channels``);
+    ``mapped`` maps this view further, datum by
     datum. ``o`` (``out_dim``) is the map's row count k. The forward trace
     is computed once at construction and shared by ``mapped`` and ``rows``
     views, so products cost one additional pass each.

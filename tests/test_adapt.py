@@ -387,6 +387,24 @@ class TestRunAdaptation:
         assert len(failures) == 1
         assert "channels" in failures[0].error
 
+    @pytest.mark.parametrize("side", ["context", "eval"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_target_width_fails_only_its_task(self, side, width):
+        # A two-output net regresses two-wide targets; one or three columns
+        # on either set are refused before anything broadcasts against them.
+        net = init_network(MlpArchitecture(1, (8,), 2), seed=0)
+        rng = np.random.default_rng(41)
+        pairs = [sine_pair(rng, 5, 8, outputs=2) for _ in range(3)]
+        bad = dict(zip(("context", "eval"), pairs[1]))
+        data = bad[side]
+        bad[side] = TaskDataset(data.x, np.tile(data.y[:, :1], (1, width)), data.noise_variance)
+        message = f"{side} targets have {width} channels but the regression view has 2"
+        with pytest.raises(ContractViolationError, match=message) as alone:
+            adapt_task(net, bad["context"], bad["eval"])
+        run = run_adaptation(net, [pairs[0], (bad["context"], bad["eval"]), pairs[2]])
+        assert [t.status for t in run.tasks] == ["ok", "failed", "ok"]
+        assert run.tasks[1].error == str(alone.value)
+
     def test_metric_tables_deterministic(self):
         source, pairs = self.tasks()
 

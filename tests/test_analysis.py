@@ -127,7 +127,7 @@ def affine_jacobian(x):
 
 def jacobian_spectrum(jac):
     """Singular values of J, descending: square roots of its Gram factor's eigenvalues."""
-    return np.sqrt(factor_gram(jac.network, jac, jac.channels).evals[::-1])
+    return np.sqrt(factor_gram(jac.network, jac).evals[::-1])
 
 
 class TestJacobianSpectrum:

@@ -260,6 +260,34 @@ class TestAdapt:
         for task in (0, 1):
             assert f"task {task} failed: the 10 x 10 Gram matrix has non-finite entries" in err
 
+    @pytest.mark.parametrize("side", ["context", "eval"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_target_width_warns_and_writes_no_row(self, tmp_path, capsys, side, width):
+        # On a two-output checkpoint, task 1's context or eval CSV has one
+        # or three target columns: the task fails, the others keep rows.
+        arch = MlpArchitecture(1, (8,), 2)
+        ckpt = tmp_path / "two.json"
+        save_checkpoint(init_network(arch, seed=0), ckpt, {})
+        rng = np.random.default_rng(6)
+        entries = []
+        for task in range(3):
+            entry = {}
+            for name, n in (("context", 6), ("eval", 4)):
+                x = rng.uniform(-2.0, 2.0, size=(n, 1))
+                columns = width if (task, name) == (1, side) else 2
+                write_dataset_csv(tmp_path / f"{name}{task}.csv", x, np.sin(x + np.arange(columns)))
+                entry[name] = f"{name}{task}.csv"
+            entries.append(entry)
+        manifest = write_json(tmp_path / "tasks.json", entries)
+        cfg = write_json(tmp_path / "adapt.json", {"version": 1, "architecture": arch.to_dict()})
+        out = tmp_path / "r.csv"
+        argv = ["adapt", "--config", cfg, "--checkpoint", str(ckpt), "--tasks", manifest, "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = data_lines(out)
+        assert [(row[0], row[1]) for row in rows] == [("0", "finite-ntk"), ("2", "finite-ntk")]
+        message = f"task 1 failed: {side} targets have {width} channels but the regression view has 2"
+        assert message in capsys.readouterr().err
+
     def test_debug_logging_does_not_change_output(self, ws, tmp_path):
         manifest = make_manifest(tmp_path)
         cfg = write_json(
@@ -959,6 +987,17 @@ class TestSinusoidExp:
         assert main(["sinusoid-exp", "--config", cfg, "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "tangentgp: task 0 did not adapt: injected\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_noise_grid_exits_2_naming_the_key(self, tmp_path, capsys):
+        experiment = {"num_tasks": 2, "context_size": 8, "points_per_task": 30,
+                      "source_points": 60, "source_epochs": 5, "noise_grid_decades": 400}
+        cfg = write_json(tmp_path / "exp.json", {"version": 1, "experiment": experiment})
+        out = tmp_path / "o.csv"
+        assert main(["sinusoid-exp", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tangentgp: experiment.noise_grid_decades 400 overflows" in err
         assert "Traceback" not in err
         assert not out.exists()
 

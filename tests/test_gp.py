@@ -10,6 +10,7 @@ import json
 import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -128,6 +129,14 @@ def matrix_free_columns(jac):
     return np.column_stack([jac.vjp(e) for e in np.eye(jac.out_len)])
 
 
+def operator_kernel(network, x1, x2, channels):
+    """K(X1, X2) (X2 = X1 when None) of operators at any ``channels``, from ``gp._task_kernels``."""
+    jac1 = JacobianOperator(network, x1, channels)
+    if x2 is None:
+        return gp_module._task_kernels(jac1)[0][0]
+    return gp_module._task_kernels(jac1, JacobianOperator(network, x2, channels), square=False)[1][0]
+
+
 def matrix_free_kernel(network, x1, x2, channels):
     """Reference kernel column by column: K[:, b] = J1' (J2 e_b)."""
     jac1 = JacobianOperator(network, x1, channels)
@@ -232,8 +241,9 @@ class TestKernelMatrix:
 
     # (dims, activation, heteroscedastic, channels): two hidden layers, a
     # relu net with two outputs, an identity net with no hidden layers and
-    # three outputs, a three-output net, and heteroscedastic mean-channel
-    # and reordered channel selections.
+    # three outputs, a three-output net, and heteroscedastic single-channel
+    # and reordered channel selections. The regression view (None here)
+    # goes through ``kernel_matrix``, other selections through operators.
     @pytest.mark.parametrize(
         "dims, activation, heteroscedastic, channels",
         [
@@ -256,9 +266,10 @@ class TestKernelMatrix:
         j1 = select_columns(JacobianOperator(net, x1).dense(), full_o, channels)
         j2 = select_columns(JacobianOperator(net, x2).dense(), full_o, channels)
         sizes = count_dense_blocks(monkeypatch)
-        sym = kernel_matrix(net, x1, channels=channels)
-        cross = kernel_matrix(net, x1, x2, channels=channels)
-        empty = kernel_matrix(net, x1[:0], x2, channels=channels)
+        kernel = kernel_matrix if channels is None else partial(operator_kernel, channels=channels)
+        sym = kernel(net, x1, None)
+        cross = kernel(net, x1, x2)
+        empty = kernel(net, x1[:0], x2)
         assert sizes == []
         np.testing.assert_array_equal(sym, sym.T)
         for k, ref in ((sym, j1.T @ j1), (cross, j1.T @ j2)):
@@ -273,11 +284,11 @@ class TestKernelMatrix:
 
     def test_empty_inputs_are_still_validated(self):
         net = make_net([2, 6, 1], seed=2, heteroscedastic=True)
-        assert kernel_matrix(net, np.zeros((0, 2)), channels=(0,)).shape == (0, 0)
+        assert kernel_matrix(net, np.zeros((0, 2))).shape == (0, 0)
         with pytest.raises(ContractViolationError, match="input_dim"):
             kernel_matrix(net, np.zeros((0, 3)))
         with pytest.raises(ContractViolationError, match="channel"):
-            kernel_matrix(net, np.zeros((0, 2)), channels=(2,))
+            kernel_matrix(net, JacobianOperator(net, np.zeros((0, 2)), (1,)))
 
     def test_chunked_assembly_matches_one_chunk_and_columns(self, monkeypatch):
         rng = np.random.default_rng(22)
@@ -286,11 +297,16 @@ class TestKernelMatrix:
         x1 = rng.standard_normal((9, 2))
         x2 = rng.standard_normal((7, 2))
         cap = 3 * net.architecture.parameter_count * full_o
+        # The regression view (0,) through ``kernel_matrix``, with and
+        # without a cap; every output and a reordered pair through operators.
         for channels in (None, (0,), (1, 0)):
             for other in (None, x2):
-                one_chunk = kernel_matrix(net, x1, other, channels=channels)
                 sizes = count_dense_blocks(monkeypatch)
-                chunked = kernel_matrix(net, x1, other, channels=channels, cap=cap)
+                if channels == (0,):
+                    one_chunk = kernel_matrix(net, x1, other)
+                    chunked = kernel_matrix(net, x1, other, cap=cap)
+                else:
+                    one_chunk = chunked = operator_kernel(net, x1, other, channels)
                 monkeypatch.undo()
                 assert sizes == []
                 ref = matrix_free_kernel(net, x1, x1 if other is None else other, channels)
@@ -440,9 +456,9 @@ class TestExactFit:
     def test_matches_dense_oracle_in_both_spaces(self, problem, mean_kind):
         net, data, x_test = self.problem(*problem)
         channels = problem[2]
-        prior = float(np.max(np.diag(kernel_matrix(net, x_test, channels=channels))))
+        prior = float(np.max(np.diag(kernel_matrix(net, x_test))))
         for fit, space in ((fit_function_space, "function"), (fit_parameter_space, "parameter")):
-            post = fit(net, data, mean_kind=mean_kind, channels=channels)
+            post = fit(net, data, mean_kind=mean_kind)
             mean, var = predict(post, net, x_test)
             mean_o, var_o = dense_oracle(net, data, x_test, mean_kind, space, channels)
             scale = float(np.max(np.abs(mean_o)))
@@ -479,8 +495,8 @@ class TestExactFit:
         sides = []
         for n in (p - 1, p, p + 1):
             net, data, _ = self.problem(dims, heteroscedastic, channels, n)
-            fit_posterior(net, data, channels=channels)
-            sides.append(factor_gram(net, data.x, channels).side)
+            fit_posterior(net, data)
+            sides.append(factor_gram(net, data.x).side)
         assert ran == sides == ["function", "function", "parameter"]
 
     def test_given_factor_must_be_of_the_fitted_network_and_channels(self):
@@ -498,12 +514,14 @@ class TestExactFit:
             for wrong in (other, relu):
                 with pytest.raises(ContractViolationError, match="another network"):
                     fit(wrong, data, factor=factor_gram(net, x))
+            scale = JacobianOperator(het, x, (1,))
+            kernel = GramFactor.of_kernel(operator_kernel(het, x, None, (1,)))
             with pytest.raises(ContractViolationError, match="other channels"):
-                fit(het, data, channels=(1,), factor=factor_gram(het, x, (0,)))
+                fit(het, data, factor=replace(kernel, jac=scale))
             with pytest.raises(ContractViolationError, match="leave-one-out"):
                 fit(net, data, factor=GramFactor.of_kernel(kernel_matrix(net, x)))
-            given = fit(het, data, channels=(0,), factor=factor_gram(het, x, (0,)))
-            fresh = fit(het, data, channels=(0,))
+            given = fit(het, data, factor=factor_gram(het, x))
+            fresh = fit(het, data)
             np.testing.assert_array_equal(given.mean_cache, fresh.mean_cache)
 
     def test_given_factor_must_match_the_inputs(self):
@@ -618,13 +636,13 @@ class TestKernelForm:
             net, data, x_test = TestExactFit.problem(dims, heteroscedastic, channels, n)
             kernel_side = n * o <= net.architecture.parameter_count
             assert kernel_side == (n == n_kernel)
-            prior = float(np.max(np.diag(kernel_matrix(net, x_test, channels=channels))))
+            prior = float(np.max(np.diag(kernel_matrix(net, x_test))))
             mean_o, var_o = dense_oracle(net, data, x_test, "linearized_nn", "function", channels)
             # Exact fits, then Lanczos fits of full rank on their own side.
             for fit_path, tol in ((nullcontext(), 1e-10), (matrix_free(), 1e-6)):
                 fit = fit_function_space if kernel_side else fit_parameter_space
                 with fit_path:
-                    post = fit(net, data, mean_kind="linearized_nn", channels=channels)
+                    post = fit(net, data, mean_kind="linearized_nn")
                 if kernel_side:
                     assert post.inputs.shape == (n, dims[0])
                     assert post.variance_root.shape[0] == n * o
@@ -646,7 +664,7 @@ class TestKernelForm:
         sizes = count_dense_blocks(monkeypatch)
         for fit_path in (nullcontext(), matrix_free(rank=6)):
             with fit_path:
-                post = fit_posterior(net, data, channels=(0,))
+                post = fit_posterior(net, data)
             predict(post, net, x_test)
             assert post.inputs is not None
         assert sizes == []
@@ -789,35 +807,33 @@ class TestChunkedPredict:
         net = make_net([2, 16, 1], seed=23, heteroscedastic=True)
         x = rng.standard_normal((6, 2))
         x_test = rng.standard_normal((9, 2))
-        for channels in (None, (0,)):
-            y = rng.standard_normal((6, 2 if channels is None else 1))
-            data = TaskDataset(x, y, noise_variance=0.1)
-            # Both exact fits are in kernel form here; the rank-8
-            # matrix-free parameter-space fit is in feature form.
-            for fit, fit_path in ((fit_function_space, nullcontext()),
-                                 (fit_parameter_space, nullcontext()),
-                                 (fit_parameter_space, matrix_free(rank=8))):
-                with fit_path:
-                    post = fit(net, data, mean_kind="linearized_nn", channels=channels)
-                mean_one, var_one = predict(post, net, x_test)
-                if post.inputs is None:
-                    # Dense query blocks of at most 3 data.
-                    arch = net.architecture
-                    cap = 3 * arch.parameter_count * arch.internal_output_dim
-                    sizes = count_dense_blocks(monkeypatch)
-                else:
-                    # Cross kernels of at most 3 query rows.
-                    o = post.variance_root.shape[0] // len(x)
-                    cap = 3 * len(x) * o * o
-                    sizes = count_cross_kernel_rows(monkeypatch)
-                mean, var = predict(post, net, x_test, cap=cap)
-                monkeypatch.undo()
-                assert max(sizes) <= 3 and len(sizes) >= 3
-                scale = float(np.max(np.diag(kernel_matrix(net, x_test, channels=channels))))
-                np.testing.assert_array_equal(mean, mean_one)
-                np.testing.assert_allclose(var, var_one, rtol=1e-12, atol=1e-12 * scale)
-                ref = matrix_free_variances(post, net, x_test)
-                np.testing.assert_allclose(var, ref, rtol=1e-12, atol=1e-12 * scale)
+        data = TaskDataset(x, rng.standard_normal((6, 1)), noise_variance=0.1)
+        # Both exact fits are in kernel form here; the rank-8
+        # matrix-free parameter-space fit is in feature form.
+        for fit, fit_path in ((fit_function_space, nullcontext()),
+                             (fit_parameter_space, nullcontext()),
+                             (fit_parameter_space, matrix_free(rank=8))):
+            with fit_path:
+                post = fit(net, data, mean_kind="linearized_nn")
+            mean_one, var_one = predict(post, net, x_test)
+            if post.inputs is None:
+                # Dense query blocks of at most 3 data.
+                arch = net.architecture
+                cap = 3 * arch.parameter_count * arch.internal_output_dim
+                sizes = count_dense_blocks(monkeypatch)
+            else:
+                # Cross kernels of at most 3 query rows.
+                o = post.variance_root.shape[0] // len(x)
+                cap = 3 * len(x) * o * o
+                sizes = count_cross_kernel_rows(monkeypatch)
+            mean, var = predict(post, net, x_test, cap=cap)
+            monkeypatch.undo()
+            assert max(sizes) <= 3 and len(sizes) >= 3
+            scale = float(np.max(np.diag(kernel_matrix(net, x_test))))
+            np.testing.assert_array_equal(mean, mean_one)
+            np.testing.assert_allclose(var, var_one, rtol=1e-12, atol=1e-12 * scale)
+            ref = matrix_free_variances(post, net, x_test)
+            np.testing.assert_allclose(var, ref, rtol=1e-12, atol=1e-12 * scale)
 
     def test_one_sensitivity_pass_per_query_chunk(self, monkeypatch):
         # The chunk's cross kernel and its prior variances share one pass
@@ -886,25 +902,46 @@ class TestHeteroscedasticChannels:
         data = TaskDataset(x, y, noise_variance=0.2)
         x_test = rng.standard_normal((3, 2))
         with matrix_free():
-            post = fit_function_space(net, data, channels=(0,))
+            post = fit_function_space(net, data)
         mean, var = predict(post, net, x_test)
         mean_o, var_o = dense_oracle(net, data, x_test, space="function", channels=(0,))
         np.testing.assert_allclose(mean, mean_o, rtol=1e-6, atol=1e-10)
         np.testing.assert_allclose(var, var_o, rtol=1e-6, atol=1e-10)
 
     def test_channel_count_must_match_targets(self):
+        # Targets as wide as the (mean, scale) outputs, not the mean view.
         rng = np.random.default_rng(14)
         net = make_net([2, 6, 1], seed=15, heteroscedastic=True)
-        data = TaskDataset(rng.standard_normal((4, 2)), rng.standard_normal((4, 1)), 0.1)
-        with pytest.raises(ContractViolationError, match="channels"):
+        data = TaskDataset(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), 0.1)
+        with pytest.raises(ContractViolationError, match="2 channels but the regression view has 1"):
             fit_function_space(net, data)
 
-    def test_bad_channel_indices_rejected(self):
-        rng = np.random.default_rng(15)
-        net = make_net([2, 6, 1], seed=16, heteroscedastic=True)
-        data = TaskDataset(rng.standard_normal((4, 2)), rng.standard_normal((4, 1)), 0.1)
-        with pytest.raises(ContractViolationError):
-            fit_function_space(net, data, channels=(5,))
+    # p = 74 and o = 2: n*o = 12 on the kernel side, 80 on the p side.
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_two_output_mean_view_matches_dense_oracle_on_both_sides(self, n):
+        # Targets as wide as output_dim regress on the mean columns 0 and 2
+        # of the (mean, scale) pairs, with no channel argument anywhere.
+        rng = np.random.default_rng(31)
+        net = make_net([2, 10, 2], seed=31, heteroscedastic=True)
+        p, mean_columns = net.architecture.parameter_count, (0, 2)
+        x = rng.uniform(-2.0, 2.0, size=(n, 2))
+        data = TaskDataset(x, np.sin(x) + 0.1 * rng.standard_normal((n, 2)), noise_variance=0.05)
+        x_test = rng.uniform(-2.5, 2.5, size=(7, 2))
+        j = select_columns(JacobianOperator(net, x).dense(), 4, mean_columns)
+        jt = select_columns(JacobianOperator(net, x_test).dense(), 4, mean_columns)
+        for got, want in ((kernel_matrix(net, x), j.T @ j), (kernel_matrix(net, x, x_test), j.T @ jt)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        post = fit_posterior(net, data, mean_kind="linearized_nn")
+        assert post.channels == mean_columns
+        assert (post.inputs is not None) == (2 * n <= p)
+        mean, var = predict(post, net, x_test)
+        mean_o, var_o = dense_oracle(net, data, x_test, "linearized_nn", "function", mean_columns)
+        prior = float(np.max(np.einsum("pj,pj->j", jt, jt)))
+        np.testing.assert_allclose(mean, mean_o, rtol=1e-10, atol=1e-10 * np.max(np.abs(mean_o)))
+        assert np.max(np.abs(var - var_o)) <= 1e-10 * prior
+        got = log_marginal_likelihood(net, data, mean_kind="linearized_nn")
+        expected = dense_log_marginal(net, data, "linearized_nn", mean_columns)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
 def dense_log_marginal(network, data, mean_kind="zero", channels=None):
@@ -961,9 +998,9 @@ class TestLogMarginalLikelihood:
         net, data, _ = TestExactFit.problem(dims, heteroscedastic, channels, n)
         o = dims[-1] if channels is None else len(channels)
         p = net.architecture.parameter_count
-        side = factor_gram(net, data.x, channels).side
+        side = factor_gram(net, data.x).side
         assert side == ("function" if n * o <= p else "parameter")
-        got = log_marginal_likelihood(net, data, mean_kind=mean_kind, channels=channels)
+        got = log_marginal_likelihood(net, data, mean_kind=mean_kind)
         expected = dense_log_marginal(net, data, mean_kind, channels)
         assert abs(got - expected) <= 1e-10 * abs(expected)
 

@@ -6,11 +6,15 @@ traced benchmark run fail; these tests fail first instead. They read the
 tracer's instrument table, and install the tracer only around small
 fits, adaptations, MAP fits and single Laplace draws. The package's
 ``__all__`` is checked the same way, so that a deletion leaving a stale
-export fails here rather than in ``from tangentgp import *``.
+export fails here rather than in ``from tangentgp import *``. The
+signatures of ``tangentgp.gp``'s public functions are checked for a
+``channels`` parameter: the network's architecture fixes the GP's
+regression view, so no caller picks one.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,7 @@ import pytest
 
 import tangentgp
 import tangentgp.glm as glm_module
+import tangentgp.gp as gp_module
 from tangentgp.adapt import AdaptConfig, adapt_task
 from tangentgp.glm import (
     ClassificationData,
@@ -61,6 +66,16 @@ def test_every_traced_name_resolves(entry):
 
 def test_every_exported_name_resolves():
     assert [name for name in tangentgp.__all__ if not hasattr(tangentgp, name)] == []
+
+
+def test_no_public_gp_function_takes_channels():
+    public = [
+        name
+        for name, value in vars(gp_module).items()
+        if inspect.isfunction(value) and value.__module__ == gp_module.__name__ and not name.startswith("_")
+    ]
+    assert "fit_posterior" in public and "kernel_matrix" in public
+    assert [name for name in public if "channels" in inspect.signature(getattr(gp_module, name)).parameters] == []
 
 
 def test_fit_posterior_fits_count_per_dual_system():
