@@ -7,9 +7,12 @@ fixed-noise tasks). Tasks with an exact kernel-side fit and the same
 context and eval sizes are adapted together: one forward trace per input
 set for the whole group, and batched kernels, eigendecompositions,
 leave-one-out scores and predictions over a leading task axis.
-Baselines (no retraining at all, refitting only the final layer), a
-seeded sinusoid task generator and the sinusoid transfer experiment live
-here too.
+The baselines (no retraining at all, refitting only the final layer)
+live here too: all heads are refitted in one stacked loop, and both
+baselines of every eval set of one size come from one forward trace of
+the source. Metrics reduce over the last two axes, so every stack is
+scored in one pass. A seeded sinusoid task generator and the sinusoid
+transfer experiment complete the module.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .net import (
     MlpNetwork,
     OptimizerConfig,
     TaskDataset,
+    _check_loss,
     _forward_trace,
     _loss_and_output_grad,
     forward,
@@ -69,25 +73,39 @@ class Metrics:
     nll: float
 
 
-def _regression_outputs(network: MlpNetwork, x) -> np.ndarray:
-    """The network's outputs at ``x`` in its regression view (``MlpArchitecture.regression_channels``)."""
-    out = forward(network, x)
-    channels = network.architecture.regression_channels
-    return out if channels is None else out[:, list(channels)]
+def _regression_view(arch: MlpArchitecture, outputs: np.ndarray) -> np.ndarray:
+    """Internal ``outputs`` (..., columns) in the regression view
+    (``MlpArchitecture.regression_channels``)."""
+    channels = arch.regression_channels
+    return outputs if channels is None else outputs[..., list(channels)]
 
 
-def gaussian_nll(mean: np.ndarray, variance: np.ndarray, targets: np.ndarray) -> float:
-    """Average negative log density per scalar target under N(mean, variance)."""
+def gaussian_nll(mean: np.ndarray, variance, targets: np.ndarray):
+    """Average negative log density per scalar target under N(mean, variance).
+
+    Reduces over the last two axes (data, channels): a (T, m, o) stack
+    gives T values, each bitwise the 2-D call on its slice. ``variance``
+    broadcasts against ``mean``; any entry that is not > 0 (NaN included)
+    raises.
+    """
     variance = np.broadcast_to(np.asarray(variance, dtype=np.float64), mean.shape)
-    if np.any(variance <= 0.0):
+    if not np.all(variance > 0.0):
         raise ContractViolationError("predictive variance must be positive for the NLL")
     dev = targets - mean
-    return float(np.mean(0.5 * (np.log(2.0 * np.pi * variance) + dev * dev / variance)))
+    return np.mean(0.5 * (np.log(2.0 * np.pi * variance) + dev * dev / variance), axis=(-2, -1))
 
 
-def mean_squared_error(pred: np.ndarray, targets: np.ndarray) -> float:
+def mean_squared_error(pred: np.ndarray, targets: np.ndarray):
+    """Mean squared error over the last two axes, like ``gaussian_nll``."""
     dev = pred - targets
-    return float(np.mean(dev * dev))
+    return np.mean(dev * dev, axis=(-2, -1))
+
+
+def _metrics(pred: np.ndarray, variance, targets: np.ndarray) -> list[Metrics]:
+    """The metrics of each task of (T, m, o) stacks of predictions and targets."""
+    mse = mean_squared_error(pred, targets)
+    nll = gaussian_nll(pred, variance, targets)
+    return [Metrics(mse=float(a), nll=float(b)) for a, b in zip(mse, nll)]
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +347,8 @@ def adapt_task(
         return posterior, None
     mean, var = predict(posterior, source, eval_set.x)
     if cfg.center_on_network:
-        mean = mean + _regression_outputs(source, eval_set.x)
-    return posterior, Metrics(
-        mse=mean_squared_error(mean, eval_set.y),
-        nll=gaussian_nll(mean, var + sigma2, eval_set.y),
-    )
+        mean = mean + _regression_view(arch, forward(source, eval_set.x))
+    return posterior, _metrics(mean[None], var[None] + sigma2, eval_set.y[None])[0]
 
 
 def _stack_entries(arch: MlpArchitecture, context: TaskDataset, eval_set, cfg: AdaptConfig):
@@ -369,7 +384,8 @@ def _adapt_stack(source: MlpNetwork, pairs, cfg: AdaptConfig, fingerprint: str):
     variances. One batched eigendecomposition gives every task's
     leave-one-out scores, dual weights c = (K + s I)^-1 r and root
     V (E + s)^-1/2. The eval mean is K(X, X*)' c and the variance is the
-    kernel-form one of ``gp.predict``. Any failure raises for the whole
+    kernel-form one of ``gp.predict``; one reduction over the (T, m, o)
+    stacks gives every task's metrics. Any failure raises for the whole
     stack.
     """
     channels = source.architecture.regression_channels
@@ -413,16 +429,8 @@ def _adapt_stack(source: MlpNetwork, pairs, cfg: AdaptConfig, fingerprint: str):
     if cfg.center_on_network:
         mean = mean + query.outputs.reshape(shape)
     var = np.maximum(_kernel_form_variances(roots, cross, prior), 0.0).reshape(shape)
-    return [
-        (
-            posterior,
-            Metrics(
-                mse=mean_squared_error(mean[i], e.y),
-                nll=gaussian_nll(mean[i], var[i] + sigma2[i], e.y),
-            ),
-        )
-        for i, (posterior, e) in enumerate(zip(posteriors, evals))
-    ]
+    metrics = _metrics(mean, var + sigma2[:, None, None], np.stack([e.y for e in evals]))
+    return list(zip(posteriors, metrics))
 
 
 def _adapt_one(source: MlpNetwork, task_id: int, context, eval_set, cfg: AdaptConfig):
@@ -509,16 +517,54 @@ def run_adaptation(source: MlpNetwork, tasks, cfg: AdaptConfig = AdaptConfig()) 
 # Baselines
 
 
-def baseline_no_retrain(
-    source: MlpNetwork, eval_set: TaskDataset, noise_variance: float | None = None
-) -> Metrics:
-    """Evaluate the unmodified source network; the floor every method must beat."""
-    sigma2 = noise_variance if noise_variance is not None else eval_set.noise_variance
-    pred = _regression_outputs(source, eval_set.x)
-    return Metrics(
-        mse=mean_squared_error(pred, eval_set.y),
-        nll=gaussian_nll(pred, np.full_like(pred, sigma2), eval_set.y),
-    )
+def score_baselines(
+    source: MlpNetwork, tasks, cfg: OptimizerConfig, noise_variance: float | None = None
+) -> list[tuple[Metrics, Metrics]]:
+    """The (no-retrain, last-layer) metrics of each (context, eval) pair, in order.
+
+    No-retrain scores the unmodified source, the floor every method must
+    beat; last-layer scores the fixed-budget head refit of
+    ``refit_last_layer``, one call for every context. Eval sets of one
+    size are scored together: one forward trace of the source over their
+    concatenated inputs gives the no-retrain outputs and the last hidden
+    features H, and head t's outputs are H_t W_t' + b_t (a refit's earlier
+    layers are the source's, bit for bit). Both are read in the
+    regression view. The NLL variance is ``noise_variance``, or else each
+    eval set's own.
+    """
+    tasks = list(tasks)
+    arch = source.architecture
+    groups = {}
+    for task, (_, eval_set) in enumerate(tasks):
+        if eval_set is None:
+            raise ContractViolationError(f"task {task} has no eval set to score")
+        _check_widths(arch, task, eval_set, "eval ")
+        groups.setdefault(eval_set.n, []).append(task)
+    refits = refit_last_layer(source, [context for context, _ in tasks], cfg)
+    scores = [None] * len(tasks)
+    for members in groups.values():
+        evals = [tasks[i][1] for i in members]
+        out, inputs, _ = _forward_trace(source, np.concatenate([e.x for e in evals]))
+        shape = (len(members), evals[0].n, -1)
+        weights, biases = zip(*(refits[i].layers()[-1] for i in members))
+        heads = inputs[-1].reshape(shape) @ np.stack(weights).transpose(0, 2, 1)
+        heads = heads + np.stack(biases)[:, None]
+        targets = np.stack([e.y for e in evals])
+        sigma2 = [e.noise_variance if noise_variance is None else noise_variance for e in evals]
+        sigma2 = np.array(sigma2, dtype=np.float64)[:, None, None]
+        plain = _metrics(_regression_view(arch, out.reshape(shape)), sigma2, targets)
+        tuned = _metrics(_regression_view(arch, heads), sigma2, targets)
+        for i, pair in zip(members, zip(plain, tuned)):
+            scores[i] = pair
+    return scores
+
+
+def _check_widths(arch: MlpArchitecture, task: int, data: TaskDataset, what: str = "") -> None:
+    if data.x.shape[1] != arch.input_dim or data.y.shape[1] != arch.output_dim:
+        raise ContractViolationError(
+            f"task {task} has {data.x.shape[1]} {what}inputs and {data.y.shape[1]} {what}targets; "
+            f"the network takes {arch.input_dim} and emits {arch.output_dim}"
+        )
 
 
 # Overflow ends in the typed divergence errors below, not in raw numpy warnings.
@@ -529,24 +575,23 @@ def refit_last_layer(
     """Retrain only the final layer on each context set, features frozen.
 
     The head of an MLP is an affine network over the last hidden
-    activations. Contexts of one size n draw the same batch order from
-    ``substream(cfg.seed, "train")``, so their heads step together as one
-    (T, d) stack under the update rules of ``net.train``; each refit is
+    activations, which one forward trace per context gives. Contexts of
+    one size n draw the same batch order from ``substream(cfg.seed,
+    "train")``, so their heads step together as one (T, d) stack under the
+    update rules of ``net.train`` (``_train_heads``); each refit is
     bitwise the ``net.train`` run on that context's one-layer head view.
-    Everything before the final layer stays bit-identical. Returns one
-    network per context, in order; a divergence names the context's index.
+    Everything before the final layer stays bit-identical. The loss must
+    fit the architecture (``net._check_loss``). Returns one network per
+    context, in order; a divergence names the context's index.
     """
     started = time.perf_counter()
     arch = source.architecture
+    _check_loss(arch, cfg.loss)
     w_slice, b_slice, _, _ = arch.layer_slices()[-1]
     last = slice(w_slice.start, b_slice.stop)  # the final layer's weights, then its bias
     groups = {}
     for task, context in enumerate(contexts):
-        if context.x.shape[1] != arch.input_dim or context.y.shape[1] != arch.output_dim:
-            raise ContractViolationError(
-                f"task {task} has {context.x.shape[1]} inputs and {context.y.shape[1]} "
-                f"targets; the network takes {arch.input_dim} and emits {arch.output_dim}"
-            )
+        _check_widths(arch, task, context)
         features = _forward_trace(source, context.x)[1][-1]
         groups.setdefault(context.n, []).append((task, features, context.y))
     heads = {}
@@ -570,8 +615,10 @@ def _train_heads(features, targets, theta, cfg: OptimizerConfig, tasks):
     """``net.train``'s minibatch loop for a (T, o*f + o) stack of affine heads.
 
     ``features`` is (T, n, f) and ``targets`` (T, n, o'); every head sees
-    the same batch indices. Raises ``TrainingDivergenceError`` naming the
-    first task (from ``tasks``) whose loss or parameters go non-finite.
+    the same batch indices. Each step writes its gradient into one (T, d)
+    buffer and checks the loss and the parameters with one finiteness
+    test each. Raises ``TrainingDivergenceError`` naming the first task
+    (from ``tasks``) whose loss or parameters go non-finite.
     """
     t, n, f = features.shape
     o = theta.shape[1] // (f + 1)
@@ -579,30 +626,34 @@ def _train_heads(features, targets, theta, cfg: OptimizerConfig, tasks):
     rng = substream(cfg.seed, "train")
     velocity = np.zeros_like(theta)
     adam = Adam(theta.shape, cfg.learning_rate)
+    grad = np.empty_like(theta)
+    grad_w = grad[:, :w_count].reshape(t, o, f)  # views of the buffer
+    grad_b = grad[:, w_count:]
 
     def outputs(theta, h):
         return h @ theta[:, :w_count].reshape(t, o, f).transpose(0, 2, 1) + theta[:, None, w_count:]
 
     def check(values, what, epoch):
-        bad = ~np.isfinite(values.reshape(t, -1)).all(axis=1)
-        if bad.any():
-            task = tasks[int(np.argmax(bad))]
-            raise TrainingDivergenceError(
-                f"last-layer refit of task {task}: non-finite {what} at epoch {epoch}",
-                epoch=epoch,
-                task=task,
-            )
+        if np.isfinite(values).all():
+            return
+        task = tasks[int(np.argmin(np.isfinite(values.reshape(t, -1)).all(axis=1)))]
+        raise TrainingDivergenceError(
+            f"last-layer refit of task {task}: non-finite {what} at epoch {epoch}",
+            epoch=epoch,
+            task=task,
+        )
 
     for epoch in range(cfg.epochs):
+        # One gather per epoch; each batch is then a slice of it.
         order = rng.permutation(n)
+        shuffled, shuffled_targets = features[:, order], targets[:, order]
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            h = features[:, batch]
-            loss, delta = _loss_and_output_grad(outputs(theta, h), targets[:, batch], cfg.loss)
+            h = shuffled[:, start : start + cfg.batch_size]
+            y = shuffled_targets[:, start : start + cfg.batch_size]
+            loss, delta = _loss_and_output_grad(outputs(theta, h), y, cfg.loss)
             check(loss, "training loss", epoch)
-            grad = np.concatenate(
-                [(delta.transpose(0, 2, 1) @ h).reshape(t, w_count), delta.sum(axis=1)], axis=1
-            )
+            np.matmul(delta.transpose(0, 2, 1), h, out=grad_w)
+            np.add.reduce(delta, axis=1, out=grad_b)
             if cfg.optimizer == "sgd-momentum":
                 velocity = cfg.momentum * velocity - cfg.learning_rate * grad
                 theta = theta + velocity
@@ -612,25 +663,6 @@ def _train_heads(features, targets, theta, cfg: OptimizerConfig, tasks):
         loss, _ = _loss_and_output_grad(outputs(theta, features), targets, cfg.loss)
         check(loss, "training loss", epoch)
     return theta
-
-
-def baseline_last_layer(
-    source: MlpNetwork,
-    tasks,
-    cfg: OptimizerConfig,
-    noise_variance: float | None = None,
-) -> list[Metrics]:
-    """Fixed-budget final-layer fine-tuning, evaluated like the other methods.
-
-    ``tasks`` is a list of (context, eval) pairs; every head is refitted in
-    one ``refit_last_layer`` call and scored on its eval set.
-    """
-    tasks = list(tasks)
-    refits = refit_last_layer(source, [context for context, _ in tasks], cfg)
-    return [
-        baseline_no_retrain(refit, eval_set, noise_variance)
-        for refit, (_, eval_set) in zip(refits, tasks)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +759,7 @@ def sinusoid_experiment(cfg: SinusoidExperimentConfig = SinusoidExperimentConfig
     information.
     """
     source, source_task, source_opt = train_sinusoid_source(cfg)
-    source_mse = mean_squared_error(forward(source, source_task.x), source_task.y)
+    source_mse = float(mean_squared_error(forward(source, source_task.x), source_task.y))
     spec = SinusoidTaskSpec(points_per_task=cfg.points_per_task, seed=cfg.seed + 1)
     raw_tasks = sample_sinusoid_tasks(spec, cfg.num_tasks)
     pairs = [stratified_split(t, cfg.context_size) for t in raw_tasks]
@@ -738,11 +770,8 @@ def sinusoid_experiment(cfg: SinusoidExperimentConfig = SinusoidExperimentConfig
     for record in run.tasks:
         if record.status == "failed":
             raise FitError(f"task {record.task_id} did not adapt: {record.error}")
-    heads = baseline_last_layer(source, pairs, source_opt, source_mse)
-    scores = [
-        (record.metrics, baseline_no_retrain(source, eval_set, source_mse), head)
-        for record, (_, eval_set), head in zip(run.tasks, pairs, heads)
-    ]
+    baselines = score_baselines(source, pairs, source_opt, source_mse)
+    scores = [(record.metrics, *pair) for record, pair in zip(run.tasks, baselines)]
     rows = [
         _result_row(task_id, method, cfg.context_size, m)
         for task_id, metrics in enumerate(scores)

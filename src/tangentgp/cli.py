@@ -25,12 +25,11 @@ from .adapt import (
     AdaptConfig,
     SinusoidTaskSpec,
     _result_row,
-    baseline_last_layer,
-    baseline_no_retrain,
     decade_grid,
     results_csv,
     run_adaptation,
     sample_sinusoid_tasks,
+    score_baselines,
     sinusoid_experiment,
     stratified_split,
 )
@@ -242,14 +241,13 @@ def cmd_adapt(args) -> int:
     cfg = _adapt_config(resolved)
     run = run_adaptation(network, pairs, cfg)
     gp = block_or_defaults(resolved, "gp")
-    sigma2 = gp["noise_variance"]
-    heads = {}
-    # Tasks with a GP row get baseline rows; all their heads refit at once.
+    baselines = {}
+    # Tasks with a GP row get baseline rows, all scored in one call.
     scored = [r.task_id for r in run.tasks if r.metrics is not None]
     if gp["baselines"] and scored:
         try:
-            metrics = baseline_last_layer(
-                network, [pairs[i] for i in scored], optimizer_from(resolved), sigma2
+            scores = score_baselines(
+                network, [pairs[i] for i in scored], optimizer_from(resolved), gp["noise_variance"]
             )
         except TrainingDivergenceError as exc:
             raise TrainingDivergenceError(
@@ -258,9 +256,9 @@ def cmd_adapt(args) -> int:
                 epoch=exc.epoch,
                 task=scored[exc.task],
             ) from exc
-        heads = dict(zip(scored, metrics))
+        baselines = dict(zip(scored, scores))
     rows = []
-    for record, (context, eval_set) in zip(run.tasks, pairs):
+    for record, (context, _) in zip(run.tasks, pairs):
         if record.status == "failed":
             log.warning("task %d failed: %s", record.task_id, record.error)
             continue
@@ -268,10 +266,10 @@ def cmd_adapt(args) -> int:
             continue
         size = context.x.shape[0]
         rows.append(_result_row(record.task_id, "finite-ntk", size, record.metrics))
-        if record.task_id in heads:
-            plain = baseline_no_retrain(network, eval_set, noise_variance=sigma2)
+        if record.task_id in baselines:
+            plain, head = baselines[record.task_id]
             rows.append(_result_row(record.task_id, "no-retrain", size, plain))
-            rows.append(_result_row(record.task_id, "last-layer", size, heads[record.task_id]))
+            rows.append(_result_row(record.task_id, "last-layer", size, head))
     if args.posterior_out is not None:
         fitted = [t for t in run.tasks if t.posterior is not None]
         if len(fitted) != 1:

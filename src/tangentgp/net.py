@@ -497,6 +497,24 @@ def _loss_and_output_grad(outputs: np.ndarray, y: np.ndarray, loss: str):
     raise ContractViolationError(f"loss must be one of {LOSSES}, got {loss!r}")
 
 
+def _check_loss(arch: MlpArchitecture, loss: str) -> None:
+    """Raise unless ``loss`` is "heteroscedastic-gaussian" exactly when ``arch`` is heteroscedastic.
+
+    A heteroscedastic net emits a (mean, raw-scale) pair per target, which
+    only that loss reads; any other loss on it, or that loss on a plain
+    net, would fit the wrong columns or fail to broadcast.
+    """
+    if (loss == "heteroscedastic-gaussian") != arch.heteroscedastic:
+        why = (
+            "a heteroscedastic architecture needs 'heteroscedastic-gaussian'"
+            if arch.heteroscedastic
+            else "that loss needs a heteroscedastic architecture"
+        )
+        raise ContractViolationError(
+            f"optimizer.loss {loss!r} does not fit the architecture {arch.to_dict()}: {why}"
+        )
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     optimizer: str = "sgd-momentum"
@@ -561,6 +579,7 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
         raise ContractViolationError(
             f"dataset target dim {data.y.shape[1]} does not match output_dim {arch.output_dim}"
         )
+    _check_loss(arch, cfg.loss)
     rng = substream(cfg.seed, "train")
     theta = network.params.copy()
     velocity = np.zeros_like(theta)

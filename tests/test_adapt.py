@@ -21,14 +21,13 @@ from tangentgp.adapt import (
     SinusoidTaskSpec,
     _result_row,
     adapt_task,
-    baseline_last_layer,
-    baseline_no_retrain,
     gaussian_nll,
     mean_squared_error,
     refit_last_layer,
     results_csv,
     run_adaptation,
     sample_sinusoid_tasks,
+    score_baselines,
     select_noise_by_loo,
     sinusoid_experiment,
     sinusoid_targets,
@@ -100,6 +99,28 @@ class TestMetricsHelpers:
     def test_gaussian_nll_rejects_nonpositive_variance(self):
         with pytest.raises(ContractViolationError, match="positive"):
             gaussian_nll(np.zeros((2, 1)), np.array([[1.0], [0.0]]), np.zeros((2, 1)))
+
+    def test_gaussian_nll_rejects_nan_variance(self):
+        # NaN compares false both ways; a NaN variance must not pass as positive.
+        with pytest.raises(ContractViolationError, match="positive"):
+            gaussian_nll(np.zeros((2, 1)), np.array([[1.0], [np.nan]]), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("metric", ["mse", "nll"])
+    def test_stack_equals_per_slice_calls(self, metric):
+        # A (T, m, o) stack reduces over its last two axes: each task's
+        # metric is bitwise the 2-D call on its slice.
+        rng = np.random.default_rng(29)
+        t, m, o = 5, 37, 3
+        pred, targets = rng.standard_normal((2, t, m, o))
+        variance = rng.uniform(0.1, 2.0, size=(t, m, o))
+        if metric == "mse":
+            values = mean_squared_error(pred, targets)
+            per_slice = [mean_squared_error(pred[k], targets[k]) for k in range(t)]
+        else:
+            values = gaussian_nll(pred, variance, targets)
+            per_slice = [gaussian_nll(pred[k], variance[k], targets[k]) for k in range(t)]
+        assert values.shape == (t,)
+        assert [values[k] for k in range(t)] == per_slice
 
     def test_results_csv_layout(self):
         csv = results_csv([["0", "finite-ntk", "10", "1.5", "2.5"]])
@@ -640,15 +661,16 @@ class TestStackedAdaptation:
 
 class TestBaselines:
     def test_no_retrain_equals_source_training_mse(self):
-        source, data, _ = trained_source()
-        metrics = baseline_no_retrain(source, data)
+        source, data, opt = trained_source()
+        ((metrics, _),) = score_baselines(source, [(data, data)], opt)
         assert metrics.mse == mean_squared_error(forward(source, data.x), data.y)
 
     def test_no_retrain_constant_zero_network(self):
         arch = MlpArchitecture(1, (4,), 1, activation="tanh")
         net = MlpNetwork(arch, np.zeros(arch.parameter_count))
         data = TaskDataset(np.ones((5, 1)), np.zeros((5, 1)), 1.0)
-        assert baseline_no_retrain(net, data).mse == 0.0
+        ((metrics, _),) = score_baselines(net, [(data, data)], OptimizerConfig(epochs=1))
+        assert metrics.mse == 0.0
 
     def test_refit_freezes_hidden_features(self):
         source, data, opt = trained_source()
@@ -662,8 +684,7 @@ class TestBaselines:
 
     def test_last_layer_on_own_data_cannot_hurt(self):
         source, data, opt = trained_source()
-        plain = baseline_no_retrain(source, data)
-        (head,) = baseline_last_layer(source, [(data, data)], opt)
+        ((plain, head),) = score_baselines(source, [(data, data)], opt)
         assert head.mse <= plain.mse + 1e-8
 
     def test_last_layer_matches_ridge_oracle(self):
@@ -782,6 +803,126 @@ class TestStackedHeadRefit:
         with pytest.raises(TrainingDivergenceError, match="task 1: non-finite .* at epoch 0") as info:
             refit_last_layer(source, [exact, contexts[1]], cfg)
         assert info.value.task == 1 and info.value.epoch == 0
+
+
+def per_task_baselines(source, tasks, cfg, noise_variance=None):
+    """The reference scorer: each task's own forward pass of the source and of its refit."""
+    refits = refit_last_layer(source, [context for context, _ in tasks], cfg)
+    channels = source.architecture.regression_channels
+
+    def metrics(net, eval_set):
+        pred = forward(net, eval_set.x)
+        if channels is not None:
+            pred = pred[:, list(channels)]
+        sigma2 = eval_set.noise_variance if noise_variance is None else noise_variance
+        return Metrics(
+            mse=float(mean_squared_error(pred, eval_set.y)),
+            nll=float(gaussian_nll(pred, np.full_like(pred, sigma2), eval_set.y)),
+        )
+
+    return [(metrics(source, e), metrics(refit, e)) for refit, (_, e) in zip(refits, tasks)]
+
+
+def scored_pairs(source, context_sizes, eval_sizes, seed=7):
+    """(context, eval) pairs of smooth targets in the source's regression width."""
+    arch = source.architecture
+    rng = np.random.default_rng(seed)
+
+    def dataset(n):
+        x = rng.uniform(-2.0, 2.0, size=(n, arch.input_dim))
+        y = np.sin(x[:, :1] * np.arange(1, arch.output_dim + 1)) + rng.normal(0, 0.1, (n, arch.output_dim))
+        return TaskDataset(x, y, noise_variance=float(rng.uniform(0.01, 0.1)))
+
+    return [(dataset(n), dataset(m)) for n, m in zip(context_sizes, eval_sizes)]
+
+
+class TestBaselineScorer:
+    """``score_baselines`` scores each eval-size group from one trace of the
+    source; ``per_task_baselines`` is the per-task loop it replaced."""
+
+    # Bound on the last-bit changes of a concatenated trace, fixed before
+    # the stacked scorer was written: BLAS kernels may round a row
+    # differently at a different row count.
+    RTOL = 1e-12
+
+    def assert_close(self, got, want):
+        assert len(got) == len(want)
+        for got_pair, want_pair in zip(got, want):
+            for g, w in zip(got_pair, want_pair):
+                assert g.mse == pytest.approx(w.mse, rel=self.RTOL, abs=0.0)
+                assert g.nll == pytest.approx(w.nll, rel=self.RTOL, abs=0.0)
+
+    def test_sinusoid_shape_is_bitwise_the_per_task_loop(self):
+        # The sinusoid experiment's shape: a (40, 40) tanh net and 20 eval
+        # sets of 40 points, one group; its rows are byte-identical.
+        source = init_network(MlpArchitecture(1, (40, 40), 1, activation="tanh"), seed=3)
+        tasks = sample_sinusoid_tasks(SinusoidTaskSpec(points_per_task=50, seed=3), 20)
+        pairs = [stratified_split(task, 10) for task in tasks]
+        cfg = OptimizerConfig(learning_rate=1e-3, epochs=5, batch_size=3, seed=3)
+        got = score_baselines(source, pairs, cfg, noise_variance=1e-4)
+        assert got == per_task_baselines(source, pairs, cfg, noise_variance=1e-4)
+
+    @pytest.mark.parametrize("noise_variance", [None, 0.05])
+    def test_mixed_eval_sizes(self, noise_variance):
+        source = init_network(MlpArchitecture(2, (9, 6), 2), seed=8)
+        pairs = scored_pairs(source, (10, 10, 13, 10, 13, 10), (7, 12, 7, 30, 12, 1))
+        cfg = OptimizerConfig(optimizer="adam", learning_rate=0.05, epochs=4, batch_size=4, seed=1)
+        got = score_baselines(source, pairs, cfg, noise_variance)
+        self.assert_close(got, per_task_baselines(source, pairs, cfg, noise_variance))
+        # Each task's NLL uses its own eval noise unless one is given.
+        assert got[0][0].nll != got[2][0].nll
+
+    def test_heteroscedastic_regression_view(self):
+        # Both baselines read the mean columns of the (mean, raw-scale) pairs.
+        source, contexts = head_problem("heteroscedastic-gaussian", (10, 10, 14))
+        evals = [pair[1] for pair in scored_pairs(source, (1, 1, 1), (6, 6, 9))]
+        pairs = list(zip(contexts, evals))
+        cfg = OptimizerConfig(learning_rate=0.05, epochs=3, batch_size=4, loss="heteroscedastic-gaussian")
+        got = score_baselines(source, pairs, cfg)
+        self.assert_close(got, per_task_baselines(source, pairs, cfg))
+        mean = forward(source, evals[2].x)[:, 0::2]
+        assert got[2][0].mse == pytest.approx(float(mean_squared_error(mean, evals[2].y)), rel=self.RTOL)
+        assert all(plain != head for plain, head in got)
+
+    def test_diverging_head_names_its_task(self):
+        # Tasks 0 and 1 target the source's own outputs (zero gradient), so
+        # only task 2's head can diverge.
+        source, contexts = head_problem("mse", (10, 10, 10))
+        exact = [TaskDataset(c.x, forward(source, c.x), 0.01) for c in contexts[:2]]
+        pairs = [(context, context) for context in (*exact, contexts[2])]
+        cfg = OptimizerConfig(learning_rate=1e300, epochs=3, batch_size=4)
+        with pytest.raises(TrainingDivergenceError, match="task 2: non-finite .* at epoch 0") as info:
+            score_baselines(source, pairs, cfg)
+        assert info.value.task == 2 and info.value.epoch == 0
+
+    def test_one_trace_per_eval_size_and_per_context(self, monkeypatch):
+        source = init_network(MlpArchitecture(1, (8,), 1), seed=2)
+        pairs = scored_pairs(source, (6, 6, 9), (5, 4, 5))
+        rows = []
+        trace = adapt_module._forward_trace
+
+        def spy(network, x):
+            rows.append(len(x))
+            return trace(network, x)
+
+        monkeypatch.setattr(adapt_module, "_forward_trace", spy)
+        score_baselines(source, pairs, OptimizerConfig(epochs=2, batch_size=4))
+        assert rows == [6, 6, 9, 5 + 5, 4]
+
+    def test_rejects_mismatched_eval_width(self):
+        source, contexts = head_problem("mse", (10, 10))
+        bad = TaskDataset(contexts[1].x, contexts[1].y[:, :1], 0.01)
+        with pytest.raises(ContractViolationError, match="task 1 has 2 eval inputs and 1 eval targets"):
+            score_baselines(source, [(contexts[0], contexts[0]), (contexts[1], bad)], OptimizerConfig())
+
+    def test_rejects_a_task_without_eval_set(self):
+        source, contexts = head_problem("mse", (10,))
+        with pytest.raises(ContractViolationError, match="task 0 has no eval set"):
+            score_baselines(source, [(contexts[0], None)], OptimizerConfig())
+
+    def test_no_tasks_no_scores(self):
+        source, _ = head_problem("mse", ())
+        assert score_baselines(source, [], OptimizerConfig()) == []
 
 
 class TestSinusoidExperiment:

@@ -26,7 +26,7 @@ from tangentgp.errors import (
     TrainingDivergenceError,
 )
 from tangentgp.net import JacobianOperator, MlpArchitecture, MlpNetwork, forward, init_network
-from tangentgp.serialize import fmt_float, write_classification_csv, write_dataset_csv
+from tangentgp.serialize import fmt_float, read_dataset_csv, write_classification_csv, write_dataset_csv
 
 TRAIN_CONFIG = {
     "version": 1,
@@ -594,6 +594,86 @@ class TestHeteroscedastic:
         assert np.all(want_var > 0.0)
         np.testing.assert_allclose(mean, want_mean, rtol=1e-10, atol=1e-10 * np.max(np.abs(want_mean)))
         np.testing.assert_allclose(var, want_var, rtol=1e-10)
+
+
+def optimizer_block(loss, batch_size):
+    """A two-epoch optimizer block; ``loss`` None leaves the default ("mse")."""
+    block = {"learning_rate": 1e-3, "epochs": 2, "batch_size": batch_size}
+    if loss is not None:
+        block["loss"] = loss
+    return block
+
+
+class TestLossFitsArchitecture:
+    """The training loss must be "heteroscedastic-gaussian" exactly when the
+    architecture is heteroscedastic; ``train`` and the last-layer baseline
+    both check it before any step and exit 2 naming the key."""
+
+    @staticmethod
+    def adapt_with_baselines(tmp_path, arch, loss):
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(init_network(arch, seed=0), ckpt, {})
+        rng = np.random.default_rng(3)
+        for name, n in (("ctx.csv", 8), ("ev.csv", 5)):
+            x = rng.uniform(-2.0, 2.0, size=(n, 1))
+            write_dataset_csv(tmp_path / name, x, np.sin(x * np.arange(1, arch.output_dim + 1)))
+        manifest = write_json(tmp_path / "tasks.json", [{"context": "ctx.csv", "eval": "ev.csv"}])
+        cfg = write_json(
+            tmp_path / "adapt.json",
+            {
+                "version": 1,
+                "architecture": arch.to_dict(),
+                "gp": {"baselines": True, "noise_variance": 0.01},
+                "optimizer": optimizer_block(loss, batch_size=4),
+            },
+        )
+        out = tmp_path / "o.csv"
+        argv = ["adapt", "--config", cfg, "--checkpoint", str(ckpt), "--tasks", manifest, "--out", str(out)]
+        return main(argv), out
+
+    @pytest.mark.parametrize(
+        "outputs, heteroscedastic, loss",
+        [(2, True, None), (1, True, None), (1, False, "heteroscedastic-gaussian")],
+        ids=["two-channel-heteroscedastic-mse", "one-channel-heteroscedastic-mse", "plain-heteroscedastic-loss"],
+    )
+    def test_train_exits_2(self, tmp_path, capsys, outputs, heteroscedastic, loss):
+        arch = MlpArchitecture(1, (8, 8), outputs, heteroscedastic=heteroscedastic)
+        x = np.linspace(-2.0, 2.0, 20)[:, None]
+        write_dataset_csv(tmp_path / "train.csv", x, np.sin(x * np.arange(1, outputs + 1)))
+        cfg = write_json(
+            tmp_path / "train.json",
+            {"version": 1, "architecture": arch.to_dict(), "optimizer": optimizer_block(loss, batch_size=8),
+             "task": {"kind": "csv", "train_csv": str(tmp_path / "train.csv")}},
+        )
+        out = tmp_path / "ckpt.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"optimizer.loss {loss or 'mse'!r} does not fit the architecture" in err
+        assert f"'heteroscedastic': {heteroscedastic}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "arch, loss",
+        [(MlpArchitecture(1, (8, 8), 2, heteroscedastic=True), None),
+         (MlpArchitecture(1, (8, 8), 1), "heteroscedastic-gaussian")],
+        ids=["heteroscedastic-mse", "plain-heteroscedastic-loss"],
+    )
+    def test_adapt_with_baselines_exits_2(self, tmp_path, capsys, arch, loss):
+        code, out = self.adapt_with_baselines(tmp_path, arch, loss)
+        assert code == 2
+        assert f"optimizer.loss {loss or 'mse'!r} does not fit the architecture" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_heteroscedastic_baselines_read_the_mean_channels(self, tmp_path):
+        arch = MlpArchitecture(1, (8, 8), 2, heteroscedastic=True)
+        code, out = self.adapt_with_baselines(tmp_path, arch, "heteroscedastic-gaussian")
+        assert code == 0
+        _, rows = data_lines(out)
+        assert [row[1] for row in rows] == ["finite-ntk", "no-retrain", "last-layer"]
+        source = load_checkpoint(tmp_path / "ckpt.json")
+        x, y = read_dataset_csv(tmp_path / "ev.csv")
+        mean = forward(source, x)[:, 0::2]
+        assert float(rows[1][3]) == pytest.approx(float(np.mean((mean - y) ** 2)), rel=1e-12)
 
 
 class TestLogLevel:

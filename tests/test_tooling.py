@@ -4,9 +4,10 @@ The benchmark's tracer (``perfbench/spans.py``) patches tangentgp
 functions and methods by name. A rename in the package would make every
 traced benchmark run fail; these tests fail first instead. They read the
 tracer's instrument table, and install the tracer only around small
-fits, adaptations, MAP fits and single Laplace draws. The package's
-``__all__`` is checked the same way, so that a deletion leaving a stale
-export fails here rather than in ``from tangentgp import *``. The
+fits, adaptations (one through the ``adapt`` command), MAP fits and
+single Laplace draws. The package's ``__all__`` is checked the same
+way, so that a deletion leaving a stale export fails here rather than
+in ``from tangentgp import *``. The
 signatures of ``tangentgp.gp``'s public functions are checked for a
 ``channels`` parameter: the network's architecture fixes the GP's
 regression view, so no caller picks one.
@@ -15,6 +16,7 @@ regression view, so no caller picks one.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,9 @@ import pytest
 import tangentgp
 import tangentgp.glm as glm_module
 import tangentgp.gp as gp_module
+from tangentgp import cli
 from tangentgp.adapt import AdaptConfig, adapt_task
+from tangentgp.config import save_checkpoint
 from tangentgp.glm import (
     ClassificationData,
     GlmFitConfig,
@@ -33,6 +37,7 @@ from tangentgp.glm import (
 )
 from tangentgp.gp import fit_posterior
 from tangentgp.net import MlpArchitecture, TaskDataset, init_network
+from tangentgp.serialize import write_dataset_csv
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -141,6 +146,44 @@ def test_adaptation_counts_its_eval_points_on_each_side():
     assert tracer.counts["gp.predict.points"] == 7
     assert tracer.counts["gp.fit.parameter.calls"] == 1
     assert "gp.fit.function.calls" not in tracer.counts
+    assert tracer.mismatches == []
+
+
+def test_adapt_with_baselines_traces_each_input_set_once(tmp_path):
+    # Three 6-point contexts, eval sets of 5, 5 and 7 points. The GP runs
+    # one stacked pass per (context size, eval size) group, each tracing
+    # its contexts and its eval sets once: 2 groups, 4 traces. The
+    # baselines trace the source once per eval size (2) and once per
+    # refit context (3): 9 net.forward spans in all.
+    arch = MlpArchitecture(1, (8,), 1)  # p = 25 >= 6 outputs: the kernel side
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(init_network(arch, seed=0), ckpt, {})
+    rng = np.random.default_rng(4)
+    entries = []
+    for task, m in enumerate((5, 5, 7)):
+        for name, n in (("ctx", 6), ("ev", m)):
+            x = rng.uniform(-2.0, 2.0, size=(n, 1))
+            write_dataset_csv(tmp_path / f"{name}{task}.csv", x, np.sin(x))
+        entries.append({"context": f"ctx{task}.csv", "eval": f"ev{task}.csv"})
+    (tmp_path / "tasks.json").write_text(json.dumps(entries))
+    config = {
+        "version": 1,
+        "gp": {"baselines": True, "noise_variance": 0.01},
+        "optimizer": {"learning_rate": 1e-3, "epochs": 2, "batch_size": 4},
+    }
+    (tmp_path / "adapt.json").write_text(json.dumps(config))
+    argv = [
+        "adapt", "--config", str(tmp_path / "adapt.json"), "--checkpoint", str(ckpt),
+        "--tasks", str(tmp_path / "tasks.json"), "--out", str(tmp_path / "o.csv"),
+    ]
+    tracer = spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["net.forward"] == 9
+    assert tracer.calls["adapt.refit_last_layer"] == 1
     assert tracer.mismatches == []
 
 
