@@ -43,7 +43,6 @@ from .gp import (
 )
 from .net import (
     DENSE_JACOBIAN_CAP,
-    Adam,
     JacobianOperator,
     MlpArchitecture,
     MlpNetwork,
@@ -54,6 +53,7 @@ from .net import (
     _loss_and_output_grad,
     forward,
     init_network,
+    make_optimizer,
     train,
 )
 from .seeding import substream
@@ -624,14 +624,15 @@ def _train_heads(features, targets, theta, cfg: OptimizerConfig, tasks):
     o = theta.shape[1] // (f + 1)
     w_count = o * f
     rng = substream(cfg.seed, "train")
-    velocity = np.zeros_like(theta)
-    adam = Adam(theta.shape, cfg.learning_rate)
+    optimizer = make_optimizer(cfg, theta.shape)
     grad = np.empty_like(theta)
     grad_w = grad[:, :w_count].reshape(t, o, f)  # views of the buffer
     grad_b = grad[:, w_count:]
 
     def outputs(theta, h):
-        return h @ theta[:, :w_count].reshape(t, o, f).transpose(0, 2, 1) + theta[:, None, w_count:]
+        z = h @ theta[:, :w_count].reshape(t, o, f).transpose(0, 2, 1)
+        z += theta[:, None, w_count:]
+        return z
 
     def check(values, what, epoch):
         if np.isfinite(values).all():
@@ -654,11 +655,7 @@ def _train_heads(features, targets, theta, cfg: OptimizerConfig, tasks):
             check(loss, "training loss", epoch)
             np.matmul(delta.transpose(0, 2, 1), h, out=grad_w)
             np.add.reduce(delta, axis=1, out=grad_b)
-            if cfg.optimizer == "sgd-momentum":
-                velocity = cfg.momentum * velocity - cfg.learning_rate * grad
-                theta = theta + velocity
-            else:
-                theta = adam.step(theta, grad)
+            theta = optimizer.step(theta, grad)
             check(theta, "parameters", epoch)
         loss, _ = _loss_and_output_grad(outputs(theta, features), targets, cfg.loss)
         check(loss, "training loss", epoch)

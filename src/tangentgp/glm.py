@@ -217,14 +217,16 @@ def _batch_nll_grad(model: LinearizedGlm, coeff: np.ndarray, x, labels):
     """Summed NLL over the batch, its logit gradient, and the Jacobian view."""
     jac = JacobianOperator(model.network, x)
     log_q = _log_softmax(_logits(model, jac, coeff))
-    nll = -float(log_q[np.arange(len(labels)), labels].sum())
+    rows = np.arange(len(labels))
     grad_logits = np.exp(log_q)
-    grad_logits[np.arange(len(labels)), labels] -= 1.0
-    return nll, grad_logits, jac
+    grad_logits[rows, labels] -= 1.0
+    return -float(log_q[rows, labels].sum()), grad_logits, jac
 
 
 def _map_objective(model: LinearizedGlm, coeff: np.ndarray, data: ClassificationData) -> float:
-    nll, _, _ = _batch_nll_grad(model, coeff, data.x, data.labels)
+    """The penalized NLL over all of ``data``, with no gradient."""
+    log_q = _log_softmax(_logits(model, JacobianOperator(model.network, data.x), coeff))
+    nll = -float(log_q[np.arange(data.n), data.labels].sum())
     return nll + float(coeff @ coeff) / (2.0 * model.prior_variance)
 
 
@@ -236,17 +238,22 @@ def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     rng = substream(cfg.seed, "glm-map")
     coeff = model.coefficients.copy()
     adam = Adam(coeff.size, cfg.learning_rate)
+    penalty = np.empty_like(coeff)
     n = data.n
     trace = []
     for epoch in range(cfg.epochs):
+        # One gather per epoch; each batch is then a slice of it.
         order = rng.permutation(n)
+        shuffled_x, shuffled_labels = data.x[order], data.labels[order]
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            nll, grad_logits, jac = _batch_nll_grad(
-                model, coeff, data.x[batch], data.labels[batch]
+            labels = shuffled_labels[start : start + cfg.batch_size]
+            _, grad_logits, jac = _batch_nll_grad(
+                model, coeff, shuffled_x[start : start + cfg.batch_size], labels
             )
-            scale = n / len(batch)
-            grad = scale * jac.vjp(grad_logits.ravel()) + coeff / model.prior_variance
+            # scale * (B g) + coeff / prior, the penalized gradient, in place.
+            grad = jac.vjp(grad_logits.ravel())
+            grad *= n / len(labels)
+            grad += np.divide(coeff, model.prior_variance, out=penalty)
             coeff = adam.step(coeff, grad)
             if not np.isfinite(coeff).all():
                 raise TrainingDivergenceError(
@@ -280,16 +287,21 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     _check_labels(model, data)
     rng = substream(cfg.seed, "glm-svi")
     p = model.coefficients.size
-    mu = np.zeros(p)
-    raw = np.full(p, SVI_RAW_SCALE_INIT)
+    # mu and the raw scales are the two halves of one packed vector, and
+    # their gradients the two halves of one buffer, so Adam steps both at once.
+    packed = np.concatenate([np.zeros(p), np.full(p, SVI_RAW_SCALE_INIT)])
+    mu, raw = packed[:p], packed[p:]
+    grad = np.empty(2 * p)
+    grad_mu, grad_raw = grad[:p], grad[p:]
     adam = Adam(2 * p, cfg.learning_rate)
     n = data.n
     prior = model.prior_variance
     elbo_trace = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        shuffled_x, shuffled_labels = data.x[order], data.labels[order]
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+            labels = shuffled_labels[start : start + cfg.batch_size]
             scales = _softplus(raw)
             if not (scales > 0).all():
                 raise TrainingDivergenceError(
@@ -298,25 +310,31 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
             z = rng.standard_normal(p)
             theta = mu + scales * z
             nll, grad_logits, jac = _batch_nll_grad(
-                model, theta, data.x[batch], data.labels[batch]
+                model, theta, shuffled_x[start : start + cfg.batch_size], labels
             )
-            scale = n / len(batch)
-            g_theta = scale * jac.vjp(grad_logits.ravel())
+            scale = n / len(labels)
+            g_theta = jac.vjp(grad_logits.ravel())
+            g_theta *= scale
             kl = kl_meanfield_to_prior(mu, scales, prior)
-            grad_mu = g_theta + mu / prior
-            grad_raw = (g_theta * z + scales / prior - 1.0 / scales) * _sigmoid(raw)
+            # grad_mu = g_theta + mu / prior
+            np.divide(mu, prior, out=grad_mu)
+            grad_mu += g_theta
+            # grad_raw = (g_theta * z + scales / prior - 1 / scales) * sigmoid(raw)
+            np.multiply(g_theta, z, out=grad_raw)
+            grad_raw += scales / prior
+            grad_raw -= 1.0 / scales
+            grad_raw *= _sigmoid(raw)
             loss = scale * nll + kl
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(
                     f"ELBO became non-finite at epoch {epoch}", epoch=epoch
                 )
             elbo_trace.append(-loss)
-            packed = adam.step(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
+            packed[:] = adam.step(packed, grad)
             if not np.isfinite(packed).all():
                 raise TrainingDivergenceError(
                     f"variational parameters became non-finite at epoch {epoch}", epoch=epoch
                 )
-            mu, raw = packed[:p], packed[p:]
     return GlmSviResult(
         posterior=MeanFieldPosterior(mu=mu, raw_scales=raw),
         elbo_trace=np.array(elbo_trace),

@@ -11,7 +11,10 @@ B = J blockdiag(M_i'): ``channels`` is the constant one-hot map, and
 trace. Training builds one operator per minibatch step, so everything a
 step reads that depends only on the shapes (the parameter layout, the
 per-layer views) is computed once per architecture or network, never per
-product.
+product. The optimizers (``Adam``, ``SgdMomentum``) allocate their state
+and scratch once per run and update them in place, and the forward,
+forward-mode and reverse passes accumulate into the arrays their matrix
+products return, so a step allocates little beyond those products.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ LOSSES = ("mse", "heteroscedastic-gaussian", "categorical-ce")
 
 def _tanh(z):
     t = np.tanh(z)
-    return t, 1.0 - t * t
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    return t, slope
 
 
 def _relu(z):
@@ -250,7 +255,8 @@ def _forward_trace(network: MlpNetwork, x: np.ndarray):
     h = x
     for idx, (w, b) in enumerate(layers):
         inputs.append(h)
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         if idx < last:
             h, slope = act(z)
             slopes.append(slope)
@@ -373,11 +379,14 @@ class JacobianOperator:
         grad = np.empty(self.param_count)
         slices = self._slices
         for idx in range(len(slices) - 1, -1, -1):
-            w_sl, b_sl, _, _ = slices[idx]
-            grad[w_sl] = (delta.T @ self._layer_inputs[idx]).ravel()
-            grad[b_sl] = delta.sum(axis=0)
+            w_sl, b_sl, fan_in, fan_out = slices[idx]
+            np.matmul(
+                delta.T, self._layer_inputs[idx], out=grad[w_sl].reshape(fan_out, fan_in)
+            )
+            np.add.reduce(delta, axis=0, out=grad[b_sl])
             if idx > 0:
-                delta = (delta @ self._weights[idx]) * self._slopes[idx - 1]
+                delta = delta @ self._weights[idx]
+                delta *= self._slopes[idx - 1]
         return grad
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
@@ -392,13 +401,13 @@ class JacobianOperator:
         slices = self._slices
         dh = None
         for idx, (w_sl, b_sl, fan_in, fan_out) in enumerate(slices):
-            dw = v[w_sl].reshape(fan_out, fan_in)
-            db = v[b_sl]
-            dz = self._layer_inputs[idx] @ dw.T + db
+            dz = self._layer_inputs[idx] @ v[w_sl].reshape(fan_out, fan_in).T
+            dz += v[b_sl]
             if dh is not None:
-                dz = dz + dh @ self._weights[idx].T
+                dz += dh @ self._weights[idx].T
             if idx < len(slices) - 1:
-                dh = self._slopes[idx] * dz
+                dz *= self._slopes[idx]
+                dh = dz
             elif self.output_map is None:
                 return dz.ravel()
             else:
@@ -543,21 +552,69 @@ class Adam:
     ``glm.fit_svi`` all step through this one implementation. ``shape`` is
     the parameter shape: a vector, or a (T, d) stack of T vectors stepped
     together (the update is elementwise, so each row moves as its own run).
+    The moments and two scratch buffers are allocated once, here, and each
+    step updates them in place in the textbook operation order (Kingma and
+    Ba 2015), so the steps are bitwise those of the allocating formula.
+    ``step`` never writes into its ``params`` or ``grad`` arguments.
     """
 
     def __init__(self, shape, learning_rate: float):
         self.learning_rate = learning_rate
         self.m = np.zeros(shape)
         self.u = np.zeros(shape)
+        self._scratch = np.empty(shape)
+        self._update = np.empty(shape)
         self.step_count = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.step_count += 1
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
-        self.u = ADAM_BETA2 * self.u + (1 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1 - ADAM_BETA1**self.step_count)
-        u_hat = self.u / (1 - ADAM_BETA2**self.step_count)
-        return params - self.learning_rate * m_hat / (np.sqrt(u_hat) + ADAM_EPS)
+        m, u, scratch, update = self.m, self.u, self._scratch, self._update
+        # m = m * b1 + g * (1 - b1)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1 - ADAM_BETA1, out=scratch)
+        m += scratch
+        # u = u * b2 + (g * (1 - b2)) * g
+        u *= ADAM_BETA2
+        np.multiply(grad, 1 - ADAM_BETA2, out=scratch)
+        scratch *= grad
+        u += scratch
+        # update = ((m / c1) * lr) / (sqrt(u / c2) + eps)
+        np.divide(u, 1 - ADAM_BETA2**self.step_count, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        np.divide(m, 1 - ADAM_BETA1**self.step_count, out=update)
+        update *= self.learning_rate
+        update /= scratch
+        return params - update
+
+
+class SgdMomentum:
+    """Heavy-ball SGD, velocity = momentum * velocity - lr * grad, then params + velocity.
+
+    The same interface and buffer discipline as ``Adam``: the velocity and
+    one scratch buffer are allocated once, and ``step`` returns new
+    parameters without writing into its arguments.
+    """
+
+    def __init__(self, shape, learning_rate: float, momentum: float):
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.velocity = np.zeros(shape)
+        self._scratch = np.empty(shape)
+
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        velocity, scratch = self.velocity, self._scratch
+        velocity *= self.momentum
+        np.multiply(grad, self.learning_rate, out=scratch)
+        velocity -= scratch
+        return params + velocity
+
+
+def make_optimizer(cfg: OptimizerConfig, shape):
+    """The optimizer ``cfg`` names, sized for parameters of ``shape``."""
+    if cfg.optimizer == "sgd-momentum":
+        return SgdMomentum(shape, cfg.learning_rate, cfg.momentum)
+    return Adam(shape, cfg.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -582,26 +639,23 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
     _check_loss(arch, cfg.loss)
     rng = substream(cfg.seed, "train")
     theta = network.params.copy()
-    velocity = np.zeros_like(theta)
-    adam = Adam(theta.size, cfg.learning_rate)
+    optimizer = make_optimizer(cfg, theta.shape)
     trace = np.empty(cfg.epochs)
 
     for epoch in range(cfg.epochs):
+        # One gather per epoch; each batch is then a slice of it.
         order = rng.permutation(data.n)
+        shuffled_x, shuffled_y = data.x[order], data.y[order]
         for start in range(0, data.n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            jac = JacobianOperator(network.with_params(theta), data.x[batch])
-            loss_val, out_grad = _loss_and_output_grad(jac.outputs, data.y[batch], cfg.loss)
+            batch_x = shuffled_x[start : start + cfg.batch_size]
+            batch_y = shuffled_y[start : start + cfg.batch_size]
+            jac = JacobianOperator(network.with_params(theta), batch_x)
+            loss_val, out_grad = _loss_and_output_grad(jac.outputs, batch_y, cfg.loss)
             if not np.isfinite(loss_val):
                 raise TrainingDivergenceError(
                     f"non-finite training loss at epoch {epoch}", epoch=epoch
                 )
-            grad = jac.vjp(out_grad.ravel())
-            if cfg.optimizer == "sgd-momentum":
-                velocity = cfg.momentum * velocity - cfg.learning_rate * grad
-                theta = theta + velocity
-            else:
-                theta = adam.step(theta, grad)
+            theta = optimizer.step(theta, jac.vjp(out_grad.ravel()))
             if not np.isfinite(theta).all():
                 raise TrainingDivergenceError(
                     f"non-finite parameters at epoch {epoch}", epoch=epoch

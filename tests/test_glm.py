@@ -14,6 +14,7 @@ from tangentgp.errors import (
 )
 from tangentgp.fisher import _log_softmax
 from tangentgp.glm import (
+    SVI_RAW_SCALE_INIT,
     ClassificationData,
     GlmFitConfig,
     LaplacePosterior,
@@ -33,7 +34,15 @@ from tangentgp.glm import (
     zero_coefficients_glm,
 )
 from tangentgp.linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
-from tangentgp.net import JacobianOperator, MlpArchitecture, forward, init_network
+from tangentgp.net import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    JacobianOperator,
+    MlpArchitecture,
+    forward,
+    init_network,
+)
 from tangentgp.seeding import substream
 
 
@@ -65,6 +74,149 @@ def logistic_oracle(x, labels, x_test):
 def blob_model(seed=7, **kwargs):
     net = init_network(MlpArchitecture(2, (16,), 2), seed=seed)
     return zero_coefficients_glm(net, **kwargs)
+
+
+def reference_glm_fit(model, data, cfg, method):
+    """``fit_map`` or ``fit_svi`` written out in plain numpy, independent of ``net`` and ``glm``.
+
+    Unpacks the flat vectors per layer, runs the forward, forward-mode
+    (logits J' theta') and reverse (J u) passes of a tanh network by hand,
+    and steps with the textbook Adam formula. The batch order and the
+    SVI noise come from the same seeded streams as the library loops.
+    Returns (coefficients, loss trace) for "map" and (mu, raw scales,
+    ELBO trace) for "svi".
+    """
+    arch = model.network.architecture
+    assert arch.activation == "tanh"
+    dims = arch.layer_dims
+
+    def unpack(theta):
+        layers, offset = [], 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            w = theta[offset : offset + fan_in * fan_out].reshape(fan_out, fan_in)
+            offset += fan_in * fan_out
+            layers.append((w, theta[offset : offset + fan_out]))
+            offset += fan_out
+        return layers
+
+    layers = unpack(model.network.params)
+    prior = model.prior_variance
+    n = data.n
+
+    def nll_and_grad(x, labels, coeff):
+        inputs, slopes, h = [], [], x
+        for w, b in layers[:-1]:
+            inputs.append(h)
+            h = np.tanh(h @ w.T + b)
+            slopes.append(1.0 - h * h)
+        inputs.append(h)
+        out = h @ layers[-1][0].T + layers[-1][1]
+        # Forward mode: the directional derivative of the outputs along coeff.
+        dh = None
+        for idx, (dw, db) in enumerate(unpack(coeff)):
+            dz = inputs[idx] @ dw.T + db
+            if dh is not None:
+                dz = dz + dh @ layers[idx][0].T
+            if idx < len(layers) - 1:
+                dh = slopes[idx] * dz
+        logits = dz + out if model.include_network_output else dz
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_q = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        rows = np.arange(len(labels))
+        delta = np.exp(log_q)
+        delta[rows, labels] -= 1.0
+        # Reverse mode: the coefficient gradient of the summed NLL.
+        pieces = []
+        for idx in range(len(layers) - 1, -1, -1):
+            pieces = [(delta.T @ inputs[idx]).ravel(), delta.sum(axis=0)] + pieces
+            if idx > 0:
+                delta = (delta @ layers[idx][0]) * slopes[idx - 1]
+        return -log_q[rows, labels].sum(), np.concatenate(pieces)
+
+    def textbook_adam(size):
+        m, u, step = np.zeros(size), np.zeros(size), 0
+
+        def adam(theta, grad):
+            nonlocal m, u, step
+            step += 1
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+            u = ADAM_BETA2 * u + (1 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1 - ADAM_BETA1**step)
+            u_hat = u / (1 - ADAM_BETA2**step)
+            return theta - cfg.learning_rate * m_hat / (np.sqrt(u_hat) + ADAM_EPS)
+
+        return adam
+
+    p = model.coefficients.size
+    trace = []
+    if method == "map":
+        rng = substream(cfg.seed, "glm-map")
+        coeff = model.coefficients.copy()
+        adam = textbook_adam(p)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                _, g = nll_and_grad(data.x[batch], data.labels[batch], coeff)
+                coeff = adam(coeff, (n / len(batch)) * g + coeff / prior)
+            nll, _ = nll_and_grad(data.x, data.labels, coeff)
+            trace.append(nll + (coeff @ coeff) / (2.0 * prior))
+        return coeff, np.array(trace)
+    rng = substream(cfg.seed, "glm-svi")
+    mu, raw = np.zeros(p), np.full(p, SVI_RAW_SCALE_INIT)
+    adam = textbook_adam(2 * p)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            scales = np.logaddexp(0.0, raw)
+            z = rng.standard_normal(p)
+            nll, g = nll_and_grad(data.x[batch], data.labels[batch], mu + scales * z)
+            scale = n / len(batch)
+            g = scale * g
+            var_ratio = scales * scales / prior
+            kl = np.sum(0.5 * (var_ratio + mu * mu / prior - 1.0) - 0.5 * np.log(var_ratio))
+            trace.append(-(scale * nll + kl))
+            grad_mu = g + mu / prior
+            sigmoid = 0.5 * (1.0 + np.tanh(0.5 * raw))
+            grad_raw = (g * z + scales / prior - 1.0 / scales) * sigmoid
+            packed = adam(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
+            mu, raw = packed[:p], packed[p:]
+    return mu, raw, np.array(trace)
+
+
+def reference_setup(include_network_output):
+    """Three classes on a (2, (7, 5), 3) tanh net; 23 points, so the last batch is short."""
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal((23, 2))
+    labels = rng.integers(0, 3, size=23)
+    net = init_network(MlpArchitecture(2, (7, 5), 3), seed=41)
+    model = zero_coefficients_glm(
+        net, include_network_output=include_network_output, prior_variance=0.7
+    )
+    cfg = GlmFitConfig(learning_rate=0.05, epochs=9, batch_size=5, seed=42)
+    return model, ClassificationData(x, labels), cfg
+
+
+class TestReferenceLoops:
+    """The GLM fits are bitwise the plain-numpy loops of ``reference_glm_fit``."""
+
+    @pytest.mark.parametrize("include_network_output", [False, True])
+    def test_fit_map_bitwise_equal_to_reference_loop(self, include_network_output):
+        model, data, cfg = reference_setup(include_network_output)
+        result = fit_map(model, data, cfg)
+        coeff, trace = reference_glm_fit(model, data, cfg, "map")
+        assert np.array_equal(result.model.coefficients, coeff)
+        assert np.array_equal(result.loss_trace, trace)
+
+    @pytest.mark.parametrize("include_network_output", [False, True])
+    def test_fit_svi_bitwise_equal_to_reference_loop(self, include_network_output):
+        model, data, cfg = reference_setup(include_network_output)
+        result = fit_svi(model, data, cfg)
+        mu, raw, trace = reference_glm_fit(model, data, cfg, "svi")
+        assert np.array_equal(result.posterior.mu, mu)
+        assert np.array_equal(result.posterior.raw_scales, raw)
+        assert np.array_equal(result.elbo_trace, trace)
 
 
 class TestLinearizedGlm:

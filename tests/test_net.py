@@ -12,14 +12,17 @@ from tangentgp.net import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    Adam,
     JacobianOperator,
     MlpArchitecture,
     MlpNetwork,
     OptimizerConfig,
+    SgdMomentum,
     TaskDataset,
     _loss_and_output_grad,
     forward,
     init_network,
+    make_optimizer,
     train,
 )
 from tangentgp.seeding import substream
@@ -510,6 +513,61 @@ class TestTrain:
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ContractViolationError):
             OptimizerConfig(optimizer="lbfgs")
+
+
+class TestOptimizers:
+    """The in-place steps against the allocating textbook formulas, bit for bit."""
+
+    @staticmethod
+    def gradients(shape, steps, seed):
+        # Gradients of varying magnitude, a few exactly zero, so both
+        # moments see growth, decay and the bias corrections of every step.
+        rng = np.random.default_rng(seed)
+        for k in range(steps):
+            grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 3)
+            grad[rng.random(shape) < 0.05] = 0.0
+            yield k + 1, grad
+
+    @pytest.mark.parametrize("shape", [(1316,), (20, 41)])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd-momentum"])
+    def test_bitwise_equal_to_textbook_formula(self, optimizer, shape):
+        lr, momentum = 3e-3, 0.9
+        opt = make_optimizer(
+            OptimizerConfig(optimizer=optimizer, learning_rate=lr, momentum=momentum), shape
+        )
+        theta = np.random.default_rng(33).standard_normal(shape)
+        ref, m, u, velocity = theta.copy(), np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        for step, grad in self.gradients(shape, 250, seed=34):
+            theta = opt.step(theta, grad)
+            if optimizer == "adam":
+                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+                u = ADAM_BETA2 * u + (1 - ADAM_BETA2) * grad * grad
+                m_hat = m / (1 - ADAM_BETA1**step)
+                u_hat = u / (1 - ADAM_BETA2**step)
+                ref = ref - lr * m_hat / (np.sqrt(u_hat) + ADAM_EPS)
+            else:
+                velocity = momentum * velocity - lr * grad
+                ref = ref + velocity
+            assert np.array_equal(theta, ref), f"step {step}"
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd-momentum"])
+    def test_step_leaves_its_arguments_and_results_alone(self, optimizer):
+        # Callers reuse their gradient buffers and keep earlier parameters:
+        # a step writes only into the optimizer's own state.
+        cfg = OptimizerConfig(optimizer=optimizer, learning_rate=0.1)
+        opt = make_optimizer(cfg, (4, 7))
+        assert isinstance(opt, Adam if optimizer == "adam" else SgdMomentum)
+        rng = np.random.default_rng(37)
+        params, grad = rng.standard_normal((4, 7)), rng.standard_normal((4, 7))
+        params_before, grad_before = params.copy(), grad.copy()
+        first = opt.step(params, grad)
+        first_before = first.copy()
+        second = opt.step(first, grad)
+        assert np.array_equal(params, params_before)
+        assert np.array_equal(grad, grad_before)
+        assert np.array_equal(first, first_before)
+        for out in (first, second):
+            assert not np.shares_memory(out, params) and not np.shares_memory(out, grad)
 
 
 class TestLoss:
