@@ -217,10 +217,10 @@ def _batch_nll_grad(model: LinearizedGlm, coeff: np.ndarray, x, labels):
     """Summed NLL over the batch, its logit gradient, and the Jacobian view."""
     jac = JacobianOperator(model.network, x)
     log_q = _log_softmax(_logits(model, jac, coeff))
-    rows = np.arange(len(labels))
+    nll = -float(log_q[np.arange(len(labels)), labels].sum())
     grad_logits = np.exp(log_q)
-    grad_logits[rows, labels] -= 1.0
-    return -float(log_q[rows, labels].sum()), grad_logits, jac
+    grad_logits[np.arange(len(labels)), labels] -= 1.0
+    return nll, grad_logits, jac
 
 
 def _map_objective(model: LinearizedGlm, coeff: np.ndarray, data: ClassificationData) -> float:
@@ -287,12 +287,8 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     _check_labels(model, data)
     rng = substream(cfg.seed, "glm-svi")
     p = model.coefficients.size
-    # mu and the raw scales are the two halves of one packed vector, and
-    # their gradients the two halves of one buffer, so Adam steps both at once.
-    packed = np.concatenate([np.zeros(p), np.full(p, SVI_RAW_SCALE_INIT)])
-    mu, raw = packed[:p], packed[p:]
-    grad = np.empty(2 * p)
-    grad_mu, grad_raw = grad[:p], grad[p:]
+    mu = np.zeros(p)
+    raw = np.full(p, SVI_RAW_SCALE_INIT)
     adam = Adam(2 * p, cfg.learning_rate)
     n = data.n
     prior = model.prior_variance
@@ -313,28 +309,22 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
                 model, theta, shuffled_x[start : start + cfg.batch_size], labels
             )
             scale = n / len(labels)
-            g_theta = jac.vjp(grad_logits.ravel())
-            g_theta *= scale
+            g_theta = scale * jac.vjp(grad_logits.ravel())
             kl = kl_meanfield_to_prior(mu, scales, prior)
-            # grad_mu = g_theta + mu / prior
-            np.divide(mu, prior, out=grad_mu)
-            grad_mu += g_theta
-            # grad_raw = (g_theta * z + scales / prior - 1 / scales) * sigmoid(raw)
-            np.multiply(g_theta, z, out=grad_raw)
-            grad_raw += scales / prior
-            grad_raw -= 1.0 / scales
-            grad_raw *= _sigmoid(raw)
+            grad_mu = g_theta + mu / prior
+            grad_raw = (g_theta * z + scales / prior - 1.0 / scales) * _sigmoid(raw)
             loss = scale * nll + kl
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(
                     f"ELBO became non-finite at epoch {epoch}", epoch=epoch
                 )
             elbo_trace.append(-loss)
-            packed[:] = adam.step(packed, grad)
+            packed = adam.step(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
             if not np.isfinite(packed).all():
                 raise TrainingDivergenceError(
                     f"variational parameters became non-finite at epoch {epoch}", epoch=epoch
                 )
+            mu, raw = packed[:p], packed[p:]
     return GlmSviResult(
         posterior=MeanFieldPosterior(mu=mu, raw_scales=raw),
         elbo_trace=np.array(elbo_trace),
