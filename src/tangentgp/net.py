@@ -8,11 +8,13 @@ and a dense assembly from the same sensitivities (the GP's p-side blocks
 and a test oracle). An output map M_i per datum turns J into
 B = J blockdiag(M_i'): ``channels`` is the constant one-hot map, and
 ``mapped`` gives a per-datum map (the GLM's Fisher root) on the same
-trace. Training builds one operator per minibatch step, so everything a
-step reads that depends only on the shapes (the parameter layout, the
-per-layer views) is computed once per architecture or network, never per
-product. The optimizers (``Adam``, ``SgdMomentum``) allocate their state
-and scratch once per run and update them in place, and the forward,
+trace. The parameter layout is computed once per architecture and the
+per-layer views once per network. ``train`` binds the layer views of one
+parameter buffer and one gradient buffer once per run, so a minibatch step
+builds no network: it traces its batch in one operator over that buffer
+and runs the reverse pass that ``vjp`` runs (``_backward``) into the
+gradient views. The optimizers (``Adam``, ``SgdMomentum``) allocate their
+state and scratch once per run and update them in place, and the forward,
 forward-mode and reverse passes accumulate into the arrays their matrix
 products return, so a step allocates little beyond those products.
 """
@@ -155,6 +157,14 @@ class MlpArchitecture:
         )
 
 
+def _layer_views(architecture: MlpArchitecture, flat: np.ndarray) -> tuple:
+    """Per-layer (weight matrix, bias) views of a flat vector in ``architecture``'s layout."""
+    return tuple(
+        (flat[w_sl].reshape(fan_out, fan_in), flat[b_sl])
+        for w_sl, b_sl, fan_in, fan_out in architecture.layer_slices()
+    )
+
+
 @dataclass(frozen=True)
 class MlpNetwork:
     """An architecture bound to a flat parameter vector."""
@@ -175,14 +185,7 @@ class MlpNetwork:
         params = params.copy()
         params.setflags(write=False)
         object.__setattr__(self, "params", params)
-        object.__setattr__(
-            self,
-            "_layers",
-            tuple(
-                (params[w_sl].reshape(fan_out, fan_in), params[b_sl])
-                for w_sl, b_sl, fan_in, fan_out in self.architecture.layer_slices()
-            ),
-        )
+        object.__setattr__(self, "_layers", _layer_views(self.architecture, params))
 
     def layers(self) -> tuple:
         """Read-only views of the flat vector as per-layer (weight matrix, bias) pairs."""
@@ -377,16 +380,7 @@ class JacobianOperator:
         if self.output_map is not None:
             delta = (delta[:, None, :] @ self.output_map)[:, 0]
         grad = np.empty(self.param_count)
-        slices = self._slices
-        for idx in range(len(slices) - 1, -1, -1):
-            w_sl, b_sl, fan_in, fan_out = slices[idx]
-            np.matmul(
-                delta.T, self._layer_inputs[idx], out=grad[w_sl].reshape(fan_out, fan_in)
-            )
-            np.add.reduce(delta, axis=0, out=grad[b_sl])
-            if idx > 0:
-                delta = delta @ self._weights[idx]
-                delta *= self._slopes[idx - 1]
+        _backward(self, delta, _layer_views(self.network.architecture, grad))
         return grad
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
@@ -471,13 +465,30 @@ class JacobianOperator:
         return jac
 
 
+def _backward(jac: JacobianOperator, delta: np.ndarray, grad_layers: tuple) -> None:
+    """The reverse pass over ``jac``'s forward trace, shared by ``vjp`` and ``train``.
+
+    ``delta`` (n, full) is the sensitivity of the internal outputs; the
+    gradient of <f(X), delta> is written into ``grad_layers``, per-layer
+    (weight, bias) views of the caller's gradient buffer.
+    """
+    for idx in range(len(grad_layers) - 1, -1, -1):
+        grad_w, grad_b = grad_layers[idx]
+        np.matmul(delta.T, jac._layer_inputs[idx], out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
+        if idx > 0:
+            delta = delta @ jac._weights[idx]
+            delta *= jac._slopes[idx - 1]
+
+
 def _loss_and_output_grad(outputs: np.ndarray, y: np.ndarray, loss: str):
     """Loss value and its gradient with respect to the raw network outputs.
 
     Reduces over the last two axes (data, channels), so a (T, b, o) stack
     of outputs gives T losses, each bitwise equal to the 2-D call on its
-    slice. Overflow is left to propagate as inf/nan (silently); the caller
-    turns non-finite losses into a divergence error.
+    slice. Overflow is left to propagate as inf/nan (silently) into the loss
+    and the gradient; the caller turns a non-finite loss or gradient into a
+    divergence error.
     """
     n = outputs.shape[-2]
     size = n * y.shape[-1]  # scalar targets per slice
@@ -623,10 +634,37 @@ class TrainResult:
     loss_trace: np.ndarray  # full-dataset loss after each epoch
 
 
+class _BoundParams:
+    """A training run's own parameter buffer, with its layer views bound once.
+
+    It offers what a forward trace and a ``JacobianOperator`` read from an
+    ``MlpNetwork`` (``architecture``, ``params``, ``layers()``) without a
+    copy or a check per step. ``train`` writes each update into ``params``
+    in place, so the views always show the current parameters. It never
+    leaves ``train``.
+    """
+
+    def __init__(self, architecture: MlpArchitecture, params: np.ndarray):
+        self.architecture = architecture
+        self.params = params
+        self._layers = _layer_views(architecture, params)
+
+    def layers(self) -> tuple:
+        return self._layers
+
+
 # Overflow ends in the typed divergence errors below, not in raw numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> TrainResult:
-    """Mini-batch training, bitwise reproducible for a fixed seed."""
+    """Mini-batch training, bitwise reproducible for a fixed seed.
+
+    The run steps one parameter buffer that it owns, and one gradient
+    buffer, each with its layer views bound once. A step traces its batch
+    in one ``JacobianOperator`` over that buffer, checks the loss and its
+    output gradient, runs the shared backward pass (``_backward``) into the
+    gradient views, and writes the checked update back into the buffer. The
+    validated, read-only network is built once, from the final parameters.
+    """
     arch = network.architecture
     if data.x.shape[1] != arch.input_dim:
         raise ContractViolationError(
@@ -638,7 +676,10 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
         )
     _check_loss(arch, cfg.loss)
     rng = substream(cfg.seed, "train")
-    theta = network.params.copy()
+    bound = _BoundParams(arch, network.params.copy())
+    theta = bound.params
+    grad = np.empty_like(theta)
+    grad_layers = _layer_views(arch, grad)
     optimizer = make_optimizer(cfg, theta.shape)
     trace = np.empty(cfg.epochs)
 
@@ -649,18 +690,24 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
         for start in range(0, data.n, cfg.batch_size):
             batch_x = shuffled_x[start : start + cfg.batch_size]
             batch_y = shuffled_y[start : start + cfg.batch_size]
-            jac = JacobianOperator(network.with_params(theta), batch_x)
+            jac = JacobianOperator(bound, batch_x)
             loss_val, out_grad = _loss_and_output_grad(jac.outputs, batch_y, cfg.loss)
             if not np.isfinite(loss_val):
                 raise TrainingDivergenceError(
                     f"non-finite training loss at epoch {epoch}", epoch=epoch
                 )
-            theta = optimizer.step(theta, jac.vjp(out_grad.ravel()))
-            if not np.isfinite(theta).all():
+            if not np.isfinite(out_grad).all():
+                raise TrainingDivergenceError(
+                    f"non-finite output gradient at epoch {epoch}", epoch=epoch
+                )
+            _backward(jac, out_grad, grad_layers)
+            stepped = optimizer.step(theta, grad)
+            if not np.isfinite(stepped).all():
                 raise TrainingDivergenceError(
                     f"non-finite parameters at epoch {epoch}", epoch=epoch
                 )
-        outputs = forward(network.with_params(theta), data.x)
+            np.copyto(theta, stepped)
+        outputs = forward(bound, data.x)
         epoch_loss, _ = _loss_and_output_grad(outputs, data.y, cfg.loss)
         if not np.isfinite(epoch_loss):
             raise TrainingDivergenceError(

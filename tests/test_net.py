@@ -113,6 +113,29 @@ def reference_mse_train(params, dims, activation, x, y, cfg):
     return theta, np.array(trace)
 
 
+def reference_operator_train(network, data, cfg):
+    """Minibatch training with a validated network and an operator's ``vjp`` per step.
+
+    The loop ``train`` ran before it bound one parameter buffer per run:
+    any loss, any architecture, the optimizer ``cfg`` names.
+    """
+    rng = substream(cfg.seed, "train")
+    theta = network.params.copy()
+    optimizer = make_optimizer(cfg, theta.shape)
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(data.n)
+        x, y = data.x[order], data.y[order]
+        for start in range(0, data.n, cfg.batch_size):
+            stop = start + cfg.batch_size
+            jac = JacobianOperator(network.with_params(theta), x[start:stop])
+            _, out_grad = _loss_and_output_grad(jac.outputs, y[start:stop], cfg.loss)
+            theta = optimizer.step(theta, jac.vjp(out_grad.ravel()))
+        outputs = forward(network.with_params(theta), data.x)
+        trace.append(_loss_and_output_grad(outputs, data.y, cfg.loss)[0])
+    return theta, np.array(trace)
+
+
 class TestArchitecture:
     def test_parameter_count(self):
         arch = MlpArchitecture(input_dim=2, hidden_widths=(16,), output_dim=2)
@@ -465,6 +488,19 @@ class TestTrain:
                 train(affine_net(), data, cfg)
         assert info.value.epoch == 0
 
+    def test_overflowing_output_gradient_reports_divergence(self):
+        # r = 1e150 and a variance near 1e-5 give a finite loss (about
+        # 5e304) but a raw-scale gradient of about 1e310, which overflows.
+        arch = MlpArchitecture(1, (), 1, activation="identity", heteroscedastic=True)
+        net = MlpNetwork(arch, np.array([1e150, 0.0, 0.0, -20.0]))
+        data = TaskDataset(np.ones((1, 1)), np.zeros((1, 1)), noise_variance=0.1)
+        cfg = OptimizerConfig(
+            learning_rate=0.0, epochs=2, batch_size=1, loss="heteroscedastic-gaussian"
+        )
+        with pytest.raises(TrainingDivergenceError, match="output gradient") as info:
+            train(net, data, cfg)
+        assert info.value.epoch == 0
+
     def test_heteroscedastic_loss_decreases(self):
         rng = np.random.default_rng(25)
         x = rng.uniform(-1, 1, size=(24, 1))
@@ -509,6 +545,39 @@ class TestTrain:
         params, trace = reference_mse_train(net.params, dims, activation, x, y, cfg)
         assert np.array_equal(result.network.params, params)
         assert np.array_equal(result.loss_trace, trace)
+
+    @pytest.mark.parametrize(
+        "dims, activation, loss",
+        [
+            ([2, 6, 3], "tanh", "categorical-ce"),
+            ([1, 8, 5, 1], "relu", "heteroscedastic-gaussian"),
+            ([3, 2], "identity", "mse"),  # no hidden layer: a one-layer backward pass
+        ],
+        ids=["categorical-ce", "heteroscedastic", "no-hidden-layer"],
+    )
+    @pytest.mark.parametrize("optimizer", ["sgd-momentum", "adam"])
+    def test_bitwise_equal_to_per_step_operator_loop(self, dims, activation, loss, optimizer):
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((11, dims[0]))
+        if loss == "categorical-ce":
+            y = np.eye(dims[-1])[rng.integers(0, dims[-1], size=11)]
+        else:
+            y = rng.standard_normal((11, dims[-1]))
+        net = seeded_net(
+            dims, activation=activation, seed=29, heteroscedastic=loss == "heteroscedastic-gaussian"
+        )
+        before = net.params.copy()
+        data = TaskDataset(x, y, noise_variance=0.1)
+        cfg = OptimizerConfig(
+            optimizer=optimizer, learning_rate=0.03, epochs=9, batch_size=4, loss=loss, seed=6
+        )
+        result = train(net, data, cfg)
+        params, trace = reference_operator_train(net, data, cfg)
+        assert np.array_equal(result.network.params, params)
+        assert np.array_equal(result.loss_trace, trace)
+        assert np.array_equal(net.params, before)
+        assert not result.network.params.flags.writeable
+        assert not np.shares_memory(result.network.params, net.params)
 
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ContractViolationError):

@@ -4,8 +4,8 @@ The benchmark's tracer (``perfbench/spans.py``) patches tangentgp
 functions and methods by name. A rename in the package would make every
 traced benchmark run fail; these tests fail first instead. They read the
 tracer's instrument table, and install the tracer only around small
-fits, adaptations (one through the ``adapt`` command), MAP fits and
-single Laplace draws. The package's ``__all__`` is checked the same
+fits, adaptations (one through the ``adapt`` command), training runs, MAP
+fits and single Laplace draws. The package's ``__all__`` is checked the same
 way, so that a deletion leaving a stale export fails here rather than
 in ``from tangentgp import *``. The
 signatures of ``tangentgp.gp``'s public functions are checked for a
@@ -25,6 +25,7 @@ import pytest
 import tangentgp
 import tangentgp.glm as glm_module
 import tangentgp.gp as gp_module
+import tangentgp.net as net_module
 from tangentgp import cli
 from tangentgp.adapt import AdaptConfig, adapt_task
 from tangentgp.config import save_checkpoint
@@ -36,7 +37,7 @@ from tangentgp.glm import (
     zero_coefficients_glm,
 )
 from tangentgp.gp import fit_posterior
-from tangentgp.net import MlpArchitecture, TaskDataset, init_network
+from tangentgp.net import MlpArchitecture, MlpNetwork, OptimizerConfig, TaskDataset, init_network
 from tangentgp.serialize import write_dataset_csv
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -201,3 +202,35 @@ def test_map_fit_builds_the_operators_the_tracer_expects():
         tracer.uninstall()
     assert tracer.counts["glm.fit_map.steps"] == 6
     assert tracer.mismatches == []
+
+
+def test_train_builds_the_operators_the_tracer_expects(monkeypatch):
+    # One operator per minibatch step, and a fixed number of validated
+    # networks per run (the result), however many steps it takes.
+    built = []
+    post_init = MlpNetwork.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    net = init_network(MlpArchitecture(2, (4,), 1), seed=1)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(10, 2))
+    data = TaskDataset(x, np.sin(x[:, :1]), noise_variance=0.1)
+    monkeypatch.setattr(MlpNetwork, "__post_init__", counting_post_init)
+    networks = []
+    for epochs in (1, 3):
+        tracer = spans().Tracer()
+        tracer.install()
+        try:
+            # Through the module: the tracer replaces the name where it is bound.
+            net_module.train(net, data, OptimizerConfig(epochs=epochs, batch_size=4))
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["net.train.steps"] == 3 * epochs
+        assert tracer.calls["net.jacobian_op"] == 3 * epochs
+        assert tracer.mismatches == []
+        networks.append(len(built))
+        built.clear()
+    assert networks == [1, 1]
