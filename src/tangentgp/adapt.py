@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolationError, FitError, TangentGpError, TrainingDivergenceError
 from .gp import (
+    MEAN_KINDS,
     GramFactor,
     NtkPosterior,
     _check_target_width,
@@ -51,6 +52,7 @@ from .net import (
     _check_loss,
     _forward_trace,
     _loss_and_output_grad,
+    _minibatches,
     forward,
     init_network,
     make_optimizer,
@@ -242,6 +244,8 @@ class AdaptConfig:
     noise_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.mean_kind not in MEAN_KINDS:
+            raise ContractViolationError(f"mean kind must be one of {MEAN_KINDS}, got {self.mean_kind!r}")
         if self.center_on_network and self.mean_kind != "zero":
             raise ContractViolationError(
                 "centering on the network requires mean_kind 'zero'"
@@ -578,8 +582,9 @@ def refit_last_layer(
     activations, which one forward trace per context gives. Contexts of
     one size n draw the same batch order from ``substream(cfg.seed,
     "train")``, so their heads step together as one (T, d) stack under the
-    update rules of ``net.train`` (``_train_heads``); each refit is
-    bitwise the ``net.train`` run on that context's one-layer head view.
+    update rules of ``net.train`` (``_train_heads``). Each refit is bitwise
+    the ``net.train`` run on that context's one-layer head view by
+    construction: both take their batches from ``net._minibatches``.
     Everything before the final layer stays bit-identical. The loss must
     fit the architecture (``net._check_loss``). Returns one network per
     context, in order; a divergence names the context's index.
@@ -620,7 +625,7 @@ def _train_heads(features, targets, theta, cfg: OptimizerConfig, tasks):
     test each. Raises ``TrainingDivergenceError`` naming the first task
     (from ``tasks``) whose loss or parameters go non-finite.
     """
-    t, n, f = features.shape
+    t, _, f = features.shape
     o = theta.shape[1] // (f + 1)
     w_count = o * f
     rng = substream(cfg.seed, "train")
@@ -645,12 +650,7 @@ def _train_heads(features, targets, theta, cfg: OptimizerConfig, tasks):
         )
 
     for epoch in range(cfg.epochs):
-        # One gather per epoch; each batch is then a slice of it.
-        order = rng.permutation(n)
-        shuffled, shuffled_targets = features[:, order], targets[:, order]
-        for start in range(0, n, cfg.batch_size):
-            h = shuffled[:, start : start + cfg.batch_size]
-            y = shuffled_targets[:, start : start + cfg.batch_size]
+        for h, y in _minibatches(rng, cfg.batch_size, features, targets, axis=1):
             loss, delta = _loss_and_output_grad(outputs(theta, h), y, cfg.loss)
             check(loss, "training loss", epoch)
             np.matmul(delta.transpose(0, 2, 1), h, out=grad_w)

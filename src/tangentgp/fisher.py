@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NumericBreakdownError
-from .net import JacobianOperator, MlpNetwork
+from .net import JacobianOperator, MlpNetwork, _log_softmax
 from .seeding import substream
 from .serialize import fmt_float, render_csv
 
@@ -68,11 +68,6 @@ def _check_outputs(like, outputs: np.ndarray, name: str):
             f"{name} has {outputs.shape[1]} columns, likelihood expects {like.num_classes}"
         )
     return outputs
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def kl_divergence(like, outputs_p: np.ndarray, outputs_q: np.ndarray, grad: bool = False):

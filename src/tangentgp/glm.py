@@ -25,10 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError, TrainingDivergenceError
-from .fisher import _log_softmax, _softmax_fisher_apply
+from .fisher import _softmax_fisher_apply
 from .gp import shifted_solve, smaller_gram
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
-from .net import Adam, JacobianOperator, MlpNetwork, _sigmoid, _softplus
+from .net import (
+    Adam, JacobianOperator, MlpNetwork, _check_finite, _log_softmax, _minibatches, _sigmoid, _softplus
+)
 from .seeding import substream
 from .serialize import fmt_float, render_csv
 
@@ -224,9 +226,8 @@ def _batch_nll_grad(model: LinearizedGlm, coeff: np.ndarray, x, labels):
 
 
 def _map_objective(model: LinearizedGlm, coeff: np.ndarray, data: ClassificationData) -> float:
-    """The penalized NLL over all of ``data``, with no gradient."""
-    log_q = _log_softmax(_logits(model, JacobianOperator(model.network, data.x), coeff))
-    nll = -float(log_q[np.arange(data.n), data.labels].sum())
+    """The penalized NLL over all of ``data``."""
+    nll, _, _ = _batch_nll_grad(model, coeff, data.x, data.labels)
     return nll + float(coeff @ coeff) / (2.0 * model.prior_variance)
 
 
@@ -242,28 +243,16 @@ def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     n = data.n
     trace = []
     for epoch in range(cfg.epochs):
-        # One gather per epoch; each batch is then a slice of it.
-        order = rng.permutation(n)
-        shuffled_x, shuffled_labels = data.x[order], data.labels[order]
-        for start in range(0, n, cfg.batch_size):
-            labels = shuffled_labels[start : start + cfg.batch_size]
-            _, grad_logits, jac = _batch_nll_grad(
-                model, coeff, shuffled_x[start : start + cfg.batch_size], labels
-            )
+        for x, labels in _minibatches(rng, cfg.batch_size, data.x, data.labels):
+            _, grad_logits, jac = _batch_nll_grad(model, coeff, x, labels)
             # scale * (B g) + coeff / prior, the penalized gradient, in place.
             grad = jac.vjp(grad_logits.ravel())
             grad *= n / len(labels)
             grad += np.divide(coeff, model.prior_variance, out=penalty)
             coeff = adam.step(coeff, grad)
-            if not np.isfinite(coeff).all():
-                raise TrainingDivergenceError(
-                    f"MAP coefficients became non-finite at epoch {epoch}", epoch=epoch
-                )
+            _check_finite(coeff, "MAP coefficients", epoch)
         epoch_loss = _map_objective(model, coeff, data)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergenceError(
-                f"MAP objective became non-finite at epoch {epoch}", epoch=epoch
-            )
+        _check_finite(epoch_loss, "MAP objective", epoch)
         trace.append(epoch_loss)
     return GlmMapResult(model=model.with_coefficients(coeff), loss_trace=np.array(trace))
 
@@ -294,10 +283,8 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     prior = model.prior_variance
     elbo_trace = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        shuffled_x, shuffled_labels = data.x[order], data.labels[order]
-        for start in range(0, n, cfg.batch_size):
-            labels = shuffled_labels[start : start + cfg.batch_size]
+        # The epoch's batch order is drawn before its z draws.
+        for x, labels in _minibatches(rng, cfg.batch_size, data.x, data.labels):
             scales = _softplus(raw)
             if not (scales > 0).all():
                 raise TrainingDivergenceError(
@@ -305,25 +292,17 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
                 )
             z = rng.standard_normal(p)
             theta = mu + scales * z
-            nll, grad_logits, jac = _batch_nll_grad(
-                model, theta, shuffled_x[start : start + cfg.batch_size], labels
-            )
+            nll, grad_logits, jac = _batch_nll_grad(model, theta, x, labels)
             scale = n / len(labels)
             g_theta = scale * jac.vjp(grad_logits.ravel())
             kl = kl_meanfield_to_prior(mu, scales, prior)
             grad_mu = g_theta + mu / prior
             grad_raw = (g_theta * z + scales / prior - 1.0 / scales) * _sigmoid(raw)
             loss = scale * nll + kl
-            if not np.isfinite(loss):
-                raise TrainingDivergenceError(
-                    f"ELBO became non-finite at epoch {epoch}", epoch=epoch
-                )
+            _check_finite(loss, "ELBO", epoch)
             elbo_trace.append(-loss)
             packed = adam.step(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
-            if not np.isfinite(packed).all():
-                raise TrainingDivergenceError(
-                    f"variational parameters became non-finite at epoch {epoch}", epoch=epoch
-                )
+            _check_finite(packed, "variational parameters", epoch)
             mu, raw = packed[:p], packed[p:]
     return GlmSviResult(
         posterior=MeanFieldPosterior(mu=mu, raw_scales=raw),

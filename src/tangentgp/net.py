@@ -16,7 +16,10 @@ and runs the reverse pass that ``vjp`` runs (``_backward``) into the
 gradient views. The optimizers (``Adam``, ``SgdMomentum``) allocate their
 state and scratch once per run and update them in place, and the forward,
 forward-mode and reverse passes accumulate into the arrays their matrix
-products return, so a step allocates little beyond those products.
+products return, so a step allocates little beyond those products. Every
+first-order fit (``train``, ``adapt``'s last-layer refit, the GLM's MAP and
+SVI fits) takes its batches from ``_minibatches`` and its divergence checks
+from ``_check_finite``.
 """
 
 from __future__ import annotations
@@ -481,6 +484,12 @@ def _backward(jac: JacobianOperator, delta: np.ndarray, grad_layers: tuple) -> N
             delta *= jac._slopes[idx - 1]
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, shifted by the row maximum so no exponential overflows."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def _loss_and_output_grad(outputs: np.ndarray, y: np.ndarray, loss: str):
     """Loss value and its gradient with respect to the raw network outputs.
 
@@ -508,9 +517,7 @@ def _loss_and_output_grad(outputs: np.ndarray, y: np.ndarray, loss: str):
         grad[..., 1::2] = scale * 0.5 * (1.0 / var - r * r / (var * var)) * _sigmoid(raw)
         return np.mean(nll, axis=(-2, -1)), grad
     if loss == "categorical-ce":
-        shifted = outputs - outputs.max(axis=-1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        log_prob = shifted - log_z
+        log_prob = _log_softmax(outputs)
         loss_val = -np.mean(np.sum(y * log_prob, axis=-1), axis=-1)
         grad = (np.exp(log_prob) - y) / n
         return loss_val, grad
@@ -554,6 +561,8 @@ class OptimizerConfig:
             raise ContractViolationError("epochs must be >= 0 and batch_size >= 1")
         if self.learning_rate < 0:
             raise ContractViolationError("learning rate must be nonnegative")
+        if not 0 <= self.momentum < 1:
+            raise ContractViolationError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 class Adam:
@@ -634,6 +643,26 @@ class TrainResult:
     loss_trace: np.ndarray  # full-dataset loss after each epoch
 
 
+def _minibatches(rng: np.random.Generator, batch_size: int, *arrays, axis: int = 0):
+    """One epoch's batches: tuples of consecutive ``batch_size`` slices of ``arrays`` along ``axis``.
+
+    Draws one permutation from ``rng`` at the call, before the epoch's
+    first step, and gathers each array once; the last batch may be shorter.
+    """
+    lead = (slice(None),) * axis
+    order = rng.permutation(arrays[0].shape[axis])
+    cuts = [lead + (slice(s, s + batch_size),) for s in range(0, order.size, batch_size)]
+    return zip(*[map(a[lead + (order,)].__getitem__, cuts) for a in arrays])
+
+
+def _check_finite(values, what: str, epoch: int) -> None:
+    """Raise ``TrainingDivergenceError`` naming ``what`` and ``epoch`` unless all ``values`` are finite."""
+    finite = np.isfinite(values)
+    # A scalar's truth value: np.bool_.all() costs about as much as an array reduction.
+    if not (finite.all() if finite.ndim else finite):
+        raise TrainingDivergenceError(f"non-finite {what} at epoch {epoch}", epoch=epoch)
+
+
 class _BoundParams:
     """A training run's own parameter buffer, with its layer views bound once.
 
@@ -658,6 +687,7 @@ class _BoundParams:
 def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> TrainResult:
     """Mini-batch training, bitwise reproducible for a fixed seed.
 
+    Batches come from ``_minibatches`` on ``substream(cfg.seed, "train")``.
     The run steps one parameter buffer that it owns, and one gradient
     buffer, each with its layer views bound once. A step traces its batch
     in one ``JacobianOperator`` over that buffer, checks the loss and its
@@ -684,35 +714,17 @@ def train(network: MlpNetwork, data: TaskDataset, cfg: OptimizerConfig) -> Train
     trace = np.empty(cfg.epochs)
 
     for epoch in range(cfg.epochs):
-        # One gather per epoch; each batch is then a slice of it.
-        order = rng.permutation(data.n)
-        shuffled_x, shuffled_y = data.x[order], data.y[order]
-        for start in range(0, data.n, cfg.batch_size):
-            batch_x = shuffled_x[start : start + cfg.batch_size]
-            batch_y = shuffled_y[start : start + cfg.batch_size]
+        for batch_x, batch_y in _minibatches(rng, cfg.batch_size, data.x, data.y):
             jac = JacobianOperator(bound, batch_x)
             loss_val, out_grad = _loss_and_output_grad(jac.outputs, batch_y, cfg.loss)
-            if not np.isfinite(loss_val):
-                raise TrainingDivergenceError(
-                    f"non-finite training loss at epoch {epoch}", epoch=epoch
-                )
-            if not np.isfinite(out_grad).all():
-                raise TrainingDivergenceError(
-                    f"non-finite output gradient at epoch {epoch}", epoch=epoch
-                )
+            _check_finite(loss_val, "training loss", epoch)
+            _check_finite(out_grad, "output gradient", epoch)
             _backward(jac, out_grad, grad_layers)
             stepped = optimizer.step(theta, grad)
-            if not np.isfinite(stepped).all():
-                raise TrainingDivergenceError(
-                    f"non-finite parameters at epoch {epoch}", epoch=epoch
-                )
+            _check_finite(stepped, "parameters", epoch)
             np.copyto(theta, stepped)
-        outputs = forward(bound, data.x)
-        epoch_loss, _ = _loss_and_output_grad(outputs, data.y, cfg.loss)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergenceError(
-                f"non-finite training loss at epoch {epoch}", epoch=epoch
-            )
+        epoch_loss, _ = _loss_and_output_grad(forward(bound, data.x), data.y, cfg.loss)
+        _check_finite(epoch_loss, "training loss", epoch)
         trace[epoch] = epoch_loss
 
     return TrainResult(network=network.with_params(theta), loss_trace=trace)

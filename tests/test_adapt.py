@@ -246,6 +246,11 @@ class TestNoiseSelection:
                 reference.append(np.mean(((inv @ y) / np.diag(inv)) ** 2))
             np.testing.assert_allclose(loo_scores(factor, y, grid), reference, rtol=1e-10)
 
+    def test_config_rejects_unknown_mean_kind(self):
+        for center in (True, False):
+            with pytest.raises(ContractViolationError, match="'jacobain_mean'"):
+                AdaptConfig(mean_kind="jacobain_mean", center_on_network=center)
+
     def test_config_rejects_fixed_noise_plus_grid(self):
         with pytest.raises(ContractViolationError, match="not both"):
             AdaptConfig(noise_variance=0.1, noise_grid=(0.1, 1.0))

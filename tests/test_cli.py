@@ -111,6 +111,15 @@ class TestTrain:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "non-finite parameters at epoch 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("momentum", [-3.0, 1.0])
+    def test_momentum_outside_unit_interval_exits_2(self, tmp_path, capsys, momentum):
+        optimizer = {"optimizer": "sgd-momentum", "learning_rate": 5e-3, "epochs": 20, "momentum": momentum}
+        path = write_json(tmp_path / "momentum.json", dict(TRAIN_CONFIG, optimizer=optimizer))
+        out = tmp_path / "x.json"
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
+        assert f"momentum must lie in [0, 1), got {momentum}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_reports_byte_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1,,}')
@@ -405,6 +414,16 @@ class TestAdapt:
         code = main(["adapt", "--config", cfg, "--checkpoint", ws["ckpt"], "--out", str(tmp_path / "o.csv")])
         assert code == 3
         assert "does not match the checkpoint" in capsys.readouterr().err
+
+    def test_misspelled_mean_kind_exits_2(self, ws, tmp_path, capsys):
+        gp = {"center_on_network": False, "mean_kind": "jacobain_mean"}
+        cfg = write_json(tmp_path / "adapt.json", {"version": 1, "gp": gp})
+        out = tmp_path / "o.csv"
+        argv = ["adapt", "--config", cfg, "--checkpoint", ws["ckpt"], "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "mean kind must be one of" in err and "got 'jacobain_mean'" in err
+        assert not out.exists()
 
     def test_space_key_is_unknown(self, ws, tmp_path, capsys):
         cfg = write_json(tmp_path / "adapt.json", {"version": 1, "gp": {"space": "function"}})

@@ -1,12 +1,16 @@
 """Strict config resolution, checkpoint round-trips, task manifests."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from tangentgp.adapt import SinusoidExperimentConfig
+from tangentgp.analysis import StudyConfig
 from tangentgp.cli import _load_glm_fit
 from tangentgp.config import (
+    _SCHEMA,
     CONFIG_VERSION,
     architecture_from,
     block_or_defaults,
@@ -21,6 +25,7 @@ from tangentgp.config import (
     study_config_from,
 )
 from tangentgp.errors import ConfigError
+from tangentgp.glm import GlmFitConfig
 from tangentgp.net import MlpArchitecture, init_network
 from tangentgp.serialize import write_dataset_csv
 
@@ -127,6 +132,24 @@ class TestConstructors:
     def test_experiment_defaults_match_dataclass(self):
         cfg = experiment_config_from(resolve_config(minimal(seed=2)))
         assert cfg.num_tasks == 20 and cfg.source_points == 200 and cfg.seed == 2
+
+    @pytest.mark.parametrize(
+        "block, cls, keys",
+        [
+            ("experiment", SinusoidExperimentConfig, None),
+            ("study", StudyConfig, None),
+            ("glm", GlmFitConfig, ("learning_rate", "epochs", "batch_size")),
+        ],
+    )
+    def test_schema_defaults_match_the_dataclass(self, block, cls, keys):
+        # The config schema and the dataclass each hold these defaults.
+        schema = {key: default for key, (default, _) in _SCHEMA[block].items()}
+        fields = {f.name: f.default for f in dataclasses.fields(cls)}
+        if keys is None:
+            keys = tuple(schema)
+            assert set(keys) == set(fields) - {"seed", "architecture"}
+        for key in keys:
+            assert (schema[key], type(schema[key])) == (fields[key], type(fields[key])), key
 
     def test_study_uses_architecture_block_when_given(self):
         resolved = resolve_config(

@@ -358,6 +358,19 @@ class TestFitMap:
                 fit_map(blob_model(), data, cfg)
         assert info.value.epoch == 0
 
+    @pytest.mark.parametrize("start, what", [(0.0, "MAP coefficients"), (1e155, "MAP objective")])
+    def test_divergence_names_the_quantity_and_the_epoch(self, start, what):
+        # From zero, a learning rate of 1e300 overflows the coefficients;
+        # from 1e155 a tiny one keeps them finite, but coeff @ coeff
+        # overflows the epoch-end objective.
+        data, _, _ = make_blobs(n_half=8)
+        model = blob_model()
+        model = model.with_coefficients(np.full(model.coefficients.size, start))
+        cfg = GlmFitConfig(learning_rate=1e300 if start == 0 else 1e-3, epochs=2, batch_size=4)
+        with pytest.raises(TrainingDivergenceError, match=f"^non-finite {what} at epoch 0$") as info:
+            fit_map(model, data, cfg)
+        assert info.value.epoch == 0
+
     def test_full_taylor_view_also_separates(self):
         data, x_test, labels_test = make_blobs()
         model = blob_model(include_network_output=True)
@@ -408,6 +421,21 @@ class TestFitSvi:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             with pytest.raises(TrainingDivergenceError) as info:
                 fit_svi(blob_model(), data, cfg)
+        assert info.value.epoch == 0
+
+    @pytest.mark.parametrize(
+        "learning_rate, message",
+        [
+            (1.7e308, "non-finite variational parameters"),
+            (1e200, "non-finite ELBO"),
+            (1e20, "variational scales collapsed to zero"),
+        ],
+    )
+    def test_divergence_names_the_quantity_and_the_epoch(self, learning_rate, message):
+        data, _, _ = make_blobs(n_half=8)
+        cfg = GlmFitConfig(learning_rate=learning_rate, epochs=2, batch_size=4, seed=0)
+        with pytest.raises(TrainingDivergenceError, match=f"^{message} at epoch 0$") as info:
+            fit_svi(blob_model(), data, cfg)
         assert info.value.epoch == 0
 
     def test_deterministic_for_fixed_seed(self):

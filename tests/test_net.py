@@ -1,5 +1,7 @@
 """Network forward/derivative products against analytic and FD oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from tangentgp.net import (
     SgdMomentum,
     TaskDataset,
     _loss_and_output_grad,
+    _minibatches,
     forward,
     init_network,
     make_optimizer,
@@ -582,6 +585,41 @@ class TestTrain:
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ContractViolationError):
             OptimizerConfig(optimizer="lbfgs")
+
+    @pytest.mark.parametrize("momentum", [-3.0, -1e-12, 1.0, 2.5, math.inf, math.nan])
+    def test_rejects_momentum_outside_unit_interval(self, momentum):
+        with pytest.raises(ContractViolationError, match=r"momentum must lie in \[0, 1\)"):
+            OptimizerConfig(optimizer="sgd-momentum", momentum=momentum)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9, 0.999])
+    def test_accepts_momentum_in_unit_interval(self, momentum):
+        assert OptimizerConfig(optimizer="sgd-momentum", momentum=momentum).momentum == momentum
+
+
+class TestMinibatches:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_batches_are_slices_of_one_gather(self, axis):
+        # 11 entries in batches of 4: 4, 4, then a short batch of 3.
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((11, 3) if axis == 0 else (2, 11, 3))
+        b = rng.integers(0, 5, size=(11,) if axis == 0 else (2, 11, 1))
+        order = substream(7, "train").permutation(11)
+        batches = list(_minibatches(substream(7, "train"), 4, a, b, axis=axis))
+        assert [x.shape[axis] for x, _ in batches] == [4, 4, 3]
+        take = (lambda v, s: v[order][s : s + 4]) if axis == 0 else (lambda v, s: v[:, order][:, s : s + 4])
+        for (x, y), start in zip(batches, range(0, 11, 4)):
+            assert np.array_equal(x, take(a, start)) and np.array_equal(y, take(b, start))
+
+    def test_draws_one_permutation_per_epoch(self):
+        rng, reference = substream(8, "train"), substream(8, "train")
+        x = np.arange(10.0)[:, None]
+        for _ in range(3):
+            batches = _minibatches(rng, 3, x, x)
+            reference.permutation(10)
+            # The draw happens at the call, before the first batch is taken.
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert len(list(batches)) == 4
+        assert rng.standard_normal() == reference.standard_normal()
 
 
 class TestOptimizers:

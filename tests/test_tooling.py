@@ -10,7 +10,8 @@ way, so that a deletion leaving a stale export fails here rather than
 in ``from tangentgp import *``. The
 signatures of ``tangentgp.gp``'s public functions are checked for a
 ``channels`` parameter: the network's architecture fixes the GP's
-regression view, so no caller picks one.
+regression view, so no caller picks one. The sources of ``net``, ``adapt``
+and ``glm`` are checked for the one place that draws a batch order.
 """
 
 import importlib
@@ -82,6 +83,15 @@ def test_no_public_gp_function_takes_channels():
     ]
     assert "fit_posterior" in public and "kernel_matrix" in public
     assert [name for name in public if "channels" in inspect.signature(getattr(gp_module, name)).parameters] == []
+
+
+def test_batch_order_is_drawn_in_one_place():
+    # Every first-order fit takes its batches from net._minibatches.
+    calls = {
+        name: inspect.getsource(importlib.import_module(f"tangentgp.{name}")).count("permutation(")
+        for name in ("net", "adapt", "glm")
+    }
+    assert calls == {"net": 1, "adapt": 0, "glm": 0}
 
 
 def test_fit_posterior_fits_count_per_dual_system():
