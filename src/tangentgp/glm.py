@@ -14,7 +14,9 @@ i's Fisher block. A draw perturbs, then solves: mean + A^-1 (sqrt(lam) z
 of B's Gram, the n*(c-1) square B'B (assembled directly from the mapped
 layer sensitivities) or the p square Fisher B B' (the low-rank GGN
 Laplace of Daxberger et al. 2021, "Laplace Redux"). ``gp.smaller_gram``
-picks that side and checks its size, as it does for the GP fits.
+picks that side and checks its size, as it does for the GP fits. With
+the Fisher pinned to the training inputs that Gram is fixed by the fit:
+``laplace_gram`` builds it once, and draws reuse it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import ContractViolationError, TrainingDivergenceError
 from .fisher import _softmax_fisher_apply
-from .gp import shifted_solve, smaller_gram
+from .gp import gram_solve, smaller_gram
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from .net import (
     Adam, JacobianOperator, MlpNetwork, _check_finite, _log_softmax, _minibatches, _sigmoid, _softplus
@@ -152,8 +154,8 @@ class GlmFitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ContractViolationError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ContractViolationError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ContractViolationError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
@@ -181,12 +183,13 @@ class MeanFieldPosterior:
 class LaplacePosterior:
     """MAP mean with Fisher-plus-prior precision.
 
-    Only the mean and the Fisher inputs are stored; each draw rebuilds
-    the Fisher at the MAP and solves once with the precision.
+    The mean and the Fisher inputs are stored; each draw rebuilds the
+    Fisher root at the MAP and solves once with the precision.
     ``fisher_x`` fixes the inputs the Fisher is estimated on;
     ``None`` defers to the prediction batch, which makes predictions
     depend on batch composition and exists to mirror that published
-    variant.
+    variant. ``gram``, for pinned inputs only, is ``laplace_gram`` built
+    once; ``None`` has every draw build it.
     """
 
     kind = "laplace"
@@ -194,6 +197,11 @@ class LaplacePosterior:
     n_train: int
     prior_variance: float
     fisher_x: np.ndarray | None
+    gram: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.gram is not None and self.fisher_x is None:
+            raise ContractViolationError("a test-batch Fisher has no Gram to cache")
 
 
 GaussianPosteriorApprox = MapPosterior | MeanFieldPosterior | LaplacePosterior
@@ -215,11 +223,16 @@ class GlmSviResult:
     elbo_trace: np.ndarray
 
 
-def _batch_nll_grad(model: LinearizedGlm, coeff: np.ndarray, x, labels):
-    """Summed NLL over the batch, its logit gradient, and the Jacobian view."""
+def _batch_nll(model: LinearizedGlm, coeff: np.ndarray, x, labels):
+    """Summed NLL over the batch, the log-probabilities, and the Jacobian view."""
     jac = JacobianOperator(model.network, x)
     log_q = _log_softmax(_logits(model, jac, coeff))
-    nll = -float(log_q[np.arange(len(labels)), labels].sum())
+    return -float(log_q[np.arange(len(labels)), labels].sum()), log_q, jac
+
+
+def _batch_nll_grad(model: LinearizedGlm, coeff: np.ndarray, x, labels):
+    """Summed NLL over the batch, its logit gradient, and the Jacobian view."""
+    nll, log_q, jac = _batch_nll(model, coeff, x, labels)
     grad_logits = np.exp(log_q)
     grad_logits[np.arange(len(labels)), labels] -= 1.0
     return nll, grad_logits, jac
@@ -227,7 +240,7 @@ def _batch_nll_grad(model: LinearizedGlm, coeff: np.ndarray, x, labels):
 
 def _map_objective(model: LinearizedGlm, coeff: np.ndarray, data: ClassificationData) -> float:
     """The penalized NLL over all of ``data``."""
-    nll, _, _ = _batch_nll_grad(model, coeff, data.x, data.labels)
+    nll, _, _ = _batch_nll(model, coeff, data.x, data.labels)
     return nll + float(coeff @ coeff) / (2.0 * model.prior_variance)
 
 
@@ -398,25 +411,16 @@ def sample_gaussian_from_precision(
     return mean + float(np.linalg.norm(z)) * root[:, 0]
 
 
-def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> np.ndarray:
-    """mean + A^{-1} (sqrt(lam) z + B v), with A the Laplace precision, from one solve.
+def _fisher_root(model: LinearizedGlm, posterior: LaplacePosterior, x) -> JacobianOperator:
+    """B = sqrt(upscale) J blockdiag(M_i), the Fisher's root at the MAP, as a mapped operator.
 
-    A = lam I + B B' with lam = 1 / prior_variance and
-    B = sqrt(upscale) J blockdiag(M_i), the Jacobian operator under the
-    output map sqrt(upscale) M_i' (``JacobianOperator.mapped``), where
     M_i M_i' = diag(p_i) - p_i p_i'. M_i = L_i Q_i, with
     L_i = diag(sqrt p_i) - p_i sqrt(p_i)' and Q_i the first c - 1 columns of the Householder
     reflector taking sqrt(p_i) to -e_c: L_i sqrt(p_i) = 0, so Q_i drops
     only the null direction, and B has the Fisher's rank bound n*(c-1)
-    as its column count m. ``rng`` draws z ~ N(0, I_p), then v ~ N(0, I_m),
-    and sqrt(lam) z + B v ~ N(0, A), so the draw's covariance is exactly
-    A^{-1}. On the kernel side of ``gp.smaller_gram`` the Woodbury identity
-    makes it z / sqrt(lam) + B (lam I + B'B)^{-1} (v - B'z / sqrt(lam)),
-    one m square solve; on the p side it is one solve with lam I + B B'.
-    B'z and B w are the mapped operator's ``jvp`` and ``vjp``.
+    as its column count m. B'z and B w are the operator's ``jvp`` and ``vjp``.
     """
     jac, probs, upscale = _fisher_at_map(model, posterior, x)
-    lam = 1.0 / posterior.prior_variance
     c = probs.shape[1]
     # sqrt(upscale) L_i' blocks, [a, b] = sqrt(upscale p_a) (delta_ab - p_b),
     # then Q_i' applied: the reflector's rows a < c - 1 subtract
@@ -424,14 +428,48 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> 
     sqrt_p = np.sqrt(probs)[:, :, None]
     root_t = math.sqrt(upscale) * sqrt_p * (np.eye(c) - probs[:, None, :])
     root_t = root_t[:, :-1] - sqrt_p[:, :-1] * root_t[:, -1:] / (1.0 + sqrt_p[:, -1:])
-    z, v = rng.standard_normal(jac.param_count), rng.standard_normal(jac.n_data * (c - 1))
-    fisher = jac.mapped(root_t)
-    side, gram = smaller_gram(fisher)
-    s = math.sqrt(lam)
-    if side == "function":
-        w = shifted_solve(gram, lam, v - fisher.jvp(z) / s)
+    return jac.mapped(root_t)
+
+
+def _shifted_gram(fisher: JacobianOperator, prior_variance: float) -> np.ndarray:
+    _, gram = smaller_gram(fisher)
+    gram[np.diag_indices_from(gram)] += 1.0 / prior_variance
+    return gram
+
+
+def laplace_gram(model: LinearizedGlm, posterior: LaplacePosterior) -> np.ndarray:
+    """The precision's Gram on the smaller side of B, shifted by lam = 1 / prior_variance.
+
+    lam I + B'B (m square, when m <= p, the side ``gp.smaller_gram``
+    picks) or the precision lam I + B B' itself (p square). It is fixed
+    by the pinned Fisher inputs, so it is built once per fit and handed
+    to every draw as ``LaplacePosterior.gram``.
+    """
+    return _shifted_gram(_fisher_root(model, posterior, None), posterior.prior_variance)
+
+
+def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> np.ndarray:
+    """mean + A^{-1} (sqrt(lam) z + B v), with A the Laplace precision, from one solve.
+
+    A = lam I + B B' with lam = 1 / prior_variance and B the Fisher root
+    of ``_fisher_root``. ``rng`` draws z ~ N(0, I_p), then v ~ N(0, I_m),
+    and sqrt(lam) z + B v ~ N(0, A), so the draw's covariance is exactly
+    A^{-1}. On the kernel side of ``laplace_gram`` the Woodbury identity
+    makes it z / sqrt(lam) + B (lam I + B'B)^{-1} (v - B'z / sqrt(lam)),
+    one m square solve; on the p side it is one solve with A. The Gram
+    is ``posterior.gram`` when the fit cached it.
+    """
+    fisher = _fisher_root(model, posterior, x)
+    gram = posterior.gram
+    if gram is None:
+        gram = _shifted_gram(fisher, posterior.prior_variance)
+    z, v = rng.standard_normal(fisher.param_count), rng.standard_normal(fisher.out_len)
+    s = math.sqrt(1.0 / posterior.prior_variance)
+    # The side rule takes the kernel side on a tie, m = p.
+    if len(gram) == fisher.out_len:
+        w = gram_solve(gram, v - fisher.jvp(z) / s)
         return posterior.mean + z / s + fisher.vjp(w)
-    return posterior.mean + shifted_solve(gram, lam, s * z + fisher.vjp(v))
+    return posterior.mean + gram_solve(gram, s * z + fisher.vjp(v))
 
 
 def predict_class(

@@ -348,9 +348,8 @@ def _eigh_psd(gram: np.ndarray):
     return np.maximum(evals, 0.0), evecs
 
 
-def shifted_solve(gram: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """(G + shift I)^-1 rhs by one LU solve; ``gram`` G is overwritten with G + shift I."""
-    gram[np.diag_indices_from(gram)] += shift
+def gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gram^-1 rhs by one LU solve; ``gram`` is left as it is."""
     return _checked(gram, "solve", lambda g: np.linalg.solve(g, rhs))
 
 

@@ -559,8 +559,8 @@ class OptimizerConfig:
             raise ContractViolationError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ContractViolationError("epochs must be >= 0 and batch_size >= 1")
-        if self.learning_rate < 0:
-            raise ContractViolationError("learning rate must be nonnegative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ContractViolationError(f"learning rate must be nonnegative and finite, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ContractViolationError(f"momentum must lie in [0, 1), got {self.momentum}")
 

@@ -427,6 +427,12 @@ def test_10_cli_pipelines_are_deterministic(capsys, tmp_path):
         "seed": 0,
         "glm": {"method": "map", "epochs": 8, "learning_rate": 0.05},
     }))
+    laplace_cfg = tmp_path / "laplace.json"
+    laplace_cfg.write_text(_json.dumps({
+        "version": 1,
+        "seed": 0,
+        "glm": {"method": "laplace", "epochs": 8, "learning_rate": 0.05, "predict_mode": "single_sample"},
+    }))
     clf_ckpt = tmp_path / "clf-ckpt.json"
     save_checkpoint(init_network(MlpArchitecture(2, (8,), 2), seed=1), clf_ckpt, {})
     fit = tmp_path / "fit.json"
@@ -478,6 +484,11 @@ def test_10_cli_pipelines_are_deterministic(capsys, tmp_path):
              "--data", str(blob_csv), "--out", str(d / "fit.json")],
             [d / "fit.json"],
         ),
+        "glm-fit-laplace": lambda d: (
+            ["glm-fit", "--config", str(laplace_cfg), "--checkpoint", str(clf_ckpt),
+             "--data", str(blob_csv), "--out", str(d / "fit.json")],
+            [d / "fit.json", d / "fit.laplace.npy"],
+        ),
         "glm-predict": lambda d: (
             ["glm-predict", "--config", str(clf_cfg), "--checkpoint", str(clf_ckpt),
              "--fit", str(fit), "--inputs", str(inputs2d), "--out", str(d / "pred.csv")],
@@ -509,7 +520,7 @@ def test_10_cli_pipelines_are_deterministic(capsys, tmp_path):
     ok = not failures
     report(
         capsys, 10, "every CLI pipeline is byte-deterministic under a fixed config and seed",
-        ok, "8 pipelines compared" if ok else f"nondeterministic: {failures}",
+        ok, f"{len(pipelines) + 1} pipelines compared" if ok else f"nondeterministic: {failures}",
     )
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tangentgp
+import tangentgp.glm as glm_module
 from tangentgp import analysis, cli
 from tangentgp.adapt import SinusoidTaskSpec, sample_sinusoid_tasks, stratified_split
 from tangentgp.cli import build_parser, main
@@ -922,20 +923,101 @@ def blob_data(tmp_path_factory):
 
 
 class TestGlm:
-    def fit(self, blob_data, tmp_path, method):
+    def fit(self, blob_data, tmp_path, method, ckpt=None, out="fit.json", **glm):
         cfg = write_json(
             tmp_path / "glm.json",
-            {"version": 1, "glm": {"method": method, "epochs": 40, "learning_rate": 0.01}},
+            {"version": 1, "glm": {"method": method, "epochs": 40, "learning_rate": 0.01, **glm}},
         )
-        fit_path = tmp_path / "fit.json"
+        fit_path = tmp_path / out
         code = main(
             [
-                "glm-fit", "--config", cfg, "--checkpoint", blob_data["ckpt"],
+                "glm-fit", "--config", cfg, "--checkpoint", ckpt or blob_data["ckpt"],
                 "--data", blob_data["data"], "--out", str(fit_path),
             ]
         )
         assert code == 0
         return cfg, str(fit_path)
+
+    def predict(self, blob_data, tmp_path, cfg, fit_path, ckpt=None, out="pred.csv"):
+        inputs = write_inputs_csv(tmp_path / "in.csv", [[-2.0, -2.0], [0.1, 0.3], [2.0, 2.0]])
+        code = main(
+            [
+                "glm-predict", "--config", cfg, "--checkpoint", ckpt or blob_data["ckpt"],
+                "--fit", fit_path, "--inputs", inputs, "--out", str(tmp_path / out),
+            ]
+        )
+        return code, tmp_path / out
+
+    @pytest.mark.parametrize("widths", [(8,), (4,)])
+    def test_laplace_fit_caches_its_gram_and_a_missing_one_is_rebuilt(
+        self, blob_data, tmp_path, monkeypatch, widths
+    ):
+        # 40 Fisher inputs, 2 classes: the (8,) net (p = 42) takes the
+        # 40 x 40 kernel side, the (4,) net (p = 22) the 22 x 22 p side.
+        ckpt = str(tmp_path / "clf.json")
+        save_checkpoint(init_network(MlpArchitecture(2, widths, 2), seed=1), ckpt, {})
+        cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", ckpt, predict_mode="single_sample")
+        size = min(40, 5 * widths[0] + 2)
+        assert np.load(tmp_path / "fit.laplace.npy")["gram"].shape == (size, size)
+
+        def unbuilt(jac):
+            raise AssertionError("glm-predict built the Gram that glm-fit cached")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(glm_module, "smaller_gram", unbuilt)
+            code, cached = self.predict(blob_data, tmp_path, cfg, fit_path, ckpt, "cached.csv")
+        assert code == 0
+        (tmp_path / "fit.laplace.npy").unlink()
+        code, rebuilt = self.predict(blob_data, tmp_path, cfg, fit_path, ckpt, "rebuilt.csv")
+        assert code == 0
+        assert cached.read_bytes() == rebuilt.read_bytes()
+
+    @pytest.mark.parametrize(
+        "tamper", ["other fit", "digest", "shape", "non-finite", "one array", "archive", "not numpy"]
+    )
+    def test_mismatched_gram_cache_exits_3_naming_it(self, blob_data, tmp_path, capsys, tamper):
+        cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", predict_mode="single_sample")
+        gram_path = tmp_path / "fit.laplace.npy"
+        record = np.load(gram_path)
+        gram, digest = record["gram"], record["digest"]
+        if tamper == "other fit":
+            self.fit(blob_data, tmp_path, "laplace", out="other.json", epochs=20, predict_mode="single_sample")
+            (tmp_path / "other.laplace.npy").replace(gram_path)
+        elif tamper == "one array":
+            np.save(gram_path, gram)
+        elif tamper == "archive":
+            with open(gram_path, "wb") as fh:
+                np.savez(fh, gram=gram, digest=digest)
+        elif tamper == "not numpy":
+            gram_path.write_bytes(b"not a record")
+        else:
+            if tamper == "digest":
+                digest = b"0" * 64
+            elif tamper == "shape":
+                gram = gram[:-1, :-1]
+            else:
+                gram[3, 5] = np.inf
+            changed = np.zeros((), dtype=[("digest", "S64"), ("gram", "<f8", gram.shape)])
+            changed["digest"], changed["gram"] = digest, gram
+            np.save(gram_path, changed)
+        code, _ = self.predict(blob_data, tmp_path, cfg, fit_path)
+        assert code == 3
+        assert f"{gram_path}: Laplace Gram cache does not match {fit_path}" in capsys.readouterr().err
+        # Only single-sample draws read the file.
+        mean_cfg = write_json(tmp_path / "mean.json", {"version": 1, "glm": {"predict_mode": "mean"}})
+        assert self.predict(blob_data, tmp_path, mean_cfg, fit_path)[0] == 0
+
+    def test_only_a_pinned_laplace_fit_leaves_a_gram_file(self, blob_data, tmp_path):
+        gram_path = tmp_path / "fit.laplace.npy"
+        for method, source, written in [
+            ("laplace", "train", True),
+            ("map", "train", False),
+            ("laplace", "train", True),
+            ("laplace", "test_batch", False),
+            ("svi", "train", False),
+        ]:
+            self.fit(blob_data, tmp_path, method, fisher_source=source)
+            assert gram_path.exists() == written
 
     def test_fit_then_predict_separates_blobs(self, blob_data, tmp_path):
         cfg, fit_path = self.fit(blob_data, tmp_path, "map")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from tangentgp.glm import (
     fit_svi,
     glm_logits,
     kl_meanfield_to_prior,
+    laplace_gram,
     laplace_precision,
     predict_class,
     prediction_csv,
@@ -371,6 +373,11 @@ class TestFitMap:
             fit_map(model, data, cfg)
         assert info.value.epoch == 0
 
+    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, math.inf, -math.inf, math.nan])
+    def test_config_rejects_a_learning_rate_that_is_not_positive_and_finite(self, learning_rate):
+        with pytest.raises(ContractViolationError, match="learning rate must be positive and finite"):
+            GlmFitConfig(learning_rate=learning_rate)
+
     def test_full_taylor_view_also_separates(self):
         data, x_test, labels_test = make_blobs()
         model = blob_model(include_network_output=True)
@@ -695,6 +702,38 @@ class TestLaplaceDraw:
             step = _laplace_draw(model, posterior, x, self.Fixed(z, v)) - posterior.mean
             resid = precision @ step - (np.sqrt(1.0 / posterior.prior_variance) * z + b @ v)
             assert np.linalg.norm(resid) <= 1e-12 * norm * np.linalg.norm(step)
+
+    @pytest.mark.parametrize(
+        "classes, n_fisher, include_output",
+        [(2, 5, False), (2, 20, True), (4, 12, False), (4, 12, True)],
+    )
+    def test_draws_from_a_cached_gram_are_the_built_ones(self, monkeypatch, classes, n_fisher, include_output):
+        # The kernel side (n*(c-1) = 5, 20 <= p = 22), then the p side (36 > p = 32).
+        model, posterior, x = laplace_draw_setup(classes, n_fisher, "train", include_output)
+        gram = laplace_gram(model, posterior)
+        assert gram.shape == (min(n_fisher * (classes - 1), model.coefficients.size),) * 2
+        cached = replace(posterior, gram=gram.copy())
+        built = {seed: predict_class(model, posterior, x, mode="single_sample", seed=seed) for seed in (0, 7)}
+        draws = {seed: _laplace_draw(model, posterior, x, substream(seed, "glm-predict")) for seed in (0, 7)}
+
+        def unbuilt(jac):
+            raise AssertionError("a draw with a cached Gram built one")
+
+        monkeypatch.setattr(glm_module, "smaller_gram", unbuilt)
+        for seed in (0, 7):
+            coeff = _laplace_draw(model, cached, x, substream(seed, "glm-predict"))
+            assert np.array_equal(coeff, draws[seed])
+            probs, labels = predict_class(model, cached, x, mode="single_sample", seed=seed)
+            assert np.array_equal(probs, built[seed][0]) and np.array_equal(labels, built[seed][1])
+        # The draws solve with the cached Gram and leave it as it was.
+        assert np.array_equal(cached.gram, gram)
+
+    def test_a_test_batch_fisher_has_no_gram(self):
+        model, posterior, _ = laplace_draw_setup(2, 5, "test_batch", False)
+        with pytest.raises(ContractViolationError, match="pass x"):
+            laplace_gram(model, posterior)
+        with pytest.raises(ContractViolationError, match="no Gram to cache"):
+            replace(posterior, gram=np.eye(5))
 
     def test_no_draw_takes_an_eigendecomposition(self, monkeypatch):
         def no_eigh(*args, **kwargs):

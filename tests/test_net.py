@@ -591,6 +591,11 @@ class TestTrain:
         with pytest.raises(ContractViolationError, match=r"momentum must lie in \[0, 1\)"):
             OptimizerConfig(optimizer="sgd-momentum", momentum=momentum)
 
+    @pytest.mark.parametrize("learning_rate", [-1e-3, math.inf, -math.inf, math.nan])
+    def test_rejects_a_learning_rate_that_is_not_nonnegative_and_finite(self, learning_rate):
+        with pytest.raises(ContractViolationError, match="learning rate must be nonnegative and finite"):
+            OptimizerConfig(learning_rate=learning_rate)
+
     @pytest.mark.parametrize("momentum", [0.0, 0.9, 0.999])
     def test_accepts_momentum_in_unit_interval(self, momentum):
         assert OptimizerConfig(optimizer="sgd-momentum", momentum=momentum).momentum == momentum

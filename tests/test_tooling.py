@@ -5,10 +5,10 @@ functions and methods by name. A rename in the package would make every
 traced benchmark run fail; these tests fail first instead. They read the
 tracer's instrument table, and install the tracer only around small
 fits, adaptations (one through the ``adapt`` command), training runs, MAP
-fits and single Laplace draws. The package's ``__all__`` is checked the same
-way, so that a deletion leaving a stale export fails here rather than
-in ``from tangentgp import *``. The
-signatures of ``tangentgp.gp``'s public functions are checked for a
+fits (one through the ``glm-fit`` command) and single Laplace draws.
+The package's ``__all__`` is checked the same way, so that a deletion
+leaving a stale export fails here rather than in
+``from tangentgp import *``. The signatures of ``tangentgp.gp``'s public functions are checked for a
 ``channels`` parameter: the network's architecture fixes the GP's
 regression view, so no caller picks one. The sources of ``net``, ``adapt``
 and ``glm`` are checked for the one place that draws a batch order.
@@ -39,7 +39,7 @@ from tangentgp.glm import (
 )
 from tangentgp.gp import fit_posterior
 from tangentgp.net import MlpArchitecture, MlpNetwork, OptimizerConfig, TaskDataset, init_network
-from tangentgp.serialize import write_dataset_csv
+from tangentgp.serialize import write_classification_csv, write_dataset_csv
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -212,6 +212,32 @@ def test_map_fit_builds_the_operators_the_tracer_expects():
         tracer.uninstall()
     assert tracer.counts["glm.fit_map.steps"] == 6
     assert tracer.mismatches == []
+
+
+def test_laplace_glm_fit_builds_its_gram_outside_the_map_fit(tmp_path):
+    # glm-fit with a pinned Fisher writes the precision's Gram next to
+    # the fit file. It builds it after fit_map returns, so the tracer's
+    # operator count for the MAP loop still holds.
+    ckpt = tmp_path / "clf.json"
+    save_checkpoint(init_network(MlpArchitecture(2, (4,), 3), seed=1), ckpt, {})
+    data = tmp_path / "labeled.csv"
+    write_classification_csv(data, np.random.default_rng(1).normal(size=(10, 2)), np.arange(10) % 3)
+    config = {"version": 1, "glm": {"method": "laplace", "epochs": 2, "batch_size": 4}}
+    (tmp_path / "glm.json").write_text(json.dumps(config))
+    argv = [
+        "glm-fit", "--config", str(tmp_path / "glm.json"), "--checkpoint", str(ckpt),
+        "--data", str(data), "--out", str(tmp_path / "fit.json"),
+    ]
+    tracer = spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["glm.fit_map.steps"] == 6
+    assert tracer.calls["gp.kernel_matrix"] == 1  # the Gram: n*(c-1) = 20 <= p = 27
+    assert tracer.mismatches == []
+    assert (tmp_path / "fit.laplace.npy").is_file()
 
 
 def test_train_builds_the_operators_the_tracer_expects(monkeypatch):
