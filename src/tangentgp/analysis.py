@@ -136,13 +136,11 @@ class SimilarityReport:
         return float(np.mean(values)) if values else None
 
     def to_json(self) -> str:
-        within = self._bucket(True)
-        cross = self._bucket(False)
         summary = {
-            "within_same_distribution_mean": float(np.mean(within)) if within else None,
-            "within_pairs": len(within),
-            "cross_distribution_mean": float(np.mean(cross)) if cross else None,
-            "cross_pairs": len(cross),
+            "within_same_distribution_mean": self.within_same_distribution_mean,
+            "within_pairs": len(self._bucket(True)),
+            "cross_distribution_mean": self.cross_distribution_mean,
+            "cross_pairs": len(self._bucket(False)),
         }
         return canonical_json(
             {

@@ -51,6 +51,7 @@ from .config import (
     experiment_config_from,
     file_field,
     float_array,
+    from_block,
     glm_fit_config_from,
     load_checkpoint,
     load_config,
@@ -107,14 +108,10 @@ GLM_FIT_VERSION = 1
 # Provenance plumbing
 
 
-def _default_config(seed) -> dict:
-    return resolve_config({"version": CONFIG_VERSION, "seed": seed or 0})
-
-
 def _load_or_default(args) -> dict:
     if args.config is not None:
         return load_config(args.config, args.seed)
-    return _default_config(args.seed)
+    return resolve_config({"version": CONFIG_VERSION}, args.seed)
 
 
 def _provenance(resolved: dict) -> dict:
@@ -163,13 +160,7 @@ def _emit_rows(args, resolved: dict, columns, rows) -> None:
 
 def _sinusoid_spec(resolved: dict) -> SinusoidTaskSpec:
     """The sinusoid task generator that the ``task`` block and the seed describe."""
-    task = block_or_defaults(resolved, "task")
-    return SinusoidTaskSpec(
-        points_per_task=task["points_per_task"],
-        x_low=float(task["x_low"]),
-        x_high=float(task["x_high"]),
-        seed=resolved["seed"],
-    )
+    return from_block(SinusoidTaskSpec, block_or_defaults(resolved, "task"), resolved["seed"])
 
 
 def _training_data(resolved: dict) -> TaskDataset:
@@ -397,7 +388,7 @@ def cmd_glm_fit(args) -> int:
         fitted = fit_svi(model, data, cfg)
         doc["mu"] = [float(v) for v in fitted.posterior.mu]
         doc["raw_scales"] = [float(v) for v in fitted.posterior.raw_scales]
-    elif glm["method"] == "laplace":
+    else:  # laplace; config resolution rejects any other method
         approx = fit_laplace(model, data, cfg, fisher_source=glm["fisher_source"])
         doc["mean"] = [float(v) for v in approx.mean]
         doc["n_train"] = approx.n_train
@@ -405,10 +396,6 @@ def cmd_glm_fit(args) -> int:
         if approx.fisher_x is not None:
             doc["fisher_x"] = [[float(v) for v in row] for row in approx.fisher_x]
             gram_file = _gram_file(model, approx)
-    else:
-        raise ConfigError(
-            f"unknown glm.method {glm['method']!r}, expected 'map', 'svi', or 'laplace'"
-        )
     atomic_write_text(args.out, canonical_json(doc))
     log.info("wrote %s", args.out)
     gram_path = _gram_path(args.out)

@@ -6,10 +6,20 @@ optimizer, gp, fvp, task, study, glm, experiment). Parsing is strict:
 unknown keys are rejected rather than ignored, so a typo fails loudly
 instead of silently running defaults. Blocks that were absent stay null
 in the resolved document; commands that need them say so.
+
+Each key's default has one home. The ``study`` and ``experiment``
+blocks, the fit keys of ``glm`` and the sinusoid keys of ``task`` take
+their defaults and types from the library dataclass they build
+(``StudyConfig``, ``SinusoidExperimentConfig``, ``GlmFitConfig``,
+``SinusoidTaskSpec``), and ``from_block`` builds that dataclass. The
+``optimizer`` block keeps its own table: it defaults to Adam, where
+``OptimizerConfig`` defaults to SGD with momentum, and it needs
+``learning_rate`` and ``epochs``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import reprlib
@@ -18,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import SinusoidExperimentConfig
+from .adapt import SinusoidExperimentConfig, SinusoidTaskSpec
 from .analysis import StudyConfig
 from .errors import ConfigError, ContractViolationError
-from .glm import GlmFitConfig
+from .glm import FISHER_SOURCES, FIT_METHODS, PREDICT_MODES, GlmFitConfig
 from .net import MlpArchitecture, MlpNetwork, OptimizerConfig, TaskDataset
 from .serialize import atomic_write_text, canonical_json, read_dataset_csv, read_json
 
@@ -52,6 +62,19 @@ _CHECKS = {
     "number or null": lambda v: v is None or _num(v),
     "string or null": lambda v: v is None or isinstance(v, str),
 }
+
+# A dataclass field's annotation (a string, under postponed evaluation) -> type name.
+_TYPE_NAMES = {"int": "int", "float": "number"}
+
+
+def _schema_of(cls) -> dict:
+    """Schema entries for the fields of ``cls`` bar ``seed`` and ``architecture``."""
+    return {
+        f.name: (f.default, _TYPE_NAMES[f.type])
+        for f in dataclasses.fields(cls)
+        if f.name not in ("seed", "architecture")
+    }
+
 
 # block -> key -> (default, type name); _REQUIRED defaults must be supplied
 # whenever the block itself is present.
@@ -87,43 +110,29 @@ _SCHEMA = {
     "task": {
         "kind": ("sinusoid", "string"),
         "num_tasks": (3, "int"),
-        "points_per_task": (50, "int"),
+        **_schema_of(SinusoidTaskSpec),
         "context_size": (10, "int"),
-        "x_low": (-5.0, "number"),
-        "x_high": (5.0, "number"),
         "train_csv": (None, "string or null"),
         "noise_variance": (None, "number or null"),
     },
-    "study": {
-        "models_per_group": (5, "int"),
-        "train_points": (100, "int"),
-        "eval_points": (64, "int"),
-        "epochs": (150, "int"),
-        "learning_rate": (5e-3, "number"),
-        "batch_size": (32, "int"),
-        "realign_steps": (200, "int"),
-        "realign_learning_rate": (0.01, "number"),
-    },
+    "study": _schema_of(StudyConfig),
     "glm": {
         "method": ("map", "string"),
         "prior_variance": (1.0, "number"),
-        "learning_rate": (1e-3, "number"),
-        "epochs": (10, "int"),
-        "batch_size": (32, "int"),
+        **_schema_of(GlmFitConfig),
         "include_network_output": (False, "bool"),
         "fisher_source": ("train", "string"),
         "predict_mode": ("mean", "string"),
     },
-    "experiment": {
-        "num_tasks": (20, "int"),
-        "context_size": (10, "int"),
-        "points_per_task": (50, "int"),
-        "source_points": (200, "int"),
-        "source_epochs": (2500, "int"),
-        "source_learning_rate": (1e-3, "number"),
-        "source_batch_size": (3, "int"),
-        "noise_grid_decades": (10, "int"),
-    },
+    "experiment": _schema_of(SinusoidExperimentConfig),
+}
+
+
+# (block, key) -> the values a string key may take.
+_CHOICES = {
+    ("glm", "method"): FIT_METHODS,
+    ("glm", "fisher_source"): FISHER_SOURCES,
+    ("glm", "predict_mode"): PREDICT_MODES,
 }
 
 
@@ -136,12 +145,15 @@ def _resolve_block(name: str, given: dict) -> dict:
     for key, (default, type_name) in schema.items():
         if key in given:
             value = given[key]
+            if not _CHECKS[type_name](value):
+                raise ConfigError(f"config key {name}.{key} must be {type_name}, got {value!r}")
+            allowed = _CHOICES.get((name, key))
+            if allowed is not None and value not in allowed:
+                raise ConfigError(f"config key {name}.{key} must be one of {allowed}, got {value!r}")
         elif default is _REQUIRED:
             raise ConfigError(f"block {name!r} is missing the mandatory key {key!r}")
         else:
             value = default
-        if key in given and not _CHECKS[type_name](value):
-            raise ConfigError(f"config key {name}.{key} must be {type_name}, got {value!r}")
         resolved[key] = value
     return resolved
 
@@ -167,6 +179,10 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
     seed = raw.get("seed", 0)
     if not _int(seed):
         raise ConfigError(f"config key 'seed' must be int, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"config key 'seed' must be non-negative, got {seed}")
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"the seed override must be non-negative, got {seed_override}")
     resolved = {"version": CONFIG_VERSION, "seed": seed}
     for name in _SCHEMA:
         block = raw.get(name)
@@ -207,60 +223,36 @@ def architecture_from(resolved: dict) -> MlpArchitecture:
     return MlpArchitecture.from_dict(_need(resolved, "architecture"))
 
 
+def from_block(cls, block: dict, seed: int, **fields):
+    """``cls`` built from the resolved ``block``'s values of its fields, ``seed`` and ``fields``.
+
+    Float fields pass through ``float``, so a JSON integer becomes a float.
+    """
+    values = {
+        f.name: float(block[f.name]) if f.type == "float" else block[f.name]
+        for f in dataclasses.fields(cls)
+        if f.name in block
+    }
+    return cls(**values, seed=seed, **fields)
+
+
 def optimizer_from(resolved: dict) -> OptimizerConfig:
-    block = _need(resolved, "optimizer")
-    return OptimizerConfig(
-        optimizer=block["optimizer"],
-        learning_rate=float(block["learning_rate"]),
-        epochs=block["epochs"],
-        batch_size=block["batch_size"],
-        loss=block["loss"],
-        seed=resolved["seed"],
-        momentum=float(block["momentum"]),
-    )
+    return from_block(OptimizerConfig, _need(resolved, "optimizer"), resolved["seed"])
 
 
 def glm_fit_config_from(resolved: dict) -> GlmFitConfig:
-    block = block_or_defaults(resolved, "glm")
-    return GlmFitConfig(
-        learning_rate=float(block["learning_rate"]),
-        epochs=block["epochs"],
-        batch_size=block["batch_size"],
-        seed=resolved["seed"],
-    )
+    return from_block(GlmFitConfig, block_or_defaults(resolved, "glm"), resolved["seed"])
 
 
 def study_config_from(resolved: dict) -> StudyConfig:
-    block = block_or_defaults(resolved, "study")
-    kwargs = dict(
-        models_per_group=block["models_per_group"],
-        train_points=block["train_points"],
-        eval_points=block["eval_points"],
-        epochs=block["epochs"],
-        learning_rate=float(block["learning_rate"]),
-        batch_size=block["batch_size"],
-        realign_steps=block["realign_steps"],
-        realign_learning_rate=float(block["realign_learning_rate"]),
-        seed=resolved["seed"],
-    )
+    fields = {}
     if resolved.get("architecture") is not None:
-        kwargs["architecture"] = architecture_from(resolved)
-    return StudyConfig(**kwargs)
+        fields["architecture"] = architecture_from(resolved)
+    return from_block(StudyConfig, block_or_defaults(resolved, "study"), resolved["seed"], **fields)
 
 
 def experiment_config_from(resolved: dict) -> SinusoidExperimentConfig:
-    block = block_or_defaults(resolved, "experiment")
-    return SinusoidExperimentConfig(
-        num_tasks=block["num_tasks"],
-        context_size=block["context_size"],
-        points_per_task=block["points_per_task"],
-        source_points=block["source_points"],
-        source_epochs=block["source_epochs"],
-        source_learning_rate=float(block["source_learning_rate"]),
-        source_batch_size=block["source_batch_size"],
-        noise_grid_decades=block["noise_grid_decades"],
-        seed=resolved["seed"],
-    )
+    return from_block(SinusoidExperimentConfig, block_or_defaults(resolved, "experiment"), resolved["seed"])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ from .seeding import substream
 from .serialize import fmt_float, render_csv
 
 SVI_RAW_SCALE_INIT = -5.0
+FIT_METHODS = ("map", "svi", "laplace")
+FISHER_SOURCES = ("train", "test_batch")
+PREDICT_MODES = ("mean", "single_sample")
 
 
 @dataclass(frozen=True)
@@ -334,7 +337,7 @@ def fit_laplace(
     ``fisher_source="train"`` pins the Fisher to the training inputs;
     ``"test_batch"`` leaves it to be estimated on each prediction batch.
     """
-    if fisher_source not in ("train", "test_batch"):
+    if fisher_source not in FISHER_SOURCES:
         raise ContractViolationError(
             f"fisher_source must be 'train' or 'test_batch', got {fisher_source!r}"
         )
@@ -487,7 +490,7 @@ def predict_class(
     rows give (0, c) probabilities in every mode, with no draw. Ties in
     the argmax resolve to the lowest class index.
     """
-    if mode not in ("mean", "single_sample"):
+    if mode not in PREDICT_MODES:
         raise ContractViolationError(f"mode must be 'mean' or 'single_sample', got {mode!r}")
     # No draw for no rows: a test-batch Fisher would have no inputs.
     draw = mode == "single_sample" and len(x) > 0

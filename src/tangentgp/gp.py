@@ -217,23 +217,23 @@ class NtkPosterior:
     inputs: np.ndarray | None = None
 
 
-def _jacobian_blocks(jac: JacobianOperator, cap: int = DENSE_JACOBIAN_CAP):
-    """Dense Jacobian blocks over datum chunks of at most ``cap`` entries.
+def _jacobian_blocks(jac: JacobianOperator):
+    """Dense Jacobian blocks over datum chunks of at most ``DENSE_JACOBIAN_CAP`` entries.
 
     Yields (columns, block): the p x (rows*o) block of one chunk of
     ``jac``'s inputs, a row slice sharing its trace, and the slice of the
     full Jacobian's columns it holds. A chunk holds at least one datum even
-    where that exceeds ``cap``. An empty batch gives one empty block.
+    where that exceeds the cap. An empty batch gives one empty block.
     """
     arch = jac.network.architecture
-    rows = max(1, cap // (arch.parameter_count * arch.internal_output_dim))
+    rows = max(1, DENSE_JACOBIAN_CAP // (arch.parameter_count * arch.internal_output_dim))
     for start in range(0, max(jac.n_data, 1), rows):
         part = jac.rows(start, start + rows)
         first = start * jac.out_dim
         yield slice(first, first + part.out_len), part.dense()
 
 
-def kernel_matrix(network: MlpNetwork, x1, x2=None, cap: int = DENSE_JACOBIAN_CAP):
+def kernel_matrix(network: MlpNetwork, x1, x2=None):
     """Tangent-kernel Gram block K[a, b] = <j_a(X1), j_b(X2)>, i.e. J1' J2.
 
     J is the Jacobian of the network's regression view (the outputs
@@ -245,17 +245,17 @@ def kernel_matrix(network: MlpNetwork, x1, x2=None, cap: int = DENSE_JACOBIAN_CA
     of ones), and the output layer, whose D is rows of the identity unless
     an operator maps its outputs per datum, adds kron(H1 H2' + 1, I_o).
     This costs O(n1 n2 (o^2 * sum of hidden widths + sum of fan-ins)) and
-    forms no p x n*o Jacobian. ``cap`` bounds the kernel's entries. Peak
-    memory is about two kernel-sized arrays (the kernel and one layer's
-    term), the n1 x n2 Gram of one layer's inputs and one layer's
-    n x o x width sensitivities.
+    forms no p x n*o Jacobian. ``DENSE_JACOBIAN_CAP`` bounds the kernel's
+    entries. Peak memory is about two kernel-sized arrays (the kernel and
+    one layer's term), the n1 x n2 Gram of one layer's inputs and one
+    layer's n x o x width sensitivities.
     """
     jac1 = _operator(network, x1)
     jac2 = jac1 if x2 is None else _operator(network, x2)
     shape = (jac1.out_len, jac2.out_len)
-    if shape[0] * shape[1] > cap:
+    if shape[0] * shape[1] > DENSE_JACOBIAN_CAP:
         raise ResourceLimitError(
-            f"kernel matrix needs {shape[0] * shape[1]} entries (cap {cap}); "
+            f"kernel matrix needs {shape[0] * shape[1]} entries (cap {DENSE_JACOBIAN_CAP}); "
             "use the matrix-free fits"
         )
     if x2 is None:
@@ -608,17 +608,13 @@ def _checked_root(posterior: NtkPosterior, jac: JacobianOperator) -> np.ndarray:
     return root
 
 
-def predict(
-    posterior: NtkPosterior,
-    network: MlpNetwork,
-    x,
-    cap: int = DENSE_JACOBIAN_CAP,
-) -> tuple[np.ndarray, np.ndarray]:
+def predict(posterior: NtkPosterior, network: MlpNetwork, x) -> tuple[np.ndarray, np.ndarray]:
     """Predictive mean J*' m + mu and per-channel variance k(x*, x*) - |C' phi(x*)|^2 at new inputs.
 
     Kernel form: phi(x*) = K(X, x*) in chunks of query rows whose cross
-    kernel stays under ``cap`` entries. Feature form: phi(x*) = j* in dense
-    query blocks under ``cap`` entries. A chunk holds at least one row.
+    kernel stays under ``DENSE_JACOBIAN_CAP`` entries. Feature form:
+    phi(x*) = j* in dense query blocks under the cap. A chunk holds at
+    least one row.
     """
     if network.fingerprint() != posterior.theta_fingerprint:
         raise ContractViolationError(
@@ -632,14 +628,14 @@ def predict(
 
     var = np.empty(jac.out_len)
     if posterior.inputs is None:
-        for cols, jt in _jacobian_blocks(jac, cap):
+        for cols, jt in _jacobian_blocks(jac):
             var[cols] = _sq_norms(jt) - _sq_norms(root.T @ jt)
     else:
         train = JacobianOperator(network, posterior.inputs, posterior.channels)
-        rows = max(1, cap // max(1, train.out_len * o))
+        rows = max(1, DENSE_JACOBIAN_CAP // max(1, train.out_len * o))
         for start in range(0, n_test, rows):
             # One sensitivity pass over the chunk gives its cross kernel
-            # and its prior variances. One row may exceed ``cap``, as one
+            # and its prior variances. One row may exceed the cap, as one
             # dense block may.
             part = jac.rows(start, start + rows)
             _, phi, prior = _task_kernels(train, part, square=False)

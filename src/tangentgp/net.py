@@ -445,7 +445,7 @@ class JacobianOperator:
             yield self._layer_inputs[idx - 1], sens
             sens = sens.reshape(n * o, sens.shape[2])
 
-    def dense(self, cap: int = DENSE_JACOBIAN_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """Assemble the p x (n*o) Jacobian B; column i*o + k = vjp(one-hot(i, k)).
 
         Built from ``layer_sensitivities``: outer(D[i, k], H[i]) in each
@@ -453,9 +453,9 @@ class JacobianOperator:
         (the p square B B' and feature-form variances) and the tests.
         """
         entries = self.param_count * self.out_len
-        if entries > cap:
+        if entries > DENSE_JACOBIAN_CAP:
             raise ResourceLimitError(
-                f"dense Jacobian needs {entries} entries (cap {cap}); "
+                f"dense Jacobian needs {entries} entries (cap {DENSE_JACOBIAN_CAP}); "
                 "use the matrix-free vjp/jvp products instead"
             )
         cols = self.out_len

@@ -1114,6 +1114,22 @@ class TestGlm:
         assert doc["labels"] == [] and doc["probs"] == []
         assert "columns" not in doc and "rows" not in doc
 
+    @pytest.mark.parametrize("key", ["method", "fisher_source", "predict_mode"])
+    def test_unknown_choice_exits_2_naming_the_key(self, blob_data, tmp_path, capsys, key):
+        _, fit_path = self.fit(blob_data, tmp_path, "map")
+        bad = write_json(tmp_path / "bad.json", {"version": 1, "glm": {key: "bogus"}})
+        inputs = write_inputs_csv(tmp_path / "in.csv", [[0.0, 0.0]])
+        common = ["--config", bad, "--checkpoint", blob_data["ckpt"]]
+        for argv in (
+            ["glm-fit", *common, "--data", blob_data["data"], "--out", str(tmp_path / "f.json")],
+            ["glm-predict", *common, "--fit", fit_path, "--inputs", inputs, "--out", str(tmp_path / "p.csv")],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"config key glm.{key} must be one of" in err and "'bogus'" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "f.json").exists() and not (tmp_path / "p.csv").exists()
+
     def test_stale_fit_is_consistency_error(self, blob_data, tmp_path):
         cfg, fit_path = self.fit(blob_data, tmp_path, "map")
         other = tmp_path / "other.json"
@@ -1179,6 +1195,20 @@ class TestSinusoidExp:
         assert main(["sinusoid-exp", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "tangentgp: experiment.noise_grid_decades 400 overflows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "seed, override, message",
+        [(-1, [], "config key 'seed' must be non-negative, got -1"),
+         (0, ["--seed", "-2"], "the seed override must be non-negative, got -2")],
+    )
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, seed, override, message):
+        cfg = write_json(tmp_path / "exp.json", {"version": 1, "seed": seed})
+        out = tmp_path / "o.csv"
+        assert main(["sinusoid-exp", "--config", cfg, "--out", str(out), *override]) == 2
+        err = capsys.readouterr().err
+        assert f"tangentgp: {message}\n" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from tangentgp.adapt import SinusoidExperimentConfig
+from tangentgp.adapt import SinusoidExperimentConfig, SinusoidTaskSpec
 from tangentgp.analysis import StudyConfig
 from tangentgp.cli import _load_glm_fit
 from tangentgp.config import (
+    _REQUIRED,
     _SCHEMA,
     CONFIG_VERSION,
     architecture_from,
@@ -26,7 +27,7 @@ from tangentgp.config import (
 )
 from tangentgp.errors import ConfigError
 from tangentgp.glm import GlmFitConfig
-from tangentgp.net import MlpArchitecture, init_network
+from tangentgp.net import MlpArchitecture, OptimizerConfig, init_network
 from tangentgp.serialize import write_dataset_csv
 
 
@@ -94,6 +95,32 @@ class TestResolveConfig:
         resolved = resolve_config(minimal(architecture={**arch, "hidden_widths": [4, 2]}))
         assert resolved["architecture"]["hidden_widths"] == [4, 2]
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="config key 'seed' must be non-negative, got -1"):
+            resolve_config(minimal(seed=-1))
+        with pytest.raises(ConfigError, match="config key 'seed' must be non-negative, got -1"):
+            resolve_config(minimal(seed=-1), seed_override=3)
+        with pytest.raises(ConfigError, match="seed override must be non-negative, got -2"):
+            resolve_config(minimal(seed=4), seed_override=-2)
+        assert resolve_config(minimal(), seed_override=0)["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "key, allowed",
+        [
+            ("method", ("map", "svi", "laplace")),
+            ("fisher_source", ("train", "test_batch")),
+            ("predict_mode", ("mean", "single_sample")),
+        ],
+    )
+    def test_glm_choices(self, key, allowed):
+        for value in allowed:
+            assert resolve_config(minimal(glm={key: value}))["glm"][key] == value
+        for value in ("bogus", "MAP", ""):
+            with pytest.raises(ConfigError, match=f"config key glm.{key} must be one of .*got {value!r}"):
+                resolve_config(minimal(glm={key: value}))
+        with pytest.raises(ConfigError, match=f"config key glm.{key} must be string"):
+            resolve_config(minimal(glm={key: 1}))
+
     def test_seed_override_changes_hash(self):
         base = resolve_config(minimal())
         overridden = resolve_config(minimal(), seed_override=7)
@@ -139,6 +166,7 @@ class TestConstructors:
             ("experiment", SinusoidExperimentConfig, None),
             ("study", StudyConfig, None),
             ("glm", GlmFitConfig, ("learning_rate", "epochs", "batch_size")),
+            ("task", SinusoidTaskSpec, ("points_per_task", "x_low", "x_high")),
         ],
     )
     def test_schema_defaults_match_the_dataclass(self, block, cls, keys):
@@ -150,6 +178,56 @@ class TestConstructors:
             assert set(keys) == set(fields) - {"seed", "architecture"}
         for key in keys:
             assert (schema[key], type(schema[key])) == (fields[key], type(fields[key])), key
+
+    def test_optimizer_schema_differs_from_the_dataclass_only_where_documented(self):
+        # The one block with a literal schema: its keys are OptimizerConfig's
+        # fields, and its defaults differ in exactly three.
+        schema = {key: default for key, (default, _) in _SCHEMA["optimizer"].items()}
+        fields = {f.name: f.default for f in dataclasses.fields(OptimizerConfig)}
+        assert set(schema) == set(fields) - {"seed"}
+        differ = {key for key in schema if (schema[key], type(schema[key])) != (fields[key], type(fields[key]))}
+        assert differ == {"optimizer", "learning_rate", "epochs"}
+        assert (schema["optimizer"], fields["optimizer"]) == ("adam", "sgd-momentum")
+        assert schema["learning_rate"] is schema["epochs"] is _REQUIRED
+
+    def test_resolved_defaults_of_the_derived_blocks(self):
+        blocks = ("task", "study", "glm", "experiment")
+        resolved = resolve_config(minimal(**{name: {} for name in blocks}))
+        expected = {
+            "task": {
+                "kind": "sinusoid", "num_tasks": 3, "points_per_task": 50, "context_size": 10,
+                "x_low": -5.0, "x_high": 5.0, "train_csv": None, "noise_variance": None,
+            },
+            "study": {
+                "models_per_group": 5, "train_points": 100, "eval_points": 64, "epochs": 150,
+                "learning_rate": 5e-3, "batch_size": 32, "realign_steps": 200,
+                "realign_learning_rate": 0.01,
+            },
+            "glm": {
+                "method": "map", "prior_variance": 1.0, "learning_rate": 1e-3, "epochs": 10,
+                "batch_size": 32, "include_network_output": False, "fisher_source": "train",
+                "predict_mode": "mean",
+            },
+            "experiment": {
+                "num_tasks": 20, "context_size": 10, "points_per_task": 50, "source_points": 200,
+                "source_epochs": 2500, "source_learning_rate": 1e-3, "source_batch_size": 3,
+                "noise_grid_decades": 10,
+            },
+        }
+        for name in blocks:
+            typed = {key: (value, type(value)) for key, value in resolved[name].items()}
+            assert typed == {key: (value, type(value)) for key, value in expected[name].items()}, name
+        assert config_hash(resolved) == "1a06ef096b9964a4"
+
+    def test_hash_of_a_document_with_every_block(self):
+        resolved = resolve_config(
+            minimal(
+                architecture={"input_dim": 1, "output_dim": 1},
+                optimizer={"learning_rate": 0.01, "epochs": 1},
+                **{name: {} for name in ("gp", "fvp", "task", "study", "glm", "experiment")},
+            )
+        )
+        assert config_hash(resolved) == "43b5ac67d7f1cfc2"
 
     def test_study_uses_architecture_block_when_given(self):
         resolved = resolve_config(

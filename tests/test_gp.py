@@ -171,9 +171,9 @@ def count_dense_blocks(monkeypatch):
     sizes = []
     original = JacobianOperator.dense
 
-    def spy(self, *args, **kwargs):
+    def spy(self):
         sizes.append(self.n_data)
-        return original(self, *args, **kwargs)
+        return original(self)
 
     monkeypatch.setattr(JacobianOperator, "dense", spy)
     return sizes
@@ -277,10 +277,11 @@ class TestKernelMatrix:
             assert np.max(np.abs(k - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert empty.shape == (0, j2.shape[1])
 
-    def test_over_cap_is_a_resource_limit(self):
+    def test_over_cap_is_a_resource_limit(self, monkeypatch):
         net = make_net([1, 8, 1], seed=1)
+        monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", 15)
         with pytest.raises(ResourceLimitError, match="matrix-free"):
-            kernel_matrix(net, np.ones((4, 1)), cap=15)
+            kernel_matrix(net, np.ones((4, 1)))
 
     def test_empty_inputs_are_still_validated(self):
         net = make_net([2, 6, 1], seed=2, heteroscedastic=True)
@@ -304,7 +305,8 @@ class TestKernelMatrix:
                 sizes = count_dense_blocks(monkeypatch)
                 if channels == (0,):
                     one_chunk = kernel_matrix(net, x1, other)
-                    chunked = kernel_matrix(net, x1, other, cap=cap)
+                    monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", cap)
+                    chunked = kernel_matrix(net, x1, other)
                 else:
                     one_chunk = chunked = operator_kernel(net, x1, other, channels)
                 monkeypatch.undo()
@@ -826,7 +828,8 @@ class TestChunkedPredict:
                 o = post.variance_root.shape[0] // len(x)
                 cap = 3 * len(x) * o * o
                 sizes = count_cross_kernel_rows(monkeypatch)
-            mean, var = predict(post, net, x_test, cap=cap)
+            monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", cap)
+            mean, var = predict(post, net, x_test)
             monkeypatch.undo()
             assert max(sizes) <= 3 and len(sizes) >= 3
             scale = float(np.max(np.diag(kernel_matrix(net, x_test))))
@@ -854,7 +857,8 @@ class TestChunkedPredict:
         mean_one, var_one = predict(post, net, x_test)
         assert passes == [6, 9]
         passes.clear()
-        mean, var = predict(post, net, x_test, cap=4 * 12 * 2)  # chunks of 4 query rows
+        monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", 4 * 12 * 2)  # chunks of 4 query rows
+        mean, var = predict(post, net, x_test)
         assert passes == [6, 4, 6, 4, 6, 1]
         np.testing.assert_array_equal(mean, mean_one)
         np.testing.assert_allclose(var, var_one, rtol=1e-12, atol=1e-14)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tangentgp.net as net_module
 from tangentgp.errors import (
     ContractViolationError,
     ResourceLimitError,
@@ -340,10 +341,11 @@ class TestDenseJacobian:
             u[col] = 1.0
             np.testing.assert_allclose(dense[:, col], jac.vjp(u), rtol=1e-12, atol=1e-15)
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
         jac = JacobianOperator(seeded_net([2, 16, 2], seed=14), np.ones((3, 2)))
+        monkeypatch.setattr(net_module, "DENSE_JACOBIAN_CAP", 10)
         with pytest.raises(ResourceLimitError, match="matrix-free"):
-            jac.dense(cap=10)
+            jac.dense()
 
 
 class TestOutputMap:
