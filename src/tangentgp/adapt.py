@@ -186,32 +186,28 @@ def _split_by_picks(data: TaskDataset, picks: np.ndarray):
     return context, TaskDataset(data.x[~mask], data.y[~mask], data.noise_variance)
 
 
-def select_noise_by_loo(kernel, targets, grid) -> float:
+def select_noise_by_loo(factor: GramFactor, resid, grid) -> float | np.ndarray:
     """Pick the noise variance whose GP has the smallest leave-one-out MSE.
 
-    ``kernel`` is the n*o square tangent kernel, or a ``gp.GramFactor`` of
-    the task's Jacobian. With G = K + sigma^2 I and alpha = G^{-1} y, the
-    leave-one-out residual at point i is alpha_i divided by (G^{-1})_{ii};
-    one eigendecomposition gives both for every candidate
-    (``gp.loo_scores``) instead of n refits each. Ties resolve to the
-    earlier grid entry.
+    ``resid`` is what the fit of ``factor``'s Jacobian regresses (targets
+    less the prior mean). With G = K + s I and alpha = G^-1 r, the residual
+    left out at point i is alpha_i / (G^-1)_ii, so one eigendecomposition
+    scores every candidate (``gp.loo_scores``) instead of n refits each. A
+    function-side factor of T stacked kernels, with ``resid`` (T, n*o),
+    gives T variances; one task gives a float. A NaN score never wins, and
+    ties resolve to the earlier grid entry.
     """
-    grid = tuple(float(g) for g in grid)
-    if not grid or any(not 0 < g < np.inf for g in grid):
+    grid = np.asarray(grid, dtype=np.float64)
+    if not grid.size or not np.all((grid > 0) & (grid < np.inf)):
         raise ContractViolationError("noise grid must be positive finite variances")
-    y = np.asarray(targets, dtype=np.float64).ravel()
-    if not isinstance(kernel, GramFactor):
-        if kernel.shape[0] != y.size:
-            raise ContractViolationError(
-                f"kernel is {kernel.shape[0]}x{kernel.shape[1]} but there are {y.size} targets"
-            )
-        kernel = GramFactor.of_kernel(kernel)
-    return grid[int(_loo_pick(loo_scores(kernel, y, grid)))]
-
-
-def _loo_pick(scores: np.ndarray) -> np.ndarray:
-    """Index of the smallest score along the last axis; NaN never wins, ties go to the earlier entry."""
-    return np.argmin(np.where(np.isnan(scores), np.inf, scores), axis=-1)
+    resid = np.asarray(resid, dtype=np.float64)
+    if resid.size != factor.jac.out_len:
+        raise ContractViolationError(
+            f"the Gram factor has {factor.jac.out_len} rows but there are {resid.size} targets"
+        )
+    scores = loo_scores(factor, resid, grid)
+    picks = grid[np.argmin(np.where(np.isnan(scores), np.inf, scores), axis=-1)]
+    return picks if picks.ndim else float(picks)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +225,10 @@ class AdaptConfig:
     ``noise_variance`` overrides each context's own value (the usual
     choice is the source network's training MSE), while ``noise_grid``
     instead picks the variance per task by leave-one-out error over the
-    given candidates. Each fit solves the smaller of its two dual systems
-    (``gp.fit_posterior``), exactly or matrix-free by its size alone; no
-    setting picks a system or a path. Every task with an exact kernel-side
+    given candidates: one ``select_noise_by_loo`` call per stacked group
+    or per task that runs alone. Each fit solves the smaller of its two
+    dual systems (``gp.fit_posterior``), exactly or matrix-free by its
+    size alone; no setting picks a system or a path. Every task with an exact kernel-side
     fit (n*o at most p and ``gp.EXACT_FIT_LIMIT``) takes the stacked pass
     of ``run_adaptation``.
     Wall times go to the ``tangentgp`` logger at DEBUG level, never into
@@ -405,8 +402,7 @@ def _adapt_stack(source: MlpNetwork, pairs, cfg: AdaptConfig, fingerprint: str):
     kernels, cross, prior = _task_kernels(jac, query, t)
     factor = GramFactor("function", *_eigh_psd(kernels), jac)
     if cfg.noise_grid is not None:
-        grid = np.asarray(cfg.noise_grid, dtype=np.float64)
-        sigma2 = grid[_loo_pick(loo_scores(factor, resid, grid))]
+        sigma2 = select_noise_by_loo(factor, resid, cfg.noise_grid)
     elif cfg.noise_variance is not None:
         sigma2 = np.full(t, float(cfg.noise_variance))
     else:

@@ -288,6 +288,7 @@ def cmd_adapt(args) -> int:
 def cmd_predict(args) -> int:
     resolved = _load_or_default(args)
     network = load_checkpoint(args.checkpoint)
+    _check_architecture(resolved, network)
     posterior = load_posterior(args.posterior)
     if posterior.theta_fingerprint != network.fingerprint():
         raise ConsistencyError(
@@ -530,6 +531,7 @@ def _load_glm_fit(path, network):
 def cmd_glm_predict(args) -> int:
     resolved = _load_or_default(args)
     network = load_checkpoint(args.checkpoint)
+    _check_architecture(resolved, network)
     model, approx = _load_glm_fit(args.fit, network)
     glm = block_or_defaults(resolved, "glm")
     pinned = isinstance(approx, LaplacePosterior) and approx.fisher_x is not None

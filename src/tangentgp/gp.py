@@ -358,17 +358,15 @@ class GramFactor:
     """A task's Jacobian J (p x n*o) through its smaller Gram side.
 
     ``side`` "function" holds K = J'J = V diag(E) V', "parameter" J J' = W diag(E) W';
-    ``evals`` E are clamped at 0. ``jac`` is J's operator, which the fits reuse (None for a bare kernel).
+    ``evals`` E are clamped at 0. ``jac`` is J's operator, which the fits and the
+    parameter-side leave-one-out scores reuse. A function-side factor of T
+    stacked kernels holds (T, n*o) ``evals`` and one ``jac`` over all T contexts.
     """
 
     side: str
     evals: np.ndarray
     evecs: np.ndarray
-    jac: JacobianOperator | None = None
-
-    @classmethod
-    def of_kernel(cls, kernel: np.ndarray) -> "GramFactor":
-        return cls("function", *_eigh_psd(kernel))
+    jac: JacobianOperator
 
 
 def smaller_gram(jac: JacobianOperator) -> tuple[str, np.ndarray]:
@@ -495,10 +493,6 @@ def _fit(network, data, mean_kind, factor, kernel_side: bool) -> NtkPosterior:
     A given ``factor`` must be of this fit's Jacobian (the same network,
     regression view and inputs); the fit reuses its operator.
     """
-    if factor is not None and factor.jac is None:
-        raise ContractViolationError(
-            "the Gram factor of a bare kernel gives leave-one-out scores only; fit from gp.factor_gram"
-        )
     jac = None if factor is None else factor.jac
     jac, resid = _prepare(network, data, mean_kind, jac, "the Gram factor")
     sigma2 = data.noise_variance

@@ -32,8 +32,8 @@ class SymmetricLinearOperator:
         linear and symmetric; positive semidefiniteness is required only
         after the shift is added.
     shift : float, optional
-        Nonnegative diagonal jitter, kept separate from ``base`` so that
-        routines which exploit the shifted-identity structure can see it.
+        Nonnegative diagonal shift, which ``apply`` adds to ``base``'s
+        product.
     """
 
     dim: int

@@ -41,7 +41,7 @@ from tangentgp.errors import (
     NumericBreakdownError,
     TrainingDivergenceError,
 )
-from tangentgp.gp import factor_gram, kernel_matrix, loo_scores, predict
+from tangentgp.gp import GramFactor, _eigh_psd, factor_gram, kernel_matrix, loo_scores, predict
 from tangentgp.net import (
     JacobianOperator,
     MlpArchitecture,
@@ -205,6 +205,12 @@ class TestNoiseSelection:
             errs.append(kernel[i, keep] @ alpha - y[i])
         return float(np.mean(np.square(errs)))
 
+    def factor(self, kernel):
+        """A function-side factor of ``kernel`` over an operator with as many outputs."""
+        x = np.linspace(-1.0, 1.0, len(kernel))[:, None]
+        jac = JacobianOperator(init_network(MlpArchitecture(1, (2,), 1), seed=0), x)
+        return GramFactor("function", *_eigh_psd(kernel), jac)
+
     def test_matches_brute_force_refits(self):
         rng = np.random.default_rng(11)
         root = rng.normal(size=(7, 4))
@@ -212,23 +218,50 @@ class TestNoiseSelection:
         y = rng.normal(size=7)
         grid = (0.01, 0.1, 1.0, 10.0)
         scores = [self.brute_loo(kernel, y, s2) for s2 in grid]
-        assert select_noise_by_loo(kernel, y, grid) == grid[int(np.argmin(scores))]
+        assert select_noise_by_loo(self.factor(kernel), y, grid) == grid[int(np.argmin(scores))]
 
     def test_ties_resolve_to_first_entry(self):
         # With an identity kernel the LOO residual is y itself for every
         # noise level, so all candidates tie.
         y = np.random.default_rng(0).normal(size=5)
-        assert select_noise_by_loo(np.eye(5), y, (0.5, 1.0, 2.0)) == 0.5
+        assert select_noise_by_loo(self.factor(np.eye(5)), y, (0.5, 1.0, 2.0)) == 0.5
 
     def test_input_validation(self):
+        factor = self.factor(np.eye(2))
         with pytest.raises(ContractViolationError, match="positive"):
-            select_noise_by_loo(np.eye(2), np.ones(2), ())
+            select_noise_by_loo(factor, np.ones(2), ())
         with pytest.raises(ContractViolationError, match="positive"):
-            select_noise_by_loo(np.eye(2), np.ones(2), (1.0, 0.0))
+            select_noise_by_loo(factor, np.ones(2), (1.0, 0.0))
         with pytest.raises(ContractViolationError, match="positive finite variances"):
-            select_noise_by_loo(np.eye(2), np.ones(2), (1.0, np.inf))
+            select_noise_by_loo(factor, np.ones(2), (1.0, np.inf))
         with pytest.raises(ContractViolationError, match="targets"):
-            select_noise_by_loo(np.eye(2), np.ones(3), (1.0,))
+            select_noise_by_loo(factor, np.ones(3), (1.0,))
+
+    def test_stacked_factor_picks_each_tasks_own_variance(self):
+        # Four same-size kernel-side tasks (6 outputs against p = 25) in one
+        # stacked factor, as the stacked pass builds it, against each
+        # task's own factor.
+        net = init_network(MlpArchitecture(1, (8,), 1), seed=3)
+        rng = np.random.default_rng(8)
+        xs = [rng.uniform(-2.0, 2.0, size=(6, 1)) for _ in range(4)]
+        noise = (0.01, 0.3, 1.0, 3.0)
+        resid = np.stack([np.sin(x).ravel() + s * rng.standard_normal(6) for s, x in zip(noise, xs)])
+        grid = tuple(10.0**d for d in range(-4, 2))
+        jac = JacobianOperator(net, np.concatenate(xs))
+        kernels = gp_module._task_kernels(jac, None, len(xs))[0]
+        stacked = GramFactor("function", *_eigh_psd(kernels), jac)
+        picks = select_noise_by_loo(stacked, resid, grid)
+        own = [select_noise_by_loo(factor_gram(net, x), r, grid) for x, r in zip(xs, resid)]
+        assert picks.tolist() == own
+        assert len(set(own)) > 1
+        with pytest.raises(ContractViolationError, match="24 rows but there are 18 targets"):
+            select_noise_by_loo(stacked, resid[1:], grid)
+
+    def test_nan_score_never_wins(self, monkeypatch):
+        scores = np.array([[np.nan, 2.0, 1.0, np.nan], [3.0, np.nan, 3.0, 5.0]])
+        monkeypatch.setattr(adapt_module, "loo_scores", lambda factor, resid, grid: scores)
+        grid = (0.1, 0.2, 0.3, 0.4)
+        assert select_noise_by_loo(self.factor(np.eye(4)), np.zeros((2, 2)), grid).tolist() == [0.3, 0.1]
 
     def test_scores_match_inverse_formula_on_both_gram_sides(self):
         grid = (1e-3, 1e-2, 0.1, 1.0, 10.0)
@@ -294,8 +327,7 @@ class TestAdaptTask:
         posterior, _ = adapt_task(
             source, context, None, AdaptConfig(center_on_network=False, noise_grid=grid)
         )
-        kernel = kernel_matrix(source, x)
-        assert posterior.noise_variance == select_noise_by_loo(kernel, context.y, grid)
+        assert posterior.noise_variance == select_noise_by_loo(factor_gram(source, x), context.y, grid)
 
     def test_noise_grid_scores_the_residual_that_is_fitted(self):
         # On this task LOO of the raw targets picks 0.1, LOO of the
@@ -303,14 +335,14 @@ class TestAdaptTask:
         source = init_network(MlpArchitecture(1, (16,), 1), seed=4)
         task = sample_sinusoid_tasks(SinusoidTaskSpec(points_per_task=12, seed=4), 1)[0]
         grid = tuple(10.0**d for d in range(-4, 2))
-        kernel = kernel_matrix(source, task.x)
+        factor = factor_gram(source, task.x)
         jac = JacobianOperator(source, task.x)
         linear = (jac.dense().T @ source.params)[:, None]
-        assert select_noise_by_loo(kernel, task.y, grid) == 0.1
+        assert select_noise_by_loo(factor, task.y, grid) == 0.1
         for kind, mu in (("jacobian_mean", linear), ("linearized_nn", jac.outputs + linear)):
             cfg = AdaptConfig(mean_kind=kind, center_on_network=False, noise_grid=grid)
             posterior, _ = adapt_task(source, task, None, cfg)
-            assert posterior.noise_variance == select_noise_by_loo(kernel, task.y - mu, grid)
+            assert posterior.noise_variance == select_noise_by_loo(factor, task.y - mu, grid)
             assert posterior.noise_variance == 0.01
 
     def test_noise_grid_task_runs_one_eigendecomposition(self, monkeypatch):

@@ -550,6 +550,23 @@ class TestPredict:
         )
         assert code == 3
 
+    def test_architecture_mismatch_is_consistency_error(self, ws, cached_posterior, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "predict.json",
+            {"version": 1, "architecture": {"input_dim": 1, "hidden_widths": [9, 9], "output_dim": 1}},
+        )
+        inputs = write_inputs_csv(tmp_path / "in.csv", cached_posterior["x"][:2])
+        out = tmp_path / "pred.csv"
+        code = main(
+            [
+                "predict", "--config", cfg, "--checkpoint", ws["ckpt"],
+                "--posterior", cached_posterior["posterior"], "--inputs", inputs, "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert "does not match the checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHeteroscedastic:
     @pytest.mark.parametrize(
@@ -1142,6 +1159,17 @@ class TestGlm:
             ]
         )
         assert code == 3
+
+    def test_architecture_mismatch_is_consistency_error(self, blob_data, tmp_path, capsys):
+        _, fit_path = self.fit(blob_data, tmp_path, "map")
+        cfg = write_json(
+            tmp_path / "wrong.json",
+            {"version": 1, "architecture": {"input_dim": 2, "hidden_widths": [9, 9], "output_dim": 2}},
+        )
+        code, out = self.predict(blob_data, tmp_path, cfg, fit_path)
+        assert code == 3
+        assert "does not match the checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSinusoidExp:

@@ -28,7 +28,7 @@ import tangentgp.glm as glm_module
 import tangentgp.gp as gp_module
 import tangentgp.net as net_module
 from tangentgp import cli
-from tangentgp.adapt import AdaptConfig, adapt_task
+from tangentgp.adapt import AdaptConfig, adapt_task, run_adaptation
 from tangentgp.config import save_checkpoint
 from tangentgp.glm import (
     ClassificationData,
@@ -152,11 +152,31 @@ def test_adaptation_counts_its_eval_points_on_each_side():
     finally:
         tracer.uninstall()
     kernel_side = sides[0]
-    assert kernel_side["calls"] == {"net.forward": 2, "net.jacobian_op": 2, "net.vjp": 1}
+    assert kernel_side["calls"] == {"net.forward": 2, "net.jacobian_op": 2, "net.vjp": 1, "adapt.loo": 1}
     assert set(kernel_side["counts"]) == {"net.vjp.flops"}
     assert tracer.counts["gp.predict.points"] == 7
     assert tracer.counts["gp.fit.parameter.calls"] == 1
     assert "gp.fit.function.calls" not in tracer.counts
+    assert tracer.mismatches == []
+
+
+def test_stacked_group_selects_its_noise_in_one_span():
+    # Three same-size kernel-side tasks with a noise grid run as one
+    # stacked group, which picks every task's variance in one call.
+    net = init_network(MlpArchitecture(1, (8,), 1), seed=0)  # p = 25 >= 6 outputs
+    rng = np.random.default_rng(2)
+    pairs = []
+    for _ in range(3):
+        x, eval_x = rng.uniform(-2.0, 2.0, size=(6, 1)), rng.uniform(-2.0, 2.0, size=(5, 1))
+        pairs.append((TaskDataset(x, np.sin(x), 0.1), TaskDataset(eval_x, np.sin(eval_x), 0.1)))
+    tracer = spans().Tracer()
+    tracer.install()
+    try:
+        run = run_adaptation(net, pairs, AdaptConfig(noise_grid=(1e-2, 1e-1, 1.0)))
+    finally:
+        tracer.uninstall()
+    assert [task.status for task in run.tasks] == ["ok"] * 3
+    assert tracer.calls["adapt.loo"] == 1
     assert tracer.mismatches == []
 
 
