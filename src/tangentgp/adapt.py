@@ -412,7 +412,6 @@ def _adapt_stack(source: MlpNetwork, pairs, cfg: AdaptConfig, fingerprint: str):
     posteriors = [
         NtkPosterior(
             mean_kind=cfg.mean_kind,
-            channels=channels,
             mean_cache=jac.rows(i * n, (i + 1) * n).vjp(weights[i]),
             variance_root=roots[i],
             noise_variance=float(sigma2[i]),

@@ -49,7 +49,6 @@ from .config import (
     block_or_defaults,
     config_hash,
     experiment_config_from,
-    file_field,
     float_array,
     from_block,
     glm_fit_config_from,
@@ -90,6 +89,7 @@ from .serialize import (
     atomic_write_bytes,
     atomic_write_text,
     canonical_json,
+    file_field,
     float_lines,
     fmt_float,
     read_classification_csv,
@@ -290,10 +290,6 @@ def cmd_predict(args) -> int:
     network = load_checkpoint(args.checkpoint)
     _check_architecture(resolved, network)
     posterior = load_posterior(args.posterior)
-    if posterior.theta_fingerprint != network.fingerprint():
-        raise ConsistencyError(
-            "stale posterior cache: it was fitted at different network parameters"
-        )
     x = read_inputs_csv(args.inputs)
     mean, var = predict(posterior, network, x)
     columns = (

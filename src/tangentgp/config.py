@@ -22,46 +22,22 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import reprlib
-import sys
 from pathlib import Path
 
 import numpy as np
 
 from .adapt import SinusoidExperimentConfig, SinusoidTaskSpec
 from .analysis import StudyConfig
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError
 from .glm import FISHER_SOURCES, FIT_METHODS, PREDICT_MODES, GlmFitConfig
 from .net import MlpArchitecture, MlpNetwork, OptimizerConfig, TaskDataset
-from .serialize import atomic_write_text, canonical_json, read_dataset_csv, read_json
+from .serialize import _CHECKS, atomic_write_text, canonical_json, file_field, read_dataset_csv, read_json
 
 CONFIG_VERSION = 1
 CHECKPOINT_VERSION = 1
 
 _REQUIRED = object()
 
-
-def _int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _num(v):
-    """A finite JSON number; ``json`` reads Infinity, NaN and 1e400 as non-finite floats."""
-    return (_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
-
-
-_CHECKS = {
-    "int": _int,
-    "number": _num,
-    "bool": lambda v: isinstance(v, bool),
-    "string": lambda v: isinstance(v, str),
-    # One type pass per list; JSON numbers are exactly int or float, and type(True) is bool.
-    "int list": lambda v: isinstance(v, list) and set(map(type, v)) <= {int},
-    "number list": lambda v: isinstance(v, list) and set(map(type, v)) <= {int, float},
-    "int or null": lambda v: v is None or _int(v),
-    "number or null": lambda v: v is None or _num(v),
-    "string or null": lambda v: v is None or isinstance(v, str),
-}
 
 # A dataclass field's annotation (a string, under postponed evaluation) -> type name.
 _TYPE_NAMES = {"int": "int", "float": "number"}
@@ -177,7 +153,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
     seed = raw.get("seed", 0)
-    if not _int(seed):
+    if not _CHECKS["int"](seed):
         raise ConfigError(f"config key 'seed' must be int, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"config key 'seed' must be non-negative, got {seed}")
@@ -259,25 +235,6 @@ def experiment_config_from(resolved: dict) -> SinusoidExperimentConfig:
 # Checkpoints
 
 
-def file_field(path, label: str, doc: dict, key: str, kind: str | None = None, convert=None):
-    """``doc[key]`` of the JSON file ``path``, of config type ``kind``, passed through ``convert``.
-
-    A missing key, a value of another type, or one that ``convert``
-    rejects raises ``ConfigError`` naming the file, ``label`` and the key.
-    """
-    if key not in doc:
-        raise ConfigError(f"{path}: {label} has no {key!r}")
-    value = doc[key]
-    if kind is not None and not _CHECKS[kind](value):
-        raise ConfigError(f"{path}: {label} key {key!r} must be {kind}, got {reprlib.repr(value)}")
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except (ConfigError, ContractViolationError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {label} key {key!r} is malformed: {exc}") from exc
-
-
 float_array = functools.partial(np.asarray, dtype=np.float64)
 
 
@@ -331,7 +288,7 @@ def read_task_manifest(path) -> list[tuple[TaskDataset, TaskDataset | None]]:
         if unknown:
             raise ConfigError(f"{path}: entry {i} has unknown keys {sorted(unknown)}")
         noise = entry.get("noise_variance", 1.0)
-        if not _num(noise) or not noise > 0:
+        if not _CHECKS["number"](noise) or not noise > 0:
             raise ConfigError(f"{path}: entry {i} noise_variance must be a positive finite number")
         field = functools.partial(file_field, path, f"entry {i}", entry)
         cx, cy = read_dataset_csv(base / field("context", "string"))

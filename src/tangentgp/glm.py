@@ -167,15 +167,20 @@ class GlmFitConfig:
 
 @dataclass(frozen=True)
 class MapPosterior:
-    kind = "map"
     coefficients: np.ndarray
 
 
 @dataclass(frozen=True)
 class MeanFieldPosterior:
-    kind = "meanfield"
     mu: np.ndarray
     raw_scales: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.mu) != 1 or np.shape(self.raw_scales) != np.shape(self.mu):
+            raise ContractViolationError(
+                "mean-field mu and raw_scales must be vectors of one length, "
+                f"got shapes {np.shape(self.mu)} and {np.shape(self.raw_scales)}"
+            )
 
     @property
     def scales(self) -> np.ndarray:
@@ -195,7 +200,6 @@ class LaplacePosterior:
     once; ``None`` has every draw build it.
     """
 
-    kind = "laplace"
     mean: np.ndarray
     n_train: int
     prior_variance: float
@@ -203,6 +207,8 @@ class LaplacePosterior:
     gram: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.n_train < 1:
+            raise ContractViolationError(f"the Laplace posterior needs n_train >= 1, got {self.n_train}")
         if self.gram is not None and self.fisher_x is None:
             raise ContractViolationError("a test-batch Fisher has no Gram to cache")
 

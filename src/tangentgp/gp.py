@@ -17,8 +17,8 @@ is B = J blockdiag(M_i'), and its kernel B'B comes from the same assembly.
 
 The architecture fixes the regression view, the outputs that
 ``output_dim``-wide targets regress on (``MlpArchitecture.regression_channels``):
-every fit, kernel and log marginal here builds its operators in it, and
-an operator or factor handed in must be of it.
+every fit, prediction, kernel and log marginal here builds its operators
+in it, and an operator or factor handed in must be of it.
 
 The posterior has two dual forms: the n*o square kernel system (function
 space) and the p square parameter system. Both give a length-p mean cache
@@ -63,6 +63,7 @@ is what makes the two systems agree.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -73,6 +74,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    ConsistencyError,
     ContractViolationError,
     FitError,
     NumericBreakdownError,
@@ -88,7 +90,7 @@ from .linalg import (
 )
 from .net import DENSE_JACOBIAN_CAP, JacobianOperator, MlpNetwork, TaskDataset
 from .seeding import substream
-from .serialize import atomic_write_bytes
+from .serialize import atomic_write_bytes, file_field
 
 MEAN_KINDS = ("zero", "jacobian_mean", "linearized_nn")
 DEFAULT_VARIANCE_RANK = 256
@@ -205,11 +207,9 @@ class NtkPosterior:
       T = U diag(L) U'.
 
     ``inputs`` marks the form, since C is square in both when n*o = p.
-    ``channels`` records the architecture's regression view for ``predict``.
     """
 
     mean_kind: str
-    channels: tuple[int, ...] | None
     mean_cache: np.ndarray
     variance_root: np.ndarray
     noise_variance: float
@@ -522,7 +522,6 @@ def _fit(network, data, mean_kind, factor, kernel_side: bool) -> NtkPosterior:
         kernel_form = False
     return NtkPosterior(
         mean_kind=mean_kind,
-        channels=network.architecture.regression_channels,
         mean_cache=mean_cache,
         variance_root=variance_root,
         noise_variance=sigma2,
@@ -603,7 +602,9 @@ def _checked_root(posterior: NtkPosterior, jac: JacobianOperator) -> np.ndarray:
 
 
 def predict(posterior: NtkPosterior, network: MlpNetwork, x) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive mean J*' m + mu and per-channel variance k(x*, x*) - |C' phi(x*)|^2 at new inputs.
+    """Predictive mean J*' m + mu and per-channel variance k(x*, x*) - |C' phi(x*)|^2 at new inputs ``x``.
+
+    A network of other parameters than the fit's raises ``ConsistencyError``.
 
     Kernel form: phi(x*) = K(X, x*) in chunks of query rows whose cross
     kernel stays under ``DENSE_JACOBIAN_CAP`` entries. Feature form:
@@ -611,10 +612,8 @@ def predict(posterior: NtkPosterior, network: MlpNetwork, x) -> tuple[np.ndarray
     least one row.
     """
     if network.fingerprint() != posterior.theta_fingerprint:
-        raise ContractViolationError(
-            "posterior is stale: the network parameters differ from the ones it was fitted at"
-        )
-    jac = JacobianOperator(network, x, posterior.channels)
+        raise ConsistencyError("stale posterior cache: it was fitted at different network parameters")
+    jac = _operator(network, x)
     root = _checked_root(posterior, jac)
     n_test, o = jac.n_data, jac.out_dim
     mu = _mean_surface(jac, network.params, posterior.mean_kind)
@@ -625,7 +624,7 @@ def predict(posterior: NtkPosterior, network: MlpNetwork, x) -> tuple[np.ndarray
         for cols, jt in _jacobian_blocks(jac):
             var[cols] = _sq_norms(jt) - _sq_norms(root.T @ jt)
     else:
-        train = JacobianOperator(network, posterior.inputs, posterior.channels)
+        train = _operator(network, posterior.inputs)
         rows = max(1, DENSE_JACOBIAN_CAP // max(1, train.out_len * o))
         for start in range(0, n_test, rows):
             # One sensitivity pass over the chunk gives its cross kernel
@@ -676,14 +675,6 @@ def log_marginal_likelihood(
     return -0.5 * (quad + logdet + dim * math.log(2.0 * math.pi))
 
 
-# Files that also store "space" (written before the side was picked by
-# rule) hold the same arrays and still load.
-_POSTERIOR_META_KEYS = ("mean_kind", "channels", "noise_variance", "theta_fingerprint")
-# Version 2 stored every root in feature form; version 3 names the form
-# and stores the training inputs of a kernel-form root.
-_FEATURE_FORM_VERSION = 2
-
-
 def save_posterior(posterior: NtkPosterior, path) -> None:
     """Write a posterior cache; arrays in f64, metadata as embedded JSON."""
     kernel_form = posterior.inputs is not None
@@ -692,7 +683,6 @@ def save_posterior(posterior: NtkPosterior, path) -> None:
             "version": POSTERIOR_FILE_VERSION,
             "form": "kernel" if kernel_form else "feature",
             "mean_kind": posterior.mean_kind,
-            "channels": list(posterior.channels) if posterior.channels is not None else None,
             "noise_variance": posterior.noise_variance,
             "theta_fingerprint": posterior.theta_fingerprint,
         },
@@ -707,7 +697,11 @@ def save_posterior(posterior: NtkPosterior, path) -> None:
 
 
 def load_posterior(path) -> NtkPosterior:
-    """Read a posterior cache; a file that is not one raises ConfigError naming what is wrong."""
+    """Read a version-3 posterior cache; a file that is not one raises ConfigError naming what is wrong.
+
+    Every key is read through ``serialize.file_field``; keys it does not
+    read, such as the ``channels`` and ``space`` older files store, are ignored.
+    """
     try:
         archive = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -720,23 +714,21 @@ def load_posterior(path) -> NtkPosterior:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: not a posterior cache: {exc}") from exc
         version = meta.get("version") if isinstance(meta, dict) else None
-        if version not in (_FEATURE_FORM_VERSION, POSTERIOR_FILE_VERSION):
+        if version != POSTERIOR_FILE_VERSION:
             raise ConfigError(f"{path}: unsupported posterior file version {version}")
-        form = meta.get("form") if version == POSTERIOR_FILE_VERSION else "feature"
+        field = functools.partial(file_field, path, "posterior cache", meta)
+        array = functools.partial(file_field, path, "posterior cache", archive)
+        form = field("form")
         if form not in ("feature", "kernel"):
             raise ConfigError(f"{path}: unknown posterior form {form!r}")
-        arrays = ("mean_cache", "variance_root") + (("inputs",) if form == "kernel" else ())
-        missing = [name for name in arrays if name not in archive.files]
-        missing += [key for key in _POSTERIOR_META_KEYS if key not in meta]
-        if missing:
-            raise ConfigError(f"{path}: posterior cache has no {missing[0]!r}")
-        channels = meta["channels"]
+        mean_kind = field("mean_kind")
+        if mean_kind not in MEAN_KINDS:
+            raise ConfigError(f"{path}: unknown posterior mean kind {mean_kind!r}")
         return NtkPosterior(
-            mean_kind=meta["mean_kind"],
-            channels=tuple(channels) if channels is not None else None,
-            mean_cache=archive["mean_cache"],
-            variance_root=archive["variance_root"],
-            noise_variance=float(meta["noise_variance"]),
-            theta_fingerprint=meta["theta_fingerprint"],
-            inputs=archive["inputs"] if form == "kernel" else None,
+            mean_kind=mean_kind,
+            mean_cache=array("mean_cache"),
+            variance_root=array("variance_root"),
+            noise_variance=field("noise_variance", "number", float),
+            theta_fingerprint=field("theta_fingerprint", "string"),
+            inputs=array("inputs") if form == "kernel" else None,
         )

@@ -10,18 +10,67 @@ An all-float table is formatted with one ``"%.17g"`` template per row
 CPython both go through ``PyOS_double_to_string(x, 'g', 17, 0)``, so the
 bytes are the same. The CSV readers share one tokenizer: it checks every
 line's column count, then converts all cells with one ``map(float, ...)``.
+
+``file_field`` checks one field of a file against a type name of
+``_CHECKS``; the readers of configs, checkpoints, GLM fits and posterior
+caches take their keys through it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import reprlib
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolationError
+
+
+def _int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _num(v):
+    """A finite JSON number; ``json`` reads Infinity, NaN and 1e400 as non-finite floats."""
+    return (_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+_CHECKS = {
+    "int": _int,
+    "number": _num,
+    "bool": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    # One type pass per list; JSON numbers are exactly int or float, and type(True) is bool.
+    "int list": lambda v: isinstance(v, list) and set(map(type, v)) <= {int},
+    "number list": lambda v: isinstance(v, list) and set(map(type, v)) <= {int, float},
+    "int or null": lambda v: v is None or _int(v),
+    "number or null": lambda v: v is None or _num(v),
+    "string or null": lambda v: v is None or isinstance(v, str),
+}
+
+
+def file_field(path, label: str, doc: dict, key: str, kind: str | None = None, convert=None):
+    """``doc[key]`` of the file ``path``, of type ``kind`` (a ``_CHECKS`` name), passed through ``convert``.
+
+    ``doc`` is the file's JSON object or its ``.npz`` archive. A missing
+    key, a value of another type, or one that ``convert`` rejects raises
+    ``ConfigError`` naming the file, ``label`` and the key.
+    """
+    if key not in doc:
+        raise ConfigError(f"{path}: {label} has no {key!r}")
+    value = doc[key]
+    if kind is not None and not _CHECKS[kind](value):
+        raise ConfigError(f"{path}: {label} key {key!r} must be {kind}, got {reprlib.repr(value)}")
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (ConfigError, ContractViolationError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {label} key {key!r} is malformed: {exc}") from exc
 
 
 def fmt_float(x: float) -> str:

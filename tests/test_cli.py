@@ -538,6 +538,31 @@ class TestPredict:
         assert code == 2
         assert f"{partial}: posterior cache has no 'mean_cache'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value", [("noise_variance", "abc"), ("noise_variance", None), ("theta_fingerprint", 12)]
+    )
+    def test_malformed_posterior_field_is_input_error(
+        self, ws, cached_posterior, tmp_path, capsys, key, value
+    ):
+        with np.load(cached_posterior["posterior"], allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(str(arrays["meta"]))
+        arrays["meta"] = np.array(json.dumps({**meta, key: value}))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        inputs = write_inputs_csv(tmp_path / "in.csv", cached_posterior["x"][:2])
+        out = tmp_path / "pred.csv"
+        code = main(
+            [
+                "predict", "--checkpoint", ws["ckpt"], "--posterior", str(bad),
+                "--inputs", inputs, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        kind = "number" if key == "noise_variance" else "string"
+        assert f"{bad}: posterior cache key {key!r} must be {kind}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stale_posterior_is_consistency_error(self, ws, cached_posterior, tmp_path):
         other = str(tmp_path / "other.json")
         assert main(["train", "--config", ws["config"], "--seed", "5", "--out", other]) == 0
@@ -1110,6 +1135,24 @@ class TestGlm:
         )
         assert code == 2
         assert f"{fit_path}: GLM fit file has no {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method,key,value",
+        [("svi", "raw_scales", [0.0]), ("svi", "raw_scales", [0.0] * 3), ("laplace", "n_train", -5), ("laplace", "n_train", 0)],
+    )
+    def test_malformed_posterior_field_is_input_error(self, blob_data, tmp_path, capsys, method, key, value):
+        # Single-sample draws read every posterior field; the Laplace fit has no Gram file.
+        cfg, fit_path = self.fit(blob_data, tmp_path, method, predict_mode="single_sample")
+        (tmp_path / "fit.laplace.npy").unlink(missing_ok=True)
+        doc = json.loads(open(fit_path).read())
+        doc[key] = value
+        write_json(tmp_path / "fit.json", doc)
+        code, out = self.predict(blob_data, tmp_path, cfg, fit_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        message = "raw_scales must be vectors of one length" if key == "raw_scales" else f"n_train >= 1, got {value}"
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_empty_inputs_give_empty_predictions(self, blob_data, tmp_path):
         cfg, fit_path = self.fit(blob_data, tmp_path, "map")

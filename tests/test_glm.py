@@ -735,6 +735,17 @@ class TestLaplaceDraw:
         with pytest.raises(ContractViolationError, match="no Gram to cache"):
             replace(posterior, gram=np.eye(5))
 
+    def test_malformed_posteriors_are_refused(self):
+        # A draw needs one scale per coefficient and a Fisher upscaled by
+        # at least one training point.
+        _, posterior, _ = laplace_draw_setup(2, 5, "train", False)
+        for n_train in (0, -5):
+            with pytest.raises(ContractViolationError, match=f"n_train >= 1, got {n_train}"):
+                replace(posterior, n_train=n_train)
+        for mu, raw in [(4, 1), (4, 3), ((4, 1), (4, 1))]:
+            with pytest.raises(ContractViolationError, match="raw_scales must be vectors of one length"):
+                MeanFieldPosterior(mu=np.zeros(mu), raw_scales=np.zeros(raw))
+
     def test_no_draw_takes_an_eigendecomposition(self, monkeypatch):
         def no_eigh(*args, **kwargs):
             raise AssertionError("the draw called np.linalg.eigh")

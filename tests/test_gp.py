@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tangentgp.gp as gp_module
-from tangentgp.errors import ConfigError, ContractViolationError, ResourceLimitError
+from tangentgp.errors import ConfigError, ConsistencyError, ContractViolationError, ResourceLimitError
 from tangentgp.gp import (
     GramFactor,
     NtkPosterior,
@@ -155,11 +155,12 @@ def matrix_free_variances(posterior, network, x):
     A kernel-form root C is taken to the feature form J C by reverse
     products of the training Jacobian.
     """
-    cols = matrix_free_columns(JacobianOperator(network, x, posterior.channels))
+    channels = network.architecture.regression_channels
+    cols = matrix_free_columns(JacobianOperator(network, x, channels))
     col_sq = np.einsum("pj,pj->j", cols, cols)
     root = posterior.variance_root
     if posterior.inputs is not None:
-        train = JacobianOperator(network, posterior.inputs, posterior.channels)
+        train = JacobianOperator(network, posterior.inputs, channels)
         root = np.column_stack([train.vjp(c) for c in root.T])
     rp = root.T @ cols
     var = col_sq - np.einsum("rj,rj->j", rp, rp)
@@ -669,10 +670,10 @@ class TestKernelForm:
             assert post.inputs is not None
         assert sizes == []
 
-    def test_version_2_file_predicts_in_feature_form(self, tmp_path):
+    def test_version_2_file_is_refused(self, tmp_path):
         # A version-2 file stored the kernel side's root as J V (E + s)^-1/2,
-        # p x n*o, and predicted |j*|^2 - |R' j*|^2 from dense query blocks.
-        net, data, x_test = TestExactFit.problem([2, 8, 2], False, None, 9)
+        # p x n*o, with no form; this reader no longer takes it.
+        net, data, _ = TestExactFit.problem([2, 8, 2], False, None, 9)
         post = fit_posterior(net, data, mean_kind="linearized_nn")
         root = JacobianOperator(net, data.x).dense() @ post.variance_root
         path = tmp_path / "v2.npz"
@@ -683,16 +684,8 @@ class TestKernelForm:
         meta["version"] = 2
         np.savez(path, meta=np.array(json.dumps(meta)), mean_cache=post.mean_cache,
                  variance_root=root)
-        loaded = load_posterior(path)
-        assert loaded.inputs is None
-        mean, var = predict(loaded, net, x_test)
-        jt = JacobianOperator(net, x_test).dense()
-        old = np.einsum("pj,pj->j", jt, jt) - np.einsum("rj,rj->j", root.T @ jt, root.T @ jt)
-        np.testing.assert_array_equal(var, np.maximum(old, 0.0).reshape(var.shape))
-        mean_k, var_k = predict(post, net, x_test)
-        np.testing.assert_array_equal(mean, mean_k)
-        prior = float(np.max(np.diag(kernel_matrix(net, x_test))))
-        assert np.max(np.abs(var - var_k)) <= 1e-10 * prior
+        with pytest.raises(ConfigError, match=f"{path}: unsupported posterior file version 2"):
+            load_posterior(path)
 
     def test_mismatched_posterior_arrays_are_contract_violations(self):
         net, data, x_test = TestExactFit.problem([2, 8, 2], False, None, 9)
@@ -720,7 +713,7 @@ class TestPredict:
         with matrix_free():
             post = fit_function_space(net, data)
         moved = net.with_params(net.params + 1e-3)
-        with pytest.raises(ContractViolationError, match="stale"):
+        with pytest.raises(ConsistencyError, match="stale"):
             predict(post, moved, data.x)
 
     def test_variance_grows_away_from_data(self):
@@ -934,7 +927,7 @@ class TestHeteroscedasticChannels:
         for got, want in ((kernel_matrix(net, x), j.T @ j), (kernel_matrix(net, x, x_test), j.T @ jt)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         post = fit_posterior(net, data, mean_kind="linearized_nn")
-        assert post.channels == mean_columns
+        assert net.architecture.regression_channels == mean_columns
         assert (post.inputs is not None) == (2 * n <= p)
         mean, var = predict(post, net, x_test)
         mean_o, var_o = dense_oracle(net, data, x_test, "linearized_nn", "function", mean_columns)
@@ -1052,8 +1045,8 @@ class TestPosteriorSerialization:
             np.testing.assert_array_equal(var_a, var_b)
 
     def test_file_with_a_stored_space_still_loads(self, tmp_path):
-        # Files once stored the requested space next to the same arrays;
-        # such a file still loads and predicts the same.
+        # Files once stored the requested space and the regression view
+        # next to the same arrays; such a file still loads and predicts the same.
         rng = np.random.default_rng(27)
         net = make_net([1, 7, 1], seed=27)
         post = fit_posterior(net, sinusoid_data(rng, n=6), mean_kind="linearized_nn")
@@ -1062,9 +1055,9 @@ class TestPosteriorSerialization:
         save_posterior(post, path)
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(str(archive["meta"]))
-        assert "space" not in meta
+        assert "space" not in meta and "channels" not in meta
         for space in ("function", "parameter"):
-            old_meta = json.dumps({**meta, "space": space}, sort_keys=True)
+            old_meta = json.dumps({**meta, "space": space, "channels": None}, sort_keys=True)
             np.savez(path, meta=np.array(old_meta), mean_cache=post.mean_cache,
                      variance_root=post.variance_root, inputs=post.inputs)
             loaded = load_posterior(path)
@@ -1072,6 +1065,27 @@ class TestPosteriorSerialization:
             np.testing.assert_array_equal(loaded.variance_root, post.variance_root)
             for got, want in zip(predict(loaded, net, x_test), predict(post, net, x_test)):
                 np.testing.assert_array_equal(got, want)
+
+    def test_stored_channels_are_ignored(self, tmp_path):
+        # The network, not the file, gives the regression view: a feature-form
+        # file of a 2-output net whose stored channels name one output still
+        # predicts both, as the untampered file does.
+        rng = np.random.default_rng(29)
+        net = make_net([2, 4, 2], seed=29)  # p = 22 < n*o = 24
+        post = fit_posterior(net, TaskDataset(rng.standard_normal((12, 2)), rng.standard_normal((12, 2)), 0.1))
+        assert post.inputs is None
+        x_test = rng.standard_normal((5, 2))
+        path = tmp_path / "post.npz"
+        save_posterior(post, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(str(arrays["meta"]))
+        arrays["meta"] = np.array(json.dumps({**meta, "channels": [1]}, sort_keys=True))
+        np.savez(path, **arrays)
+        mean, var = predict(load_posterior(path), net, x_test)
+        assert mean.shape == var.shape == (5, 2)
+        for got, want in zip((mean, var), predict(post, net, x_test)):
+            np.testing.assert_array_equal(got, want)
 
     def test_kernel_form_file_without_inputs_is_refused(self, tmp_path):
         rng = np.random.default_rng(28)

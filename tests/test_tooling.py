@@ -10,10 +10,12 @@ The package's ``__all__`` is checked the same way, so that a deletion
 leaving a stale export fails here rather than in
 ``from tangentgp import *``. The signatures of ``tangentgp.gp``'s public functions are checked for a
 ``channels`` parameter: the network's architecture fixes the GP's
-regression view, so no caller picks one. The sources of ``net``, ``adapt``
-and ``glm`` are checked for the one place that draws a batch order.
+regression view, so no caller picks one, and no posterior stores one.
+The sources of ``net``, ``adapt`` and ``glm`` are checked for the one
+place that draws a batch order.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -75,7 +77,7 @@ def test_every_exported_name_resolves():
     assert [name for name in tangentgp.__all__ if not hasattr(tangentgp, name)] == []
 
 
-def test_no_public_gp_function_takes_channels():
+def test_no_public_gp_function_takes_channels(tmp_path):
     public = [
         name
         for name, value in vars(gp_module).items()
@@ -83,6 +85,14 @@ def test_no_public_gp_function_takes_channels():
     ]
     assert "fit_posterior" in public and "kernel_matrix" in public
     assert [name for name in public if "channels" in inspect.signature(getattr(gp_module, name)).parameters] == []
+    # Nor does a posterior store its own view, in memory or on disk.
+    assert "channels" not in {f.name for f in dataclasses.fields(gp_module.NtkPosterior)}
+    net = init_network(MlpArchitecture(1, (4,), 1, heteroscedastic=True), seed=0)
+    x = np.linspace(-1.0, 1.0, 3)[:, None]
+    path = tmp_path / "post.npz"
+    gp_module.save_posterior(fit_posterior(net, TaskDataset(x, np.sin(x), 0.1)), path)
+    with np.load(path, allow_pickle=False) as archive:
+        assert "channels" not in json.loads(str(archive["meta"]))
 
 
 def test_batch_order_is_drawn_in_one_place():
