@@ -494,10 +494,16 @@ def _load_glm_fit(path, network):
         )
 
     field = functools.partial(file_field, path, "GLM fit file", doc)
+    p = network.architecture.parameter_count
 
-    def vector(key):
-        return field(key, "number list", float_array)
+    def coefficients(value):
+        vec = float_array(value)
+        if vec.shape != (p,):
+            raise ValueError(f"expected {p} coefficients, got {vec.size}")
+        return vec
 
+    # Each posterior is built in the convert of its last field, so a
+    # constructor's refusal names the file and that key.
     prior_variance = field("prior_variance", "number", float)
     model = zero_coefficients_glm(
         network,
@@ -506,19 +512,16 @@ def _load_glm_fit(path, network):
     )
     method = doc.get("method")
     if method == "map":
-        approx = MapPosterior(coefficients=vector("coefficients"))
+        approx = MapPosterior(coefficients=field("coefficients", "number list", coefficients))
     elif method == "svi":
-        approx = MeanFieldPosterior(mu=vector("mu"), raw_scales=vector("raw_scales"))
+        mu = field("mu", "number list", coefficients)
+        approx = field("raw_scales", "number list", lambda raw: MeanFieldPosterior(mu, float_array(raw)))
     elif method == "laplace":
         fisher_x = None
         if field("fisher_on_train", "bool"):
             fisher_x = field("fisher_x", convert=float_array)
-        approx = LaplacePosterior(
-            mean=vector("mean"),
-            n_train=field("n_train", "int"),
-            prior_variance=prior_variance,
-            fisher_x=fisher_x,
-        )
+        mean = field("mean", "number list", coefficients)
+        approx = field("n_train", "int", lambda n: LaplacePosterior(mean, n, prior_variance, fisher_x))
     else:
         raise ConfigError(f"{path}: unknown fit method {method!r}")
     return model, approx

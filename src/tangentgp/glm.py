@@ -31,7 +31,8 @@ from .fisher import _softmax_fisher_apply
 from .gp import gram_solve, smaller_gram
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from .net import (
-    Adam, JacobianOperator, MlpNetwork, _check_finite, _log_softmax, _minibatches, _sigmoid, _softplus
+    Adam, JacobianOperator, MlpNetwork, _backward, _check_finite, _forward_mode, _layer_views,
+    _log_softmax, _minibatches, _sigmoid, _softplus,
 )
 from .seeding import substream
 from .serialize import fmt_float, render_csv
@@ -232,48 +233,69 @@ class GlmSviResult:
     elbo_trace: np.ndarray
 
 
-def _batch_nll(model: LinearizedGlm, coeff: np.ndarray, x, labels):
-    """Summed NLL over the batch, the log-probabilities, and the Jacobian view."""
-    jac = JacobianOperator(model.network, x)
-    log_q = _log_softmax(_logits(model, jac, coeff))
-    return -float(log_q[np.arange(len(labels)), labels].sum()), log_q, jac
-
-
 def _batch_nll_grad(model: LinearizedGlm, coeff: np.ndarray, x, labels):
     """Summed NLL over the batch, its logit gradient, and the Jacobian view."""
-    nll, log_q, jac = _batch_nll(model, coeff, x, labels)
+    jac = JacobianOperator(model.network, x)
+    log_q = _log_softmax(_logits(model, jac, coeff))
+    rows = np.arange(len(labels))
     grad_logits = np.exp(log_q)
-    grad_logits[np.arange(len(labels)), labels] -= 1.0
-    return nll, grad_logits, jac
+    grad_logits[rows, labels] -= 1.0
+    return -float(log_q[rows, labels].sum()), grad_logits, jac
 
 
-def _map_objective(model: LinearizedGlm, coeff: np.ndarray, data: ClassificationData) -> float:
-    """The penalized NLL over all of ``data``."""
-    nll, _, _ = _batch_nll(model, coeff, data.x, data.labels)
-    return nll + float(coeff @ coeff) / (2.0 * model.prior_variance)
+def _bound_logits(model: LinearizedGlm, jac: JacobianOperator, coeff_layers: tuple) -> np.ndarray:
+    """``_logits`` for per-layer views of the coefficients, by the unchecked forward-mode pass."""
+    logits = _forward_mode(jac, coeff_layers)
+    if model.include_network_output:
+        logits += jac.outputs
+    return logits
 
 
 # Overflow ends in the typed divergence errors below, not in raw numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -> GlmMapResult:
-    """Adam on the penalized NLL; the linearization point never moves."""
+    """Adam on the penalized NLL; the linearization point never moves.
+
+    As in ``net.train``, the fit steps one coefficient buffer that it owns,
+    and one gradient buffer, each with its layer views bound once. A step
+    traces its batch in one ``JacobianOperator`` of the frozen network,
+    takes the logits by the forward-mode pass (``net._forward_mode``) on
+    the coefficient views, checks the logit gradient softmax - one-hot
+    (``_minibatches`` gathers the one-hot rows beside the inputs), runs
+    the reverse pass (``net._backward``) into the gradient views, and
+    writes the checked Adam update back into the buffer. The epoch-end
+    objective takes the same forward-mode pass over all of ``data``.
+    """
     _check_labels(model, data)
+    arch = model.network.architecture
     rng = substream(cfg.seed, "glm-map")
     coeff = model.coefficients.copy()
+    coeff_layers = _layer_views(arch, coeff)
+    grad = np.empty_like(coeff)
+    grad_layers = _layer_views(arch, grad)
     adam = Adam(coeff.size, cfg.learning_rate)
     penalty = np.empty_like(coeff)
+    onehot = np.eye(model.num_classes)[data.labels]
     n = data.n
+    rows = np.arange(n)
     trace = []
     for epoch in range(cfg.epochs):
-        for x, labels in _minibatches(rng, cfg.batch_size, data.x, data.labels):
-            _, grad_logits, jac = _batch_nll_grad(model, coeff, x, labels)
+        for x, targets in _minibatches(rng, cfg.batch_size, data.x, onehot):
+            jac = JacobianOperator(model.network, x)
+            grad_logits = _softmax(_bound_logits(model, jac, coeff_layers))
+            grad_logits -= targets
+            _check_finite(grad_logits, "logit gradient", epoch)
+            _backward(jac, grad_logits, grad_layers)
             # scale * (B g) + coeff / prior, the penalized gradient, in place.
-            grad = jac.vjp(grad_logits.ravel())
-            grad *= n / len(labels)
+            grad *= n / len(x)
             grad += np.divide(coeff, model.prior_variance, out=penalty)
-            coeff = adam.step(coeff, grad)
-            _check_finite(coeff, "MAP coefficients", epoch)
-        epoch_loss = _map_objective(model, coeff, data)
+            stepped = adam.step(coeff, grad)
+            _check_finite(stepped, "MAP coefficients", epoch)
+            np.copyto(coeff, stepped)
+        jac = JacobianOperator(model.network, data.x)
+        log_q = _log_softmax(_bound_logits(model, jac, coeff_layers))
+        nll = -float(log_q[rows, data.labels].sum())
+        epoch_loss = nll + float(coeff @ coeff) / (2.0 * model.prior_variance)
         _check_finite(epoch_loss, "MAP objective", epoch)
         trace.append(epoch_loss)
     return GlmMapResult(model=model.with_coefficients(coeff), loss_trace=np.array(trace))

@@ -13,6 +13,9 @@ per-layer views once per network. ``train`` binds the layer views of one
 parameter buffer and one gradient buffer once per run, so a minibatch step
 builds no network: it traces its batch in one operator over that buffer
 and runs the reverse pass that ``vjp`` runs (``_backward``) into the
+gradient views. ``glm.fit_map`` binds its coefficient and gradient buffers
+the same way: each step runs the forward-mode pass that ``jvp`` runs
+(``_forward_mode``) on the coefficient views, and ``_backward`` into the
 gradient views. The optimizers (``Adam``, ``SgdMomentum``) allocate their
 state and scratch once per run and update them in place, and the forward,
 forward-mode and reverse passes accumulate into the arrays their matrix
@@ -324,7 +327,6 @@ class JacobianOperator:
         self.inputs = inputs
         self.channels = channels
         self.output_map = None if channels is None else np.eye(full)[channels]
-        self._slices = network.architecture.layer_slices()
         self._weights = [w for w, _ in network.layers()]
         out, layer_inputs, slopes = _forward_trace(network, inputs)
         self.outputs = out if channels is None else out[:, channels]
@@ -387,7 +389,11 @@ class JacobianOperator:
         return grad
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
-        """B' v: exact directional derivative of the mapped outputs along v (forward mode)."""
+        """B' v: exact directional derivative of the mapped outputs along v (forward mode).
+
+        Checks v, runs the forward-mode pass that ``glm.fit_map`` runs on
+        its bound coefficients (``_forward_mode``), then applies the output map.
+        """
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.param_count,):
             raise ContractViolationError(
@@ -395,21 +401,10 @@ class JacobianOperator:
             )
         if not np.isfinite(v).all():
             raise ContractViolationError("jvp input contains non-finite entries")
-        slices = self._slices
-        dh = None
-        for idx, (w_sl, b_sl, fan_in, fan_out) in enumerate(slices):
-            dz = self._layer_inputs[idx] @ v[w_sl].reshape(fan_out, fan_in).T
-            dz += v[b_sl]
-            if dh is not None:
-                dz += dh @ self._weights[idx].T
-            if idx < len(slices) - 1:
-                dz *= self._slopes[idx]
-                dh = dz
-            elif self.output_map is None:
-                return dz.ravel()
-            else:
-                return (self.output_map @ dz[:, :, None]).ravel()
-        raise AssertionError("unreachable: architectures always have at least one layer")
+        dz = _forward_mode(self, _layer_views(self.network.architecture, v))
+        if self.output_map is None:
+            return dz.ravel()
+        return (self.output_map @ dz[:, :, None]).ravel()
 
     def rows(self, start: int, stop: int) -> "JacobianOperator":
         """The operator of inputs[start:stop] and their output maps, sharing this one's forward trace."""
@@ -461,15 +456,35 @@ class JacobianOperator:
         cols = self.out_len
         jac = np.empty((self.param_count, cols))
         for (w_sl, b_sl, fan_in, fan_out), (h, d) in zip(
-            reversed(self._slices), self.layer_sensitivities()
+            reversed(self.network.architecture.layer_slices()), self.layer_sensitivities()
         ):
             jac[w_sl] = (d[:, :, :, None] * h[:, None, None, :]).reshape(cols, fan_out * fan_in).T
             jac[b_sl] = d.reshape(cols, fan_out).T
         return jac
 
 
+def _forward_mode(jac: JacobianOperator, v_layers: tuple) -> np.ndarray:
+    """The forward-mode pass over ``jac``'s forward trace, shared by ``jvp`` and ``glm.fit_map``.
+
+    ``v_layers`` holds per-layer (weight, bias) views of the direction v.
+    Returns the (n, full) directional derivative of the internal outputs
+    along v, before any output map, in a new array.
+    """
+    last = len(v_layers) - 1
+    dh = None
+    for idx, (v_w, v_b) in enumerate(v_layers):
+        dz = jac._layer_inputs[idx] @ v_w.T
+        dz += v_b
+        if dh is not None:
+            dz += dh @ jac._weights[idx].T
+        if idx < last:
+            dz *= jac._slopes[idx]
+            dh = dz
+    return dz
+
+
 def _backward(jac: JacobianOperator, delta: np.ndarray, grad_layers: tuple) -> None:
-    """The reverse pass over ``jac``'s forward trace, shared by ``vjp`` and ``train``.
+    """The reverse pass over ``jac``'s forward trace, shared by ``vjp``, ``train`` and ``glm.fit_map``.
 
     ``delta`` (n, full) is the sensitivity of the internal outputs; the
     gradient of <f(X), delta> is written into ``grad_layers``, per-layer

@@ -1138,7 +1138,15 @@ class TestGlm:
 
     @pytest.mark.parametrize(
         "method,key,value",
-        [("svi", "raw_scales", [0.0]), ("svi", "raw_scales", [0.0] * 3), ("laplace", "n_train", -5), ("laplace", "n_train", 0)],
+        [
+            ("svi", "raw_scales", [0.0]),
+            ("svi", "raw_scales", [0.0] * 3),
+            ("laplace", "n_train", -5),
+            ("laplace", "n_train", 0),
+            ("laplace", "mean", [0.0] * 5),
+            ("map", "coefficients", [0.0] * 5),
+            ("svi", "mu", [0.0] * 5),
+        ],
     )
     def test_malformed_posterior_field_is_input_error(self, blob_data, tmp_path, capsys, method, key, value):
         # Single-sample draws read every posterior field; the Laplace fit has no Gram file.
@@ -1150,8 +1158,12 @@ class TestGlm:
         code, out = self.predict(blob_data, tmp_path, cfg, fit_path)
         assert code == 2
         err = capsys.readouterr().err
-        message = "raw_scales must be vectors of one length" if key == "raw_scales" else f"n_train >= 1, got {value}"
-        assert message in err and "Traceback" not in err
+        reason = {
+            "raw_scales": "raw_scales must be vectors of one length",
+            "n_train": f"n_train >= 1, got {value}",
+        }.get(key, "coefficients, got 5")
+        assert f"{fit_path}: GLM fit file key {key!r} is malformed: " in err
+        assert reason in err and "Traceback" not in err
         assert not out.exists()
 
     def test_empty_inputs_give_empty_predictions(self, blob_data, tmp_path):

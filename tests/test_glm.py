@@ -373,6 +373,18 @@ class TestFitMap:
             fit_map(model, data, cfg)
         assert info.value.epoch == 0
 
+    def test_overflowing_logits_are_divergence_not_bad_input(self):
+        # Finite coefficients whose linearized logits overflow: the first
+        # step's logit gradient is non-finite, which is a numeric failure.
+        net = init_network(MlpArchitecture(3, (32, 32), 4), seed=0)
+        model = zero_coefficients_glm(net)
+        model = model.with_coefficients(np.full(model.coefficients.size, 1e307))
+        x = 10.0 * np.random.default_rng(0).normal(size=(16, 3))
+        data = ClassificationData(x, np.arange(16) % 4)
+        with pytest.raises(TrainingDivergenceError, match="^non-finite logit gradient at epoch 0$") as info:
+            fit_map(model, data, GlmFitConfig(epochs=1, batch_size=8))
+        assert info.value.epoch == 0
+
     @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, math.inf, -math.inf, math.nan])
     def test_config_rejects_a_learning_rate_that_is_not_positive_and_finite(self, learning_rate):
         with pytest.raises(ContractViolationError, match="learning rate must be positive and finite"):

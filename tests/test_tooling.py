@@ -230,6 +230,8 @@ def test_adapt_with_baselines_traces_each_input_set_once(tmp_path):
 
 def test_map_fit_builds_the_operators_the_tracer_expects():
     # One operator per minibatch step plus one per epoch-end objective.
+    # The products run on the fit's bound buffers, not through the
+    # operator's checked public jvp and vjp.
     net = init_network(MlpArchitecture(2, (4,), 3), seed=1)
     rng = np.random.default_rng(1)
     data = ClassificationData(rng.normal(size=(10, 2)), np.arange(10) % 3)
@@ -242,6 +244,7 @@ def test_map_fit_builds_the_operators_the_tracer_expects():
         tracer.uninstall()
     assert tracer.counts["glm.fit_map.steps"] == 6
     assert tracer.mismatches == []
+    assert tracer.calls["net.jvp"] == 0 and tracer.calls["net.vjp"] == 0
 
 
 def test_laplace_glm_fit_builds_its_gram_outside_the_map_fit(tmp_path):
