@@ -377,7 +377,7 @@ def cmd_glm_fit(args) -> int:
         "include_network_output": glm["include_network_output"],
         "network_fingerprint": network.fingerprint(),
     }
-    gram_file = None
+    approx = None
     if glm["method"] == "map":
         fitted = fit_map(model, data, cfg)
         doc["coefficients"] = [float(v) for v in fitted.model.coefficients]
@@ -392,8 +392,11 @@ def cmd_glm_fit(args) -> int:
         doc["fisher_on_train"] = approx.fisher_x is not None
         if approx.fisher_x is not None:
             doc["fisher_x"] = [[float(v) for v in row] for row in approx.fisher_x]
-            gram_file = _gram_file(model, approx)
-    atomic_write_text(args.out, canonical_json(doc))
+    text = canonical_json(doc)
+    gram_file = None
+    if approx is not None and approx.fisher_x is not None:
+        gram_file = _gram_file(model, approx, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    atomic_write_text(args.out, text)
     log.info("wrote %s", args.out)
     gram_path = _gram_path(args.out)
     if gram_file is None:
@@ -409,7 +412,8 @@ def cmd_glm_fit(args) -> int:
 # when its Fisher is pinned to the training inputs. ``glm-fit`` writes it
 # next to the fit file, and ``glm-predict`` hands it to every
 # single-sample draw instead of rebuilding it. The file is one .npy
-# record of the digest and the Gram, not an .npz archive: at a 240 x 240
+# record of the Gram and the sha256 of the fit file's bytes (any edit,
+# even a re-indent, refuses it), not an .npz archive: at a 240 x 240
 # Gram (one BLAS thread, 2-vCPU host) the archive took 0.6-0.7 ms to read,
 # over half of the 1.2 ms build it replaces; the record takes under 0.1 ms.
 
@@ -418,7 +422,7 @@ def _gram_path(out) -> Path:
     return _sibling_path(out, ".laplace.npy")
 
 
-def _gram_file(model, approx) -> bytes | None:
+def _gram_file(model, approx, digest: str) -> bytes | None:
     """The Gram file's bytes, or None when the Gram is over the size cap (each draw then hits the cap)."""
     try:
         gram = laplace_gram(model, approx)
@@ -426,35 +430,19 @@ def _gram_file(model, approx) -> bytes | None:
         log.info("no Laplace Gram cache: %s", exc)
         return None
     record = np.zeros((), dtype=[("digest", "S64"), ("gram", "<f8", gram.shape)])
-    record["digest"] = _gram_digest(model, approx)
+    record["digest"] = digest
     record["gram"] = gram
     buffer = io.BytesIO()
     np.save(buffer, record)
     return buffer.getvalue()
 
 
-def _gram_digest(model, approx) -> str:
-    """sha256 over everything that fixes the Gram, as ``glm-predict`` reads it back from the fit file."""
-    digest = hashlib.sha256()
-    meta = [
-        model.network.fingerprint(),
-        model.include_network_output,
-        approx.prior_variance,
-        approx.n_train,
-        approx.fisher_x.shape,
-    ]
-    digest.update(json.dumps(meta).encode())
-    for array in (approx.mean, approx.fisher_x):
-        digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
-    return digest.hexdigest()
-
-
-def _read_gram(fit_path, model, approx):
+def _read_gram(fit_path, model, approx, digest: str):
     """The cached Gram for this Laplace fit, or None when no file was written.
 
-    A file that is not a Gram record, has the wrong shape or non-finite
-    entries, or was built from other inputs raises ``ConsistencyError``
-    naming it.
+    ``digest`` is the sha256 of the fit file's bytes. A file that is not a
+    Gram record, has the wrong shape or non-finite entries, or was built
+    for other fit-file bytes raises ``ConsistencyError`` naming it.
     """
     path = _gram_path(fit_path)
     if not path.exists():
@@ -477,13 +465,14 @@ def _read_gram(fit_path, model, approx):
         raise mismatch(f"{gram.dtype} Gram of shape {gram.shape}, expected {size} x {size}")
     if not np.isfinite(gram).all():
         raise mismatch("non-finite entries")
-    if record["digest"].item() != _gram_digest(model, approx).encode():
-        raise mismatch("it was built from other fit inputs")
+    if record["digest"].item() != digest.encode():
+        raise mismatch("it was built for other fit-file bytes")
     return gram
 
 
 def _load_glm_fit(path, network):
-    doc = read_json(path)
+    """The fit file's model, posterior, and sha256 of the bytes they were parsed from."""
+    doc, blob = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "glm-fit":
         raise ConfigError(f"{path}: not a GLM fit file")
     if doc.get("version") != GLM_FIT_VERSION:
@@ -519,23 +508,23 @@ def _load_glm_fit(path, network):
     elif method == "laplace":
         fisher_x = None
         if field("fisher_on_train", "bool"):
-            fisher_x = field("fisher_x", convert=float_array)
+            fisher_x = field("fisher_x", "number table", float_array)
         mean = field("mean", "number list", coefficients)
         approx = field("n_train", "int", lambda n: LaplacePosterior(mean, n, prior_variance, fisher_x))
     else:
         raise ConfigError(f"{path}: unknown fit method {method!r}")
-    return model, approx
+    return model, approx, hashlib.sha256(blob).hexdigest()
 
 
 def cmd_glm_predict(args) -> int:
     resolved = _load_or_default(args)
     network = load_checkpoint(args.checkpoint)
     _check_architecture(resolved, network)
-    model, approx = _load_glm_fit(args.fit, network)
+    model, approx, digest = _load_glm_fit(args.fit, network)
     glm = block_or_defaults(resolved, "glm")
     pinned = isinstance(approx, LaplacePosterior) and approx.fisher_x is not None
     if pinned and glm["predict_mode"] == "single_sample":
-        approx = replace(approx, gram=_read_gram(args.fit, model, approx))
+        approx = replace(approx, gram=_read_gram(args.fit, model, approx, digest))
     x = read_inputs_csv(args.inputs)
     probs, labels = predict_class(model, approx, x, mode=glm["predict_mode"], seed=resolved["seed"])
     _emit(

@@ -175,7 +175,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> dict:
 
 def load_config(path, seed_override: int | None = None) -> dict:
     """Read, parse, and resolve a config file; parse errors name the byte offset."""
-    return resolve_config(read_json(path), seed_override)
+    return resolve_config(read_json(path)[0], seed_override)
 
 
 def config_hash(resolved: dict) -> str:
@@ -253,7 +253,7 @@ def save_checkpoint(network: MlpNetwork, path, provenance: dict) -> None:
 
 def load_checkpoint(path) -> MlpNetwork:
     """Read a checkpoint back; the stored fingerprint must match the contents."""
-    doc = read_json(path)
+    doc, _ = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "mlp-checkpoint":
         raise ConfigError(f"{path}: not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -277,7 +277,7 @@ def read_task_manifest(path) -> list[tuple[TaskDataset, TaskDataset | None]]:
     be null for fit-only tasks.
     """
     base = Path(path).parent
-    entries = read_json(path)
+    entries, _ = read_json(path)
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{path}: manifest must be a nonempty JSON list")
     pairs = []

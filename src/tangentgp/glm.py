@@ -2,21 +2,22 @@
 
 The model keeps the trained parameters theta frozen and learns separate
 coefficients theta' for logits J' theta' (optionally plus the network's
-own output, the full Taylor view). Inference over theta' comes in three
-strengths: a MAP point estimate, a factorized Gaussian fitted by
-stochastic variational inference, and a Laplace approximation whose
-precision is the Fisher at the MAP plus the prior. A Laplace draw is
-exact: the Fisher has rank at most n*(c-1) on n inputs with c classes,
-so it has a root B = J blockdiag(M_i') with n*(c-1) columns: the
-Jacobian operator under the output map M_i, a (c-1) x c root of datum
-i's Fisher block. A draw perturbs, then solves: mean + A^-1 (sqrt(lam) z
-+ B v) for standard normal z and v, one linear solve on the smaller side
-of B's Gram, the n*(c-1) square B'B (assembled directly from the mapped
-layer sensitivities) or the p square Fisher B B' (the low-rank GGN
-Laplace of Daxberger et al. 2021, "Laplace Redux"). ``gp.smaller_gram``
-picks that side and checks its size, as it does for the GP fits. With
-the Fisher pinned to the training inputs that Gram is fixed by the fit:
-``laplace_gram`` builds it once, and draws reuse it.
+own output, the full Taylor view), all from one pass, ``_logits``, on
+per-layer views of theta' that both fits bind once. Inference over
+theta' comes in three strengths: a MAP point estimate, a factorized
+Gaussian fitted by stochastic variational inference, and a Laplace
+approximation whose precision is the Fisher at the MAP plus the prior.
+A Laplace draw is exact: the Fisher has rank at most n*(c-1) on n inputs
+with c classes, so it has a root B = J blockdiag(M_i') with n*(c-1)
+columns: the Jacobian operator under the output map M_i, a (c-1) x c
+root of datum i's Fisher block. A draw perturbs, then solves:
+mean + A^-1 (sqrt(lam) z + B v) for standard normal z and v, one linear
+solve on the smaller side of B's Gram, the n*(c-1) square B'B (assembled
+directly from the mapped layer sensitivities) or the p square Fisher
+B B' (the low-rank GGN Laplace of Daxberger et al. 2021, "Laplace
+Redux"). ``gp.smaller_gram`` picks that side and checks its size, as it
+does for the GP fits. With the Fisher pinned to the training inputs that
+Gram is fixed by the fit: ``laplace_gram`` builds it once for all draws.
 """
 
 from __future__ import annotations
@@ -134,16 +135,18 @@ def _check_labels(model: LinearizedGlm, data: ClassificationData):
         )
 
 
-def _logits(model: LinearizedGlm, jac: JacobianOperator, coeff: np.ndarray) -> np.ndarray:
-    logits = jac.jvp(coeff).reshape(jac.n_data, model.num_classes)
+def _logits(model: LinearizedGlm, jac: JacobianOperator, coeff_layers: tuple) -> np.ndarray:
+    """Logits for per-layer views of finite coefficients, by the unchecked forward-mode pass."""
+    logits = _forward_mode(jac, coeff_layers)
     if model.include_network_output:
-        logits = logits + jac.outputs
+        logits += jac.outputs
     return logits
 
 
 def glm_logits(model: LinearizedGlm, x: np.ndarray) -> np.ndarray:
     """Logits J' theta' (plus f(X; theta) in the full Taylor view), one row per datum."""
-    return _logits(model, JacobianOperator(model.network, x), model.coefficients)
+    coeff_layers = _layer_views(model.network.architecture, model.coefficients)
+    return _logits(model, JacobianOperator(model.network, x), coeff_layers)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -192,13 +195,13 @@ class MeanFieldPosterior:
 class LaplacePosterior:
     """MAP mean with Fisher-plus-prior precision.
 
-    The mean and the Fisher inputs are stored; each draw rebuilds the
-    Fisher root at the MAP and solves once with the precision.
-    ``fisher_x`` fixes the inputs the Fisher is estimated on;
-    ``None`` defers to the prediction batch, which makes predictions
-    depend on batch composition and exists to mirror that published
-    variant. ``gram``, for pinned inputs only, is ``laplace_gram`` built
-    once; ``None`` has every draw build it.
+    The mean and the Fisher inputs are stored, and must be finite (the
+    logits pass does not check); each draw rebuilds the Fisher root at the
+    MAP and solves once with the precision. ``fisher_x`` fixes the inputs
+    the Fisher is estimated on; ``None`` defers to the prediction batch,
+    which makes predictions depend on batch composition and exists to
+    mirror that published variant. ``gram``, for pinned inputs only, is
+    ``laplace_gram`` built once; ``None`` has every draw build it.
     """
 
     mean: np.ndarray
@@ -210,6 +213,9 @@ class LaplacePosterior:
     def __post_init__(self):
         if self.n_train < 1:
             raise ContractViolationError(f"the Laplace posterior needs n_train >= 1, got {self.n_train}")
+        for what, values in (("mean", self.mean), ("Fisher inputs", self.fisher_x)):
+            if values is not None and not np.isfinite(values).all():
+                raise ContractViolationError(f"non-finite entries in the Laplace {what}")
         if self.gram is not None and self.fisher_x is None:
             raise ContractViolationError("a test-batch Fisher has no Gram to cache")
 
@@ -233,24 +239,6 @@ class GlmSviResult:
     elbo_trace: np.ndarray
 
 
-def _batch_nll_grad(model: LinearizedGlm, coeff: np.ndarray, x, labels):
-    """Summed NLL over the batch, its logit gradient, and the Jacobian view."""
-    jac = JacobianOperator(model.network, x)
-    log_q = _log_softmax(_logits(model, jac, coeff))
-    rows = np.arange(len(labels))
-    grad_logits = np.exp(log_q)
-    grad_logits[rows, labels] -= 1.0
-    return -float(log_q[rows, labels].sum()), grad_logits, jac
-
-
-def _bound_logits(model: LinearizedGlm, jac: JacobianOperator, coeff_layers: tuple) -> np.ndarray:
-    """``_logits`` for per-layer views of the coefficients, by the unchecked forward-mode pass."""
-    logits = _forward_mode(jac, coeff_layers)
-    if model.include_network_output:
-        logits += jac.outputs
-    return logits
-
-
 # Overflow ends in the typed divergence errors below, not in raw numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -> GlmMapResult:
@@ -259,12 +247,12 @@ def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     As in ``net.train``, the fit steps one coefficient buffer that it owns,
     and one gradient buffer, each with its layer views bound once. A step
     traces its batch in one ``JacobianOperator`` of the frozen network,
-    takes the logits by the forward-mode pass (``net._forward_mode``) on
-    the coefficient views, checks the logit gradient softmax - one-hot
+    takes the logits by ``_logits`` (the forward-mode pass) on the
+    coefficient views, checks the logit gradient softmax - one-hot
     (``_minibatches`` gathers the one-hot rows beside the inputs), runs
     the reverse pass (``net._backward``) into the gradient views, and
     writes the checked Adam update back into the buffer. The epoch-end
-    objective takes the same forward-mode pass over all of ``data``.
+    objective takes the same logits pass over all of ``data``.
     """
     _check_labels(model, data)
     arch = model.network.architecture
@@ -282,7 +270,7 @@ def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     for epoch in range(cfg.epochs):
         for x, targets in _minibatches(rng, cfg.batch_size, data.x, onehot):
             jac = JacobianOperator(model.network, x)
-            grad_logits = _softmax(_bound_logits(model, jac, coeff_layers))
+            grad_logits = _softmax(_logits(model, jac, coeff_layers))
             grad_logits -= targets
             _check_finite(grad_logits, "logit gradient", epoch)
             _backward(jac, grad_logits, grad_layers)
@@ -293,7 +281,7 @@ def fit_map(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
             _check_finite(stepped, "MAP coefficients", epoch)
             np.copyto(coeff, stepped)
         jac = JacobianOperator(model.network, data.x)
-        log_q = _log_softmax(_bound_logits(model, jac, coeff_layers))
+        log_q = _log_softmax(_logits(model, jac, coeff_layers))
         nll = -float(log_q[rows, data.labels].sum())
         epoch_loss = nll + float(coeff @ coeff) / (2.0 * model.prior_variance)
         _check_finite(epoch_loss, "MAP objective", epoch)
@@ -316,13 +304,21 @@ def kl_meanfield_to_prior(mu: np.ndarray, scales: np.ndarray, prior_variance: fl
 # Overflow ends in the typed divergence errors below, not in raw numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -> GlmSviResult:
-    """Mean-field Gaussian over the coefficients by a one-sample reparameterized ELBO."""
+    """Mean-field Gaussian over the coefficients by a one-sample reparameterized ELBO.
+
+    Adam steps one [mu | raw scales] buffer. A step takes ``fit_map``'s passes on
+    bound views of a theta = mu + softplus(raw) z buffer and of its gradient.
+    """
     _check_labels(model, data)
+    arch = model.network.architecture
     rng = substream(cfg.seed, "glm-svi")
-    p = model.coefficients.size
-    mu = np.zeros(p)
-    raw = np.full(p, SVI_RAW_SCALE_INIT)
-    adam = Adam(2 * p, cfg.learning_rate)
+    p = arch.parameter_count
+    state = np.concatenate([np.zeros(p), np.full(p, SVI_RAW_SCALE_INIT)])
+    mu, raw = state[:p], state[p:]
+    grad = np.empty_like(state)
+    theta, g_theta = np.empty(p), np.empty(p)
+    theta_layers, g_layers = _layer_views(arch, theta), _layer_views(arch, g_theta)
+    adam = Adam(state.size, cfg.learning_rate)
     n = data.n
     prior = model.prior_variance
     elbo_trace = []
@@ -335,19 +331,25 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
                     f"variational scales collapsed to zero at epoch {epoch}", epoch=epoch
                 )
             z = rng.standard_normal(p)
-            theta = mu + scales * z
-            nll, grad_logits, jac = _batch_nll_grad(model, theta, x, labels)
-            scale = n / len(labels)
-            g_theta = scale * jac.vjp(grad_logits.ravel())
-            kl = kl_meanfield_to_prior(mu, scales, prior)
-            grad_mu = g_theta + mu / prior
-            grad_raw = (g_theta * z + scales / prior - 1.0 / scales) * _sigmoid(raw)
-            loss = scale * nll + kl
+            np.add(mu, scales * z, out=theta)
+            jac = JacobianOperator(model.network, x)
+            log_q = _log_softmax(_logits(model, jac, theta_layers))
+            rows = np.arange(len(x))
+            grad_logits = np.exp(log_q)
+            grad_logits[rows, labels] -= 1.0
+            _check_finite(grad_logits, "logit gradient", epoch)
+            _backward(jac, grad_logits, g_layers)
+            scale = n / len(x)
+            g_theta *= scale
+            np.add(g_theta, mu / prior, out=grad[:p])
+            np.multiply(g_theta * z + scales / prior - 1.0 / scales, _sigmoid(raw), out=grad[p:])
+            nll = -float(log_q[rows, labels].sum())
+            loss = scale * nll + kl_meanfield_to_prior(mu, scales, prior)
             _check_finite(loss, "ELBO", epoch)
             elbo_trace.append(-loss)
-            packed = adam.step(np.concatenate([mu, raw]), np.concatenate([grad_mu, grad_raw]))
-            _check_finite(packed, "variational parameters", epoch)
-            mu, raw = packed[:p], packed[p:]
+            stepped = adam.step(state, grad)
+            _check_finite(stepped, "variational parameters", epoch)
+            np.copyto(state, stepped)
     return GlmSviResult(
         posterior=MeanFieldPosterior(mu=mu, raw_scales=raw),
         elbo_trace=np.array(elbo_trace),
@@ -390,8 +392,9 @@ def _fisher_at_map(model: LinearizedGlm, posterior: LaplacePosterior, x):
         raise ContractViolationError(
             "test-batch Fisher needs the prediction inputs; pass x"
         )
+    mean = model.with_coefficients(posterior.mean).coefficients  # checks its length
     jac = JacobianOperator(model.network, fisher_x)
-    probs = _softmax(_logits(model, jac, posterior.mean))
+    probs = _softmax(_logits(model, jac, _layer_views(model.network.architecture, mean)))
     return jac, probs, posterior.n_train / jac.n_data
 
 

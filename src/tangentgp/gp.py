@@ -699,8 +699,8 @@ def save_posterior(posterior: NtkPosterior, path) -> None:
 def load_posterior(path) -> NtkPosterior:
     """Read a version-3 posterior cache; a file that is not one raises ConfigError naming what is wrong.
 
-    Every key is read through ``serialize.file_field``; keys it does not
-    read, such as the ``channels`` and ``space`` older files store, are ignored.
+    Every key is read through ``serialize.file_field`` (arrays must be finite);
+    keys it does not read, such as older files' ``channels`` and ``space``, are ignored.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -726,9 +726,9 @@ def load_posterior(path) -> NtkPosterior:
             raise ConfigError(f"{path}: unknown posterior mean kind {mean_kind!r}")
         return NtkPosterior(
             mean_kind=mean_kind,
-            mean_cache=array("mean_cache"),
-            variance_root=array("variance_root"),
+            mean_cache=array("mean_cache", "number array"),
+            variance_root=array("variance_root", "number array"),
             noise_variance=field("noise_variance", "number", float),
             theta_fingerprint=field("theta_fingerprint", "string"),
-            inputs=array("inputs") if form == "kernel" else None,
+            inputs=array("inputs", "number array") if form == "kernel" else None,
         )

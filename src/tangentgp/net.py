@@ -13,8 +13,8 @@ per-layer views once per network. ``train`` binds the layer views of one
 parameter buffer and one gradient buffer once per run, so a minibatch step
 builds no network: it traces its batch in one operator over that buffer
 and runs the reverse pass that ``vjp`` runs (``_backward``) into the
-gradient views. ``glm.fit_map`` binds its coefficient and gradient buffers
-the same way: each step runs the forward-mode pass that ``jvp`` runs
+gradient views. ``glm``'s MAP and SVI fits bind their coefficient and
+gradient buffers the same way: each step runs ``jvp``'s forward-mode pass
 (``_forward_mode``) on the coefficient views, and ``_backward`` into the
 gradient views. The optimizers (``Adam``, ``SgdMomentum``) allocate their
 state and scratch once per run and update them in place, and the forward,
@@ -391,8 +391,8 @@ class JacobianOperator:
     def jvp(self, v: np.ndarray) -> np.ndarray:
         """B' v: exact directional derivative of the mapped outputs along v (forward mode).
 
-        Checks v, runs the forward-mode pass that ``glm.fit_map`` runs on
-        its bound coefficients (``_forward_mode``), then applies the output map.
+        Checks v, runs the forward-mode pass that ``glm._logits`` runs on
+        coefficient views (``_forward_mode``), then applies the output map.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.param_count,):
@@ -464,7 +464,7 @@ class JacobianOperator:
 
 
 def _forward_mode(jac: JacobianOperator, v_layers: tuple) -> np.ndarray:
-    """The forward-mode pass over ``jac``'s forward trace, shared by ``jvp`` and ``glm.fit_map``.
+    """The forward-mode pass over ``jac``'s forward trace, shared by ``jvp`` and ``glm._logits``.
 
     ``v_layers`` holds per-layer (weight, bias) views of the direction v.
     Returns the (n, full) directional derivative of the internal outputs
@@ -484,7 +484,7 @@ def _forward_mode(jac: JacobianOperator, v_layers: tuple) -> np.ndarray:
 
 
 def _backward(jac: JacobianOperator, delta: np.ndarray, grad_layers: tuple) -> None:
-    """The reverse pass over ``jac``'s forward trace, shared by ``vjp``, ``train`` and ``glm.fit_map``.
+    """The reverse pass over ``jac``'s forward trace, shared by ``vjp``, ``train`` and the GLM fits.
 
     ``delta`` (n, full) is the sensitivity of the internal outputs; the
     gradient of <f(X), delta> is written into ``grad_layers``, per-layer

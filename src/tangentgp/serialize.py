@@ -13,12 +13,13 @@ line's column count, then converts all cells with one ``map(float, ...)``.
 
 ``file_field`` checks one field of a file against a type name of
 ``_CHECKS``; the readers of configs, checkpoints, GLM fits and posterior
-caches take their keys through it.
+caches take their keys through it. Every number it accepts is finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import reprlib
 import sys
@@ -39,14 +40,20 @@ def _num(v):
     return (_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
+def _num_list(v):
+    """A list of finite JSON numbers; an all-float list takes one ``math.isfinite`` pass, others ``_num``."""
+    return isinstance(v, list) and all(map(math.isfinite if set(map(type, v)) <= {float} else _num, v))
+
+
 _CHECKS = {
     "int": _int,
     "number": _num,
     "bool": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
-    # One type pass per list; JSON numbers are exactly int or float, and type(True) is bool.
     "int list": lambda v: isinstance(v, list) and set(map(type, v)) <= {int},
-    "number list": lambda v: isinstance(v, list) and set(map(type, v)) <= {int, float},
+    "number list": _num_list,
+    "number table": lambda v: isinstance(v, list) and all(map(_num_list, v)),
+    "number array": lambda v: isinstance(v, np.ndarray) and v.dtype.kind in "fiu" and np.isfinite(v).all(),
     "int or null": lambda v: v is None or _int(v),
     "number or null": lambda v: v is None or _num(v),
     "string or null": lambda v: v is None or isinstance(v, str),
@@ -107,13 +114,13 @@ def atomic_write_bytes(path, blob: bytes) -> None:
 
 
 def read_json(path):
-    """Parse a JSON file; an unreadable file or bad JSON raises ConfigError naming the path."""
+    """(value, bytes) of a JSON file from one read; an unreadable file or bad JSON raises ConfigError naming it."""
     try:
-        text = Path(path).read_text()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(blob), blob
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
 

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -563,6 +564,26 @@ class TestPredict:
         assert f"{bad}: posterior cache key {key!r} must be {kind}, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["mean_cache", "variance_root", "inputs"])
+    def test_non_finite_posterior_array_is_input_error(self, ws, cached_posterior, tmp_path, capsys, key):
+        with np.load(cached_posterior["posterior"], allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[-1] = np.nan
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        inputs = write_inputs_csv(tmp_path / "in.csv", cached_posterior["x"][:2])
+        out = tmp_path / "pred.csv"
+        code = main(
+            [
+                "predict", "--checkpoint", ws["ckpt"], "--posterior", str(bad),
+                "--inputs", inputs, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"{bad}: posterior cache key {key!r} must be number array" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stale_posterior_is_consistency_error(self, ws, cached_posterior, tmp_path):
         other = str(tmp_path / "other.json")
         assert main(["train", "--config", ws["config"], "--seed", "5", "--out", other]) == 0
@@ -814,6 +835,15 @@ class TestFvpBench:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_epsilon_exits_2_naming_the_key(self, ws, tmp_path, capsys, text):
+        cfg = tmp_path / "fvp.json"
+        cfg.write_text(f'{{"version": 1, "fvp": {{"epsilons": [1e-4, {text}]}}}}')
+        out = tmp_path / "sweep.csv"
+        assert main(["fvp-bench", "--config", str(cfg), "--checkpoint", ws["ckpt"], "--out", str(out)]) == 2
+        assert "config key fvp.epsilons must be number list" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def save_relu_checkpoint(path, w1, b1, w2, b2):
     arch = MlpArchitecture(2, (4,), 1, activation="relu")
@@ -1015,7 +1045,8 @@ class TestGlm:
         assert cached.read_bytes() == rebuilt.read_bytes()
 
     @pytest.mark.parametrize(
-        "tamper", ["other fit", "digest", "shape", "non-finite", "one array", "archive", "not numpy"]
+        "tamper",
+        ["other fit", "digest", "shape", "non-finite", "one array", "archive", "not numpy", "re-indented fit"],
     )
     def test_mismatched_gram_cache_exits_3_naming_it(self, blob_data, tmp_path, capsys, tamper):
         cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", predict_mode="single_sample")
@@ -1032,6 +1063,9 @@ class TestGlm:
                 np.savez(fh, gram=gram, digest=digest)
         elif tamper == "not numpy":
             gram_path.write_bytes(b"not a record")
+        elif tamper == "re-indented fit":
+            # The same values in other bytes: the cache is keyed by the fit file's bytes.
+            Path(fit_path).write_text(json.dumps(json.loads(Path(fit_path).read_text()), indent=4))
         else:
             if tamper == "digest":
                 digest = b"0" * 64
@@ -1048,6 +1082,28 @@ class TestGlm:
         # Only single-sample draws read the file.
         mean_cfg = write_json(tmp_path / "mean.json", {"version": 1, "glm": {"predict_mode": "mean"}})
         assert self.predict(blob_data, tmp_path, mean_cfg, fit_path)[0] == 0
+
+    @pytest.mark.parametrize(
+        "key,mode,cached",
+        [("mean", "single_sample", True), ("mean", "single_sample", False), ("fisher_x", "mean", True)],
+        ids=["nan-mean-with-gram", "nan-mean-without-gram", "inf-fisher-x-mean-mode"],
+    )
+    def test_non_finite_laplace_field_is_input_error(self, blob_data, tmp_path, capsys, key, mode, cached):
+        # Refused at load, naming the file and the key, whatever the mode and the cache.
+        cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", predict_mode=mode)
+        if not cached:
+            (tmp_path / "fit.laplace.npy").unlink()
+        doc = json.loads(Path(fit_path).read_text())
+        if key == "mean":
+            doc["mean"][3] = math.nan
+        else:
+            doc["fisher_x"][2][1] = math.inf
+        write_json(Path(fit_path), doc)
+        code, out = self.predict(blob_data, tmp_path, cfg, fit_path)
+        assert code == 2
+        kind = "number list" if key == "mean" else "number table"
+        assert f"{fit_path}: GLM fit file key {key!r} must be {kind}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_only_a_pinned_laplace_fit_leaves_a_gram_file(self, blob_data, tmp_path):
         gram_path = tmp_path / "fit.laplace.npy"

@@ -95,6 +95,18 @@ class TestResolveConfig:
         resolved = resolve_config(minimal(architecture={**arch, "hidden_widths": [4, 2]}))
         assert resolved["architecture"]["hidden_widths"] == [4, 2]
 
+    def test_number_list_entries_must_be_finite(self):
+        # An all-float list takes one finiteness pass; a list holding an
+        # int (or a bool, a string, a list) is checked entry by entry.
+        for text in ("Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400):
+            for entries in ([json.loads(text)], [1e-4, json.loads(text)], [1, json.loads(text)]):
+                with pytest.raises(ConfigError, match="fvp.epsilons must be number list"):
+                    resolve_config(minimal(fvp={"epsilons": entries}))
+        for entries in ([1e-4, True], [1e-4, "1e-3"], [1e-4, [1e-3]]):
+            with pytest.raises(ConfigError, match="fvp.epsilons must be number list"):
+                resolve_config(minimal(fvp={"epsilons": entries}))
+        assert resolve_config(minimal(fvp={"epsilons": [1e-4, 1]}))["fvp"]["epsilons"] == [1e-4, 1]
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="config key 'seed' must be non-negative, got -1"):
             resolve_config(minimal(seed=-1))

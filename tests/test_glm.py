@@ -411,6 +411,15 @@ class TestFitSvi:
         with pytest.raises(ContractViolationError, match="positive"):
             kl_meanfield_to_prior(np.zeros(2), np.array([1.0, 0.0]), 1.0)
 
+    def test_overflowing_logits_are_divergence_not_bad_input(self):
+        # A huge first step leaves finite parameters whose linearized logits
+        # overflow: the next step's logit gradient is non-finite, a numeric failure.
+        net = init_network(MlpArchitecture(3, (32, 32), 4), seed=0)
+        data = ClassificationData(np.random.default_rng(0).normal(size=(16, 3)), np.arange(16) % 4)
+        cfg = GlmFitConfig(learning_rate=1e307, epochs=1, batch_size=8)
+        with pytest.raises(TrainingDivergenceError, match="^non-finite logit gradient at epoch 0$"):
+            fit_svi(zero_coefficients_glm(net), data, cfg)
+
     def test_elbo_improves(self):
         data, _, _ = make_blobs()
         model = blob_model()
@@ -491,6 +500,16 @@ def affine_laplace_setup():
 
 
 class TestFitLaplace:
+    @pytest.mark.parametrize("field", ["mean", "fisher_x"])
+    def test_non_finite_mean_or_fisher_inputs_refused(self, field):
+        # The logits pass does not check its coefficients, so the posterior does.
+        good = {"mean": np.zeros(4), "n_train": 3, "prior_variance": 1.0, "fisher_x": np.zeros((3, 2))}
+        bad = good[field].copy()
+        bad.flat[1] = np.nan
+        what = "mean" if field == "mean" else "Fisher inputs"
+        with pytest.raises(ContractViolationError, match=f"^non-finite entries in the Laplace {what}$"):
+            LaplacePosterior(**{**good, field: bad})
+
     def test_precision_matches_dense_fisher(self):
         model, _, posterior, dense_precision = affine_laplace_setup()
         op = laplace_precision(model, posterior)

@@ -5,7 +5,7 @@ functions and methods by name. A rename in the package would make every
 traced benchmark run fail; these tests fail first instead. They read the
 tracer's instrument table, and install the tracer only around small
 fits, adaptations (one through the ``adapt`` command), training runs, MAP
-fits (one through the ``glm-fit`` command) and single Laplace draws.
+fits (one through the ``glm-fit`` command), SVI fits and single Laplace draws.
 The package's ``__all__`` is checked the same way, so that a deletion
 leaving a stale export fails here rather than in
 ``from tangentgp import *``. The signatures of ``tangentgp.gp``'s public functions are checked for a
@@ -245,6 +245,23 @@ def test_map_fit_builds_the_operators_the_tracer_expects():
     assert tracer.counts["glm.fit_map.steps"] == 6
     assert tracer.mismatches == []
     assert tracer.calls["net.jvp"] == 0 and tracer.calls["net.vjp"] == 0
+
+
+def test_svi_fit_builds_one_operator_per_step_and_no_public_products():
+    # The SVI step takes the MAP fit's passes on bound views: one operator
+    # per minibatch step, and no checked public jvp or vjp.
+    net = init_network(MlpArchitecture(2, (4,), 3), seed=1)
+    rng = np.random.default_rng(1)
+    data = ClassificationData(rng.normal(size=(10, 2)), np.arange(10) % 3)
+    tracer = spans().Tracer()
+    tracer.install()
+    try:
+        glm_module.fit_svi(zero_coefficients_glm(net), data, GlmFitConfig(epochs=2, batch_size=4))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["net.jacobian_op"] == 6
+    assert tracer.calls["net.jvp"] == 0 and tracer.calls["net.vjp"] == 0
+    assert tracer.mismatches == []
 
 
 def test_laplace_glm_fit_builds_its_gram_outside_the_map_fit(tmp_path):
