@@ -392,11 +392,11 @@ def cmd_glm_fit(args) -> int:
         doc["fisher_on_train"] = approx.fisher_x is not None
         if approx.fisher_x is not None:
             doc["fisher_x"] = [[float(v) for v in row] for row in approx.fisher_x]
-    text = canonical_json(doc)
+    blob = canonical_json(doc).encode("utf-8")
     gram_file = None
     if approx is not None and approx.fisher_x is not None:
-        gram_file = _gram_file(model, approx, hashlib.sha256(text.encode("utf-8")).hexdigest())
-    atomic_write_text(args.out, text)
+        gram_file = _gram_file(model, approx, hashlib.sha256(blob).hexdigest())
+    atomic_write_bytes(args.out, blob)
     log.info("wrote %s", args.out)
     gram_path = _gram_path(args.out)
     if gram_file is None:

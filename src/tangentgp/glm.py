@@ -195,13 +195,13 @@ class MeanFieldPosterior:
 class LaplacePosterior:
     """MAP mean with Fisher-plus-prior precision.
 
-    The mean and the Fisher inputs are stored, and must be finite (the
-    logits pass does not check); each draw rebuilds the Fisher root at the
-    MAP and solves once with the precision. ``fisher_x`` fixes the inputs
-    the Fisher is estimated on; ``None`` defers to the prediction batch,
-    which makes predictions depend on batch composition and exists to
-    mirror that published variant. ``gram``, for pinned inputs only, is
-    ``laplace_gram`` built once; ``None`` has every draw build it.
+    The mean and the Fisher inputs are stored; each draw rebuilds the
+    Fisher root at the MAP and solves once with the precision.
+    ``fisher_x`` fixes the inputs the Fisher is estimated on;
+    ``None`` defers to the prediction batch, which makes predictions
+    depend on batch composition and exists to mirror that published
+    variant. ``gram``, for pinned inputs only, is ``laplace_gram`` built
+    once; ``None`` has every draw build it.
     """
 
     mean: np.ndarray
@@ -213,9 +213,6 @@ class LaplacePosterior:
     def __post_init__(self):
         if self.n_train < 1:
             raise ContractViolationError(f"the Laplace posterior needs n_train >= 1, got {self.n_train}")
-        for what, values in (("mean", self.mean), ("Fisher inputs", self.fisher_x)):
-            if values is not None and not np.isfinite(values).all():
-                raise ContractViolationError(f"non-finite entries in the Laplace {what}")
         if self.gram is not None and self.fisher_x is None:
             raise ContractViolationError("a test-batch Fisher has no Gram to cache")
 
@@ -392,7 +389,7 @@ def _fisher_at_map(model: LinearizedGlm, posterior: LaplacePosterior, x):
         raise ContractViolationError(
             "test-batch Fisher needs the prediction inputs; pass x"
         )
-    mean = model.with_coefficients(posterior.mean).coefficients  # checks its length
+    mean = model.with_coefficients(posterior.mean).coefficients  # checks its length and finiteness
     jac = JacobianOperator(model.network, fisher_x)
     probs = _softmax(_logits(model, jac, _layer_views(model.network.architecture, mean)))
     return jac, probs, posterior.n_train / jac.n_data

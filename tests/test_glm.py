@@ -502,13 +502,17 @@ def affine_laplace_setup():
 class TestFitLaplace:
     @pytest.mark.parametrize("field", ["mean", "fisher_x"])
     def test_non_finite_mean_or_fisher_inputs_refused(self, field):
-        # The logits pass does not check its coefficients, so the posterior does.
-        good = {"mean": np.zeros(4), "n_train": 3, "prior_variance": 1.0, "fisher_x": np.zeros((3, 2))}
-        bad = good[field].copy()
+        # The logits pass does not check; the mean is refused by LinearizedGlm
+        # where it is used, the Fisher inputs by JacobianOperator.
+        model, data, posterior, _ = affine_laplace_setup()
+        bad = getattr(posterior, field).copy()
         bad.flat[1] = np.nan
-        what = "mean" if field == "mean" else "Fisher inputs"
-        with pytest.raises(ContractViolationError, match=f"^non-finite entries in the Laplace {what}$"):
-            LaplacePosterior(**{**good, field: bad})
+        posterior = replace(posterior, **{field: bad})
+        modes = ("mean", "single_sample") if field == "mean" else ("single_sample",)
+        match = "coefficients contain" if field == "mean" else "Jacobian inputs contain"
+        for mode in modes:
+            with pytest.raises(ContractViolationError, match=f"^{match} non-finite entries$"):
+                predict_class(model, posterior, data.x, mode=mode, seed=1)
 
     def test_precision_matches_dense_fisher(self):
         model, _, posterior, dense_precision = affine_laplace_setup()
