@@ -6,7 +6,10 @@ writes. Two write a companion file next to ``--out`` as well: ``train``
 its loss trace (``<stem>.trace.csv``), and ``glm-fit`` with
 ``method: laplace`` on a training-input Fisher the precision's Gram
 (``<stem>.laplace.npy``), which ``glm-predict`` reads for single-sample
-draws. A Gram file that does not match its fit exits 3; without one,
+draws. A Laplace fit is Newton's method to the exact mode, and the Gram
+file holds its last iteration's Gram; a Gram over the dense size cap, or
+a Newton fit that reaches its iteration cap, exits 4 and writes neither
+file. A Gram file that does not match its fit exits 3; without one,
 each draw rebuilds the Gram and writes the same bytes. Exit codes: 0
 success, 2 input or parse error, 3 consistency error (stale or
 mismatched artifacts), 4 numeric failure. The only environment influence
@@ -35,7 +38,6 @@ from .adapt import (
     SinusoidTaskSpec,
     _result_row,
     decade_grid,
-    results_csv,
     run_adaptation,
     sample_sinusoid_tasks,
     score_baselines,
@@ -78,7 +80,6 @@ from .glm import (
     fit_laplace,
     fit_map,
     fit_svi,
-    laplace_gram,
     predict_class,
     prediction_csv,
     zero_coefficients_glm,
@@ -367,7 +368,6 @@ def cmd_glm_fit(args) -> int:
         include_network_output=glm["include_network_output"],
         prior_variance=float(glm["prior_variance"]),
     )
-    cfg = glm_fit_config_from(resolved)
     doc = {
         "kind": "glm-fit",
         "version": GLM_FIT_VERSION,
@@ -377,25 +377,24 @@ def cmd_glm_fit(args) -> int:
         "include_network_output": glm["include_network_output"],
         "network_fingerprint": network.fingerprint(),
     }
-    approx = None
+    gram = None
     if glm["method"] == "map":
-        fitted = fit_map(model, data, cfg)
+        fitted = fit_map(model, data, glm_fit_config_from(resolved))
         doc["coefficients"] = [float(v) for v in fitted.model.coefficients]
     elif glm["method"] == "svi":
-        fitted = fit_svi(model, data, cfg)
+        fitted = fit_svi(model, data, glm_fit_config_from(resolved))
         doc["mu"] = [float(v) for v in fitted.posterior.mu]
         doc["raw_scales"] = [float(v) for v in fitted.posterior.raw_scales]
     else:  # laplace; config resolution rejects any other method
-        approx = fit_laplace(model, data, cfg, fisher_source=glm["fisher_source"])
+        approx = fit_laplace(model, data, fisher_source=glm["fisher_source"])
         doc["mean"] = [float(v) for v in approx.mean]
         doc["n_train"] = approx.n_train
         doc["fisher_on_train"] = approx.fisher_x is not None
         if approx.fisher_x is not None:
             doc["fisher_x"] = [[float(v) for v in row] for row in approx.fisher_x]
+        gram = approx.gram
     blob = canonical_json(doc).encode("utf-8")
-    gram_file = None
-    if approx is not None and approx.fisher_x is not None:
-        gram_file = _gram_file(model, approx, hashlib.sha256(blob).hexdigest())
+    gram_file = None if gram is None else _gram_file(gram, hashlib.sha256(blob).hexdigest())
     atomic_write_bytes(args.out, blob)
     log.info("wrote %s", args.out)
     gram_path = _gram_path(args.out)
@@ -408,27 +407,23 @@ def cmd_glm_fit(args) -> int:
     return 0
 
 
-# The Laplace precision's Gram (``glm.laplace_gram``) is fixed by the fit
-# when its Fisher is pinned to the training inputs. ``glm-fit`` writes it
-# next to the fit file, and ``glm-predict`` hands it to every
-# single-sample draw instead of rebuilding it. The file is one .npy
-# record of the Gram and the sha256 of the fit file's bytes (any edit,
-# even a re-indent, refuses it), not an .npz archive: at a 240 x 240
-# Gram (one BLAS thread, 2-vCPU host) the archive took 0.6-0.7 ms to read,
-# over half of the 1.2 ms build it replaces; the record takes under 0.1 ms.
+# The Laplace precision's Gram is fixed by the fit when its Fisher is
+# pinned to the training inputs: the Newton fit returns it from its last
+# iteration, built at the mean. ``glm-fit`` writes it next to the fit
+# file, and ``glm-predict`` hands it to every single-sample draw instead
+# of rebuilding it. The file is one .npy record of the Gram and the
+# sha256 of the fit file's bytes (any edit, even a re-indent, refuses
+# it), not an .npz archive: at a 240 x 240 Gram (one BLAS thread, 2-vCPU
+# host) the archive took 0.6-0.7 ms to read, over half of the 1.2 ms
+# build it replaces; the record takes under 0.1 ms.
 
 
 def _gram_path(out) -> Path:
     return _sibling_path(out, ".laplace.npy")
 
 
-def _gram_file(model, approx, digest: str) -> bytes | None:
-    """The Gram file's bytes, or None when the Gram is over the size cap (each draw then hits the cap)."""
-    try:
-        gram = laplace_gram(model, approx)
-    except ResourceLimitError as exc:
-        log.info("no Laplace Gram cache: %s", exc)
-        return None
+def _gram_file(gram: np.ndarray, digest: str) -> bytes:
+    """The Gram file's bytes: one record of the Gram and the fit file's ``digest``."""
     record = np.zeros((), dtype=[("digest", "S64"), ("gram", "<f8", gram.shape)])
     record["digest"] = digest
     record["gram"] = gram

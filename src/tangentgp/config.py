@@ -11,7 +11,9 @@ Each key's default has one home. The ``study`` and ``experiment``
 blocks, the fit keys of ``glm`` and the sinusoid keys of ``task`` take
 their defaults and types from the library dataclass they build
 (``StudyConfig``, ``SinusoidExperimentConfig``, ``GlmFitConfig``,
-``SinusoidTaskSpec``), and ``from_block`` builds that dataclass. The
+``SinusoidTaskSpec``), and ``from_block`` builds that dataclass; the
+``glm`` fit keys steer only the Adam fits (``map`` and ``svi``), and a
+``laplace`` fit, which is Newton's method, accepts and ignores them. The
 ``optimizer`` block keeps its own table: it defaults to Adam, where
 ``OptimizerConfig`` defaults to SGD with momentum, and it needs
 ``learning_rate`` and ``epochs``.

@@ -3,21 +3,27 @@
 The model keeps the trained parameters theta frozen and learns separate
 coefficients theta' for logits J' theta' (optionally plus the network's
 own output, the full Taylor view), all from one pass, ``_logits``, on
-per-layer views of theta' that both fits bind once. Inference over
-theta' comes in three strengths: a MAP point estimate, a factorized
-Gaussian fitted by stochastic variational inference, and a Laplace
-approximation whose precision is the Fisher at the MAP plus the prior.
-A Laplace draw is exact: the Fisher has rank at most n*(c-1) on n inputs
-with c classes, so it has a root B = J blockdiag(M_i') with n*(c-1)
-columns: the Jacobian operator under the output map M_i, a (c-1) x c
-root of datum i's Fisher block. A draw perturbs, then solves:
-mean + A^-1 (sqrt(lam) z + B v) for standard normal z and v, one linear
-solve on the smaller side of B's Gram, the n*(c-1) square B'B (assembled
-directly from the mapped layer sensitivities) or the p square Fisher
-B B' (the low-rank GGN Laplace of Daxberger et al. 2021, "Laplace
-Redux"). ``gp.smaller_gram`` picks that side and checks its size, as it
-does for the GP fits. With the Fisher pinned to the training inputs that
-Gram is fixed by the fit: ``laplace_gram`` builds it once for all draws.
+per-layer views of theta' that every fit binds once. Inference over
+theta' comes in three strengths: a MAP point estimate and a factorized
+Gaussian fitted by stochastic variational inference, both by minibatch
+Adam, and a Laplace approximation centred at the exact mode, with the
+Fisher there plus the prior as its precision.
+The Fisher has rank at most n*(c-1) on n inputs with c classes, so it
+has a root B = J blockdiag(M_i') with n*(c-1) columns: the Jacobian
+operator under the output map M_i, a (c-1) x c root of datum i's
+Fisher block. Logits are linear in theta', so the penalized NLL is
+convex and its Hessian is exactly the precision A = lam I + B B' at
+the current coefficients (the GGN of Immer et al. 2021). The Laplace
+fit is Newton's method on it: each step solves with A on the smaller
+side of B's Gram, the n*(c-1) square lam I + B'B (by the Woodbury
+identity; assembled directly from the mapped layer sensitivities) or
+the p square A itself (the low-rank GGN Laplace of Daxberger et al.
+2021, "Laplace Redux"). ``gp.smaller_gram`` picks that side and checks
+its size, as it does for the GP fits. A Laplace draw is exact:
+mean + A^-1 (sqrt(lam) z + B v) for standard normal z and v, one solve
+with the same Gram. With the Fisher pinned to the training inputs the
+Gram of the last Newton iteration, built at the returned mean, serves
+every draw.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolationError, TrainingDivergenceError
+from .errors import ContractViolationError, FitError, TrainingDivergenceError
 from .fisher import _softmax_fisher_apply
 from .gp import gram_solve, smaller_gram
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
@@ -69,9 +75,9 @@ class LinearizedGlm:
             )
         if not np.all(np.isfinite(coeff)):
             raise ContractViolationError("coefficients contain non-finite entries")
-        if not self.prior_variance > 0:
+        if not 0 < self.prior_variance < math.inf:
             raise ContractViolationError(
-                f"prior variance must be positive, got {self.prior_variance}"
+                f"prior variance must be positive and finite, got {self.prior_variance}"
             )
         coeff = coeff.copy()
         coeff.setflags(write=False)
@@ -155,6 +161,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GlmFitConfig:
+    """Minibatch Adam settings of ``fit_map`` and ``fit_svi``; ``fit_laplace`` takes none."""
+
     learning_rate: float = 1e-3
     epochs: int = 10
     batch_size: int = 32
@@ -193,15 +201,16 @@ class MeanFieldPosterior:
 
 @dataclass(frozen=True)
 class LaplacePosterior:
-    """MAP mean with Fisher-plus-prior precision.
+    """The penalized NLL's exact mode with Fisher-plus-prior precision.
 
     The mean and the Fisher inputs are stored; each draw rebuilds the
-    Fisher root at the MAP and solves once with the precision.
+    Fisher root at the mean and solves once with the precision.
     ``fisher_x`` fixes the inputs the Fisher is estimated on;
     ``None`` defers to the prediction batch, which makes predictions
     depend on batch composition and exists to mirror that published
-    variant. ``gram``, for pinned inputs only, is ``laplace_gram`` built
-    once; ``None`` has every draw build it.
+    variant. ``gram``, for pinned inputs only, is the precision's Gram
+    at the mean (``_shifted_gram``), which ``fit_laplace`` returns from
+    its last Newton iteration; ``None`` has every draw build it.
     """
 
     mean: np.ndarray
@@ -353,27 +362,111 @@ def fit_svi(model: LinearizedGlm, data: ClassificationData, cfg: GlmFitConfig) -
     )
 
 
+# Newton's method on the penalized NLL. Its stopping rule reads the Newton
+# decrement g' A^-1 g / 2 (the predicted decrease to the mode) in units of
+# max(1, |f|). Above NEWTON_RESOLVED the objective can tell a step's
+# decrease from roundoff, so a step backtracks until it passes an Armijo
+# test. Below it every step is taken whole, and the fit stops once the
+# decrement is under NEWTON_TOLERANCE or no longer falls (roundoff).
+NEWTON_MAX_ITERATIONS = 50
+NEWTON_RESOLVED = 1e-10
+NEWTON_TOLERANCE = 1e-26
+ARMIJO_FRACTION = 1e-4
+MAX_BACKTRACKS = 60
+
+
+# Overflow at a rejected trial point ends in a backtrack, not in raw numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_laplace(
     model: LinearizedGlm,
     data: ClassificationData,
-    cfg: GlmFitConfig,
     fisher_source: str = "train",
 ) -> LaplacePosterior:
-    """MAP fit followed by a Fisher-plus-prior precision around it.
+    """The penalized NLL's exact mode by Newton's method, with the precision there.
 
-    ``fisher_source="train"`` pins the Fisher to the training inputs;
-    ``"test_batch"`` leaves it to be estimated on each prediction batch.
+    One forward trace of the training inputs serves every iteration, which
+    starts from ``model.coefficients``. An iteration takes the logits by
+    ``_logits`` and the gradient g = J (softmax - one-hot) + theta / prior
+    by ``net._backward`` on bound views of the iterate. The Hessian is
+    the precision A = lam I + B B' at the iterate, with B its Fisher root
+    (``_fisher_root``), so the Newton step A^-1 g is one solve with the
+    Gram that ``_shifted_gram`` builds on B's smaller side:
+    (g - B (lam I + B'B)^-1 B'g) / lam by the Woodbury identity on the
+    kernel side, as ``_laplace_draw`` solves, or a solve with A itself.
+    The iterate at which the stopping rule above holds is the mean.
+
+    ``fisher_source="train"`` pins the Fisher to the training inputs and
+    keeps the last iteration's Gram, built at the mean, as ``gram``;
+    ``"test_batch"`` leaves the Fisher to be estimated on each prediction
+    batch and keeps no Gram. Either way the fit optimizes on the training
+    inputs. ``FitError`` is raised when ``NEWTON_MAX_ITERATIONS`` pass or
+    a line search fails, and ``ResourceLimitError`` when the Gram is over
+    the size cap.
     """
     if fisher_source not in FISHER_SOURCES:
         raise ContractViolationError(
             f"fisher_source must be 'train' or 'test_batch', got {fisher_source!r}"
         )
-    fitted = fit_map(model, data, cfg)
-    return LaplacePosterior(
-        mean=fitted.model.coefficients,
-        n_train=data.n,
-        prior_variance=model.prior_variance,
-        fisher_x=data.x if fisher_source == "train" else None,
+    _check_labels(model, data)
+    arch = model.network.architecture
+    prior = model.prior_variance
+    jac = JacobianOperator(model.network, data.x)
+    coeff = model.coefficients.copy()
+    grad, step = np.empty_like(coeff), np.empty_like(coeff)
+    coeff_layers, grad_layers, step_layers = (_layer_views(arch, b) for b in (coeff, grad, step))
+    rows = np.arange(data.n)
+
+    def objective(logits, theta):
+        log_q = _log_softmax(logits)
+        return float(theta @ theta) / (2.0 * prior) - float(log_q[rows, data.labels].sum()), log_q
+
+    last = math.inf
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        logits = _logits(model, jac, coeff_layers)
+        value, log_q = objective(logits, coeff)
+        probs = np.exp(log_q)
+        grad_logits = probs.copy()
+        grad_logits[rows, data.labels] -= 1.0
+        _backward(jac, grad_logits, grad_layers)
+        grad += coeff / prior
+        fisher = _fisher_root(jac, probs, 1.0)
+        gram = _shifted_gram(fisher, prior)
+        if len(gram) == fisher.out_len:
+            np.subtract(grad, fisher.vjp(gram_solve(gram, fisher.jvp(grad))), out=step)
+            step *= prior
+        else:
+            step[:] = gram_solve(gram, grad)
+        decrement = float(grad @ step) / 2.0
+        scale = max(1.0, abs(value))
+        resolved = decrement > NEWTON_RESOLVED * scale
+        if not resolved and (decrement <= NEWTON_TOLERANCE * scale or decrement >= last):
+            pinned = fisher_source == "train"
+            return LaplacePosterior(
+                mean=coeff,
+                n_train=data.n,
+                prior_variance=prior,
+                fisher_x=data.x if pinned else None,
+                gram=gram if pinned else None,
+            )
+        size = 1.0
+        if resolved:
+            # The logits are linear in theta: a trial point's are logits - size * J' step.
+            slope = _forward_mode(jac, step_layers)
+            for halvings in range(MAX_BACKTRACKS + 1):
+                size = 0.5**halvings
+                trial, _ = objective(logits - size * slope, coeff - size * step)
+                if trial <= value - ARMIJO_FRACTION * size * 2.0 * decrement:
+                    break
+            else:
+                raise FitError(
+                    f"Newton line search found no sufficient decrease in {MAX_BACKTRACKS} halvings "
+                    f"(objective {value:.6g}, Newton decrement {decrement:.3g})"
+                )
+        coeff -= size * step
+        last = decrement
+    raise FitError(
+        f"Newton's method did not reach the Laplace mode in {NEWTON_MAX_ITERATIONS} "
+        f"iterations (Newton decrement {decrement:.3g})"
     )
 
 
@@ -442,8 +535,8 @@ def sample_gaussian_from_precision(
     return mean + float(np.linalg.norm(z)) * root[:, 0]
 
 
-def _fisher_root(model: LinearizedGlm, posterior: LaplacePosterior, x) -> JacobianOperator:
-    """B = sqrt(upscale) J blockdiag(M_i), the Fisher's root at the MAP, as a mapped operator.
+def _fisher_root(jac: JacobianOperator, probs: np.ndarray, upscale: float) -> JacobianOperator:
+    """B = sqrt(upscale) J blockdiag(M_i), the Fisher's root at class probabilities ``probs``, as a mapped operator.
 
     M_i M_i' = diag(p_i) - p_i p_i'. M_i = L_i Q_i, with
     L_i = diag(sqrt p_i) - p_i sqrt(p_i)' and Q_i the first c - 1 columns of the Householder
@@ -451,7 +544,6 @@ def _fisher_root(model: LinearizedGlm, posterior: LaplacePosterior, x) -> Jacobi
     only the null direction, and B has the Fisher's rank bound n*(c-1)
     as its column count m. B'z and B w are the operator's ``jvp`` and ``vjp``.
     """
-    jac, probs, upscale = _fisher_at_map(model, posterior, x)
     c = probs.shape[1]
     # sqrt(upscale) L_i' blocks, [a, b] = sqrt(upscale p_a) (delta_ab - p_b),
     # then Q_i' applied: the reflector's rows a < c - 1 subtract
@@ -463,34 +555,28 @@ def _fisher_root(model: LinearizedGlm, posterior: LaplacePosterior, x) -> Jacobi
 
 
 def _shifted_gram(fisher: JacobianOperator, prior_variance: float) -> np.ndarray:
-    _, gram = smaller_gram(fisher)
-    gram[np.diag_indices_from(gram)] += 1.0 / prior_variance
-    return gram
-
-
-def laplace_gram(model: LinearizedGlm, posterior: LaplacePosterior) -> np.ndarray:
     """The precision's Gram on the smaller side of B, shifted by lam = 1 / prior_variance.
 
     lam I + B'B (m square, when m <= p, the side ``gp.smaller_gram``
-    picks) or the precision lam I + B B' itself (p square). It is fixed
-    by the pinned Fisher inputs, so it is built once per fit and handed
-    to every draw as ``LaplacePosterior.gram``.
+    picks) or the precision lam I + B B' itself (p square).
     """
-    return _shifted_gram(_fisher_root(model, posterior, None), posterior.prior_variance)
+    _, gram = smaller_gram(fisher)
+    gram[np.diag_indices_from(gram)] += 1.0 / prior_variance
+    return gram
 
 
 def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> np.ndarray:
     """mean + A^{-1} (sqrt(lam) z + B v), with A the Laplace precision, from one solve.
 
     A = lam I + B B' with lam = 1 / prior_variance and B the Fisher root
-    of ``_fisher_root``. ``rng`` draws z ~ N(0, I_p), then v ~ N(0, I_m),
+    of ``_fisher_root`` at the mean. ``rng`` draws z ~ N(0, I_p), then v ~ N(0, I_m),
     and sqrt(lam) z + B v ~ N(0, A), so the draw's covariance is exactly
-    A^{-1}. On the kernel side of ``laplace_gram`` the Woodbury identity
+    A^{-1}. On the kernel side of ``_shifted_gram`` the Woodbury identity
     makes it z / sqrt(lam) + B (lam I + B'B)^{-1} (v - B'z / sqrt(lam)),
     one m square solve; on the p side it is one solve with A. The Gram
     is ``posterior.gram`` when the fit cached it.
     """
-    fisher = _fisher_root(model, posterior, x)
+    fisher = _fisher_root(*_fisher_at_map(model, posterior, x))
     gram = posterior.gram
     if gram is None:
         gram = _shifted_gram(fisher, posterior.prior_variance)

@@ -355,7 +355,7 @@ def test_09_glm_suite(capsys):
     )
     x1 = rng.uniform(-2, 2, size=(20, 1))
     small = ClassificationData(x1, (x1[:, 0] > 0).astype(np.int64))
-    laplace = fit_laplace(affine, small, GlmFitConfig(learning_rate=0.05, epochs=30, seed=0))
+    laplace = fit_laplace(affine, small)
     prec_op = laplace_precision(affine, laplace)
     # glm-predict's draw is mean + S [z; v], linear in its noise (z, v) of
     # sizes p and m = n (c - 1), so basis vectors rebuild S column by

@@ -13,6 +13,7 @@ import pytest
 
 import tangentgp
 import tangentgp.glm as glm_module
+import tangentgp.gp as gp_module
 from tangentgp import analysis, cli
 from tangentgp.adapt import SinusoidTaskSpec, sample_sinusoid_tasks, stratified_split
 from tangentgp.cli import build_parser, main
@@ -1116,6 +1117,28 @@ class TestGlm:
         ]:
             self.fit(blob_data, tmp_path, method, fisher_source=source)
             assert gram_path.exists() == written
+
+    @pytest.mark.parametrize(
+        "module, name, value, message",
+        [
+            # 40 inputs, 2 classes: the (8,) net's Gram is the 40 x 40 kernel side.
+            (gp_module, "DENSE_JACOBIAN_CAP", 40 * 40 - 1, "Gram factorization needs a 40 x 40 matrix (cap 1599 entries)"),
+            (glm_module, "NEWTON_MAX_ITERATIONS", 1, "Newton's method did not reach the Laplace mode in 1 iterations"),
+        ],
+        ids=["gram-over-the-cap", "iteration-cap"],
+    )
+    def test_failed_laplace_fit_exits_4_writing_nothing(
+        self, blob_data, tmp_path, monkeypatch, capsys, module, name, value, message
+    ):
+        monkeypatch.setattr(module, name, value)
+        cfg = write_json(tmp_path / "glm.json", {"version": 1, "glm": {"method": "laplace"}})
+        out = tmp_path / "fit.json"
+        code = main(
+            ["glm-fit", "--config", cfg, "--checkpoint", blob_data["ckpt"], "--data", blob_data["data"], "--out", str(out)]
+        )
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "fit.laplace.npy").exists()
 
     def test_fit_then_predict_separates_blobs(self, blob_data, tmp_path):
         cfg, fit_path = self.fit(blob_data, tmp_path, "map")

@@ -9,6 +9,7 @@ import tangentgp.gp as gp_module
 import tangentgp.net as net_module
 from tangentgp.errors import (
     ContractViolationError,
+    FitError,
     NumericBreakdownError,
     ResourceLimitError,
     TrainingDivergenceError,
@@ -28,7 +29,6 @@ from tangentgp.glm import (
     fit_svi,
     glm_logits,
     kl_meanfield_to_prior,
-    laplace_gram,
     laplace_precision,
     predict_class,
     prediction_csv,
@@ -238,6 +238,14 @@ class TestLinearizedGlm:
         net = init_network(MlpArchitecture(1, (4,), 2), seed=0)
         with pytest.raises(ContractViolationError, match="prior variance"):
             zero_coefficients_glm(net, prior_variance=0.0)
+
+    @pytest.mark.parametrize("prior_variance", [math.inf, math.nan])
+    def test_prior_variance_must_be_finite(self, prior_variance):
+        # An infinite prior variance would make lam = 1 / prior zero: a
+        # singular Newton step and a draw of non-finite coefficients.
+        net = init_network(MlpArchitecture(1, (4,), 2), seed=0)
+        with pytest.raises(ContractViolationError, match=f"^prior variance must be positive and finite, got {prior_variance}$"):
+            zero_coefficients_glm(net, prior_variance=prior_variance)
 
     def test_single_output_rejected(self):
         net = init_network(MlpArchitecture(1, (4,), 1), seed=0)
@@ -486,7 +494,7 @@ def affine_laplace_setup():
     net = init_network(MlpArchitecture(1, (), 2), seed=3)
     model = zero_coefficients_glm(net, prior_variance=0.5)
     data = ClassificationData(x, labels)
-    posterior = fit_laplace(model, data, GlmFitConfig(learning_rate=0.05, epochs=30, seed=0))
+    posterior = fit_laplace(model, data)
     jac = JacobianOperator(net, x)
     dense = jac.dense()
     logits = jac.jvp(posterior.mean).reshape(20, 2)
@@ -519,29 +527,81 @@ class TestFitLaplace:
         op = laplace_precision(model, posterior)
         np.testing.assert_allclose(op.to_dense(), dense_precision, rtol=1e-10, atol=1e-12)
 
-    def test_mean_is_the_map_estimate(self):
+    # (classes, training inputs, source, full Taylor view) on a (2, (4,), c)
+    # tanh net, p = 12 + 5c. n*(c-1) <= p (the kernel-side Newton step) in
+    # the first, third and fifth cases, n*(c-1) > p (the p side) in the others.
+    NEWTON_CASES = [
+        (2, 10, "train", False),
+        (2, 30, "train", True),
+        (4, 6, "train", True),
+        (4, 12, "train", False),
+        (3, 8, "test_batch", True),
+        (3, 14, "test_batch", False),
+    ]
+
+    @pytest.mark.parametrize("classes, n, source, include_output", NEWTON_CASES)
+    def test_mean_is_the_dense_newton_mode(self, classes, n, source, include_output):
+        model, data = newton_setup(classes, n, include_output)
+        posterior = fit_laplace(model, data, fisher_source=source)
+        oracle = dense_newton_mode(model, data)
+        assert np.linalg.norm(posterior.mean - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        _, gradient = dense_nll_gradient(model, data)
+        start = np.linalg.norm(gradient(np.zeros_like(oracle))[0])
+        assert np.linalg.norm(gradient(posterior.mean)[0]) <= 1e-10 * (1.0 + start)
+        # A test-batch Fisher still optimizes on the training inputs, and keeps no Gram.
+        assert posterior.n_train == n and posterior.prior_variance == model.prior_variance
+        if source == "test_batch":
+            assert posterior.fisher_x is None and posterior.gram is None
+        else:
+            assert np.array_equal(posterior.fisher_x, data.x)
+            # The last iteration's Gram is the one a draw builds at the mean, bit for bit.
+            assert np.array_equal(posterior.gram, laplace_gram(model, posterior))
+
+    def test_newton_stops_at_its_iteration_cap(self, monkeypatch):
+        model, data = newton_setup(2, 10, False)
+        monkeypatch.setattr(glm_module, "NEWTON_MAX_ITERATIONS", 1)
+        with pytest.raises(FitError, match="^Newton's method did not reach the Laplace mode in 1 iterations"):
+            fit_laplace(model, data)
+
+    def test_weak_prior_stops_at_the_roundoff_floor(self):
+        # At prior variance 1e8 the decrement's roundoff floor (about 6e-25)
+        # sits above 1e-26 |f|: the fit stops once it no longer falls,
+        # where a fixed tolerance alone would run into the iteration cap.
         data, _, _ = make_blobs()
-        model = blob_model()
-        cfg = GlmFitConfig(learning_rate=0.05, epochs=10, seed=1)
-        posterior = fit_laplace(model, data, cfg)
-        fitted = fit_map(model, data, cfg)
-        np.testing.assert_array_equal(posterior.mean, fitted.model.coefficients)
+        model = blob_model(prior_variance=1e8)
+        posterior = fit_laplace(model, data)
+        _, gradient = dense_nll_gradient(model, data)
+        start = np.linalg.norm(gradient(np.zeros_like(posterior.mean))[0])
+        assert np.linalg.norm(gradient(posterior.mean)[0]) <= 1e-10 * (1.0 + start)
+
+    def test_newton_backtracks_from_a_far_start(self, monkeypatch):
+        # Newton starts from the model's coefficients. From a far start the
+        # whole step fails the Armijo test, and the fit backtracks to the
+        # same mode; a start at the mode stops there at once.
+        model, data = newton_setup(3, 8, True)
+        mode = fit_laplace(model, data).mean
+        far = model.with_coefficients(10.0 * np.random.default_rng(5).normal(size=mode.size))
+        again = fit_laplace(far, data).mean
+        assert np.linalg.norm(again - mode) <= 1e-10 * np.linalg.norm(mode)
+        assert np.array_equal(fit_laplace(model.with_coefficients(mode), data).mean, mode)
+        monkeypatch.setattr(glm_module, "MAX_BACKTRACKS", 0)
+        with pytest.raises(FitError, match="^Newton line search found no sufficient decrease in 0 halvings"):
+            fit_laplace(far, data)
 
     def test_unknown_fisher_source_rejected(self):
         data, _, _ = make_blobs()
         with pytest.raises(ContractViolationError, match="fisher_source"):
-            fit_laplace(blob_model(), data, GlmFitConfig(epochs=1), fisher_source="aggregate")
+            fit_laplace(blob_model(), data, fisher_source="aggregate")
 
     def test_test_batch_mode_defers_to_prediction_inputs(self):
         model, data, _, _ = affine_laplace_setup()
-        cfg = GlmFitConfig(learning_rate=0.05, epochs=30, seed=0)
-        deferred = fit_laplace(model, data, cfg, fisher_source="test_batch")
+        deferred = fit_laplace(model, data, fisher_source="test_batch")
         assert deferred.fisher_x is None
         with pytest.raises(ContractViolationError, match="pass x"):
             laplace_precision(model, deferred)
         x_batch = np.array([[0.1], [0.9], [-1.4]])
         op_batch = laplace_precision(model, deferred, x_batch)
-        pinned = fit_laplace(model, data, cfg, fisher_source="train")
+        pinned = fit_laplace(model, data, fisher_source="train")
         op_train = laplace_precision(model, pinned)
         # Not the all-ones vector: that sits in the shared shift-invariance
         # null space of every softmax Fisher and both operators agree on it.
@@ -617,10 +677,61 @@ def laplace_draw_setup(classes, n_fisher, fisher_source, include_network_output)
     )
     x_train = rng.normal(size=(n_fisher if fisher_source == "train" else 9, 2))
     data = ClassificationData(x_train, np.arange(len(x_train)) % classes)
-    cfg = GlmFitConfig(learning_rate=0.05, epochs=5, batch_size=4, seed=1)
-    posterior = fit_laplace(model, data, cfg, fisher_source=fisher_source)
+    # Each draw builds its Gram unless a test hands it one.
+    posterior = replace(fit_laplace(model, data, fisher_source=fisher_source), gram=None)
     x = rng.normal(size=(n_fisher if fisher_source == "test_batch" else 3, 2))
     return model, posterior, x
+
+
+def laplace_gram(model, posterior):
+    """The precision's Gram that a draw builds at the posterior's mean, on the pinned inputs."""
+    fisher = glm_module._fisher_root(*glm_module._fisher_at_map(model, posterior, None))
+    return glm_module._shifted_gram(fisher, posterior.prior_variance)
+
+
+def newton_setup(classes, n, include_network_output):
+    """Random inputs and labels for a (2, (4,), classes) tanh net at prior variance 2."""
+    rng = np.random.default_rng(100 * classes + n)
+    net = init_network(MlpArchitecture(2, (4,), classes), seed=classes)
+    model = zero_coefficients_glm(net, include_network_output=include_network_output, prior_variance=2.0)
+    return model, ClassificationData(rng.normal(size=(n, 2)), rng.integers(0, classes, size=n))
+
+
+def dense_nll_gradient(model, data):
+    """The dense Jacobian and theta -> (gradient, class probabilities) of the penalized NLL."""
+    c = model.num_classes
+    jac = JacobianOperator(model.network, data.x)
+    dense = jac.dense()
+    offset = jac.outputs if model.include_network_output else 0.0
+    onehot = np.eye(c)[data.labels]
+
+    def gradient(theta):
+        logits = (dense.T @ theta).reshape(data.n, c) + offset
+        log_q = logits - logits.max(axis=1, keepdims=True)
+        log_q -= np.log(np.exp(log_q).sum(axis=1, keepdims=True))
+        probs = np.exp(log_q)
+        return dense @ (probs - onehot).ravel() + theta / model.prior_variance, probs
+
+    return dense, gradient
+
+
+def dense_newton_mode(model, data):
+    """The penalized NLL's minimizer by plain Newton on the dense Jacobian and Hessian.
+
+    The Hessian is I / prior + sum_i J_i (diag(p_i) - p_i p_i') J_i'.
+    Every step is taken whole, from zero.
+    """
+    c = model.num_classes
+    dense, gradient = dense_nll_gradient(model, data)
+    theta = np.zeros(dense.shape[0])
+    for _ in range(50):
+        grad, probs = gradient(theta)
+        hess = np.eye(theta.size) / model.prior_variance
+        for i, p_i in enumerate(probs):
+            block = dense[:, c * i : c * (i + 1)]
+            hess += block @ (np.diag(p_i) - np.outer(p_i, p_i)) @ block.T
+        theta = theta - np.linalg.solve(hess, grad)
+    return theta
 
 
 def dense_laplace_precision(model, posterior, x):
@@ -911,8 +1022,8 @@ class TestPredictClass:
         approxes = [
             fit_map(model, data, cfg).posterior,
             fit_svi(model, data, cfg).posterior,
-            fit_laplace(model, data, cfg, fisher_source="train"),
-            fit_laplace(model, data, cfg, fisher_source="test_batch"),
+            fit_laplace(model, data, fisher_source="train"),
+            fit_laplace(model, data, fisher_source="test_batch"),
         ]
 
         def no_draw(*args, **kwargs):

@@ -127,7 +127,8 @@ def test_laplace_draw_attribution_on_each_side(n_fisher, kernels):
     model = zero_coefficients_glm(net)
     rng = np.random.default_rng(n_fisher)
     data = ClassificationData(rng.normal(size=(n_fisher, 2)), np.arange(n_fisher) % 4)
-    posterior = fit_laplace(model, data, GlmFitConfig(learning_rate=0.05, epochs=2, seed=1))
+    # Without the fit's cached Gram, so that the draw builds one.
+    posterior = dataclasses.replace(fit_laplace(model, data), gram=None)
     tracer = spans().Tracer()
     tracer.install()
     try:
@@ -264,10 +265,10 @@ def test_svi_fit_builds_one_operator_per_step_and_no_public_products():
     assert tracer.mismatches == []
 
 
-def test_laplace_glm_fit_builds_its_gram_outside_the_map_fit(tmp_path):
-    # glm-fit with a pinned Fisher writes the precision's Gram next to
-    # the fit file. It builds it after fit_map returns, so the tracer's
-    # operator count for the MAP loop still holds.
+def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypatch):
+    # A Laplace glm-fit runs Newton's method, not the MAP fit's Adam loop:
+    # one Gram per iteration, each assembled by one kernel_matrix call, and
+    # the Gram file holds the last one rather than a Gram built once more.
     ckpt = tmp_path / "clf.json"
     save_checkpoint(init_network(MlpArchitecture(2, (4,), 3), seed=1), ckpt, {})
     data = tmp_path / "labeled.csv"
@@ -278,16 +279,21 @@ def test_laplace_glm_fit_builds_its_gram_outside_the_map_fit(tmp_path):
         "glm-fit", "--config", str(tmp_path / "glm.json"), "--checkpoint", str(ckpt),
         "--data", str(data), "--out", str(tmp_path / "fit.json"),
     ]
+    solves = []
+    gram_solve = glm_module.gram_solve
+    monkeypatch.setattr(glm_module, "gram_solve", lambda gram, rhs: solves.append(gram) or gram_solve(gram, rhs))
     tracer = spans().Tracer()
     tracer.install()
     try:
         assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
-    assert tracer.counts["glm.fit_map.steps"] == 6
-    assert tracer.calls["gp.kernel_matrix"] == 1  # the Gram: n*(c-1) = 20 <= p = 27
+    assert tracer.calls["glm.fit_map"] == 0 and tracer.counts["glm.fit_map.steps"] == 0
+    # One Newton step per iteration, the last of them not taken.
+    assert len(solves) >= 2
+    assert tracer.calls["gp.kernel_matrix"] == len(solves)  # n*(c-1) = 20 <= p = 27
     assert tracer.mismatches == []
-    assert (tmp_path / "fit.laplace.npy").is_file()
+    assert np.array_equal(np.load(tmp_path / "fit.laplace.npy")["gram"], solves[-1])
 
 
 def test_train_builds_the_operators_the_tracer_expects(monkeypatch):
