@@ -4,13 +4,15 @@ Every command reads local files, writes one output file atomically, and
 embeds provenance (tool version, resolved-config hash) in what it
 writes. Two write a companion file next to ``--out`` as well: ``train``
 its loss trace (``<stem>.trace.csv``), and ``glm-fit`` with
-``method: laplace`` on a training-input Fisher the precision's Gram
-(``<stem>.laplace.npy``), which ``glm-predict`` reads for single-sample
-draws. A Laplace fit is Newton's method to the exact mode, and the Gram
-file holds its last iteration's Gram; a Gram over the dense size cap, or
-a Newton fit that reaches its iteration cap, exits 4 and writes neither
-file. A Gram file that does not match its fit exits 3; without one,
-each draw rebuilds the Gram and writes the same bytes. Exit codes: 0
+``method: laplace`` on a training-input Fisher a record of the whole fit
+(``<stem>.laplace.npy``), from which ``glm-predict`` predicts without
+parsing the checkpoint or the fit file when both are the bytes the record
+was written for. A Laplace fit is Newton's method to the exact mode, and
+the record holds its last iteration's Gram; a Gram over the dense size
+cap, or a Newton fit that reaches its iteration cap, exits 4 and writes
+neither file. A single-sample draw that cannot use a record which is
+there exits 3; without one, each draw rebuilds the Gram and writes the
+same bytes. Exit codes: 0
 success, 2 input or parse error, 3 consistency error (stale or
 mismatched artifacts), 4 numeric failure. The only environment influence
 is TANGENTGP_LOG_LEVEL.
@@ -28,6 +30,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .adapt import (
 from .analysis import SimilarityReport, similarity_matrix, task_similarity_study
 from .config import (
     CONFIG_VERSION,
+    _resolve_block,
     architecture_from,
     block_or_defaults,
     config_hash,
@@ -75,6 +79,7 @@ from .fisher import CategoricalLikelihood, GaussianLikelihood, fvp_error_sweep, 
 from .glm import (
     ClassificationData,
     LaplacePosterior,
+    LinearizedGlm,
     MapPosterior,
     MeanFieldPosterior,
     fit_laplace,
@@ -85,7 +90,7 @@ from .glm import (
     zero_coefficients_glm,
 )
 from .gp import load_posterior, predict, save_posterior
-from .net import TaskDataset, init_network, train
+from .net import MlpArchitecture, MlpNetwork, TaskDataset, init_network, train
 from .serialize import (
     atomic_write_bytes,
     atomic_write_text,
@@ -358,7 +363,7 @@ def cmd_similarity(args) -> int:
 
 def cmd_glm_fit(args) -> int:
     resolved = load_config(args.config, args.seed)
-    network = load_checkpoint(args.checkpoint)
+    network, checkpoint_digest = load_checkpoint(args.checkpoint, with_digest=True)
     _check_architecture(resolved, network)
     glm = block_or_defaults(resolved, "glm")
     x, labels = read_classification_csv(args.data)
@@ -377,7 +382,7 @@ def cmd_glm_fit(args) -> int:
         "include_network_output": glm["include_network_output"],
         "network_fingerprint": network.fingerprint(),
     }
-    gram = None
+    approx = None
     if glm["method"] == "map":
         fitted = fit_map(model, data, glm_fit_config_from(resolved))
         doc["coefficients"] = [float(v) for v in fitted.model.coefficients]
@@ -392,76 +397,210 @@ def cmd_glm_fit(args) -> int:
         doc["fisher_on_train"] = approx.fisher_x is not None
         if approx.fisher_x is not None:
             doc["fisher_x"] = [[float(v) for v in row] for row in approx.fisher_x]
-        gram = approx.gram
     blob = canonical_json(doc).encode("utf-8")
-    gram_file = None if gram is None else _gram_file(gram, hashlib.sha256(blob).hexdigest())
+    record = None
+    if approx is not None and approx.gram is not None:
+        record = _record_file(model, approx, checkpoint_digest, hashlib.sha256(blob).hexdigest())
     atomic_write_bytes(args.out, blob)
     log.info("wrote %s", args.out)
-    gram_path = _gram_path(args.out)
-    if gram_file is None:
-        # Only this fit's Gram may sit next to its file.
-        gram_path.unlink(missing_ok=True)
+    record_path = _gram_path(args.out)
+    if record is None:
+        # Only this fit's record may sit next to its file.
+        record_path.unlink(missing_ok=True)
     else:
-        atomic_write_bytes(gram_path, gram_file)
-        log.info("wrote %s", gram_path)
+        atomic_write_bytes(record_path, record)
+        log.info("wrote %s", record_path)
     return 0
 
 
-# The Laplace precision's Gram is fixed by the fit when its Fisher is
-# pinned to the training inputs: the Newton fit returns it from its last
-# iteration, built at the mean. ``glm-fit`` writes it next to the fit
-# file, and ``glm-predict`` hands it to every single-sample draw instead
-# of rebuilding it. The file is one .npy record of the Gram and the
-# sha256 of the fit file's bytes (any edit, even a re-indent, refuses
-# it), not an .npz archive: at a 240 x 240 Gram (one BLAS thread, 2-vCPU
-# host) the archive took 0.6-0.7 ms to read, over half of the 1.2 ms
-# build it replaces; the record takes under 0.1 ms.
+# A Laplace fit whose Fisher is pinned to the training inputs
+# (``fisher_source: train``) fixes everything a prediction from it reads.
+# ``glm-fit`` writes all of it next to the fit file as one .npy record: the
+# network's architecture and parameters, ``network_fingerprint``,
+# ``prior_variance``, ``include_network_output``, ``n_train``, the mean,
+# ``fisher_x`` and the precision's Gram from the Newton fit's last
+# iteration, plus two digests: the sha256 of the checkpoint bytes it
+# parsed and of the fit bytes it wrote. ``glm-predict`` hashes the bytes of its ``--checkpoint`` and
+# ``--fit``. When both match and the record passes the checks the JSON
+# loaders make (shapes against the architecture, finite arrays, a
+# fingerprint recomputed from its parameters), it predicts from the record
+# in either ``predict_mode`` and parses neither JSON file: a hit. Any other
+# case (no record, another layout, a re-serialized checkpoint of the same
+# network, an edited fit, a bad field) parses both files, and a
+# single-sample draw then takes the record's Gram if the record passes its
+# checks and was written with these fit bytes, and exits 3 naming it if
+# not. So a record written in the earlier layout (the Gram and one digest)
+# makes single-sample draws exit 3 until ``glm-fit`` is rerun. The record
+# is one .npy, not an .npz archive: at a 240 x 240 Gram (one BLAS thread,
+# 2-vCPU host) the archive took 0.6-0.7 ms to read, over half of the 1.2 ms
+# Gram build it replaces; the record (m = 240, p = 1316) takes under 0.1 ms.
+
+
+# Field -> (dtype, number of dimensions) of a record, in file order. The
+# float arrays come first, so that each sits 8-byte aligned; the
+# architecture's JSON may have any length.
+_RECORD_FIELDS = {
+    "gram": ("<f8", 2),
+    "mean": ("<f8", 1),
+    "params": ("<f8", 1),
+    "fisher_x": ("<f8", 2),
+    "prior_variance": ("<f8", 0),
+    "n_train": ("<i8", 0),
+    "include_network_output": ("|b1", 0),
+    "checkpoint_sha256": ("|S64", 0),
+    "fit_sha256": ("|S64", 0),
+    "network_fingerprint": ("|S64", 0),
+    "architecture": ("|S", 0),
+}
+
+
+class _Record(NamedTuple):
+    checkpoint_sha256: bytes
+    fit_sha256: bytes
+    model: LinearizedGlm
+    approx: LaplacePosterior
 
 
 def _gram_path(out) -> Path:
     return _sibling_path(out, ".laplace.npy")
 
 
-def _gram_file(gram: np.ndarray, digest: str) -> bytes:
-    """The Gram file's bytes: one record of the Gram and the fit file's ``digest``."""
-    record = np.zeros((), dtype=[("digest", "S64"), ("gram", "<f8", gram.shape)])
-    record["digest"] = digest
-    record["gram"] = gram
+def _gram_size(model, fisher_x) -> int:
+    return min(len(fisher_x) * (model.num_classes - 1), model.network.architecture.parameter_count)
+
+
+def _record_file(model, approx, checkpoint_digest: str, fit_digest: str) -> bytes:
+    """The record's bytes for a pinned Laplace fit, with the checkpoint's and the fit file's digests."""
+    network = model.network
+    values = {
+        "gram": approx.gram,
+        "mean": approx.mean,
+        "params": network.params,
+        "fisher_x": approx.fisher_x,
+        "prior_variance": approx.prior_variance,
+        "n_train": approx.n_train,
+        "include_network_output": model.include_network_output,
+        "checkpoint_sha256": checkpoint_digest.encode(),
+        "fit_sha256": fit_digest.encode(),
+        "network_fingerprint": network.fingerprint().encode(),
+        # As ``MlpNetwork.fingerprint`` hashes it.
+        "architecture": json.dumps(network.architecture.to_dict(), sort_keys=True).encode(),
+    }
+    layout = [
+        (name, code + str(len(values[name])) if code == "|S" else code, np.shape(values[name]))
+        for name, (code, _) in _RECORD_FIELDS.items()
+    ]
+    record = np.zeros((), dtype=layout)
+    for name, value in values.items():
+        record[name] = value
     buffer = io.BytesIO()
     np.save(buffer, record)
     return buffer.getvalue()
 
 
-def _read_gram(fit_path, model, approx, digest: str):
-    """The cached Gram for this Laplace fit, or None when no file was written.
+def _record_mismatch(fit_path, why: str) -> ConsistencyError:
+    return ConsistencyError(f"{_gram_path(fit_path)}: Laplace Gram cache does not match {fit_path}: {why}")
 
-    ``digest`` is the sha256 of the fit file's bytes. A file that is not a
-    Gram record, has the wrong shape or non-finite entries, or was built
-    for other fit-file bytes raises ``ConsistencyError`` naming it.
+
+def _in_record_layout(dtype) -> bool:
+    # A string longer than its code's fails the digest and fingerprint checks.
+    return dtype.names == tuple(_RECORD_FIELDS) and all(
+        dtype[name].ndim == ndim and dtype[name].base.str.startswith(code)
+        for name, (code, ndim) in _RECORD_FIELDS.items()
+    )
+
+
+def _read_record(fit_path):
+    """The record next to ``fit_path`` as a ``_Record``, or None when there is no file.
+
+    A file that is not a record in this layout, or fails a check that the
+    checkpoint and fit loaders make, raises ``ConsistencyError`` naming it.
+    Its digests are returned, not compared.
     """
     path = _gram_path(fit_path)
-    if not path.exists():
-        return None
-
-    def mismatch(why):
-        return ConsistencyError(f"{path}: Laplace Gram cache does not match {fit_path}: {why}")
-
     try:
         with open(path, "rb") as fh:
             record = np.load(fh, allow_pickle=False)
+    except FileNotFoundError:
+        return None
     except (OSError, ValueError, EOFError) as exc:
-        raise mismatch(f"unreadable ({exc})") from exc
-    if not isinstance(record, np.ndarray) or record.shape != () or record.dtype.names != ("digest", "gram"):
-        raise mismatch("not a Gram record")
-    gram = record["gram"]
-    m = len(approx.fisher_x) * (model.num_classes - 1)
-    size = min(m, model.network.architecture.parameter_count)
-    if gram.shape != (size, size) or gram.dtype != np.float64:
-        raise mismatch(f"{gram.dtype} Gram of shape {gram.shape}, expected {size} x {size}")
-    if not np.isfinite(gram).all():
-        raise mismatch("non-finite entries")
-    if record["digest"].item() != digest.encode():
-        raise mismatch("it was built for other fit-file bytes")
+        raise _record_mismatch(fit_path, f"unreadable ({exc})") from exc
+    if not isinstance(record, np.ndarray) or record.shape != () or not _in_record_layout(record.dtype):
+        if isinstance(record, np.ndarray) and record.dtype.names == ("digest", "gram"):
+            raise _record_mismatch(fit_path, "it holds only the Gram, in the earlier layout; rerun glm-fit")
+        raise _record_mismatch(fit_path, "not a Laplace record")
+
+    def array(name, shape):
+        value = record[name]
+        if value.shape != shape:
+            raise ValueError(f"{name} of shape {value.shape}, expected {shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"non-finite {name} entries")
+        return value
+
+    try:
+        arch_doc = json.loads(record["architecture"].item())
+        if not isinstance(arch_doc, dict):
+            raise ValueError("the architecture is not a JSON object")
+        arch = MlpArchitecture.from_dict(_resolve_block("architecture", arch_doc))
+        network = MlpNetwork(arch, record["params"])
+        if network.fingerprint().encode() != record["network_fingerprint"].item():
+            raise ValueError("the parameters do not match their fingerprint")
+        prior_variance = float(record["prior_variance"])
+        model = zero_coefficients_glm(
+            network,
+            include_network_output=bool(record["include_network_output"]),
+            prior_variance=prior_variance,
+        )
+        p = arch.parameter_count
+        fisher_x = array("fisher_x", (len(record["fisher_x"]), arch.input_dim))
+        size = _gram_size(model, fisher_x)
+        approx = LaplacePosterior(
+            array("mean", (p,)), int(record["n_train"]), prior_variance, fisher_x, array("gram", (size, size))
+        )
+    except (ConfigError, ContractViolationError, ValueError) as exc:
+        raise _record_mismatch(fit_path, str(exc)) from exc
+    return _Record(record["checkpoint_sha256"].item(), record["fit_sha256"].item(), model, approx)
+
+
+def _file_sha256(path) -> bytes | None:
+    """The hex sha256 of a file's bytes, or None when it cannot be read."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest().encode()
+    except OSError:
+        return None
+
+
+def _record_hit(checkpoint, fit_path):
+    """The model and posterior of the fit's record, when it passes its checks
+    and was written for the bytes of both files; else None."""
+    try:
+        record = _read_record(fit_path)
+    except ConsistencyError:
+        return None
+    if record is None:
+        return None
+    hit = record.fit_sha256 == _file_sha256(fit_path) and record.checkpoint_sha256 == _file_sha256(checkpoint)
+    return (record.model, record.approx) if hit else None
+
+
+def _read_gram(fit_path, model, approx, digest: str):
+    """The record's Gram for this pinned Laplace fit, or None when no record was written.
+
+    ``digest`` is the sha256 of the fit file's bytes. A record that
+    ``_read_record`` refuses, that was written for other fit-file bytes, or
+    whose Gram does not fit the parsed fit raises ``ConsistencyError``
+    naming it.
+    """
+    record = _read_record(fit_path)
+    if record is None:
+        return None
+    if record.fit_sha256 != digest.encode():
+        raise _record_mismatch(fit_path, "it was built for other fit-file bytes")
+    gram = record.approx.gram
+    size = _gram_size(model, approx.fisher_x)
+    if gram.shape != (size, size):
+        raise _record_mismatch(fit_path, f"Gram of shape {gram.shape}, expected {size} x {size}")
     return gram
 
 
@@ -513,13 +652,18 @@ def _load_glm_fit(path, network):
 
 def cmd_glm_predict(args) -> int:
     resolved = _load_or_default(args)
-    network = load_checkpoint(args.checkpoint)
-    _check_architecture(resolved, network)
-    model, approx, digest = _load_glm_fit(args.fit, network)
     glm = block_or_defaults(resolved, "glm")
-    pinned = isinstance(approx, LaplacePosterior) and approx.fisher_x is not None
-    if pinned and glm["predict_mode"] == "single_sample":
-        approx = replace(approx, gram=_read_gram(args.fit, model, approx, digest))
+    hit = _record_hit(args.checkpoint, args.fit)
+    if hit is not None:
+        model, approx = hit
+        _check_architecture(resolved, model.network)
+    else:
+        network = load_checkpoint(args.checkpoint)
+        _check_architecture(resolved, network)
+        model, approx, digest = _load_glm_fit(args.fit, network)
+        pinned = isinstance(approx, LaplacePosterior) and approx.fisher_x is not None
+        if pinned and glm["predict_mode"] == "single_sample":
+            approx = replace(approx, gram=_read_gram(args.fit, model, approx, digest))
     x = read_inputs_csv(args.inputs)
     probs, labels = predict_class(model, approx, x, mode=glm["predict_mode"], seed=resolved["seed"])
     _emit(

@@ -253,9 +253,13 @@ def save_checkpoint(network: MlpNetwork, path, provenance: dict) -> None:
     atomic_write_text(path, canonical_json(doc))
 
 
-def load_checkpoint(path) -> MlpNetwork:
-    """Read a checkpoint back; the stored fingerprint must match the contents."""
-    doc, _ = read_json(path)
+def load_checkpoint(path, with_digest: bool = False):
+    """Read a checkpoint back; the stored fingerprint must match the contents.
+
+    With ``with_digest`` the result is (network, sha256 hex digest of the
+    bytes it was parsed from).
+    """
+    doc, blob = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "mlp-checkpoint":
         raise ConfigError(f"{path}: not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -265,7 +269,7 @@ def load_checkpoint(path) -> MlpNetwork:
     network = MlpNetwork(arch, field("params", convert=float_array))
     if network.fingerprint() != doc.get("fingerprint"):
         raise ConfigError(f"{path}: fingerprint does not match the stored parameters")
-    return network
+    return (network, hashlib.sha256(blob).hexdigest()) if with_digest else network
 
 
 # ---------------------------------------------------------------------------

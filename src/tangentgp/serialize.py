@@ -121,6 +121,8 @@ def read_json(path):
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
         return json.loads(blob.decode("utf-8")), blob
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
 
@@ -138,14 +140,32 @@ def render_csv(header: list[str], rows) -> str:
 def _read_lines(path, empty: str) -> tuple[list[str], list[tuple[int, str]]]:
     """Header cells and (line number, text) data lines of a CSV.
 
-    Lines end in "\n", "\r\n" or "\r"; blank lines are skipped but still
-    counted, so a line number is the file's own.
+    The file is UTF-8, as every writer here encodes it. Lines end in
+    "\n", "\r\n" or "\r"; blank lines are skipped but still counted, so a
+    line number is the file's own.
     """
-    with open(path, newline="") as fh:
-        rows = [(i, line.rstrip("\r\n")) for i, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [(i, line.rstrip("\r\n")) for i, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}:{_first_non_utf8_line(path)}: not valid UTF-8") from exc
     if not rows:
         raise ConfigError(f"{path}: {empty}")
     return rows[0][1].split(","), rows[1:]
+
+
+def _first_non_utf8_line(path) -> int | None:
+    """The number of the first line of ``path`` that is not valid UTF-8.
+
+    ``bytes.splitlines`` ends lines where ``_read_lines`` does, and no
+    line-end byte occurs inside a UTF-8 sequence.
+    """
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return None
 
 
 def _parse_rows(path, rows: list[tuple[int, str]], width: int, labeled: bool = False):

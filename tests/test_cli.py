@@ -1027,33 +1027,61 @@ class TestGlm:
     ):
         # 40 Fisher inputs, 2 classes: the (8,) net (p = 42) takes the
         # 40 x 40 kernel side, the (4,) net (p = 22) the 22 x 22 p side.
+        # A record written for these checkpoint and fit bytes serves each
+        # predict_mode alone: no JSON file is parsed and no Gram is built,
+        # and the output is the bytes of a run without the record.
         ckpt = str(tmp_path / "clf.json")
         save_checkpoint(init_network(MlpArchitecture(2, widths, 2), seed=1), ckpt, {})
-        cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", ckpt, predict_mode="single_sample")
+        glm = {"method": "laplace", "include_network_output": True, "prior_variance": 0.5}
+        _, fit_path = self.fit(blob_data, tmp_path, ckpt=ckpt, **glm)
+        record_path = tmp_path / "fit.laplace.npy"
         size = min(40, 5 * widths[0] + 2)
-        assert np.load(tmp_path / "fit.laplace.npy")["gram"].shape == (size, size)
+        assert np.load(record_path)["gram"].shape == (size, size)
 
-        def unbuilt(jac):
-            raise AssertionError("glm-predict built the Gram that glm-fit cached")
+        def unreached(*args, **kwargs):
+            raise AssertionError("glm-predict did not predict from the record alone")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(glm_module, "smaller_gram", unbuilt)
-            code, cached = self.predict(blob_data, tmp_path, cfg, fit_path, ckpt, "cached.csv")
-        assert code == 0
-        (tmp_path / "fit.laplace.npy").unlink()
-        code, rebuilt = self.predict(blob_data, tmp_path, cfg, fit_path, ckpt, "rebuilt.csv")
-        assert code == 0
-        assert cached.read_bytes() == rebuilt.read_bytes()
+        for mode in ("single_sample", "mean"):
+            cfg = write_json(tmp_path / f"{mode}.json", {"version": 1, "glm": {**glm, "predict_mode": mode}})
+            with monkeypatch.context() as patch:
+                for module, name in ((glm_module, "smaller_gram"), (cli, "load_checkpoint"), (cli, "_load_glm_fit")):
+                    patch.setattr(module, name, unreached)
+                code, cached = self.predict(blob_data, tmp_path, cfg, fit_path, ckpt, f"cached-{mode}.csv")
+            assert code == 0
+            record = record_path.read_bytes()
+            record_path.unlink()
+            code, rebuilt = self.predict(blob_data, tmp_path, cfg, fit_path, ckpt, f"rebuilt-{mode}.csv")
+            record_path.write_bytes(record)
+            assert code == 0
+            assert cached.read_bytes() == rebuilt.read_bytes()
 
     @pytest.mark.parametrize(
         "tamper",
-        ["other fit", "digest", "shape", "non-finite", "one array", "archive", "not numpy", "re-indented fit"],
+        [
+            "other fit", "digest", "shape", "non-finite", "one array", "archive", "not numpy",
+            "re-indented fit", "non-finite mean", "mis-shaped fisher_x", "non-finite params",
+            "earlier layout",
+        ],
     )
     def test_mismatched_gram_cache_exits_3_naming_it(self, blob_data, tmp_path, capsys, tamper):
         cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", predict_mode="single_sample")
         gram_path = tmp_path / "fit.laplace.npy"
         record = np.load(gram_path)
-        gram, digest = record["gram"], record["digest"]
+        gram = record["gram"]
+
+        def spoiled(name, index, value):
+            array = record[name].copy()
+            array[index] = value
+            return array
+
+        changed = {
+            "digest": {"fit_sha256": b"0" * 64},
+            "shape": {"gram": gram[:-1, :-1]},
+            "non-finite": {"gram": spoiled("gram", (3, 5), np.inf)},
+            "non-finite mean": {"mean": spoiled("mean", 3, np.nan)},
+            "mis-shaped fisher_x": {"fisher_x": record["fisher_x"][:, :1]},
+            "non-finite params": {"params": spoiled("params", 0, np.nan)},
+        }
         if tamper == "other fit":
             self.fit(blob_data, tmp_path, "laplace", out="other.json", epochs=20, predict_mode="single_sample")
             (tmp_path / "other.laplace.npy").replace(gram_path)
@@ -1061,28 +1089,54 @@ class TestGlm:
             np.save(gram_path, gram)
         elif tamper == "archive":
             with open(gram_path, "wb") as fh:
-                np.savez(fh, gram=gram, digest=digest)
+                np.savez(fh, gram=gram, digest=record["fit_sha256"])
         elif tamper == "not numpy":
             gram_path.write_bytes(b"not a record")
         elif tamper == "re-indented fit":
-            # The same values in other bytes: the cache is keyed by the fit file's bytes.
+            # The same values in other bytes: the record is keyed by the fit file's bytes.
             Path(fit_path).write_text(json.dumps(json.loads(Path(fit_path).read_text()), indent=4))
+        elif tamper == "earlier layout":
+            # The Gram and the fit file's digest, as glm-fit wrote them before the record.
+            earlier = np.zeros((), dtype=[("digest", "S64"), ("gram", "<f8", gram.shape)])
+            earlier["digest"], earlier["gram"] = record["fit_sha256"], gram
+            np.save(gram_path, earlier)
         else:
-            if tamper == "digest":
-                digest = b"0" * 64
-            elif tamper == "shape":
-                gram = gram[:-1, :-1]
-            else:
-                gram[3, 5] = np.inf
-            changed = np.zeros((), dtype=[("digest", "S64"), ("gram", "<f8", gram.shape)])
-            changed["digest"], changed["gram"] = digest, gram
-            np.save(gram_path, changed)
+            values = {name: changed[tamper].get(name, record[name]) for name in record.dtype.names}
+            rewritten = np.zeros((), dtype=[(name, record.dtype[name].base, np.shape(v)) for name, v in values.items()])
+            for name, value in values.items():
+                rewritten[name] = value
+            np.save(gram_path, rewritten)
         code, _ = self.predict(blob_data, tmp_path, cfg, fit_path)
         assert code == 3
-        assert f"{gram_path}: Laplace Gram cache does not match {fit_path}" in capsys.readouterr().err
-        # Only single-sample draws read the file.
+        err = capsys.readouterr().err
+        assert f"{gram_path}: Laplace Gram cache does not match {fit_path}" in err
+        assert ("rerun glm-fit" in err) == (tamper == "earlier layout")
+        # Only single-sample draws read a record that is not a hit.
         mean_cfg = write_json(tmp_path / "mean.json", {"version": 1, "glm": {"predict_mode": "mean"}})
         assert self.predict(blob_data, tmp_path, mean_cfg, fit_path)[0] == 0
+
+    def test_record_serves_only_the_checkpoint_bytes_it_was_written_for(self, blob_data, tmp_path, monkeypatch, capsys):
+        cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", predict_mode="single_sample")
+        code, hit = self.predict(blob_data, tmp_path, cfg, fit_path, out="hit.csv")
+        assert code == 0
+        # The same network in other checkpoint bytes: a miss, which parses
+        # both files, takes the record's Gram and draws the same bytes.
+        resaved = tmp_path / "resaved.json"
+        save_checkpoint(load_checkpoint(blob_data["ckpt"]), resaved, {"note": "re-written"})
+        parsed = []
+        load_glm_fit = cli._load_glm_fit
+        monkeypatch.setattr(cli, "_load_glm_fit", lambda *args: parsed.append(args) or load_glm_fit(*args))
+        monkeypatch.setattr(glm_module, "smaller_gram", lambda jac: pytest.fail("the draw built the Gram"))
+        code, miss = self.predict(blob_data, tmp_path, cfg, fit_path, str(resaved), "miss.csv")
+        assert code == 0 and len(parsed) == 1
+        assert miss.read_bytes() == hit.read_bytes()
+        # Another network is a stale fit, as without a record.
+        other = tmp_path / "other.json"
+        save_checkpoint(init_network(MlpArchitecture(2, (8,), 2), seed=9), other, {})
+        code, out = self.predict(blob_data, tmp_path, cfg, fit_path, str(other), "stale.csv")
+        assert code == 3
+        assert "stale GLM fit" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key,mode,cached",
@@ -1304,6 +1358,51 @@ class TestGlm:
         assert code == 3
         assert "does not match the checkpoint" in capsys.readouterr().err
         assert not out.exists()
+
+
+def insert_invalid_utf8(path):
+    """Put byte 0xff at the start of the file's second line; return its byte offset."""
+    blob = path.read_bytes()
+    at = blob.index(b"\n") + 1
+    path.write_bytes(blob[:at] + b"\xff" + blob[at:])
+    return at
+
+
+@pytest.mark.parametrize(
+    "kind", ["config", "checkpoint", "glm fit", "task manifest", "dataset csv", "inputs csv", "classification csv"]
+)
+def test_invalid_utf8_input_exits_2_naming_the_file(blob_data, tmp_path, capsys, kind):
+    # Every writer encodes UTF-8, and every reader decodes it whatever the locale.
+    cfg = tmp_path / "glm.json"
+    cfg.write_text(json.dumps({"version": 1, "glm": {"method": "map", "epochs": 1}}, indent=2))
+    ckpt, data = tmp_path / "clf.json", tmp_path / "blobs.csv"
+    ckpt.write_bytes(Path(blob_data["ckpt"]).read_bytes())
+    data.write_bytes(Path(blob_data["data"]).read_bytes())
+    fit = tmp_path / "fit.json"
+    assert main(["glm-fit", "--config", str(cfg), "--checkpoint", str(ckpt), "--data", str(data), "--out", str(fit)]) == 0
+    inputs = Path(write_inputs_csv(tmp_path / "in.csv", [[0.0, 0.0], [1.0, 1.0]]))
+    context = tmp_path / "ctx.csv"
+    write_dataset_csv(context, np.zeros((3, 2)), np.zeros((3, 2)))
+    manifest = tmp_path / "tasks.json"
+    manifest.write_text(json.dumps([{"context": context.name}], indent=2))
+    out = tmp_path / "out.csv"
+    predict = ["glm-predict", "--config", str(cfg), "--checkpoint", str(ckpt), "--fit", str(fit), "--inputs", str(inputs)]
+    bad, argv = {
+        "config": (cfg, predict),
+        "checkpoint": (ckpt, predict),
+        "glm fit": (fit, predict),
+        "inputs csv": (inputs, predict),
+        "classification csv": (data, ["glm-fit", "--config", str(cfg), "--checkpoint", str(ckpt), "--data", str(data)]),
+        "task manifest": (manifest, ["adapt", "--config", str(cfg), "--checkpoint", str(ckpt), "--tasks", str(manifest)]),
+        "dataset csv": (context, ["adapt", "--config", str(cfg), "--checkpoint", str(ckpt), "--tasks", str(manifest)]),
+    }[kind]
+    at = insert_invalid_utf8(bad)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    where = f"{bad}:2:" if bad.suffix == ".csv" else f"{bad}: not valid UTF-8 at byte {at}"
+    assert where in err and "not valid UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestSinusoidExp:

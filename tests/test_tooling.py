@@ -5,7 +5,8 @@ functions and methods by name. A rename in the package would make every
 traced benchmark run fail; these tests fail first instead. They read the
 tracer's instrument table, and install the tracer only around small
 fits, adaptations (one through the ``adapt`` command), training runs, MAP
-fits (one through the ``glm-fit`` command), SVI fits and single Laplace draws.
+fits (one through the ``glm-fit`` command), SVI fits and single Laplace draws
+(two through the ``glm-predict`` command, reading the fit's record).
 The package's ``__all__`` is checked the same way, so that a deletion
 leaving a stale export fails here rather than in
 ``from tangentgp import *``. The signatures of ``tangentgp.gp``'s public functions are checked for a
@@ -294,6 +295,42 @@ def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypa
     assert tracer.calls["gp.kernel_matrix"] == len(solves)  # n*(c-1) = 20 <= p = 27
     assert tracer.mismatches == []
     assert np.array_equal(np.load(tmp_path / "fit.laplace.npy")["gram"], solves[-1])
+
+
+def test_pinned_laplace_draws_read_the_record_under_the_tracer(tmp_path):
+    # Both draws predict from the record that glm-fit wrote, so the round
+    # loads the checkpoint once, in glm-fit; tracing changes no byte.
+    ckpt = tmp_path / "clf.json"
+    save_checkpoint(init_network(MlpArchitecture(2, (4,), 3), seed=1), ckpt, {})
+    rng = np.random.default_rng(1)
+    data = tmp_path / "labeled.csv"
+    write_classification_csv(data, rng.normal(size=(10, 2)), np.arange(10) % 3)
+    inputs = tmp_path / "query.csv"
+    inputs.write_text("x_0,x_1\n0.5,-1\n2,0.25\n")
+    config = {"version": 1, "glm": {"method": "laplace", "predict_mode": "single_sample"}}
+    (tmp_path / "glm.json").write_text(json.dumps(config))
+    common = ["--config", str(tmp_path / "glm.json"), "--checkpoint", str(ckpt)]
+
+    def round_bytes(out):
+        out.mkdir()
+        fit = out / "fit.json"
+        assert cli.main(["glm-fit", *common, "--data", str(data), "--out", str(fit)]) == 0
+        for seed in ("0", "1"):
+            argv = ["glm-predict", *common, "--fit", str(fit), "--inputs", str(inputs), "--seed", seed]
+            assert cli.main([*argv, "--out", str(out / f"probs_{seed}.csv")]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    untraced = round_bytes(tmp_path / "untraced")
+    tracer = spans().Tracer()
+    tracer.install()
+    try:
+        traced = round_bytes(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["config.load_checkpoint"] == 1
+    assert tracer.mismatches == []
+    assert sorted(traced) == ["fit.json", "fit.laplace.npy", "probs_0.csv", "probs_1.csv"]
+    assert traced == untraced
 
 
 def test_train_builds_the_operators_the_tracer_expects(monkeypatch):
