@@ -5,17 +5,12 @@ embeds provenance (tool version, resolved-config hash) in what it
 writes. Two write a companion file next to ``--out`` as well: ``train``
 its loss trace (``<stem>.trace.csv``), and ``glm-fit`` with
 ``method: laplace`` on a training-input Fisher a record of the whole fit
-(``<stem>.laplace.npy``), from which ``glm-predict`` predicts without
-parsing the checkpoint or the fit file when both are the bytes the record
-was written for. A Laplace fit is Newton's method to the exact mode, and
-the record holds its last iteration's Gram; a Gram over the dense size
-cap, or a Newton fit that reaches its iteration cap, exits 4 and writes
-neither file. A single-sample draw that cannot use a record which is
-there exits 3; without one, each draw rebuilds the Gram and writes the
-same bytes. Exit codes: 0
-success, 2 input or parse error, 3 consistency error (stale or
-mismatched artifacts), 4 numeric failure. The only environment influence
-is TANGENTGP_LOG_LEVEL.
+(``<stem>.laplace.npy``; a failed fit writes neither file).
+``glm-predict`` predicts from that record when it was written for the
+bytes of both its files, and otherwise parses them; either way it writes
+the same bytes. Exit codes: 0 success, 2 input or parse error, 3
+consistency error (stale or mismatched artifacts), 4 numeric failure.
+The only environment influence is TANGENTGP_LOG_LEVEL.
 """
 
 from __future__ import annotations
@@ -28,9 +23,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +72,6 @@ from .fisher import CategoricalLikelihood, GaussianLikelihood, fvp_error_sweep, 
 from .glm import (
     ClassificationData,
     LaplacePosterior,
-    LinearizedGlm,
     MapPosterior,
     MeanFieldPosterior,
     fit_laplace,
@@ -415,25 +407,15 @@ def cmd_glm_fit(args) -> int:
 
 # A Laplace fit whose Fisher is pinned to the training inputs
 # (``fisher_source: train``) fixes everything a prediction from it reads.
-# ``glm-fit`` writes all of it next to the fit file as one .npy record: the
-# network's architecture and parameters, ``network_fingerprint``,
-# ``prior_variance``, ``include_network_output``, ``n_train``, the mean,
-# ``fisher_x`` and the precision's Gram from the Newton fit's last
-# iteration, plus two digests: the sha256 of the checkpoint bytes it
-# parsed and of the fit bytes it wrote. ``glm-predict`` hashes the bytes of its ``--checkpoint`` and
-# ``--fit``. When both match and the record passes the checks the JSON
-# loaders make (shapes against the architecture, finite arrays, a
-# fingerprint recomputed from its parameters), it predicts from the record
-# in either ``predict_mode`` and parses neither JSON file: a hit. Any other
-# case (no record, another layout, a re-serialized checkpoint of the same
-# network, an edited fit, a bad field) parses both files, and a
-# single-sample draw then takes the record's Gram if the record passes its
-# checks and was written with these fit bytes, and exits 3 naming it if
-# not. So a record written in the earlier layout (the Gram and one digest)
-# makes single-sample draws exit 3 until ``glm-fit`` is rerun. The record
-# is one .npy, not an .npz archive: at a 240 x 240 Gram (one BLAS thread,
-# 2-vCPU host) the archive took 0.6-0.7 ms to read, over half of the 1.2 ms
-# Gram build it replaces; the record (m = 240, p = 1316) takes under 0.1 ms.
+# ``glm-fit`` writes all of it next to the fit file as one .npy record,
+# with the sha256 of the checkpoint bytes it parsed and of the fit bytes it
+# wrote. ``glm-predict`` predicts from the record alone when both digests
+# name the bytes of its ``--checkpoint`` and ``--fit`` and the record
+# passes the checks the JSON loaders make: a hit. Anything else is a miss,
+# which parses both files as if there were no record. The record is one
+# .npy, not an .npz archive: at a 240 x 240 Gram (one BLAS thread, 2-vCPU
+# host) the archive took 0.6-0.7 ms to read, over half of the 1.2 ms Gram
+# build it replaces; the record (m = 240, p = 1316) takes under 0.1 ms.
 
 
 # Field -> (dtype, number of dimensions) of a record, in file order. The
@@ -454,19 +436,8 @@ _RECORD_FIELDS = {
 }
 
 
-class _Record(NamedTuple):
-    checkpoint_sha256: bytes
-    fit_sha256: bytes
-    model: LinearizedGlm
-    approx: LaplacePosterior
-
-
 def _gram_path(out) -> Path:
     return _sibling_path(out, ".laplace.npy")
-
-
-def _gram_size(model, fisher_x) -> int:
-    return min(len(fisher_x) * (model.num_classes - 1), model.network.architecture.parameter_count)
 
 
 def _record_file(model, approx, checkpoint_digest: str, fit_digest: str) -> bytes:
@@ -498,37 +469,44 @@ def _record_file(model, approx, checkpoint_digest: str, fit_digest: str) -> byte
     return buffer.getvalue()
 
 
-def _record_mismatch(fit_path, why: str) -> ConsistencyError:
-    return ConsistencyError(f"{_gram_path(fit_path)}: Laplace Gram cache does not match {fit_path}: {why}")
-
-
-def _in_record_layout(dtype) -> bool:
+def _in_record_layout(record) -> bool:
     # A string longer than its code's fails the digest and fingerprint checks.
-    return dtype.names == tuple(_RECORD_FIELDS) and all(
-        dtype[name].ndim == ndim and dtype[name].base.str.startswith(code)
-        for name, (code, ndim) in _RECORD_FIELDS.items()
+    return (
+        isinstance(record, np.ndarray)
+        and record.shape == ()
+        and record.dtype.names == tuple(_RECORD_FIELDS)
+        and all(
+            record.dtype[name].ndim == ndim and record.dtype[name].base.str.startswith(code)
+            for name, (code, ndim) in _RECORD_FIELDS.items()
+        )
     )
 
 
-def _read_record(fit_path):
-    """The record next to ``fit_path`` as a ``_Record``, or None when there is no file.
+def _file_sha256(path) -> bytes | None:
+    """The hex sha256 of a file's bytes, or None when it cannot be read."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest().encode()
+    except OSError:
+        return None
 
-    A file that is not a record in this layout, or fails a check that the
-    checkpoint and fit loaders make, raises ``ConsistencyError`` naming it.
-    Its digests are returned, not compared.
+
+def _fisher_inputs(value, input_dim: int) -> np.ndarray:
+    """``value`` as pinned Fisher inputs: a finite table of at least one row of ``input_dim``."""
+    table = float_array(value)
+    if table.ndim != 2 or len(table) < 1 or table.shape[1] != input_dim:
+        raise ValueError(f"Fisher inputs of shape {table.shape}, expected at least one row of {input_dim}")
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite fisher_x entries")
+    return table
+
+
+def _record_hit(checkpoint, fit_path):
+    """The model and posterior in the record of ``fit_path`` on a hit, else None.
+
+    A record that is there but missed is logged with the reason: at INFO
+    when it was written for other checkpoint or fit bytes, else at WARNING.
     """
     path = _gram_path(fit_path)
-    try:
-        with open(path, "rb") as fh:
-            record = np.load(fh, allow_pickle=False)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, EOFError) as exc:
-        raise _record_mismatch(fit_path, f"unreadable ({exc})") from exc
-    if not isinstance(record, np.ndarray) or record.shape != () or not _in_record_layout(record.dtype):
-        if isinstance(record, np.ndarray) and record.dtype.names == ("digest", "gram"):
-            raise _record_mismatch(fit_path, "it holds only the Gram, in the earlier layout; rerun glm-fit")
-        raise _record_mismatch(fit_path, "not a Laplace record")
 
     def array(name, shape):
         value = record[name]
@@ -539,6 +517,14 @@ def _read_record(fit_path):
         return value
 
     try:
+        with open(path, "rb") as fh:
+            record = np.load(fh, allow_pickle=False)
+        if not _in_record_layout(record):
+            raise ValueError("not a Laplace record in this layout")
+        digests = (record["checkpoint_sha256"].item(), record["fit_sha256"].item())
+        if digests != (_file_sha256(checkpoint), _file_sha256(fit_path)):
+            log.info("%s: not used, it was written for other checkpoint or fit bytes", path)
+            return None
         arch_doc = json.loads(record["architecture"].item())
         if not isinstance(arch_doc, dict):
             raise ValueError("the architecture is not a JSON object")
@@ -553,60 +539,22 @@ def _read_record(fit_path):
             prior_variance=prior_variance,
         )
         p = arch.parameter_count
-        fisher_x = array("fisher_x", (len(record["fisher_x"]), arch.input_dim))
-        size = _gram_size(model, fisher_x)
+        fisher_x = _fisher_inputs(record["fisher_x"], arch.input_dim)
+        size = min(len(fisher_x) * (model.num_classes - 1), p)
         approx = LaplacePosterior(
             array("mean", (p,)), int(record["n_train"]), prior_variance, fisher_x, array("gram", (size, size))
         )
-    except (ConfigError, ContractViolationError, ValueError) as exc:
-        raise _record_mismatch(fit_path, str(exc)) from exc
-    return _Record(record["checkpoint_sha256"].item(), record["fit_sha256"].item(), model, approx)
-
-
-def _file_sha256(path) -> bytes | None:
-    """The hex sha256 of a file's bytes, or None when it cannot be read."""
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest().encode()
-    except OSError:
+    except FileNotFoundError:
         return None
-
-
-def _record_hit(checkpoint, fit_path):
-    """The model and posterior of the fit's record, when it passes its checks
-    and was written for the bytes of both files; else None."""
-    try:
-        record = _read_record(fit_path)
-    except ConsistencyError:
+    except (OSError, EOFError, ValueError, ConfigError, ContractViolationError) as exc:
+        log.warning("%s: not used (%s); rerun glm-fit to predict from the record", path, exc)
         return None
-    if record is None:
-        return None
-    hit = record.fit_sha256 == _file_sha256(fit_path) and record.checkpoint_sha256 == _file_sha256(checkpoint)
-    return (record.model, record.approx) if hit else None
-
-
-def _read_gram(fit_path, model, approx, digest: str):
-    """The record's Gram for this pinned Laplace fit, or None when no record was written.
-
-    ``digest`` is the sha256 of the fit file's bytes. A record that
-    ``_read_record`` refuses, that was written for other fit-file bytes, or
-    whose Gram does not fit the parsed fit raises ``ConsistencyError``
-    naming it.
-    """
-    record = _read_record(fit_path)
-    if record is None:
-        return None
-    if record.fit_sha256 != digest.encode():
-        raise _record_mismatch(fit_path, "it was built for other fit-file bytes")
-    gram = record.approx.gram
-    size = _gram_size(model, approx.fisher_x)
-    if gram.shape != (size, size):
-        raise _record_mismatch(fit_path, f"Gram of shape {gram.shape}, expected {size} x {size}")
-    return gram
+    return model, approx
 
 
 def _load_glm_fit(path, network):
-    """The fit file's model, posterior, and sha256 of the bytes they were parsed from."""
-    doc, blob = read_json(path)
+    """The fit file's model and posterior."""
+    doc, _ = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "glm-fit":
         raise ConfigError(f"{path}: not a GLM fit file")
     if doc.get("version") != GLM_FIT_VERSION:
@@ -642,28 +590,22 @@ def _load_glm_fit(path, network):
     elif method == "laplace":
         fisher_x = None
         if field("fisher_on_train", "bool"):
-            fisher_x = field("fisher_x", "number table", float_array)
+            input_dim = network.architecture.input_dim
+            fisher_x = field("fisher_x", "number table", lambda table: _fisher_inputs(table, input_dim))
         mean = field("mean", "number list", coefficients)
         approx = field("n_train", "int", lambda n: LaplacePosterior(mean, n, prior_variance, fisher_x))
     else:
         raise ConfigError(f"{path}: unknown fit method {method!r}")
-    return model, approx, hashlib.sha256(blob).hexdigest()
+    return model, approx
 
 
 def cmd_glm_predict(args) -> int:
     resolved = _load_or_default(args)
     glm = block_or_defaults(resolved, "glm")
     hit = _record_hit(args.checkpoint, args.fit)
-    if hit is not None:
-        model, approx = hit
-        _check_architecture(resolved, model.network)
-    else:
-        network = load_checkpoint(args.checkpoint)
-        _check_architecture(resolved, network)
-        model, approx, digest = _load_glm_fit(args.fit, network)
-        pinned = isinstance(approx, LaplacePosterior) and approx.fisher_x is not None
-        if pinned and glm["predict_mode"] == "single_sample":
-            approx = replace(approx, gram=_read_gram(args.fit, model, approx, digest))
+    network = hit[0].network if hit else load_checkpoint(args.checkpoint)
+    _check_architecture(resolved, network)
+    model, approx = hit or _load_glm_fit(args.fit, network)
     x = read_inputs_csv(args.inputs)
     probs, labels = predict_class(model, approx, x, mode=glm["predict_mode"], seed=resolved["seed"])
     _emit(

@@ -1023,13 +1023,14 @@ class TestGlm:
 
     @pytest.mark.parametrize("widths", [(8,), (4,)])
     def test_laplace_fit_caches_its_gram_and_a_missing_one_is_rebuilt(
-        self, blob_data, tmp_path, monkeypatch, widths
+        self, blob_data, tmp_path, monkeypatch, capsys, widths
     ):
         # 40 Fisher inputs, 2 classes: the (8,) net (p = 42) takes the
         # 40 x 40 kernel side, the (4,) net (p = 22) the 22 x 22 p side.
         # A record written for these checkpoint and fit bytes serves each
-        # predict_mode alone: no JSON file is parsed and no Gram is built,
-        # and the output is the bytes of a run without the record.
+        # predict_mode alone and silently: no JSON file is parsed and no
+        # Gram is built, and the output is the bytes of a run without the
+        # record.
         ckpt = str(tmp_path / "clf.json")
         save_checkpoint(init_network(MlpArchitecture(2, widths, 2), seed=1), ckpt, {})
         glm = {"method": "laplace", "include_network_output": True, "prior_variance": 0.5}
@@ -1048,6 +1049,7 @@ class TestGlm:
                     patch.setattr(module, name, unreached)
                 code, cached = self.predict(blob_data, tmp_path, cfg, fit_path, ckpt, f"cached-{mode}.csv")
             assert code == 0
+            assert capsys.readouterr().err == ""
             record = record_path.read_bytes()
             record_path.unlink()
             code, rebuilt = self.predict(blob_data, tmp_path, cfg, fit_path, ckpt, f"rebuilt-{mode}.csv")
@@ -1060,11 +1062,16 @@ class TestGlm:
         [
             "other fit", "digest", "shape", "non-finite", "one array", "archive", "not numpy",
             "re-indented fit", "non-finite mean", "mis-shaped fisher_x", "non-finite params",
-            "earlier layout",
+            "earlier layout", "zero rows",
         ],
     )
-    def test_mismatched_gram_cache_exits_3_naming_it(self, blob_data, tmp_path, capsys, tamper):
+    def test_record_that_is_not_a_hit_is_never_used(self, blob_data, tmp_path, monkeypatch, capsys, tamper):
+        # A miss parses both files and rebuilds the Gram, and writes the
+        # bytes of a run without the record; only a record that fails a
+        # check, not one written for other bytes, is a warning.
         cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", predict_mode="single_sample")
+        code, hit = self.predict(blob_data, tmp_path, cfg, fit_path, out="hit.csv")
+        assert code == 0
         gram_path = tmp_path / "fit.laplace.npy"
         record = np.load(gram_path)
         gram = record["gram"]
@@ -1081,8 +1088,10 @@ class TestGlm:
             "non-finite mean": {"mean": spoiled("mean", 3, np.nan)},
             "mis-shaped fisher_x": {"fisher_x": record["fisher_x"][:, :1]},
             "non-finite params": {"params": spoiled("params", 0, np.nan)},
+            "zero rows": {"fisher_x": record["fisher_x"][:0], "gram": gram[:0, :0]},
         }
         if tamper == "other fit":
+            # Rewrites glm.json too, so the outputs' config_hash is not the hit's.
             self.fit(blob_data, tmp_path, "laplace", out="other.json", epochs=20, predict_mode="single_sample")
             (tmp_path / "other.laplace.npy").replace(gram_path)
         elif tamper == "one array":
@@ -1106,30 +1115,56 @@ class TestGlm:
             for name, value in values.items():
                 rewritten[name] = value
             np.save(gram_path, rewritten)
-        code, _ = self.predict(blob_data, tmp_path, cfg, fit_path)
-        assert code == 3
-        err = capsys.readouterr().err
-        assert f"{gram_path}: Laplace Gram cache does not match {fit_path}" in err
-        assert ("rerun glm-fit" in err) == (tamper == "earlier layout")
-        # Only single-sample draws read a record that is not a hit.
-        mean_cfg = write_json(tmp_path / "mean.json", {"version": 1, "glm": {"predict_mode": "mean"}})
-        assert self.predict(blob_data, tmp_path, mean_cfg, fit_path)[0] == 0
+        capsys.readouterr()
+        smaller_gram, built = glm_module.smaller_gram, []
+        monkeypatch.setattr(glm_module, "smaller_gram", lambda jac: built.append(jac) or smaller_gram(jac))
+        warned = tamper not in ("other fit", "digest", "re-indented fit")
+        glm = json.loads(Path(cfg).read_text())["glm"]
+        for mode in ("single_sample", "mean"):
+            mode_cfg = write_json(tmp_path / f"{mode}.json", {"version": 1, "glm": {**glm, "predict_mode": mode}})
+            built.clear()
+            code, miss = self.predict(blob_data, tmp_path, mode_cfg, fit_path, out=f"miss-{mode}.csv")
+            assert code == 0
+            err = capsys.readouterr().err
+            if warned:
+                assert err.startswith(f"WARNING tangentgp: {gram_path}: not used (")
+                assert err.endswith("; rerun glm-fit to predict from the record\n")
+            else:
+                assert err == ""
+            assert len(built) == (mode == "single_sample")
+            tampered = gram_path.read_bytes()
+            gram_path.unlink()
+            code, without = self.predict(blob_data, tmp_path, mode_cfg, fit_path, out=f"without-{mode}.csv")
+            gram_path.write_bytes(tampered)
+            assert code == 0
+            assert miss.read_bytes() == without.read_bytes()
+            if mode == "single_sample":
+                assert data_lines(miss) == data_lines(hit)
 
     def test_record_serves_only_the_checkpoint_bytes_it_was_written_for(self, blob_data, tmp_path, monkeypatch, capsys):
         cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", predict_mode="single_sample")
         code, hit = self.predict(blob_data, tmp_path, cfg, fit_path, out="hit.csv")
         assert code == 0
         # The same network in other checkpoint bytes: a miss, which parses
-        # both files, takes the record's Gram and draws the same bytes.
+        # each file once, rebuilds the Gram and draws the same bytes.
         resaved = tmp_path / "resaved.json"
         save_checkpoint(load_checkpoint(blob_data["ckpt"]), resaved, {"note": "re-written"})
         parsed = []
-        load_glm_fit = cli._load_glm_fit
-        monkeypatch.setattr(cli, "_load_glm_fit", lambda *args: parsed.append(args) or load_glm_fit(*args))
-        monkeypatch.setattr(glm_module, "smaller_gram", lambda jac: pytest.fail("the draw built the Gram"))
+        for module, name in ((cli, "load_checkpoint"), (cli, "_load_glm_fit"), (glm_module, "smaller_gram")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, name=name, original=original: parsed.append(name) or original(*args)
+            )
+        monkeypatch.setenv("TANGENTGP_LOG_LEVEL", "INFO")
+        capsys.readouterr()
         code, miss = self.predict(blob_data, tmp_path, cfg, fit_path, str(resaved), "miss.csv")
-        assert code == 0 and len(parsed) == 1
+        assert code == 0
+        assert sorted(parsed) == ["_load_glm_fit", "load_checkpoint", "smaller_gram"]
         assert miss.read_bytes() == hit.read_bytes()
+        gram_path = tmp_path / "fit.laplace.npy"
+        err = capsys.readouterr().err
+        assert f"INFO tangentgp: {gram_path}: not used, it was written for other checkpoint or fit bytes" in err
+        assert "WARNING" not in err
         # Another network is a stale fit, as without a record.
         other = tmp_path / "other.json"
         save_checkpoint(init_network(MlpArchitecture(2, (8,), 2), seed=9), other, {})
@@ -1158,6 +1193,24 @@ class TestGlm:
         assert code == 2
         kind = "number list" if key == "mean" else "number table"
         assert f"{fit_path}: GLM fit file key {key!r} must be {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["mean", "single_sample"])
+    @pytest.mark.parametrize(
+        "fisher_x", [[[0.0, 0.0, 0.0]] * 3, [], [[], []]], ids=["three-wide-rows", "no-rows", "zero-width-rows"]
+    )
+    def test_mis_shaped_fisher_x_is_input_error(self, blob_data, tmp_path, capsys, fisher_x, mode):
+        # The Fisher inputs must be a table of at least one row of the
+        # network's input_dim, whatever the mode reads of them.
+        cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", predict_mode=mode)
+        doc = json.loads(Path(fit_path).read_text())
+        doc["fisher_x"] = fisher_x
+        write_json(Path(fit_path), doc)
+        code, out = self.predict(blob_data, tmp_path, cfg, fit_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{fit_path}: GLM fit file key 'fisher_x' is malformed: " in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_only_a_pinned_laplace_fit_leaves_a_gram_file(self, blob_data, tmp_path):

@@ -298,8 +298,10 @@ def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypa
 
 
 def test_pinned_laplace_draws_read_the_record_under_the_tracer(tmp_path):
-    # Both draws predict from the record that glm-fit wrote, so the round
-    # loads the checkpoint once, in glm-fit; tracing changes no byte.
+    # Both draws of a hit round predict from the record that glm-fit wrote,
+    # so the round loads the checkpoint once, in glm-fit. A miss round,
+    # whose record is deleted before the draws, loads it once per draw and
+    # draws the same bytes. Tracing changes no byte.
     ckpt = tmp_path / "clf.json"
     save_checkpoint(init_network(MlpArchitecture(2, (4,), 3), seed=1), ckpt, {})
     rng = np.random.default_rng(1)
@@ -311,26 +313,33 @@ def test_pinned_laplace_draws_read_the_record_under_the_tracer(tmp_path):
     (tmp_path / "glm.json").write_text(json.dumps(config))
     common = ["--config", str(tmp_path / "glm.json"), "--checkpoint", str(ckpt)]
 
-    def round_bytes(out):
+    def round_bytes(out, hit=True):
         out.mkdir()
         fit = out / "fit.json"
         assert cli.main(["glm-fit", *common, "--data", str(data), "--out", str(fit)]) == 0
+        if not hit:
+            (out / "fit.laplace.npy").unlink()
         for seed in ("0", "1"):
             argv = ["glm-predict", *common, "--fit", str(fit), "--inputs", str(inputs), "--seed", seed]
             assert cli.main([*argv, "--out", str(out / f"probs_{seed}.csv")]) == 0
         return {path.name: path.read_bytes() for path in out.iterdir()}
 
     untraced = round_bytes(tmp_path / "untraced")
-    tracer = spans().Tracer()
-    tracer.install()
-    try:
-        traced = round_bytes(tmp_path / "traced")
-    finally:
-        tracer.uninstall()
-    assert tracer.calls["config.load_checkpoint"] == 1
-    assert tracer.mismatches == []
-    assert sorted(traced) == ["fit.json", "fit.laplace.npy", "probs_0.csv", "probs_1.csv"]
-    assert traced == untraced
+    for hit, loads in ((True, 1), (False, 3)):
+        tracer = spans().Tracer()
+        tracer.install()
+        try:
+            traced = round_bytes(tmp_path / f"traced-{hit}", hit)
+        finally:
+            tracer.uninstall()
+        assert tracer.calls["config.load_checkpoint"] == loads
+        assert tracer.mismatches == []
+        if hit:
+            assert sorted(traced) == ["fit.json", "fit.laplace.npy", "probs_0.csv", "probs_1.csv"]
+            assert traced == untraced
+        else:
+            assert sorted(traced) == ["fit.json", "probs_0.csv", "probs_1.csv"]
+            assert all(traced[name] == untraced[name] for name in traced)
 
 
 def test_train_builds_the_operators_the_tracer_expects(monkeypatch):
