@@ -391,7 +391,7 @@ def cmd_glm_fit(args) -> int:
             doc["fisher_x"] = [[float(v) for v in row] for row in approx.fisher_x]
     blob = canonical_json(doc).encode("utf-8")
     record = None
-    if approx is not None and approx.gram is not None:
+    if approx is not None and approx.gram_factor is not None:
         record = _record_file(model, approx, checkpoint_digest, hashlib.sha256(blob).hexdigest())
     atomic_write_bytes(args.out, blob)
     log.info("wrote %s", args.out)
@@ -412,17 +412,21 @@ def cmd_glm_fit(args) -> int:
 # wrote. ``glm-predict`` predicts from the record alone when both digests
 # name the bytes of its ``--checkpoint`` and ``--fit`` and the record
 # passes the checks the JSON loaders make: a hit. Anything else is a miss,
-# which parses both files as if there were no record. The record is one
-# .npy, not an .npz archive: at a 240 x 240 Gram (one BLAS thread, 2-vCPU
-# host) the archive took 0.6-0.7 ms to read, over half of the 1.2 ms Gram
-# build it replaces; the record (m = 240, p = 1316) takes under 0.1 ms.
+# which parses both files as if there were no record. The record holds the
+# lower Cholesky factor of the precision's Gram, not the Gram, so that a
+# draw takes two triangular solves; a factor must be lower triangular with
+# a positive diagonal, and a record in the earlier layout with the Gram is
+# a miss. The record is one .npy, not an .npz archive: at a 240 x 240 Gram
+# (one BLAS thread, 2-vCPU host) the archive took 0.6-0.7 ms to read, over
+# half of the 1.2 ms Gram build it replaces; the record (m = 240,
+# p = 1316) takes under 0.1 ms.
 
 
 # Field -> (dtype, number of dimensions) of a record, in file order. The
 # float arrays come first, so that each sits 8-byte aligned; the
 # architecture's JSON may have any length.
 _RECORD_FIELDS = {
-    "gram": ("<f8", 2),
+    "gram_factor": ("<f8", 2),
     "mean": ("<f8", 1),
     "params": ("<f8", 1),
     "fisher_x": ("<f8", 2),
@@ -444,7 +448,7 @@ def _record_file(model, approx, checkpoint_digest: str, fit_digest: str) -> byte
     """The record's bytes for a pinned Laplace fit, with the checkpoint's and the fit file's digests."""
     network = model.network
     values = {
-        "gram": approx.gram,
+        "gram_factor": approx.gram_factor,
         "mean": approx.mean,
         "params": network.params,
         "fisher_x": approx.fisher_x,
@@ -500,6 +504,21 @@ def _fisher_inputs(value, input_dim: int) -> np.ndarray:
     return table
 
 
+def _lower_triangular(square: np.ndarray) -> bool:
+    """Whether the strict upper triangle of a square array is all zero.
+
+    Checked 48 rows at a time, right of each diagonal block and inside
+    it: ``np.triu`` would fill a new m square array, whose fresh pages
+    made the check of a just-read 240 x 240 factor take 0.4 ms instead of
+    0.08 ms (one BLAS thread, 2-vCPU host).
+    """
+    for i in range(0, len(square), 48):
+        j = i + 48
+        if square[i:j, j:].any() or np.triu(square[i:j, i:j], 1).any():
+            return False
+    return True
+
+
 def _record_hit(checkpoint, fit_path):
     """The model and posterior in the record of ``fit_path`` on a hit, else None.
 
@@ -518,6 +537,10 @@ def _record_hit(checkpoint, fit_path):
 
     try:
         with open(path, "rb") as fh:
+            # np.load reads any other bytes as a pickle, and its refusal advises an unsafe load.
+            if fh.read(len(np.lib.format.MAGIC_PREFIX)) != np.lib.format.MAGIC_PREFIX:
+                raise ValueError("not a .npy record")
+            fh.seek(0)
             record = np.load(fh, allow_pickle=False)
         if not _in_record_layout(record):
             raise ValueError("not a Laplace record in this layout")
@@ -541,9 +564,12 @@ def _record_hit(checkpoint, fit_path):
         p = arch.parameter_count
         fisher_x = _fisher_inputs(record["fisher_x"], arch.input_dim)
         size = min(len(fisher_x) * (model.num_classes - 1), p)
-        approx = LaplacePosterior(
-            array("mean", (p,)), int(record["n_train"]), prior_variance, fisher_x, array("gram", (size, size))
-        )
+        factor = array("gram_factor", (size, size))
+        if not _lower_triangular(factor):
+            raise ValueError("gram_factor is not lower triangular")
+        if not (np.diagonal(factor) > 0).all():
+            raise ValueError("gram_factor has a diagonal entry that is not positive")
+        approx = LaplacePosterior(array("mean", (p,)), int(record["n_train"]), prior_variance, fisher_x, factor)
     except FileNotFoundError:
         return None
     except (OSError, EOFError, ValueError, ConfigError, ContractViolationError) as exc:
@@ -613,7 +639,7 @@ def cmd_glm_predict(args) -> int:
         resolved,
         lambda: {
             "labels": [int(v) for v in labels],
-            "probs": [[fmt_float(v) for v in row] for row in probs],
+            "probs": [line.split(",") for line in float_lines(probs)],
         },
         lambda: prediction_csv(probs, labels),
     )

@@ -20,10 +20,11 @@ identity; assembled directly from the mapped layer sensitivities) or
 the p square A itself (the low-rank GGN Laplace of Daxberger et al.
 2021, "Laplace Redux"). ``gp.smaller_gram`` picks that side and checks
 its size, as it does for the GP fits. A Laplace draw is exact:
-mean + A^-1 (sqrt(lam) z + B v) for standard normal z and v, one solve
-with the same Gram. With the Fisher pinned to the training inputs the
-Gram of the last Newton iteration, built at the returned mean, serves
-every draw.
+mean + A^-1 (sqrt(lam) z + B v) for standard normal z and v, two
+triangular solves with the same Gram's Cholesky factor. With the Fisher
+pinned to the training inputs the fit factors the Gram of its last
+Newton iteration, built at the returned mean, once, and that factor
+serves every draw.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ import numpy as np
 
 from .errors import ContractViolationError, FitError, TrainingDivergenceError
 from .fisher import _softmax_fisher_apply
-from .gp import gram_solve, smaller_gram
+from .gp import cholesky_solve, gram_cholesky, gram_solve, smaller_gram
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from .net import (
     Adam, JacobianOperator, MlpNetwork, _backward, _check_finite, _forward_mode, _layer_views,
     _log_softmax, _minibatches, _sigmoid, _softplus,
 )
 from .seeding import substream
-from .serialize import fmt_float, render_csv
+from .serialize import float_lines, render_csv
 
 SVI_RAW_SCALE_INIT = -5.0
 FIT_METHODS = ("map", "svi", "laplace")
@@ -204,25 +205,27 @@ class LaplacePosterior:
     """The penalized NLL's exact mode with Fisher-plus-prior precision.
 
     The mean and the Fisher inputs are stored; each draw rebuilds the
-    Fisher root at the mean and solves once with the precision.
-    ``fisher_x`` fixes the inputs the Fisher is estimated on;
-    ``None`` defers to the prediction batch, which makes predictions
-    depend on batch composition and exists to mirror that published
-    variant. ``gram``, for pinned inputs only, is the precision's Gram
-    at the mean (``_shifted_gram``), which ``fit_laplace`` returns from
-    its last Newton iteration; ``None`` has every draw build it.
+    Fisher root at the mean and solves with the precision through the
+    Cholesky factor of its Gram. ``fisher_x`` fixes the inputs the
+    Fisher is estimated on; ``None`` defers to the prediction batch,
+    which makes predictions depend on batch composition and exists to
+    mirror that published variant. ``gram_factor``, for pinned inputs
+    only, is the lower Cholesky factor (``gp.gram_cholesky``) of the
+    precision's Gram at the mean (``_shifted_gram``), which
+    ``fit_laplace`` takes once from its last Newton iteration; ``None``
+    has every draw build and factor the Gram.
     """
 
     mean: np.ndarray
     n_train: int
     prior_variance: float
     fisher_x: np.ndarray | None
-    gram: np.ndarray | None = None
+    gram_factor: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_train < 1:
             raise ContractViolationError(f"the Laplace posterior needs n_train >= 1, got {self.n_train}")
-        if self.gram is not None and self.fisher_x is None:
+        if self.gram_factor is not None and self.fisher_x is None:
             raise ContractViolationError("a test-batch Fisher has no Gram to cache")
 
 
@@ -395,13 +398,16 @@ def fit_laplace(
     kernel side, as ``_laplace_draw`` solves, or a solve with A itself.
     The iterate at which the stopping rule above holds is the mean.
 
-    ``fisher_source="train"`` pins the Fisher to the training inputs and
-    keeps the last iteration's Gram, built at the mean, as ``gram``;
-    ``"test_batch"`` leaves the Fisher to be estimated on each prediction
-    batch and keeps no Gram. Either way the fit optimizes on the training
-    inputs. ``FitError`` is raised when ``NEWTON_MAX_ITERATIONS`` pass or
-    a line search fails, and ``ResourceLimitError`` when the Gram is over
-    the size cap.
+    Each step solves by LU (``gp.gram_solve``), which costs less than a
+    Cholesky factor and its two substitutions per iteration.
+    ``fisher_source="train"`` pins the Fisher to the training inputs and,
+    after the loop, factors the last iteration's Gram, built at the mean,
+    once by Cholesky, as ``gram_factor``; ``"test_batch"`` leaves the
+    Fisher to be estimated on each prediction batch and keeps no factor.
+    Either way the fit optimizes on the training inputs. ``FitError`` is
+    raised when ``NEWTON_MAX_ITERATIONS`` pass or a line search fails,
+    ``ResourceLimitError`` when the Gram is over the size cap, and
+    ``NumericBreakdownError`` when a solve or the final Cholesky fails.
     """
     if fisher_source not in FISHER_SOURCES:
         raise ContractViolationError(
@@ -446,7 +452,7 @@ def fit_laplace(
                 n_train=data.n,
                 prior_variance=prior,
                 fisher_x=data.x if pinned else None,
-                gram=gram if pinned else None,
+                gram_factor=gram_cholesky(gram) if pinned else None,
             )
         size = 1.0
         if resolved:
@@ -566,27 +572,30 @@ def _shifted_gram(fisher: JacobianOperator, prior_variance: float) -> np.ndarray
 
 
 def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> np.ndarray:
-    """mean + A^{-1} (sqrt(lam) z + B v), with A the Laplace precision, from one solve.
+    """mean + A^{-1} (sqrt(lam) z + B v), with A the Laplace precision, from one factor.
 
     A = lam I + B B' with lam = 1 / prior_variance and B the Fisher root
     of ``_fisher_root`` at the mean. ``rng`` draws z ~ N(0, I_p), then v ~ N(0, I_m),
     and sqrt(lam) z + B v ~ N(0, A), so the draw's covariance is exactly
     A^{-1}. On the kernel side of ``_shifted_gram`` the Woodbury identity
     makes it z / sqrt(lam) + B (lam I + B'B)^{-1} (v - B'z / sqrt(lam)),
-    one m square solve; on the p side it is one solve with A. The Gram
-    is ``posterior.gram`` when the fit cached it.
+    an m square solve; on the p side it is a solve with A. Either solve
+    is ``gp.cholesky_solve``'s two triangular substitutions with the
+    Gram's Cholesky factor: ``posterior.gram_factor`` when the fit kept
+    it, else the factor of the Gram built here, so that the draws of a
+    kept and a built factor are the same bits.
     """
     fisher = _fisher_root(*_fisher_at_map(model, posterior, x))
-    gram = posterior.gram
-    if gram is None:
-        gram = _shifted_gram(fisher, posterior.prior_variance)
+    factor = posterior.gram_factor
+    if factor is None:
+        factor = gram_cholesky(_shifted_gram(fisher, posterior.prior_variance))
     z, v = rng.standard_normal(fisher.param_count), rng.standard_normal(fisher.out_len)
     s = math.sqrt(1.0 / posterior.prior_variance)
     # The side rule takes the kernel side on a tie, m = p.
-    if len(gram) == fisher.out_len:
-        w = gram_solve(gram, v - fisher.jvp(z) / s)
+    if len(factor) == fisher.out_len:
+        w = cholesky_solve(factor, v - fisher.jvp(z) / s)
         return posterior.mean + z / s + fisher.vjp(w)
-    return posterior.mean + gram_solve(gram, s * z + fisher.vjp(v))
+    return posterior.mean + cholesky_solve(factor, s * z + fisher.vjp(v))
 
 
 def predict_class(
@@ -625,8 +634,5 @@ def predict_class(
 
 def prediction_csv(probs: np.ndarray, labels: np.ndarray) -> str:
     header = ["index", "label"] + [f"prob_{c}" for c in range(probs.shape[1])]
-    rows = [
-        [str(i), str(int(labels[i]))] + [fmt_float(v) for v in probs[i]]
-        for i in range(probs.shape[0])
-    ]
+    rows = [[str(i), str(label), line] for i, (label, line) in enumerate(zip(labels.tolist(), float_lines(probs)))]
     return render_csv(header, rows)

@@ -53,6 +53,10 @@ def write_inputs_csv(path, x):
     return str(path)
 
 
+def not_positive_definite(gram):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
 def data_lines(path):
     """CSV rows with the provenance comments and header stripped."""
     lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
@@ -1029,15 +1033,15 @@ class TestGlm:
         # 40 x 40 kernel side, the (4,) net (p = 22) the 22 x 22 p side.
         # A record written for these checkpoint and fit bytes serves each
         # predict_mode alone and silently: no JSON file is parsed and no
-        # Gram is built, and the output is the bytes of a run without the
-        # record.
+        # Gram is built or factored, and the output is the bytes of a run
+        # without the record.
         ckpt = str(tmp_path / "clf.json")
         save_checkpoint(init_network(MlpArchitecture(2, widths, 2), seed=1), ckpt, {})
         glm = {"method": "laplace", "include_network_output": True, "prior_variance": 0.5}
         _, fit_path = self.fit(blob_data, tmp_path, ckpt=ckpt, **glm)
         record_path = tmp_path / "fit.laplace.npy"
         size = min(40, 5 * widths[0] + 2)
-        assert np.load(record_path)["gram"].shape == (size, size)
+        assert np.load(record_path)["gram_factor"].shape == (size, size)
 
         def unreached(*args, **kwargs):
             raise AssertionError("glm-predict did not predict from the record alone")
@@ -1045,7 +1049,10 @@ class TestGlm:
         for mode in ("single_sample", "mean"):
             cfg = write_json(tmp_path / f"{mode}.json", {"version": 1, "glm": {**glm, "predict_mode": mode}})
             with monkeypatch.context() as patch:
-                for module, name in ((glm_module, "smaller_gram"), (cli, "load_checkpoint"), (cli, "_load_glm_fit")):
+                for module, name in (
+                    (glm_module, "smaller_gram"), (glm_module, "gram_cholesky"),
+                    (cli, "load_checkpoint"), (cli, "_load_glm_fit"),
+                ):
                     patch.setattr(module, name, unreached)
                 code, cached = self.predict(blob_data, tmp_path, cfg, fit_path, ckpt, f"cached-{mode}.csv")
             assert code == 0
@@ -1062,7 +1069,8 @@ class TestGlm:
         [
             "other fit", "digest", "shape", "non-finite", "one array", "archive", "not numpy",
             "re-indented fit", "non-finite mean", "mis-shaped fisher_x", "non-finite params",
-            "earlier layout", "zero rows",
+            "earlier layout", "zero rows", "factor not lower-triangular",
+            "factor with a zero diagonal entry", "gram layout",
         ],
     )
     def test_record_that_is_not_a_hit_is_never_used(self, blob_data, tmp_path, monkeypatch, capsys, tamper):
@@ -1074,7 +1082,7 @@ class TestGlm:
         assert code == 0
         gram_path = tmp_path / "fit.laplace.npy"
         record = np.load(gram_path)
-        gram = record["gram"]
+        factor = record["gram_factor"]
 
         def spoiled(name, index, value):
             array = record[name].copy()
@@ -1083,22 +1091,25 @@ class TestGlm:
 
         changed = {
             "digest": {"fit_sha256": b"0" * 64},
-            "shape": {"gram": gram[:-1, :-1]},
-            "non-finite": {"gram": spoiled("gram", (3, 5), np.inf)},
+            "shape": {"gram_factor": factor[:-1, :-1]},
+            "non-finite": {"gram_factor": spoiled("gram_factor", (5, 3), np.inf)},
             "non-finite mean": {"mean": spoiled("mean", 3, np.nan)},
             "mis-shaped fisher_x": {"fisher_x": record["fisher_x"][:, :1]},
             "non-finite params": {"params": spoiled("params", 0, np.nan)},
-            "zero rows": {"fisher_x": record["fisher_x"][:0], "gram": gram[:0, :0]},
+            "zero rows": {"fisher_x": record["fisher_x"][:0], "gram_factor": factor[:0, :0]},
+            # The upper factor L', as a solver that returns U would give it.
+            "factor not lower-triangular": {"gram_factor": factor.T},
+            "factor with a zero diagonal entry": {"gram_factor": spoiled("gram_factor", (2, 2), 0.0)},
         }
         if tamper == "other fit":
             # Rewrites glm.json too, so the outputs' config_hash is not the hit's.
             self.fit(blob_data, tmp_path, "laplace", out="other.json", epochs=20, predict_mode="single_sample")
             (tmp_path / "other.laplace.npy").replace(gram_path)
         elif tamper == "one array":
-            np.save(gram_path, gram)
+            np.save(gram_path, factor)
         elif tamper == "archive":
             with open(gram_path, "wb") as fh:
-                np.savez(fh, gram=gram, digest=record["fit_sha256"])
+                np.savez(fh, gram=factor, digest=record["fit_sha256"])
         elif tamper == "not numpy":
             gram_path.write_bytes(b"not a record")
         elif tamper == "re-indented fit":
@@ -1106,8 +1117,16 @@ class TestGlm:
             Path(fit_path).write_text(json.dumps(json.loads(Path(fit_path).read_text()), indent=4))
         elif tamper == "earlier layout":
             # The Gram and the fit file's digest, as glm-fit wrote them before the record.
-            earlier = np.zeros((), dtype=[("digest", "S64"), ("gram", "<f8", gram.shape)])
-            earlier["digest"], earlier["gram"] = record["fit_sha256"], gram
+            earlier = np.zeros((), dtype=[("digest", "S64"), ("gram", "<f8", factor.shape)])
+            earlier["digest"], earlier["gram"] = record["fit_sha256"], factor @ factor.T
+            np.save(gram_path, earlier)
+        elif tamper == "gram layout":
+            # The record as glm-fit wrote it before it held the factor: the Gram, as "gram".
+            names = {name: "gram" if name == "gram_factor" else name for name in record.dtype.names}
+            earlier = np.zeros((), dtype=[(names[n], record.dtype[n].base, record.dtype[n].shape) for n in names])
+            for name, renamed in names.items():
+                earlier[renamed] = record[name]
+            earlier["gram"] = factor @ factor.T
             np.save(gram_path, earlier)
         else:
             values = {name: changed[tamper].get(name, record[name]) for name in record.dtype.names}
@@ -1129,6 +1148,9 @@ class TestGlm:
             if warned:
                 assert err.startswith(f"WARNING tangentgp: {gram_path}: not used (")
                 assert err.endswith("; rerun glm-fit to predict from the record\n")
+                if tamper == "not numpy":
+                    assert err.startswith(f"WARNING tangentgp: {gram_path}: not used (not a .npy record)")
+                    assert "allow_pickle" not in err
             else:
                 assert err == ""
             assert len(built) == (mode == "single_sample")
@@ -1231,8 +1253,10 @@ class TestGlm:
             # 40 inputs, 2 classes: the (8,) net's Gram is the 40 x 40 kernel side.
             (gp_module, "DENSE_JACOBIAN_CAP", 40 * 40 - 1, "Gram factorization needs a 40 x 40 matrix (cap 1599 entries)"),
             (glm_module, "NEWTON_MAX_ITERATIONS", 1, "Newton's method did not reach the Laplace mode in 1 iterations"),
+            # The Newton steps solve by LU; only the final Gram is factored by Cholesky.
+            (np.linalg, "cholesky", not_positive_definite, "Cholesky factorization of the 40 x 40 Gram matrix failed"),
         ],
-        ids=["gram-over-the-cap", "iteration-cap"],
+        ids=["gram-over-the-cap", "iteration-cap", "cholesky-breakdown"],
     )
     def test_failed_laplace_fit_exits_4_writing_nothing(
         self, blob_data, tmp_path, monkeypatch, capsys, module, name, value, message

@@ -46,6 +46,7 @@ from tangentgp.net import (
     init_network,
 )
 from tangentgp.seeding import substream
+from tangentgp.serialize import float_lines, fmt_float, render_csv
 
 
 def make_blobs(seed=42, n_half=100, spread=0.5):
@@ -548,14 +549,14 @@ class TestFitLaplace:
         _, gradient = dense_nll_gradient(model, data)
         start = np.linalg.norm(gradient(np.zeros_like(oracle))[0])
         assert np.linalg.norm(gradient(posterior.mean)[0]) <= 1e-10 * (1.0 + start)
-        # A test-batch Fisher still optimizes on the training inputs, and keeps no Gram.
+        # A test-batch Fisher still optimizes on the training inputs, and keeps no Gram factor.
         assert posterior.n_train == n and posterior.prior_variance == model.prior_variance
         if source == "test_batch":
-            assert posterior.fisher_x is None and posterior.gram is None
+            assert posterior.fisher_x is None and posterior.gram_factor is None
         else:
             assert np.array_equal(posterior.fisher_x, data.x)
-            # The last iteration's Gram is the one a draw builds at the mean, bit for bit.
-            assert np.array_equal(posterior.gram, laplace_gram(model, posterior))
+            # The kept factor is np.linalg.cholesky of the Gram a draw builds at the mean, bit for bit.
+            assert np.array_equal(posterior.gram_factor, np.linalg.cholesky(laplace_gram(model, posterior)))
 
     def test_newton_stops_at_its_iteration_cap(self, monkeypatch):
         model, data = newton_setup(2, 10, False)
@@ -677,8 +678,8 @@ def laplace_draw_setup(classes, n_fisher, fisher_source, include_network_output)
     )
     x_train = rng.normal(size=(n_fisher if fisher_source == "train" else 9, 2))
     data = ClassificationData(x_train, np.arange(len(x_train)) % classes)
-    # Each draw builds its Gram unless a test hands it one.
-    posterior = replace(fit_laplace(model, data, fisher_source=fisher_source), gram=None)
+    # Each draw builds and factors its Gram unless a test hands it a factor.
+    posterior = replace(fit_laplace(model, data, fisher_source=fisher_source), gram_factor=None)
     x = rng.normal(size=(n_fisher if fisher_source == "test_batch" else 3, 2))
     return model, posterior, x
 
@@ -858,28 +859,30 @@ class TestLaplaceDraw:
         model, posterior, x = laplace_draw_setup(classes, n_fisher, "train", include_output)
         gram = laplace_gram(model, posterior)
         assert gram.shape == (min(n_fisher * (classes - 1), model.coefficients.size),) * 2
-        cached = replace(posterior, gram=gram.copy())
+        factor = np.linalg.cholesky(gram)
+        cached = replace(posterior, gram_factor=factor.copy())
         built = {seed: predict_class(model, posterior, x, mode="single_sample", seed=seed) for seed in (0, 7)}
         draws = {seed: _laplace_draw(model, posterior, x, substream(seed, "glm-predict")) for seed in (0, 7)}
 
-        def unbuilt(jac):
-            raise AssertionError("a draw with a cached Gram built one")
+        def unbuilt(arg):
+            raise AssertionError("a draw with a cached Gram factor built or factored a Gram")
 
         monkeypatch.setattr(glm_module, "smaller_gram", unbuilt)
+        monkeypatch.setattr(glm_module, "gram_cholesky", unbuilt)
         for seed in (0, 7):
             coeff = _laplace_draw(model, cached, x, substream(seed, "glm-predict"))
             assert np.array_equal(coeff, draws[seed])
             probs, labels = predict_class(model, cached, x, mode="single_sample", seed=seed)
             assert np.array_equal(probs, built[seed][0]) and np.array_equal(labels, built[seed][1])
-        # The draws solve with the cached Gram and leave it as it was.
-        assert np.array_equal(cached.gram, gram)
+        # The draws solve with the cached factor and leave it as it was.
+        assert np.array_equal(cached.gram_factor, factor)
 
     def test_a_test_batch_fisher_has_no_gram(self):
         model, posterior, _ = laplace_draw_setup(2, 5, "test_batch", False)
         with pytest.raises(ContractViolationError, match="pass x"):
             laplace_gram(model, posterior)
         with pytest.raises(ContractViolationError, match="no Gram to cache"):
-            replace(posterior, gram=np.eye(5))
+            replace(posterior, gram_factor=np.eye(5))
 
     def test_malformed_posteriors_are_refused(self):
         # A draw needs one scale per coefficient and a Fisher upscaled by
@@ -908,15 +911,15 @@ class TestLaplaceDraw:
             gram[0, 0] = np.nan
             return side, gram
 
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
+        def not_positive_definite(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         for case in (self.CASES[0], self.CASES[-1]):  # the kernel side, then the p side
             model, posterior, x = laplace_draw_setup(*case)
             z, v = self.noise(model, posterior, x, 0)
             for target, name, fake, message in (
                 (glm_module, "smaller_gram", nan_gram, "non-finite"),
-                (np.linalg, "solve", singular, "solve of the .* Gram matrix failed"),
+                (np.linalg, "cholesky", not_positive_definite, "Cholesky factorization of the .* Gram matrix failed"),
             ):
                 with monkeypatch.context() as patch:
                     patch.setattr(target, name, fake)
@@ -1054,3 +1057,24 @@ class TestPredictClass:
         assert lines[0] == "index,label,prob_0,prob_1"
         assert lines[1] == "0,0,0.75,0.25"
         assert lines[2] == "1,0,0.5,0.5"
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            np.random.default_rng(0).dirichlet(np.ones(3), size=5),
+            np.zeros((2, 3)),
+            np.ones((2, 2)),
+            np.full((3, 2), 5e-324),
+            np.zeros((0, 4)),
+        ],
+        ids=["random", "zeros", "ones", "subnormal", "no-rows"],
+    )
+    def test_prediction_table_is_the_per_cell_text(self, probs):
+        # One template per row writes the bytes of one fmt_float per cell,
+        # in the CSV and in the JSON cells that glm-predict splits from it.
+        labels = np.argmax(probs, axis=1)
+        cells = [[fmt_float(v) for v in row] for row in probs]
+        header = ["index", "label"] + [f"prob_{c}" for c in range(probs.shape[1])]
+        per_cell = render_csv(header, [[str(i), str(int(labels[i]))] + row for i, row in enumerate(cells)])
+        assert prediction_csv(probs, labels) == per_cell
+        assert [line.split(",") for line in float_lines(probs)] == cells

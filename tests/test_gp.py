@@ -16,14 +16,22 @@ import numpy as np
 import pytest
 
 import tangentgp.gp as gp_module
-from tangentgp.errors import ConfigError, ConsistencyError, ContractViolationError, ResourceLimitError
+from tangentgp.errors import (
+    ConfigError,
+    ConsistencyError,
+    ContractViolationError,
+    NumericBreakdownError,
+    ResourceLimitError,
+)
 from tangentgp.gp import (
     GramFactor,
     NtkPosterior,
+    cholesky_solve,
     factor_gram,
     fit_function_space,
     fit_parameter_space,
     fit_posterior,
+    gram_cholesky,
     kernel_matrix,
     load_posterior,
     log_marginal_likelihood,
@@ -1123,3 +1131,60 @@ class TestPosteriorSerialization:
             _np.savez(path, **arrays)
             with pytest.raises(ConfigError, match="version"):
                 load_posterior(path)
+
+
+class TestCholeskySolve:
+    # p of the net whose p square Gram is m square, for each m on the p side.
+    PARAMETER_SIDE_NETS = {47: [2, 9, 2], 48: [1, 9, 3], 49: [2, 12, 1], 240: [1, 7, 25, 1]}
+
+    @staticmethod
+    def shifted_gram(m, side, seed):
+        """lam I + the Gram of a Fisher-like B = J blockdiag(W_i'), m square on ``side``."""
+        rng = np.random.default_rng(seed)
+        if side == "function":
+            net, cols = make_net([2, 16, 16, 1], seed), m  # p = 337 >= m
+        else:
+            net = make_net(TestCholeskySolve.PARAMETER_SIDE_NETS[m], seed)
+            cols = m + 10
+        x = rng.uniform(-2.0, 2.0, size=(cols, net.architecture.input_dim))
+        weights = rng.standard_normal((cols, 1, net.architecture.output_dim))
+        got, gram = smaller_gram(JacobianOperator(net, x).mapped(weights))
+        assert got == side and gram.shape == (m, m)
+        gram[np.diag_indices(m)] += 0.5
+        return gram
+
+    @staticmethod
+    def check_solve(gram, rhs):
+        factor = gram_cholesky(gram)
+        assert np.array_equal(factor, np.linalg.cholesky(gram))
+        kept_factor, kept_rhs = factor.copy(), rhs.copy()
+        x = cholesky_solve(factor, rhs)
+        assert np.array_equal(factor, kept_factor) and np.array_equal(rhs, kept_rhs)
+        # Backward stable: the residual is at roundoff in the scale of |G| |x|.
+        assert np.linalg.norm(gram @ x - rhs) <= 1e-13 * np.linalg.norm(gram, 2) * np.linalg.norm(x)
+        lu = np.linalg.solve(gram, rhs)
+        assert np.linalg.norm(x - lu) <= 1e-13 * np.linalg.cond(gram) * np.linalg.norm(lu)
+
+    @pytest.mark.parametrize(
+        "m, side",
+        [(m, "function") for m in (1, 47, 48, 49, 240)] + [(m, "parameter") for m in (47, 48, 49, 240)],
+    )
+    def test_solve_matches_lu_on_both_gram_sides(self, m, side):
+        # One block short of, at, and one entry past gp.CHOLESKY_BLOCK = 48.
+        gram = self.shifted_gram(m, side, seed=m)
+        self.check_solve(gram, np.random.default_rng(m + 1).standard_normal(m))
+
+    @pytest.mark.parametrize("m", [49, 240])
+    def test_stiff_solve_is_backward_stable(self, m):
+        rng = np.random.default_rng(m)
+        basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        gram = (basis * np.logspace(-8, 0, m)) @ basis.T
+        gram = (gram + gram.T) / 2.0
+        assert 1e7 < np.linalg.cond(gram) < 1e9
+        self.check_solve(gram, rng.standard_normal(m))
+
+    def test_factor_breakdown_is_typed(self):
+        with pytest.raises(NumericBreakdownError, match="Cholesky factorization of the 2 x 2 Gram matrix failed"):
+            gram_cholesky(np.diag([1.0, -1.0]))
+        with pytest.raises(NumericBreakdownError, match="the 2 x 2 Gram matrix has non-finite entries"):
+            gram_cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))

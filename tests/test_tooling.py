@@ -128,8 +128,8 @@ def test_laplace_draw_attribution_on_each_side(n_fisher, kernels):
     model = zero_coefficients_glm(net)
     rng = np.random.default_rng(n_fisher)
     data = ClassificationData(rng.normal(size=(n_fisher, 2)), np.arange(n_fisher) % 4)
-    # Without the fit's cached Gram, so that the draw builds one.
-    posterior = dataclasses.replace(fit_laplace(model, data), gram=None)
+    # Without the fit's cached Gram factor, so that the draw builds a Gram.
+    posterior = dataclasses.replace(fit_laplace(model, data), gram_factor=None)
     tracer = spans().Tracer()
     tracer.install()
     try:
@@ -268,8 +268,9 @@ def test_svi_fit_builds_one_operator_per_step_and_no_public_products():
 
 def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypatch):
     # A Laplace glm-fit runs Newton's method, not the MAP fit's Adam loop:
-    # one Gram per iteration, each assembled by one kernel_matrix call, and
-    # the Gram file holds the last one rather than a Gram built once more.
+    # one Gram per iteration, each assembled by one kernel_matrix call and
+    # solved by LU, and the record holds the Cholesky factor of the last
+    # one, taken once, rather than of a Gram built once more.
     ckpt = tmp_path / "clf.json"
     save_checkpoint(init_network(MlpArchitecture(2, (4,), 3), seed=1), ckpt, {})
     data = tmp_path / "labeled.csv"
@@ -280,9 +281,10 @@ def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypa
         "glm-fit", "--config", str(tmp_path / "glm.json"), "--checkpoint", str(ckpt),
         "--data", str(data), "--out", str(tmp_path / "fit.json"),
     ]
-    solves = []
-    gram_solve = glm_module.gram_solve
+    solves, factored = [], []
+    gram_solve, gram_cholesky = glm_module.gram_solve, glm_module.gram_cholesky
     monkeypatch.setattr(glm_module, "gram_solve", lambda gram, rhs: solves.append(gram) or gram_solve(gram, rhs))
+    monkeypatch.setattr(glm_module, "gram_cholesky", lambda gram: factored.append(gram) or gram_cholesky(gram))
     tracer = spans().Tracer()
     tracer.install()
     try:
@@ -294,7 +296,34 @@ def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypa
     assert len(solves) >= 2
     assert tracer.calls["gp.kernel_matrix"] == len(solves)  # n*(c-1) = 20 <= p = 27
     assert tracer.mismatches == []
-    assert np.array_equal(np.load(tmp_path / "fit.laplace.npy")["gram"], solves[-1])
+    assert len(factored) == 1 and factored[0] is solves[-1]
+    assert np.array_equal(np.load(tmp_path / "fit.laplace.npy")["gram_factor"], np.linalg.cholesky(solves[-1]))
+
+
+def test_pinned_draw_factors_no_gram_on_a_hit_and_one_on_a_miss(tmp_path, monkeypatch):
+    # A hit draws with the record's factor; a miss builds the Gram and
+    # factors it once, and neither takes an LU solve.
+    ckpt = tmp_path / "clf.json"
+    save_checkpoint(init_network(MlpArchitecture(2, (4,), 3), seed=1), ckpt, {})
+    data = tmp_path / "labeled.csv"
+    write_classification_csv(data, np.random.default_rng(1).normal(size=(10, 2)), np.arange(10) % 3)
+    inputs = tmp_path / "query.csv"
+    inputs.write_text("x_0,x_1\n0.5,-1\n2,0.25\n")
+    config = {"version": 1, "glm": {"method": "laplace", "predict_mode": "single_sample"}}
+    (tmp_path / "glm.json").write_text(json.dumps(config))
+    common = ["--config", str(tmp_path / "glm.json"), "--checkpoint", str(ckpt)]
+    assert cli.main(["glm-fit", *common, "--data", str(data), "--out", str(tmp_path / "fit.json")]) == 0
+    calls = []
+    for name in ("gram_solve", "gram_cholesky"):
+        original = getattr(glm_module, name)
+        monkeypatch.setattr(glm_module, name, lambda *args, name=name, original=original: calls.append(name) or original(*args))
+    predict = ["glm-predict", *common, "--fit", str(tmp_path / "fit.json"), "--inputs", str(inputs)]
+    assert cli.main([*predict, "--out", str(tmp_path / "hit.csv")]) == 0
+    assert calls == []
+    (tmp_path / "fit.laplace.npy").unlink()
+    assert cli.main([*predict, "--out", str(tmp_path / "miss.csv")]) == 0
+    assert calls == ["gram_cholesky"]
+    assert (tmp_path / "miss.csv").read_bytes() == (tmp_path / "hit.csv").read_bytes()
 
 
 def test_pinned_laplace_draws_read_the_record_under_the_tracer(tmp_path):
