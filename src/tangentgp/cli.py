@@ -18,9 +18,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
+import itertools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -81,9 +82,10 @@ from .glm import (
     prediction_csv,
     zero_coefficients_glm,
 )
-from .gp import load_posterior, predict, save_posterior
+from .gp import check_cholesky_panels, load_posterior, panel_shapes, predict, save_posterior
 from .net import MlpArchitecture, MlpNetwork, TaskDataset, init_network, train
 from .serialize import (
+    atomic_file,
     atomic_write_bytes,
     atomic_write_text,
     canonical_json,
@@ -392,7 +394,7 @@ def cmd_glm_fit(args) -> int:
     blob = canonical_json(doc).encode("utf-8")
     record = None
     if approx is not None and approx.gram_factor is not None:
-        record = _record_file(model, approx, checkpoint_digest, hashlib.sha256(blob).hexdigest())
+        record = _record(model, approx, checkpoint_digest, hashlib.sha256(blob).hexdigest())
     atomic_write_bytes(args.out, blob)
     log.info("wrote %s", args.out)
     record_path = _gram_path(args.out)
@@ -400,7 +402,8 @@ def cmd_glm_fit(args) -> int:
         # Only this fit's record may sit next to its file.
         record_path.unlink(missing_ok=True)
     else:
-        atomic_write_bytes(record_path, record)
+        with atomic_file(record_path) as fh:
+            np.save(fh, record)
         log.info("wrote %s", record_path)
     return 0
 
@@ -412,31 +415,33 @@ def cmd_glm_fit(args) -> int:
 # wrote. ``glm-predict`` predicts from the record alone when both digests
 # name the bytes of its ``--checkpoint`` and ``--fit`` and the record
 # passes the checks the JSON loaders make: a hit. Anything else is a miss,
-# which parses both files as if there were no record. The record holds the
-# lower Cholesky factor of the precision's Gram, not the Gram, so that a
-# draw takes two triangular solves; a factor must be lower triangular with
-# a positive diagonal, and a record in the earlier layout with the Gram is
-# a miss. The record is one .npy, not an .npz archive: at a 240 x 240 Gram
-# (one BLAS thread, 2-vCPU host) the archive took 0.6-0.7 ms to read, over
-# half of the 1.2 ms Gram build it replaces; the record (m = 240,
-# p = 1316) takes under 0.1 ms.
+# which parses both files as if there were no record, and so is a record
+# in any earlier layout. The record is one 0-d structured array of two
+# fields: ``data``, one float64 vector of the arrays a draw reads, back to
+# back, and ``meta``, a JSON object of the scalars, the digests, the
+# architecture and each array's shape. Its .npy header is a two-field
+# dtype, which ``np.load`` evaluates in a fraction of the time an
+# eleven-field one took. The precision's Gram is stored as the lower
+# Cholesky factor's panels (``gp.gram_cholesky``), which hold no entry
+# right of a diagonal block, and the Fisher root as its output map
+# (``glm.LaplacePosterior``), so a draw takes two triangular solves and
+# rebuilds no root. A hit checks the panels' diagonal blocks to be lower
+# triangular with a positive diagonal (``gp.check_cholesky_panels``).
 
-
-# Field -> (dtype, number of dimensions) of a record, in file order. The
-# float arrays come first, so that each sits 8-byte aligned; the
-# architecture's JSON may have any length.
-_RECORD_FIELDS = {
-    "gram_factor": ("<f8", 2),
-    "mean": ("<f8", 1),
-    "params": ("<f8", 1),
-    "fisher_x": ("<f8", 2),
-    "prior_variance": ("<f8", 0),
-    "n_train": ("<i8", 0),
-    "include_network_output": ("|b1", 0),
-    "checkpoint_sha256": ("|S64", 0),
-    "fit_sha256": ("|S64", 0),
-    "network_fingerprint": ("|S64", 0),
-    "architecture": ("|S", 0),
+# The arrays of a record's ``data``, in order, with the number of
+# dimensions of each; the float vector comes first in the record, so that
+# it sits 8-byte aligned.
+_DATA_FIELDS = {"factor": 2, "mean": 1, "params": 1, "fisher_x": 2, "fisher_map": 3}
+# Key -> exact type of the value of a record's ``meta``.
+_META_TYPES = {
+    "architecture": dict,
+    "checkpoint_sha256": str,
+    "fit_sha256": str,
+    "include_network_output": bool,
+    "n_train": int,
+    "network_fingerprint": str,
+    "prior_variance": float,
+    "shapes": dict,
 }
 
 
@@ -444,52 +449,78 @@ def _gram_path(out) -> Path:
     return _sibling_path(out, ".laplace.npy")
 
 
-def _record_file(model, approx, checkpoint_digest: str, fit_digest: str) -> bytes:
-    """The record's bytes for a pinned Laplace fit, with the checkpoint's and the fit file's digests."""
+def _record(model, approx, checkpoint_digest: str, fit_digest: str) -> np.ndarray:
+    """The record of a pinned Laplace fit, with the checkpoint's and the fit file's digests."""
     network = model.network
-    values = {
-        "gram_factor": approx.gram_factor,
-        "mean": approx.mean,
-        "params": network.params,
-        "fisher_x": approx.fisher_x,
-        "prior_variance": approx.prior_variance,
-        "n_train": approx.n_train,
+    size = approx.gram_factor[-1].shape[1]
+    arrays = [approx.mean, network.params, approx.fisher_x, approx.fisher_map]
+    meta = {
+        "architecture": network.architecture.to_dict(),
+        "checkpoint_sha256": checkpoint_digest,
+        "fit_sha256": fit_digest,
         "include_network_output": model.include_network_output,
-        "checkpoint_sha256": checkpoint_digest.encode(),
-        "fit_sha256": fit_digest.encode(),
-        "network_fingerprint": network.fingerprint().encode(),
-        # As ``MlpNetwork.fingerprint`` hashes it.
-        "architecture": json.dumps(network.architecture.to_dict(), sort_keys=True).encode(),
+        "n_train": approx.n_train,
+        "network_fingerprint": network.fingerprint(),
+        "prior_variance": approx.prior_variance,
+        "shapes": dict(zip(_DATA_FIELDS, [[size, size]] + [list(a.shape) for a in arrays])),
     }
-    layout = [
-        (name, code + str(len(values[name])) if code == "|S" else code, np.shape(values[name]))
-        for name, (code, _) in _RECORD_FIELDS.items()
-    ]
-    record = np.zeros((), dtype=layout)
-    for name, value in values.items():
-        record[name] = value
-    buffer = io.BytesIO()
-    np.save(buffer, record)
-    return buffer.getvalue()
+    data = np.concatenate([panel.ravel() for panel in approx.gram_factor] + [a.ravel() for a in arrays])
+    blob = json.dumps(meta, sort_keys=True).encode()
+    record = np.empty((), dtype=[("data", "<f8", data.shape), ("meta", f"S{len(blob)}")])
+    record["data"], record["meta"] = data, blob
+    return record
 
 
 def _in_record_layout(record) -> bool:
-    # A string longer than its code's fails the digest and fingerprint checks.
     return (
         isinstance(record, np.ndarray)
         and record.shape == ()
-        and record.dtype.names == tuple(_RECORD_FIELDS)
-        and all(
-            record.dtype[name].ndim == ndim and record.dtype[name].base.str.startswith(code)
-            for name, (code, ndim) in _RECORD_FIELDS.items()
-        )
+        and record.dtype.names == ("data", "meta")
+        and record.dtype["data"].base == np.dtype("<f8")
+        and record.dtype["data"].ndim == 1
+        and record.dtype["meta"].kind == "S"
     )
 
 
-def _file_sha256(path) -> bytes | None:
+def _record_meta(blob: bytes) -> dict:
+    """A record's ``meta``: an object of exactly the keys and types of ``_META_TYPES``, else ``ValueError``.
+
+    Its ``shapes`` must give each field of ``_DATA_FIELDS`` one shape of
+    that field's number of dimensions.
+    """
+    meta = json.loads(blob)
+    if not isinstance(meta, dict) or meta.keys() != _META_TYPES.keys():
+        raise ValueError(f"meta is not an object of the keys {sorted(_META_TYPES)}")
+    if any(type(meta[key]) is not kind for key, kind in _META_TYPES.items()):
+        raise ValueError("a meta value is not of its key's type")
+    shapes = meta["shapes"]
+    if shapes.keys() != _DATA_FIELDS.keys() or not all(
+        type(shapes[name]) is list and len(shapes[name]) == ndim and all(type(d) is int and d >= 0 for d in shapes[name])
+        for name, ndim in _DATA_FIELDS.items()
+    ):
+        raise ValueError("meta shapes are not one shape of its dimensions per data field")
+    return meta
+
+
+def _record_fields(shapes: dict, data: np.ndarray) -> dict:
+    """The arrays of a record's ``data`` by name, as views of it: the factor as its panels.
+
+    ``data`` must hold exactly the floats that ``shapes`` take, else ``ValueError``.
+    """
+    panels, arrays = panel_shapes(shapes["factor"][0]), list(_DATA_FIELDS)[1:]
+    sizes = [rows * cols for rows, cols in panels] + [math.prod(shapes[name]) for name in arrays]
+    if sum(sizes) != len(data):
+        raise ValueError(f"data holds {len(data)} floats, its meta's shapes {sum(sizes)}")
+    pieces = [data[end - size : end] for size, end in zip(sizes, itertools.accumulate(sizes))]
+    fields = {name: piece.reshape(shapes[name]) for name, piece in zip(arrays, pieces[len(panels) :])}
+    fields["factor"] = tuple(piece.reshape(shape) for piece, shape in zip(pieces, panels))
+    return fields
+
+
+def _file_sha256(path) -> str | None:
     """The hex sha256 of a file's bytes, or None when it cannot be read."""
     try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest().encode()
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
     except OSError:
         return None
 
@@ -504,21 +535,6 @@ def _fisher_inputs(value, input_dim: int) -> np.ndarray:
     return table
 
 
-def _lower_triangular(square: np.ndarray) -> bool:
-    """Whether the strict upper triangle of a square array is all zero.
-
-    Checked 48 rows at a time, right of each diagonal block and inside
-    it: ``np.triu`` would fill a new m square array, whose fresh pages
-    made the check of a just-read 240 x 240 factor take 0.4 ms instead of
-    0.08 ms (one BLAS thread, 2-vCPU host).
-    """
-    for i in range(0, len(square), 48):
-        j = i + 48
-        if square[i:j, j:].any() or np.triu(square[i:j, i:j], 1).any():
-            return False
-    return True
-
-
 def _record_hit(checkpoint, fit_path):
     """The model and posterior in the record of ``fit_path`` on a hit, else None.
 
@@ -528,7 +544,7 @@ def _record_hit(checkpoint, fit_path):
     path = _gram_path(fit_path)
 
     def array(name, shape):
-        value = record[name]
+        value = fields[name]
         if value.shape != shape:
             raise ValueError(f"{name} of shape {value.shape}, expected {shape}")
         if not np.isfinite(value).all():
@@ -544,32 +560,31 @@ def _record_hit(checkpoint, fit_path):
             record = np.load(fh, allow_pickle=False)
         if not _in_record_layout(record):
             raise ValueError("not a Laplace record in this layout")
-        digests = (record["checkpoint_sha256"].item(), record["fit_sha256"].item())
-        if digests != (_file_sha256(checkpoint), _file_sha256(fit_path)):
+        meta = _record_meta(record["meta"].item())
+        if (meta["checkpoint_sha256"], meta["fit_sha256"]) != (_file_sha256(checkpoint), _file_sha256(fit_path)):
             log.info("%s: not used, it was written for other checkpoint or fit bytes", path)
             return None
-        arch_doc = json.loads(record["architecture"].item())
-        if not isinstance(arch_doc, dict):
-            raise ValueError("the architecture is not a JSON object")
-        arch = MlpArchitecture.from_dict(_resolve_block("architecture", arch_doc))
-        network = MlpNetwork(arch, record["params"])
-        if network.fingerprint().encode() != record["network_fingerprint"].item():
+        fields = _record_fields(meta["shapes"], record["data"])
+        arch = MlpArchitecture.from_dict(_resolve_block("architecture", meta["architecture"]))
+        network = MlpNetwork(arch, fields["params"])
+        if network.fingerprint() != meta["network_fingerprint"]:
             raise ValueError("the parameters do not match their fingerprint")
-        prior_variance = float(record["prior_variance"])
         model = zero_coefficients_glm(
             network,
-            include_network_output=bool(record["include_network_output"]),
-            prior_variance=prior_variance,
+            include_network_output=meta["include_network_output"],
+            prior_variance=meta["prior_variance"],
         )
-        p = arch.parameter_count
-        fisher_x = _fisher_inputs(record["fisher_x"], arch.input_dim)
-        size = min(len(fisher_x) * (model.num_classes - 1), p)
-        factor = array("gram_factor", (size, size))
-        if not _lower_triangular(factor):
-            raise ValueError("gram_factor is not lower triangular")
-        if not (np.diagonal(factor) > 0).all():
-            raise ValueError("gram_factor has a diagonal entry that is not positive")
-        approx = LaplacePosterior(array("mean", (p,)), int(record["n_train"]), prior_variance, fisher_x, factor)
+        p, c = arch.parameter_count, model.num_classes
+        fisher_x = _fisher_inputs(fields["fisher_x"], arch.input_dim)
+        size = min(len(fisher_x) * (c - 1), p)
+        factor_shape = tuple(meta["shapes"]["factor"])
+        if factor_shape != (size, size):
+            raise ValueError(f"factor of shape {factor_shape}, expected {(size, size)}")
+        check_cholesky_panels(fields["factor"])
+        fisher_map = array("fisher_map", (len(fisher_x), c - 1, c))
+        approx = LaplacePosterior(
+            array("mean", (p,)), meta["n_train"], meta["prior_variance"], fisher_x, fields["factor"], fisher_map
+        )
     except FileNotFoundError:
         return None
     except (OSError, EOFError, ValueError, ConfigError, ContractViolationError) as exc:

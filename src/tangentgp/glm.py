@@ -23,8 +23,8 @@ its size, as it does for the GP fits. A Laplace draw is exact:
 mean + A^-1 (sqrt(lam) z + B v) for standard normal z and v, two
 triangular solves with the same Gram's Cholesky factor. With the Fisher
 pinned to the training inputs the fit factors the Gram of its last
-Newton iteration, built at the returned mean, once, and that factor
-serves every draw.
+Newton iteration, built at the returned mean, once, and keeps that
+iteration's Fisher output maps; the two serve every draw.
 """
 
 from __future__ import annotations
@@ -204,29 +204,33 @@ class MeanFieldPosterior:
 class LaplacePosterior:
     """The penalized NLL's exact mode with Fisher-plus-prior precision.
 
-    The mean and the Fisher inputs are stored; each draw rebuilds the
-    Fisher root at the mean and solves with the precision through the
-    Cholesky factor of its Gram. ``fisher_x`` fixes the inputs the
-    Fisher is estimated on; ``None`` defers to the prediction batch,
-    which makes predictions depend on batch composition and exists to
-    mirror that published variant. ``gram_factor``, for pinned inputs
-    only, is the lower Cholesky factor (``gp.gram_cholesky``) of the
-    precision's Gram at the mean (``_shifted_gram``), which
-    ``fit_laplace`` takes once from its last Newton iteration; ``None``
-    has every draw build and factor the Gram.
+    The mean and the Fisher inputs are stored. ``fisher_x`` fixes the
+    inputs the Fisher is estimated on; ``None`` defers to the prediction
+    batch, which makes predictions depend on batch composition and
+    exists to mirror that published variant. For pinned inputs
+    ``fit_laplace`` keeps two parts of the precision at the mean from its
+    last Newton iteration: ``gram_factor``, the lower Cholesky factor of
+    the precision's Gram (``_shifted_gram``) as ``gp.gram_cholesky``'s
+    panels, and ``fisher_map``, the (n, c - 1, c) output map of the
+    Fisher root B (``_fisher_root``) on the n rows of ``fisher_x``. A
+    draw solves with a kept factor and builds B from the kept map; with
+    no factor it rebuilds B at the mean and builds and factors the Gram.
     """
 
     mean: np.ndarray
     n_train: int
     prior_variance: float
     fisher_x: np.ndarray | None
-    gram_factor: np.ndarray | None = None
+    gram_factor: tuple[np.ndarray, ...] | None = None
+    fisher_map: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_train < 1:
             raise ContractViolationError(f"the Laplace posterior needs n_train >= 1, got {self.n_train}")
-        if self.gram_factor is not None and self.fisher_x is None:
+        if self.fisher_x is None and (self.gram_factor is not None or self.fisher_map is not None):
             raise ContractViolationError("a test-batch Fisher has no Gram to cache")
+        if self.gram_factor is not None and self.fisher_map is None:
+            raise ContractViolationError("a kept Gram factor needs the Fisher map it was built from")
 
 
 GaussianPosteriorApprox = MapPosterior | MeanFieldPosterior | LaplacePosterior
@@ -401,9 +405,10 @@ def fit_laplace(
     Each step solves by LU (``gp.gram_solve``), which costs less than a
     Cholesky factor and its two substitutions per iteration.
     ``fisher_source="train"`` pins the Fisher to the training inputs and,
-    after the loop, factors the last iteration's Gram, built at the mean,
-    once by Cholesky, as ``gram_factor``; ``"test_batch"`` leaves the
-    Fisher to be estimated on each prediction batch and keeps no factor.
+    after the loop, keeps the last iteration's parts, built at the mean:
+    its Gram factored once by Cholesky, as ``gram_factor``, and its Fisher
+    root's output map, as ``fisher_map``. ``"test_batch"`` leaves the
+    Fisher to be estimated on each prediction batch and keeps neither.
     Either way the fit optimizes on the training inputs. ``FitError`` is
     raised when ``NEWTON_MAX_ITERATIONS`` pass or a line search fails,
     ``ResourceLimitError`` when the Gram is over the size cap, and
@@ -453,6 +458,7 @@ def fit_laplace(
                 prior_variance=prior,
                 fisher_x=data.x if pinned else None,
                 gram_factor=gram_cholesky(gram) if pinned else None,
+                fisher_map=fisher.output_map if pinned else None,
             )
         size = 1.0
         if resolved:
@@ -581,18 +587,22 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> 
     makes it z / sqrt(lam) + B (lam I + B'B)^{-1} (v - B'z / sqrt(lam)),
     an m square solve; on the p side it is a solve with A. Either solve
     is ``gp.cholesky_solve``'s two triangular substitutions with the
-    Gram's Cholesky factor: ``posterior.gram_factor`` when the fit kept
-    it, else the factor of the Gram built here, so that the draws of a
-    kept and a built factor are the same bits.
+    Gram's Cholesky factor. When the fit kept the factor, B is the
+    Jacobian operator of ``fisher_x`` under the kept ``fisher_map``, and
+    the draw neither evaluates the logits at the mean nor builds a Gram;
+    otherwise B is rebuilt at the mean and its Gram built and factored
+    here. Both give the same bits.
     """
-    fisher = _fisher_root(*_fisher_at_map(model, posterior, x))
     factor = posterior.gram_factor
     if factor is None:
+        fisher = _fisher_root(*_fisher_at_map(model, posterior, x))
         factor = gram_cholesky(_shifted_gram(fisher, posterior.prior_variance))
+    else:
+        fisher = JacobianOperator(model.network, posterior.fisher_x).mapped(posterior.fisher_map)
     z, v = rng.standard_normal(fisher.param_count), rng.standard_normal(fisher.out_len)
     s = math.sqrt(1.0 / posterior.prior_variance)
     # The side rule takes the kernel side on a tie, m = p.
-    if len(factor) == fisher.out_len:
+    if factor[-1].shape[1] == fisher.out_len:
         w = cholesky_solve(factor, v - fisher.jvp(z) / s)
         return posterior.mean + z / s + fisher.vjp(w)
     return posterior.mean + cholesky_solve(factor, s * z + fisher.vjp(v))

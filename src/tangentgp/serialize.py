@@ -3,7 +3,9 @@
 All writers here produce identical bytes for identical inputs: floats are
 printed with 17 significant digits (enough to round-trip any f64), JSON
 keys are sorted, newlines are always "\\n", and files land via a
-temp-file rename so a crash never leaves a half-written output.
+temp-file rename so a crash never leaves a half-written output:
+``atomic_file`` yields that temp file, so a writer such as ``np.save``
+streams into it with no copy of the bytes in memory.
 
 An all-float table is formatted with one ``"%.17g"`` template per row
 (:func:`float_lines`), not one :func:`fmt_float` call per cell. On
@@ -18,12 +20,13 @@ caches take their keys through it. Every number it accepts is finite.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import reprlib
+import secrets
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -101,15 +104,33 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
+    with atomic_file(path) as fh:
+        fh.write(blob)
+
+
+@contextlib.contextmanager
+def atomic_file(path):
+    """Yield a new binary file that replaces ``path`` once the block exits; on an error ``path`` keeps its bytes.
+
+    The file is a sibling ``<name>.<random>.tmp``, created exclusively
+    with mode 0666 less the umask, the mode an ``open`` of ``path`` would
+    give it (``tempfile.mkstemp`` makes every file 0600), and removed if
+    the block raises.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -999,6 +999,66 @@ def blob_data(tmp_path_factory):
     return {"root": root, "data": str(root / "blobs.csv"), "ckpt": str(ckpt)}
 
 
+RECORD_ARRAYS = ("mean", "params", "fisher_x", "fisher_map")
+
+
+def read_record(path):
+    """A Laplace record's meta and data fields, the factor as its m square: the reader the tests trust."""
+    record = np.load(path)
+    meta = json.loads(record["meta"].item())
+    shapes, data, start = meta["shapes"], record["data"], 0
+    m = shapes["factor"][0]
+    factor = np.zeros((m, m))
+    for i in range(0, m, gp_module.CHOLESKY_BLOCK):
+        j = min(m, i + gp_module.CHOLESKY_BLOCK)
+        factor[i:j, :j] = data[start : start + (j - i) * j].reshape(j - i, j)
+        start += (j - i) * j
+    fields = {"factor": factor}
+    for name in RECORD_ARRAYS:
+        size = math.prod(shapes[name])
+        fields[name], start = data[start : start + size].reshape(shapes[name]), start + size
+    assert start == len(data)
+    return meta, fields
+
+
+def save_record(path, meta, data):
+    """``data`` and the JSON of ``meta`` in a record's two fields."""
+    blob = json.dumps(meta).encode()
+    record = np.zeros((), dtype=[("data", "<f8", data.shape), ("meta", f"S{len(blob)}")])
+    record["data"], record["meta"] = data, blob
+    np.save(path, record)
+
+
+def write_record(path, meta, fields):
+    """A record of ``meta`` and ``fields`` (the factor as an m square) in glm-fit's layout, with the arrays' shapes."""
+    factor, block = fields["factor"], gp_module.CHOLESKY_BLOCK
+    shapes = {"factor": list(factor.shape), **{name: list(np.shape(fields[name])) for name in RECORD_ARRAYS}}
+    panels = [factor[i : i + block, : i + block].ravel() for i in range(0, len(factor), block)]
+    save_record(path, {**meta, "shapes": shapes}, np.concatenate(panels + [np.ravel(fields[n]) for n in RECORD_ARRAYS]))
+
+
+def save_eleven_field_record(path, meta, fields, first):
+    """The record in the eleven-field layout that held the Gram (``first="gram"``) or its square factor first."""
+    factor = fields["factor"]
+    values = {
+        first: factor @ factor.T if first == "gram" else factor,
+        "mean": fields["mean"],
+        "params": fields["params"],
+        "fisher_x": fields["fisher_x"],
+        "prior_variance": meta["prior_variance"],
+        "n_train": meta["n_train"],
+        "include_network_output": meta["include_network_output"],
+        "checkpoint_sha256": meta["checkpoint_sha256"].encode(),
+        "fit_sha256": meta["fit_sha256"].encode(),
+        "network_fingerprint": meta["network_fingerprint"].encode(),
+        "architecture": json.dumps(meta["architecture"], sort_keys=True).encode(),
+    }
+    record = np.zeros((), dtype=[(name, np.asarray(v).dtype, np.shape(v)) for name, v in values.items()])
+    for name, value in values.items():
+        record[name] = value
+    np.save(path, record)
+
+
 class TestGlm:
     def fit(self, blob_data, tmp_path, method, ckpt=None, out="fit.json", **glm):
         cfg = write_json(
@@ -1041,7 +1101,7 @@ class TestGlm:
         _, fit_path = self.fit(blob_data, tmp_path, ckpt=ckpt, **glm)
         record_path = tmp_path / "fit.laplace.npy"
         size = min(40, 5 * widths[0] + 2)
-        assert np.load(record_path)["gram_factor"].shape == (size, size)
+        assert read_record(record_path)[1]["factor"].shape == (size, size)
 
         def unreached(*args, **kwargs):
             raise AssertionError("glm-predict did not predict from the record alone")
@@ -1070,7 +1130,9 @@ class TestGlm:
             "other fit", "digest", "shape", "non-finite", "one array", "archive", "not numpy",
             "re-indented fit", "non-finite mean", "mis-shaped fisher_x", "non-finite params",
             "earlier layout", "zero rows", "factor not lower-triangular",
-            "factor with a zero diagonal entry", "gram layout",
+            "factor with a zero diagonal entry", "gram layout", "meta not an object", "meta key missing",
+            "data length", "non-finite fisher map", "fisher map shape", "nonzero above a diagonal block",
+            "zero diagonal", "square factor layout",
         ],
     )
     def test_record_that_is_not_a_hit_is_never_used(self, blob_data, tmp_path, monkeypatch, capsys, tamper):
@@ -1081,25 +1143,30 @@ class TestGlm:
         code, hit = self.predict(blob_data, tmp_path, cfg, fit_path, out="hit.csv")
         assert code == 0
         gram_path = tmp_path / "fit.laplace.npy"
-        record = np.load(gram_path)
-        factor = record["gram_factor"]
+        meta, fields = read_record(gram_path)
+        factor = fields["factor"]
 
         def spoiled(name, index, value):
-            array = record[name].copy()
+            array = fields[name].copy()
             array[index] = value
             return array
 
         changed = {
-            "digest": {"fit_sha256": b"0" * 64},
-            "shape": {"gram_factor": factor[:-1, :-1]},
-            "non-finite": {"gram_factor": spoiled("gram_factor", (5, 3), np.inf)},
+            "digest": {"fit_sha256": "0" * 64},
+            "shape": {"factor": factor[:-1, :-1]},
+            "non-finite": {"factor": spoiled("factor", (5, 3), np.inf)},
             "non-finite mean": {"mean": spoiled("mean", 3, np.nan)},
-            "mis-shaped fisher_x": {"fisher_x": record["fisher_x"][:, :1]},
+            "mis-shaped fisher_x": {"fisher_x": fields["fisher_x"][:, :1]},
             "non-finite params": {"params": spoiled("params", 0, np.nan)},
-            "zero rows": {"fisher_x": record["fisher_x"][:0], "gram_factor": factor[:0, :0]},
+            "zero rows": {"fisher_x": fields["fisher_x"][:0], "factor": factor[:0, :0]},
             # The upper factor L', as a solver that returns U would give it.
-            "factor not lower-triangular": {"gram_factor": factor.T},
-            "factor with a zero diagonal entry": {"gram_factor": spoiled("gram_factor", (2, 2), 0.0)},
+            "factor not lower-triangular": {"factor": factor.T},
+            "factor with a zero diagonal entry": {"factor": spoiled("factor", (2, 2), 0.0)},
+            "non-finite fisher map": {"fisher_map": spoiled("fisher_map", (4, 0, 1), np.nan)},
+            # The map of one Fisher input fewer.
+            "fisher map shape": {"fisher_map": fields["fisher_map"][:-1]},
+            "nonzero above a diagonal block": {"factor": spoiled("factor", (len(factor) - 2, len(factor) - 1), 0.5)},
+            "zero diagonal": {"factor": spoiled("factor", (len(factor) - 1,) * 2, 0.0)},
         }
         if tamper == "other fit":
             # Rewrites glm.json too, so the outputs' config_hash is not the hit's.
@@ -1109,7 +1176,7 @@ class TestGlm:
             np.save(gram_path, factor)
         elif tamper == "archive":
             with open(gram_path, "wb") as fh:
-                np.savez(fh, gram=factor, digest=record["fit_sha256"])
+                np.savez(fh, gram=factor, digest=meta["fit_sha256"])
         elif tamper == "not numpy":
             gram_path.write_bytes(b"not a record")
         elif tamper == "re-indented fit":
@@ -1118,26 +1185,52 @@ class TestGlm:
         elif tamper == "earlier layout":
             # The Gram and the fit file's digest, as glm-fit wrote them before the record.
             earlier = np.zeros((), dtype=[("digest", "S64"), ("gram", "<f8", factor.shape)])
-            earlier["digest"], earlier["gram"] = record["fit_sha256"], factor @ factor.T
+            earlier["digest"], earlier["gram"] = meta["fit_sha256"], factor @ factor.T
             np.save(gram_path, earlier)
         elif tamper == "gram layout":
-            # The record as glm-fit wrote it before it held the factor: the Gram, as "gram".
-            names = {name: "gram" if name == "gram_factor" else name for name in record.dtype.names}
-            earlier = np.zeros((), dtype=[(names[n], record.dtype[n].base, record.dtype[n].shape) for n in names])
-            for name, renamed in names.items():
-                earlier[renamed] = record[name]
-            earlier["gram"] = factor @ factor.T
-            np.save(gram_path, earlier)
+            # The eleven-field record as glm-fit wrote it before it held the factor: the Gram, as "gram".
+            save_eleven_field_record(gram_path, meta, fields, "gram")
+        elif tamper == "square factor layout":
+            # The eleven-field record that held the factor as an m square, zeros and all.
+            save_eleven_field_record(gram_path, meta, fields, "gram_factor")
+        elif tamper == "meta not an object":
+            save_record(gram_path, list(meta), np.load(gram_path)["data"])
+        elif tamper == "meta key missing":
+            save_record(gram_path, {key: meta[key] for key in meta if key != "n_train"}, np.load(gram_path)["data"])
+        elif tamper == "data length":
+            save_record(gram_path, meta, np.load(gram_path)["data"][:-1])
         else:
-            values = {name: changed[tamper].get(name, record[name]) for name in record.dtype.names}
-            rewritten = np.zeros((), dtype=[(name, record.dtype[name].base, np.shape(v)) for name, v in values.items()])
-            for name, value in values.items():
-                rewritten[name] = value
-            np.save(gram_path, rewritten)
+            change = changed[tamper]
+            write_record(
+                gram_path,
+                {key: change.get(key, value) for key, value in meta.items()},
+                {name: change.get(name, value) for name, value in fields.items()},
+            )
         capsys.readouterr()
         smaller_gram, built = glm_module.smaller_gram, []
         monkeypatch.setattr(glm_module, "smaller_gram", lambda jac: built.append(jac) or smaller_gram(jac))
         warned = tamper not in ("other fit", "digest", "re-indented fit")
+        # The check that refuses each record; the others are not in the record's layout.
+        above, diagonal = "the factor has a nonzero entry above", "the factor has a diagonal entry that is not positive"
+        reasons = {
+            "archive": "not a .npy record",
+            "not numpy": "not a .npy record",
+            "shape": "factor of shape (39, 39), expected (40, 40)",
+            "non-finite": "non-finite factor entries",
+            "non-finite mean": "non-finite mean entries",
+            "mis-shaped fisher_x": "Fisher inputs of shape (40, 1)",
+            "non-finite params": "parameter vector contains non-finite entries",
+            "zero rows": "Fisher inputs of shape (0, 2)",
+            "factor not lower-triangular": above,
+            "factor with a zero diagonal entry": diagonal,
+            "meta not an object": "meta is not an object of the keys",
+            "meta key missing": "meta is not an object of the keys",
+            "data length": "data holds 1843 floats, its meta's shapes 1844",
+            "non-finite fisher map": "non-finite fisher_map entries",
+            "fisher map shape": "fisher_map of shape (39, 1, 2), expected (40, 1, 2)",
+            "nonzero above a diagonal block": above,
+            "zero diagonal": diagonal,
+        }
         glm = json.loads(Path(cfg).read_text())["glm"]
         for mode in ("single_sample", "mean"):
             mode_cfg = write_json(tmp_path / f"{mode}.json", {"version": 1, "glm": {**glm, "predict_mode": mode}})
@@ -1148,8 +1241,8 @@ class TestGlm:
             if warned:
                 assert err.startswith(f"WARNING tangentgp: {gram_path}: not used (")
                 assert err.endswith("; rerun glm-fit to predict from the record\n")
+                assert f"not used ({reasons.get(tamper, 'not a Laplace record in this layout')}" in err
                 if tamper == "not numpy":
-                    assert err.startswith(f"WARNING tangentgp: {gram_path}: not used (not a .npy record)")
                     assert "allow_pickle" not in err
             else:
                 assert err == ""
@@ -1234,6 +1327,24 @@ class TestGlm:
         assert f"{fit_path}: GLM fit file key 'fisher_x' is malformed: " in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_failed_record_write_keeps_the_previous_record(self, blob_data, tmp_path, monkeypatch, capsys):
+        # The record streams into a temp file that replaces it only once written whole.
+        cfg, fit_path = self.fit(blob_data, tmp_path, "laplace")
+        record_path = tmp_path / "fit.laplace.npy"
+        before = record_path.read_bytes()
+        save = np.save
+
+        def partial_save(file, array):
+            save(file, array[()]["data"][:10])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", partial_save)
+        argv = ["glm-fit", "--config", cfg, "--checkpoint", blob_data["ckpt"], "--data", blob_data["data"], "--out", fit_path]
+        assert main(argv) == 2
+        assert "tangentgp: disk full" in capsys.readouterr().err
+        assert record_path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_only_a_pinned_laplace_fit_leaves_a_gram_file(self, blob_data, tmp_path):
         gram_path = tmp_path / "fit.laplace.npy"

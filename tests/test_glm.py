@@ -35,6 +35,7 @@ from tangentgp.glm import (
     sample_gaussian_from_precision,
     zero_coefficients_glm,
 )
+from tangentgp.gp import CHOLESKY_BLOCK
 from tangentgp.linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from tangentgp.net import (
     ADAM_BETA1,
@@ -555,8 +556,13 @@ class TestFitLaplace:
             assert posterior.fisher_x is None and posterior.gram_factor is None
         else:
             assert np.array_equal(posterior.fisher_x, data.x)
-            # The kept factor is np.linalg.cholesky of the Gram a draw builds at the mean, bit for bit.
-            assert np.array_equal(posterior.gram_factor, np.linalg.cholesky(laplace_gram(model, posterior)))
+            # The kept factor is np.linalg.cholesky of the Gram a draw builds at the mean, and the
+            # kept map that of the Fisher root it builds there, bit for bit.
+            square = np.linalg.cholesky(laplace_gram(model, posterior))
+            assert all(map(np.array_equal, posterior.gram_factor, factor_panels(square)))
+            assert len(posterior.gram_factor) == len(factor_panels(square))
+            rebuilt = glm_module._fisher_root(*glm_module._fisher_at_map(model, posterior, None))
+            assert np.array_equal(posterior.fisher_map, rebuilt.output_map)
 
     def test_newton_stops_at_its_iteration_cap(self, monkeypatch):
         model, data = newton_setup(2, 10, False)
@@ -682,6 +688,11 @@ def laplace_draw_setup(classes, n_fisher, fisher_source, include_network_output)
     posterior = replace(fit_laplace(model, data, fisher_source=fisher_source), gram_factor=None)
     x = rng.normal(size=(n_fisher if fisher_source == "test_batch" else 3, 2))
     return model, posterior, x
+
+
+def factor_panels(square):
+    """A square lower factor as ``gp.gram_cholesky``'s panels: 48-row blocks up to the end of each diagonal block."""
+    return tuple(square[i : i + CHOLESKY_BLOCK, : i + CHOLESKY_BLOCK] for i in range(0, len(square), CHOLESKY_BLOCK))
 
 
 def laplace_gram(model, posterior):
@@ -860,22 +871,22 @@ class TestLaplaceDraw:
         gram = laplace_gram(model, posterior)
         assert gram.shape == (min(n_fisher * (classes - 1), model.coefficients.size),) * 2
         factor = np.linalg.cholesky(gram)
-        cached = replace(posterior, gram_factor=factor.copy())
+        cached = replace(posterior, gram_factor=factor_panels(factor.copy()))
         built = {seed: predict_class(model, posterior, x, mode="single_sample", seed=seed) for seed in (0, 7)}
         draws = {seed: _laplace_draw(model, posterior, x, substream(seed, "glm-predict")) for seed in (0, 7)}
 
-        def unbuilt(arg):
-            raise AssertionError("a draw with a cached Gram factor built or factored a Gram")
+        def unbuilt(*args):
+            raise AssertionError("a draw with a cached Gram factor built a Fisher root or a Gram, or factored one")
 
-        monkeypatch.setattr(glm_module, "smaller_gram", unbuilt)
-        monkeypatch.setattr(glm_module, "gram_cholesky", unbuilt)
+        for name in ("smaller_gram", "gram_cholesky", "_fisher_root", "_fisher_at_map"):
+            monkeypatch.setattr(glm_module, name, unbuilt)
         for seed in (0, 7):
             coeff = _laplace_draw(model, cached, x, substream(seed, "glm-predict"))
             assert np.array_equal(coeff, draws[seed])
             probs, labels = predict_class(model, cached, x, mode="single_sample", seed=seed)
             assert np.array_equal(probs, built[seed][0]) and np.array_equal(labels, built[seed][1])
         # The draws solve with the cached factor and leave it as it was.
-        assert np.array_equal(cached.gram_factor, factor)
+        assert all(map(np.array_equal, cached.gram_factor, factor_panels(factor)))
 
     def test_a_test_batch_fisher_has_no_gram(self):
         model, posterior, _ = laplace_draw_setup(2, 5, "test_batch", False)
@@ -883,6 +894,8 @@ class TestLaplaceDraw:
             laplace_gram(model, posterior)
         with pytest.raises(ContractViolationError, match="no Gram to cache"):
             replace(posterior, gram_factor=np.eye(5))
+        with pytest.raises(ContractViolationError, match="no Gram to cache"):
+            replace(posterior, fisher_map=np.ones((9, 1, 2)))
 
     def test_malformed_posteriors_are_refused(self):
         # A draw needs one scale per coefficient and a Fisher upscaled by
@@ -891,6 +904,9 @@ class TestLaplaceDraw:
         for n_train in (0, -5):
             with pytest.raises(ContractViolationError, match=f"n_train >= 1, got {n_train}"):
                 replace(posterior, n_train=n_train)
+        # A kept factor is solved with the Fisher root of the kept map.
+        with pytest.raises(ContractViolationError, match="needs the Fisher map it was built from"):
+            replace(posterior, gram_factor=(np.eye(5),), fisher_map=None)
         for mu, raw in [(4, 1), (4, 3), ((4, 1), (4, 1))]:
             with pytest.raises(ContractViolationError, match="raw_scales must be vectors of one length"):
                 MeanFieldPosterior(mu=np.zeros(mu), raw_scales=np.zeros(raw))

@@ -24,8 +24,10 @@ from tangentgp.errors import (
     ResourceLimitError,
 )
 from tangentgp.gp import (
+    CHOLESKY_BLOCK,
     GramFactor,
     NtkPosterior,
+    check_cholesky_panels,
     cholesky_solve,
     factor_gram,
     fit_function_space,
@@ -35,6 +37,7 @@ from tangentgp.gp import (
     kernel_matrix,
     load_posterior,
     log_marginal_likelihood,
+    panel_shapes,
     predict,
     save_posterior,
     smaller_gram,
@@ -1052,6 +1055,25 @@ class TestPosteriorSerialization:
             np.testing.assert_array_equal(mean_a, mean_b)
             np.testing.assert_array_equal(var_a, var_b)
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        # The archive streams into a temp file that replaces the cache only once written whole.
+        rng = np.random.default_rng(23)
+        post = fit_posterior(make_net([1, 7, 1], seed=23), sinusoid_data(rng, n=6), mean_kind="linearized_nn")
+        path = tmp_path / "post.npz"
+        save_posterior(post, path)
+        before = path.read_bytes()
+        savez = np.savez
+
+        def partial_savez(file, **arrays):
+            savez(file, **arrays)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", partial_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_posterior(post, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["post.npz"]
+
     def test_file_with_a_stored_space_still_loads(self, tmp_path):
         # Files once stored the requested space and the regression view
         # next to the same arrays; such a file still loads and predicts the same.
@@ -1154,12 +1176,32 @@ class TestCholeskySolve:
         return gram
 
     @staticmethod
+    def square_solve(factor, rhs):
+        """The blocked substitutions of ``cholesky_solve`` on the m square factor: the reference."""
+        x = np.array(rhs, dtype=np.float64)
+        starts = range(0, len(factor), CHOLESKY_BLOCK)
+        for i in starts:
+            j = i + CHOLESKY_BLOCK
+            x[i:j] = np.linalg.solve(factor[i:j, i:j], x[i:j] - factor[i:j, :i] @ x[:i])
+        for i in reversed(starts):
+            j = i + CHOLESKY_BLOCK
+            x[i:j] = np.linalg.solve(factor[i:j, i:j].T, x[i:j] - factor[j:, i:j].T @ x[j:])
+        return x
+
+    @staticmethod
     def check_solve(gram, rhs):
         factor = gram_cholesky(gram)
-        assert np.array_equal(factor, np.linalg.cholesky(gram))
-        kept_factor, kept_rhs = factor.copy(), rhs.copy()
+        square = np.linalg.cholesky(gram)
+        # Row panels of 48 rows, each up to the end of its diagonal block.
+        starts = range(0, len(gram), CHOLESKY_BLOCK)
+        assert len(factor) == len(starts)
+        for i, panel in zip(starts, factor):
+            assert np.array_equal(panel, square[i : i + CHOLESKY_BLOCK, : i + CHOLESKY_BLOCK])
+        assert [panel.shape for panel in factor] == panel_shapes(len(gram))
+        kept_factor, kept_rhs = [panel.copy() for panel in factor], rhs.copy()
         x = cholesky_solve(factor, rhs)
-        assert np.array_equal(factor, kept_factor) and np.array_equal(rhs, kept_rhs)
+        assert all(map(np.array_equal, factor, kept_factor)) and np.array_equal(rhs, kept_rhs)
+        assert np.array_equal(x, TestCholeskySolve.square_solve(square, rhs))
         # Backward stable: the residual is at roundoff in the scale of |G| |x|.
         assert np.linalg.norm(gram @ x - rhs) <= 1e-13 * np.linalg.norm(gram, 2) * np.linalg.norm(x)
         lu = np.linalg.solve(gram, rhs)
@@ -1167,10 +1209,11 @@ class TestCholeskySolve:
 
     @pytest.mark.parametrize(
         "m, side",
-        [(m, "function") for m in (1, 47, 48, 49, 240)] + [(m, "parameter") for m in (47, 48, 49, 240)],
+        [(m, "function") for m in (1, 47, 48, 49, 240, 300)] + [(m, "parameter") for m in (47, 48, 49, 240)],
     )
     def test_solve_matches_lu_on_both_gram_sides(self, m, side):
-        # One block short of, at, and one entry past gp.CHOLESKY_BLOCK = 48.
+        # One block short of, at, and one entry past gp.CHOLESKY_BLOCK = 48;
+        # 300 ends in a short panel after six full ones.
         gram = self.shifted_gram(m, side, seed=m)
         self.check_solve(gram, np.random.default_rng(m + 1).standard_normal(m))
 
@@ -1182,6 +1225,21 @@ class TestCholeskySolve:
         gram = (gram + gram.T) / 2.0
         assert 1e7 < np.linalg.cond(gram) < 1e9
         self.check_solve(gram, rng.standard_normal(m))
+
+    def test_panels_are_checked_in_every_diagonal_block(self):
+        # 100 = 48 + 48 + 4: each tamper lands in a block past the first.
+        factor = gram_cholesky(self.shifted_gram(100, "function", seed=3))
+        check_cholesky_panels(factor)
+        for k, index, value, reason in [
+            (1, (0, 49), 1e-3, "a nonzero entry above a diagonal block's diagonal"),
+            (2, (3, 99), 0.0, "a diagonal entry that is not positive"),
+            (2, (1, 97), -1.0, "a diagonal entry that is not positive"),
+            (1, (5, 2), np.inf, "non-finite factor entries"),
+        ]:
+            panels = [panel.copy() for panel in factor]
+            panels[k][index] = value
+            with pytest.raises(ContractViolationError, match=reason):
+                check_cholesky_panels(panels)
 
     def test_factor_breakdown_is_typed(self):
         with pytest.raises(NumericBreakdownError, match="Cholesky factorization of the 2 x 2 Gram matrix failed"):

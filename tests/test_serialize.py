@@ -1,10 +1,13 @@
 """Bulk CSV formatting and parsing against per-cell oracles."""
 
+import os
+
 import numpy as np
 import pytest
 
 from tangentgp.errors import ConfigError
 from tangentgp.serialize import (
+    atomic_write_bytes,
     float_lines,
     fmt_float,
     read_classification_csv,
@@ -202,3 +205,18 @@ class TestBulkReaders:
         with pytest.raises(ConfigError) as err:
             read_classification_csv(path)
         assert str(err.value) == f"{path}:2: could not convert string to float: 'abc'"
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "out.json"
+        for blob in (b"first", b"second"):  # created, then replaced
+            previous = os.umask(umask)
+            try:
+                atomic_write_bytes(path, blob)
+            finally:
+                os.umask(previous)
+            assert path.read_bytes() == blob
+            assert path.stat().st_mode & 0o777 == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

@@ -297,12 +297,16 @@ def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypa
     assert tracer.calls["gp.kernel_matrix"] == len(solves)  # n*(c-1) = 20 <= p = 27
     assert tracer.mismatches == []
     assert len(factored) == 1 and factored[0] is solves[-1]
-    assert np.array_equal(np.load(tmp_path / "fit.laplace.npy")["gram_factor"], np.linalg.cholesky(solves[-1]))
+    # The record's data opens with the factor's row panels, each up to the end of its diagonal block.
+    square, block = np.linalg.cholesky(solves[-1]), gp_module.CHOLESKY_BLOCK
+    panels = np.concatenate([square[i : i + block, : i + block].ravel() for i in range(0, len(square), block)])
+    assert np.array_equal(np.load(tmp_path / "fit.laplace.npy")["data"][: panels.size], panels)
 
 
 def test_pinned_draw_factors_no_gram_on_a_hit_and_one_on_a_miss(tmp_path, monkeypatch):
-    # A hit draws with the record's factor; a miss builds the Gram and
-    # factors it once, and neither takes an LU solve.
+    # A hit draws with the record's factor and Fisher map, and rebuilds no
+    # Fisher root; a miss rebuilds the root at the mean, builds the Gram and
+    # factors it, each once, and neither takes an LU solve.
     ckpt = tmp_path / "clf.json"
     save_checkpoint(init_network(MlpArchitecture(2, (4,), 3), seed=1), ckpt, {})
     data = tmp_path / "labeled.csv"
@@ -314,7 +318,7 @@ def test_pinned_draw_factors_no_gram_on_a_hit_and_one_on_a_miss(tmp_path, monkey
     common = ["--config", str(tmp_path / "glm.json"), "--checkpoint", str(ckpt)]
     assert cli.main(["glm-fit", *common, "--data", str(data), "--out", str(tmp_path / "fit.json")]) == 0
     calls = []
-    for name in ("gram_solve", "gram_cholesky"):
+    for name in ("gram_solve", "gram_cholesky", "_fisher_root", "_fisher_at_map"):
         original = getattr(glm_module, name)
         monkeypatch.setattr(glm_module, name, lambda *args, name=name, original=original: calls.append(name) or original(*args))
     predict = ["glm-predict", *common, "--fit", str(tmp_path / "fit.json"), "--inputs", str(inputs)]
@@ -322,7 +326,7 @@ def test_pinned_draw_factors_no_gram_on_a_hit_and_one_on_a_miss(tmp_path, monkey
     assert calls == []
     (tmp_path / "fit.laplace.npy").unlink()
     assert cli.main([*predict, "--out", str(tmp_path / "miss.csv")]) == 0
-    assert calls == ["gram_cholesky"]
+    assert sorted(calls) == ["_fisher_at_map", "_fisher_root", "gram_cholesky"]
     assert (tmp_path / "miss.csv").read_bytes() == (tmp_path / "hit.csv").read_bytes()
 
 
