@@ -427,21 +427,16 @@ def cmd_glm_fit(args) -> int:
 # (``glm.LaplacePosterior``), so a draw takes two triangular solves and
 # rebuilds no root. A hit checks the panels' diagonal blocks to be lower
 # triangular with a positive diagonal (``gp.check_cholesky_panels``).
+# Every key of ``meta`` and every array of ``data`` is read through
+# ``serialize.file_field``, as the fit file's keys are.
 
 # The arrays of a record's ``data``, in order, with the number of
 # dimensions of each; the float vector comes first in the record, so that
 # it sits 8-byte aligned.
 _DATA_FIELDS = {"factor": 2, "mean": 1, "params": 1, "fisher_x": 2, "fisher_map": 3}
-# Key -> exact type of the value of a record's ``meta``.
-_META_TYPES = {
-    "architecture": dict,
-    "checkpoint_sha256": str,
-    "fit_sha256": str,
-    "include_network_output": bool,
-    "n_train": int,
-    "network_fingerprint": str,
-    "prior_variance": float,
-    "shapes": dict,
+_META_KEYS = {
+    "architecture", "checkpoint_sha256", "fit_sha256", "include_network_output",
+    "n_train", "network_fingerprint", "prior_variance", "shapes",
 }
 
 
@@ -482,24 +477,21 @@ def _in_record_layout(record) -> bool:
     )
 
 
-def _record_meta(blob: bytes) -> dict:
-    """A record's ``meta``: an object of exactly the keys and types of ``_META_TYPES``, else ``ValueError``.
+def _object(value) -> dict:
+    """``value`` if it is a JSON object, else ``ValueError``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {type(value).__name__}")
+    return value
 
-    Its ``shapes`` must give each field of ``_DATA_FIELDS`` one shape of
-    that field's number of dimensions.
-    """
-    meta = json.loads(blob)
-    if not isinstance(meta, dict) or meta.keys() != _META_TYPES.keys():
-        raise ValueError(f"meta is not an object of the keys {sorted(_META_TYPES)}")
-    if any(type(meta[key]) is not kind for key, kind in _META_TYPES.items()):
-        raise ValueError("a meta value is not of its key's type")
-    shapes = meta["shapes"]
-    if shapes.keys() != _DATA_FIELDS.keys() or not all(
+
+def _record_shapes(shapes) -> dict:
+    """A record's ``shapes``, if it gives each ``_DATA_FIELDS`` field one shape of its number of dimensions."""
+    if _object(shapes).keys() != _DATA_FIELDS.keys() or not all(
         type(shapes[name]) is list and len(shapes[name]) == ndim and all(type(d) is int and d >= 0 for d in shapes[name])
         for name, ndim in _DATA_FIELDS.items()
     ):
-        raise ValueError("meta shapes are not one shape of its dimensions per data field")
-    return meta
+        raise ValueError("expected one shape of its dimensions per data field")
+    return shapes
 
 
 def _record_fields(shapes: dict, data: np.ndarray) -> dict:
@@ -542,15 +534,6 @@ def _record_hit(checkpoint, fit_path):
     when it was written for other checkpoint or fit bytes, else at WARNING.
     """
     path = _gram_path(fit_path)
-
-    def array(name, shape):
-        value = fields[name]
-        if value.shape != shape:
-            raise ValueError(f"{name} of shape {value.shape}, expected {shape}")
-        if not np.isfinite(value).all():
-            raise ValueError(f"non-finite {name} entries")
-        return value
-
     try:
         with open(path, "rb") as fh:
             # np.load reads any other bytes as a pickle, and its refusal advises an unsafe load.
@@ -560,35 +543,42 @@ def _record_hit(checkpoint, fit_path):
             record = np.load(fh, allow_pickle=False)
         if not _in_record_layout(record):
             raise ValueError("not a Laplace record in this layout")
-        meta = _record_meta(record["meta"].item())
-        if (meta["checkpoint_sha256"], meta["fit_sha256"]) != (_file_sha256(checkpoint), _file_sha256(fit_path)):
+        meta = json.loads(record["meta"].item())
+        if not isinstance(meta, dict) or meta.keys() != _META_KEYS:
+            raise ValueError(f"meta is not an object of the keys {sorted(_META_KEYS)}")
+        field = functools.partial(file_field, path, "Laplace record", meta)
+        prior_variance = field("prior_variance", "number", float)
+        include_network_output = field("include_network_output", "bool")
+        n_train = field("n_train", "int")
+        fingerprint = field("network_fingerprint", "string")
+        architecture = field("architecture", convert=_object)
+        shapes = field("shapes", convert=_record_shapes)
+        digests = (field("checkpoint_sha256", "string"), field("fit_sha256", "string"))
+        if digests != (_file_sha256(checkpoint), _file_sha256(fit_path)):
             log.info("%s: not used, it was written for other checkpoint or fit bytes", path)
             return None
-        fields = _record_fields(meta["shapes"], record["data"])
-        arch = MlpArchitecture.from_dict(_resolve_block("architecture", meta["architecture"]))
-        network = MlpNetwork(arch, fields["params"])
-        if network.fingerprint() != meta["network_fingerprint"]:
+        array = functools.partial(file_field, path, "Laplace record", _record_fields(shapes, record["data"]))
+        arch = MlpArchitecture.from_dict(_resolve_block("architecture", architecture))
+        network = array("params", convert=lambda params: MlpNetwork(arch, params))
+        if network.fingerprint() != fingerprint:
             raise ValueError("the parameters do not match their fingerprint")
         model = zero_coefficients_glm(
-            network,
-            include_network_output=meta["include_network_output"],
-            prior_variance=meta["prior_variance"],
+            network, include_network_output=include_network_output, prior_variance=prior_variance
         )
         p, c = arch.parameter_count, model.num_classes
-        fisher_x = _fisher_inputs(fields["fisher_x"], arch.input_dim)
+        fisher_x = array("fisher_x", "number array", lambda table: _fisher_inputs(table, arch.input_dim))
         size = min(len(fisher_x) * (c - 1), p)
-        factor_shape = tuple(meta["shapes"]["factor"])
-        if factor_shape != (size, size):
-            raise ValueError(f"factor of shape {factor_shape}, expected {(size, size)}")
-        check_cholesky_panels(fields["factor"])
-        fisher_map = array("fisher_map", (len(fisher_x), c - 1, c))
-        approx = LaplacePosterior(
-            array("mean", (p,)), meta["n_train"], meta["prior_variance"], fisher_x, fields["factor"], fisher_map
-        )
+        for name, shape in (("factor", (size, size)), ("fisher_map", (len(fisher_x), c - 1, c)), ("mean", (p,))):
+            if tuple(shapes[name]) != shape:
+                raise ValueError(f"{name} of shape {tuple(shapes[name])}, expected {shape}")
+        factor = array("factor", convert=lambda panels: check_cholesky_panels(panels) or panels)
+        fisher_map = array("fisher_map", "number array")
+        approx = LaplacePosterior(array("mean", "number array"), n_train, prior_variance, fisher_x, factor, fisher_map)
     except FileNotFoundError:
         return None
     except (OSError, EOFError, ValueError, ConfigError, ContractViolationError) as exc:
-        log.warning("%s: not used (%s); rerun glm-fit to predict from the record", path, exc)
+        reason = str(exc).removeprefix(f"{path}: ")  # file_field's refusals name the file
+        log.warning("%s: not used (%s); rerun glm-fit to predict from the record", path, reason)
         return None
     return model, approx
 

@@ -840,6 +840,23 @@ class TestFvpBench:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_categorical_likelihood(self, tmp_path):
+        # The softmax Fisher of a three-class network, against the Gaussian one of the same network.
+        ckpt = tmp_path / "clf.json"
+        save_checkpoint(init_network(MlpArchitecture(2, (8,), 3), seed=1), ckpt, {})
+        write_dataset_csv(tmp_path / "x.csv", np.random.default_rng(0).normal(size=(20, 2)), np.zeros((20, 1)))
+        sweeps = {}
+        for likelihood in ("categorical", "gaussian"):
+            task = {"kind": "csv", "train_csv": str(tmp_path / "x.csv")}
+            cfg = write_json(tmp_path / "fvp.json", {"version": 1, "task": task, "fvp": {"likelihood": likelihood}})
+            out = tmp_path / f"{likelihood}.csv"
+            assert main(["fvp-bench", "--config", cfg, "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+            _, sweeps[likelihood] = data_lines(out)
+        errors = np.array([[float(v) for v in row[1:3]] for row in sweeps["categorical"]])
+        assert errors.shape == (4, 2) and np.isfinite(errors).all()
+        assert errors[2, 0] <= 1e-2  # epsilon 1e-4
+        assert sweeps["categorical"] != sweeps["gaussian"]
+
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400"])
     def test_non_finite_epsilon_exits_2_naming_the_key(self, ws, tmp_path, capsys, text):
         cfg = tmp_path / "fvp.json"
@@ -1132,13 +1149,15 @@ class TestGlm:
             "earlier layout", "zero rows", "factor not lower-triangular",
             "factor with a zero diagonal entry", "gram layout", "meta not an object", "meta key missing",
             "data length", "non-finite fisher map", "fisher map shape", "nonzero above a diagonal block",
-            "zero diagonal", "square factor layout",
+            "zero diagonal", "square factor layout", "n_train a string", "include_network_output 1",
+            "digest a number", "architecture a list", "integer prior_variance",
         ],
     )
     def test_record_that_is_not_a_hit_is_never_used(self, blob_data, tmp_path, monkeypatch, capsys, tamper):
         # A miss parses both files and rebuilds the Gram, and writes the
         # bytes of a run without the record; only a record that fails a
-        # check, not one written for other bytes, is a warning.
+        # check, not one written for other bytes, is a warning. An integer
+        # prior_variance, which the fit file reads as a number too, is a hit.
         cfg, fit_path = self.fit(blob_data, tmp_path, "laplace", predict_mode="single_sample")
         code, hit = self.predict(blob_data, tmp_path, cfg, fit_path, out="hit.csv")
         assert code == 0
@@ -1167,7 +1186,13 @@ class TestGlm:
             "fisher map shape": {"fisher_map": fields["fisher_map"][:-1]},
             "nonzero above a diagonal block": {"factor": spoiled("factor", (len(factor) - 2, len(factor) - 1), 0.5)},
             "zero diagonal": {"factor": spoiled("factor", (len(factor) - 1,) * 2, 0.0)},
+            "n_train a string": {"n_train": str(meta["n_train"])},
+            "include_network_output 1": {"include_network_output": 1},
+            "digest a number": {"checkpoint_sha256": 0},
+            "architecture a list": {"architecture": list(meta["architecture"].values())},
+            "integer prior_variance": {"prior_variance": int(meta["prior_variance"])},
         }
+        assert meta["prior_variance"] == 1.0
         if tamper == "other fit":
             # Rewrites glm.json too, so the outputs' config_hash is not the hit's.
             self.fit(blob_data, tmp_path, "laplace", out="other.json", epochs=20, predict_mode="single_sample")
@@ -1209,27 +1234,34 @@ class TestGlm:
         capsys.readouterr()
         smaller_gram, built = glm_module.smaller_gram, []
         monkeypatch.setattr(glm_module, "smaller_gram", lambda jac: built.append(jac) or smaller_gram(jac))
-        warned = tamper not in ("other fit", "digest", "re-indented fit")
+        served = tamper == "integer prior_variance"
+        warned = tamper not in ("other fit", "digest", "re-indented fit") and not served
         # The check that refuses each record; the others are not in the record's layout.
+        key = "Laplace record key"
+        factor_key = f"{key} 'factor' is malformed: "
         above, diagonal = "the factor has a nonzero entry above", "the factor has a diagonal entry that is not positive"
         reasons = {
             "archive": "not a .npy record",
             "not numpy": "not a .npy record",
             "shape": "factor of shape (39, 39), expected (40, 40)",
-            "non-finite": "non-finite factor entries",
-            "non-finite mean": "non-finite mean entries",
-            "mis-shaped fisher_x": "Fisher inputs of shape (40, 1)",
-            "non-finite params": "parameter vector contains non-finite entries",
-            "zero rows": "Fisher inputs of shape (0, 2)",
-            "factor not lower-triangular": above,
-            "factor with a zero diagonal entry": diagonal,
+            "non-finite": factor_key + "non-finite factor entries",
+            "non-finite mean": f"{key} 'mean' must be number array, got array([",
+            "mis-shaped fisher_x": f"{key} 'fisher_x' is malformed: Fisher inputs of shape (40, 1)",
+            "non-finite params": f"{key} 'params' is malformed: parameter vector contains non-finite entries",
+            "zero rows": f"{key} 'fisher_x' is malformed: Fisher inputs of shape (0, 2)",
+            "factor not lower-triangular": factor_key + above,
+            "factor with a zero diagonal entry": factor_key + diagonal,
             "meta not an object": "meta is not an object of the keys",
             "meta key missing": "meta is not an object of the keys",
             "data length": "data holds 1843 floats, its meta's shapes 1844",
-            "non-finite fisher map": "non-finite fisher_map entries",
+            "non-finite fisher map": f"{key} 'fisher_map' must be number array, got array([",
             "fisher map shape": "fisher_map of shape (39, 1, 2), expected (40, 1, 2)",
-            "nonzero above a diagonal block": above,
-            "zero diagonal": diagonal,
+            "nonzero above a diagonal block": factor_key + above,
+            "zero diagonal": factor_key + diagonal,
+            "n_train a string": f"{key} 'n_train' must be int, got '40')",
+            "include_network_output 1": f"{key} 'include_network_output' must be bool, got 1)",
+            "digest a number": f"{key} 'checkpoint_sha256' must be string, got 0)",
+            "architecture a list": f"{key} 'architecture' is malformed: expected an object, got list)",
         }
         glm = json.loads(Path(cfg).read_text())["glm"]
         for mode in ("single_sample", "mean"):
@@ -1246,7 +1278,7 @@ class TestGlm:
                     assert "allow_pickle" not in err
             else:
                 assert err == ""
-            assert len(built) == (mode == "single_sample")
+            assert len(built) == (mode == "single_sample" and not served)
             tampered = gram_path.read_bytes()
             gram_path.unlink()
             code, without = self.predict(blob_data, tmp_path, mode_cfg, fit_path, out=f"without-{mode}.csv")
@@ -1326,6 +1358,18 @@ class TestGlm:
         err = capsys.readouterr().err
         assert f"{fit_path}: GLM fit file key 'fisher_x' is malformed: " in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_pinned_record_with_an_unreadable_checkpoint_exits_2(self, blob_data, tmp_path, capsys):
+        # The record misses, as its checkpoint digest names no readable bytes, and the checkpoint's read fails.
+        cfg, fit_path = self.fit(blob_data, tmp_path, "laplace")
+        ckpt = tmp_path / "ckptdir"
+        ckpt.mkdir()
+        code, out = self.predict(blob_data, tmp_path, cfg, fit_path, str(ckpt))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"tangentgp: {ckpt}: Is a directory" in err
+        assert "Traceback" not in err and "WARNING" not in err
         assert not out.exists()
 
     def test_failed_record_write_keeps_the_previous_record(self, blob_data, tmp_path, monkeypatch, capsys):

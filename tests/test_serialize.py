@@ -1,6 +1,7 @@
 """Bulk CSV formatting and parsing against per-cell oracles."""
 
 import os
+import secrets
 
 import numpy as np
 import pytest
@@ -220,3 +221,15 @@ class TestAtomicWrite:
             assert path.read_bytes() == blob
             assert path.stat().st_mode & 0o777 == mode
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_taken_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        # The first name drawn is taken: the write draws another and leaves that file alone.
+        taken = tmp_path / "out.json.0badcafe.tmp"
+        taken.write_bytes(b"another writer's")
+        names = iter(["0badcafe"])
+        token_hex = secrets.token_hex
+        monkeypatch.setattr(secrets, "token_hex", lambda n: next(names, None) or token_hex(n))
+        atomic_write_bytes(tmp_path / "out.json", b"landed")
+        assert (tmp_path / "out.json").read_bytes() == b"landed"
+        assert taken.read_bytes() == b"another writer's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", taken.name]
