@@ -16,10 +16,12 @@ convex and its Hessian is exactly the precision A = lam I + B B' at
 the current coefficients (the GGN of Immer et al. 2021). The Laplace
 fit is Newton's method on it: each step solves with A on the smaller
 side of B's Gram, the n*(c-1) square lam I + B'B (by the Woodbury
-identity; assembled directly from the mapped layer sensitivities) or
-the p square A itself (the low-rank GGN Laplace of Daxberger et al.
-2021, "Laplace Redux"). ``gp.smaller_gram`` picks that side and checks
-its size, as it does for the GP fits. A Laplace draw is exact:
+identity) or the p square A itself (the low-rank GGN Laplace of
+Daxberger et al. 2021, "Laplace Redux"). ``gp.gram_side`` picks that
+side and checks its size, as it does for the GP fits. The linearization
+point never moves, so on the kernel side the fit builds the n*c square
+tangent kernel K = J'J once and maps it by each iteration's M_i:
+B'B = blockdiag(M_i) K blockdiag(M_i'). A Laplace draw is exact:
 mean + A^-1 (sqrt(lam) z + B v) for standard normal z and v, two
 triangular solves with the same Gram's Cholesky factor. With the Fisher
 pinned to the training inputs the fit factors the Gram of its last
@@ -29,6 +31,7 @@ iteration's Fisher output maps; the two serve every draw.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import ContractViolationError, FitError, TrainingDivergenceError
 from .fisher import _softmax_fisher_apply
-from .gp import cholesky_solve, gram_cholesky, gram_solve, smaller_gram
+from .gp import check_square, cholesky_solve, gram_cholesky, gram_side, gram_solve, kernel_matrix, smaller_gram
 from .linalg import SymmetricLinearOperator, lanczos_factorize, lowrank_inverse_root
 from .net import (
     Adam, JacobianOperator, MlpNetwork, _backward, _check_finite, _forward_mode, _layer_views,
@@ -44,6 +47,8 @@ from .net import (
 )
 from .seeding import substream
 from .serialize import float_lines, render_csv
+
+log = logging.getLogger(__name__)
 
 SVI_RAW_SCALE_INIT = -5.0
 FIT_METHODS = ("map", "svi", "laplace")
@@ -210,11 +215,13 @@ class LaplacePosterior:
     exists to mirror that published variant. For pinned inputs
     ``fit_laplace`` keeps two parts of the precision at the mean from its
     last Newton iteration: ``gram_factor``, the lower Cholesky factor of
-    the precision's Gram (``_shifted_gram``) as ``gp.gram_cholesky``'s
-    panels, and ``fisher_map``, the (n, c - 1, c) output map of the
-    Fisher root B (``_fisher_root``) on the n rows of ``fisher_x``. A
-    draw solves with a kept factor and builds B from the kept map; with
-    no factor it rebuilds B at the mean and builds and factors the Gram.
+    the precision's Gram (``_shifted_gram``, on the kernel side mapped
+    from the fit's one tangent kernel) as ``gp.gram_cholesky``'s panels,
+    and ``fisher_map``, the (n, c - 1, c) output map of the Fisher root B
+    (``_fisher_root``) on the n rows of ``fisher_x``. A draw solves with
+    a kept factor and builds B from the kept map; with no factor it
+    rebuilds B at the mean and builds and factors the Gram the same way,
+    to the same bits.
     """
 
     mean: np.ndarray
@@ -392,15 +399,20 @@ def fit_laplace(
     """The penalized NLL's exact mode by Newton's method, with the precision there.
 
     One forward trace of the training inputs serves every iteration, which
-    starts from ``model.coefficients``. An iteration takes the logits by
-    ``_logits`` and the gradient g = J (softmax - one-hot) + theta / prior
-    by ``net._backward`` on bound views of the iterate. The Hessian is
-    the precision A = lam I + B B' at the iterate, with B its Fisher root
+    starts from ``model.coefficients``, and on the kernel side so does one
+    tangent kernel K = J'J (``_tangent_kernel``), built before the first.
+    An iteration takes the logits by ``_logits`` and the gradient
+    g = J (softmax - one-hot) + theta / prior by ``net._backward`` on
+    bound views of the iterate. The Hessian is the precision
+    A = lam I + B B' at the iterate, with B its Fisher root
     (``_fisher_root``), so the Newton step A^-1 g is one solve with the
     Gram that ``_shifted_gram`` builds on B's smaller side:
     (g - B (lam I + B'B)^-1 B'g) / lam by the Woodbury identity on the
-    kernel side, as ``_laplace_draw`` solves, or a solve with A itself.
-    The iterate at which the stopping rule above holds is the mean.
+    kernel side, where the Gram is K mapped by the iterate's M_i, as
+    ``_laplace_draw`` solves, or a solve with A itself. The iterate at
+    which the stopping rule above holds is the mean. A DEBUG record on
+    the ``tangentgp`` logger reports the iterations, the line search's
+    halvings, the final decrement and the Gram's side and size.
 
     Each step solves by LU (``gp.gram_solve``), which costs less than a
     Cholesky factor and its two substitutions per iteration.
@@ -411,8 +423,9 @@ def fit_laplace(
     Fisher to be estimated on each prediction batch and keeps neither.
     Either way the fit optimizes on the training inputs. ``FitError`` is
     raised when ``NEWTON_MAX_ITERATIONS`` pass or a line search fails,
-    ``ResourceLimitError`` when the Gram is over the size cap, and
-    ``NumericBreakdownError`` when a solve or the final Cholesky fails.
+    ``ResourceLimitError`` before anything is built when the Gram or, on
+    the kernel side, K is over the size cap, and ``NumericBreakdownError``
+    when a solve or the final Cholesky fails.
     """
     if fisher_source not in FISHER_SOURCES:
         raise ContractViolationError(
@@ -422,6 +435,7 @@ def fit_laplace(
     arch = model.network.architecture
     prior = model.prior_variance
     jac = JacobianOperator(model.network, data.x)
+    kernel = _tangent_kernel(jac)
     coeff = model.coefficients.copy()
     grad, step = np.empty_like(coeff), np.empty_like(coeff)
     coeff_layers, grad_layers, step_layers = (_layer_views(arch, b) for b in (coeff, grad, step))
@@ -432,7 +446,8 @@ def fit_laplace(
         return float(theta @ theta) / (2.0 * prior) - float(log_q[rows, data.labels].sum()), log_q
 
     last = math.inf
-    for _ in range(NEWTON_MAX_ITERATIONS):
+    backtracks = 0
+    for iteration in range(1, NEWTON_MAX_ITERATIONS + 1):
         logits = _logits(model, jac, coeff_layers)
         value, log_q = objective(logits, coeff)
         probs = np.exp(log_q)
@@ -441,8 +456,8 @@ def fit_laplace(
         _backward(jac, grad_logits, grad_layers)
         grad += coeff / prior
         fisher = _fisher_root(jac, probs, 1.0)
-        gram = _shifted_gram(fisher, prior)
-        if len(gram) == fisher.out_len:
+        gram = _shifted_gram(fisher, kernel, prior)
+        if kernel is not None:
             np.subtract(grad, fisher.vjp(gram_solve(gram, fisher.jvp(grad))), out=step)
             step *= prior
         else:
@@ -451,6 +466,11 @@ def fit_laplace(
         scale = max(1.0, abs(value))
         resolved = decrement > NEWTON_RESOLVED * scale
         if not resolved and (decrement <= NEWTON_TOLERANCE * scale or decrement >= last):
+            log.debug(
+                "Laplace fit: Newton's method took %d iterations and %d backtracks to a decrement "
+                "of %.3g; %s-side Gram %d x %d",
+                iteration, backtracks, decrement, "kernel" if kernel is not None else "parameter", *gram.shape,
+            )
             pinned = fisher_source == "train"
             return LaplacePosterior(
                 mean=coeff,
@@ -468,6 +488,7 @@ def fit_laplace(
                 size = 0.5**halvings
                 trial, _ = objective(logits - size * slope, coeff - size * step)
                 if trial <= value - ARMIJO_FRACTION * size * 2.0 * decrement:
+                    backtracks += halvings
                     break
             else:
                 raise FitError(
@@ -566,13 +587,38 @@ def _fisher_root(jac: JacobianOperator, probs: np.ndarray, upscale: float) -> Ja
     return jac.mapped(root_t)
 
 
-def _shifted_gram(fisher: JacobianOperator, prior_variance: float) -> np.ndarray:
+def _tangent_kernel(jac: JacobianOperator) -> np.ndarray | None:
+    """K = J'J, the n*c square tangent kernel at ``jac``'s inputs, when its Fisher root's Gram is on the kernel side; else None.
+
+    A Fisher root B = J blockdiag(M_i') of ``jac`` has m = n*(c-1)
+    columns. ``gp.gram_side`` picks B's side and checks its square
+    against the cap; on the kernel side K's n*c square is checked too.
+    Both checks come before anything is built. K, one ``gp.kernel_matrix``
+    call, serves the Gram of B for any maps M_i (``_shifted_gram``).
+    """
+    if not gram_side(jac.n_data * (jac.out_dim - 1), jac.param_count):
+        return None
+    check_square(jac.out_len, "the Laplace Gram's tangent kernel")
+    return kernel_matrix(jac.network, jac)
+
+
+def _shifted_gram(fisher: JacobianOperator, kernel: np.ndarray | None, prior_variance: float) -> np.ndarray:
     """The precision's Gram on the smaller side of B, shifted by lam = 1 / prior_variance.
 
-    lam I + B'B (m square, when m <= p, the side ``gp.smaller_gram``
-    picks) or the precision lam I + B B' itself (p square).
+    With the tangent kernel K of ``_tangent_kernel``, lam I + B'B (m
+    square) from B'B = blockdiag(M_i) K blockdiag(M_i'), M_i (c-1) x c
+    the Fisher root's output maps, by two batched products with them.
+    With None, the p square precision lam I + B B' itself
+    (``gp.smaller_gram``).
     """
-    _, gram = smaller_gram(fisher)
+    if kernel is None:
+        _, gram = smaller_gram(fisher)
+    else:
+        maps = fisher.output_map
+        n, k, c = maps.shape
+        left = (maps @ kernel.reshape(n, c, n * c)).reshape(n * k, n * c)  # M K
+        # M (M K)' = M K M', as K is symmetric.
+        gram = (maps @ left.T.reshape(n, c, n * k)).reshape(n * k, n * k)
     gram[np.diag_indices_from(gram)] += 1.0 / prior_variance
     return gram
 
@@ -590,13 +636,15 @@ def _laplace_draw(model: LinearizedGlm, posterior: LaplacePosterior, x, rng) -> 
     Gram's Cholesky factor. When the fit kept the factor, B is the
     Jacobian operator of ``fisher_x`` under the kept ``fisher_map``, and
     the draw neither evaluates the logits at the mean nor builds a Gram;
-    otherwise B is rebuilt at the mean and its Gram built and factored
+    otherwise B is rebuilt at the mean and its Gram built as the fit
+    builds it (``_tangent_kernel``, then ``_shifted_gram``) and factored
     here. Both give the same bits.
     """
     factor = posterior.gram_factor
     if factor is None:
-        fisher = _fisher_root(*_fisher_at_map(model, posterior, x))
-        factor = gram_cholesky(_shifted_gram(fisher, posterior.prior_variance))
+        jac, probs, upscale = _fisher_at_map(model, posterior, x)
+        fisher = _fisher_root(jac, probs, upscale)
+        factor = gram_cholesky(_shifted_gram(fisher, _tangent_kernel(jac), posterior.prior_variance))
     else:
         fisher = JacobianOperator(model.network, posterior.fisher_x).mapped(posterior.fisher_map)
     z, v = rng.standard_normal(fisher.param_count), rng.standard_normal(fisher.out_len)

@@ -45,10 +45,11 @@ its side, the same whichever system asked for it. A fit is exact
 whenever the smaller side is at most ``EXACT_FIT_LIMIT``, and always when
 handed a factor, as long as the exact root stays under
 ``DENSE_JACOBIAN_CAP`` entries; input size alone picks the path. The same
-``factor_gram`` serves the exact log marginal, and its Gram assembly
-``smaller_gram``, given the Fisher-mapped operator, the Laplace draws of
-``glm``, which factor that Gram by ``gram_cholesky`` and solve with the
-factor by ``cholesky_solve``.
+``factor_gram`` serves the exact log marginal. ``glm``'s Laplace fit and
+draws pick their Gram's side by ``gram_side``; on the kernel side they map
+one ``kernel_matrix`` of J by each Fisher root's output maps, on the p side
+they take ``smaller_gram`` of the Fisher-mapped operator. They factor that
+Gram by ``gram_cholesky`` and solve with the factor by ``cholesky_solve``.
 
 Matrix-free fits (a side above the limit, or a root over the cap) solve
 by CG and take a Lanczos root of at most ``DEFAULT_VARIANCE_RANK`` steps
@@ -405,24 +406,24 @@ def cholesky_solve(panels, rhs: np.ndarray) -> np.ndarray:
 
     numpy has no triangular solve, so each substitution runs over column
     blocks of ``CHOLESKY_BLOCK``: a diagonal block is solved by
-    ``np.linalg.solve``, and the blocks already solved enter by one
-    matmul. Both are backward stable, as an explicit inverse is not.
-    The forward pass reads each row panel whole; the back pass gathers
-    the column panel below each diagonal block from the later row
-    panels, so both take the products of the m square factor, bit for
-    bit. Each substitution costs O(m^2); neither the panels nor ``rhs``
-    is modified.
+    ``np.linalg.solve``, and the blocks already solved enter by matmuls.
+    Both are backward stable, as an explicit inverse is not. Each pass
+    reads one row panel at a time: the forward pass subtracts the
+    panel's product with the blocks already solved before it solves the
+    panel's block; the back pass solves the block first, then subtracts
+    the transposed panel's product with it from every earlier block, so
+    no column panel is gathered. Each substitution costs O(m^2); neither
+    the panels nor ``rhs`` is modified.
     """
     x = np.array(rhs, dtype=np.float64)
     starts = range(0, len(x), CHOLESKY_BLOCK)
     for i, panel in zip(starts, panels):  # L y = rhs
         j = i + CHOLESKY_BLOCK
         x[i:j] = np.linalg.solve(panel[:, i:], x[i:j] - panel[:, :i] @ x[:i])
-    for k in reversed(range(len(panels))):  # L' x = y
-        i, j = k * CHOLESKY_BLOCK, (k + 1) * CHOLESKY_BLOCK
-        diagonal = panels[k][:, i:]
-        below = np.concatenate([diagonal[:0], *(panel[:, i:j] for panel in panels[k + 1 :])])
-        x[i:j] = np.linalg.solve(diagonal.T, x[i:j] - below.T @ x[j:])
+    for i, panel in zip(reversed(starts), reversed(panels)):  # L' x = y
+        j = i + CHOLESKY_BLOCK
+        x[i:j] = np.linalg.solve(panel[:, i:].T, x[i:j])
+        x[:i] -= panel[:, :i].T @ x[i:j]
     return x
 
 
@@ -442,23 +443,34 @@ class GramFactor:
     jac: JacobianOperator
 
 
+def check_square(size: int, what: str) -> None:
+    """Raise ``ResourceLimitError`` when ``what``'s ``size`` square is over ``DENSE_JACOBIAN_CAP`` entries."""
+    if size * size > DENSE_JACOBIAN_CAP:
+        raise ResourceLimitError(f"{what} needs a {size} x {size} matrix (cap {DENSE_JACOBIAN_CAP} entries)")
+
+
+def gram_side(columns: int, p: int) -> bool:
+    """Whether the Gram of a p x ``columns`` B is taken on its kernel side, once that side's square is checked.
+
+    ``_kernel_side``, the rule ``fit_posterior`` picks its system with,
+    picks the columns square B'B or the p square B B'; the picked square
+    is checked against ``DENSE_JACOBIAN_CAP`` entries.
+    """
+    kernel_side = _kernel_side(columns, p)
+    check_square(columns if kernel_side else p, "Gram factorization")
+    return kernel_side
+
+
 def smaller_gram(jac: JacobianOperator) -> tuple[str, np.ndarray]:
     """The smaller Gram side of the operator's B (p x n*o), as (side, Gram).
 
     B is J of the regression view, or J blockdiag(M_i') for an operator
-    with an output map M. ``_kernel_side``, the rule ``fit_posterior`` picks its system with,
-    picks the side on B's column count: "function" gives the n*o square
-    B'B, "parameter" the p square B B'. The square is checked against
-    ``DENSE_JACOBIAN_CAP`` entries before anything is built.
+    with an output map M. ``gram_side`` picks the side on B's column
+    count, before anything is built: "function" gives the n*o square B'B,
+    "parameter" the p square B B'.
     """
     p = jac.param_count
-    kernel_side = _kernel_side(jac.out_len, p)
-    size = jac.out_len if kernel_side else p
-    if size * size > DENSE_JACOBIAN_CAP:
-        raise ResourceLimitError(
-            f"Gram factorization needs a {size} x {size} matrix (cap {DENSE_JACOBIAN_CAP} entries)"
-        )
-    if kernel_side:
+    if gram_side(jac.out_len, p):
         return "function", kernel_matrix(jac.network, jac)
     gram = np.zeros((p, p))
     for _, block in _jacobian_blocks(jac):

@@ -1127,7 +1127,7 @@ class TestGlm:
             cfg = write_json(tmp_path / f"{mode}.json", {"version": 1, "glm": {**glm, "predict_mode": mode}})
             with monkeypatch.context() as patch:
                 for module, name in (
-                    (glm_module, "smaller_gram"), (glm_module, "gram_cholesky"),
+                    (glm_module, "_tangent_kernel"), (glm_module, "_shifted_gram"), (glm_module, "gram_cholesky"),
                     (cli, "load_checkpoint"), (cli, "_load_glm_fit"),
                 ):
                     patch.setattr(module, name, unreached)
@@ -1232,8 +1232,8 @@ class TestGlm:
                 {name: change.get(name, value) for name, value in fields.items()},
             )
         capsys.readouterr()
-        smaller_gram, built = glm_module.smaller_gram, []
-        monkeypatch.setattr(glm_module, "smaller_gram", lambda jac: built.append(jac) or smaller_gram(jac))
+        shifted_gram, built = glm_module._shifted_gram, []
+        monkeypatch.setattr(glm_module, "_shifted_gram", lambda *args: built.append(args) or shifted_gram(*args))
         served = tamper == "integer prior_variance"
         warned = tamper not in ("other fit", "digest", "re-indented fit") and not served
         # The check that refuses each record; the others are not in the record's layout.
@@ -1297,7 +1297,7 @@ class TestGlm:
         resaved = tmp_path / "resaved.json"
         save_checkpoint(load_checkpoint(blob_data["ckpt"]), resaved, {"note": "re-written"})
         parsed = []
-        for module, name in ((cli, "load_checkpoint"), (cli, "_load_glm_fit"), (glm_module, "smaller_gram")):
+        for module, name in ((cli, "load_checkpoint"), (cli, "_load_glm_fit"), (glm_module, "_shifted_gram")):
             original = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *args, name=name, original=original: parsed.append(name) or original(*args)
@@ -1306,7 +1306,7 @@ class TestGlm:
         capsys.readouterr()
         code, miss = self.predict(blob_data, tmp_path, cfg, fit_path, str(resaved), "miss.csv")
         assert code == 0
-        assert sorted(parsed) == ["_load_glm_fit", "load_checkpoint", "smaller_gram"]
+        assert sorted(parsed) == ["_load_glm_fit", "_shifted_gram", "load_checkpoint"]
         assert miss.read_bytes() == hit.read_bytes()
         gram_path = tmp_path / "fit.laplace.npy"
         err = capsys.readouterr().err
@@ -1407,11 +1407,13 @@ class TestGlm:
         [
             # 40 inputs, 2 classes: the (8,) net's Gram is the 40 x 40 kernel side.
             (gp_module, "DENSE_JACOBIAN_CAP", 40 * 40 - 1, "Gram factorization needs a 40 x 40 matrix (cap 1599 entries)"),
+            # The Gram fits under the cap; the 80 x 80 tangent kernel it is mapped from does not.
+            (gp_module, "DENSE_JACOBIAN_CAP", 40 * 40, "the Laplace Gram's tangent kernel needs a 80 x 80 matrix (cap 1600 entries)"),
             (glm_module, "NEWTON_MAX_ITERATIONS", 1, "Newton's method did not reach the Laplace mode in 1 iterations"),
             # The Newton steps solve by LU; only the final Gram is factored by Cholesky.
             (np.linalg, "cholesky", not_positive_definite, "Cholesky factorization of the 40 x 40 Gram matrix failed"),
         ],
-        ids=["gram-over-the-cap", "iteration-cap", "cholesky-breakdown"],
+        ids=["gram-over-the-cap", "kernel-over-the-cap", "iteration-cap", "cholesky-breakdown"],
     )
     def test_failed_laplace_fit_exits_4_writing_nothing(
         self, blob_data, tmp_path, monkeypatch, capsys, module, name, value, message
@@ -1423,7 +1425,8 @@ class TestGlm:
             ["glm-fit", "--config", cfg, "--checkpoint", blob_data["ckpt"], "--data", blob_data["data"], "--out", str(out)]
         )
         assert code == 4
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "matrix-free" not in err
         assert not out.exists() and not (tmp_path / "fit.laplace.npy").exists()
 
     def test_fit_then_predict_separates_blobs(self, blob_data, tmp_path):
@@ -1444,6 +1447,24 @@ class TestGlm:
             probs = [float(row[2]), float(row[3])]
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
             assert max(probs) > 0.8
+
+    @pytest.mark.parametrize("widths, gram", [((8,), "kernel-side Gram 40 x 40"), ((4,), "parameter-side Gram 22 x 22")])
+    def test_newton_report_changes_no_output(self, blob_data, tmp_path, monkeypatch, capsys, widths, gram):
+        ckpt = str(tmp_path / "clf.json")
+        save_checkpoint(init_network(MlpArchitecture(2, widths, 2), seed=1), ckpt, {})
+        outputs, errs = [], []
+        for level in ("WARNING", "DEBUG"):
+            monkeypatch.setenv("TANGENTGP_LOG_LEVEL", level)
+            work = tmp_path / level
+            work.mkdir()
+            capsys.readouterr()
+            _, fit_path = self.fit(blob_data, work, "laplace", ckpt=ckpt)
+            outputs.append([Path(fit_path).read_bytes(), (work / "fit.laplace.npy").read_bytes()])
+            errs.append(capsys.readouterr().err)
+        assert outputs[0] == outputs[1]
+        assert errs[0] == ""
+        [report] = [line for line in errs[1].splitlines() if line.startswith("DEBUG tangentgp.glm: Laplace fit")]
+        assert report.endswith(gram) and "Newton's method took" in report
 
     def test_laplace_fit_roundtrips(self, blob_data, tmp_path):
         cfg, fit_path = self.fit(blob_data, tmp_path, "laplace")

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -595,6 +597,42 @@ class TestFitLaplace:
         with pytest.raises(FitError, match="^Newton line search found no sufficient decrease in 0 halvings"):
             fit_laplace(far, data)
 
+    def test_newton_report_is_one_debug_record(self, monkeypatch, caplog):
+        # From a far start the line search halves some steps. Every
+        # iteration takes one LU solve, one logits pass (a forward-mode pass)
+        # and one objective (a log-softmax); a resolved one adds one slope
+        # (a forward-mode pass) and one trial objective per halving and one
+        # more, so the halvings are the log-softmaxes less the forward-mode passes.
+        model, data = newton_setup(3, 8, True)
+        far = model.with_coefficients(10.0 * np.random.default_rng(5).normal(size=model.coefficients.size))
+        with caplog.at_level(logging.WARNING, logger="tangentgp"):
+            quiet = fit_laplace(far, data)
+        assert caplog.records == []
+        calls = {"gram_solve": 0, "_forward_mode": 0, "_log_softmax": 0}
+        for name in calls:
+            original = getattr(glm_module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(glm_module, name, counted)
+        with caplog.at_level(logging.DEBUG, logger="tangentgp"):
+            loud = fit_laplace(far, data)
+        [record] = caplog.records
+        assert record.name == "tangentgp.glm" and record.levelno == logging.DEBUG
+        report = re.fullmatch(
+            r"Laplace fit: Newton's method took (\d+) iterations and (\d+) backtracks "
+            r"to a decrement of (\S+); kernel-side Gram 16 x 16",  # n*(c-1) = 16 <= p = 27
+            record.getMessage(),
+        )
+        assert int(report[1]) == calls["gram_solve"]
+        assert int(report[2]) == calls["_log_softmax"] - calls["_forward_mode"] > 0
+        assert float(report[3]) <= glm_module.NEWTON_RESOLVED
+        # The report changes nothing the fit returns.
+        assert np.array_equal(loud.mean, quiet.mean) and np.array_equal(loud.fisher_map, quiet.fisher_map)
+        assert all(map(np.array_equal, loud.gram_factor, quiet.gram_factor))
+
     def test_unknown_fisher_source_rejected(self):
         data, _, _ = make_blobs()
         with pytest.raises(ContractViolationError, match="fisher_source"):
@@ -697,8 +735,9 @@ def factor_panels(square):
 
 def laplace_gram(model, posterior):
     """The precision's Gram that a draw builds at the posterior's mean, on the pinned inputs."""
-    fisher = glm_module._fisher_root(*glm_module._fisher_at_map(model, posterior, None))
-    return glm_module._shifted_gram(fisher, posterior.prior_variance)
+    jac, probs, upscale = glm_module._fisher_at_map(model, posterior, None)
+    fisher = glm_module._fisher_root(jac, probs, upscale)
+    return glm_module._shifted_gram(fisher, glm_module._tangent_kernel(jac), posterior.prior_variance)
 
 
 def newton_setup(classes, n, include_network_output):
@@ -878,7 +917,7 @@ class TestLaplaceDraw:
         def unbuilt(*args):
             raise AssertionError("a draw with a cached Gram factor built a Fisher root or a Gram, or factored one")
 
-        for name in ("smaller_gram", "gram_cholesky", "_fisher_root", "_fisher_at_map"):
+        for name in ("_tangent_kernel", "_shifted_gram", "gram_cholesky", "_fisher_root", "_fisher_at_map"):
             monkeypatch.setattr(glm_module, name, unbuilt)
         for seed in (0, 7):
             coeff = _laplace_draw(model, cached, x, substream(seed, "glm-predict"))
@@ -922,10 +961,12 @@ class TestLaplaceDraw:
             assert np.all(np.isfinite(probs))
 
     def test_draw_breakdown_is_typed(self, monkeypatch):
-        def nan_gram(jac):
-            side, gram = gp_module.smaller_gram(jac)
+        shifted_gram = glm_module._shifted_gram
+
+        def nan_gram(*args):
+            gram = shifted_gram(*args)
             gram[0, 0] = np.nan
-            return side, gram
+            return gram
 
         def not_positive_definite(a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -934,7 +975,7 @@ class TestLaplaceDraw:
             model, posterior, x = laplace_draw_setup(*case)
             z, v = self.noise(model, posterior, x, 0)
             for target, name, fake, message in (
-                (glm_module, "smaller_gram", nan_gram, "non-finite"),
+                (glm_module, "_shifted_gram", nan_gram, "non-finite"),
                 (np.linalg, "cholesky", not_positive_definite, "Cholesky factorization of the .* Gram matrix failed"),
             ):
                 with monkeypatch.context() as patch:
@@ -948,6 +989,86 @@ class TestLaplaceDraw:
         monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", 32 * 32 - 1)
         with pytest.raises(ResourceLimitError, match="32 x 32"):
             _laplace_draw(model, posterior, x, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    @pytest.mark.parametrize("include_output", [False, True])
+    def test_mapped_kernel_is_the_mapped_operators_gram(self, classes, include_output):
+        # The kernel side, n*(c-1) = 10 and 30 <= p = 22 and 32, at a random
+        # mean with n_train != n, so that the Fisher root carries an upscale.
+        model, data = newton_setup(classes, 10, include_output)
+        rng = np.random.default_rng(classes)
+        posterior = LaplacePosterior(
+            mean=rng.normal(size=model.coefficients.size), n_train=25, prior_variance=0.3, fisher_x=data.x
+        )
+        jac, probs, upscale = glm_module._fisher_at_map(model, posterior, None)
+        fisher = glm_module._fisher_root(jac, probs, upscale)
+        kernel = glm_module._tangent_kernel(jac)
+        assert kernel.shape == (10 * classes, 10 * classes)
+        gram = glm_module._shifted_gram(fisher, kernel, posterior.prior_variance)
+        side, oracle = gp_module.smaller_gram(fisher)
+        assert side == "function"
+        oracle[np.diag_indices_from(oracle)] += 1.0 / posterior.prior_variance
+        assert np.abs(gram - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        dense = fisher.dense()
+        assert np.abs(gram - dense.T @ dense - np.eye(len(gram)) / 0.3).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_parameter_side_gram_is_the_smaller_gram(self):
+        # n*(c-1) = 36 > p = 32: no tangent kernel, and the p square precision.
+        model, posterior, _ = laplace_draw_setup(4, 12, "train", True)
+        jac, probs, upscale = glm_module._fisher_at_map(model, posterior, None)
+        fisher = glm_module._fisher_root(jac, probs, upscale)
+        assert glm_module._tangent_kernel(jac) is None
+        side, oracle = gp_module.smaller_gram(fisher)
+        assert side == "parameter"
+        oracle[np.diag_indices_from(oracle)] += 1.0 / posterior.prior_variance
+        assert np.array_equal(glm_module._shifted_gram(fisher, None, posterior.prior_variance), oracle)
+
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            (30 * 30 - 1, "Gram factorization needs a 30 x 30 matrix"),
+            (30 * 30, "the Laplace Gram's tangent kernel needs a 40 x 40 matrix"),
+        ],
+        ids=["gram", "kernel"],
+    )
+    def test_caps_are_checked_before_anything_is_built(self, monkeypatch, cap, message):
+        # The kernel side: n*(c-1) = 30 <= p = 32, mapped from the n*c = 40 square kernel.
+        model, data = newton_setup(4, 10, False)
+        posterior = LaplacePosterior(
+            mean=np.zeros(model.coefficients.size), n_train=data.n, prior_variance=2.0, fisher_x=data.x
+        )
+
+        def unbuilt(self):
+            raise AssertionError("the kernel was assembled")
+
+        monkeypatch.setattr(gp_module, "DENSE_JACOBIAN_CAP", cap)
+        monkeypatch.setattr(net_module.JacobianOperator, "layer_sensitivities", unbuilt)
+        for build in (
+            lambda: fit_laplace(model, data),
+            lambda: fit_laplace(model, data, fisher_source="test_batch"),
+            lambda: predict_class(model, posterior, data.x[:3], mode="single_sample"),
+        ):
+            with pytest.raises(ResourceLimitError, match=rf"^{message} \(cap {cap} entries\)$") as caught:
+                build()
+            assert "matrix-free" not in str(caught.value)
+
+    def test_tangent_kernel_over_the_cap_raises_before_it_is_built(self, monkeypatch):
+        # The kernel side at the unpatched cap: the 6000 square Gram fits
+        # under 10^8 entries, the n*c = 12000 square kernel it would be
+        # mapped from does not.
+        net = init_network(MlpArchitecture(2, (100, 100), 2), seed=0)
+        model = zero_coefficients_glm(net)
+        x = np.random.default_rng(0).normal(size=(6000, 2))
+        data = ClassificationData(x, np.arange(len(x)) % 2)
+
+        def unbuilt(self):
+            raise AssertionError("the kernel was assembled")
+
+        monkeypatch.setattr(net_module.JacobianOperator, "layer_sensitivities", unbuilt)
+        message = "^the Laplace Gram's tangent kernel needs a 12000 x 12000 matrix "
+        with pytest.raises(ResourceLimitError, match=message) as caught:
+            fit_laplace(model, data)
+        assert "matrix-free" not in str(caught.value)
 
     def test_kernel_over_the_cap_raises_before_it_is_built(self, monkeypatch):
         # The kernel side: n*(c-1) = 10001 <= p = 10602, but the 10001

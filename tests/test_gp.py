@@ -1185,7 +1185,8 @@ class TestCholeskySolve:
             x[i:j] = np.linalg.solve(factor[i:j, i:j], x[i:j] - factor[i:j, :i] @ x[:i])
         for i in reversed(starts):
             j = i + CHOLESKY_BLOCK
-            x[i:j] = np.linalg.solve(factor[i:j, i:j].T, x[i:j] - factor[j:, i:j].T @ x[j:])
+            x[i:j] = np.linalg.solve(factor[i:j, i:j].T, x[i:j])
+            x[:i] -= factor[i:j, :i].T @ x[i:j]
         return x
 
     @staticmethod

@@ -268,9 +268,10 @@ def test_svi_fit_builds_one_operator_per_step_and_no_public_products():
 
 def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypatch):
     # A Laplace glm-fit runs Newton's method, not the MAP fit's Adam loop:
-    # one Gram per iteration, each assembled by one kernel_matrix call and
-    # solved by LU, and the record holds the Cholesky factor of the last
-    # one, taken once, rather than of a Gram built once more.
+    # one kernel_matrix call per fit, then one Gram per iteration, each
+    # mapped from that kernel and solved by LU, and the record holds the
+    # Cholesky factor of the last one, taken once, rather than of a Gram
+    # built once more.
     ckpt = tmp_path / "clf.json"
     save_checkpoint(init_network(MlpArchitecture(2, (4,), 3), seed=1), ckpt, {})
     data = tmp_path / "labeled.csv"
@@ -294,7 +295,8 @@ def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypa
     assert tracer.calls["glm.fit_map"] == 0 and tracer.counts["glm.fit_map.steps"] == 0
     # One Newton step per iteration, the last of them not taken.
     assert len(solves) >= 2
-    assert tracer.calls["gp.kernel_matrix"] == len(solves)  # n*(c-1) = 20 <= p = 27
+    assert tracer.calls["gp.kernel_matrix"] == 1  # n*(c-1) = 20 <= p = 27
+    assert tracer.counts["gp.kernel_matrix.columns"] == 30  # the n*c square kernel, built once
     assert tracer.mismatches == []
     assert len(factored) == 1 and factored[0] is solves[-1]
     # The record's data opens with the factor's row panels, each up to the end of its diagonal block.
@@ -305,8 +307,9 @@ def test_laplace_glm_fit_runs_newton_and_writes_its_last_gram(tmp_path, monkeypa
 
 def test_pinned_draw_factors_no_gram_on_a_hit_and_one_on_a_miss(tmp_path, monkeypatch):
     # A hit draws with the record's factor and Fisher map, and rebuilds no
-    # Fisher root; a miss rebuilds the root at the mean, builds the Gram and
-    # factors it, each once, and neither takes an LU solve.
+    # Fisher root; a miss rebuilds the root at the mean, builds the tangent
+    # kernel, maps it to the Gram and factors that, each once, and neither
+    # takes an LU solve.
     ckpt = tmp_path / "clf.json"
     save_checkpoint(init_network(MlpArchitecture(2, (4,), 3), seed=1), ckpt, {})
     data = tmp_path / "labeled.csv"
@@ -318,7 +321,7 @@ def test_pinned_draw_factors_no_gram_on_a_hit_and_one_on_a_miss(tmp_path, monkey
     common = ["--config", str(tmp_path / "glm.json"), "--checkpoint", str(ckpt)]
     assert cli.main(["glm-fit", *common, "--data", str(data), "--out", str(tmp_path / "fit.json")]) == 0
     calls = []
-    for name in ("gram_solve", "gram_cholesky", "_fisher_root", "_fisher_at_map"):
+    for name in ("gram_solve", "gram_cholesky", "_fisher_root", "_fisher_at_map", "_tangent_kernel", "_shifted_gram"):
         original = getattr(glm_module, name)
         monkeypatch.setattr(glm_module, name, lambda *args, name=name, original=original: calls.append(name) or original(*args))
     predict = ["glm-predict", *common, "--fit", str(tmp_path / "fit.json"), "--inputs", str(inputs)]
@@ -326,7 +329,7 @@ def test_pinned_draw_factors_no_gram_on_a_hit_and_one_on_a_miss(tmp_path, monkey
     assert calls == []
     (tmp_path / "fit.laplace.npy").unlink()
     assert cli.main([*predict, "--out", str(tmp_path / "miss.csv")]) == 0
-    assert sorted(calls) == ["_fisher_at_map", "_fisher_root", "gram_cholesky"]
+    assert sorted(calls) == ["_fisher_at_map", "_fisher_root", "_shifted_gram", "_tangent_kernel", "gram_cholesky"]
     assert (tmp_path / "miss.csv").read_bytes() == (tmp_path / "hit.csv").read_bytes()
 
 
